@@ -1,18 +1,18 @@
 """Shard-routing benchmark — 16 clients on a 3-worker cluster vs one process.
 
 The ROADMAP's north star is heavy multi-client traffic; the cluster tier
-(DESIGN.md §14) shards ``WebBaseService`` across worker processes with
+(DESIGN.md §13) shards ``WebBaseService`` across worker processes with
 host-affinity routing, load spillover and a federation cache so the GIL
 stops being the ceiling.  This benchmark drives the *same* 16-client
 workload through (a) one single-process service and (b) a 3-worker
 ``LocalCluster``, and compares **modeled elapsed**: every request's
 ``modelled_seconds`` stat (cpu + the simulated-network critical path,
-the repo's standard elapsed measure since the async fabric PR) is
-attributed to the machine that served it.  A machine's busy time is the
-sum of its requests; the single process is one machine, so its makespan
-is the whole workload, while the cluster's makespan is its *busiest
-shard* — wall clock on a shared CI box measures core count, not the
-architecture, which is exactly why the modeled clock exists.
+the repo's standard elapsed measure) is attributed to the machine that
+served it.  A machine's busy time is the sum of its requests; the single
+process is one machine, so its makespan is the whole workload, while the
+cluster's makespan is its *busiest shard* — wall clock on a shared CI
+box measures core count, not the architecture, which is exactly why the
+modeled clock exists.
 
 Acceptance (pinned by ``test_cluster_halves_modeled_makespan`` and the
 CI ``cluster`` job):

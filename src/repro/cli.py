@@ -47,9 +47,7 @@ toggles batched navigation (default: on) — the query-scoped prefix page
 cache, binding-batched dependent-join probes and speculative prefetch;
 ``--no-batch`` is the paper's per-binding navigation baseline, and
 ``metrics`` reports the ``nav.prefix_hits``/``nav.prefix_misses``/
-``nav.batch_size`` instruments either way.  ``--fabric async`` swaps the
-thread-pool engine for the virtual-time async navigation fabric (one
-event loop multiplexing every in-flight binding; identical rows).
+``nav.batch_size`` instruments either way.
 
 ``serve`` runs the long-lived multi-client query service on a TCP
 socket; ``client`` talks to it (no webbase is built client-side).
@@ -148,14 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="cost",
         help="join-order strategy: the cost-based planner, or the fixed "
         "binding-feasible order (A/B baseline)",
-    )
-    parser.add_argument(
-        "--fabric",
-        choices=["thread", "async"],
-        default="thread",
-        help="concurrency fabric for engine fetches: the bundle-capped "
-        "thread pool, or the virtual-time async loop that multiplexes "
-        "every in-flight binding (same rows either way)",
     )
     parser.add_argument(
         "--fault-rate",
@@ -695,7 +685,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_workers=args.workers,
             optimizer=args.optimizer,
             batch=args.batch,
-            fabric=args.fabric,
             faults=faults,
             resilience=resilience_policy,
             store_dir=args.store,

@@ -1,6 +1,6 @@
 """The sharded multi-process cluster tier (router, workers, federation).
 
-See DESIGN.md §14.  The router speaks the same wire protocol as a
+See DESIGN.md §13.  The router speaks the same wire protocol as a
 single-process service; host-affinity routing, cross-shard cache
 federation, and crash takeover live behind it.
 """

@@ -36,7 +36,6 @@ approaches the slowest single site instead of the sum over sites.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,7 +51,6 @@ from repro.core.resilience import (
 )
 from repro.errors import WebBaseError
 from repro.navigation.executor import NavigationExecutor
-from repro.navigation.fabric import AsyncNavigationExecutor
 from repro.navigation.prefetch import SpeculationBudget, SpeculativePrefetcher
 from repro.vps.cache import CachePolicy, InFlight
 from repro.web.browser import PrefixPageCache, TransientNetworkError
@@ -60,7 +58,6 @@ from repro.web.clock import SimClock
 from repro.web.server import FaultPlan, WebServer
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; avoids import cycles
-    from repro.core.simclock import FabricRuntime
     from repro.navigation.compiler import CompiledSite
     from repro.relational.relation import Relation
     from repro.vps.schema import VirtualRelation
@@ -109,14 +106,6 @@ class WebBaseConfig:
     # speculative prefetch of enumerated select domains.  Off = the
     # per-binding navigation baseline (``--no-batch``).
     batch: bool = True
-    # The concurrency fabric for engine fetches.  "thread" is the
-    # bundle-capped worker pool (one navigation stack per lane);
-    # "async" multiplexes every in-flight binding as a coroutine on one
-    # virtual-time event loop (repro.core.simclock), so thousands of
-    # bindings overlap their simulated latency on a single thread while
-    # preserving AccessHandle cancellation, breaker/bulkhead semantics,
-    # page-cache single-flight, and byte-identical rows.
-    fabric: str = "thread"
     # Per-host circuit breakers, bulkheads, and (when switched on there)
     # speculative join probing with runtime relevance pruning.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
@@ -139,10 +128,6 @@ class WebBaseConfig:
         if self.optimizer not in ("cost", "off"):
             raise ValueError(
                 "optimizer must be 'cost' or 'off'; got %r" % (self.optimizer,)
-            )
-        if self.fabric not in ("thread", "async"):
-            raise ValueError(
-                "fabric must be 'thread' or 'async'; got %r" % (self.fabric,)
             )
 
 
@@ -388,6 +373,20 @@ class AccessHandle:
             self._owner._note_cancelled(self)
         return finished
 
+    def _settle(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` and finish in the terminal state its outcome
+        maps to."""
+        try:
+            value = fn(*args)
+        except (AccessCancelled, DeadlineExceeded) as exc:
+            self._finish(ACCESS_CANCELLED, error=exc)
+        except (CircuitOpenError, BulkheadSaturated) as exc:
+            self._finish(ACCESS_SHED, error=exc)
+        except Exception as exc:  # noqa: BLE001 - stored on the handle
+            self._finish(ACCESS_BROKEN, error=exc)
+        else:
+            self._finish(ACCESS_DONE, value=value)
+
 
 class AccessBatch:
     """The handles of one :meth:`ExecutionContext.run_fetch_batch` call,
@@ -589,12 +588,6 @@ class BundlePool:
         return self._server
 
     @property
-    def sites(self) -> list["CompiledSite"]:
-        """The compiled sites every bundle (and the async fabric's
-        executor) is loaded with."""
-        return list(self._sites)
-
-    @property
     def size(self) -> int:
         return self._created
 
@@ -638,8 +631,6 @@ class ExecutionContext:
         page_revisions: Callable[[str], int] | None = None,
         page_stamp_sink: Callable[[str, int], None] | None = None,
         resilience: ResilienceManager | None = None,
-        fabric: str = "thread",
-        fabric_runtime: "FabricRuntime | None" = None,
     ) -> None:
         self.pool = pool
         self.max_workers = max(1, int(max_workers))
@@ -649,32 +640,6 @@ class ExecutionContext:
         # Per-host breakers and bulkheads, shared across the webbase's
         # queries (``None`` = no resilience layer, the bare engine).
         self.resilience = resilience
-        # The concurrency fabric: "thread" dispatches fetches to the
-        # bundle pool; "async" submits them as coroutines to the shared
-        # virtual-time loop in ``fabric_runtime`` (the sync entry points
-        # block on a concurrent future, so callers never notice).
-        if fabric not in ("thread", "async"):
-            raise ValueError("fabric must be 'thread' or 'async'; got %r" % (fabric,))
-        if fabric == "async" and fabric_runtime is None:
-            raise ValueError("fabric='async' requires a FabricRuntime")
-        self.fabric = fabric
-        self.fabric_runtime = fabric_runtime
-        self._aexec: AsyncNavigationExecutor | None = None
-        # Virtual-time watermarks of fabric activity: elapsed in async
-        # mode is the window between the first binding's start and the
-        # last binding's end on the loop clock.
-        self._fabric_earliest: float | None = None
-        self._fabric_latest = 0.0
-        self._fabric_network_total = 0.0
-        # Loop-confined bulkhead accounting (asyncio has no try-acquire):
-        # per-host count of in-flight fabric accesses, only ever touched
-        # from loop coroutines.
-        self._abulk_used: dict[str, int] = {}
-        # Cooperative-checkpoint ordinal (cancellation/deadline polls on
-        # the fabric).  ``checkpoint_hook`` is a test seam: the
-        # interleaving-sweep suite injects cancel() at the Nth checkpoint.
-        self._checkpoints = 0
-        self.checkpoint_hook: Callable[[int], None] | None = None
         # Batched navigation: one revision-stamped page cache per context
         # (query-scoped — dropped with the context, so cross-query staleness
         # is impossible by construction), shared by every worker bundle the
@@ -692,23 +657,15 @@ class ExecutionContext:
                 stamp_sink=page_stamp_sink,
             )
             self.speculation_budget = SpeculationBudget(metrics=self.metrics)
-            if self.fabric == "async":
-                # No thread-pool prefetcher on the fabric: its flights
-                # complete on *real* threads, which a virtual-time waiter
-                # cannot poll without inflating the loop clock.  The async
-                # executor speculates with loop tasks instead; the budget
-                # settles through the cache's speculative marking.
-                self.page_cache.budget = self.speculation_budget
-            else:
-                self.prefetcher = SpeculativePrefetcher(
-                    pool.server,
-                    self.page_cache,
-                    metrics=self.metrics,
-                    max_workers=self.max_workers,
-                    charge=self._charge_lane,
-                    admit=self._admit_speculation,
-                    budget=self.speculation_budget,
-                )
+            self.prefetcher = SpeculativePrefetcher(
+                pool.server,
+                self.page_cache,
+                metrics=self.metrics,
+                max_workers=self.max_workers,
+                charge=self._charge_lane,
+                admit=self._admit_speculation,
+                budget=self.speculation_budget,
+            )
         # Wall-clock deadline: unlike ``timeout_seconds`` (a per-attempt
         # budget in *simulated* network seconds), the deadline bounds the
         # query's *real* elapsed time — the contract a serving client cares
@@ -756,7 +713,7 @@ class ExecutionContext:
     @property
     def network_seconds_total(self) -> float:
         """Σ network seconds over every fetch — the sequential cost."""
-        return sum(self._lane_seconds) + self._fabric_network_total
+        return sum(self._lane_seconds)
 
     @property
     def network_seconds_critical(self) -> float:
@@ -764,24 +721,9 @@ class ExecutionContext:
         return max(self._lane_seconds)
 
     @property
-    def fabric_window_seconds(self) -> float:
-        """Virtual seconds between the first fabric binding starting and
-        the last finishing — the async fabric's makespan (coroutines
-        overlap on the loop clock, so the window, not the sum, is what a
-        wall clock would have seen)."""
-        with self._lock:
-            if self._fabric_earliest is None:
-                return 0.0
-            return max(0.0, self._fabric_latest - self._fabric_earliest)
-
-    @property
     def elapsed_seconds(self) -> float:
-        """Modelled wall time of this context: cpu plus whichever
-        concurrency story dominated — the busiest thread lane or the
-        fabric's virtual-time window."""
-        return self.cpu_seconds + max(
-            self.network_seconds_critical, self.fabric_window_seconds
-        )
+        """Modelled wall time of this context: cpu + the busiest lane."""
+        return self.cpu_seconds + self.network_seconds_critical
 
     @property
     def sequential_elapsed_seconds(self) -> float:
@@ -1136,8 +1078,6 @@ class ExecutionContext:
         if speculative is None:
             active = self._active_handle()
             speculative = active.speculative if active is not None else False
-        if self.fabric == "async" and bundle is None:
-            return self._run_fetch_fabric(relation, given, speculative)
         handle = AccessHandle(
             relation.name, relation.host, given, speculative=speculative, owner=self
         )
@@ -1146,16 +1086,7 @@ class ExecutionContext:
         try:
             if not handle._mark_running():
                 return handle  # cancelled before it started
-            try:
-                result = self._run_fetch_inner(relation, given, bundle, handle)
-            except (AccessCancelled, DeadlineExceeded) as exc:
-                handle._finish(ACCESS_CANCELLED, error=exc)
-            except (CircuitOpenError, BulkheadSaturated) as exc:
-                handle._finish(ACCESS_SHED, error=exc)
-            except Exception as exc:  # noqa: BLE001 - stored on the handle
-                handle._finish(ACCESS_BROKEN, error=exc)
-            else:
-                handle._finish(ACCESS_DONE, value=result)
+            handle._settle(self._run_fetch_inner, relation, given, bundle, handle)
             return handle
         finally:
             self._pop_handle(handle)
@@ -1246,387 +1177,6 @@ class ExecutionContext:
                 self._uninstall_nav_hooks(owned)
                 self.pool.checkin(owned)
 
-    # -- the async fabric ----------------------------------------------------
-
-    def _runtime(self) -> "FabricRuntime":
-        runtime = self.fabric_runtime
-        if runtime is None:  # pragma: no cover - guarded at construction
-            raise RuntimeError("context has no fabric runtime")
-        return runtime
-
-    def _async_executor(self) -> AsyncNavigationExecutor:
-        """The context's one :class:`AsyncNavigationExecutor`, built
-        lazily on the loop (construction never awaits, so coroutines
-        cannot race it)."""
-        aexec = self._aexec
-        if aexec is None:
-            aexec = AsyncNavigationExecutor(
-                self.pool.server,
-                metrics=self.metrics,
-                admit=self._admit_speculation,
-                budget=self.speculation_budget,
-            )
-            for compiled in self.pool.sites:
-                aexec.add_site(compiled)
-            aexec.page_cache = self.page_cache
-            self._aexec = aexec
-        return aexec
-
-    def _watch_cancel(self, watchers: "list[AccessHandle]", stage: str) -> None:
-        """The fabric twin of :meth:`check_cancelled`: the watcher list
-        replaces the thread-local handle stack (a coroutine has no
-        thread of its own), capturing the enclosing handles at
-        submission time."""
-        for handle in watchers:
-            if handle.cancel_requested:
-                raise AccessCancelled(
-                    handle.cancel_reason or "access cancelled at %s" % stage
-                )
-        if self._cancelled.is_set():
-            self.check_deadline(stage)
-
-    def _fabric_checkpoint(self, stage: str, watchers: "list[AccessHandle]") -> None:
-        """One cooperative checkpoint on the fabric: number it, let the
-        test seam fire (the interleaving sweep injects ``cancel()`` at
-        exactly the Nth checkpoint), then poll cancellation."""
-        with self._lock:
-            self._checkpoints += 1
-            ordinal = self._checkpoints
-        hook = self.checkpoint_hook
-        if hook is not None:
-            hook(ordinal)
-        self._watch_cancel(watchers, stage)
-
-    def _touch_fabric_window(self) -> None:
-        """Stamp the fabric activity window with the loop's current
-        virtual time (called from loop coroutines only)."""
-        now = asyncio.get_running_loop().time()
-        with self._lock:
-            if self._fabric_earliest is None or now < self._fabric_earliest:
-                self._fabric_earliest = now
-            if now > self._fabric_latest:
-                self._fabric_latest = now
-
-    def _run_fetch_fabric(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        speculative: bool,
-    ) -> AccessHandle:
-        """One fetch as a fabric coroutine: submit to the loop, block the
-        calling thread on the (real-time-cheap) future, return the
-        terminal handle — the same contract as the threaded path."""
-        handle = AccessHandle(
-            relation.name, relation.host, given, speculative=speculative, owner=self
-        )
-        self._register_handle(handle)
-        stack = getattr(self._local, "handles", None) or []
-        watchers = list(stack) + [handle]
-        parent = self.current_span()
-        future = self._runtime().submit(
-            self._afetch_binding(relation, given, handle, parent, watchers)
-        )
-        try:
-            future.result()
-        finally:
-            self._unregister_handle(handle)
-        return handle
-
-    async def _afetch_binding(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        handle: AccessHandle,
-        parent: TraceSpan,
-        watchers: "list[AccessHandle]",
-    ) -> None:
-        """Drive one binding to its terminal state on the loop, mapping
-        exceptions to handle states exactly like :meth:`run_fetch`."""
-        if not handle._mark_running():
-            return  # cancelled before the loop picked it up
-        self._touch_fabric_window()
-        try:
-            try:
-                result = await self._arun_fetch_inner(
-                    relation, given, handle, parent, watchers
-                )
-            except (AccessCancelled, DeadlineExceeded) as exc:
-                handle._finish(ACCESS_CANCELLED, error=exc)
-            except (CircuitOpenError, BulkheadSaturated) as exc:
-                handle._finish(ACCESS_SHED, error=exc)
-            except Exception as exc:  # noqa: BLE001 - stored on the handle
-                handle._finish(ACCESS_BROKEN, error=exc)
-            else:
-                handle._finish(ACCESS_DONE, value=result)
-        finally:
-            self._touch_fabric_window()
-
-    async def _arun_fetch_inner(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        handle: AccessHandle,
-        parent: TraceSpan,
-        watchers: "list[AccessHandle]",
-    ) -> "Relation":
-        """The fabric's single-flight loop, sharing the per-context result
-        cache and flight table with the threaded path; waiting on a
-        coalesced flight polls its event at virtual 50ms — free in real
-        time, cancellable at every poll."""
-        key = self._fetch_key(relation, given)
-        while True:
-            self.check_deadline("fetch:%s" % relation.name)
-            self._watch_cancel(watchers, "fetch:%s" % relation.name)
-            leader = False
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    flight = self._flights.get(key)
-                    if flight is None:
-                        flight = self._flights[key] = InFlight()
-                        leader = True
-            if cached is not None:
-                with self._lock:
-                    self.cache_hits += 1
-                self.metrics.counter("engine.context_cache_hits").inc()
-                span = TraceSpan("fetch", relation.name, attrs={"host": relation.host})
-                span.cache = "hit"
-                with self._lock:
-                    parent.children.append(span)
-                return cached
-            if not leader:
-                self.metrics.counter("engine.coalesced").inc()
-                while not flight.event.is_set():
-                    self._fabric_checkpoint("fetch:%s" % relation.name, watchers)
-                    await asyncio.sleep(0.05)
-                continue  # result (or nothing, if the leader failed) is cached now
-            try:
-                result = await self._aguarded_fetch(
-                    relation, given, handle, parent, watchers
-                )
-            except BaseException:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-                raise
-            with self._lock:
-                self._cache[key] = result
-                self._flights.pop(key, None)
-            flight.event.set()
-            return result
-
-    async def _aguarded_fetch(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        handle: AccessHandle,
-        parent: TraceSpan,
-        watchers: "list[AccessHandle]",
-    ) -> "Relation":
-        """The resilience gate on the fabric: the breaker half is the
-        shared (sync, thread-safe) :meth:`ResilienceManager.admit`; the
-        bulkhead half is loop-confined counting — a coroutine must never
-        block a thread on the manager's semaphore, so required accesses
-        poll at virtual 20ms, exactly the threaded gate's cadence."""
-        if self.resilience is None or not self.resilience.policy.enabled:
-            return await self._afetch_with_retries(
-                relation, given, handle, parent, watchers
-            )
-        host = relation.host
-        self.resilience.admit(host, speculative=handle.speculative)
-        limit = self.resilience.policy.bulkhead_per_host
-        if limit is None:
-            return await self._afetch_with_retries(
-                relation, given, handle, parent, watchers
-            )
-        if self._abulk_used.get(host, 0) >= limit:
-            if handle.speculative:
-                self.metrics.counter("resilience.bulkhead_shed").inc()
-                raise BulkheadSaturated(
-                    "bulkhead for host %s is at its limit of %d" % (host, limit)
-                )
-            self.metrics.counter("resilience.bulkhead_waits").inc()
-            while self._abulk_used.get(host, 0) >= limit:
-                self._fabric_checkpoint("bulkhead:%s" % relation.name, watchers)
-                await asyncio.sleep(0.02)
-        self._abulk_used[host] = self._abulk_used.get(host, 0) + 1
-        try:
-            return await self._afetch_with_retries(
-                relation, given, handle, parent, watchers
-            )
-        finally:
-            self._abulk_used[host] -= 1
-
-    async def _afetch_with_retries(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        handle: AccessHandle,
-        parent: TraceSpan,
-        watchers: "list[AccessHandle]",
-    ) -> "Relation":
-        """The fabric twin of :meth:`_fetch_with_retries`: identical
-        retry/timeout/trace/resilience/accounting semantics, with trace
-        spans built by hand (the thread-local span stack would interleave
-        across coroutines sharing the loop thread) and backoff awaited as
-        virtual time instead of charged to a lane clock."""
-        aexec = self._async_executor()
-        policy = self.retry
-        attempts_allowed = max(1, policy.max_attempts)
-        fspan = TraceSpan("fetch", relation.name, attrs={"host": relation.host})
-        fspan.cache = "miss"
-        with self._lock:
-            parent.children.append(fspan)
-        pages_total = 0
-        seconds_total = 0.0
-        last_error: Exception | None = None
-        result: "Relation | None" = None
-        attempts_used = 0
-        run: Any = None
-
-        def checkpoint() -> None:
-            # Polled by the executor before every page navigation.
-            self._fabric_checkpoint("page:%s" % relation.name, watchers)
-
-        try:
-            for attempt in range(1, attempts_allowed + 1):
-                attempts_used = attempt
-                self.metrics.counter("engine.fetch_attempts").inc()
-                if attempt > 1:
-                    self.check_deadline("retry:%s" % relation.name)
-                    self._watch_cancel(watchers, "retry:%s" % relation.name)
-                    delay = policy.delay_before(attempt)
-                    seconds_total += delay
-                    await asyncio.sleep(delay)
-                    with self._lock:
-                        self.retries += 1
-                    self.metrics.counter("engine.retries").inc()
-                run = aexec.new_run(cancel_check=checkpoint)
-                aspan = TraceSpan("attempt", "#%d" % attempt)
-                fspan.children.append(aspan)
-                try:
-                    fetched = await relation.afetch(given, executor=aexec, run=run)
-                except TransientNetworkError as exc:
-                    aspan.network_seconds = run.network_seconds
-                    aspan.pages = run.pages
-                    aspan.status = "error"
-                    aspan.error = str(exc)
-                    pages_total += run.pages
-                    seconds_total += run.network_seconds
-                    last_error = exc
-                    if self.resilience is not None:
-                        self.resilience.record_failure(relation.host)
-                    continue
-                aspan.network_seconds = run.network_seconds
-                aspan.pages = run.pages
-                pages_total += run.pages
-                seconds_total += run.network_seconds
-                if (
-                    self.timeout_seconds is not None
-                    and aspan.network_seconds > self.timeout_seconds
-                ):
-                    aspan.status = "error"
-                    aspan.error = "timed out: %.2fs > %.2fs budget" % (
-                        aspan.network_seconds,
-                        self.timeout_seconds,
-                    )
-                    last_error = FetchTimeout(aspan.error)
-                    if self.resilience is not None:
-                        self.resilience.record_failure(relation.host)
-                    continue
-                if self.resilience is not None:
-                    self.resilience.record_success(
-                        relation.host, aspan.network_seconds
-                    )
-                result = fetched
-                break
-        except AccessCancelled as exc:
-            fspan.status = "cancelled"
-            fspan.error = str(exc)
-            handle.pages = pages_total + (run.pages if run is not None else 0)
-            raise
-        handle.pages = pages_total
-        fspan.network_seconds = seconds_total
-        fspan.pages = pages_total
-        fspan.attrs["attempts"] = attempts_used
-        with self._lock:
-            self.fetches += 1
-            self.network_by_host[relation.host] = (
-                self.network_by_host.get(relation.host, 0.0) + seconds_total
-            )
-            self.pages_by_host[relation.host] = (
-                self.pages_by_host.get(relation.host, 0) + pages_total
-            )
-            self._fabric_network_total += seconds_total
-        self.metrics.counter("engine.fetches").inc()
-        self.metrics.histogram("engine.fetch_seconds").observe(seconds_total)
-        self.metrics.histogram("engine.fetch_pages").observe(pages_total)
-        self._note_pages(relation.name, given, pages_total)
-        if result is None:
-            fspan.status = "error"
-            fspan.error = str(last_error)
-            failure = FetchFailure(
-                relation=relation.name,
-                host=relation.host,
-                attempts=attempts_used,
-                error=str(last_error),
-            )
-            with self._lock:
-                self.failures.append(failure)
-            self.metrics.counter("engine.failures").inc()
-            raise FetchFailedError(failure) from last_error
-        return result
-
-    def _run_fetch_batch_fabric(
-        self,
-        relation: "VirtualRelation",
-        keyed: "list[tuple[tuple, dict[str, Any]]]",
-        items: "list[tuple[tuple, dict[str, Any]]]",
-    ) -> AccessBatch:
-        """Every distinct binding becomes one fabric coroutine — no
-        chunking, no bundle checkout: the loop multiplexes all of them and
-        the per-host connection semaphore provides the realistic ceiling.
-
-        The whole batch goes to the loop as *one* submitted coroutine
-        that gathers the binding tasks: every task is created inside the
-        loop, in ``items`` order, so the interleaving (and with it the
-        cooperative-checkpoint ordinals and the virtual-time window) is a
-        pure function of the seeded workload — never of how fast the
-        submitting thread raced a loop that was already advancing virtual
-        time past earlier submissions.  Speculation tasks are drained
-        before returning so page accounting is deterministic too."""
-        active = self._active_handle()
-        speculative = active.speculative if active is not None else False
-        stack = getattr(self._local, "handles", None) or []
-        parent = self.current_span()
-        runtime = self._runtime()
-        fetched: dict[tuple, AccessHandle] = {}
-        jobs = []
-        for key, given in items:
-            handle = AccessHandle(
-                relation.name,
-                relation.host,
-                given,
-                speculative=speculative,
-                owner=self,
-            )
-            self._register_handle(handle)
-            fetched[key] = handle
-            watchers = list(stack) + [handle]
-            jobs.append(self._afetch_binding(relation, given, handle, parent, watchers))
-
-        async def _drive() -> None:
-            await asyncio.gather(*jobs)
-            if self._aexec is not None:
-                await self._aexec.drain_speculation()
-
-        try:
-            runtime.run(_drive())
-        finally:
-            for key, _ in items:
-                self._unregister_handle(fetched[key])
-        return AccessBatch([fetched[key] for key, _ in keyed])
-
     def run_fetch_batch(
         self, relation: "VirtualRelation", givens: list[dict[str, Any]]
     ) -> AccessBatch:
@@ -1657,8 +1207,6 @@ class ExecutionContext:
         for key, given in keyed:
             unique.setdefault(key, given)
         items = list(unique.items())
-        if self.fabric == "async":
-            return self._run_fetch_batch_fabric(relation, keyed, items)
         chunks = self.plan_batch_chunks(relation, items)
 
         def run_chunk(chunk: list) -> dict:
@@ -1747,16 +1295,7 @@ class ExecutionContext:
                     self._push_handle(handle)
                     if not handle._mark_running():
                         return  # cancelled between the slot grant and the start
-                    try:
-                        value = fn()
-                    except (AccessCancelled, DeadlineExceeded) as exc:
-                        handle._finish(ACCESS_CANCELLED, error=exc)
-                    except (CircuitOpenError, BulkheadSaturated) as exc:
-                        handle._finish(ACCESS_SHED, error=exc)
-                    except Exception as exc:  # noqa: BLE001 - stored on the handle
-                        handle._finish(ACCESS_BROKEN, error=exc)
-                    else:
-                        handle._finish(ACCESS_DONE, value=value)
+                    handle._settle(fn)
                 finally:
                     self._pop_handle(handle)
                     self._spec_slots.release()

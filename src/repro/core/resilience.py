@@ -285,25 +285,6 @@ class ResilienceManager:
 
     # -- the access gate -----------------------------------------------------
 
-    def admit(self, host: str, speculative: bool = False) -> str:
-        """Breaker-only admission (no bulkhead): the verdict and counters
-        of :meth:`access`, for callers that manage their own bulkhead
-        waiting — the async navigation fabric cannot block a thread on the
-        semaphore, so it polls the bulkhead on its event loop and uses
-        this for the breaker half of the gate."""
-        if not self.policy.enabled:
-            return "off"
-        verdict = self.breaker(host).allow()
-        if verdict == "open":
-            if speculative:
-                self._count("resilience.shed")
-                raise CircuitOpenError("circuit open for host %s" % host)
-            self._count("resilience.pass_throughs")
-            return "pass"
-        if verdict == "probe":
-            self._count("resilience.probes")
-        return verdict
-
     @contextmanager
     def access(
         self,
@@ -320,10 +301,18 @@ class ResilienceManager:
         degrading the pool; required accesses wait for a bulkhead slot,
         calling ``poll`` periodically so a cancelled query stops waiting.
         """
-        verdict = self.admit(host, speculative=speculative)
-        if verdict == "off":
-            yield verdict
+        if not self.policy.enabled:
+            yield "off"
             return
+        verdict = self.breaker(host).allow()
+        if verdict == "open":
+            if speculative:
+                self._count("resilience.shed")
+                raise CircuitOpenError("circuit open for host %s" % host)
+            self._count("resilience.pass_throughs")
+            verdict = "pass"
+        elif verdict == "probe":
+            self._count("resilience.probes")
         sem = self._bulkhead(host)
         acquired = False
         if sem is not None:

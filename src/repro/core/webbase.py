@@ -86,10 +86,6 @@ class WebBase:
         )
         if config.faults is not None:
             world.server.install_faults(config.faults)
-        # The shared virtual-time event loop for the async navigation
-        # fabric, built on demand (``config.fabric == "async"``) and
-        # shared by every context so their bindings multiplex together.
-        self.fabric_runtime: Any = None
         # The engine context behind the most recent facade call that made
         # its own — the place to look for the trace and the cost accounting.
         self.last_context: ExecutionContext | None = None
@@ -230,23 +226,11 @@ class WebBase:
                 else getattr(self.federation, "page_stamp", None)
             ),
             resilience=self.resilience,
-            fabric=config.fabric,
-            fabric_runtime=self._fabric_runtime(),
         )
         # Plan-level single-flight: the UR evaluator routes each maximal
         # object through the shared registry when one is attached.
         ctx.mqo_registry = None if self.mqo is None else self.mqo.registry
         return ctx
-
-    def _fabric_runtime(self):
-        """The webbase's one virtual-time loop (``None`` in thread mode)."""
-        if self.config.fabric != "async":
-            return None
-        if self.fabric_runtime is None:
-            from repro.core.simclock import FabricRuntime
-
-            self.fabric_runtime = FabricRuntime()
-        return self.fabric_runtime
 
     # -- maintenance -------------------------------------------------------------
 

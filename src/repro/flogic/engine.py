@@ -18,13 +18,6 @@ External *action* predicates (follow a link, submit a form, extract
 tuples) are registered as builtins by :mod:`repro.navigation.executor`;
 to the logic they are ordinary goals that happen to bind variables to
 pages and tuples.
-
-:class:`AsyncEngine` is the interpreter's coroutine twin, used by the
-async navigation fabric: builtins may be *async* generators (a page
-navigation awaits simulated network latency instead of charging a
-clock), and :meth:`AsyncEngine.asolve` yields the exact same solutions
-in the exact same order as :meth:`Engine.solve` — which is what makes
-the fabric's answers byte-identical to the threaded engine's.
 """
 
 from __future__ import annotations
@@ -313,121 +306,3 @@ class Engine:
         self.register_builtin("ge", 2, comparison(lambda a, b: a >= b))
         self.register_builtin("member", 2, bi_member)
         self.register_builtin("ground", 1, bi_ground)
-
-
-class AsyncEngine(Engine):
-    """The interpreter as a coroutine: same semantics, awaitable actions.
-
-    Builtins registered on an async engine may be either ordinary sync
-    generators (all the core builtins) or *async* generators — the
-    navigation fabric registers its page-fetching actions as the latter,
-    so a solve suspends at each network wait and thousands of solves can
-    interleave on one event loop.  Everything else — rule renaming,
-    unification, state threading, the order alternatives are explored
-    in — is byte-for-byte the sync interpreter's, so solution order (and
-    therefore extracted row order) is identical.
-    """
-
-    async def asolve(
-        self,
-        goal: Formula,
-        subst: Subst | None = None,
-        store: ObjectStore | None = None,
-    ):
-        """Async twin of :meth:`Engine.solve`."""
-        async for solution in self._asolve(
-            goal, dict(subst or {}), store or self.store, 0
-        ):
-            yield solution
-
-    async def _asolve(
-        self, goal: Formula, subst: dict, state: ObjectStore, depth: int
-    ):
-        if depth > self.depth_limit:
-            raise DepthLimitExceeded(
-                "depth %d exceeded solving %r" % (self.depth_limit, goal)
-            )
-        if isinstance(goal, Serial):
-            async for solution in self._asolve_serial(
-                goal.parts, 0, subst, state, depth
-            ):
-                yield solution
-        elif isinstance(goal, Choice):
-            for part in goal.parts:
-                async for solution in self._asolve(part, subst, state, depth + 1):
-                    yield solution
-        elif isinstance(goal, Naf):
-            inner = self._asolve(goal.goal, subst, state, depth + 1)
-            try:
-                async for _ in inner:
-                    return
-            finally:
-                await inner.aclose()
-            yield subst, state
-        elif isinstance(goal, (Ins, Del)):
-            for solution in self._apply_update(
-                goal, subst, state, insert=isinstance(goal, Ins)
-            ):
-                yield solution
-        elif isinstance(goal, Pred):
-            async for solution in self._asolve_pred(goal, subst, state, depth):
-                yield solution
-        else:
-            raise TypeError("cannot solve %r" % (goal,))
-
-    async def _asolve_serial(
-        self,
-        parts: tuple[Formula, ...],
-        index: int,
-        subst: dict,
-        state: ObjectStore,
-        depth: int,
-    ):
-        if index == len(parts):
-            yield subst, state
-            return
-        async for mid_subst, mid_state in self._asolve(
-            parts[index], subst, state, depth + 1
-        ):
-            async for solution in self._asolve_serial(
-                parts, index + 1, mid_subst, mid_state, depth
-            ):
-                yield solution
-
-    async def _asolve_pred(
-        self, goal: Pred, subst: dict, state: ObjectStore, depth: int
-    ):
-        indicator = goal.indicator
-        builtin = self._builtins.get(indicator)
-        if builtin is not None:
-            solutions = builtin(goal.args, subst, state)
-            if hasattr(solutions, "__aiter__"):
-                async for solution in solutions:
-                    yield solution
-            else:
-                for solution in solutions:
-                    yield solution
-            return
-        if indicator == ("isa", 2):
-            for solution in state.query_isa(goal.args[0], goal.args[1], subst):
-                yield solution, state
-            return
-        if indicator == ("attr", 3):
-            for solution in state.query_attr(
-                goal.args[0], goal.args[1], goal.args[2], subst
-            ):
-                yield solution, state
-            return
-        rules = self.program.rules_for(indicator)
-        if not rules and not self.program.defines(indicator):
-            raise UnknownPredicate("no rules or builtin for %s/%d" % indicator)
-        for rule in rules:
-            self._rename_counter += 1
-            fresh = rule.rename(self._rename_counter)
-            head_subst = self._unify_pred(goal, fresh.head, subst)
-            if head_subst is None:
-                continue
-            async for solution in self._asolve(
-                fresh.body, head_subst, state, depth + 1
-            ):
-                yield solution

@@ -82,21 +82,6 @@ class VirtualRelation:
             self.schema, [{a: r.get(a) for a in self.schema} for r in rows]
         )
 
-    async def afetch(
-        self, given: dict[str, Any], executor: Any, run: Any = None
-    ) -> Relation:
-        """Coroutine twin of :meth:`fetch` for the async navigation
-        fabric: same handle resolution, same row assembly, but the
-        navigation awaits simulated latency on the fabric loop.
-        ``executor`` is an
-        :class:`~repro.navigation.fabric.AsyncNavigationExecutor`;
-        ``run`` its per-attempt :class:`~repro.navigation.fabric.BindingRun`."""
-        relevant, goal = self._prepare(given)
-        rows = await executor.afetch(self.name, relevant, goal=goal, run=run)
-        return Relation.from_dicts(
-            self.schema, [{a: r.get(a) for a in self.schema} for r in rows]
-        )
-
     def fetch_batch(
         self,
         givens: list[dict[str, Any]],

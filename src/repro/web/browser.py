@@ -16,7 +16,6 @@ earlier pages.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 from dataclasses import dataclass
@@ -274,7 +273,6 @@ class Browser:
         self.server = server
         self.clock = clock or SimClock()
         self.page: WebPage | None = None
-        self.history: list[WebPage] = []
         self.pages_fetched = 0
         self._observers: list[BrowserObserver] = []
 
@@ -427,7 +425,6 @@ class Browser:
             )
         page = parse_page(response.final_url or request.url, response.body)
         self.page = page
-        self.history.append(page)
         self.pages_fetched += 1
         for observer in self._observers:
             observer.on_page(page)
@@ -436,120 +433,3 @@ class Browser:
     def _emit_action(self, event: ActionEvent) -> None:
         for observer in self._observers:
             observer.on_action(event)
-
-
-class AsyncBrowser:
-    """The browser's coroutine twin, for the async navigation fabric.
-
-    Where :class:`Browser` charges network latency to a
-    :class:`~repro.web.clock.SimClock` (serializing fetches on a worker's
-    simulated connection), the async browser *awaits* it —
-    ``asyncio.sleep(latency)`` on the fabric's virtual-time loop — so
-    latencies of concurrent page fetches overlap instead of adding up.
-    ``network_seconds`` accumulates what this browser awaited (the
-    per-fetch accounting the trace records); the loop's elapsed virtual
-    time is the makespan.
-
-    One instance per in-flight binding: the browser is as stateful as its
-    sync twin (``pages_fetched``), and per-binding instances keep
-    interleaved fetches from seeing each other's counters.
-    """
-
-    MAX_REDIRECTS = Browser.MAX_REDIRECTS
-
-    def __init__(self, server: WebServer) -> None:
-        self.server = server
-        self.pages_fetched = 0
-        self.network_seconds = 0.0
-
-    async def _charge(self, seconds: float) -> None:
-        self.network_seconds += seconds
-        if seconds > 0:
-            await asyncio.sleep(seconds)
-
-    async def _fetch_following_redirects(self, request: Request) -> Response:
-        from repro.web.http import parse_url
-
-        for _ in range(self.MAX_REDIRECTS + 1):
-            latency = self.server.latency_for(request.url.host)
-            try:
-                response = self.server.fetch(request)
-            except TransientHttpError as exc:
-                # The connection was made and dropped: the round trip is spent.
-                await self._charge(latency.rtt)
-                raise TransientNetworkError(str(exc)) from exc
-            except HttpError as exc:
-                raise NavigationError(str(exc)) from exc
-            await self._charge(latency.cost(len(response)) + response.extra_latency)
-            if response.status in (301, 302, 303, 307) and response.location:
-                try:
-                    target = parse_url(response.location, base=request.url)
-                except ValueError as exc:
-                    raise NavigationError(
-                        "bad redirect %r from %s" % (response.location, request.url)
-                    ) from exc
-                request = Request("GET", target)
-                continue
-            return response
-        raise NavigationError("too many redirects from %s" % request.url)
-
-    async def request(self, request: Request) -> WebPage:
-        """Issue a raw request; awaits the simulated transfer time."""
-        response = await self._fetch_following_redirects(request)
-        if not response.ok:
-            raise NavigationError(
-                "HTTP %d fetching %s" % (response.status, request.url)
-            )
-        page = parse_page(response.final_url or request.url, response.body)
-        self.pages_fetched += 1
-        return page
-
-    async def request_cached(
-        self,
-        request: Request,
-        cache: PrefixPageCache,
-        on_live: Callable[[], None] | None = None,
-        poll: Callable[[], None] | None = None,
-        gate: "asyncio.Semaphore | None" = None,
-    ) -> tuple[WebPage, bool]:
-        """Async twin of :meth:`Browser.request_cached`, sharing the same
-        :class:`PrefixPageCache` and single-flight protocol.
-
-        A coalesced wait polls the leader's flight event with *virtual*
-        sleeps — free in real time, deterministic in order — running
-        ``poll`` (the fabric's cancellation checkpoint) each round so a
-        cancelled access stops waiting.  On the fabric every leader is a
-        coroutine on the same loop, so the wait always resolves within the
-        loop's own schedule.  ``gate`` (the fabric's per-host connection
-        semaphore) is held only across a *live* navigation — never while
-        waiting on another caller's flight, which could starve the very
-        leader being waited on.
-        """
-        key = request_key(request)
-        host = request.url.host
-        while True:
-            outcome, payload, revision = cache.acquire(host, key)
-            if outcome == "hit":
-                return payload, False
-            if outcome == "wait":
-                while not payload.event.is_set():
-                    if poll is not None:
-                        poll()
-                    await asyncio.sleep(0.02)
-                if payload.error is None and payload.result is not None:
-                    return payload.result, False
-                continue  # the leader failed; try to lead ourselves
-            flight = payload
-            try:
-                if on_live is not None:
-                    on_live()
-                if gate is None:
-                    page = await self.request(request)
-                else:
-                    async with gate:
-                        page = await self.request(request)
-            except BaseException as exc:
-                cache.abandon(host, key, flight, error=exc)
-                raise
-            cache.fulfill(host, key, flight, page, revision)
-            return page, True

@@ -12,7 +12,7 @@ Every randomized suite draws its seeds through :func:`repro_seed` /
 again on any test failure, so a red run in CI is a one-liner to replay
 locally: ``REPRO_TEST_SEED=<seed> pytest tests/<file>``.
 
-A deadlocked event loop must fail fast, not hang the suite: an autouse
+A deadlocked test must fail fast, not hang the suite: an autouse
 fixture arms ``faulthandler.dump_traceback_later`` per test
 (``REPRO_TEST_TIMEOUT`` seconds, default 120), which dumps every
 thread's stack and kills the process if a single test overstays.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import faulthandler
 import os
+import random
 
 import pytest
 
@@ -45,9 +46,7 @@ def derive_seeds(stream: str, count: int) -> list[int]:
     """``count`` deterministic per-suite seeds derived from the base seed
     via an independent named stream (adding a stream never perturbs the
     others)."""
-    from repro.core.simclock import SimulationPlan
-
-    rng = SimulationPlan(REPRO_TEST_SEED).rng(stream)
+    rng = random.Random("%d:%s" % (REPRO_TEST_SEED, stream))
     return [rng.randrange(2**31) for _ in range(count)]
 
 
@@ -79,7 +78,7 @@ def pytest_runtest_makereport(item, call):
 def _test_watchdog():
     """Fail a hung test fast: after ``REPRO_TEST_TIMEOUT`` seconds the
     watchdog dumps every thread's traceback and exits the process, so a
-    deadlocked loop or thread join surfaces as a readable failure
+    deadlocked thread join surfaces as a readable failure
     instead of a CI-job timeout with no stacks."""
     if REPRO_TEST_TIMEOUT > 0:
         faulthandler.dump_traceback_later(REPRO_TEST_TIMEOUT, exit=True)

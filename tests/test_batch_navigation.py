@@ -18,7 +18,7 @@ import pytest
 from repro.core.execution import RetryPolicy, WebBaseConfig
 from repro.core.webbase import WebBase
 from repro.navigation.executor import PageBudgetExceeded
-from repro.navigation.prefetch import SpeculativePrefetcher
+from repro.navigation.prefetch import SpeculationBudget, SpeculativePrefetcher
 from repro.sites.world import build_world, mutate_site_listings
 from repro.vps.cache import CachePolicy
 from repro.web.browser import Browser, PrefixPageCache, request_key
@@ -256,6 +256,90 @@ class TestSpeculativePrefetcher:
         assert baseline.query(JAGUAR_QUERY, context=base_ctx) == answer
         spent = lambda wb: sum(s.requests for s in wb.world.server.stats.values())
         assert spent(webbase) <= spent(baseline)
+
+
+class TestSpeculationBudget:
+    def test_allowance_caps_outstanding(self):
+        budget = SpeculationBudget(wasted_pages=2)
+        assert budget.try_issue("h")
+        assert budget.try_issue("h")
+        assert not budget.try_issue("h")  # at the cap
+        assert budget.outstanding("h") == 2
+
+    def test_consumption_grows_allowance(self):
+        budget = SpeculationBudget(wasted_pages=2, max_allowance=4)
+        for _ in range(2):
+            assert budget.try_issue("h")
+        budget.consumed("h")
+        budget.consumed("h")
+        assert budget.allowance("h") == 4
+        assert budget.outstanding("h") == 0
+        budget.consumed("h")  # capped at max_allowance
+        assert budget.allowance("h") == 4
+        assert budget.consumed_total == 3
+
+    def test_waste_shrinks_allowance(self):
+        budget = SpeculationBudget(wasted_pages=4, min_allowance=2)
+        assert budget.try_issue("h")
+        budget.wasted("h")
+        assert budget.allowance("h") == 3
+        budget.wasted("h")
+        budget.wasted("h")
+        assert budget.allowance("h") == 2  # floored at min_allowance
+        assert budget.wasted_total == 3
+
+    def test_release_is_neutral(self):
+        budget = SpeculationBudget(wasted_pages=2)
+        assert budget.try_issue("h")
+        budget.release("h")
+        assert budget.allowance("h") == 2
+        assert budget.outstanding("h") == 0
+
+    def test_hosts_are_independent(self):
+        budget = SpeculationBudget(wasted_pages=1)
+        assert budget.try_issue("a")
+        assert not budget.try_issue("a")
+        assert budget.try_issue("b")
+
+    def test_rejects_zero_budget(self):
+        with pytest.raises(ValueError):
+            SpeculationBudget(wasted_pages=0)
+
+    def test_prefetcher_settles_reservations(self):
+        """Through the prefetcher and the page cache the budget's books
+        balance: a prefetched page holds one reservation, the first demand
+        hit consumes it (allowance grows), a revision bump wastes it
+        (allowance shrinks), and re-speculating a cached page is neutral."""
+        world = build_world()
+        consumed_host, wasted_host = sorted(world.server.stats)[:2]
+        revisions = {consumed_host: 0, wasted_host: 0}
+        cache = PrefixPageCache(revision_of=lambda h: revisions[h])
+        budget = SpeculationBudget(wasted_pages=4)
+        prefetcher = SpeculativePrefetcher(
+            world.server, cache, max_workers=1, budget=budget
+        )
+        requests = [Request("GET", Url(h, "/")) for h in (consumed_host, wasted_host)]
+        prefetcher.prefetch(requests)
+        prefetcher.drain()
+        assert budget.outstanding(consumed_host) == 1
+        assert budget.outstanding(wasted_host) == 1
+
+        prefetcher.prefetch(requests)  # already cached: reserve, then release
+        prefetcher.drain()
+        assert budget.outstanding(consumed_host) == 1
+        assert budget.allowance(consumed_host) == 4
+
+        for _ in range(2):  # only the first demand hit settles the page
+            _, live = Browser(world.server).request_cached(requests[0], cache)
+            assert not live
+        assert budget.outstanding(consumed_host) == 0
+        assert budget.allowance(consumed_host) == 5
+
+        revisions[wasted_host] = 1
+        assert cache.lookup(wasted_host, _entry_key(wasted_host)) is None
+        assert budget.outstanding(wasted_host) == 0
+        assert budget.allowance(wasted_host) == 3
+        assert (budget.consumed_total, budget.wasted_total) == (1, 1)
 
 
 class TestTimeoutRetryReplay:

@@ -91,3 +91,11 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_fabric_option_is_gone(self, capsys):
+        """The threaded engine is the only engine: the switch that chose
+        the other one is an unknown argument, not a silently ignored one."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--fabric", "async", "query", "SELECT make WHERE make = 'saab'"])
+        assert exit_info.value.code == 2
+        assert "--fabric" not in capsys.readouterr().err  # usage lists no such option

@@ -152,12 +152,12 @@ class TestBrowser:
         with pytest.raises(NavigationError):
             browser.follow_named("Search")
 
-    def test_history_and_page_counter(self):
+    def test_page_counter_and_current_page(self):
         browser = Browser(_demo_server())
         browser.get("http://demo.com/")
         browser.follow_named("Search")
         assert browser.pages_fetched == 2
-        assert len(browser.history) == 2
+        assert browser.page.title == "Search"
 
     def test_network_time_charged(self):
         browser = Browser(_demo_server())
