@@ -39,6 +39,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro.relational.relation import Relation
+from repro.service.protocol import LineFrameHandler, encode
 from repro.store.tiered import KeyPairs, key_from_json, key_to_json
 
 MAX_LINE_BYTES = 8 * 1024 * 1024
@@ -222,34 +223,19 @@ class FederationCache:
             }
 
 
-class _FederationHandler(socketserver.StreamRequestHandler):
+class _FederationHandler(LineFrameHandler):
     server: "FederationServer"
+    max_line_bytes = MAX_LINE_BYTES
 
-    def handle(self) -> None:
-        cache = self.server.cache
-        while True:
-            try:
-                line = self.rfile.readline(MAX_LINE_BYTES + 2)
-            except (OSError, ValueError):
-                return
-            if not line:
-                return
-            if not line.strip():
-                continue
-            try:
-                frame = json.loads(line.decode("utf-8"))
-                reply = self._dispatch(cache, frame)
-            except Exception as exc:  # noqa: BLE001 - answer, don't die
-                reply = {"ok": False, "error": str(exc)}
-            try:
-                self.wfile.write(
-                    (json.dumps(reply, separators=(",", ":")) + "\n").encode(
-                        "utf-8"
-                    )
-                )
-                self.wfile.flush()
-            except (OSError, ValueError):
-                return
+    def rejection(self, request_id: Any, exc: Exception) -> dict[str, Any]:
+        return {"ok": False, "error": str(exc)}
+
+    def on_frame(self, frame: dict[str, Any]) -> None:
+        try:
+            reply = self._dispatch(self.server.cache, frame)
+        except Exception as exc:  # noqa: BLE001 - answer, don't die
+            reply = self.rejection(None, exc)
+        self.send(reply)
 
     def _dispatch(self, cache: FederationCache, frame: dict[str, Any]) -> dict:
         op = frame.get("op")
@@ -366,6 +352,7 @@ class FederationClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._buf = b""
         return self._sock
 
@@ -373,11 +360,7 @@ class FederationClient:
         with self._lock:
             try:
                 sock = self._connect()
-                sock.sendall(
-                    (json.dumps(frame, separators=(",", ":")) + "\n").encode(
-                        "utf-8"
-                    )
-                )
+                sock.sendall(encode(frame))
                 while b"\n" not in self._buf:
                     chunk = sock.recv(65536)
                     if not chunk:

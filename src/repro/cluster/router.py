@@ -66,6 +66,10 @@ ROUTER_SHARD_ID = "router"
 #: weigh recent work, not a long-lived router's full history.
 BUSY_HALF_LIFE_SECONDS = 120.0
 
+#: Idle relay connections kept per shard; a wider burst opens extra
+#: connections and closes them afterwards.
+RELAY_POOL_SIZE = 4
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -149,52 +153,13 @@ def base_names(expr: Any) -> set[str]:
     return names
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
+class _RouterHandler(protocol.LineFrameHandler):
     """One client connection to the router (same framing as the service)."""
 
     server: "_RouterTcpServer"
 
-    def setup(self) -> None:
-        super().setup()
-        self._write_lock = threading.Lock()
-
-    def send(self, frame: dict[str, Any]) -> None:
-        data = protocol.encode(frame)
-        with self._write_lock:
-            try:
-                self.wfile.write(data)
-                self.wfile.flush()
-            except (OSError, ValueError):
-                pass
-
-    def handle(self) -> None:
-        router = self.server.router
-        while True:
-            try:
-                line = self.rfile.readline(protocol.MAX_LINE_BYTES + 2)
-            except (OSError, ValueError):
-                return
-            if not line:
-                return
-            if not line.strip():
-                continue
-            try:
-                request = protocol.parse_request(protocol.decode_line(line))
-            except ProtocolError as exc:
-                payload_id = 0
-                try:
-                    maybe = protocol.decode_line(line).get("id")
-                    if isinstance(maybe, int):
-                        payload_id = maybe
-                except ProtocolError:
-                    pass
-                self.send(
-                    protocol.error_frame(
-                        payload_id, protocol.E_BAD_REQUEST, str(exc)
-                    )
-                )
-                continue
-            router.dispatch(self, request)
+    def on_frame(self, payload: dict[str, Any]) -> None:
+        self.server.router.dispatch(self, protocol.parse_request(payload))
 
     def finish(self) -> None:
         try:
@@ -256,6 +221,10 @@ class ClusterRouter:
         self._stopped = threading.Event()
         self._relays: list[_SubscriptionRelay] = []
         self._relays_lock = threading.Lock()
+        # Idle query-relay connections per live shard.  A shard's key goes
+        # with it (death, shutdown), so a late return is closed, not kept.
+        self._idle: dict[str, list[ServiceClient]] = {}
+        self._idle_lock = threading.Lock()
         self._server: _RouterTcpServer | None = None
         self._acceptor: threading.Thread | None = None
         # The routing planner: a webbase used ONLY to plan (no fetches),
@@ -335,6 +304,8 @@ class ClusterRouter:
                 handle=handle,
             )
             self.ring.add(shard_id)
+        with self._idle_lock:
+            self._idle[shard_id] = []
         self.health.watch(shard_id, address)
         self.metrics.gauge("cluster.workers_live").set(len(self.live_shards()))
 
@@ -357,13 +328,12 @@ class ClusterRouter:
         for relay in relays:
             self._stop_relay(relay)
         self.health.stop()
+        for shard_id in list(self._idle):
+            self._close_pool(shard_id)
         if drain_workers:
             for shard_id in self.live_shards():
-                info = self.workers[shard_id]
                 try:
-                    with ServiceClient(
-                        *info.address, timeout=10.0, connect_timeout=2.0
-                    ) as client:
+                    with self._connect(shard_id, timeout=10.0) as client:
                         client.drain()
                 except Exception:  # noqa: BLE001 - already dying is fine
                     pass
@@ -657,13 +627,20 @@ class ClusterRouter:
         )
         seen: set[tuple] = set()
         seq = 0
+        # Relayed pages not yet written: they leave with the next burst —
+        # at the latest with the terminal frame (see _relay_query).
+        pending: list[dict[str, Any]] = []
+
+        def finish(frame: dict[str, Any]) -> None:
+            handler.send(*pending, frame)
+
         shard_stats: dict[str, dict[str, Any]] = {}
         attempts = 0
         while True:
             try:
                 kind, targets, dominant = self.route_for(weights)
             except _ShardLost:
-                handler.send(
+                finish(
                     protocol.error_frame(
                         request.id, protocol.E_INTERNAL, "no live shards"
                     )
@@ -672,7 +649,7 @@ class ClusterRouter:
             if kind == "affinity" and request.redirect_ok:
                 info = self.workers[targets[0]]
                 self.metrics.counter("cluster.redirects").inc()
-                handler.send(
+                finish(
                     protocol.error_frame(
                         request.id,
                         protocol.E_REDIRECT,
@@ -718,6 +695,7 @@ class ClusterRouter:
                             request,
                             seen,
                             seq,
+                            pending,
                             reserved=take,
                             mqo_fp=fingerprint,
                         )
@@ -728,10 +706,12 @@ class ClusterRouter:
                 break
             except _ShardLost as exc:
                 attempts += 1
+                handler.send(*pending)  # delivered rows do not wait for the takeover
+                pending.clear()
                 self._handle_worker_death(exc.shard_id)
                 self.metrics.counter("cluster.retries").inc()
                 if attempts > max(4, len(self.workers) + 1):
-                    handler.send(
+                    finish(
                         protocol.error_frame(
                             request.id,
                             protocol.E_INTERNAL,
@@ -746,7 +726,7 @@ class ClusterRouter:
                 # forward it structured; attach the router's backoff hint
                 # to sheds so both admission levels compose for clients.
                 retriable = exc.code in protocol.RETRIABLE_CODES
-                handler.send(
+                finish(
                     protocol.error_frame(
                         request.id,
                         exc.code,
@@ -778,7 +758,7 @@ class ClusterRouter:
             sum(merged["shard_seconds"].values()), 4
         )
         self.metrics.counter("cluster.completed").inc()
-        handler.send(
+        finish(
             protocol.result_frame(
                 request.id,
                 merged,
@@ -795,15 +775,18 @@ class ClusterRouter:
         request: Request,
         seen: set[tuple],
         seq: int,
+        pending: list[dict[str, Any]],
         reserved: float | None = None,
         mqo_fp: str = "",
     ) -> tuple[dict[str, Any], int]:
         """Stream one worker's answer through to the client, forwarding
         only rows not already delivered (exactly-once across scatter
-        targets and takeover retries).  ``reserved`` is a busy-score
+        targets and takeover retries).  Page frames collect in
+        ``pending`` and leave as one burst whenever the relay is about
+        to block on the worker; what is still pending at the end rides
+        with the caller's terminal frame.  ``reserved`` is a busy-score
         reservation already made at placement time (affinity routes);
         scatter relays reserve here instead."""
-        info = self.workers[shard_id]
         stats: dict[str, Any] | None = None
         with self._load_lock:
             self._shard_load[shard_id] = self._shard_load.get(shard_id, 0) + 1
@@ -814,41 +797,53 @@ class ClusterRouter:
                 )
             else:
                 estimate = reserved
+        fresh = False
         try:
-            with ServiceClient(
-                *info.address,
-                timeout=self.config.forward_timeout_seconds,
-                connect_timeout=2.0,
-            ) as client:
-                stream = client.stream(
-                    request.text,
-                    deadline_ms=request.deadline_ms,
-                    page_size=request.page_size,
-                    mqo_fp=mqo_fp,
-                )
-                while True:
-                    try:
-                        page = next(stream)
-                    except StopIteration as stop:
-                        stats = stop.value or {}
-                        return stats, seq
-                    fresh = [row for row in page.rows if row not in seen]
-                    seen.update(fresh)
-                    if fresh:
-                        handler.send(
-                            protocol.page_frame(
-                                request.id,
-                                seq,
-                                page.schema,
-                                fresh,
-                                source=page.source,
+            while True:
+                client: ServiceClient | None = None
+                answered = False  # a response frame arrived on this connection
+                try:
+                    client, reused = self._checkout(shard_id, fresh)
+                    stream = client.stream(
+                        request.text,
+                        deadline_ms=request.deadline_ms,
+                        page_size=request.page_size,
+                        mqo_fp=mqo_fp,
+                    )
+                    while True:
+                        if pending and not client.buffered():
+                            # About to block on the worker: no relayed page
+                            # waits for a frame that is not computed yet.
+                            handler.send(*pending)
+                            pending.clear()
+                        try:
+                            page = next(stream)
+                        except StopIteration as stop:
+                            stats = stop.value or {}
+                            self._checkin(shard_id, client)
+                            return stats, seq
+                        answered = True
+                        new = [row for row in page.rows if row not in seen]
+                        seen.update(new)
+                        if new:
+                            pending.append(
+                                protocol.page_frame(
+                                    request.id, seq, page.schema, new, page.source
+                                )
                             )
-                        )
-                        seq += 1
-        except ServiceError:
-            raise
-        except (OSError, ConnectionError, ProtocolError) as exc:
-            raise _ShardLost(shard_id, exc) from exc
+                            seq += 1
+                except ServiceError:
+                    self._checkin(shard_id, client)  # ended on a terminal frame
+                    raise
+                except (OSError, ProtocolError) as exc:
+                    if client is not None:
+                        client.close()
+                        if reused and not answered:
+                            # An idle socket gone stale is not a dead worker:
+                            # once more, on a fresh connection.
+                            fresh = True
+                            continue
+                    raise _ShardLost(shard_id, exc) from exc
         finally:
             with self._load_lock:
                 self._shard_load[shard_id] = max(
@@ -867,6 +862,39 @@ class ClusterRouter:
                 )
                 if stats is not None:
                     self._cost_ewma = 0.8 * self._cost_ewma + 0.2 * actual
+
+    # -- worker connections ----------------------------------------------------
+
+    def _connect(self, shard_id: str, timeout: float | None = None) -> ServiceClient:
+        """A fresh connection to one worker."""
+        return ServiceClient(
+            *self.workers[shard_id].address,
+            timeout=timeout or self.config.forward_timeout_seconds,
+            connect_timeout=2.0,
+        )
+
+    def _checkout(self, shard_id: str, fresh: bool) -> tuple[ServiceClient, bool]:
+        """A relay connection and whether it is a reused idle one."""
+        with self._idle_lock:
+            idle = self._idle.get(shard_id)
+            if idle and not fresh:
+                return idle.pop(), True
+        return self._connect(shard_id), False
+
+    def _checkin(self, shard_id: str, client: ServiceClient) -> None:
+        """Keep a connection whose exchange ended on a terminal frame."""
+        with self._idle_lock:
+            idle = self._idle.get(shard_id)
+            if idle is not None and len(idle) < RELAY_POOL_SIZE:
+                idle.append(client)
+                return
+        client.close()  # pool full, or the shard is gone
+
+    def _close_pool(self, shard_id: str) -> None:
+        with self._idle_lock:
+            idle = self._idle.pop(shard_id, [])
+        for client in idle:
+            client.close()
 
     # -- standing-query relays -------------------------------------------------
 
@@ -896,14 +924,9 @@ class ClusterRouter:
         # A subscription lives on exactly ONE shard (any worker can
         # evaluate the whole query); scatter routes pin the first owner.
         shard_id = targets[0]
-        info = self.workers[shard_id]
         page_size = request.page_size or 50
         try:
-            client = ServiceClient(
-                *info.address,
-                timeout=self.config.forward_timeout_seconds,
-                connect_timeout=2.0,
-            )
+            client = self._connect(shard_id)
             subscription = client.subscribe(
                 request.text, page_size=page_size, resume=request.resume
             )
@@ -1012,13 +1035,8 @@ class ClusterRouter:
             except _ShardLost:
                 return False
             shard_id = targets[0]
-            info = self.workers[shard_id]
             try:
-                client = ServiceClient(
-                    *info.address,
-                    timeout=self.config.forward_timeout_seconds,
-                    connect_timeout=2.0,
-                )
+                client = self._connect(shard_id)
                 subscription = client.subscribe(
                     relay.text, page_size=relay.page_size
                 )
@@ -1097,13 +1115,8 @@ class ClusterRouter:
         a takeover would surface spurious row deltas."""
         results: dict[str, dict[str, Any]] = {}
         for shard_id in self.live_shards():
-            info = self.workers[shard_id]
             try:
-                with ServiceClient(
-                    *info.address,
-                    timeout=self.config.forward_timeout_seconds,
-                    connect_timeout=2.0,
-                ) as client:
+                with self._connect(shard_id) as client:
                     if request.op == "sweep":
                         results[shard_id] = client.sweep(request.text or None)
                     else:
@@ -1155,18 +1168,14 @@ class ClusterRouter:
             )
         self.health.unwatch(shard_id)
         self._fp_drop_shard(shard_id)
+        self._close_pool(shard_id)
         if not from_health:
             self.health.report_failure(shard_id)
         self.metrics.counter("cluster.worker_deaths").inc()
         self.metrics.gauge("cluster.workers_live").set(len(self.live_shards()))
         for successor in sorted(successors):
-            target = self.workers[successor]
             try:
-                with ServiceClient(
-                    *target.address,
-                    timeout=self.config.forward_timeout_seconds,
-                    connect_timeout=2.0,
-                ) as client:
+                with self._connect(successor) as client:
                     client.adopt(info.store_dir)
                 self.metrics.counter("cluster.takeovers").inc()
             except Exception:  # noqa: BLE001 - a failed warm is a cold successor
@@ -1230,11 +1239,8 @@ class ClusterRouter:
         }
         shards: dict[str, Any] = {}
         for shard_id in self.live_shards():
-            info = self.workers[shard_id]
             try:
-                with ServiceClient(
-                    *info.address, timeout=10.0, connect_timeout=2.0
-                ) as client:
+                with self._connect(shard_id, timeout=10.0) as client:
                     snapshot = client.metrics()
             except Exception:  # noqa: BLE001 - a dying shard just drops out
                 continue

@@ -222,6 +222,8 @@ class ServiceClient:
                     raise
                 self._sleep(0.1)
         self._sock.settimeout(timeout)
+        # Nagle off, as on the listeners (see protocol.LineFrameHandler).
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._timeout = timeout
         # Hand-rolled line buffering instead of sock.makefile: a timed-out
         # BufferedReader is permanently poisoned, while a plain buffer
@@ -285,6 +287,10 @@ class ServiceClient:
             self._buf += chunk
         line, _, self._buf = self._buf.partition(b"\n")
         return line
+
+    def buffered(self) -> bool:
+        """Whether a whole frame is already received (reading it cannot block)."""
+        return b"\n" in self._buf
 
     def _recv(
         self, request_id: int, timeout: float | None = None

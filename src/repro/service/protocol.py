@@ -41,6 +41,8 @@ resulting deltas have been pushed.
 from __future__ import annotations
 
 import json
+import socketserver
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -173,11 +175,11 @@ def encode(frame: dict[str, Any]) -> bytes:
     return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def decode_line(line: bytes | str) -> dict[str, Any]:
+def decode_line(line: bytes | str, limit: int = MAX_LINE_BYTES) -> dict[str, Any]:
     """Parse one received line into a frame dict."""
     if isinstance(line, bytes):
-        if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError("frame exceeds %d bytes" % MAX_LINE_BYTES)
+        if len(line) > limit:
+            raise ProtocolError("frame exceeds %d bytes" % limit)
         line = line.decode("utf-8", errors="replace")
     try:
         payload = json.loads(line)
@@ -186,6 +188,71 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     if not isinstance(payload, dict):
         raise ProtocolError("frame must be a JSON object")
     return payload
+
+
+class LineFrameHandler(socketserver.StreamRequestHandler):
+    """One accepted connection of a line-JSON listener (service, router,
+    federation bus): bounded reads, locked burst writes, Nagle off.
+
+    An answer is several small frames; with Nagle on, the second sits in
+    the kernel until the peer's delayed ACK of the first (~40 ms).
+    Subclasses implement :meth:`on_frame`; ``rejection`` shapes the reply
+    to a frame that violates the wire format."""
+
+    disable_nagle_algorithm = True
+    max_line_bytes = MAX_LINE_BYTES
+
+    def setup(self) -> None:
+        super().setup()
+        self._write_lock = threading.Lock()
+        self._peer_gone = False  # set by the first failed write
+
+    def send(self, *frames: dict[str, Any]) -> None:
+        """Write ``frames`` as one burst: one lock hold, one ``sendall``
+        (``wfile`` is unbuffered).  A vanished peer is not an error — its
+        in-flight work just completes into the void."""
+        if self._peer_gone or not frames:
+            return
+        data = b"".join([encode(frame) for frame in frames])
+        with self._write_lock:
+            try:
+                self.wfile.write(data)
+            except (OSError, ValueError):
+                self._peer_gone = True
+
+    def rejection(self, request_id: Any, exc: Exception) -> dict[str, Any]:
+        return error_frame(
+            request_id if isinstance(request_id, int) else 0, E_BAD_REQUEST, str(exc)
+        )
+
+    def on_frame(self, payload: dict[str, Any]) -> None:
+        raise NotImplementedError
+
+    def handle(self) -> None:
+        limit = self.max_line_bytes
+        while True:
+            try:
+                line = tail = self.rfile.readline(limit + 1)
+                while len(line) > limit and tail and not tail.endswith(b"\n"):
+                    # Drain the rest of the line, so that closing sends a
+                    # FIN and not a reset that could overtake the answer.
+                    tail = self.rfile.readline(65536)
+            except (OSError, ValueError):
+                return
+            if not line:
+                return  # peer closed the connection
+            if not line.strip():
+                continue
+            payload: dict[str, Any] = {}
+            try:
+                payload = decode_line(line, limit)
+                self.on_frame(payload)
+            except ProtocolError as exc:
+                self.send(self.rejection(payload.get("id"), exc))
+                if len(line) > limit:
+                    # Exactly one answer, then close: a peer that oversteps
+                    # the limit cannot be trusted to frame what follows.
+                    return
 
 
 # -- response frames ---------------------------------------------------------------

@@ -61,7 +61,6 @@ from repro.service.protocol import (
     E_INTERNAL,
     E_OVERLOADED,
     E_SHUTTING_DOWN,
-    ProtocolError,
     Request,
 )
 from repro.relational.relation import Relation
@@ -125,6 +124,18 @@ class _Job:
     request: Request
     admitted_at: float
     deadline_at: float | None  # wall (monotonic) expiry; queue wait counts
+
+
+def _pages(
+    request_id: int, seq: int, schema: list[str], rows: list, size: int, source: str
+) -> list[dict[str, Any]]:
+    """``rows`` cut into ``page`` frames numbered from ``seq``: one burst."""
+    return [
+        protocol.page_frame(
+            request_id, seq + i, schema, rows[start : start + size], source=source
+        )
+        for i, start in enumerate(range(0, len(rows), size))
+    ]
 
 
 class StandingQuery:
@@ -228,21 +239,12 @@ class StandingQueryRegistry:
             seq = standing.seq
         self._metrics.counter("service.standing_subscribed").inc()
         self._metrics.gauge("service.standing_active").set(len(self._queries))
-        if not resumed:
-            for start in range(0, len(delivered), page_size):
-                handler.send(
-                    protocol.page_frame(
-                        request.id,
-                        start // page_size,
-                        schema,
-                        delivered[start : start + page_size],
-                        source="snapshot",
-                    )
-                )
+        snapshot = [] if resumed else delivered
         handler.send(
+            *_pages(request.id, 0, schema, snapshot, page_size, "snapshot"),
             protocol.subscribed_frame(
                 request.id, rows=len(delivered), resumed=resumed, seq=seq
-            )
+            ),
         )
         if had_state:
             # Catch the delivered state up with the fresh evaluation: for
@@ -385,15 +387,14 @@ class StandingQueryRegistry:
             self._metrics.counter("service.standing_deltas").inc()
 
 
-class _ClientHandler(socketserver.StreamRequestHandler):
-    """One connected client: reads request lines, enforces its concurrency
-    slots, and serializes response frames onto the socket."""
+class _ClientHandler(protocol.LineFrameHandler):
+    """One connected client: parses its request frames and enforces its
+    concurrency slots (framing and writes: the base class)."""
 
     server: "_TcpServer"
 
     def setup(self) -> None:
         super().setup()
-        self._write_lock = threading.Lock()
         self._slots = 0
         self._slots_lock = threading.Lock()
 
@@ -410,73 +411,34 @@ class _ClientHandler(socketserver.StreamRequestHandler):
         with self._slots_lock:
             self._slots = max(0, self._slots - 1)
 
-    # -- frame I/O -----------------------------------------------------------
-
-    def send(self, frame: dict[str, Any]) -> None:
-        """Write one frame; a vanished client is not an error (its in-flight
-        work just completes into the void)."""
-        data = protocol.encode(frame)
-        with self._write_lock:
-            try:
-                self.wfile.write(data)
-                self.wfile.flush()
-            except (OSError, ValueError):
-                pass
-
-    def handle(self) -> None:
+    def on_frame(self, payload: dict[str, Any]) -> None:
         service = self.server.service
-        while True:
-            try:
-                line = self.rfile.readline(protocol.MAX_LINE_BYTES + 2)
-            except (OSError, ValueError):
-                return
-            if not line:
-                return  # client closed the connection
-            if not line.strip():
-                continue
-            try:
-                request = protocol.parse_request(protocol.decode_line(line))
-            except ProtocolError as exc:
-                payload_id = 0
-                try:
-                    maybe = protocol.decode_line(line).get("id")
-                    if isinstance(maybe, int):
-                        payload_id = maybe
-                except ProtocolError:
-                    pass
-                self.send(protocol.error_frame(payload_id, E_BAD_REQUEST, str(exc)))
-                continue
-            if request.op == "ping":
-                self.send(protocol.pong_frame(request.id))
-            elif request.op == "metrics":
-                self.send(
-                    protocol.metrics_frame(request.id, service.metrics.snapshot())
+        request = protocol.parse_request(payload)
+        if request.op == "ping":
+            self.send(protocol.pong_frame(request.id))
+        elif request.op == "metrics":
+            self.send(protocol.metrics_frame(request.id, service.metrics.snapshot()))
+        elif request.op == "hello":
+            self.send(
+                protocol.welcome_frame(
+                    request.id, service.config.shard_id, service.role
                 )
-            elif request.op == "hello":
-                self.send(
-                    protocol.welcome_frame(
-                        request.id, service.config.shard_id, service.role
-                    )
-                )
-            elif request.op == "status":
-                self.send(
-                    protocol.status_frame(request.id, service.describe_status())
-                )
-            elif request.op == "drain":
-                # Ack with the pre-drain status, then drain off-thread:
-                # shutdown() joins the executor pool, and this handler
-                # thread must stay free to flush the ack first.
-                self.send(
-                    protocol.status_frame(request.id, service.describe_status())
-                )
-                threading.Thread(
-                    target=service.shutdown, name="service-drain", daemon=True
-                ).start()
-            elif request.op == "unsubscribe":
-                service.standing.unsubscribe(self, request)
-                self.send(protocol.unsubscribed_frame(request.id))
-            else:
-                service.submit_query(self, request)
+            )
+        elif request.op == "status":
+            self.send(protocol.status_frame(request.id, service.describe_status()))
+        elif request.op == "drain":
+            # Ack with the pre-drain status, then drain off-thread:
+            # shutdown() joins the executor pool, and this handler
+            # thread must stay free to flush the ack first.
+            self.send(protocol.status_frame(request.id, service.describe_status()))
+            threading.Thread(
+                target=service.shutdown, name="service-drain", daemon=True
+            ).start()
+        elif request.op == "unsubscribe":
+            service.standing.unsubscribe(self, request)
+            self.send(protocol.unsubscribed_frame(request.id))
+        else:
+            service.submit_query(self, request)
 
     def finish(self) -> None:
         try:
@@ -850,18 +812,12 @@ class WebBaseService:
                 fresh = [row for row in piece.rows if row not in seen]
                 seen.update(fresh)
                 schema = list(piece.schema)
+                # One burst per completed maximal object: its pages are all
+                # ready now, and nothing waits for the next object.
                 source = " ⋈ ".join(obj.relations)
-                for start in range(0, len(fresh), page_size):
-                    job.handler.send(
-                        protocol.page_frame(
-                            request.id,
-                            seq,
-                            list(piece.schema),
-                            fresh[start : start + page_size],
-                            source=source,
-                        )
-                    )
-                    seq += 1
+                pages = _pages(request.id, seq, schema, fresh, page_size, source)
+                job.handler.send(*pages)
+                seq += len(pages)
         finally:
             if timer is not None:
                 timer.cancel()
@@ -890,21 +846,11 @@ class WebBaseService:
         Zero fetches by construction — nothing below the store ran."""
         request = job.request
         rows = list(answer.rows)
-        seq = 0
-        for start in range(0, len(rows), page_size):
-            job.handler.send(
-                protocol.page_frame(
-                    request.id,
-                    seq,
-                    list(answer.schema),
-                    rows[start : start + page_size],
-                    source="gold",
-                )
-            )
-            seq += 1
+        pages = _pages(request.id, 0, list(answer.schema), rows, page_size, "gold")
+        job.handler.send(*pages)
         return {
             "rows": len(rows),
-            "pages": seq,
+            "pages": len(pages),
             "fetches": 0,
             "cache_hits": 0,
             "failures": 0,
