@@ -50,9 +50,10 @@ from repro.core.resilience import (
     ResiliencePolicy,
 )
 from repro.errors import WebBaseError
+from repro.flight import Flights
 from repro.navigation.executor import NavigationExecutor
 from repro.navigation.prefetch import SpeculationBudget, SpeculativePrefetcher
-from repro.vps.cache import CachePolicy, InFlight
+from repro.vps.cache import CachePolicy
 from repro.web.browser import PrefixPageCache, TransientNetworkError
 from repro.web.clock import SimClock
 from repro.web.server import FaultPlan, WebServer
@@ -696,8 +697,8 @@ class ExecutionContext:
         # feeding the cost-aware batch chunker's weight estimates.
         self._page_stats: dict[tuple, tuple[int, float]] = {}
         self._cache: dict[tuple, "Relation"] = {}
-        self._flights: dict[tuple, InFlight] = {}
         self._lock = threading.RLock()
+        self._flights = Flights(self._lock)
         self._slots = threading.Semaphore(self.max_workers)
         # Speculative probes run on their own slot budget so speculation
         # can never starve demanded fetches of workers.
@@ -1092,11 +1093,6 @@ class ExecutionContext:
             self._pop_handle(handle)
             self._unregister_handle(handle)
 
-    def _wait_flight(self, flight: InFlight, stage: str) -> None:
-        """Wait on another worker's in-flight fetch, staying cancellable."""
-        while not flight.event.wait(0.05):
-            self.check_cancelled(stage)
-
     def _run_fetch_inner(
         self,
         relation: "VirtualRelation",
@@ -1108,14 +1104,10 @@ class ExecutionContext:
         while True:
             self.check_deadline("fetch:%s" % relation.name)
             self.check_cancelled("fetch:%s" % relation.name)
-            leader = False
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is None:
-                    flight = self._flights.get(key)
-                    if flight is None:
-                        flight = self._flights[key] = InFlight()
-                        leader = True
+                    flight, leading = self._flights.join(key)
             if cached is not None:
                 with self._lock:
                     self.cache_hits += 1
@@ -1123,21 +1115,15 @@ class ExecutionContext:
                 with self.span("fetch", relation.name, host=relation.host) as span:
                     span.cache = "hit"
                 return cached
-            if not leader:
+            if not leading:
                 self.metrics.counter("engine.coalesced").inc()
-                self._wait_flight(flight, "fetch:%s" % relation.name)
+                flight.wait(self.check_cancelled, "fetch:%s" % relation.name)
                 continue  # result (or nothing, if the leader failed) is cached now
-            try:
+            with flight:
                 result = self._guarded_fetch(relation, given, bundle, handle)
-            except BaseException:
                 with self._lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-                raise
-            with self._lock:
-                self._cache[key] = result
-                self._flights.pop(key, None)
-            flight.event.set()
+                    self._cache[key] = result
+                    flight.land(result)
             return result
 
     def _guarded_fetch(

@@ -1,27 +1,15 @@
-"""Shared subplan execution: single-flight over plan fingerprints.
+"""Shared subplan execution: coalescing over plan fingerprints.
 
 The :class:`SubplanRegistry` is the runtime half of the multi-query
 optimizer.  Concurrent queries whose maximal objects canonicalize to the
 same fingerprint (:func:`repro.relational.planner.plan_fingerprint`)
-coalesce onto ONE evaluation: the first arrival becomes the *leader* and
-runs the subplan under its own execution context; every later arrival
-becomes a *subscriber* that waits on the leader's flight and shares the
-resulting :class:`~repro.relational.relation.Relation` (immutable, so
-sharing the object is safe).  This piggybacks on the same leader/waiter
-protocol as the engine's per-``(relation, bindings)`` fetch single-flight
-in :mod:`repro.core.execution` — one level up, at plan granularity.
-
-Cancellation safety mirrors the ``AccessHandle`` watcher pattern:
-
-* a **subscriber** cancelling (deadline, client gone) detaches — its
-  refcount drops and its own wait raises, but the shared node keeps
-  running for the remaining subscribers;
-* the **leader** failing or cancelling fails the node: the flight is
-  popped, survivors observe the error and loop — the first survivor
-  promotes itself to leader and re-runs the subplan, so shared work is
-  never lost to queries that still want it;
-* results are fanned out only on success — a failure is never shared, so
-  one query's transient fault cannot poison its neighbors.
+coalesce onto ONE evaluation under the :mod:`repro.flight` contract: the
+leader runs the subplan under its own execution context, subscribers
+share the resulting :class:`~repro.relational.relation.Relation`
+(immutable, so sharing the object is safe).  A subscriber cancelling
+(deadline, client gone) detaches; a leader failing or cancelling promotes
+the first survivor, so shared work is never lost to queries that still
+want it, and one query's transient fault cannot poison its neighbors.
 
 The registry holds no results beyond the flight itself: sharing is
 strictly *in-flight*, so staleness never outlives the queries being
@@ -40,20 +28,8 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.flight import Flights
 from repro.relational.relation import Relation
-
-
-class _SharedNode:
-    """One in-flight shared subplan evaluation."""
-
-    __slots__ = ("event", "result", "error", "subscribers", "lock")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Relation | None = None
-        self.error: BaseException | None = None
-        self.subscribers = 1  # the leader counts
-        self.lock = threading.Lock()
 
 
 class SubplanRegistry:
@@ -61,7 +37,7 @@ class SubplanRegistry:
 
     def __init__(self, metrics: Any = None) -> None:
         self._lock = threading.Lock()
-        self._nodes: dict[str, _SharedNode] = {}
+        self._flights = Flights(self._lock)
         self.metrics = metrics
 
     def _count(self, name: str) -> None:
@@ -71,7 +47,7 @@ class SubplanRegistry:
     def inflight(self) -> int:
         """How many distinct subplans are currently executing."""
         with self._lock:
-            return len(self._nodes)
+            return len(self._flights)
 
     def run(
         self,
@@ -85,59 +61,35 @@ class SubplanRegistry:
         The caller that finds no flight open becomes the leader and runs
         ``thunk`` on its own thread/context; concurrent callers with the
         same fingerprint wait (cancellably, via ``context.check_cancelled``)
-        and share the leader's result.  See the module docstring for the
-        failure and cancellation ladder.
+        and share the leader's result.
         """
         while True:
             with self._lock:
-                node = self._nodes.get(fingerprint)
-                if node is None:
-                    node = self._nodes[fingerprint] = _SharedNode()
-                    leader = True
-                else:
-                    leader = False
-                    with node.lock:
-                        node.subscribers += 1
-            if leader:
+                flight, leading = self._flights.join(fingerprint)
+            if leading:
                 self._count("mqo.shared_leads")
                 if span is not None:
                     span.attrs["mqo"] = "lead"
-                try:
+                with flight:
                     result = thunk()
-                except BaseException as exc:
                     with self._lock:
-                        self._nodes.pop(fingerprint, None)
-                    node.error = exc
-                    node.event.set()
-                    raise
-                with self._lock:
-                    self._nodes.pop(fingerprint, None)
-                node.result = result
-                node.event.set()
+                        flight.land(result)
                 return result
-            # Subscriber: wait out the leader, staying cancellable.
             try:
                 poll = getattr(context, "check_cancelled", None)
-                if poll is None:
-                    node.event.wait()
-                else:
-                    while not node.event.wait(0.05):
-                        poll("mqo:%s" % fingerprint[:12])
+                landed = flight.wait(poll, "mqo:%s" % fingerprint[:12])
             except BaseException:
-                # This subscriber is gone; the node (and its other
+                # This subscriber is gone; the flight (and its other
                 # subscribers) live on — detach, don't kill.
-                with node.lock:
-                    node.subscribers -= 1
                 self._count("mqo.detached")
                 raise
-            if node.error is None:
+            if landed:
                 self._count("mqo.shared_hits")
                 if span is not None:
                     span.attrs["mqo"] = "hit"
-                return node.result
-            # The leader failed or was cancelled out from under us: its
-            # flight is already popped, so loop — whoever re-enters first
-            # promotes to leader and re-runs.
+                return flight.result
+            # The leader failed or was cancelled out from under us: loop —
+            # whoever re-enters first promotes to leader and re-runs.
             self._count("mqo.promotions")
 
 

@@ -9,9 +9,9 @@ them on short-lived worker threads, each with its own browser over the
 shared server, and parks the results in the query's
 :class:`~repro.web.browser.PrefixPageCache`.
 
-Correctness is delegated entirely to the page cache's single-flight
-protocol: :meth:`~repro.web.browser.PrefixPageCache.try_lead` skips
-requests already cached or claimed, and the demand path waits on a
+Correctness is delegated entirely to the page cache's coalescing
+(:mod:`repro.flight`): :meth:`~repro.web.browser.PrefixPageCache.try_lead`
+skips requests already cached or claimed, and the demand path waits on a
 prefetch flight like on any other leader — so no page is ever fetched
 twice, and a failed speculative fetch simply leaves the demand path to
 retry under the engine's normal retry policy.
@@ -225,21 +225,19 @@ class SpeculativePrefetcher:
                     continue  # cached, or the demand path beat us to it
                 flight, revision = claim
                 try:
-                    page = browser.request(request)
-                except NavigationError as exc:
+                    with flight:  # leaving without fulfilling abandons it
+                        page = browser.request(request)
+                        pages += 1
+                        self.cache.fulfill(
+                            host, key, flight, page, revision, speculative=True
+                        )
+                except BaseException as exc:
                     # Never share a failure: the demand path retries it
                     # under the engine's retry policy.
-                    self.cache.abandon(host, key, flight, error=exc)
                     if self.budget is not None:
                         self.budget.wasted(host)
-                    continue
-                except BaseException as exc:  # pragma: no cover - defensive
-                    self.cache.abandon(host, key, flight, error=exc)
-                    raise
-                pages += 1
-                self.cache.fulfill(
-                    host, key, flight, page, revision, speculative=True
-                )
+                    if not isinstance(exc, NavigationError):
+                        raise
         finally:
             with self._lock:
                 self._active -= 1

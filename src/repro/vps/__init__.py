@@ -1,6 +1,6 @@
 """The virtual physical schema layer: handles, virtual relations, caching."""
 
-from repro.vps.cache import CacheEntry, CachePolicy, CachingVps, ResultCache
+from repro.vps.cache import CacheEntry, CachePolicy, ResultCache
 from repro.vps.handle import Handle, HandleError, check_handle_family
 from repro.vps.schema import VirtualRelation, VpsSchema
 from repro.vps.verify import AgreementReport, Disagreement, verify_handle_agreement
@@ -9,7 +9,6 @@ __all__ = [
     "AgreementReport",
     "CacheEntry",
     "CachePolicy",
-    "CachingVps",
     "ResultCache",
     "Disagreement",
     "Handle",

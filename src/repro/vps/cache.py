@@ -32,11 +32,9 @@ cover that:
   ``cache.stale_serves``) or bypassed entirely until the designer
   re-demonstrates the flow and the quarantine is lifted.
 
-Concurrent misses on the same key coalesce into one upstream fetch
-(single-flight): the first worker fetches, the rest wait and share the
-result.  Failures are never stored and never shared — a waiter whose
-leader failed retries the fetch itself, so a transient fault cannot
-poison the cache.
+Concurrent misses on the same key coalesce into one upstream fetch under
+the :mod:`repro.flight` contract; a failure is never stored, so a
+transient fault cannot poison the cache.
 
 All cache traffic is counted into a :class:`~repro.core.metrics.MetricsRegistry`
 and, when a fetch carries an execution context, mirrored onto trace spans
@@ -50,16 +48,22 @@ import threading
 import time
 
 from collections import OrderedDict
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.core.metrics import MetricsRegistry
+from repro.flight import Flight, Flights
 from repro.relational.bindings import BindingSets
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.vps.schema import VpsSchema
 
 STALE_MODES = ("refetch", "serve_stale")
+
+#: How long a flight leader waits for the sibling shard that holds the
+#: federation claim to publish, before fetching the fill itself.
+FEDERATION_WAIT_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,10 @@ class CachePolicy:
         return self.ttl_seconds
 
 
+#: One key this caller leads: ``(cache key, its bindings, its open flight)``.
+_Lead = tuple[tuple, dict[str, Any], Flight]
+
+
 @dataclass
 class CacheEntry:
     """One stored result, stamped for staleness checks."""
@@ -126,17 +134,6 @@ class CacheEntry:
     stored_at: float  # cache-clock seconds
     expires_at: float | None  # None = never expires
     warmed: bool = False  # loaded from the tiered store, not fetched live
-
-
-class InFlight:
-    """The rendezvous for one in-progress upstream fetch (single-flight)."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
 
 
 class ResultCache:
@@ -164,10 +161,10 @@ class ResultCache:
         self.metrics = metrics or MetricsRegistry()
         self._clock = clock or time.monotonic
         self._cache: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        self._inflight: dict[tuple, InFlight] = {}
         self._revisions: dict[str, int] = {}
         self._quarantined: set[str] = set()
         self._lock = threading.Lock()
+        self._inflight = Flights(self._lock)
         self.hits = 0
         self.misses = 0
         # Optional persistence underneath (repro.store.TieredStore): filled
@@ -175,15 +172,12 @@ class ResultCache:
         # bronze, and a restart warms from the store instead of refetching.
         self.store: Any = None
         # Optional cluster federation (repro.cluster.federation): flight
-        # leaders consult the cross-shard cache before fetching live, and
-        # publish their fills so sibling shards amortize the same prefix
-        # walk.  Claims extend local single-flight across shards: when a
-        # sibling already holds the fill claim, this shard polls for the
-        # published result (up to ``federation_wait_seconds``) instead of
-        # duplicating the walk.  Strictly fail-open: a federation error is
-        # a miss, a denied-then-timed-out claim falls back to fetching.
+        # leaders consult the cross-shard cache and its fill claims before
+        # fetching live, and publish their fills so sibling shards amortize
+        # the same prefix walk (see :meth:`_lead`).  Strictly fail-open: a
+        # federation error is a miss, a denied-then-timed-out claim falls
+        # back to fetching.
         self.federation: Any = None
-        self.federation_wait_seconds = 30.0
 
     @property
     def max_entries(self) -> int:
@@ -308,29 +302,12 @@ class ResultCache:
             return 0
         loaded = 0
         with self._lock:
-            now = self._clock()
             for entry in source.warm_entries():
                 key = (entry.relation, entry.key)
-                if key in self._cache:
-                    continue
-                if entry.revision != self._revisions.get(entry.host, 0):
-                    continue
-                ttl = self.policy.ttl_for(entry.relation)
-                self._cache[key] = CacheEntry(
-                    value=entry.value,
-                    relation=entry.relation,
-                    host=entry.host,
-                    revision=entry.revision,
-                    stored_at=now,
-                    expires_at=None if ttl is None else now + ttl,
-                    warmed=True,
-                )
-                if len(self._cache) > self.policy.max_entries:
-                    self._cache.popitem(last=False)
-                    self.metrics.counter("cache.evictions").inc()
-                loaded += 1
-            if loaded:
-                self.metrics.gauge("cache.entries").set(len(self._cache))
+                if key not in self._cache and self._store(
+                    key, entry.relation, entry.host, entry.revision, entry.value, warmed=True
+                ):
+                    loaded += 1
         if loaded:
             self.metrics.counter("store.warm_loads").inc(loaded)
         return loaded
@@ -372,39 +349,28 @@ class ResultCache:
     def _key(self, name: str, given: dict[str, Any]) -> tuple:
         return (name, tuple(sorted((a, v) for a, v in given.items() if v is not None)))
 
-    def _live_entry(self, key: tuple, host: str) -> CacheEntry | None:
+    def _live_entry(self, key: tuple, host: str, stale_ok: bool = False) -> CacheEntry | None:
         """The entry under ``key`` if it is still servable; evicts revision
-        mismatches and TTL expiries (caller holds the lock)."""
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        if entry.revision != self._revisions.get(host, 0):
-            del self._cache[key]
-            self.metrics.counter("cache.invalidations").inc()
-            self.metrics.gauge("cache.entries").set(len(self._cache))
-            return None
-        if entry.expires_at is not None and self._clock() >= entry.expires_at:
-            del self._cache[key]
-            self.metrics.counter("cache.expirations").inc()
-            self.metrics.gauge("cache.entries").set(len(self._cache))
-            return None
-        return entry
+        mismatches and TTL expiries (caller holds the lock).
 
-    def _stale_entry(self, key: tuple, host: str) -> CacheEntry | None:
-        """The entry under ``key`` for a *flagged-stale* serve: the map
-        revision must still match (a superseded map is never served), but
-        TTL expiry is forgiven — a quarantined host cannot be refetched to
-        revalidate, and serving a known-stale entry past its TTL is
-        exactly what ``serve_stale`` promises (caller holds the lock)."""
+        ``stale_ok`` is the *flagged-stale* serve: the map revision must
+        still match (a superseded map is never served), but TTL expiry is
+        forgiven — a quarantined host cannot be refetched to revalidate,
+        and serving a known-stale entry past its TTL is exactly what
+        ``serve_stale`` promises."""
         entry = self._cache.get(key)
         if entry is None:
             return None
         if entry.revision != self._revisions.get(host, 0):
-            del self._cache[key]
-            self.metrics.counter("cache.invalidations").inc()
-            self.metrics.gauge("cache.entries").set(len(self._cache))
-            return None
-        return entry
+            dropped = "cache.invalidations"
+        elif not stale_ok and entry.expires_at is not None and self._clock() >= entry.expires_at:
+            dropped = "cache.expirations"
+        else:
+            return entry
+        del self._cache[key]
+        self.metrics.counter(dropped).inc()
+        self.metrics.gauge("cache.entries").set(len(self._cache))
+        return None
 
     def _record_hit(
         self, name: str, host: str, context: Any, stale: bool, warmed: bool = False
@@ -419,11 +385,14 @@ class ResultCache:
             with context.span("fetch", name, host=host, layer="cache") as span:
                 span.cache = "stale" if stale else "hit"
 
-    def _store(self, key: tuple, name: str, host: str, revision: int, value: Relation) -> bool:
-        """Insert one fetched result (caller holds the lock); skipped when
-        the host's revision moved mid-fetch — the result may straddle the
-        change, so it cannot be trusted across queries.  Returns whether
-        the entry was stored (callers mirror stored entries to silver)."""
+    def _store(
+        self, key: tuple, name: str, host: str, revision: int, value: Relation, warmed: bool = False
+    ) -> bool:
+        """Insert one result — fetched, or ``warmed`` from the tiered
+        store (caller holds the lock); skipped when the host's revision
+        moved since it was captured — the result may straddle the change,
+        so it cannot be trusted across queries.  Returns whether the entry
+        was stored (callers mirror stored fetches to silver)."""
         if revision != self._revisions.get(host, 0):
             return False
         now = self._clock()
@@ -435,6 +404,7 @@ class ResultCache:
             revision=revision,
             stored_at=now,
             expires_at=None if ttl is None else now + ttl,
+            warmed=warmed,
         )
         if len(self._cache) > self.policy.max_entries:
             self._cache.popitem(last=False)
@@ -447,11 +417,6 @@ class ResultCache:
         cache lock — persistence must never serialize the fetch path)."""
         if self.store is not None:
             self.store.persist_result(name, host, revision, key[1], value)
-
-    def _record_intent(self, key: tuple, host: str, revision: int) -> None:
-        """Write-ahead note that an upstream fetch is about to run."""
-        if self.store is not None:
-            self.store.record_intent(key[0], host, revision, key[1])
 
     def _federation_stamp(self, host: str, revision: int) -> None:
         """Tell the cluster federation this host's revision moved, so
@@ -470,11 +435,8 @@ class ResultCache:
     ) -> Relation | None:
         """Ask the cluster federation for this fill (fail-open: any
         transport error, revision mismatch, or absence is just a miss)."""
-        fed = self.federation
-        if fed is None:
-            return None
         try:
-            return fed.lookup(name, host, key[1], revision)
+            return self.federation.lookup(name, host, key[1], revision)
         except Exception:  # noqa: BLE001 - the federation must never break a fetch
             return None
 
@@ -492,26 +454,18 @@ class ResultCache:
 
     def _federation_claim(self, name: str, key: tuple) -> bool:
         """Try to become the cluster-wide fetcher for this fill.  True
-        means fetch (claim won, no federation, an older federation without
-        claims, or a bus error — never let coordination block a fetch)."""
-        fed = self.federation
-        claim = getattr(fed, "claim", None)
-        if claim is None:
-            return True
+        means fetch (claim won, or a bus error — never let coordination
+        block a fetch)."""
         try:
-            return bool(claim(name, key[1]))
+            return bool(self.federation.claim(name, key[1]))
         except Exception:  # noqa: BLE001 - fail-open
             return True
 
     def _federation_release(self, name: str, key: tuple) -> None:
         """Give up a claim whose fill failed or was not stored, so waiters
         contend for it instead of running out their wait budget."""
-        fed = self.federation
-        release = getattr(fed, "release", None)
-        if release is None:
-            return
         try:
-            release(name, key[1])
+            self.federation.release(name, key[1])
         except Exception:  # noqa: BLE001 - fail-open
             pass
 
@@ -525,7 +479,7 @@ class ResultCache:
         wait budget lapsed).  Honors cancellation like a coalesced wait.
         """
         poll = getattr(context, "check_cancelled", None)
-        deadline = time.monotonic() + self.federation_wait_seconds
+        deadline = time.monotonic() + FEDERATION_WAIT_SECONDS
         next_claim = time.monotonic() + 0.25
         while time.monotonic() < deadline:
             time.sleep(0.05)
@@ -541,28 +495,124 @@ class ResultCache:
                     return None
         return None
 
-    def _resolve_fed_hit(
-        self,
-        name: str,
-        host: str,
-        key: tuple,
-        revision: int,
-        flight: "InFlight",
-        value: Relation,
-        context: Any,
+    def _land_fed_hit(
+        self, name: str, host: str, revision: int, lead: _Lead, value: Relation, context: Any
     ) -> None:
-        """A federation lookup satisfied this flight: store, account the
-        hit, and wake the local coalesced waiters."""
+        """The federation satisfied this flight: store, land, account the hit."""
+        key, _given, flight = lead
         with self._lock:
             self.hits += 1
             stored = self._store(key, name, host, revision, value)
-            self._inflight.pop(key, None)
+            flight.land(value)
         self.metrics.counter("cluster.fed_hits").inc()
         if stored:
             self._persist_silver(key, name, host, revision, value)
         self._record_hit(name, host, context, stale=False)
-        flight.result = value
-        flight.event.set()
+
+    def _lead(
+        self,
+        name: str,
+        host: str,
+        revision: int,
+        leads: list[_Lead],
+        context: Any,
+        batch: bool,
+    ) -> dict[tuple, Relation]:
+        """The one leader path: resolve every key whose flight this caller
+        opened — one for :meth:`fetch`, many for :meth:`fetch_batch` — and
+        return ``key -> result``.  Every flight is settled on the way out,
+        however this exits: a key that did not land fails its flight, and
+        its waiters retry as the new leader.
+        """
+        results: dict[tuple, Relation] = {}
+        with ExitStack() as section:
+            for _key, _given, flight in leads:
+                section.enter_context(flight)
+            awaited: list[_Lead] = []
+            if self.federation is not None:
+                # Resolve what the federation holds before paying for a
+                # live fetch.  Keys a sibling shard has claimed are set
+                # aside: they resolve after our own fetch, by which time
+                # the sibling has likely published.
+                claimed: list[_Lead] = []
+                for lead in leads:
+                    value = self._federation_lookup(name, host, lead[0], revision)
+                    if value is not None:
+                        self._land_fed_hit(name, host, revision, lead, value, context)
+                        results[lead[0]] = value
+                    elif self._federation_claim(name, lead[0]):
+                        claimed.append(lead)
+                    else:
+                        self.metrics.counter("cluster.fed_waits").inc()
+                        awaited.append(lead)
+                leads = claimed
+            if leads:
+                self._fill(name, host, revision, leads, context, batch, results)
+            for lead in awaited:
+                value = self._federation_await(name, host, lead[0], revision, context)
+                if value is None:  # claim adopted, or the wait lapsed
+                    self._fill(name, host, revision, [lead], context, False, results)
+                else:
+                    self._land_fed_hit(name, host, revision, lead, value, context)
+                    results[lead[0]] = value
+        return results
+
+    def _fill(
+        self,
+        name: str,
+        host: str,
+        revision: int,
+        leads: list[_Lead],
+        context: Any,
+        batch: bool,
+        results: dict[tuple, Relation],
+    ) -> None:
+        """Fetch the keys this leader must fill itself: intent → inner
+        fetch → store → land → silver → publish.  A failure is never
+        stored.  A federation claim whose fill was not published — the
+        fetch or the store raised, or the host's revision moved mid-fetch
+        — is released on the way out, so sibling shards contend for it
+        instead of running out their wait budget."""
+        federated = self.federation is not None
+        published: set[tuple] = set()
+        try:
+            if self.store is not None:  # write-ahead: these fetches are about to run
+                for key, _given, _flight in leads:
+                    self.store.record_intent(key[0], host, revision, key[1])
+            # Invariant: exactly one miss per *upstream fetch*, counted here
+            # as it is about to run — by the flight leader only, and only
+            # once the federation (if any) has answered: a cross-shard hit
+            # is a hit, not a miss that fetched nothing.  Coalesced waiters
+            # count a hit when the shared result arrives; a waiter promoted
+            # after a failed flight counts a fresh miss, because its retry
+            # is a second upstream fetch.  Pinned by
+            # tests/test_metrics.py::TestSingleFlightMissAccounting.
+            with self._lock:
+                self.misses += len(leads)
+            self.metrics.counter("cache.misses").inc(len(leads))
+            if federated:
+                self.metrics.counter("cluster.fed_misses").inc(len(leads))
+            givens = [given for _key, given, _flight in leads]
+            if batch:
+                fetched = self._fetch_inner_batch(name, givens, context)
+            else:
+                fetched = [self._fetch_inner(name, given, context) for given in givens]
+            stored = []
+            with self._lock:
+                for (key, _given, flight), value in zip(leads, fetched):
+                    if self._store(key, name, host, revision, value):
+                        stored.append((key, value))
+                    flight.land(value)
+                    results[key] = value
+            for key, value in stored:
+                self._persist_silver(key, name, host, revision, value)
+                self._federation_publish(name, host, key, revision, value)
+                published.add(key)
+        finally:
+            if federated:
+                for key, _given, _flight in leads:
+                    if key not in published:
+                        self._federation_release(name, key)
 
     def fetch(
         self, name: str, given: dict[str, Any], context: Any = None
@@ -581,7 +631,7 @@ class ResultCache:
                 # evict the key and make move_to_end raise — pinned by
                 # tests/test_store_recovery.py (revision-bump regression).
                 with self._lock:
-                    entry = self._stale_entry(key, host)
+                    entry = self._live_entry(key, host, stale_ok=True)
                     if entry is not None:
                         self.hits += 1
                         self._cache.move_to_end(key)
@@ -592,97 +642,27 @@ class ResultCache:
             return self._fetch_inner(name, given, context)
 
         while True:
-            leader = False
             with self._lock:
                 entry = self._live_entry(key, host)
                 if entry is not None:
                     self.hits += 1
                     self._cache.move_to_end(key)
                 else:
-                    flight = self._inflight.get(key)
-                    if flight is None:
-                        flight = self._inflight[key] = InFlight()
-                        leader = True
+                    flight, leading = self._inflight.join(key)
+                    if leading:
                         revision = self._revisions.get(host, 0)
-                        # Invariant: exactly one miss per *upstream fetch*.
-                        # Only the flight leader counts one, here, under the
-                        # lock; coalesced waiters count a hit when the shared
-                        # result arrives.  A waiter promoted to leader after a
-                        # failed flight counts a fresh miss — correct, because
-                        # its retry is a second upstream fetch.  Pinned by
-                        # tests/test_metrics.py::TestSingleFlightMissAccounting.
-                        # With a federation attached the verdict waits until
-                        # the federation answers: a cross-shard hit is a hit
-                        # (span and counter), not a miss that fetched nothing.
-                        if self.federation is None:
-                            self.misses += 1
-                            self.metrics.counter("cache.misses").inc()
             if entry is not None:
                 self._record_hit(name, host, context, stale=False, warmed=entry.warmed)
                 return entry.value
-            if leader:
-                if self.federation is not None:
-                    try:
-                        value = self._federation_lookup(name, host, key, revision)
-                        if value is None and not self._federation_claim(name, key):
-                            # A sibling shard is already walking this fill:
-                            # wait for its publish instead of duplicating it.
-                            self.metrics.counter("cluster.fed_waits").inc()
-                            value = self._federation_await(
-                                name, host, key, revision, context
-                            )
-                    except BaseException as exc:
-                        # Cancellation raised out of the wait: fail the
-                        # flight so local waiters retry themselves.
-                        with self._lock:
-                            self._inflight.pop(key, None)
-                        flight.error = exc
-                        flight.event.set()
-                        raise
-                    if value is not None:
-                        self._resolve_fed_hit(
-                            name, host, key, revision, flight, value, context
-                        )
-                        return value
-                    with self._lock:
-                        self.misses += 1
-                    self.metrics.counter("cache.misses").inc()
-                    self.metrics.counter("cluster.fed_misses").inc()
-                self._record_intent(key, host, revision)
-                try:
-                    result = self._fetch_inner(name, given, context)
-                except BaseException as exc:
-                    # Never store or share a failure: waiters retry themselves.
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                    if self.federation is not None:
-                        self._federation_release(name, key)
-                    flight.error = exc
-                    flight.event.set()
-                    raise
-                with self._lock:
-                    stored = self._store(key, name, host, revision, result)
-                    self._inflight.pop(key, None)
-                if stored:
-                    self._persist_silver(key, name, host, revision, result)
-                    self._federation_publish(name, host, key, revision, result)
-                elif self.federation is not None:
-                    # Not stored means not published: free the claim.
-                    self._federation_release(name, key)
-                flight.result = result
-                flight.event.set()
-                return result
+            if leading:
+                lead = (key, given, flight)
+                return self._lead(name, host, revision, [lead], context, False)[key]
             # Another worker is already fetching this key: wait and share —
             # but keep observing cancellation, so a revoked access stops
             # waiting on a leader it no longer wants.
             self.metrics.counter("cache.coalesced").inc()
             poll = getattr(context, "check_cancelled", None)
-            if poll is None:
-                flight.event.wait()
-            else:
-                while not flight.event.wait(0.05):
-                    poll("coalesced:%s" % name)
-            if flight.error is None:
+            if flight.wait(poll, "coalesced:%s" % name):
                 with self._lock:
                     self.hits += 1
                 self._record_hit(name, host, context, stale=False)
@@ -706,11 +686,10 @@ class ResultCache:
         ``givens`` order.
 
         Cached keys are served as hits; the distinct misses lead one inner
-        batch fetch (stored and announced to coalesced waiters exactly like
-        single-flight leaders); keys already in flight elsewhere fall back
-        to the per-key path, which waits and shares.  Failures abandon the
-        whole lead batch un-stored — waiters retry themselves, preserving
-        the never-share-a-failure invariant.
+        batch fetch through the same leader path as :meth:`fetch`; keys
+        already in flight elsewhere fall back to the per-key path, which
+        waits and shares.  A failure abandons the whole lead batch
+        un-stored — waiters retry themselves.
         """
         host = self.host_of(name)
         if not self.policy.enabled:
@@ -720,9 +699,7 @@ class ResultCache:
         keys = [self._key(name, given) for given in givens]
         results: dict[tuple, Relation] = {}
         hit_keys: list[tuple] = []
-        lead_keys: list[tuple] = []
-        lead_givens: list[dict[str, Any]] = []
-        flights: dict[tuple, InFlight] = {}
+        leads: list[_Lead] = []
         with self._lock:
             revision = self._revisions.get(host, 0)
             seen: set[tuple] = set()
@@ -737,126 +714,19 @@ class ResultCache:
                     self._cache.move_to_end(key)
                     results[key] = entry.value
                     hit_keys.append((key, entry.warmed))
-                elif key not in self._inflight:
+                    continue
+                flight, leading = self._inflight.join(key)
+                if leading:
                     self.metrics.counter("cache.requests").inc()
-                    flight = self._inflight[key] = InFlight()
-                    flights[key] = flight
-                    lead_keys.append(key)
-                    lead_givens.append(given)
-                    if self.federation is None:
-                        self.misses += 1
-                        self.metrics.counter("cache.misses").inc()
+                    leads.append((key, given, flight))
                 # else: a foreign flight owns it — resolved below by the
                 # per-key path, which waits, shares, and does its own
                 # request/hit accounting (counting here too would double
                 # count the lookup).
         for key, warmed in hit_keys:
             self._record_hit(name, host, context, stale=False, warmed=warmed)
-        awaited_keys: list[tuple] = []
-        awaited_givens: list[dict[str, Any]] = []
-        if lead_keys and self.federation is not None:
-            # Resolve as many lead keys as the federation holds before
-            # paying for the inner batch fetch (same hit-vs-miss verdict
-            # deferral as the single-key path).  Keys a sibling shard has
-            # claimed are set aside: they resolve after our own batch
-            # fetch, by which time the sibling has likely published.
-            remaining_keys: list[tuple] = []
-            remaining_givens: list[dict[str, Any]] = []
-            for key, given in zip(lead_keys, lead_givens):
-                value = self._federation_lookup(name, host, key, revision)
-                if value is not None:
-                    self._resolve_fed_hit(
-                        name, host, key, revision, flights[key], value, context
-                    )
-                    results[key] = value
-                elif not self._federation_claim(name, key):
-                    self.metrics.counter("cluster.fed_waits").inc()
-                    awaited_keys.append(key)
-                    awaited_givens.append(given)
-                else:
-                    with self._lock:
-                        self.misses += 1
-                    self.metrics.counter("cache.misses").inc()
-                    self.metrics.counter("cluster.fed_misses").inc()
-                    remaining_keys.append(key)
-                    remaining_givens.append(given)
-            lead_keys, lead_givens = remaining_keys, remaining_givens
-        if lead_keys:
-            for key in lead_keys:
-                self._record_intent(key, host, revision)
-            try:
-                fetched = self._fetch_inner_batch(name, lead_givens, context)
-            except BaseException as exc:
-                with self._lock:
-                    for key in lead_keys + awaited_keys:
-                        self._inflight.pop(key, None)
-                if self.federation is not None:
-                    for key in lead_keys:
-                        self._federation_release(name, key)
-                for key in lead_keys + awaited_keys:
-                    flights[key].error = exc
-                    flights[key].event.set()
-                raise
-            stored_keys = []
-            unstored_keys = []
-            with self._lock:
-                for key, value in zip(lead_keys, fetched):
-                    if self._store(key, name, host, revision, value):
-                        stored_keys.append((key, value))
-                    else:
-                        unstored_keys.append(key)
-                    self._inflight.pop(key, None)
-            for key, value in stored_keys:
-                self._persist_silver(key, name, host, revision, value)
-                self._federation_publish(name, host, key, revision, value)
-            if self.federation is not None:
-                for key in unstored_keys:
-                    self._federation_release(name, key)
-            for key, value in zip(lead_keys, fetched):
-                flights[key].result = value
-                flights[key].event.set()
-                results[key] = value
-        for index, (key, given) in enumerate(zip(awaited_keys, awaited_givens)):
-            # A sibling shard claimed these fills; by now (after our own
-            # batch fetch ran) most are published.  Any that are not get
-            # the same wait-then-fetch treatment as the single-key path.
-            try:
-                value = self._federation_await(name, host, key, revision, context)
-                if value is None:
-                    with self._lock:
-                        self.misses += 1
-                    self.metrics.counter("cache.misses").inc()
-                    self.metrics.counter("cluster.fed_misses").inc()
-                    self._record_intent(key, host, revision)
-                    value = self._fetch_inner(name, given, context)
-                    with self._lock:
-                        stored = self._store(key, name, host, revision, value)
-                        self._inflight.pop(key, None)
-                    if stored:
-                        self._persist_silver(key, name, host, revision, value)
-                        self._federation_publish(name, host, key, revision, value)
-                    else:
-                        self._federation_release(name, key)
-                    flights[key].result = value
-                    flights[key].event.set()
-                    results[key] = value
-                else:
-                    self._resolve_fed_hit(
-                        name, host, key, revision, flights[key], value, context
-                    )
-                    results[key] = value
-            except BaseException as exc:
-                # Fail this flight and every awaited one behind it —
-                # leaving a registered flight unset would hang its waiters.
-                failed = awaited_keys[index:]
-                with self._lock:
-                    for k in failed:
-                        self._inflight.pop(k, None)
-                self._federation_release(name, key)
-                for k in failed:
-                    flights[k].error = exc
-                    flights[k].event.set()
-                raise
+        if leads:
+            results.update(self._lead(name, host, revision, leads, context, True))
         return [
             results[key]
             if key in results
@@ -877,10 +747,3 @@ class ResultCache:
             "stale_serves": int(counters.get("cache.stale_serves", 0)),
             "coalesced": int(counters.get("cache.coalesced", 0)),
         }
-
-
-class CachingVps(ResultCache):
-    """Backwards-compatible LRU cache (the pre-engine bolt-on interface)."""
-
-    def __init__(self, inner: VpsSchema, max_entries: int = 1024) -> None:
-        super().__init__(inner, CachePolicy.lru(max_entries))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import WebBaseError
+from repro.flight import Flight, Flights
 from repro.web.clock import SimClock
 from repro.web.http import Request, Response, Url
 from repro.web.page import FormSpec, Link, WebPage, parse_page
@@ -100,9 +101,8 @@ class PrefixPageCache:
     revision and drops mismatched entries, so no page captured under an
     old map is ever served across a revision bump.
 
-    Concurrent misses on one key coalesce (single-flight): the first
-    caller fetches, the rest wait and share the page.  Failures are never
-    stored — a waiter whose leader failed becomes the next leader.
+    Concurrent misses on one key coalesce under the :mod:`repro.flight`
+    contract; failures are never stored.
 
     Thread-safe; counts ``nav.prefix_hits`` / ``nav.prefix_misses`` /
     ``nav.prefix_coalesced`` into ``metrics`` when given.
@@ -121,8 +121,8 @@ class PrefixPageCache:
         # which hosts it holds warm prefixes for (fail-open, best effort).
         self._stamp_sink = stamp_sink
         self._pages: dict[tuple, tuple[int, WebPage]] = {}
-        self._flights: dict[tuple, Any] = {}
         self._lock = threading.Lock()
+        self._flights = Flights(self._lock)
         self.hits = 0
         self.misses = 0
         # Entries fetched *speculatively* (ahead of demand).  The first
@@ -182,8 +182,6 @@ class PrefixPageCache:
         flight, revision)`` when this caller must fetch, or ``("wait",
         flight, None)`` when another caller is already fetching it.  A
         leader must call :meth:`fulfill` or :meth:`abandon`."""
-        from repro.vps.cache import InFlight
-
         revision = self._revision_of(host)
         with self._lock:
             entry = self._pages.get((host, key))
@@ -195,11 +193,10 @@ class PrefixPageCache:
                     return ("hit", entry[1], None)
                 del self._pages[(host, key)]
                 self._dropped_locked(host, key)
-            flight = self._flights.get((host, key))
-            if flight is not None:
+            flight, leading = self._flights.join((host, key))
+            if not leading:
                 self._count("nav.prefix_coalesced")
                 return ("wait", flight, None)
-            flight = self._flights[(host, key)] = InFlight()
             self.misses += 1
             self._count("nav.prefix_misses")
             return ("lead", flight, revision)
@@ -208,16 +205,14 @@ class PrefixPageCache:
         """Non-blocking claim for speculative work: ``(flight, revision)``
         when the caller should fetch, ``None`` when the page is already
         cached or someone else is on it (nothing to do)."""
-        from repro.vps.cache import InFlight
-
         revision = self._revision_of(host)
         with self._lock:
             entry = self._pages.get((host, key))
             if entry is not None and entry[0] == revision:
                 return None
-            if (host, key) in self._flights:
+            flight, leading = self._flights.join((host, key))
+            if not leading:
                 return None
-            flight = self._flights[(host, key)] = InFlight()
             self.misses += 1
             self._count("nav.prefix_misses")
             return (flight, revision)
@@ -226,7 +221,7 @@ class PrefixPageCache:
         self,
         host: str,
         key: tuple,
-        flight: Any,
+        flight: Flight,
         page: WebPage,
         revision: int,
         speculative: bool = False,
@@ -244,21 +239,17 @@ class PrefixPageCache:
                     self._speculative.add((host, key))
             elif speculative and self.budget is not None:
                 self.budget.wasted(host)
-            self._flights.pop((host, key), None)
-        flight.result = page
-        flight.event.set()
+            flight.land(page)
+        flight.settle()
         if stored and self._stamp_sink is not None:
             try:
                 self._stamp_sink(host, revision)
             except Exception:  # noqa: BLE001 - the sink must never break a fetch
                 pass
 
-    def abandon(self, host: str, key: tuple, flight: Any, error: BaseException | None = None) -> None:
+    def abandon(self, host: str, key: tuple, flight: Flight, error: BaseException | None = None) -> None:
         """A leader's fetch failed: nothing is stored, waiters retry."""
-        with self._lock:
-            self._flights.pop((host, key), None)
-        flight.error = error
-        flight.event.set()
+        flight.settle(error)
 
 
 class Browser:
@@ -361,12 +352,7 @@ class Browser:
             if outcome == "hit":
                 return payload, False
             if outcome == "wait":
-                if poll is None:
-                    payload.event.wait()
-                else:
-                    while not payload.event.wait(0.05):
-                        poll()
-                if payload.error is None and payload.result is not None:
+                if payload.wait(poll):
                     return payload.result, False
                 continue  # the leader failed; try to lead ourselves
             flight = payload

@@ -1,9 +1,11 @@
 """Tests of the top-level public API surface.
 
-Includes two mechanical consistency audits, so drift fails loudly:
+Includes three mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
+* no module of the bottom layer, ``repro.web``, imports from a layer
+  built on top of it;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -67,6 +69,32 @@ class TestPublicImportLint:
             for source, name in imports
             if name not in repro.__all__
         ]
+        assert offenders == []
+
+    def test_the_web_layer_imports_nothing_above_it(self):
+        """``repro.web`` is the bottom layer: no module in it may reach up
+        into the layers built on it — at module level or inside a function."""
+        above = ("vps", "core", "mqo", "cluster", "service")
+        modules = sorted((REPO / "src" / "repro" / "web").rglob("*.py"))
+        assert modules, "the audit must actually see the web layer"
+        offenders = []
+        for source in modules:
+            tree = ast.parse(source.read_text(), filename=str(source))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    targets = [node.module or ""]
+                    if node.module == "repro":
+                        targets = ["repro.%s" % alias.name for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                else:
+                    continue
+                for target in targets:
+                    package, _, rest = target.partition(".")
+                    if package == "repro" and rest.split(".")[0] in above:
+                        offenders.append(
+                            "%s imports %s" % (source.relative_to(REPO), target)
+                        )
         assert offenders == []
 
 

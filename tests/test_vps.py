@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vps.cache import CachingVps
+from repro.vps.cache import CachePolicy, ResultCache
 from repro.vps.handle import Handle, HandleError, check_handle_family
 
 
@@ -114,7 +114,7 @@ def _shared_webbase():
 class TestCache:
     def _caching(self):
         webbase = _shared_webbase()
-        return CachingVps(webbase.vps)
+        return ResultCache(webbase.vps, CachePolicy.lru())
 
     def test_second_fetch_hits_cache(self):
         cache = self._caching()
@@ -151,7 +151,7 @@ class TestCache:
 
     def test_lru_eviction(self):
         webbase = _shared_webbase()
-        cache = CachingVps(webbase.vps, max_entries=2)
+        cache = ResultCache(webbase.vps, CachePolicy.lru(2))
         cache.fetch("newsday", {"make": "saab"})
         cache.fetch("newsday", {"make": "honda"})
         cache.fetch("newsday", {"make": "bmw"})
