@@ -7,7 +7,7 @@ makes re-fetches each site's entry and intermediate form pages once per
 make.  Batched navigation — the query-scoped prefix page cache, batched
 dependent-join probes and speculative prefetch — walks each prefix once
 per session.  Acceptance: ≥ 2× fewer pages navigated (server-side live
-requests *and* demand-path live navigations) than ``--no-batch`` under
+requests *and* demand-path live navigations) than ``batch=False`` under
 identical configs, with byte-identical rows and the same live VPS fetch
 count.  Results land in ``BENCH_prefix_reuse.json`` (see ``emit.py``);
 CI's perf-smoke re-runs this on the small world and fails if pages
@@ -88,11 +88,11 @@ def test_prefix_reuse_ablation(benchmark):
     print("\nAblation — batched navigation with prefix reuse")
     print("  session: 3-way jaguar join across %d makes" % len(MAKES))
     print(
-        "  --no-batch: %3d pages navigated (%d demand), %d live fetches"
+        "  batch=False: %3d pages navigated (%d demand), %d live fetches"
         % (plain["pages"], plain["demand_pages"], plain["fetches"])
     )
     print(
-        "  --batch:    %3d pages navigated (%d demand), %d live fetches, "
+        "  batch=True:  %3d pages navigated (%d demand), %d live fetches, "
         "prefix %d hit(s) / %d miss(es), %d prefetched"
         % (
             batched["pages"],

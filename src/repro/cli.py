@@ -29,39 +29,37 @@ injects deterministic transient faults for the retry machinery to absorb
 store under the webbase: every served page lands in the bronze log,
 cache fills mirror to silver, answers materialize to gold, and a later
 invocation over the same directory warms its cache from silver (watch
-``store.warm_hits`` in ``metrics``; ``--no-store-warm`` starts cold,
-``--store-fsync`` makes every append durable before it returns).  The
-offline ``store`` subcommand inspects, compacts, or rebuilds such a
-directory without touching the simulated Web — ``rebuild`` re-derives
-silver and gold from the bronze log alone and exits non-zero on any
-byte-level mismatch.  ``--optimizer off`` reverts to the fixed
-(pre-cost-model) join order for A/B comparison — ``explain`` under both
-settings shows what the planner saves.  ``--cache``/``--no-cache``
-explicitly enable or disable the cross-query result cache (default: on
-for ``metrics`` and ``serve``, whose workloads are meaningless without a
-storing cache; off elsewhere); ``--cache-ttl`` bounds how long its
-entries live and ``--stale-mode`` picks what happens to entries of a
-site flagged by maintenance as needing manual attention (refetch them,
-or serve them with an explicit staleness flag).  ``--batch``/``--no-batch``
-toggles batched navigation (default: on) — the query-scoped prefix page
-cache, binding-batched dependent-join probes and speculative prefetch;
-``--no-batch`` is the paper's per-binding navigation baseline, and
-``metrics`` reports the ``nav.prefix_hits``/``nav.prefix_misses``/
-``nav.batch_size`` instruments either way.
+``store.warm_hits`` in ``metrics``; ``--store-fsync`` makes every append
+durable before it returns).  The offline ``store`` subcommand inspects,
+compacts, or rebuilds such a directory without touching the simulated
+Web — ``rebuild`` re-derives silver and gold from the bronze log alone
+and exits non-zero on any byte-level mismatch.  ``--optimizer off``
+reverts to the fixed (pre-cost-model) join order for A/B comparison —
+``explain`` under both settings shows what the planner saves — and
+``--mqo`` turns on multi-query optimization.
+
+A flag exists only where two real callers set it differently; everything
+else is decided here or is library configuration.  The cross-query
+result cache is on for ``metrics``, ``serve`` and ``resilience`` (their
+workloads are meaningless without a storing cache) and whenever
+``--store`` is given, off elsewhere.  Entry lifetimes, stale-serving,
+per-binding navigation, breaker timing, bulkheads and speculative
+probing are set on ``CachePolicy.lru(ttl_seconds=…, stale_mode=…)``,
+``WebBaseConfig(batch=…, store_warm=…)`` and ``ResiliencePolicy(...)``
+by the benchmarks and suites that compare them.
 
 ``serve`` runs the long-lived multi-client query service on a TCP
 socket; ``client`` talks to it (no webbase is built client-side).
 ``query --deadline-ms`` bounds a one-shot query's wall-clock time the
-same way a served request's deadline does.
+same way a served request's deadline does.  ``cluster serve`` runs a
+router over ``--shards`` worker processes; each worker receives the
+router's ``ClusterConfig`` as one JSON ``--config`` value.  All three
+servers run until interrupted or until a ``drain`` op arrives —
+``cluster drain --port N`` stops a plain ``serve`` as well as a cluster
+— then finish in-flight work, print their final counters and exit 0.
 
-Per-host resilience (on by default; ``--no-resilience`` disables):
 ``--breaker-threshold`` consecutive failures trip a host's circuit
-breaker, ``--breaker-slow`` makes successes slower than that many
-simulated seconds count as failure signals, ``--breaker-recovery`` sets
-the open → half-open delay, and ``--bulkhead`` caps one host's share of
-the worker pool.  ``--speculate`` turns on speculative dependent-join
-probing and ``--no-prune`` stops the join revoking probes whose outer
-partition emptied.  The ``resilience`` subcommand is the demo: it spikes
+breaker.  The ``resilience`` subcommand is the demo: it spikes
 ``--slow-host`` with latency faults, runs ``--passes`` rounds of the
 ten-site workload, and prints the per-host breaker table, quarantine
 state, the healthy/degraded p95 split and the ``resilience.*`` counters.
@@ -71,17 +69,29 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.execution import WebBaseConfig
 from repro.core.resilience import ResiliencePolicy
 from repro.core.stats import format_timing_table, site_query_timings
 from repro.core.webbase import WebBase
+from repro.relational.relation import Relation
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import ServiceConfig, WebBaseService
 from repro.vps.cache import CachePolicy
 from repro.web.server import FaultPlan
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _cluster_config_json(text: str) -> Any:
+    """``cluster worker --config``: the router's ``ClusterConfig`` as
+    :func:`repro.cluster.worker.worker_argv` wrote it.  Anything else
+    raises, which argparse reports as a usage error (exit 2)."""
+    from repro.cluster.router import ClusterConfig  # only cluster commands load it
+
+    return ClusterConfig(**json.loads(text))
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="A webbase over a simulated dynamic Web (SIGMOD 1999 reproduction).",
@@ -89,27 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1999, help="world seed")
     parser.add_argument(
         "--ads-per-host", type=int, default=120, help="listing depth per site"
-    )
-    parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="enable/disable the cross-query VPS result cache (default: "
-        "--cache for 'metrics' and 'serve', --no-cache otherwise)",
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default time-to-live of cross-query cache entries",
-    )
-    parser.add_argument(
-        "--stale-mode",
-        choices=["refetch", "serve-stale"],
-        default="refetch",
-        help="quarantined cache entries: refetch from the site, or serve "
-        "them flagged as stale",
     )
     parser.add_argument(
         "--store",
@@ -124,21 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fsync every store append before it returns",
     )
     parser.add_argument(
-        "--store-warm",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="warm the result cache from the store's silver tier at startup",
-    )
-    parser.add_argument(
         "--workers", type=int, default=8, help="execution-engine worker pool size"
-    )
-    parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batched navigation: query-scoped prefix page reuse, "
-        "binding-batched dependent-join probes, and speculative prefetch "
-        "(--no-batch = the per-binding navigation baseline)",
     )
     parser.add_argument(
         "--optimizer",
@@ -154,58 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inject deterministic transient faults at this per-request rate",
     )
     parser.add_argument(
-        "--fault-seed", type=int, default=7, help="seed of the injected fault schedule"
-    )
-    parser.add_argument(
-        "--resilience",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="per-host circuit breakers and bulkheads (--no-resilience = "
-        "the bare engine: every access goes straight to the site)",
-    )
-    parser.add_argument(
         "--breaker-threshold",
         type=int,
         default=5,
         metavar="N",
         help="consecutive per-host failures that open the host's breaker",
-    )
-    parser.add_argument(
-        "--breaker-recovery",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="how long an open breaker waits before letting a probe through",
-    )
-    parser.add_argument(
-        "--breaker-slow",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="treat fetches slower than this (simulated network seconds) "
-        "as failure signals for the breaker",
-    )
-    parser.add_argument(
-        "--bulkhead",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap concurrent fetches per host at N worker slots (default: "
-        "no per-host cap)",
-    )
-    parser.add_argument(
-        "--speculate",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="speculative dependent-join probes: start inner-side fetches "
-        "from candidate bindings before the outer side finishes",
-    )
-    parser.add_argument(
-        "--prune",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="runtime relevance pruning: revoke in-flight and queued "
-        "accesses whose justifying bindings the outer side disproved",
     )
     parser.add_argument(
         "--mqo",
@@ -311,19 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--service-workers", type=int, default=4, help="query executor threads"
     )
     serve.add_argument(
-        "--per-client", type=int, default=2, help="concurrent queries per connection"
-    )
-    serve.add_argument(
-        "--page-size", type=int, default=50, help="rows per streamed result page"
-    )
-    serve.add_argument(
-        "--default-deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="deadline applied to requests that carry none",
-    )
-    serve.add_argument(
         "--mqo-window-ms",
         type=float,
         default=0.0,
@@ -378,19 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-inflight", type=int, default=64, help="router admission bound"
     )
     cserve.add_argument(
-        "--federation",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="the cross-shard cache federation bus",
-    )
-    cserve.add_argument(
-        "--health-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="worker health-check ping period",
-    )
-    cserve.add_argument(
         "--mqo",
         action=argparse.BooleanOptionalAction,
         default=False,
@@ -417,7 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     cdrain = cluster_sub.add_parser(
-        "drain", help="gracefully drain a running cluster (workers first)"
+        "drain",
+        help="gracefully drain a running cluster (workers first) — or a "
+        "plain 'serve' on that port: it is the same protocol op",
     )
     cdrain.add_argument("--host", default="127.0.0.1")
     cdrain.add_argument("--port", type=int, default=8570)
@@ -430,17 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cworker.add_argument("--addr-file", default="")
     cworker.add_argument("--host", default="127.0.0.1")
     cworker.add_argument("--port", type=int, default=0)
-    cworker.add_argument("--seed", type=int, default=1999)
-    cworker.add_argument("--ads-per-host", type=int, default=120)
-    cworker.add_argument("--queue-limit", type=int, default=16)
-    cworker.add_argument("--threads", type=int, default=4)
     cworker.add_argument(
         "--federation", default="", metavar="HOST:PORT",
         help="federation bus address (empty = no federation)",
     )
-    cworker.add_argument("--allow-mutation", action="store_true")
-    cworker.add_argument("--mqo", action="store_true")
-    cworker.add_argument("--mqo-window-ms", type=float, default=0.0)
+    cworker.add_argument(
+        "--config",
+        required=True,
+        type=_cluster_config_json,
+        metavar="JSON",
+        help="the spawning router's ClusterConfig: every worker setting "
+        "arrives in this one value",
+    )
 
     store = sub.add_parser(
         "store",
@@ -464,77 +369,117 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cluster_main(args: argparse.Namespace) -> int:
-    if args.cluster_command == "worker":
-        from repro.cluster.worker import worker_main
-
-        return worker_main(args)
-
-    if args.cluster_command == "serve":
-        import threading
-
-        from repro.cluster.router import ClusterConfig, LocalCluster
-
-        cluster = LocalCluster(
-            ClusterConfig(
-                store_root=args.store_root,
-                host=args.host,
-                port=args.port,
-                shards=args.shards,
-                seed=args.seed,
-                ads_per_host=args.ads_per_host,
-                worker_queue_limit=args.queue_limit,
-                worker_threads=args.service_workers,
-                federation=args.federation,
-                max_inflight=args.max_inflight,
-                health_interval_seconds=args.health_interval,
-                mqo=args.mqo,
-                mqo_window_ms=args.mqo_window_ms,
-            )
+def webbase_config(args: argparse.Namespace) -> WebBaseConfig:
+    """The parsed global flags (and the command, which decides the cache)
+    as the webbase's configuration."""
+    if args.command == "resilience":
+        # The demo degrades one host with latency spikes and trips its
+        # breaker on the slow calls.  Zero-TTL entries keep every pass
+        # fetching (so slow calls keep signalling the breaker) until the
+        # breaker opens and quarantines the host — after which serve-stale
+        # answers from the cache instead of waiting on the degraded site.
+        faults = FaultPlan(
+            error_rate=args.fault_rate,
+            spike_rate=1.0,
+            spike_seconds=6.0,
+            hosts=(args.slow_host,),
         )
-        host, port = cluster.start()
-        print(
-            "cluster router on %s:%d (%d worker processes under %s, "
-            "federation=%s)"
-            % (
-                host,
-                port,
-                args.shards,
-                args.store_root,
-                "on" if args.federation else "off",
-            ),
-            flush=True,
-        )
-        try:
-            # Serve until a remote `cluster drain` stops the router ...
-            cluster.router.wait_stopped()
-            print("\ncluster drained")
-        except KeyboardInterrupt:  # ... or the operator interrupts us.
-            print("\ndraining cluster ...")
-        snapshot = cluster.stop()
-        print("final router metrics:")
-        for name, value in sorted(snapshot.get("counters", {}).items()):
-            if name.startswith("cluster."):
-                print("  %-28s %d" % (name, value))
-        return 0
+        cache = CachePolicy.lru(ttl_seconds=0.0, stale_mode="serve_stale")
+        slow_seconds = 10.0
+    else:
+        faults = FaultPlan(error_rate=args.fault_rate) if args.fault_rate > 0 else None
+        # On for the commands whose workloads are meaningless without a
+        # storing cache, and whenever a store is given: silver warming has
+        # nowhere to land (and fills nothing to mirror) with the noop policy.
+        storing = args.command in ("metrics", "serve") or args.store is not None
+        cache = CachePolicy.lru() if storing else CachePolicy.noop()
+        slow_seconds = None
+    return WebBaseConfig(
+        seed=args.seed,
+        ads_per_host=args.ads_per_host,
+        cache=cache,
+        max_workers=args.workers,
+        optimizer=args.optimizer,
+        faults=faults,
+        resilience=ResiliencePolicy(
+            failure_threshold=args.breaker_threshold, slow_seconds=slow_seconds
+        ),
+        store_dir=args.store,
+        store_fsync=args.store_fsync,
+        mqo=args.mqo,
+    )
 
-    # status / drain: pure network client against a running router.
-    from repro.service.client import ServiceClient, ServiceError
 
+def service_config(args: argparse.Namespace) -> ServiceConfig:
+    """``serve``'s flags as the service's configuration."""
+    return ServiceConfig(
+        host=args.host,
+        port=args.port,
+        queue_limit=args.queue_limit,
+        workers=args.service_workers,
+        mqo_window_ms=args.mqo_window_ms,
+    )
+
+
+def cluster_config(args: argparse.Namespace) -> Any:
+    """``cluster serve``'s flags as the cluster's configuration — the one
+    value the router also hands to every worker it spawns."""
+    from repro.cluster.router import ClusterConfig
+
+    return ClusterConfig(
+        store_root=args.store_root,
+        host=args.host,
+        port=args.port,
+        shards=args.shards,
+        seed=args.seed,
+        ads_per_host=args.ads_per_host,
+        worker_queue_limit=args.queue_limit,
+        worker_threads=args.service_workers,
+        max_inflight=args.max_inflight,
+        health_interval_seconds=2.0,  # a deployment pings; tests check explicitly
+        mqo=args.mqo,
+        mqo_window_ms=args.mqo_window_ms,
+    )
+
+
+def _serve_until_stopped(
+    wait_stopped: Callable[[], Any],
+    shutdown: Callable[[], dict[str, Any]],
+    subsystem: str,
+) -> int:
+    """The foreground life of ``serve``, ``cluster serve`` and ``cluster
+    worker`` alike: block until a ``drain`` op has stopped the server or
+    the operator interrupts, shut down (a no-op after a drain), print the
+    final ``subsystem.*`` counters."""
+    try:
+        wait_stopped()
+        print("\ndrained")
+    except KeyboardInterrupt:
+        print("\ndraining ...")
+    snapshot = shutdown()
+    print("final %s metrics:" % subsystem)
+    for name, value in sorted(snapshot["counters"].items()):
+        if name.startswith(subsystem + "."):
+            print("  %-28s %d" % (name, value))
+    return 0
+
+
+def _with_client(
+    args: argparse.Namespace, connect_timeout: float, action: Callable[[Any], None]
+) -> int:
+    """Run ``action(client)`` against the server at ``args.host:args.port``
+    — the pure network commands (no webbase is built on this side) and
+    their one error ladder."""
     try:
         with ServiceClient(
-            host=args.host, port=args.port, connect_timeout=5.0
+            host=args.host, port=args.port, connect_timeout=connect_timeout
         ) as client:
-            if args.cluster_command == "drain":
-                print(json.dumps(client.drain(), indent=2, sort_keys=True))
-                return 0
-            print(json.dumps(client.status(), indent=2, sort_keys=True))
-            if args.metrics:
-                merged = client.metrics()
-                print("merged cross-shard metrics:")
-                print(json.dumps(merged, indent=2, sort_keys=True))
+            action(client)
     except ServiceError as exc:
-        print("cluster error [%s]: %s" % (exc.code, exc))
+        print(
+            "service error [%s%s]: %s"
+            % (exc.code, ", retriable" if exc.retriable else "", exc)
+        )
         return 2
     except OSError as exc:
         print("cannot reach %s:%d: %s" % (args.host, args.port, exc))
@@ -542,48 +487,71 @@ def _cluster_main(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cluster_main(args: argparse.Namespace) -> int:
+    if args.cluster_command == "worker":
+        from repro.cluster.worker import worker_main
+
+        service = worker_main(args)
+        return _serve_until_stopped(service.wait_stopped, service.shutdown, "service")
+
+    if args.cluster_command == "serve":
+        from repro.cluster.router import LocalCluster
+
+        config = cluster_config(args)
+        cluster = LocalCluster(config)
+        host, port = cluster.start()
+        print(
+            "cluster router on %s:%d (%d worker processes under %s, "
+            "federation=%s)"
+            % (
+                host,
+                port,
+                config.shards,
+                config.store_root,
+                "on" if config.federation else "off",
+            ),
+            flush=True,
+        )
+        return _serve_until_stopped(
+            cluster.router.wait_stopped, cluster.stop, "cluster"
+        )
+
+    def show(client: Any) -> None:
+        if args.cluster_command == "drain":
+            print(json.dumps(client.drain(), indent=2, sort_keys=True))
+            return
+        print(json.dumps(client.status(), indent=2, sort_keys=True))
+        if args.metrics:
+            merged = client.metrics()
+            print("merged cross-shard metrics:")
+            print(json.dumps(merged, indent=2, sort_keys=True))
+
+    return _with_client(args, 5.0, show)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command == "cluster":
         return _cluster_main(args)
 
     if args.command == "client":
-        # Pure network client: no webbase is built on this side.
-        from repro.service.client import ServiceClient, ServiceError
 
-        try:
-            with ServiceClient(
-                host=args.host,
-                port=args.port,
-                connect_timeout=args.connect_timeout,
-            ) as client:
-                outcome = client.query(
-                    args.text,
-                    deadline_ms=args.deadline_ms,
-                    page_size=args.page_size,
-                )
-        except ServiceError as exc:
+        def ask(client: Any) -> None:
+            outcome = client.query(
+                args.text, deadline_ms=args.deadline_ms, page_size=args.page_size
+            )
+            print(Relation(outcome.schema, outcome.rows).pretty(limit=args.limit))
             print(
-                "service error [%s%s]: %s"
-                % (exc.code, ", retriable" if exc.retriable else "", exc)
+                "(%d rows in %d page(s); %s)"
+                % (
+                    len(outcome),
+                    outcome.pages,
+                    ", ".join("%s=%s" % kv for kv in sorted(outcome.stats.items())),
+                )
             )
-            return 2
-        except OSError as exc:
-            print("cannot reach %s:%d: %s" % (args.host, args.port, exc))
-            return 1
-        from repro.relational.relation import Relation
 
-        print(Relation(outcome.schema, outcome.rows).pretty(limit=args.limit))
-        print(
-            "(%d rows in %d page(s); %s)"
-            % (
-                len(outcome),
-                outcome.pages,
-                ", ".join("%s=%s" % kv for kv in sorted(outcome.stats.items())),
-            )
-        )
-        return 0
+        return _with_client(args, args.connect_timeout, ask)
 
     if args.command == "store":
         # Offline: operates on the persisted tiers alone — no simulated
@@ -623,76 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         finally:
             store.close()
 
-    # Both serving and one-shot paths configure the cache the same way: an
-    # explicit --cache/--no-cache wins; the default is on only for the two
-    # commands whose workloads are meaningless without a storing cache.
-    # The resilience demo degrades one host with latency spikes and trips
-    # its breaker on the slow calls; other commands inject --fault-rate.
-    # Demo defaults: zero-TTL entries keep every pass fetching (so slow
-    # calls keep signalling the breaker) until the breaker opens and
-    # quarantines the host — after which serve-stale answers from the
-    # cache instead of waiting on the degraded site.
-    if args.command == "resilience":
-        faults = FaultPlan(
-            seed=args.fault_seed,
-            error_rate=args.fault_rate,
-            spike_rate=1.0,
-            spike_seconds=6.0,
-            hosts=(args.slow_host,),
-        )
-        if args.breaker_slow is None:
-            args.breaker_slow = 10.0
-        if args.cache_ttl is None:
-            args.cache_ttl = 0.0
-        args.stale_mode = "serve-stale"
-    elif args.fault_rate > 0:
-        faults = FaultPlan(seed=args.fault_seed, error_rate=args.fault_rate)
-    else:
-        faults = None
-    use_cache = (
-        args.cache
-        if args.cache is not None
-        # A store implies a storing cache: silver warming has nowhere to
-        # land (and fills nothing to mirror) with the noop policy.
-        else args.command in ("metrics", "serve", "resilience")
-        or args.store is not None
-    )
-    cache_policy = (
-        CachePolicy.lru(
-            ttl_seconds=args.cache_ttl,
-            stale_mode=args.stale_mode.replace("-", "_"),
-        )
-        if use_cache
-        else CachePolicy.noop()
-    )
-    resilience_policy = (
-        ResiliencePolicy(
-            failure_threshold=args.breaker_threshold,
-            recovery_seconds=args.breaker_recovery,
-            slow_seconds=args.breaker_slow,
-            bulkhead_per_host=args.bulkhead,
-            speculate_probes=args.speculate,
-            prune=args.prune,
-        )
-        if args.resilience
-        else ResiliencePolicy.off()
-    )
-    webbase = WebBase.create(
-        WebBaseConfig(
-            seed=args.seed,
-            ads_per_host=args.ads_per_host,
-            cache=cache_policy,
-            max_workers=args.workers,
-            optimizer=args.optimizer,
-            batch=args.batch,
-            faults=faults,
-            resilience=resilience_policy,
-            store_dir=args.store,
-            store_fsync=args.store_fsync,
-            store_warm=args.store_warm,
-            mqo=args.mqo,
-        )
-    )
+    webbase = WebBase.create(webbase_config(args))
 
     if args.command == "query":
         from repro.core.execution import DeadlineExceeded
@@ -712,46 +611,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "serve":
-        from repro.service.server import ServiceConfig, WebBaseService
-
-        service = WebBaseService(
-            webbase,
-            ServiceConfig(
-                host=args.host,
-                port=args.port,
-                queue_limit=args.queue_limit,
-                workers=args.service_workers,
-                per_client_limit=args.per_client,
-                default_deadline_ms=args.default_deadline_ms,
-                page_size=args.page_size,
-                mqo_window_ms=args.mqo_window_ms,
-            ),
-        )
+        config = service_config(args)
+        service = WebBaseService(webbase, config)
         host, port = service.start()
         print(
             "serving on %s:%d (queue=%d, workers=%d, per-client=%d, cache=%s)"
             % (
                 host,
                 port,
-                args.queue_limit,
-                args.service_workers,
-                args.per_client,
-                "on" if use_cache else "off",
+                config.queue_limit,
+                config.workers,
+                config.per_client_limit,
+                "on" if webbase.config.cache.enabled else "off",
             ),
             flush=True,
         )
-        try:
-            import threading
-
-            threading.Event().wait()  # serve until interrupted
-        except KeyboardInterrupt:
-            print("\ndraining ...")
-        snapshot = service.shutdown()
-        print("final service metrics:")
-        for name, value in sorted(snapshot["counters"].items()):
-            if name.startswith("service."):
-                print("  %-28s %d" % (name, value))
-        return 0
+        return _serve_until_stopped(service.wait_stopped, service.shutdown, "service")
 
     if args.command == "trace":
         report = webbase.query_report(args.text)
@@ -904,7 +779,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         quarantined = sorted(webbase.cache.quarantined_hosts())
         if quarantined:
             print(
-                "quarantined hosts (cache serves per --stale-mode): %s"
+                "quarantined hosts (the cache serves them stale): %s"
                 % ", ".join(quarantined)
             )
         print()

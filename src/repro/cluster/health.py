@@ -1,7 +1,7 @@
 """Worker health checking: crash detection for the cluster router.
 
 A :class:`HealthMonitor` pings every registered worker over a throwaway
-connection.  ``misses_before_dead`` consecutive failures (connection
+connection.  ``MISSES_BEFORE_DEAD`` consecutive failures (connection
 refused, reset, or timeout) declare the worker dead and fire the
 ``on_dead`` callback exactly once — the router's takeover path.  The
 monitor can run on its own timer thread (``interval_seconds``) for real
@@ -17,7 +17,11 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Any, Callable
+from typing import Callable
+
+#: Consecutive failed pings that declare a worker dead: one miss can be a
+#: busy acceptor, two in a row is a crash.
+MISSES_BEFORE_DEAD = 2
 
 
 def ping(address: tuple[str, int], timeout: float = 2.0) -> bool:
@@ -45,16 +49,10 @@ class HealthMonitor:
     def __init__(
         self,
         on_dead: Callable[[str], None],
-        misses_before_dead: int = 2,
         interval_seconds: float | None = None,
-        timeout: float = 2.0,
-        pinger: Callable[[tuple[int, int]], bool] | None = None,
     ) -> None:
         self._on_dead = on_dead
-        self._misses_before_dead = max(1, misses_before_dead)
         self._interval = interval_seconds
-        self._timeout = timeout
-        self._ping: Any = pinger or (lambda addr: ping(addr, timeout=timeout))
         self._lock = threading.Lock()
         self._targets: dict[str, tuple[str, int]] = {}
         self._misses: dict[str, int] = {}
@@ -110,13 +108,13 @@ class HealthMonitor:
             }
         died = []
         for shard_id, address in sorted(targets.items()):
-            if self._ping(address):
+            if ping(address):
                 with self._lock:
                     self._misses[shard_id] = 0
                 continue
             with self._lock:
                 self._misses[shard_id] = self._misses.get(shard_id, 0) + 1
-                conclusive = self._misses[shard_id] >= self._misses_before_dead
+                conclusive = self._misses[shard_id] >= MISSES_BEFORE_DEAD
             if conclusive and self._declare_dead(shard_id):
                 died.append(shard_id)
         return died

@@ -70,10 +70,19 @@ BUSY_HALF_LIFE_SECONDS = 120.0
 #: connections and closes them afterwards.
 RELAY_POOL_SIZE = 4
 
+#: The backoff hint on every ``OVERLOADED`` the router sends or forwards.
+RETRY_AFTER_MS = 250.0
+
+#: A query whose dominant host's owner covers less than this share of
+#: its host weight is scattered instead of forwarded whole.
+SCATTER_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Topology and policy of one cluster deployment."""
+    """Topology and policy of one cluster deployment.  The router hands
+    this one value to every worker it spawns (``cluster worker --config``),
+    so each field must survive ``dataclasses.asdict`` → JSON unchanged."""
 
     store_root: str  # per-shard store dirs live under here
     host: str = "127.0.0.1"
@@ -85,8 +94,6 @@ class ClusterConfig:
     worker_threads: int = 4
     federation: bool = True
     max_inflight: int = 64  # router-level admission bound
-    retry_after_ms: float = 250.0  # the OVERLOADED backoff hint
-    scatter_threshold: float = 0.5  # dominant share below this scatters
     #: Affinity routes prefer the HRW owner for cache locality, but every
     #: worker holds the identical deterministic world, so when the owner
     #: is this many *modeled busy seconds* ahead of the least-loaded live
@@ -97,7 +104,6 @@ class ClusterConfig:
     #: owner unconditionally.
     spill_margin: float | None = 1.0
     health_interval_seconds: float | None = None  # None = explicit checks only
-    misses_before_dead: int = 2
     allow_world_mutation: bool = True  # harness churn ops, scattered
     forward_timeout_seconds: float = 120.0
     #: Multi-query optimization: when on, every worker runs with
@@ -254,7 +260,6 @@ class ClusterRouter:
             self.federation_server = FederationServer(metrics=self.metrics)
         self.health = HealthMonitor(
             on_dead=self._on_worker_dead,
-            misses_before_dead=config.misses_before_dead,
             interval_seconds=config.health_interval_seconds,
         )
 
@@ -398,7 +403,7 @@ class ClusterRouter:
             share = sum(
                 w for h, w in weights.items() if self.ring.owner(h) == owner
             )
-            if share / total >= self.config.scatter_threshold:
+            if share / total >= SCATTER_THRESHOLD:
                 return "affinity", [owner], dominant
             targets = sorted({self.ring.owner(h) for h in weights})
             return "scatter", targets, dominant
@@ -601,7 +606,7 @@ class ClusterRouter:
                     protocol.E_OVERLOADED,
                     "router admission limit (%d) reached"
                     % self.config.max_inflight,
-                    retry_after_ms=self.config.retry_after_ms,
+                    retry_after_ms=RETRY_AFTER_MS,
                 )
             )
             return
@@ -731,9 +736,7 @@ class ClusterRouter:
                         request.id,
                         exc.code,
                         str(exc),
-                        retry_after_ms=(
-                            self.config.retry_after_ms if retriable else None
-                        ),
+                        retry_after_ms=RETRY_AFTER_MS if retriable else None,
                     )
                 )
                 return
@@ -942,7 +945,7 @@ class ClusterRouter:
                     request.id,
                     protocol.E_OVERLOADED,
                     "shard lost during subscribe (%s); retry" % exc,
-                    retry_after_ms=self.config.retry_after_ms,
+                    retry_after_ms=RETRY_AFTER_MS,
                 )
             )
             return
@@ -1283,16 +1286,7 @@ class LocalCluster:
             shard_id = "shard-%d" % index
             store_dir = os.path.join(self.config.store_root, shard_id)
             handle = spawn_worker(
-                shard_id,
-                store_dir,
-                federation=self.router.federation_address,
-                seed=self.config.seed,
-                ads_per_host=self.config.ads_per_host,
-                queue_limit=self.config.worker_queue_limit,
-                threads=self.config.worker_threads,
-                allow_mutation=self.config.allow_world_mutation,
-                mqo=self.config.mqo,
-                mqo_window_ms=self.config.mqo_window_ms,
+                self.config, shard_id, store_dir, self.router.federation_address
             )
             self.handles[shard_id] = handle
             self.router.register_worker(

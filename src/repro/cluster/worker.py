@@ -17,7 +17,10 @@ directory.  Coordination with the router is strictly socket/file-based:
 
 :func:`worker_main` is the ``python -m repro cluster worker`` entry
 point; :func:`spawn_worker` is the supervisor-side helper that launches
-one and waits for its address file.
+one and waits for its address file.  Every setting travels between the
+two as data: the router's whole ``ClusterConfig`` in one ``--config``
+argument (:func:`worker_argv`), so a new worker setting is one config
+field plus its one use in :func:`build_worker_service`.
 """
 
 from __future__ import annotations
@@ -27,13 +30,19 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, IO
+from dataclasses import asdict, dataclass, field
+from typing import IO, TYPE_CHECKING, Any
 
 from repro.core.execution import WebBaseConfig
 from repro.core.webbase import WebBase
 from repro.service.server import ServiceConfig, WebBaseService
 from repro.vps.cache import CachePolicy
+
+if TYPE_CHECKING:  # router.py imports this module
+    from repro.cluster.router import ClusterConfig
+
+#: The spawner's wait for an address file (a worker maps its world first).
+STARTUP_TIMEOUT_SECONDS = 60.0
 
 
 def _write_addr_file(path: str, payload: dict[str, Any]) -> None:
@@ -44,31 +53,25 @@ def _write_addr_file(path: str, payload: dict[str, Any]) -> None:
 
 
 def build_worker_service(
+    config: "ClusterConfig",
     shard_id: str,
     store_dir: str,
+    federation: tuple[str, int] | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    federation: tuple[str, int] | None = None,
-    seed: int = 1999,
-    ads_per_host: int = 120,
-    queue_limit: int = 16,
-    threads: int = 4,
-    allow_mutation: bool = True,
-    mqo: bool = False,
-    mqo_window_ms: float = 0.0,
 ) -> WebBaseService:
-    """Assemble one shard's webbase + service (shared by the process
-    entry point and by in-process tests)."""
+    """Assemble one shard's webbase + service from the cluster's config."""
     # A storing cache is load-bearing for a shard: silver warming and
     # federation publishes both ride on result-cache fills.
-    config = WebBaseConfig(
-        seed=seed,
-        ads_per_host=ads_per_host,
-        store_dir=store_dir,
-        cache=CachePolicy.lru(),
-        mqo=mqo,
+    webbase = WebBase.create(
+        WebBaseConfig(
+            seed=config.seed,
+            ads_per_host=config.ads_per_host,
+            store_dir=store_dir,
+            cache=CachePolicy.lru(),
+            mqo=config.mqo,
+        )
     )
-    webbase = WebBase.create(config)
     if federation is not None:
         from repro.cluster.federation import FederationClient
 
@@ -80,40 +83,30 @@ def build_worker_service(
         ServiceConfig(
             host=host,
             port=port,
-            queue_limit=queue_limit,
-            workers=threads,
+            queue_limit=config.worker_queue_limit,
+            workers=config.worker_threads,
             # The router multiplexes many end clients over few relay
             # connections, so the per-connection cap must not throttle it.
-            per_client_limit=max(16, queue_limit),
+            per_client_limit=max(16, config.worker_queue_limit),
             shard_id=shard_id,
-            allow_world_mutation=allow_mutation,
-            mqo_window_ms=mqo_window_ms,
+            allow_world_mutation=config.allow_world_mutation,
+            mqo_window_ms=config.mqo_window_ms,
         ),
     )
     service.role = "worker"
     return service
 
 
-def worker_main(args: Any) -> int:
-    """The ``python -m repro cluster worker`` process body: serve until
-    drained (the ``drain`` op), then exit cleanly."""
+def worker_main(args: Any) -> WebBaseService:
+    """The ``python -m repro cluster worker`` process body: build the
+    shard's service from ``args.config``, start it and announce its
+    address.  The CLI then serves it until drained (the ``drain`` op)."""
     federation = None
     if args.federation:
         fed_host, _, fed_port = args.federation.rpartition(":")
         federation = (fed_host or "127.0.0.1", int(fed_port))
     service = build_worker_service(
-        shard_id=args.shard_id,
-        store_dir=args.store_dir,
-        host=args.host,
-        port=args.port,
-        federation=federation,
-        seed=args.seed,
-        ads_per_host=args.ads_per_host,
-        queue_limit=args.queue_limit,
-        threads=args.threads,
-        allow_mutation=args.allow_mutation,
-        mqo=args.mqo,
-        mqo_window_ms=args.mqo_window_ms,
+        args.config, args.shard_id, args.store_dir, federation, args.host, args.port
     )
     address = service.start()
     if args.addr_file:
@@ -127,11 +120,7 @@ def worker_main(args: Any) -> int:
                 "store_dir": args.store_dir,
             },
         )
-    # Block until a drain lands (service._stopping is set at the end of
-    # shutdown()); a crash-test kill just terminates the process.
-    while not service._stopping.wait(0.2):
-        pass
-    return 0
+    return service
 
 
 @dataclass
@@ -169,18 +158,37 @@ class WorkerHandle:
             self.log = None
 
 
+def worker_argv(
+    config: "ClusterConfig",
+    shard_id: str,
+    store_dir: str,
+    addr_file: str,
+    federation: tuple[str, int] | None = None,
+) -> list[str]:
+    """The ``python -m repro`` arguments of one worker: identity, paths,
+    the bus address, and the cluster's config as one JSON value."""
+    argv = [
+        "cluster",
+        "worker",
+        "--shard-id",
+        shard_id,
+        "--store-dir",
+        store_dir,
+        "--addr-file",
+        addr_file,
+        "--config",
+        json.dumps(asdict(config)),
+    ]
+    if federation is not None:
+        argv += ["--federation", "%s:%d" % federation]
+    return argv
+
+
 def spawn_worker(
+    config: "ClusterConfig",
     shard_id: str,
     store_dir: str,
     federation: tuple[str, int] | None = None,
-    seed: int = 1999,
-    ads_per_host: int = 120,
-    queue_limit: int = 16,
-    threads: int = 4,
-    allow_mutation: bool = True,
-    mqo: bool = False,
-    mqo_window_ms: float = 0.0,
-    startup_timeout: float = 60.0,
 ) -> WorkerHandle:
     """Launch one worker process and wait for its address file."""
     os.makedirs(store_dir, exist_ok=True)
@@ -194,40 +202,13 @@ def spawn_worker(
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro",
-        "cluster",
-        "worker",
-        "--shard-id",
-        shard_id,
-        "--store-dir",
-        store_dir,
-        "--addr-file",
-        addr_file,
-        "--seed",
-        str(seed),
-        "--ads-per-host",
-        str(ads_per_host),
-        "--queue-limit",
-        str(queue_limit),
-        "--threads",
-        str(threads),
-    ]
-    if federation is not None:
-        cmd += ["--federation", "%s:%d" % federation]
-    if allow_mutation:
-        cmd += ["--allow-mutation"]
-    if mqo:
-        cmd += ["--mqo"]
-    if mqo_window_ms > 0:
-        cmd += ["--mqo-window-ms", str(mqo_window_ms)]
+    cmd = [sys.executable, "-m", "repro"]
+    cmd += worker_argv(config, shard_id, store_dir, addr_file, federation)
     log = open(os.path.join(store_dir, "worker.log"), "ab")
     process = subprocess.Popen(
         cmd, env=env, stdout=log, stderr=log, stdin=subprocess.DEVNULL
     )
-    deadline = time.monotonic() + startup_timeout
+    deadline = time.monotonic() + STARTUP_TIMEOUT_SECONDS
     while True:
         if os.path.exists(addr_file):
             try:
@@ -253,7 +234,7 @@ def spawn_worker(
             log.close()
             raise RuntimeError(
                 "worker %s did not write its address file within %.0fs"
-                % (shard_id, startup_timeout)
+                % (shard_id, STARTUP_TIMEOUT_SECONDS)
             )
         time.sleep(0.02)
     return WorkerHandle(

@@ -20,9 +20,9 @@ simulated-Web setting:
   - lets required accesses pass through, counted as
     ``resilience.pass_throughs``.
 
-  After ``recovery_seconds`` the breaker half-opens: a bounded number of
-  probe accesses test the host, one success closes it (and lifts the
-  quarantine), one failure re-opens it;
+  After ``recovery_seconds`` the breaker half-opens: one probe access
+  (``HALF_OPEN_PROBES``) tests the host, a success closes it (and lifts
+  the quarantine), a failure re-opens it;
 
 * a **bulkhead** per host: at most ``bulkhead_per_host`` of the engine's
   worker slots may be occupied by one host at a time.  Required accesses
@@ -51,6 +51,9 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
+#: Trial accesses a half-open breaker admits at a time.
+HALF_OPEN_PROBES = 1
+
 
 class CircuitOpenError(WebBaseError):
     """A speculative access was shed because the host's breaker is open."""
@@ -69,10 +72,8 @@ class ResiliencePolicy:
     success counts as a failure signal when it took at least
     ``slow_seconds`` of simulated network time (``None`` disables the
     slow-call signal).  An open breaker half-opens after
-    ``recovery_seconds`` and admits ``half_open_probes`` trial accesses.
-    ``bulkhead_per_host`` caps one host's share of the engine's worker
-    slots (``None`` = no partitioning).  ``quarantine_on_open`` feeds
-    breaker trips into the result cache's quarantine/serve-stale policy.
+    ``recovery_seconds``.  ``bulkhead_per_host`` caps one host's share of
+    the engine's worker slots (``None`` = no partitioning).
 
     ``speculate_probes`` turns on speculative dependent-join probing (the
     runtime relevance-pruning machinery in
@@ -85,10 +86,8 @@ class ResiliencePolicy:
     enabled: bool = True
     failure_threshold: int = 5
     recovery_seconds: float = 30.0
-    half_open_probes: int = 1
     slow_seconds: float | None = None
     bulkhead_per_host: int | None = None
-    quarantine_on_open: bool = True
     speculate_probes: bool = False
     prune: bool = True
     speculate_stagger_seconds: float = 0.0
@@ -97,10 +96,6 @@ class ResiliencePolicy:
         if self.failure_threshold < 1:
             raise ValueError(
                 "failure_threshold must be >= 1; got %r" % self.failure_threshold
-            )
-        if self.half_open_probes < 1:
-            raise ValueError(
-                "half_open_probes must be >= 1; got %r" % self.half_open_probes
             )
         if self.bulkhead_per_host is not None and self.bulkhead_per_host < 1:
             raise ValueError(
@@ -183,7 +178,7 @@ class CircuitBreaker:
                 return "ok"
             if (
                 state == BREAKER_HALF_OPEN
-                and self._probes_inflight < self.policy.half_open_probes
+                and self._probes_inflight < HALF_OPEN_PROBES
             ):
                 self._probes_inflight += 1
                 return "probe"
@@ -353,7 +348,7 @@ class ResilienceManager:
             return
         if event == "opened":
             self._count("resilience.breaker_opened")
-            if self.cache is not None and self.policy.quarantine_on_open:
+            if self.cache is not None:
                 self.cache.quarantine(host)
                 with self._lock:
                     self._quarantined.add(host)

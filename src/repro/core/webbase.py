@@ -287,11 +287,12 @@ class WebBase:
             # planner's live statistics (a shared context is observed by
             # whoever owns it, to avoid double counting).
             observe_trace(self.metrics, ctx.root)
-            if self.store is not None:
+            if self.store is not None and not ctx.failures:
                 # Gold: materialize the answer with the revision vector of
                 # every host it touched — the same bumps that evict the
-                # cache invalidate it.  Only for contexts this call owns;
-                # a shared context's spans straddle several queries.
+                # cache invalidate it.  Only for contexts this call owns
+                # (a shared context's spans straddle several queries), and
+                # never a partial answer: any failed fetch means no gold.
                 hosts = sorted(
                     {
                         span.attrs.get("host", "")

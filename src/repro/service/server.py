@@ -68,6 +68,10 @@ from repro.ur.planner import PlanError
 from repro.ur.query import QueryParseError, parse_query
 
 
+#: How long a graceful drain waits for queued and in-flight work.
+DRAIN_TIMEOUT_SECONDS = 30.0
+
+
 class OperationRejected(Exception):
     """An op the service refuses by policy (maps to ``BAD_REQUEST``)."""
 
@@ -81,9 +85,7 @@ class ServiceConfig:
     queue_limit: int = 16  # bounded admission queue; beyond this, shed
     workers: int = 4  # executor threads draining the queue
     per_client_limit: int = 2  # concurrent queries per connection
-    default_deadline_ms: float | None = None  # applied when a request has none
     page_size: int = 50  # rows per streamed page (request may override)
-    drain_timeout_seconds: float = 30.0  # graceful-drain wait bound
     # Cluster membership: a non-empty shard id is stamped onto result
     # frames so clients and routers can see which shard served them.
     shard_id: str = ""
@@ -141,7 +143,7 @@ def _pages(
 class StandingQuery:
     """One registered standing query and its last delivered state."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, snapshot: dict[str, Any] | None = None) -> None:
         self.text = text
         self.schema: list[str] = []
         self.rows: set[tuple] = set()
@@ -149,6 +151,11 @@ class StandingQuery:
         self.seq = 0
         self.has_state = False  # a snapshot (live or persisted) exists
         self.subscribers: list[tuple[Any, int]] = []  # (handler, request id)
+        if snapshot is not None:  # persisted by this store, or a dead sibling's
+            self.schema = list(snapshot["schema"])
+            self.rows = {tuple(row) for row in snapshot["rows"]}
+            self.seq = int(snapshot["seq"])
+            self.has_state = True
 
 
 class StandingQueryRegistry:
@@ -174,13 +181,7 @@ class StandingQueryRegistry:
         store = webbase.store
         if store is not None:
             for text, snapshot in store.standing_queries().items():
-                standing = StandingQuery(text)
-                if snapshot is not None:
-                    standing.schema = list(snapshot["schema"])
-                    standing.rows = {tuple(row) for row in snapshot["rows"]}
-                    standing.seq = int(snapshot["seq"])
-                    standing.has_state = True
-                self._queries[text] = standing
+                self._queries[text] = StandingQuery(text, snapshot)
 
     def _evaluate(self, text: str) -> tuple[Any, set[str]]:
         """One fresh evaluation, returning the answer and its host deps."""
@@ -301,13 +302,7 @@ class StandingQueryRegistry:
             for text, snapshot in sorted(snapshots.items()):
                 if text in self._queries:
                     continue
-                standing = StandingQuery(text)
-                if snapshot is not None:
-                    standing.schema = list(snapshot["schema"])
-                    standing.rows = {tuple(row) for row in snapshot["rows"]}
-                    standing.seq = int(snapshot["seq"])
-                    standing.has_state = True
-                self._queries[text] = standing
+                standing = self._queries[text] = StandingQuery(text, snapshot)
                 adopted += 1
                 if store is not None:
                     store.record_standing(text, active=True)
@@ -319,8 +314,7 @@ class StandingQueryRegistry:
                             dict(snapshot.get("revisions", {})),
                             standing.seq,
                         )
-        if adopted:
-            self._metrics.gauge("service.standing_active").set(len(self._queries))
+        self._metrics.gauge("service.standing_active").set(len(self._queries))
         return adopted
 
     def on_change(self, event: Any) -> None:
@@ -471,7 +465,8 @@ class WebBaseService:
             maxsize=self.config.queue_limit
         )
         self._draining = threading.Event()
-        self._stopping = threading.Event()
+        self._stopping = threading.Event()  # tells the executors to exit
+        self._stopped = threading.Event()  # shutdown() has completed
         self._state = threading.Condition()
         self._inflight = 0
         self._server: _TcpServer | None = None
@@ -521,32 +516,40 @@ class WebBaseService:
             self._workers.append(worker)
         return self.address
 
-    def shutdown(self, drain: bool = True) -> dict[str, Any]:
+    def shutdown(self) -> dict[str, Any]:
         """Graceful drain: stop accepting, reject new queries with
         ``SHUTTING_DOWN``, finish queued and in-flight work (bounded by
-        ``config.drain_timeout_seconds``), stop the executors, and return
-        the flushed final metrics snapshot."""
+        ``DRAIN_TIMEOUT_SECONDS``), stop the executors, and return the
+        flushed final metrics snapshot.  Idempotent: a second call (the
+        foreground loop's, after a remote ``drain``) just returns it."""
+        if self._stopped.is_set():
+            return self.metrics.snapshot()
         self._draining.set()
         self.webbase.cdc.unsubscribe(self.standing.on_change)
         if self._server is not None:
             self._server.shutdown()  # stop accepting new connections
-        if drain:
-            deadline = monotonic() + self.config.drain_timeout_seconds
-            with self._state:
-                while (not self._queue.empty() or self._inflight > 0) and (
-                    monotonic() < deadline
-                ):
-                    self._state.wait(timeout=0.1)
+        deadline = monotonic() + DRAIN_TIMEOUT_SECONDS
+        with self._state:
+            while (not self._queue.empty() or self._inflight > 0) and (
+                monotonic() < deadline
+            ):
+                self._state.wait(timeout=0.1)
         self._stopping.set()
         for worker in self._workers:
-            worker.join(timeout=self.config.drain_timeout_seconds)
+            worker.join(timeout=DRAIN_TIMEOUT_SECONDS)
         if self._server is not None:
             self._server.server_close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=5.0)
         self.metrics.gauge("service.queue_depth").set(self._queue.qsize())
         self.metrics.counter("service.drains").inc()
+        self._stopped.set()
         return self.metrics.snapshot()
+
+    def wait_stopped(self, timeout: float | None = None) -> bool:
+        """Block until :meth:`shutdown` completes (a remote ``drain``
+        lands here too); what a foreground server waits on."""
+        return self._stopped.wait(timeout)
 
     def describe_status(self) -> dict[str, Any]:
         """One JSON object describing this peer (the ``status`` answer)."""
@@ -603,8 +606,6 @@ class WebBaseService:
             )
             return
         deadline_ms = request.deadline_ms
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
         job = _Job(
             handler=handler,
             request=request,
@@ -692,33 +693,29 @@ class WebBaseService:
                 stats = self._execute(job)
         except DeadlineExceeded as exc:
             self.metrics.counter("service.deadline_exceeded").inc()
-            job.handler.send(
-                protocol.error_frame(request.id, E_DEADLINE_EXCEEDED, str(exc))
-            )
+            frame = protocol.error_frame(request.id, E_DEADLINE_EXCEEDED, str(exc))
         except (PlanError, QueryParseError, OperationRejected) as exc:
             self.metrics.counter("service.bad_requests").inc()
-            job.handler.send(protocol.error_frame(request.id, E_BAD_REQUEST, str(exc)))
+            frame = protocol.error_frame(request.id, E_BAD_REQUEST, str(exc))
         except Exception as exc:  # noqa: BLE001 - the server must not die
             self.metrics.counter("service.errors").inc()
-            job.handler.send(
-                protocol.error_frame(
-                    request.id, E_INTERNAL, "%s: %s" % (type(exc).__name__, exc)
-                )
+            frame = protocol.error_frame(
+                request.id, E_INTERNAL, "%s: %s" % (type(exc).__name__, exc)
             )
         else:
             self.metrics.counter("service.completed").inc()
-            if terminal:
-                job.handler.send(
-                    protocol.result_frame(
-                        request.id, stats, shard_id=self.config.shard_id
-                    )
-                )
-        finally:
-            finished = monotonic()
-            self.metrics.histogram("service.exec_seconds").observe(finished - started)
-            self.metrics.histogram("service.total_seconds").observe(
-                finished - job.admitted_at
+            frame = protocol.result_frame(
+                request.id, stats, shard_id=self.config.shard_id
             )
+        # Observed before the terminal frame leaves: a client that asks for
+        # ``metrics`` the moment its answer arrives finds its own query there.
+        finished = monotonic()
+        self.metrics.histogram("service.exec_seconds").observe(finished - started)
+        self.metrics.histogram("service.total_seconds").observe(
+            finished - job.admitted_at
+        )
+        if terminal:
+            job.handler.send(frame)
 
     def _adopt(self, store_dir: str) -> dict[str, Any]:
         """Shard takeover: warm from a dead sibling's store directory and
@@ -727,9 +724,6 @@ class WebBaseService:
         snapshots = result.pop("standing")
         result["standing_adopted"] = self.standing.adopt(snapshots)
         self.metrics.counter("cluster.adoptions").inc()
-        self.metrics.gauge("service.standing_active").set(
-            len(self.standing._queries)
-        )
         return result
 
     def _mutate(self, spec_text: str) -> dict[str, Any]:

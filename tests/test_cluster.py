@@ -23,7 +23,12 @@ import time
 import pytest
 
 from repro.cluster.federation import FederationCache
-from repro.cluster.router import ClusterConfig, ClusterRouter, LocalCluster
+from repro.cluster.router import (
+    RETRY_AFTER_MS,
+    ClusterConfig,
+    ClusterRouter,
+    LocalCluster,
+)
 from repro.core.execution import WebBaseConfig
 from repro.core.webbase import WebBase
 from repro.relational.relation import Relation
@@ -327,7 +332,6 @@ class TestAdmission:
                 shards=1,
                 federation=False,
                 max_inflight=1,
-                retry_after_ms=321.0,
             )
         )
         router.start()
@@ -337,7 +341,7 @@ class TestAdmission:
                 with pytest.raises(Overloaded) as caught:
                     client.query(Q_CARS)
             assert caught.value.retriable
-            assert caught.value.retry_after_ms == 321.0
+            assert caught.value.retry_after_ms == RETRY_AFTER_MS == 250.0
             router._release()
         finally:
             router.shutdown(drain_workers=False)

@@ -31,6 +31,7 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, WebBaseService
 from repro.ur.query import parse_query
 from repro.vps.cache import CachePolicy
+from repro.web.server import FaultPlan
 
 BROAD = "SELECT make, model, price, year WHERE make = 'saab'"
 NARROW = "SELECT make, model, price, year WHERE make = 'saab' AND year > 1995"
@@ -290,6 +291,38 @@ class TestSubsume:
         again = wb.query(BROAD)
         assert sorted(again.rows) == sorted(first.rows)
         assert wb.metrics.value("mqo.subsumed") == 1
+
+    def test_a_partial_answer_is_never_written_as_gold(self, tmp_path):
+        """A query that lost a site to faults returns what the other
+        sites gave, but must not materialize: once the site recovers,
+        the same text is answered in full, not subsumed by partial rows."""
+        section7 = (
+            "SELECT make, model, year, price, contact "
+            "WHERE make = 'ford' AND model = 'escort'"
+        )
+        wb = WebBase.create(
+            WebBaseConfig(
+                ads_per_host=24,
+                cache=CachePolicy.lru(),
+                store_dir=str(tmp_path / "store"),
+                mqo=True,
+                faults=FaultPlan(
+                    error_rate=1.0, max_consecutive=10**9, hosts=("www.autoweb.com",)
+                ),
+            )
+        )
+        partial = wb.query(section7)
+        assert wb.last_context.failures
+        assert wb.metrics.value("store.gold_writes") == 0
+
+        wb.world.server.install_faults(FaultPlan())
+        recovered = wb.query(section7)
+
+        assert wb.metrics.value("mqo.subsumed") == 0
+        control = WebBase.create(WebBaseConfig(ads_per_host=24))
+        assert sorted(recovered.rows) == sorted(control.query(section7).rows)
+        assert len(partial) < len(recovered)
+        assert wb.metrics.value("store.gold_writes") == 1
 
     def test_revision_bump_invalidates_gold(self, tmp_path):
         """Stale gold is never served: one maintenance bump on any
