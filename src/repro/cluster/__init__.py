@@ -12,18 +12,14 @@ from repro.cluster.federation import (
 )
 from repro.cluster.hashring import HashRing, score
 from repro.cluster.health import HealthMonitor, ping
-from repro.cluster.router import (
-    ClusterConfig,
-    ClusterRouter,
-    LocalCluster,
-    base_names,
-)
+from repro.cluster.router import ClusterConfig, ClusterRouter, LocalCluster
 from repro.cluster.worker import (
     WorkerHandle,
     build_worker_service,
     spawn_worker,
     worker_main,
 )
+from repro.relational.algebra import base_names
 
 __all__ = [
     "ClusterConfig",

@@ -5,11 +5,12 @@ stamped with the host's navigation-map revision — and every host's
 latest revision to one :class:`FederationCache` living in the router
 process.  Before paying for a live fetch, a worker's flight leader asks
 the federation first: a prefix walked on shard A thereby amortizes for
-clients landing on shard B, with PR 2/PR 5's revision-stamp invalidation
-preserved *by construction* — an entry is served only when its stamp
-equals both the requester's and the federation's current revision for
-the host, so nothing captured under a superseded navigation map ever
-crosses shards.
+clients landing on shard B, with revision-stamp invalidation (the
+:mod:`repro.revisions` contract; the router process keeps its own
+authority) preserved *by construction* — an entry is served only when
+its stamp equals both the requester's and the federation's current
+revision for the host, so nothing captured under a superseded navigation
+map ever crosses shards.
 
 Claims extend single-flight across the cluster: before paying for a
 fill the federation also missed, a shard *claims* the key; a sibling
@@ -39,6 +40,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro.relational.relation import Relation
+from repro.revisions import Revisions
 from repro.service.protocol import LineFrameHandler, encode
 from repro.store.tiered import KeyPairs, key_from_json, key_to_json
 
@@ -50,8 +52,8 @@ class FederationCache:
 
     Thread-safe.  ``revisions`` tracks the highest navigation-map
     revision any shard has reported per host; entries stamped lower are
-    dead and evicted lazily.  ``page_stamps`` records which hosts have
-    warm prefix pages somewhere in the cluster (observability only).
+    dead, and dropped by whichever call first brings word of the move
+    (:meth:`_adopt`).
     """
 
     def __init__(
@@ -67,8 +69,7 @@ class FederationCache:
         self._entries: OrderedDict[tuple[str, KeyPairs], dict[str, Any]] = (
             OrderedDict()
         )
-        self._revisions: dict[str, int] = {}
-        self._page_stamps: dict[str, int] = {}
+        self.revisions = Revisions()
         # Cluster-wide single-flight: (relation, key) -> (holder, stamp).
         # The holder is filling that key; sibling shards wait for its
         # publish instead of duplicating the walk.  Claims expire after
@@ -79,13 +80,12 @@ class FederationCache:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
-    def advance_revision(self, host: str, revision: int) -> None:
-        """A shard reported ``host`` at ``revision``: adopt the max and
-        drop every federated entry stamped older."""
-        with self._lock:
-            if revision <= self._revisions.get(host, 0):
-                return
-            self._revisions[host] = revision
+    def _adopt(self, host: str, revision: int) -> int:
+        """A shard spoke of ``host`` at ``revision`` (caller holds the
+        lock): adopt the max, and if that moved the federation's view,
+        drop and count every entry stamped older.  Returns the
+        federation's current revision for the host."""
+        if self.revisions.advance(host, to=revision) is not None:
             stale = [
                 key
                 for key, record in self._entries.items()
@@ -95,12 +95,17 @@ class FederationCache:
                 del self._entries[key]
             if stale:
                 self._count("cluster.fed_evictions", len(stale))
+                self._entries_changed()
+        return self.revisions.current(host)
 
-    def page_stamp(self, host: str, revision: int) -> None:
+    def _entries_changed(self) -> None:
+        if self.metrics is not None:
+            self.metrics.gauge("cluster.fed_entries").set(len(self._entries))
+
+    def advance_revision(self, host: str, revision: int) -> None:
+        """A shard reported ``host`` at ``revision``."""
         with self._lock:
-            self._page_stamps[host] = max(
-                revision, self._page_stamps.get(host, 0)
-            )
+            self._adopt(host, revision)
 
     def claim(self, relation: str, key: KeyPairs, holder: str) -> bool:
         """Grant ``holder`` the exclusive right to fill ``(relation, key)``.
@@ -155,19 +160,9 @@ class FederationCache:
             # The fill landed: whoever claimed it is done, and waiters
             # should find the entry on their next lookup.
             self._claims.pop((relation, key), None)
-            known = self._revisions.get(host, 0)
-            if revision < known:
+            if revision < self._adopt(host, revision):
                 self._count("cluster.fed_rejected")
                 return False
-            if revision > known:
-                self._revisions[host] = known = revision
-                stale = [
-                    k
-                    for k, record in self._entries.items()
-                    if record["host"] == host and record["revision"] != revision
-                ]
-                for k in stale:
-                    del self._entries[k]
             self._entries[(relation, key)] = {
                 "host": host,
                 "revision": revision,
@@ -179,8 +174,7 @@ class FederationCache:
                 self._entries.popitem(last=False)
                 self._count("cluster.fed_evictions")
             self._count("cluster.fed_publishes")
-            if self.metrics is not None:
-                self.metrics.gauge("cluster.fed_entries").set(len(self._entries))
+            self._entries_changed()
             return True
 
     def lookup(
@@ -189,18 +183,8 @@ class FederationCache:
         """The fill for ``(relation, key)`` iff it is current both for the
         requester (its ``revision``) and for the federation's view."""
         with self._lock:
-            known = self._revisions.get(host, 0)
-            if revision > known:
-                # The requester is ahead of us: adopt its stamp; whatever
-                # we held for the host is superseded.
-                self._revisions[host] = known = revision
-                stale = [
-                    k
-                    for k, record in self._entries.items()
-                    if record["host"] == host and record["revision"] != revision
-                ]
-                for k in stale:
-                    del self._entries[k]
+            # A requester ahead of us supersedes whatever we held.
+            known = self._adopt(host, revision)
             record = self._entries.get((relation, key))
             if (
                 record is None
@@ -218,8 +202,7 @@ class FederationCache:
             return {
                 "entries": len(self._entries),
                 "claims": len(self._claims),
-                "revisions": dict(sorted(self._revisions.items())),
-                "page_stamps": dict(sorted(self._page_stamps.items())),
+                "revisions": self.revisions.vector(),
             }
 
 
@@ -275,9 +258,6 @@ class _FederationHandler(LineFrameHandler):
             return {"ok": True}
         if op == "revision":
             cache.advance_revision(str(frame["host"]), int(frame["revision"]))
-            return {"ok": True}
-        if op == "page_stamp":
-            cache.page_stamp(str(frame["host"]), int(frame["revision"]))
             return {"ok": True}
         if op == "stats":
             return {"ok": True, "stats": cache.stats()}
@@ -446,9 +426,6 @@ class FederationClient:
 
     def publish_revision(self, host: str, revision: int) -> None:
         self._roundtrip({"op": "revision", "host": host, "revision": revision})
-
-    def page_stamp(self, host: str, revision: int) -> None:
-        self._roundtrip({"op": "page_stamp", "host": host, "revision": revision})
 
     def stats(self) -> dict[str, Any]:
         return dict(self._roundtrip({"op": "stats"})["stats"])

@@ -52,7 +52,6 @@ from repro.cluster.worker import WorkerHandle, spawn_worker
 from repro.core.execution import WebBaseConfig
 from repro.core.metrics import MetricsRegistry
 from repro.core.webbase import WebBase
-from repro.relational import algebra
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import ProtocolError, Request
@@ -143,22 +142,6 @@ class _ShardLost(Exception):
         self.shard_id = shard_id
 
 
-def base_names(expr: Any) -> set[str]:
-    """Every catalog base relation a logical definition reads."""
-    names: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, algebra.Base):
-            names.add(node.name)
-            continue
-        for attr in ("child", "left", "right"):
-            sub = getattr(node, attr, None)
-            if sub is not None:
-                stack.append(sub)
-    return names
-
-
 class _RouterHandler(protocol.LineFrameHandler):
     """One client connection to the router (same framing as the service)."""
 
@@ -242,7 +225,9 @@ class ClusterRouter:
                 cache=CachePolicy.noop(),
             )
         )
-        self._plan_cache: dict[str, dict[str, int]] = {}
+        # One plan per distinct query text serves both routing decisions:
+        # text → (host weights, whole-query fingerprint).
+        self._plan_cache: dict[str, tuple[dict[str, int], str]] = {}
         self._plan_lock = threading.Lock()
         # Fingerprint-sticky co-routing (``config.mqo``): while a query
         # with fingerprint F is in flight on shard S, identical arrivals
@@ -250,7 +235,6 @@ class ClusterRouter:
         # SubplanRegistry and share its evaluation instead of running
         # the same plan on a sibling.  fp → [shard_id, refcount].
         self._fp_routes: dict[str, list] = {}
-        self._fp_cache: dict[str, str] = {}
         self._fp_lock = threading.Lock()
         self.all_hosts = sorted(self._planner.builders)
         self.federation_server: Any = None
@@ -368,23 +352,24 @@ class ClusterRouter:
 
     # -- routing -------------------------------------------------------------
 
-    def plan_hosts(self, text: str) -> dict[str, int]:
-        """host → weight over the query's feasible maximal objects."""
+    def _planned(self, text: str) -> tuple[dict[str, int], str]:
+        """``(host weights, whole-query fingerprint)`` of one query text,
+        planned once and cached by text."""
         with self._plan_lock:
             cached = self._plan_cache.get(text)
-        if cached is not None:
-            return dict(cached)
-        plan = self._planner.ur.plan(text)
-        weights: dict[str, int] = {}
-        for obj in plan.feasible_objects:
-            for rel_name in obj.relations:
-                definition = self._planner.logical.relation(rel_name).definition
-                for base in sorted(base_names(definition)):
-                    host = self._planner.vps.host_of(base)
-                    weights[host] = weights.get(host, 0) + 1
-        with self._plan_lock:
-            self._plan_cache[text] = dict(weights)
-        return weights
+        if cached is None:
+            planner = self._planner.ur
+            plan = planner.plan(text)
+            cached = (planner.plan_hosts(plan), plan.query_fingerprint())
+            with self._plan_lock:
+                if len(self._plan_cache) > 512:
+                    self._plan_cache.clear()
+                self._plan_cache[text] = cached
+        return cached
+
+    def plan_hosts(self, text: str) -> dict[str, int]:
+        """host → weight over the query's feasible maximal objects."""
+        return dict(self._planned(text)[0])
 
     def route_for(self, weights: dict[str, int]) -> tuple[str, list[str], str]:
         """``(kind, target shards, dominant host)`` for one query's hosts.
@@ -473,19 +458,10 @@ class ClusterRouter:
         cannot be planned — no stickiness, normal routing applies)."""
         if not self.config.mqo:
             return ""
-        with self._fp_lock:
-            cached = self._fp_cache.get(text)
-        if cached is not None:
-            return cached
         try:
-            fingerprint = self._planner.ur.plan(text).query_fingerprint()
+            return self._planned(text)[1]
         except Exception:  # noqa: BLE001 - unplannable: no stickiness
-            fingerprint = ""
-        with self._fp_lock:
-            if len(self._fp_cache) > 512:
-                self._fp_cache.clear()
-            self._fp_cache[text] = fingerprint
-        return fingerprint
+            return ""
 
     def _fp_target(self, fingerprint: str) -> str | None:
         """The live shard already running this fingerprint, if any."""

@@ -630,7 +630,6 @@ class ExecutionContext:
         wall_clock: Callable[[], float] = monotonic,
         batch_enabled: bool = False,
         page_revisions: Callable[[str], int] | None = None,
-        page_stamp_sink: Callable[[str, int], None] | None = None,
         resilience: ResilienceManager | None = None,
     ) -> None:
         self.pool = pool
@@ -646,7 +645,7 @@ class ExecutionContext:
         # is impossible by construction), shared by every worker bundle the
         # context checks out, plus a speculative prefetcher feeding it.
         # ``page_revisions`` reads a host's current navigation-map revision
-        # (wired to ResultCache.revision, bumped by site maintenance).
+        # (wired to Revisions.current, advanced by site maintenance).
         self.batch_enabled = bool(batch_enabled)
         self.page_cache: PrefixPageCache | None = None
         self.prefetcher: SpeculativePrefetcher | None = None
@@ -655,7 +654,6 @@ class ExecutionContext:
             self.page_cache = PrefixPageCache(
                 revision_of=page_revisions,
                 metrics=self.metrics,
-                stamp_sink=page_stamp_sink,
             )
             self.speculation_budget = SpeculationBudget(metrics=self.metrics)
             self.prefetcher = SpeculativePrefetcher(
@@ -680,6 +678,8 @@ class ExecutionContext:
         self._cancelled = threading.Event()
         self.root = TraceSpan("context", label)
         self.failures: list[FetchFailure] = []
+        # host → revision at plan time, for every plan run here (WebBase.plan_traced).
+        self.plan_revisions: dict[str, int] = {}
         self.network_by_host: dict[str, float] = {}
         self.pages_by_host: dict[str, int] = {}
         self.fetches = 0

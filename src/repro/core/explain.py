@@ -209,12 +209,7 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
     ctx = webbase.execution_context(label="explain:%s" % text)
     webbase.last_context = ctx
     with ctx.accounted(), ctx.span("query", text):
-        with ctx.span("plan", "ur") as pspan:
-            plan = webbase.ur.plan(text)
-            pspan.attrs["objects"] = len(plan.objects)
-            pspan.attrs["feasible"] = len(plan.feasible_objects)
-            pspan.attrs["optimizer"] = plan.optimizer
-            plan.record_spans(ctx)
+        plan = webbase.plan_traced(text, ctx)
         answer = webbase.ur.answer(text, plan=plan, context=ctx)
     observe_trace(webbase.metrics, ctx.root)
 

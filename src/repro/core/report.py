@@ -157,12 +157,7 @@ def run_with_report(
     webbase.last_context = ctx
     evaluated = 0
     with ctx.accounted(), ctx.span("query", query_text):
-        with ctx.span("plan", "ur") as pspan:
-            plan: URPlan = webbase.plan(query_text)
-            pspan.attrs["objects"] = len(plan.objects)
-            pspan.attrs["feasible"] = len(plan.feasible_objects)
-            pspan.attrs["optimizer"] = plan.optimizer
-            plan.record_spans(ctx)
+        plan: URPlan = webbase.plan_traced(query_text, ctx)
         outputs = plan.query.outputs
         answer = Relation(Schema(outputs), [])
         report = QueryReport(query_text=query_text, answer=answer, trace=ctx.root)

@@ -42,6 +42,7 @@ from repro.navigation.builder import MapBuilder
 from repro.navigation.compiler import CompiledSite, compile_map
 from repro.navigation.executor import NavigationExecutor
 from repro.relational.relation import Relation
+from repro.revisions import Revisions
 from repro.sites.world import World, build_world
 from repro.ur.planner import StructuredUR, URPlan
 from repro.ur.usedcars import build_used_car_ur
@@ -69,8 +70,11 @@ class WebBase:
         # with trace spans (``python -m repro metrics``).  Strict: an
         # off-scheme metric name is a bug, caught on first touch.
         self.metrics = MetricsRegistry(strict=True)
+        # The one staleness authority (repro.revisions): every tier that
+        # stamps what it keeps with a host's map revision asks here.
+        self.revisions = Revisions()
         self.cache: ResultCache = ResultCache(
-            self.vps, config.cache, metrics=self.metrics
+            self.vps, config.cache, metrics=self.metrics, revisions=self.revisions
         )
         # Per-host circuit breakers and bulkheads, shared by every
         # execution context; breaker trips feed the cache's quarantine.
@@ -94,8 +98,6 @@ class WebBase:
         from repro.store.cdc import DeltaFeed
 
         self.cdc = DeltaFeed()
-        # Optional cluster cache federation (attach_federation).
-        self.federation: Any = None
         # Multi-query optimization (repro.mqo): in-flight subplan sharing
         # plus containment reuse of gold answers.  ``None`` when off.
         self.mqo: Any = None
@@ -146,10 +148,9 @@ class WebBase:
     def attach_federation(self, federation: Any) -> None:
         """Join a cluster's cross-shard cache federation: this webbase's
         result cache consults it before live fetches and publishes its
-        fills and revision bumps to it (see
+        fills and revision moves to it (see
         :mod:`repro.cluster.federation`).  Strictly fail-open — a dead
         federation degrades to the local cache, never to an error."""
-        self.federation = federation
         self.cache.federation = federation
 
     def adopt_store_dir(self, store_dir: str) -> dict[str, Any]:
@@ -219,12 +220,7 @@ class WebBase:
             metrics=self.metrics,
             deadline_seconds=deadline_seconds,
             batch_enabled=config.batch,
-            page_revisions=self.cache.revision,
-            page_stamp_sink=(
-                None
-                if self.federation is None
-                else getattr(self.federation, "page_stamp", None)
-            ),
+            page_revisions=self.revisions.current,
             resilience=self.resilience,
         )
         # Plan-level single-flight: the UR evaluator routes each maximal
@@ -275,35 +271,44 @@ class WebBase:
         ctx = context or self.execution_context(label=text)
         self.last_context = ctx
         with ctx.accounted(), ctx.span("query", text):
-            with ctx.span("plan", "ur") as span:
-                plan = self.ur.plan(text)
-                span.attrs["objects"] = len(plan.objects)
-                span.attrs["feasible"] = len(plan.feasible_objects)
-                span.attrs["optimizer"] = plan.optimizer
-                plan.record_spans(ctx)
+            plan = self.plan_traced(text, ctx)
             answer = self.ur.answer(text, plan=plan, context=ctx)
         if context is None:
             # Feed the fresh trace's access/fetch counts back into the
             # planner's live statistics (a shared context is observed by
             # whoever owns it, to avoid double counting).
             observe_trace(self.metrics, ctx.root)
-            if self.store is not None and not ctx.failures:
-                # Gold: materialize the answer with the revision vector of
-                # every host it touched — the same bumps that evict the
-                # cache invalidate it.  Only for contexts this call owns
-                # (a shared context's spans straddle several queries), and
-                # never a partial answer: any failed fetch means no gold.
-                hosts = sorted(
-                    {
-                        span.attrs.get("host", "")
-                        for span in ctx.root.spans("fetch")
-                    }
-                    - {""}
-                )
-                self.store.persist_answer(
-                    text, answer, {h: self.cache.revision(h) for h in hosts}
-                )
+            # Gold only for contexts this call owns: a shared context
+            # spans several queries' plans.
+            self.persist_gold(text, answer, ctx)
         return answer
+
+    def plan_traced(self, text: str, ctx: ExecutionContext) -> URPlan:
+        """Plan ``text`` under a ``plan`` span of ``ctx``, and note on the
+        context every host the plan can read, at its revision now — what
+        the answer depends on, stamped before anything is fetched."""
+        with ctx.span("plan", "ur") as span:
+            plan = self.ur.plan(text)
+            span.attrs["objects"] = len(plan.objects)
+            span.attrs["feasible"] = len(plan.feasible_objects)
+            span.attrs["optimizer"] = plan.optimizer
+            plan.record_spans(ctx)
+        for host in self.ur.plan_hosts(plan):
+            ctx.plan_revisions.setdefault(host, self.revisions.current(host))
+        return plan
+
+    def persist_gold(self, text: str, answer: Relation, ctx: ExecutionContext) -> bool:
+        """Gold: materialize an answer with the revision vector of every
+        host under the plan(s) ``ctx`` ran — not the hosts its trace
+        fetched from: a cache hit or a shared evaluation leaves none, and
+        the answer depends on the host all the same.  Never a partial
+        answer (any failed fetch means no gold), and — like a cache fill,
+        ``ResultCache._store`` — never one whose host moved since the
+        plan was made: it may straddle the change."""
+        vector = ctx.plan_revisions
+        if self.store is None or ctx.failures or not self.revisions.all_current(vector):
+            return False
+        return self.store.persist_answer(text, answer, vector)
 
     def query_stream(self, text: str, context: ExecutionContext | None = None):
         """Answer a query *incrementally*: yields ``(ObjectPlan, Relation)``
@@ -314,12 +319,7 @@ class WebBase:
         ctx = context or self.execution_context(label=text)
         self.last_context = ctx
         with ctx.accounted(), ctx.span("query", text):
-            with ctx.span("plan", "ur") as span:
-                plan = self.ur.plan(text)
-                span.attrs["objects"] = len(plan.objects)
-                span.attrs["feasible"] = len(plan.feasible_objects)
-                span.attrs["optimizer"] = plan.optimizer
-                plan.record_spans(ctx)
+            plan = self.plan_traced(text, ctx)
             for obj, piece in self.ur.answer_stream(text, plan=plan, context=ctx):
                 if piece is not None:
                     yield obj, piece

@@ -16,6 +16,7 @@ from typing import Any
 from repro.relational.algebra import (
     Catalog,
     Expr,
+    base_names,
     binding_sets_of,
     evaluate,
     evaluate_batch,
@@ -36,6 +37,13 @@ class LogicalRelation:
         self._vps = vps
         self.schema: Schema = schema_of(definition, vps)
         self.binding_sets: BindingSets = binding_sets_of(definition, vps)
+        # What the view depends on is a property of its definition, not of
+        # what one evaluation fetched: the host behind each base relation
+        # it reads, in base-name order (a host repeats when it serves
+        # several of them; empty over a catalog that knows no hosts).
+        host_of = getattr(vps, "host_of", None)
+        bases = sorted(base_names(definition)) if host_of is not None else []
+        self.hosts: tuple[str, ...] = tuple(host_of(base) for base in bases)
 
     def fetch(self, given: dict[str, Any], context: Any = None) -> Relation:
         """Evaluate the view; with an execution context, independent VPS

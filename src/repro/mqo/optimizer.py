@@ -14,10 +14,13 @@ applies them in a fixed decision ladder:
    :class:`~repro.mqo.registry.SubplanRegistry`, so identical in-flight
    fingerprints across concurrent queries collapse onto one evaluation.
 
-Staleness can never leak through either path: sharing is strictly
-in-flight, and subsumption revalidates the stored answer's full revision
-vector against the LIVE cache revisions at answer time — one maintenance
-bump on any contributing host and the gold answer is skipped.
+Staleness cannot leak through either path (the :mod:`repro.revisions`
+contract): sharing is strictly in-flight, and subsumption revalidates the
+stored answer's revision vector against the live authority at answer time
+— one maintenance bump on any host *under the answer's plan* and the gold
+answer is skipped.  The vector names the plan's hosts, never the hosts a
+run's trace shows: a subscriber to a shared evaluation fetched nothing
+itself, and would otherwise write an answer that depends on no host.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ class MultiQueryOptimizer:
             return None
         needed = {name.lower() for name in query.attributes()}
         for record in candidates:
-            if not self._revisions_current(record):
+            # Stricter than the store's own currency check: the live
+            # authority moves first on maintenance, the store hears after.
+            if not self.webbase.revisions.all_current(record.get("revisions", {})):
                 continue
             if record["query"] == text:
                 return self._finish(record, query, exact=True)
@@ -106,17 +111,6 @@ class MultiQueryOptimizer:
         self.last_subsumed_by = record["query"]
         return answer
 
-    def _revisions_current(self, record: dict[str, Any]) -> bool:
-        """The stored answer's full revision vector matches the LIVE
-        cache revisions (stricter than the store's own currency check:
-        the cache is bumped first on maintenance)."""
-        cache = self.webbase.cache
-        revisions = record.get("revisions", {})
-        return all(
-            cache.revision(host) == revision
-            for host, revision in revisions.items()
-        )
-
     def _join_core(self, text: str) -> frozenset[frozenset[str]] | None:
         """The query's feasible maximal objects, as a set of relation
         sets — the "same join core" precondition of containment."""
@@ -136,19 +130,3 @@ class MultiQueryOptimizer:
                 self._cores.clear()
             self._cores[text] = core
         return core
-
-    # -- gold persistence (the service streaming path) -----------------------
-
-    def record_answer(
-        self, text: str, answer: Relation, hosts: set[str]
-    ) -> bool:
-        """Persist a completed streamed answer to the gold tier with its
-        live revision vector, so later overlapping queries can subsume."""
-        store = getattr(self.webbase, "store", None)
-        if store is None:
-            return False
-        cache = self.webbase.cache
-        revisions = {
-            host: cache.revision(host) for host in sorted(hosts) if host
-        }
-        return store.persist_answer(text, answer, revisions)

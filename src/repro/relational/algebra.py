@@ -196,6 +196,22 @@ def schema_of(expr: Expr, catalog: Catalog) -> Schema:
     raise TypeError("unknown expression %r" % (expr,))
 
 
+def base_names(expr: Expr) -> set[str]:
+    """Every catalog base relation an expression reads."""
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Base):
+            names.add(node.name)
+            continue
+        for attr in ("child", "left", "right"):
+            sub = getattr(node, attr, None)
+            if sub is not None:
+                stack.append(sub)
+    return names
+
+
 def binding_sets_of(expr: Expr, catalog: Catalog) -> BindingSets:
     """The Section-5 binding-propagation rules, applied bottom-up."""
     if isinstance(expr, Base):

@@ -147,7 +147,7 @@ class StandingQuery:
         self.text = text
         self.schema: list[str] = []
         self.rows: set[tuple] = set()
-        self.deps: set[str] = set()  # hosts the answer was derived from
+        self.deps: set[str] = set()  # hosts under the answer's plan
         self.seq = 0
         self.has_state = False  # a snapshot (live or persisted) exists
         self.subscribers: list[tuple[Any, int]] = []  # (handler, request id)
@@ -184,21 +184,18 @@ class StandingQueryRegistry:
                 self._queries[text] = StandingQuery(text, snapshot)
 
     def _evaluate(self, text: str) -> tuple[Any, set[str]]:
-        """One fresh evaluation, returning the answer and its host deps."""
+        """One fresh evaluation, returning the answer and its host deps —
+        the plan's hosts, so an evaluation served wholly from cache still
+        knows which sweeps must refresh it."""
         ctx = self._webbase.execution_context(label="standing:%s" % text)
         answer = self._webbase.query(text, context=ctx)
-        hosts = {
-            span.attrs.get("host", "") for span in ctx.root.spans("fetch")
-        } - {""}
-        return answer, hosts
+        return answer, set(ctx.plan_revisions)
 
     def _persist(self, standing: StandingQuery) -> None:
         store = self._webbase.store
         if store is None:
             return
-        revisions = {
-            host: self._webbase.cache.revision(host) for host in sorted(standing.deps)
-        }
+        revisions = self._webbase.revisions.vector(standing.deps)
         store.persist_snapshot(
             standing.text, standing.schema, sorted(standing.rows), revisions, standing.seq
         )
@@ -253,7 +250,7 @@ class StandingQueryRegistry:
             # away (its state is the persisted snapshot — orderly
             # shutdown persists before sending).
             self._apply_refresh(
-                standing, answer.schema, fresh_rows, hosts,
+                standing, answer.schema, fresh_rows,
                 host="", revision=0,
                 reason="resume" if resumed else "subscribe",
             )
@@ -328,12 +325,11 @@ class StandingQueryRegistry:
                 and (not standing.deps or event.host in standing.deps)
             ]
         for standing in affected:
-            answer, hosts = self._evaluate(standing.text)
+            answer, _ = self._evaluate(standing.text)  # deps were set at subscribe
             self._apply_refresh(
                 standing,
                 answer.schema,
                 set(answer.rows),
-                hosts,
                 host=event.host,
                 revision=event.revision,
                 reason="cdc",
@@ -344,7 +340,6 @@ class StandingQueryRegistry:
         standing: StandingQuery,
         schema: Any,
         fresh_rows: set[tuple],
-        hosts: set[str],
         host: str,
         revision: int,
         reason: str,
@@ -353,7 +348,6 @@ class StandingQueryRegistry:
         then push (persist-first keeps snapshot == client state across an
         orderly shutdown)."""
         with self._lock:
-            standing.deps |= hosts
             added = sorted(fresh_rows - standing.rows)
             removed = sorted(standing.rows - fresh_rows)
             if not added and not removed:
@@ -818,10 +812,10 @@ class WebBaseService:
         cache_hits = sum(
             1 for span in ctx.root.spans("fetch") if span.cache in ("hit", "stale")
         )
-        if mqo is not None and not ctx.failures:
+        if mqo is not None:
             # The streaming path never reaches webbase.query's gold
             # persist; materialize here so later overlapping queries can
-            # subsume.  Partial answers (any failed fetch) never persist.
+            # subsume (complete answers only — see persist_gold).
             self._persist_streamed(request.text, schema, seen, ctx)
         return {
             "rows": len(seen),
@@ -860,18 +854,12 @@ class WebBaseService:
         seen: set[tuple],
         ctx: ExecutionContext,
     ) -> None:
-        mqo = self.webbase.mqo
-        if mqo is None or self.webbase.store is None:
-            return
         if not schema:
             try:
                 schema = list(parse_query(text).outputs)
             except QueryParseError:
                 return
-        hosts = {
-            str(span.attrs.get("host", "")) for span in ctx.root.spans("fetch")
-        } - {""}
         try:
-            mqo.record_answer(text, Relation(schema, seen), hosts)
+            self.webbase.persist_gold(text, Relation(schema, seen), ctx)
         except Exception:  # noqa: BLE001 - persistence is best-effort
             self.metrics.counter("mqo.persist_errors").inc()

@@ -228,6 +228,19 @@ class StructuredUR:
             )
         return plan
 
+    def plan_hosts(self, plan: URPlan) -> dict[str, int]:
+        """host → how many of the plan's relation accesses it serves, over
+        the feasible objects: every host an answer under ``plan`` can
+        depend on (its revision vector covers exactly these), weighted for
+        the cluster router's affinity decision.  Derived from the plan, so
+        it does not shrink when caching or sharing lets a run skip a host."""
+        weights: dict[str, int] = {}
+        for obj in plan.feasible_objects:
+            for name in obj.relations:
+                for host in self.logical.relation(name).hosts:
+                    weights[host] = weights.get(host, 0) + 1
+        return weights
+
     # -- evaluation -----------------------------------------------------------------
 
     def answer(

@@ -21,9 +21,10 @@ cover that:
   entry may be served without revalidation (``CachePolicy.ttl_seconds`` /
   ``relation_ttls``);
 * **revision stamps** — every entry records the navigation-map revision of
-  its host at store time.  When site maintenance auto-absorbs a change
+  its host at store time, under the :mod:`repro.revisions` contract.  When
+  site maintenance auto-absorbs a change
   (:func:`~repro.navigation.maintenance.apply_auto_changes`), the host's
-  revision is bumped and the host's entries are evicted, so nothing
+  revision is advanced and the host's entries are evicted, so nothing
   captured under the old map is ever served silently;
 * **quarantine** — a change that needs *manual* intervention (a new form
   attribute, a vanished link) puts the host's entries in quarantine:
@@ -50,6 +51,7 @@ import time
 from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.core.metrics import MetricsRegistry
@@ -57,6 +59,7 @@ from repro.flight import Flight, Flights
 from repro.relational.bindings import BindingSets
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.revisions import Revisions
 from repro.vps.schema import VpsSchema
 
 STALE_MODES = ("refetch", "serve_stale")
@@ -146,7 +149,9 @@ class ResultCache:
     cache hits are recorded as trace spans on it.
 
     ``clock`` is the TTL time source (seconds, monotonic); tests inject a
-    fake one to step time deterministically.
+    fake one to step time deterministically.  ``revisions`` is the
+    staleness authority entries are stamped against (the webbase's; a
+    bare cache gets its own).
     """
 
     def __init__(
@@ -155,29 +160,32 @@ class ResultCache:
         policy: CachePolicy | None = None,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] | None = None,
+        revisions: Revisions | None = None,
     ) -> None:
         self.inner = inner
         self.policy = policy or CachePolicy.lru()
         self.metrics = metrics or MetricsRegistry()
         self._clock = clock or time.monotonic
         self._cache: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        self._revisions: dict[str, int] = {}
-        self._quarantined: set[str] = set()
+        self.revisions = revisions or Revisions()
         self._lock = threading.Lock()
         self._inflight = Flights(self._lock)
         self.hits = 0
         self.misses = 0
         # Optional persistence underneath (repro.store.TieredStore): filled
-        # results are mirrored to silver, revision bumps and quarantines to
-        # bronze, and a restart warms from the store instead of refetching.
+        # results are mirrored to silver, and a restart warms from the
+        # store instead of refetching.
         self.store: Any = None
         # Optional cluster federation (repro.cluster.federation): flight
         # leaders consult the cross-shard cache and its fill claims before
         # fetching live, and publish their fills so sibling shards amortize
-        # the same prefix walk (see :meth:`_lead`).  Strictly fail-open: a
-        # federation error is a miss, a denied-then-timed-out claim falls
-        # back to fetching.
+        # the same prefix walk (see :meth:`_lead`); every revision move is
+        # published too, so siblings stop being offered fills captured
+        # under the old navigation map.  Strictly fail-open
+        # (:meth:`_federated`): a federation error is a miss, a
+        # denied-then-timed-out claim falls back to fetching.
         self.federation: Any = None
+        self.revisions.subscribe(partial(self._federated, "publish_revision", None))
 
     @property
     def max_entries(self) -> int:
@@ -201,52 +209,45 @@ class ResultCache:
 
     def revision(self, host: str) -> int:
         """The navigation-map revision entries of ``host`` are stamped with."""
-        with self._lock:
-            return self._revisions.get(host, 0)
+        return self.revisions.current(host)
+
+    # Invariant of every move below: *advance before evicting*.  Once the
+    # authority has moved, a racing lookup drops the old stamp itself
+    # (:meth:`_live_entry`) and a racing fill captured under it is refused
+    # (:meth:`_store`), so nothing old survives the eviction that follows.
 
     def bump_revision(self, host: str) -> int:
         """An auto-absorbed site change: advance the host's map revision and
         evict its entries.  Returns the number of entries evicted."""
+        revision = self.revisions.advance(host)
         with self._lock:
-            self._revisions[host] = revision = self._revisions.get(host, 0) + 1
-            evicted = self._evict_host(host, "cache.invalidations")
-        if self.store is not None:
-            self.store.record_revision(host, revision)
-        self._federation_stamp(host, revision)
-        return evicted
+            stale = [
+                key
+                for key, entry in self._cache.items()
+                if entry.host == host and entry.revision != revision
+            ]
+            for key in stale:
+                del self._cache[key]
+            if stale:
+                self.metrics.counter("cache.invalidations").inc(len(stale))
+                self.metrics.gauge("cache.entries").set(len(self._cache))
+        return len(stale)
 
     def quarantine(self, host: str) -> int:
         """A manual-intervention site change: flag the host's entries as
         suspect.  Returns how many entries are affected."""
+        self.revisions.quarantine(host)
         with self._lock:
-            self._quarantined.add(host)
-            affected = sum(1 for e in self._cache.values() if e.host == host)
-        if self.store is not None:
-            self.store.record_quarantine(host, True)
-        return affected
+            return sum(1 for e in self._cache.values() if e.host == host)
 
     def clear_quarantine(self, host: str, evict: bool = True) -> int:
         """The designer re-demonstrated the flow: lift the quarantine and
         (by default) drop the pre-change entries."""
-        revision = None
-        with self._lock:
-            self._quarantined.discard(host)
-            if evict:
-                self._revisions[host] = revision = self._revisions.get(host, 0) + 1
-                evicted = self._evict_host(host, "cache.invalidations")
-            else:
-                evicted = 0
-        if self.store is not None:
-            self.store.record_quarantine(host, False)
-            if revision is not None:
-                self.store.record_revision(host, revision)
-        if revision is not None:
-            self._federation_stamp(host, revision)
-        return evicted
+        self.revisions.lift(host)
+        return self.bump_revision(host) if evict else 0
 
     def quarantined_hosts(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._quarantined)
+        return self.revisions.quarantined_hosts()
 
     def adopt_revision(self, host: str, revision: int) -> bool:
         """Shard takeover: adopt a (higher) revision observed elsewhere.
@@ -254,34 +255,27 @@ class ResultCache:
         Entries stamped with the old revision die lazily at their next
         lookup (:meth:`_live_entry`'s revision check), exactly as after a
         :meth:`bump_revision`.  Never moves a revision backwards."""
-        moved = False
-        with self._lock:
-            if revision > self._revisions.get(host, 0):
-                self._revisions[host] = revision
-                moved = True
-        if moved and self.store is not None:
-            self.store.record_revision(host, revision)
-        if moved:
-            self._federation_stamp(host, revision)
-        return moved
+        return self.revisions.advance(host, to=revision) is not None
 
     # -- persistence ---------------------------------------------------------
 
     def attach_store(self, store: Any) -> None:
-        """Layer a tiered store underneath: fills mirror to silver, bumps
-        and quarantines to bronze.
+        """Layer a tiered store underneath: fills mirror to silver, and —
+        from here on — every revision move and quarantine mark to bronze.
 
         Revision and quarantine state are adopted from the store *here*,
         before any warm load or drift check — so a restart's drift bump
         lands *on top of* the persisted revision instead of colliding
         with it (a fresh cache starts at revision 0; bumping 0 → 1 would
-        alias the stamp of segments persisted after an earlier sweep)."""
+        alias the stamp of segments persisted after an earlier sweep).
+        The store subscribes only after that replay: what it just told us
+        is not written back to it."""
         self.store = store
-        with self._lock:
-            for host, revision in store.revisions().items():
-                if revision > self._revisions.get(host, 0):
-                    self._revisions[host] = revision
-            self._quarantined.update(store.quarantined())
+        for host, revision in store.revisions().items():
+            self.revisions.advance(host, to=revision)
+        for host in store.quarantined():
+            self.revisions.quarantine(host)
+        self.revisions.subscribe(store.record_revision, store.record_quarantine)
 
     def warm_from_store(self, store: Any = None) -> int:
         """Load current-revision silver segments into the cache (restart).
@@ -311,16 +305,6 @@ class ResultCache:
         if loaded:
             self.metrics.counter("store.warm_loads").inc(loaded)
         return loaded
-
-    def _evict_host(self, host: str, counter: str) -> int:
-        """Drop every entry of one host (caller holds the lock)."""
-        stale = [k for k, e in self._cache.items() if e.host == host]
-        for key in stale:
-            del self._cache[key]
-        if stale:
-            self.metrics.counter(counter).inc(len(stale))
-            self.metrics.gauge("cache.entries").set(len(self._cache))
-        return len(stale)
 
     def invalidate(self, name: str | None = None) -> int:
         """Drop cached results (all of them, or one relation's); returns the
@@ -361,7 +345,7 @@ class ResultCache:
         entry = self._cache.get(key)
         if entry is None:
             return None
-        if entry.revision != self._revisions.get(host, 0):
+        if not self.revisions.is_current(host, entry.revision):
             dropped = "cache.invalidations"
         elif not stale_ok and entry.expires_at is not None and self._clock() >= entry.expires_at:
             dropped = "cache.expirations"
@@ -393,7 +377,7 @@ class ResultCache:
         moved since it was captured — the result may straddle the change,
         so it cannot be trusted across queries.  Returns whether the entry
         was stored (callers mirror stored fetches to silver)."""
-        if revision != self._revisions.get(host, 0):
+        if not self.revisions.is_current(host, revision):
             return False
         now = self._clock()
         ttl = self.policy.ttl_for(name)
@@ -418,56 +402,20 @@ class ResultCache:
         if self.store is not None:
             self.store.persist_result(name, host, revision, key[1], value)
 
-    def _federation_stamp(self, host: str, revision: int) -> None:
-        """Tell the cluster federation this host's revision moved, so
-        sibling shards stop being offered fills captured under the old
-        navigation map (fail-open, like every federation call)."""
-        fed = self.federation
-        if fed is None:
-            return
+    def _federated(self, op: str, failed: Any, *args: Any) -> Any:
+        """One call on the cluster federation, strictly fail-open: with no
+        federation, or on any error from it, the answer is ``failed``.  A
+        lookup that fails is a miss; a claim that fails is *won* — never
+        let coordination block a fetch; a publish, a release (of a claim
+        whose fill failed or was not stored, so waiters contend for it
+        instead of running out their wait budget) or a revision stamp that
+        fails is skipped."""
+        if self.federation is None:
+            return failed
         try:
-            fed.publish_revision(host, revision)
-        except Exception:  # noqa: BLE001
-            pass
-
-    def _federation_lookup(
-        self, name: str, host: str, key: tuple, revision: int
-    ) -> Relation | None:
-        """Ask the cluster federation for this fill (fail-open: any
-        transport error, revision mismatch, or absence is just a miss)."""
-        try:
-            return self.federation.lookup(name, host, key[1], revision)
+            return getattr(self.federation, op)(*args)
         except Exception:  # noqa: BLE001 - the federation must never break a fetch
-            return None
-
-    def _federation_publish(
-        self, name: str, host: str, key: tuple, revision: int, value: Relation
-    ) -> None:
-        """Offer one freshly stored fill to the cluster federation."""
-        fed = self.federation
-        if fed is None:
-            return
-        try:
-            fed.publish(name, host, key[1], revision, value)
-        except Exception:  # noqa: BLE001 - fail-open, same as lookup
-            pass
-
-    def _federation_claim(self, name: str, key: tuple) -> bool:
-        """Try to become the cluster-wide fetcher for this fill.  True
-        means fetch (claim won, or a bus error — never let coordination
-        block a fetch)."""
-        try:
-            return bool(self.federation.claim(name, key[1]))
-        except Exception:  # noqa: BLE001 - fail-open
-            return True
-
-    def _federation_release(self, name: str, key: tuple) -> None:
-        """Give up a claim whose fill failed or was not stored, so waiters
-        contend for it instead of running out their wait budget."""
-        try:
-            self.federation.release(name, key[1])
-        except Exception:  # noqa: BLE001 - fail-open
-            pass
+            return failed
 
     def _federation_await(
         self, name: str, host: str, key: tuple, revision: int, context: Any
@@ -485,13 +433,13 @@ class ResultCache:
             time.sleep(0.05)
             if poll is not None:
                 poll("federated:%s" % name)
-            value = self._federation_lookup(name, host, key, revision)
+            value = self._federated("lookup", None, name, host, key[1], revision)
             if value is not None:
                 return value
             now = time.monotonic()
             if now >= next_claim:
                 next_claim = now + 0.25
-                if self._federation_claim(name, key):
+                if self._federated("claim", True, name, key[1]):
                     return None
         return None
 
@@ -536,11 +484,11 @@ class ResultCache:
                 # the sibling has likely published.
                 claimed: list[_Lead] = []
                 for lead in leads:
-                    value = self._federation_lookup(name, host, lead[0], revision)
+                    value = self._federated("lookup", None, name, host, lead[0][1], revision)
                     if value is not None:
                         self._land_fed_hit(name, host, revision, lead, value, context)
                         results[lead[0]] = value
-                    elif self._federation_claim(name, lead[0]):
+                    elif self._federated("claim", True, name, lead[0][1]):
                         claimed.append(lead)
                     else:
                         self.metrics.counter("cluster.fed_waits").inc()
@@ -606,13 +554,13 @@ class ResultCache:
                     results[key] = value
             for key, value in stored:
                 self._persist_silver(key, name, host, revision, value)
-                self._federation_publish(name, host, key, revision, value)
+                self._federated("publish", None, name, host, key[1], revision, value)
                 published.add(key)
         finally:
             if federated:
                 for key, _given, _flight in leads:
                     if key not in published:
-                        self._federation_release(name, key)
+                        self._federated("release", None, name, key[1])
 
     def fetch(
         self, name: str, given: dict[str, Any], context: Any = None
@@ -624,7 +572,7 @@ class ResultCache:
         host = self.host_of(name)
 
         # Quarantined host: serve flagged-stale or bypass, never silently.
-        if host and host in self.quarantined_hosts():
+        if host and self.revisions.quarantined(host):
             if self.policy.stale_mode == "serve_stale":
                 # Lookup and LRU touch under ONE lock hold: a concurrent
                 # bump_revision between a lookup and a separate touch could
@@ -650,7 +598,7 @@ class ResultCache:
                 else:
                     flight, leading = self._inflight.join(key)
                     if leading:
-                        revision = self._revisions.get(host, 0)
+                        revision = self.revisions.current(host)
             if entry is not None:
                 self._record_hit(name, host, context, stale=False, warmed=entry.warmed)
                 return entry.value
@@ -694,14 +642,14 @@ class ResultCache:
         host = self.host_of(name)
         if not self.policy.enabled:
             return self._fetch_inner_batch(name, givens, context)
-        if len(givens) <= 1 or (host and host in self.quarantined_hosts()):
+        if len(givens) <= 1 or (host and self.revisions.quarantined(host)):
             return [self.fetch(name, given, context=context) for given in givens]
         keys = [self._key(name, given) for given in givens]
         results: dict[tuple, Relation] = {}
         hit_keys: list[tuple] = []
         leads: list[_Lead] = []
         with self._lock:
-            revision = self._revisions.get(host, 0)
+            revision = self.revisions.current(host)
             seen: set[tuple] = set()
             for key, given in zip(keys, givens):
                 if key in seen:

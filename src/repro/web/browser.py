@@ -96,10 +96,11 @@ class PrefixPageCache:
 
     Entries are keyed ``(host, request_key)`` and stamped with the host's
     navigation-map revision as reported by ``revision_of`` (wired to
-    :meth:`~repro.vps.cache.ResultCache.revision`, which site maintenance
-    bumps when it absorbs a change).  A lookup re-reads the *current*
-    revision and drops mismatched entries, so no page captured under an
-    old map is ever served across a revision bump.
+    :meth:`repro.revisions.Revisions.current`, which site maintenance
+    advances when it absorbs a change).  Every claim re-reads the
+    *current* revision and drops a mismatched entry
+    (:meth:`_current_locked`), so no page captured under an old map is
+    ever served across a revision bump.
 
     Concurrent misses on one key coalesce under the :mod:`repro.flight`
     contract; failures are never stored.
@@ -112,14 +113,9 @@ class PrefixPageCache:
         self,
         revision_of: Callable[[str], int] | None = None,
         metrics: Any = None,
-        stamp_sink: Callable[[str, int], None] | None = None,
     ) -> None:
         self._revision_of = revision_of or (lambda host: 0)
         self.metrics = metrics
-        # Cluster federation hook: called (host, revision) whenever a
-        # leader stores a freshly walked page, so the worker can report
-        # which hosts it holds warm prefixes for (fail-open, best effort).
-        self._stamp_sink = stamp_sink
         self._pages: dict[tuple, tuple[int, WebPage]] = {}
         self._lock = threading.Lock()
         self._flights = Flights(self._lock)
@@ -150,32 +146,32 @@ class PrefixPageCache:
             if self.budget is not None:
                 self.budget.consumed(host)
 
-    def _dropped_locked(self, host: str, key: tuple) -> None:
-        """A stale entry was dropped (caller holds the lock): a
-        speculative one never paid off, so report it wasted."""
+    def _current_locked(self, host: str, key: tuple, revision: int) -> WebPage | None:
+        """The one staleness check (caller holds the lock): the page under
+        ``key`` if it is stamped ``revision``.  A superseded entry is
+        dropped, and a speculative one — it never paid off — is settled
+        with the budget as wasted."""
+        entry = self._pages.get((host, key))
+        if entry is None:
+            return None
+        if entry[0] == revision:
+            return entry[1]
+        del self._pages[(host, key)]
         if (host, key) in self._speculative:
             self._speculative.discard((host, key))
             if self.budget is not None:
                 self.budget.wasted(host)
+        return None
 
     def lookup(self, host: str, key: tuple) -> WebPage | None:
         """The cached page under ``key``, or ``None`` — dropping (and not
         serving) entries stored under a superseded map revision."""
         revision = self._revision_of(host)
         with self._lock:
-            entry = self._pages.get((host, key))
-            if entry is None:
-                return None
-            stored_revision, page = entry
-            if stored_revision != revision:
-                del self._pages[(host, key)]
-                self._dropped_locked(host, key)
-                return None
-            self._consumed_locked(host, key)
+            page = self._current_locked(host, key, revision)
+            if page is not None:
+                self._consumed_locked(host, key)
             return page
-
-    def get(self, host: str, request: Request) -> WebPage | None:
-        return self.lookup(host, request_key(request))
 
     def acquire(self, host: str, key: tuple):
         """Claim ``key``: ``("hit", page, None)`` when cached, ``("lead",
@@ -184,15 +180,12 @@ class PrefixPageCache:
         leader must call :meth:`fulfill` or :meth:`abandon`."""
         revision = self._revision_of(host)
         with self._lock:
-            entry = self._pages.get((host, key))
-            if entry is not None:
-                if entry[0] == revision:
-                    self.hits += 1
-                    self._count("nav.prefix_hits")
-                    self._consumed_locked(host, key)
-                    return ("hit", entry[1], None)
-                del self._pages[(host, key)]
-                self._dropped_locked(host, key)
+            page = self._current_locked(host, key, revision)
+            if page is not None:
+                self.hits += 1
+                self._count("nav.prefix_hits")
+                self._consumed_locked(host, key)
+                return ("hit", page, None)
             flight, leading = self._flights.join((host, key))
             if not leading:
                 self._count("nav.prefix_coalesced")
@@ -207,8 +200,7 @@ class PrefixPageCache:
         cached or someone else is on it (nothing to do)."""
         revision = self._revision_of(host)
         with self._lock:
-            entry = self._pages.get((host, key))
-            if entry is not None and entry[0] == revision:
+            if self._current_locked(host, key, revision) is not None:
                 return None
             flight, leading = self._flights.join((host, key))
             if not leading:
@@ -230,22 +222,15 @@ class PrefixPageCache:
         it was in flight) and release the waiters.  ``speculative`` marks
         the entry as fetched ahead of demand: its first demand hit settles
         it with the speculation budget."""
-        stored = False
         with self._lock:
             if revision == self._revision_of(host):
                 self._pages[(host, key)] = (revision, page)
-                stored = True
                 if speculative:
                     self._speculative.add((host, key))
             elif speculative and self.budget is not None:
                 self.budget.wasted(host)
             flight.land(page)
         flight.settle()
-        if stored and self._stamp_sink is not None:
-            try:
-                self._stamp_sink(host, revision)
-            except Exception:  # noqa: BLE001 - the sink must never break a fetch
-                pass
 
     def abandon(self, host: str, key: tuple, flight: Flight, error: BaseException | None = None) -> None:
         """A leader's fetch failed: nothing is stored, waiters retry."""

@@ -92,6 +92,28 @@ class TestPrefixPageCacheRevisions:
         outcome, _flight, _revision = cache.acquire("h.com", key)
         assert outcome == "lead"
 
+    def test_try_lead_settles_a_stale_speculative_page(self):
+        """``try_lead`` shares the one staleness check with ``lookup`` and
+        ``acquire``: re-leading a speculative page whose revision moved
+        reports the old one wasted, so its reservation is not leaked."""
+        revisions, cache = self._cache()
+        cache.budget = budget = SpeculationBudget(wasted_pages=4)
+        key = ("GET", "http://h.com/", ())
+
+        def speculate(page):
+            assert budget.try_issue("h.com")
+            flight, revision = cache.try_lead("h.com", key)
+            cache.fulfill("h.com", key, flight, page, revision, speculative=True)
+
+        speculate(object())
+        revisions["h.com"] = 1
+        refill = object()
+        speculate(refill)
+        assert budget.outstanding("h.com") == 1  # the refill's, not a leaked one
+        assert cache.acquire("h.com", key) == ("hit", refill, None)
+        assert budget.outstanding("h.com") == 0
+        assert (budget.consumed_total, budget.wasted_total) == (1, 1)
+
 
 class TestRevisionBumpEviction:
     def test_reconcile_bump_refuses_pre_change_pages(self):

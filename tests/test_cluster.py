@@ -201,6 +201,36 @@ class TestFederation:
         )
         assert merged["counters"]["service.completed"] == per_shard
 
+    @pytest.mark.parametrize("noticed_by", ["advance_revision", "lookup", "publish"])
+    def test_an_eviction_is_counted_once_whichever_call_noticed(self, noticed_by):
+        """Word of a host's move reaches the federation three ways; all of
+        them drop the superseded fills through one routine, so the
+        eviction counter and the entries gauge cannot disagree."""
+        from repro.core.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        fed = FederationCache(metrics=metrics)
+        host = "www.x.com"
+        for make in ("saab", "ford"):
+            fed.publish("dealers", host, (("make", make),), 0, ["make"], [[make]])
+        assert metrics.snapshot()["gauges"]["cluster.fed_entries"] == 2
+        other = (("make", "mazda"),)
+        if noticed_by == "advance_revision":
+            fed.advance_revision(host, 1)
+        elif noticed_by == "lookup":
+            assert fed.lookup("dealers", host, other, 1) is None
+        else:
+            assert fed.publish("dealers", host, other, 1, ["make"], [["mazda"]])
+        assert metrics.value("cluster.fed_evictions") == 2
+        entries = fed.stats()["entries"]
+        assert entries == (1 if noticed_by == "publish" else 0)
+        assert metrics.snapshot()["gauges"]["cluster.fed_entries"] == entries
+        assert fed.stats()["revisions"] == {host: 1}
+        # A shard still behind cannot move the federation backwards.
+        fed.advance_revision(host, 0)
+        assert fed.lookup("dealers", host, other, 0) is None
+        assert fed.stats()["revisions"] == {host: 1}
+
 
 class TestFederationClaims:
     """Cluster-wide single-flight: one shard walks a fill, siblings wait

@@ -29,27 +29,93 @@ from repro.mqo.registry import BatchGate, SubplanRegistry
 from repro.relational.relation import Relation
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, WebBaseService
+from repro.sites.world import mutate_site_listings
 from repro.ur.query import parse_query
 from repro.vps.cache import CachePolicy
 from repro.web.server import FaultPlan
+from tests.test_flight import TIMEOUT, join_all, run_threads
 
 BROAD = "SELECT make, model, price, year WHERE make = 'saab'"
 NARROW = "SELECT make, model, price, year WHERE make = 'saab' AND year > 1995"
+#: Two single-relation objects (classifieds, dealers) over four hosts.
+WIDE = "SELECT make, model, price WHERE make = 'ford'"
+WIDE_HOSTS = {
+    "www.autoweb.com", "www.carpoint.com", "www.newsday.com", "www.nytimes.com"
+}
+#: The world size of the scenarios that move a site: at the default an
+#: auto-absorbed change leaves the map complete, so the refreshed answer
+#: must equal a from-scratch webbase's exactly.
+ADS = 120
 
 
 def _cond(text: str):
     return parse_query("SELECT make WHERE " + text).condition
 
 
-def _mqo_webbase(tmp_path) -> WebBase:
+def _mqo_webbase(tmp_path, ads_per_host: int = 24) -> WebBase:
     return WebBase.create(
         WebBaseConfig(
-            ads_per_host=24,
+            ads_per_host=ads_per_host,
             cache=CachePolicy.lru(),
             store_dir=str(tmp_path / "store"),
             mqo=True,
         )
     )
+
+
+class _ShareGate:
+    """Parks every object evaluation of ``webbase`` at its first logical
+    fetch until ``subscriptions`` callers have joined an open flight as
+    subscribers — so which query shares whose evaluation is decided by
+    the test, not by the scheduler."""
+
+    def __init__(self, webbase: WebBase, subscriptions: int) -> None:
+        self.subscriptions = subscriptions
+        self.reached = threading.Event()  # some evaluation is parked
+        self.opened = threading.Event()
+        self._subscribed = threading.Semaphore(0)
+        flights = webbase.mqo.registry._flights
+        join, fetch = flights.join, webbase.logical.fetch
+
+        def counting_join(key):
+            flight, leading = join(key)
+            if not leading:
+                self._subscribed.release()
+            return flight, leading
+
+        def gated_fetch(*args, **kwargs):
+            self.reached.set()
+            assert self.opened.wait(TIMEOUT), "test gate never opened"
+            return fetch(*args, **kwargs)
+
+        flights.join = counting_join
+        webbase.logical.fetch = gated_fetch
+
+    def open_once_shared(self) -> None:
+        for _ in range(self.subscriptions):
+            assert self._subscribed.acquire(timeout=TIMEOUT), "a query never subscribed"
+        self.opened.set()
+
+
+def _assert_gold_covers_the_plan(wb: WebBase, writes: int) -> None:
+    """Every gold answer to ``WIDE`` names exactly the hosts under its
+    plan — the leader's and the subscriber's alike, though the
+    subscriber's own trace holds no fetch for an object it shared."""
+    answers = [r for r in wb.store.gold if r.get("kind") == "answer"]
+    assert len(answers) == writes
+    for record in answers:
+        assert set(record["revisions"]) == WIDE_HOSTS, record["revisions"]
+    assert set(wb.ur.plan_hosts(wb.ur.plan(WIDE))) == WIDE_HOSTS
+
+
+def _move_autoweb(wb: WebBase) -> None:
+    """Three new ford ads and an auto-absorbed form change on one host."""
+    mutate_site_listings(
+        wb.world, host="www.autoweb.com", make="ford", model="escort",
+        count=3, seed=5, change="auto",
+    )
+    wb.run_maintenance()
+    assert wb.cache.revision("www.autoweb.com") == 1
 
 
 # -- containment ---------------------------------------------------------------
@@ -340,6 +406,44 @@ class TestSubsume:
         assert len(answer) > 0
         assert wb.metrics.value("mqo.subsumed") == before
 
+    def test_a_shared_hit_writes_gold_under_its_whole_plan(self, tmp_path):
+        """Sharing must not shrink what an answer is known to depend on:
+        both objects of the second query are shared hits, and a site
+        that then moves must still invalidate the answer it wrote."""
+        wb = _mqo_webbase(tmp_path, ADS)
+        gate = _ShareGate(wb, subscriptions=2)
+        threads, returned, raised = run_threads(2, lambda: wb.query(WIDE))
+        gate.open_once_shared()
+        join_all(threads)
+        assert raised == [] and len(returned) == 2
+        assert wb.metrics.value("mqo.shared_hits") == 2
+        _assert_gold_covers_the_plan(wb, writes=2)
+
+        _move_autoweb(wb)
+        before = wb.metrics.value("mqo.subsumed")
+        answer = wb.query(WIDE)
+        assert wb.metrics.value("mqo.subsumed") == before, "stale gold was served"
+        fresh = WebBase(wb.world, WebBaseConfig(ads_per_host=ADS)).query(WIDE)
+        assert sorted(answer.rows) == sorted(fresh.rows)
+        assert len(answer) > len(returned[0])  # the new ads are in it
+
+    def test_an_answer_that_straddles_a_move_is_never_written_as_gold(self, tmp_path):
+        """The rule of a cache fill, for gold: the vector is taken when
+        the plan is made, and an answer whose host moved before it
+        finished may mix both sides of the change — it is returned, not
+        materialized."""
+        wb = _mqo_webbase(tmp_path)
+        gate = _ShareGate(wb, subscriptions=0)
+        thread, returned, raised = run_threads(1, lambda: wb.query(WIDE))
+        assert gate.reached.wait(TIMEOUT)  # planned, parked before any fetch
+        wb.cache.bump_revision("www.autoweb.com")
+        gate.open_once_shared()
+        join_all(thread)
+        assert raised == [] and len(returned[0]) > 0
+        assert wb.metrics.value("store.gold_writes") == 0
+        wb.query(WIDE)  # nothing moves under this one
+        assert wb.metrics.value("store.gold_writes") == 1
+
     def test_mismatched_attribute_set_refuses(self, tmp_path):
         """A narrowed query that mentions a different attribute set can
         have different maximal objects (and therefore rows the gold
@@ -397,6 +501,37 @@ class TestServiceMQO:
             )
             fresh = control.query(NARROW)
             assert sorted(second.rows) == sorted(set(fresh.rows))
+        finally:
+            svc.shutdown()
+
+    def test_a_shared_streamed_answer_persists_under_its_whole_plan(self, tmp_path):
+        """The served path's gold write (``_persist_streamed``) carries
+        the plan's hosts too, whichever client's evaluation was shared."""
+        webbase = _mqo_webbase(tmp_path, ADS)
+        gate = _ShareGate(webbase, subscriptions=2)
+        svc = WebBaseService(
+            webbase, ServiceConfig(port=0, workers=2, mqo_window_ms=50.0)
+        )
+        host, port = svc.start()
+
+        def one_client():
+            with ServiceClient(host=host, port=port) as client:
+                return client.query(WIDE)
+
+        try:
+            threads, returned, raised = run_threads(2, one_client)
+            gate.open_once_shared()
+            join_all(threads)
+            assert raised == [] and len(returned) == 2
+            assert webbase.metrics.value("mqo.shared_hits") == 2
+            _assert_gold_covers_the_plan(webbase, writes=2)
+
+            _move_autoweb(webbase)
+            with ServiceClient(host=host, port=port) as client:
+                outcome = client.query(WIDE)
+            assert outcome.stats.get("mqo") != "subsumed", "stale gold was served"
+            fresh = WebBase(webbase.world, WebBaseConfig(ads_per_host=ADS)).query(WIDE)
+            assert sorted(outcome.rows) == sorted(set(fresh.rows))
         finally:
             svc.shutdown()
 

@@ -1,11 +1,14 @@
 """Tests of the top-level public API surface.
 
-Includes three mechanical consistency audits, so drift fails loudly:
+Includes four mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
 * no module of the bottom layer, ``repro.web``, imports from a layer
   built on top of it;
+* there is one staleness authority (``repro.revisions``) and one
+  dependency derivation (the plan's): no other module keeps its own
+  revision table, and none builds a host set from a trace's fetch spans;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -95,6 +98,64 @@ class TestPublicImportLint:
                         offenders.append(
                             "%s imports %s" % (source.relative_to(REPO), target)
                         )
+        assert offenders == []
+
+
+class TestOneStalenessAuthority:
+    """The :mod:`repro.revisions` contract, kept from drifting back."""
+
+    @staticmethod
+    def _trees():
+        sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+        assert len(sources) > 50, "the audit must actually see the package"
+        for source in sources:
+            relative = source.relative_to(REPO / "src" / "repro").as_posix()
+            yield relative, ast.parse(source.read_text(), filename=str(source))
+
+    def test_only_the_authority_keeps_a_revision_table(self):
+        """``store/tiered.py`` is the durable mirror replayed from bronze
+        (it is told of moves, it does not decide them)."""
+        keepers = {
+            relative
+            for relative, tree in self._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute) and target.attr == "_revisions"
+        }
+        assert keepers == {"revisions.py", "store/tiered.py"}
+
+    def test_no_host_set_is_built_from_fetch_spans(self):
+        """What an answer depends on comes from its plan
+        (``StructuredUR.plan_hosts``): the fetch spans of one run leave
+        out every host a cache hit or a shared evaluation let it skip.
+        Counting or timing over fetch spans is accounting, and stays."""
+
+        def walks_fetch_spans(node: ast.AST) -> bool:
+            return any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "spans"
+                and [getattr(arg, "value", None) for arg in call.args] == ["fetch"]
+                for generator in getattr(node, "generators", [])
+                for call in ast.walk(generator.iter)
+            )
+
+        offenders = []
+        for relative, tree in self._trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.SetComp):
+                    comprehension: ast.AST = node
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", "") in ("set", "frozenset")
+                    and node.args
+                ):
+                    comprehension = node.args[0]  # set(x for x in ...)
+                else:
+                    continue
+                if walks_fetch_spans(comprehension):
+                    offenders.append("%s:%d" % (relative, node.lineno))
         assert offenders == []
 
 

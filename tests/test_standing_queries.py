@@ -120,6 +120,28 @@ class TestExactDeltas:
             assert sub_two.rows == truth
 
 
+    def test_deps_are_the_plans_hosts_even_when_nothing_was_fetched(self, stack):
+        """What a standing query must be refreshed for is a property of
+        its plan: a subscribe answered wholly from cache still depends on
+        every host under it, and churn on any one of them reaches it."""
+        world, webbase, service, host, port = stack
+        webbase.query(QUERY)  # warm: the subscribe below fetches nothing live
+        misses_before = webbase.metrics.value("cache.misses")
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            assert webbase.metrics.value("cache.misses") == misses_before > 0
+            deps = service.standing._queries[QUERY].deps
+            assert deps == set(webbase.ur.plan_hosts(webbase.ur.plan(QUERY)))
+            assert {HOST_A, HOST_B} < deps
+            for round_no, moved in enumerate(sorted(deps)):
+                mutate_site_listings(world, moved, count=1, seed=round_no)
+                client.sweep(moved)
+                delta = client.next_delta(sub, timeout=10.0)
+                assert delta is not None and delta.host == moved
+            assert sub.rows == _fresh_rows(webbase)
+            client.unsubscribe(sub)
+
+
 class TestShutdownRestartResume:
     def test_restart_resumes_with_exactly_the_missed_delta(self, tmp_path):
         """The mid-sweep shutdown case: host A's churn is swept and
