@@ -9,13 +9,13 @@ shows the concept hierarchy of Figure 5.
 from __future__ import annotations
 
 from repro.ur.maximal import maximal_objects
-from repro.ur.usedcars import (
+from repro.domains.cars.usedcars import (
     EXAMPLE_62_EXPECTED,
     EXAMPLE_62_RELATIONS,
     example_62_hierarchy,
     example_62_rules,
+    used_car_hierarchy,
 )
-from repro.ur.concepts import used_car_hierarchy
 
 
 def test_example62_maximal_objects(benchmark):

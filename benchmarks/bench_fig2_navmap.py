@@ -10,7 +10,7 @@ link into the detail node.
 
 from __future__ import annotations
 
-from repro.core.sessions import map_newsday
+from repro.domains.cars.sessions import map_newsday
 from repro.navigation.model import FormEdge, LinkEdge
 
 

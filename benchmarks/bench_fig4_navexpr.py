@@ -9,7 +9,7 @@ given Make+Model.
 
 from __future__ import annotations
 
-from repro.core.sessions import map_newsday
+from repro.domains.cars.sessions import map_newsday
 from repro.navigation.compiler import compile_map
 from repro.navigation.executor import NavigationExecutor
 
@@ -45,7 +45,7 @@ def test_fig4_compilation_is_linear(world):
     site maps costs about twelve times one map, not quadratically more."""
     import time
 
-    from repro.core.sessions import build_all_builders
+    from repro.domains.cars.sessions import build_all_builders
 
     builders = build_all_builders(world)
     single = min(builders.values(), key=lambda b: len(b.map.nodes))

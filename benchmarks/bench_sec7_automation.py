@@ -14,7 +14,7 @@ manual share in the low single-digit percent — is the reproduced result.
 
 from __future__ import annotations
 
-from repro.core.sessions import build_all_builders
+from repro.domains.cars.sessions import build_all_builders
 
 
 def test_sec7_automation_statistics(benchmark, world):

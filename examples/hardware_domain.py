@@ -5,15 +5,21 @@ Run:  python examples/hardware_domain.py
 Two mail-order vendors with different vocabularies ("category/brand" vs
 "type/maker") and a hardware-review site, mapped by example and queried
 through a HardwareUR: *laptops under $2,500 with a rating of 4 or
-better*, prices and ratings joined across sites.
+better*, prices and ratings joined across sites.  The domain is one
+value, ``HARDWARE``; the webbase is the same ``WebBase`` the car examples
+use, so the result cache (or a store, or MQO) is one config field away.
 """
 
-from repro.domains.hardware import HardwareWebBase
+from repro import CachePolicy, WebBase, WebBaseConfig
+from repro.domains import HARDWARE
 
 
 def main() -> None:
     print("Assembling the computer-equipment webbase...")
-    hardware = HardwareWebBase()
+    hardware = WebBase.create(
+        WebBaseConfig(seed=1998, ads_per_host=50, cache=CachePolicy.lru()),
+        domain=HARDWARE,
+    )
 
     print("\nVPS relations:")
     for name in hardware.vps.relation_names:
@@ -29,6 +35,11 @@ def main() -> None:
     result = hardware.query(query)
     print(result.pretty())
     print("\n%d well-reviewed bargain laptops across both vendors." % len(result))
+    hardware.query(query)
+    print(
+        "asked again: %d live fetches, served by the result cache."
+        % hardware.last_context.fetches
+    )
 
 
 if __name__ == "__main__":

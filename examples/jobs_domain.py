@@ -7,15 +7,17 @@ jobs, houses") by domain experts.  This example is the jobs webbase: two
 job boards with different vocabularies plus a salary survey, mapped by
 example and queried through a JobsUR — with the flagship cross-site
 question no single 1999 job board could answer: *which New York postings
-pay above the market median?*
+pay above the market median?*  The domain is one value, ``JOBS``, handed
+to the same ``WebBase`` the car examples use — EXPLAIN included.
 """
 
-from repro.domains.jobs import JobsWebBase
+from repro import WebBase, WebBaseConfig
+from repro.domains import JOBS
 
 
 def main() -> None:
     print("Assembling the jobs webbase (3 sites, mapped by example)...")
-    jobs = JobsWebBase()
+    jobs = WebBase.create(WebBaseConfig(seed=2026, ads_per_host=60), domain=JOBS)
 
     print("\nVPS relations (site vocabularies intact):")
     for name in jobs.vps.relation_names:
@@ -43,6 +45,8 @@ def main() -> None:
     result = jobs.query(query)
     print(result.pretty())
     print("\n%d above-median offers, drawn from both boards." % len(result))
+    print("\nEXPLAIN (the planner's estimates against the measured run):")
+    print(jobs.explain(query).render())
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ ways, and the maintenance checker classifies each change as automatically
 absorbable or needing the designer.
 """
 
-from repro.core.sessions import map_newsday
+from repro.domains.cars.sessions import map_newsday
 from repro.navigation.maintenance import apply_auto_changes, check_site
 from repro.sites.world import build_world
 from repro.web import html as H

@@ -36,6 +36,7 @@ from repro.core.execution import (
 )
 from repro.core.resilience import ResilienceManager, ResiliencePolicy
 from repro.core.webbase import WebBase
+from repro.domains import Domain
 from repro.errors import WebBaseError
 from repro.service import ServiceClient, ServiceConfig, WebBaseService
 from repro.sites.world import World, build_world
@@ -53,6 +54,7 @@ __all__ = [
     "AccessHandle",
     "CachePolicy",
     "DeadlineExceeded",
+    "Domain",
     "ExecutionContext",
     "FanoutError",
     "FaultPlan",

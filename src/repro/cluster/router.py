@@ -1206,9 +1206,11 @@ class ClusterRouter:
     def merged_metrics(self) -> dict[str, Any]:
         """One operator view over N registries: the router's own
         ``cluster.*`` metrics plus every live worker's snapshot, counters
-        and gauges summed, histograms merged conservatively (counts sum,
-        percentiles take the worst shard), with the raw per-shard
-        snapshots preserved under ``"shards"``."""
+        and gauges summed, histograms merged conservatively (``count`` and
+        ``sum`` add, ``min`` is the least, ``mean`` is recomputed, ``max``
+        and the percentiles take the worst shard; an empty histogram
+        contributes nothing), with the raw per-shard snapshots preserved
+        under ``"shards"``."""
         own = self.metrics.snapshot()
         counters: dict[str, float] = dict(own.get("counters", {}))
         gauges: dict[str, float] = dict(own.get("gauges", {}))
@@ -1229,12 +1231,18 @@ class ClusterRouter:
             for name, value in snapshot.get("gauges", {}).items():
                 gauges[name] = gauges.get(name, 0) + value
             for name, values in snapshot.get("histograms", {}).items():
-                merged = histograms.setdefault(name, {})
-                for stat, value in values.items():
-                    if stat == "count":
-                        merged[stat] = merged.get(stat, 0) + value
-                    else:
-                        merged[stat] = max(merged.get(stat, 0), value)
+                merged = histograms.get(name)
+                if merged is None or not merged["count"]:
+                    histograms[name] = dict(values)
+                elif values["count"]:
+                    for stat, value in values.items():
+                        if stat in ("count", "sum"):
+                            merged[stat] += value
+                        elif stat == "min":
+                            merged[stat] = min(merged[stat], value)
+                        else:
+                            merged[stat] = max(merged[stat], value)
+                    merged["mean"] = merged["sum"] / merged["count"]
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": dict(sorted(gauges.items())),

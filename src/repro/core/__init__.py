@@ -16,7 +16,6 @@ from repro.core.parallel import (
     parallel_site_query,
     sequential_site_query,
 )
-from repro.core.sessions import SESSIONS, build_all_builders, build_all_maps
 from repro.core.stats import (
     SiteTiming,
     format_timing_table,
@@ -35,13 +34,10 @@ __all__ = [
     "FetchTimeout",
     "ParallelOutcome",
     "RetryPolicy",
-    "SESSIONS",
     "SiteTiming",
     "TraceSpan",
     "WebBase",
     "WebBaseConfig",
-    "build_all_builders",
-    "build_all_maps",
     "format_timing_table",
     "parallel_site_query",
     "primary_relation",

@@ -1,14 +1,17 @@
 """The webbase facade: the paper's architecture, assembled.
 
-:class:`WebBase` wires the three layers together over a simulated Web:
+:class:`WebBase` wires the three layers together over a simulated Web,
+for whatever application domain it is handed (a
+:class:`~repro.domains.Domain`; the paper's used cars by default):
 
-* the designer sessions build navigation maps by example;
+* the domain's designer sessions build navigation maps by example;
 * the maps compile into navigation expressions and handles — the
   **virtual physical schema**;
-* Table 2's view definitions form the **logical schema**, behind the
-  always-present result-cache layer (a :class:`~repro.vps.cache.CachePolicy`
-  decides whether it stores anything);
-* the UsedCarUR concept hierarchy and compatibility rules form the
+* the domain's view definitions (for cars, Table 2) form the **logical
+  schema**, behind the always-present result-cache layer (a
+  :class:`~repro.vps.cache.CachePolicy` decides whether it stores
+  anything);
+* the domain's concept hierarchy and compatibility rules form the
   **external schema**, queried with ``SELECT ... WHERE ...``.
 
 Queries run on the parallel execution engine: every facade call gets (or
@@ -33,9 +36,7 @@ from repro.core.execution import (
 )
 from repro.core.metrics import MetricsRegistry
 from repro.core.resilience import ResilienceManager
-from repro.core.sessions import build_all_builders
-from repro.logical import car_logical_schema
-from repro.logical.mapping import car_catalog_stats
+from repro.domains import CARS, Domain
 from repro.logical.schema import LogicalSchema
 from repro.relational.cost import observe_trace
 from repro.navigation.builder import MapBuilder
@@ -43,20 +44,33 @@ from repro.navigation.compiler import CompiledSite, compile_map
 from repro.navigation.executor import NavigationExecutor
 from repro.relational.relation import Relation
 from repro.revisions import Revisions
-from repro.sites.world import World, build_world
 from repro.ur.planner import StructuredUR, URPlan
-from repro.ur.usedcars import build_used_car_ur
 from repro.vps.cache import ResultCache
 from repro.vps.schema import VpsSchema
+from repro.web.server import World
 
 
 class WebBase:
-    """A fully assembled webbase over the simulated car-domain Web."""
+    """A fully assembled webbase over one application domain's Web.
 
-    def __init__(self, world: World, config: WebBaseConfig | None = None) -> None:
+    The only place a stack is put together: ``domain`` says *what* is
+    mapped, viewed and queried (``repro.domains.CARS``, ``HARDWARE``,
+    ``JOBS``, or one of your own), ``config`` says *how* (workers, cache,
+    store, MQO, resilience), and every domain gets the same engine,
+    maintenance and EXPLAIN.  ``world`` must be one ``domain.build_world``
+    built; :meth:`create` builds it from the config's seed and size."""
+
+    def __init__(
+        self,
+        world: World,
+        config: WebBaseConfig | None = None,
+        domain: Domain = CARS,
+    ) -> None:
         self.config = config = config or WebBaseConfig()
         self.world = world
-        self.builders: dict[str, MapBuilder] = build_all_builders(world)
+        self.builders: dict[str, MapBuilder] = {
+            host: session(world) for host, session in domain.sessions.items()
+        }
         self.compiled: dict[str, CompiledSite] = {
             host: compile_map(builder.map) for host, builder in self.builders.items()
         }
@@ -81,11 +95,15 @@ class WebBase:
         self.resilience = ResilienceManager(
             config.resilience, metrics=self.metrics, cache=self.cache
         )
-        self.logical: LogicalSchema = car_logical_schema(self.cache)
-        self.ur: StructuredUR = build_used_car_ur(
+        self.logical: LogicalSchema = domain.logical_schema(self.cache)
+        self.ur = StructuredUR(
             self.logical,
+            domain.hierarchy(),
+            domain.rules,
+            domain.relations,
             optimizer=config.optimizer,
-            stats=car_catalog_stats(self.logical, config.ads_per_host),
+            stats=domain.catalog_stats
+            and domain.catalog_stats(self.logical, config.ads_per_host),
             metrics=self.metrics,
         )
         if config.faults is not None:
@@ -186,12 +204,14 @@ class WebBase:
         }
 
     @classmethod
-    def create(cls, config: WebBaseConfig | None = None) -> "WebBase":
-        """Build the simulated Web per ``config`` and assemble the webbase
-        (the canonical constructor)."""
+    def create(
+        cls, config: WebBaseConfig | None = None, domain: Domain = CARS
+    ) -> "WebBase":
+        """Build ``domain``'s simulated Web per ``config`` and assemble the
+        webbase (the canonical constructor)."""
         config = config or WebBaseConfig()
-        world = build_world(seed=config.seed, ads_per_host=config.ads_per_host)
-        return cls(world, config=config)
+        world = domain.build_world(config.seed, config.ads_per_host)
+        return cls(world, config=config, domain=domain)
 
     # -- the execution engine ---------------------------------------------------
 

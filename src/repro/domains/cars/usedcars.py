@@ -9,48 +9,31 @@ is advertised at one kind of source).
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.logical.schema import LogicalSchema
-from repro.relational.cost import CatalogStats
 from repro.ur.compat import CompatibilityRule, allows, excludes, mutually_exclusive
-from repro.ur.concepts import Concept, used_car_hierarchy
-from repro.ur.planner import StructuredUR
+from repro.ur.concepts import Concept
 
 UR_RELATIONS = ["classifieds", "dealers", "blue_price", "reliability", "interest"]
+
+
+def used_car_hierarchy() -> Concept:
+    """The concept hierarchy of our UsedCarUR (the Figure 5 instance,
+    extended with the attributes our logical schema actually carries)."""
+    root = Concept("UsedCarUR")
+    root.add(
+        Concept("Car").add("make", "model", "year"),
+        Concept("Advert").add("price", "contact", "features", "zip"),
+        Concept("Value").add("bb_price", "condition"),
+        Concept("Safety").add("safety"),
+        Concept("Financing").add("duration", "rate"),
+    )
+    root.validate()
+    return root
 
 
 def used_car_rules() -> list[CompatibilityRule]:
     rules = allows(*UR_RELATIONS)
     rules += mutually_exclusive("classifieds", "dealers")
     return rules
-
-
-def build_used_car_ur(
-    logical: LogicalSchema,
-    optimizer: str = "cost",
-    stats: CatalogStats | None = None,
-    metrics: Any = None,
-) -> StructuredUR:
-    """The UsedCarUR over an assembled logical schema.
-
-    ``optimizer="cost"`` orders each maximal object's join with the
-    cost-based planner (seeded by ``stats``, self-correcting through
-    ``metrics``); ``"off"`` keeps the legacy first-feasible order.
-    """
-    if stats is None and optimizer == "cost":
-        from repro.logical.mapping import car_catalog_stats
-
-        stats = car_catalog_stats(logical)
-    return StructuredUR(
-        logical=logical,
-        hierarchy=used_car_hierarchy(),
-        rules=used_car_rules(),
-        relations=UR_RELATIONS,
-        optimizer=optimizer,
-        stats=stats,
-        metrics=metrics,
-    )
 
 
 # -- Example 6.2: the abstract insurance/financing universe ---------------------------

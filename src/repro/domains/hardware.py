@@ -3,8 +3,8 @@
 Section 2 calls out "used car ads, computer equipment, etc." as the
 domains external schemas are built for.  This is the computer-equipment
 webbase: two mail-order vendors with different vocabularies plus a
-hardware-review site, assembled from the library's public machinery just
-like the cars and jobs domains.
+hardware-review site, written down as the :data:`HARDWARE` domain value
+and run — like cars and jobs — by ``WebBase(world, config, HARDWARE)``.
 
 Flagship query: *laptops under $2,500 with a review rating of 4 or
 better* — prices from whichever vendor carries the machine, ratings from
@@ -15,22 +15,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
+from repro.domains import Domain
+from repro.domains.designer import follow_more, mark_table, open_session
 from repro.logical.schema import LogicalSchema
 from repro.logical.standardize import to_percent, to_usd
 from repro.navigation.builder import MapBuilder
-from repro.navigation.compiler import compile_map
-from repro.navigation.executor import NavigationExecutor
 from repro.relational.algebra import Base as BaseRel
-from repro.relational.algebra import Derive, Project, Union, rename
-from repro.ur.compat import allows, mutually_exclusive
+from repro.relational.algebra import Catalog, Derive, Project, Union, rename
+from repro.ur.compat import allows
 from repro.ur.concepts import Concept
-from repro.ur.planner import StructuredUR
-from repro.vps.schema import VpsSchema
 from repro.web import html as H
-from repro.web.browser import Browser
 from repro.web.http import Request, Url
-from repro.web.server import Site, WebServer
+from repro.web.server import Site, WebServer, World
 
 CATEGORIES = ["laptop", "desktop", "monitor", "printer"]
 BRANDS = ["ibm", "compaq", "dell", "apple", "hp"]
@@ -45,6 +43,21 @@ MODELS = {
 WAREHOUSE_HOST = "www.compuwarehouse.com"
 PCDIRECT_HOST = "www.pcdirect.com"
 REVIEWS_HOST = "www.hardwarereviews.net"
+
+#: The two vendors: host -> (entry link, VPS relation, the listing columns
+#: in the site's own vocabulary — category, brand, model, price).
+VENDORS = {
+    WAREHOUSE_HOST: (
+        "Shop Online",
+        "warehouse",
+        ["category", "brand", "model", "price"],
+    ),
+    PCDIRECT_HOST: (
+        "Direct Sales",
+        "pcdirect",
+        ["type", "maker", "model", "our_price"],
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -116,21 +129,12 @@ class HardwareDataset:
 class _VendorSite(Site):
     """Shared vendor skeleton; vocabulary injected per store."""
 
-    def __init__(
-        self,
-        host: str,
-        dataset: HardwareDataset,
-        category_field: str,
-        brand_field: str,
-        headers: list[str],
-        link_name: str,
-    ) -> None:
+    def __init__(self, host: str, dataset: HardwareDataset) -> None:
         super().__init__(host)
         self.dataset = dataset
-        self.category_field = category_field
-        self.brand_field = brand_field
-        self.headers = headers
-        self.link_name = link_name
+        self.link_name, _relation, columns = VENDORS[host]
+        self.category_field, self.brand_field = columns[:2]
+        self.headers = [column.replace("_", " ").title() for column in columns]
         self.route("/", self.entry)
         self.route("/catalog", self.search)
         self.route("/cgi-bin/stock", self.results)
@@ -200,70 +204,39 @@ class ReviewsSite(Site):
         return H.page("Ratings", H.table(["Brand", "Model", "Rating"], rows))
 
 
-@dataclass
-class HardwareWorld:
-    server: WebServer
-    dataset: HardwareDataset
-
-
-def build_hardware_world(seed: int = 1998, listings_per_host: int = 50) -> HardwareWorld:
+def build_hardware_world(seed: int = 1998, listings_per_host: int = 50) -> World:
     dataset = HardwareDataset(seed=seed, listings_per_host=listings_per_host)
     server = WebServer()
-    server.add_site(
-        _VendorSite(
-            WAREHOUSE_HOST,
-            dataset,
-            category_field="category",
-            brand_field="brand",
-            headers=["Category", "Brand", "Model", "Price"],
-            link_name="Shop Online",
-        )
-    )
-    server.add_site(
-        _VendorSite(
-            PCDIRECT_HOST,
-            dataset,
-            category_field="type",
-            brand_field="maker",
-            headers=["Type", "Maker", "Model", "Our Price"],
-            link_name="Direct Sales",
-        )
-    )
+    for host in VENDORS:
+        server.add_site(_VendorSite(host, dataset))
     server.add_site(ReviewsSite(dataset))
-    return HardwareWorld(server=server, dataset=dataset)
+    return World(server=server, dataset=dataset)
 
 
-def _map_vendor(world: HardwareWorld, host: str, link_name: str, columns: list[str], relation: str, category_value: str) -> MapBuilder:
-    browser = Browser(world.server)
-    builder = MapBuilder(host)
-    browser.subscribe(builder)
-    browser.get("http://%s/" % host)
+def _map_vendor(world: World, host: str) -> MapBuilder:
+    """Browse one vendor's laptop shelf to its last page, marking the
+    first listing."""
+    link_name, relation, columns = VENDORS[host]
+    browser, builder = open_session(world, host)
     browser.follow_named(link_name)
-    field = "category" if host == WAREHOUSE_HOST else "type"
-    page = browser.submit_by_attribute({field: category_value})
-    first = page.tables()[0][1]
-    builder.mark_data_page(relation, dict(zip(columns, first)))
-    while browser.page.has_link_named("More"):
-        browser.follow_named("More")
+    page = browser.submit_by_attribute({columns[0]: "laptop"})
+    mark_table(builder, page, relation, columns)
+    follow_more(browser)
     return builder
 
 
-def _map_reviews(world: HardwareWorld) -> MapBuilder:
-    browser = Browser(world.server)
-    builder = MapBuilder(REVIEWS_HOST)
-    browser.subscribe(builder)
-    browser.get("http://%s/" % REVIEWS_HOST)
+def _map_reviews(world: World) -> MapBuilder:
+    browser, builder = open_session(world, REVIEWS_HOST)
     browser.follow_named("Ratings")
     page = browser.submit_by_attribute({"brand": "ibm"})
-    first = page.tables()[0][1]
-    builder.mark_data_page("reviews", dict(zip(["brand", "model", "rating"], first)))
+    mark_table(builder, page, "reviews", ["brand", "model", "rating"])
     return builder
 
 
 LISTING_SCHEMA = ("category", "brand", "model", "price")
 
 
-def hardware_logical_schema(vps: VpsSchema) -> LogicalSchema:
+def hardware_logical_schema(vps: Catalog) -> LogicalSchema:
     logical = LogicalSchema(vps)
     warehouse = Project(
         Derive(BaseRel("warehouse"), "price", lambda r: to_usd(r.get("price"))),
@@ -299,44 +272,14 @@ def hardware_hierarchy() -> Concept:
     return root
 
 
-class HardwareWebBase:
-    """The computer-equipment webbase."""
-
-    def __init__(self, seed: int = 1998, listings_per_host: int = 50) -> None:
-        self.world = build_hardware_world(seed=seed, listings_per_host=listings_per_host)
-        self.builders = {
-            WAREHOUSE_HOST: _map_vendor(
-                self.world,
-                WAREHOUSE_HOST,
-                "Shop Online",
-                ["category", "brand", "model", "price"],
-                "warehouse",
-                "laptop",
-            ),
-            PCDIRECT_HOST: _map_vendor(
-                self.world,
-                PCDIRECT_HOST,
-                "Direct Sales",
-                ["type", "maker", "model", "our_price"],
-                "pcdirect",
-                "laptop",
-            ),
-            REVIEWS_HOST: _map_reviews(self.world),
-        }
-        self.executor = NavigationExecutor(self.world.server)
-        self.vps = VpsSchema(self.executor)
-        for builder in self.builders.values():
-            self.vps.add_compiled_site(compile_map(builder.map))
-        self.logical = hardware_logical_schema(self.vps)
-        self.ur = StructuredUR(
-            logical=self.logical,
-            hierarchy=hardware_hierarchy(),
-            rules=allows("stock", "ratings"),
-            relations=["stock", "ratings"],
-        )
-
-    def query(self, text: str):
-        return self.ur.answer(text)
-
-    def plan(self, text: str):
-        return self.ur.plan(text)
+HARDWARE = Domain(
+    build_world=build_hardware_world,
+    sessions={
+        **{host: partial(_map_vendor, host=host) for host in VENDORS},
+        REVIEWS_HOST: _map_reviews,
+    },
+    logical_schema=hardware_logical_schema,
+    hierarchy=hardware_hierarchy,
+    rules=tuple(allows("stock", "ratings")),
+    relations=("stock", "ratings"),
+)

@@ -4,8 +4,10 @@ Section 2: the external schema "targets specific application domains
 (e.g., used car ads, computer equipment, etc.)" and Section 6 expects
 webbases to be "designed for application domains (such as cars, jobs,
 houses) by the experts in those domains".  This module is that exercise
-for *jobs*, built entirely from the library's public machinery — nothing
-here is car-specific, which is the point:
+for *jobs*: everything a domain expert writes down, gathered into the
+:data:`JOBS` domain value and run by ``WebBase(world, config, JOBS)`` —
+nothing here is car-specific, and nothing here assembles a stack, which
+is the point:
 
 * a deterministic dataset of postings and salary-survey medians;
 * two job boards with different vocabularies (MonsterBoard's
@@ -24,21 +26,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.domains import Domain
+from repro.domains.designer import follow_more, mark_block, mark_table, open_session
 from repro.logical.schema import LogicalSchema
 from repro.logical.standardize import to_usd
 from repro.navigation.builder import MapBuilder
-from repro.navigation.compiler import compile_map
-from repro.navigation.executor import NavigationExecutor
-from repro.relational.algebra import Derive, Project, Union, rename
+from repro.relational.algebra import Catalog, Derive, Project, Union, rename
 from repro.relational.algebra import Base as BaseRel
 from repro.ur.compat import allows
 from repro.ur.concepts import Concept
-from repro.ur.planner import StructuredUR
-from repro.vps.schema import VpsSchema
 from repro.web import html as H
-from repro.web.browser import Browser
 from repro.web.http import Request, Url
-from repro.web.server import Site, WebServer
+from repro.web.server import Site, WebServer, World
 
 TITLES = ["software engineer", "dba", "web designer", "sysadmin", "analyst"]
 CITIES = ["new york", "boston", "chicago", "austin", "seattle"]
@@ -280,77 +279,50 @@ class SalarySurveySite(Site):
         )
 
 
-# -- assembling the jobs webbase ----------------------------------------------------------
+# -- the jobs domain: world, sessions, views, universal relation ------------------
 
 
-@dataclass
-class JobsWorld:
-    server: WebServer
-    dataset: JobsDataset
-
-
-def build_jobs_world(seed: int = 2026, postings_per_host: int = 60) -> JobsWorld:
+def build_jobs_world(seed: int = 2026, postings_per_host: int = 60) -> World:
     dataset = JobsDataset(seed=seed, postings_per_host=postings_per_host)
     server = WebServer()
     server.add_site(MonsterBoardSite(dataset))
     server.add_site(CareerPathSite(dataset))
     server.add_site(SalarySurveySite(dataset))
-    return JobsWorld(server=server, dataset=dataset)
+    return World(server=server, dataset=dataset)
 
 
-def _map_monster(world: JobsWorld) -> MapBuilder:
-    browser = Browser(world.server)
-    builder = MapBuilder(MONSTER_HOST)
-    browser.subscribe(builder)
-    browser.get("http://%s/" % MONSTER_HOST)
+def _map_monster(world: World) -> MapBuilder:
+    browser, builder = open_session(world, MONSTER_HOST)
     browser.follow_named("Find Jobs")
     page = browser.submit_by_attribute({"title": "software engineer"})
-    first = page.tables()[0][1]
-    builder.mark_data_page(
-        "monster",
-        dict(zip(["title", "city", "company", "salary", "contact"], first)),
-    )
-    while browser.page.has_link_named("More"):
-        browser.follow_named("More")
+    columns = ["title", "city", "company", "salary", "contact"]
+    mark_table(builder, page, "monster", columns)
+    follow_more(browser)
     return builder
 
 
-def _map_careerpath(world: JobsWorld) -> MapBuilder:
-    browser = Browser(world.server)
-    builder = MapBuilder(CAREER_HOST)
-    browser.subscribe(builder)
-    browser.get("http://%s/" % CAREER_HOST)
+def _map_careerpath(world: World) -> MapBuilder:
+    browser, builder = open_session(world, CAREER_HOST)
     browser.follow_named("Job Listings")
     page = browser.submit_by_attribute({"position": "software engineer"})
-    first_dl = page.dom.find_all("dl")[0]
-    values = [dd.text() for dd in first_dl.find_all("dd")]
-    builder.mark_data_page(
-        "careerpath",
-        dict(zip(["position", "location", "employer", "pay", "apply"], values)),
-    )
-    while browser.page.has_link_named("More"):
-        browser.follow_named("More")
+    labels = ["position", "location", "employer", "pay", "apply"]
+    mark_block(builder, page, "careerpath", labels)
+    follow_more(browser)
     return builder
 
 
-def _map_survey(world: JobsWorld) -> MapBuilder:
-    browser = Browser(world.server)
-    builder = MapBuilder(SURVEY_HOST)
-    browser.subscribe(builder)
-    browser.get("http://%s/" % SURVEY_HOST)
+def _map_survey(world: World) -> MapBuilder:
+    browser, builder = open_session(world, SURVEY_HOST)
     browser.follow_named("Salary Data")
     page = browser.submit_by_attribute({"title": "dba"})
-    first = page.tables()[0][1]
-    builder.mark_data_page(
-        "survey", dict(zip(["title", "city", "median_salary"], first))
-    )
+    mark_table(builder, page, "survey", ["title", "city", "median_salary"])
     return builder
 
 
 POSTING_SCHEMA = ("title", "city", "company", "salary", "contact")
 
 
-def jobs_logical_schema(vps: VpsSchema) -> LogicalSchema:
+def jobs_logical_schema(vps: Catalog) -> LogicalSchema:
     logical = LogicalSchema(vps)
     monster = Project(
         Derive(BaseRel("monster"), "salary", lambda r: to_usd(r.get("salary"))),
@@ -396,30 +368,15 @@ def jobs_hierarchy() -> Concept:
     return root
 
 
-class JobsWebBase:
-    """The jobs-domain webbase: the same three layers, new domain."""
-
-    def __init__(self, seed: int = 2026, postings_per_host: int = 60) -> None:
-        self.world = build_jobs_world(seed=seed, postings_per_host=postings_per_host)
-        self.builders = {
-            MONSTER_HOST: _map_monster(self.world),
-            CAREER_HOST: _map_careerpath(self.world),
-            SURVEY_HOST: _map_survey(self.world),
-        }
-        self.executor = NavigationExecutor(self.world.server)
-        self.vps = VpsSchema(self.executor)
-        for builder in self.builders.values():
-            self.vps.add_compiled_site(compile_map(builder.map))
-        self.logical = jobs_logical_schema(self.vps)
-        self.ur = StructuredUR(
-            logical=self.logical,
-            hierarchy=jobs_hierarchy(),
-            rules=allows("postings", "market"),
-            relations=["postings", "market"],
-        )
-
-    def query(self, text: str):
-        return self.ur.answer(text)
-
-    def plan(self, text: str):
-        return self.ur.plan(text)
+JOBS = Domain(
+    build_world=build_jobs_world,
+    sessions={
+        MONSTER_HOST: _map_monster,
+        CAREER_HOST: _map_careerpath,
+        SURVEY_HOST: _map_survey,
+    },
+    logical_schema=jobs_logical_schema,
+    hierarchy=jobs_hierarchy,
+    rules=tuple(allows("postings", "market")),
+    relations=("postings", "market"),
+)

@@ -8,7 +8,6 @@ from repro.logical.datalog import (
     define_datalog_views,
     parse_datalog,
 )
-from repro.logical.mapping import car_logical_schema
 from repro.logical.schema import LogicalRelation, LogicalSchema
 from repro.logical.standardize import (
     edit_distance,
@@ -24,7 +23,6 @@ __all__ = [
     "DatalogRule",
     "LogicalRelation",
     "LogicalSchema",
-    "car_logical_schema",
     "compile_program",
     "compile_rule",
     "define_datalog_views",

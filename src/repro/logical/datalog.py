@@ -2,9 +2,9 @@
 
 Section 5: the logical-to-VPS mapping "can be done using conventional
 techniques (e.g., relational algebra, or Datalog rules)".  The hand-built
-algebra views live in :mod:`repro.logical.mapping`; this module provides
-the Datalog alternative: conjunctive rules over VPS relations, compiled
-into the same binding-aware algebra.
+algebra views live with their domain (:mod:`repro.domains.cars.mapping`);
+this module provides the Datalog alternative: conjunctive rules over VPS
+relations, compiled into the same binding-aware algebra.
 
 Syntax (classic positional Datalog)::
 

@@ -15,7 +15,7 @@ from repro.sites.dataset import (
     SafetyRating,
     generate,
 )
-from repro.sites.world import TIMING_TABLE_HOSTS, World, build_world
+from repro.sites.world import TIMING_TABLE_HOSTS, build_world
 
 __all__ = [
     "Ad",
@@ -25,7 +25,6 @@ __all__ = [
     "FinanceRate",
     "SafetyRating",
     "TIMING_TABLE_HOSTS",
-    "World",
     "build_world",
     "generate",
 ]

@@ -9,7 +9,6 @@ site (as the paper's does) but is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.sites import (
     caranddriver,
@@ -22,9 +21,9 @@ from repro.sites import (
     usedcarmart,
 )
 from repro.sites.base import CarSite
-from repro.sites.dataset import Ad, Car, Dataset, FEATURE_POOL, NY_ZIPCODES, generate
+from repro.sites.dataset import Ad, Car, FEATURE_POOL, NY_ZIPCODES, generate
 from repro.web.clock import LatencyModel
-from repro.web.server import Site, WebServer
+from repro.web.server import Site, WebServer, World
 
 # The ten sites of the paper's Section 7 timing table, plus the two
 # non-classified sources (blue book, reliability, finance) from Table 1.
@@ -40,17 +39,6 @@ TIMING_TABLE_HOSTS = [
     "cars.yahoo.com",
     "www.kbb.com",
 ]
-
-
-@dataclass
-class World:
-    """The assembled simulated Web plus its backing dataset."""
-
-    server: WebServer
-    dataset: Dataset
-
-    def site(self, host: str) -> Site:
-        return self.server.site(host)
 
 
 def mutate_site_listings(

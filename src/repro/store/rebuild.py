@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.domains import CARS, Domain
 from repro.store.log import RecordLog
 from repro.store.tiered import KeyPairs, TieredStore, key_to_json
 from repro.web.clock import LatencyModel
@@ -179,8 +180,14 @@ def _build_replay_vps(store: TieredStore) -> tuple[Any, ReplayServer]:
     return vps, server
 
 
-def rebuild(store: TieredStore, write: bool = True) -> RebuildReport:
+def rebuild(
+    store: TieredStore, write: bool = True, domain: Domain = CARS
+) -> RebuildReport:
     """Re-derive silver from bronze and gold from silver; compare both.
+
+    ``domain`` must be the one whose webbase wrote the store: its logical
+    views and universal relation re-answer the gold queries (the VPS
+    itself is recompiled from the persisted navigation maps).
 
     When ``write`` is true the canonical rebuilt segments are written to
     ``silver.rebuilt`` / ``gold.rebuilt`` in the store directory (framed
@@ -189,6 +196,7 @@ def rebuild(store: TieredStore, write: bool = True) -> RebuildReport:
     """
     from repro.errors import WebBaseError
     from repro.relational.relation import Relation
+    from repro.ur.planner import StructuredUR
 
     report = RebuildReport()
     vps, _server = _build_replay_vps(store)
@@ -241,16 +249,14 @@ def rebuild(store: TieredStore, write: bool = True) -> RebuildReport:
         )
 
     # -- gold from silver ----------------------------------------------------
-    from repro.logical.mapping import car_logical_schema
-    from repro.ur.usedcars import build_used_car_ur
-
     segments = {
         identity: Relation(record["schema"], [tuple(row) for row in record["rows"]])
         for identity, record in rebuilt.items()
     }
-    catalog = _SilverBackedCatalog(vps, segments)
-    logical = car_logical_schema(catalog)
-    ur = build_used_car_ur(logical, optimizer="off")
+    logical = domain.logical_schema(_SilverBackedCatalog(vps, segments))
+    ur = StructuredUR(
+        logical, domain.hierarchy(), domain.rules, domain.relations, optimizer="off"
+    )
     rebuilt_gold: list[dict[str, Any]] = []
     for record in store.current_answers():
         label = record["query"]

@@ -9,27 +9,16 @@ from repro.ur.compat import (
     mutually_exclusive,
     requires,
 )
-from repro.ur.concepts import Concept, ConceptError, used_car_hierarchy
+from repro.ur.concepts import Concept, ConceptError
 from repro.ur.maximal import covering_objects, maximal_objects
 from repro.ur.planner import ObjectPlan, PlanError, StructuredUR, URPlan
 from repro.ur.query import QueryParseError, URQuery, parse_query
-from repro.ur.usedcars import (
-    EXAMPLE_62_EXPECTED,
-    EXAMPLE_62_RELATIONS,
-    UR_RELATIONS,
-    build_used_car_ur,
-    example_62_hierarchy,
-    example_62_rules,
-    used_car_rules,
-)
 
 __all__ = [
     "BuilderError",
     "CompatibilityRule",
     "Concept",
     "ConceptError",
-    "EXAMPLE_62_EXPECTED",
-    "EXAMPLE_62_RELATIONS",
     "ObjectPlan",
     "PlanError",
     "QueryBuilder",
@@ -37,18 +26,12 @@ __all__ = [
     "StructuredUR",
     "URPlan",
     "URQuery",
-    "UR_RELATIONS",
     "allows",
-    "build_used_car_ur",
     "covering_objects",
-    "example_62_hierarchy",
-    "example_62_rules",
     "excludes",
     "is_compatible",
     "maximal_objects",
     "mutually_exclusive",
     "parse_query",
     "requires",
-    "used_car_hierarchy",
-    "used_car_rules",
 ]

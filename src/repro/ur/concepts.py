@@ -93,18 +93,3 @@ class Concept:
         for child in self.children:
             lines.append(child.pretty(indent + 1))
         return "\n".join(lines)
-
-
-def used_car_hierarchy() -> Concept:
-    """The concept hierarchy of our UsedCarUR (the Figure 5 instance,
-    extended with the attributes our logical schema actually carries)."""
-    root = Concept("UsedCarUR")
-    root.add(
-        Concept("Car").add("make", "model", "year"),
-        Concept("Advert").add("price", "contact", "features", "zip"),
-        Concept("Value").add("bb_price", "condition"),
-        Concept("Safety").add("safety"),
-        Concept("Financing").add("duration", "rate"),
-    )
-    root.validate()
-    return root

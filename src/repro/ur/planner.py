@@ -13,7 +13,7 @@ from __future__ import annotations
 import queue as queue_mod
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.logical.schema import LogicalSchema
 from repro.relational.algebra import (
@@ -114,8 +114,8 @@ class StructuredUR:
         self,
         logical: LogicalSchema,
         hierarchy: Concept,
-        rules: list[CompatibilityRule],
-        relations: list[str] | None = None,
+        rules: Iterable[CompatibilityRule],
+        relations: Iterable[str] | None = None,
         optimize_plans: bool = True,
         optimizer: str = "cost",
         stats: CatalogStats | None = None,

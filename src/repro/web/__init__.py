@@ -18,7 +18,7 @@ from repro.web.html import Element, RenderStyle, el, page
 from repro.web.htmlparser import HtmlNode, parse_html
 from repro.web.http import Request, Response, Url, parse_url
 from repro.web.page import FormSpec, Link, WebPage, Widget, parse_page
-from repro.web.server import HttpError, Site, TrafficStats, WebServer
+from repro.web.server import HttpError, Site, TrafficStats, WebServer, World
 
 __all__ = [
     "ActionEvent",
@@ -42,6 +42,7 @@ __all__ = [
     "WebPage",
     "WebServer",
     "Widget",
+    "World",
     "el",
     "page",
     "parse_html",

@@ -233,3 +233,15 @@ class WebServer:
     def reset_stats(self) -> None:
         for host in self.stats:
             self.stats[host] = TrafficStats()
+
+
+@dataclass
+class World:
+    """One application domain's simulated Web: the server hosting its
+    sites, plus the dataset behind them (the tests' ground truth)."""
+
+    server: WebServer
+    dataset: Any
+
+    def site(self, host: str) -> Site:
+        return self.server.site(host)

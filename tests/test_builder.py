@@ -160,7 +160,7 @@ class TestRowLinks:
 
 class TestAutomationReport:
     def test_ratio_under_five_percent_for_newsday(self, world):
-        from repro.core.sessions import map_newsday
+        from repro.domains.cars.sessions import map_newsday
 
         builder = map_newsday(world)
         report = builder.automation_report()

@@ -200,6 +200,25 @@ class TestFederation:
             for snap in merged["shards"].values()
         )
         assert merged["counters"]["service.completed"] == per_shard
+        # Histograms: count and sum add, min is the least, the mean is
+        # recomputed; max and the percentiles keep the worst shard.
+        widest = 0
+        for name, whole in merged["histograms"].items():
+            parts = [
+                snap["histograms"][name]
+                for snap in merged["shards"].values()
+                if snap["histograms"].get(name, {}).get("count")
+            ]
+            if not parts:
+                continue  # the router's own
+            widest = max(widest, len(parts))
+            assert whole["count"] == sum(h["count"] for h in parts), name
+            assert whole["sum"] == pytest.approx(sum(h["sum"] for h in parts)), name
+            assert whole["mean"] == pytest.approx(whole["sum"] / whole["count"]), name
+            assert whole["min"] == min(h["min"] for h in parts), name
+            assert whole["max"] == max(h["max"] for h in parts), name
+            assert whole["p95"] == max(h["p95"] for h in parts), name
+        assert widest >= 2, "some histogram must span shards for this to bite"
 
     @pytest.mark.parametrize("noticed_by", ["advance_revision", "lookup", "publish"])
     def test_an_eviction_is_counted_once_whichever_call_noticed(self, noticed_by):

@@ -6,7 +6,12 @@ from repro.flogic.formulas import Choice, Pred, Serial
 from repro.flogic.syntax import parse_rules
 from repro.navigation.compiler import CompileError, compile_map
 from repro.navigation.navmap import NavigationMap
-from repro.core.sessions import map_kellys, map_newsday, map_nytimes, map_yahoocars
+from repro.domains.cars.sessions import (
+    map_kellys,
+    map_newsday,
+    map_nytimes,
+    map_yahoocars,
+)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.sessions import map_kellys, map_newsday, map_nytimes, map_yahoocars
+from repro.domains.cars.sessions import (
+    map_kellys,
+    map_newsday,
+    map_nytimes,
+    map_yahoocars,
+)
 from repro.navigation.compiler import compile_map
 from repro.navigation.executor import ExecutorError, NavigationExecutor
 from repro.sites.world import build_world

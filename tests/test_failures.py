@@ -10,7 +10,7 @@ semantics allow, and maintenance reports the damage.
 
 import pytest
 
-from repro.core.sessions import map_newsday, map_nytimes
+from repro.domains.cars.sessions import map_newsday, map_nytimes
 from repro.core.webbase import WebBase
 from repro.navigation.compiler import compile_map
 from repro.navigation.executor import NavigationExecutor

@@ -24,7 +24,7 @@ class TestAgreementVerifier:
 
     def test_disagreement_detected_on_broken_site(self, fresh_world):
         """Sabotage: the by-zip form quietly drops one listing."""
-        from repro.core.sessions import map_usedcarmart
+        from repro.domains.cars.sessions import map_usedcarmart
         from repro.navigation.compiler import compile_map
         from repro.navigation.executor import NavigationExecutor
         from repro.vps.schema import VpsSchema

@@ -1,21 +1,23 @@
-"""Tests for the computer-equipment domain."""
+"""Tests for the computer-equipment domain, run on the one ``WebBase``
+(``tests/test_domains.py`` drives it through cache, store and MQO)."""
 
 import pytest
 
+from repro import WebBase
 from repro.domains.hardware import (
     BRANDS,
+    HARDWARE,
     PCDIRECT_HOST,
     REVIEWS_HOST,
     WAREHOUSE_HOST,
     HardwareDataset,
-    HardwareWebBase,
     build_hardware_world,
 )
 
 
 @pytest.fixture(scope="module")
 def hardware():
-    return HardwareWebBase()
+    return WebBase(HARDWARE.build_world(1998, 50), domain=HARDWARE)
 
 
 class TestDataset:

@@ -1,22 +1,25 @@
-"""Tests for the jobs application domain (framework domain-independence)."""
+"""Tests for the jobs application domain (framework domain-independence),
+run on the one ``WebBase`` (``tests/test_domains.py`` drives it through
+cache, store and MQO)."""
 
 import pytest
 
+from repro import WebBase
 from repro.domains.jobs import (
     CAREER_HOST,
     CITIES,
+    JOBS,
     MONSTER_HOST,
     SURVEY_HOST,
     TITLES,
     JobsDataset,
-    JobsWebBase,
     build_jobs_world,
 )
 
 
 @pytest.fixture(scope="module")
 def jobs():
-    return JobsWebBase()
+    return WebBase(JOBS.build_world(2026, 60), domain=JOBS)
 
 
 class TestDataset:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sessions import map_kellys, map_newsday
+from repro.domains.cars.sessions import map_kellys, map_newsday
 from repro.navigation.maintenance import apply_auto_changes, check_site
 from repro.sites.world import build_world
 from repro.web import html as H

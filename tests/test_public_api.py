@@ -1,11 +1,13 @@
 """Tests of the top-level public API surface.
 
-Includes four mechanical consistency audits, so drift fails loudly:
+Includes five mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
 * no module of the bottom layer, ``repro.web``, imports from a layer
   built on top of it;
+* no layer imports an application domain: the engine takes a ``Domain``
+  as an argument, and a domain never imports the facade;
 * there is one staleness authority (``repro.revisions``) and one
   dependency derivation (the plan's): no other module keeps its own
   revision table, and none builds a host set from a trace's fetch spans;
@@ -24,6 +26,7 @@ from repro import QueryBuilder, WebBase, build_world
 from repro.core.metrics import NAME_PATTERN
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 
 class TestTopLevel:
@@ -61,6 +64,33 @@ def _public_imports(path: Path) -> list:
     return found
 
 
+def _imports(source: Path) -> list:
+    """Every ``repro`` import in ``source`` as ``(function, target)`` —
+    module-level or nested; ``function`` names the innermost enclosing
+    def ("" at module level).  ``from repro.a import b`` yields both
+    ``repro.a`` and ``repro.a.b``, since ``b`` may be a submodule."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        targets = []
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module != "repro":
+                targets.append(node.module)
+            targets += ["%s.%s" % (node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        found.extend(
+            (function, target) for target in targets if target.startswith("repro.")
+        )
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source.read_text(), filename=str(source)), "")
+    return found
+
+
 class TestPublicImportLint:
     def test_tests_and_benchmarks_import_only_the_public_api(self):
         imports = _public_imports(REPO / "tests") + _public_imports(
@@ -78,26 +108,66 @@ class TestPublicImportLint:
         """``repro.web`` is the bottom layer: no module in it may reach up
         into the layers built on it — at module level or inside a function."""
         above = ("vps", "core", "mqo", "cluster", "service")
-        modules = sorted((REPO / "src" / "repro" / "web").rglob("*.py"))
+        modules = sorted((SRC / "web").rglob("*.py"))
         assert modules, "the audit must actually see the web layer"
+        offenders = [
+            "%s imports %s" % (source.relative_to(REPO), target)
+            for source in modules
+            for _function, target in _imports(source)
+            if target.split(".")[1] in above
+        ]
+        assert offenders == []
+
+    def test_no_layer_imports_a_domain(self):
+        """The layers are domain-independent (the paper's claim): none of
+        them imports the car world (``repro.sites``) or any one domain's
+        module, and the only edge into domain code is the ``Domain`` type
+        and the ``CARS`` default, taken by the two places a stack is
+        assembled.  The named exceptions are the whole list."""
+        layers = (
+            "web flogic navigation vps relational logical ur mqo store core "
+            "service cluster"
+        ).split()
+        assemblers = {"core/webbase.py", "store/rebuild.py"}
+        exceptions = {
+            # The paper's Section 7 timing table is over TIMING_TABLE_HOSTS.
+            ("core/stats.py", "", "repro.sites.world"),
+            ("core/parallel.py", "", "repro.sites.world"),
+            # The harness-only churn op mutates the simulated car sites.
+            ("service/server.py", "_mutate", "repro.sites.world"),
+        }
         offenders = []
-        for source in modules:
-            tree = ast.parse(source.read_text(), filename=str(source))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom) and node.level == 0:
-                    targets = [node.module or ""]
-                    if node.module == "repro":
-                        targets = ["repro.%s" % alias.name for alias in node.names]
-                elif isinstance(node, ast.Import):
-                    targets = [alias.name for alias in node.names]
-                else:
-                    continue
-                for target in targets:
-                    package, _, rest = target.partition(".")
-                    if package == "repro" and rest.split(".")[0] in above:
-                        offenders.append(
-                            "%s imports %s" % (source.relative_to(REPO), target)
-                        )
+        for layer in layers:
+            modules = sorted((SRC / layer).rglob("*.py"))
+            assert modules, "the audit must actually see repro.%s" % layer
+            for source in modules:
+                relative = source.relative_to(SRC).as_posix()
+                for function, target in _imports(source):
+                    if target in ("repro.domains.Domain", "repro.domains.CARS"):
+                        continue  # names of the package, not submodules
+                    if target == "repro.domains":
+                        allowed = relative in assemblers
+                    else:
+                        allowed = target.split(".")[1] not in ("sites", "domains") or (
+                            relative,
+                            function,
+                            ".".join(target.split(".")[:3]),
+                        ) in exceptions
+                    if not allowed:
+                        offenders.append("%s imports %s" % (relative, target))
+        assert offenders == []
+
+    def test_no_domain_imports_the_facade(self):
+        """A domain is a value the facade consumes, never the reverse."""
+        modules = sorted((SRC / "domains").rglob("*.py"))
+        assert modules, "the audit must actually see the domains"
+        offenders = [
+            "%s imports %s" % (source.relative_to(REPO), target)
+            for source in modules
+            for _function, target in _imports(source)
+            if target in ("repro.core", "repro.WebBase")
+            or target.startswith("repro.core.webbase")
+        ]
         assert offenders == []
 
 
@@ -237,8 +307,11 @@ class TestDocstrings:
 class TestPlannerModes:
     def test_unoptimized_planner_agrees_with_optimized(self, webbase):
         from repro.ur.planner import StructuredUR
-        from repro.ur.usedcars import UR_RELATIONS, used_car_rules
-        from repro.ur.concepts import used_car_hierarchy
+        from repro.domains.cars.usedcars import (
+            UR_RELATIONS,
+            used_car_hierarchy,
+            used_car_rules,
+        )
 
         plain = StructuredUR(
             logical=webbase.logical,

@@ -84,7 +84,7 @@ class TestRedirects:
 
 class TestPageBudget:
     def test_budget_stops_runaway_pagination(self, world):
-        from repro.core.sessions import map_newsday
+        from repro.domains.cars.sessions import map_newsday
         from repro.navigation.compiler import compile_map
         from repro.navigation.executor import (
             NavigationExecutor,

@@ -11,13 +11,14 @@ from repro.ur.compat import (
     mutually_exclusive,
     requires,
 )
-from repro.ur.concepts import Concept, ConceptError, used_car_hierarchy
+from repro.ur.concepts import Concept, ConceptError
 from repro.ur.maximal import covering_objects, maximal_objects
 from repro.ur.query import QueryParseError, URQuery, parse_query
-from repro.ur.usedcars import (
+from repro.domains.cars.usedcars import (
     EXAMPLE_62_EXPECTED,
     EXAMPLE_62_RELATIONS,
     example_62_rules,
+    used_car_hierarchy,
 )
 from repro.relational.conditions import And, Comparison, Or
 
