@@ -1,30 +1,16 @@
-"""Runtime relevance pruning + slow-host isolation (the resilience layer).
+"""Slow-host isolation: the per-host circuit breaker and bulkhead.
 
-Two claims, one per test:
+One host is degraded with latency spikes
+(``FaultPlan(spike_rate=1.0, hosts=(slow,))``).  The slow-call breaker
+trips on it, quarantines it in the result cache (``serve_stale``
+degrades its answers to flagged-stale instead of stalling the pool),
+and the bulkhead caps its worker-slot share.  Acceptance: the other
+hosts' fetch p95 stays within 1.5× the healthy baseline, and the
+steady-state workload elapsed (passes after the breaker opened) drops
+back to within 1.5× of healthy — while the same faults with resilience
+off keep paying the spike on every pass.
 
-1. **Pruning.** Speculative dependent-join probes launch against the
-   candidate bindings of the outer's leftmost base before the full outer
-   finishes.  When outer partitions empty mid-flight (here: the
-   ``year >= 1997`` filter disproves most ``(make, model, year)``
-   candidates), the join revokes the affected probes.  Acceptance: with
-   the probe stagger calibrated so revocation can land, at least 30% of
-   the issued probes are cancelled before completing — with byte-identical
-   answer rows versus the pruning-off baseline.  (The cancelled count is
-   the one race-dependent number in this file: it depends on how far each
-   probe got before the outer finished, so the committed JSON records a
-   representative run, and the assertions gate the fresh run.)
-
-2. **Isolation.** One host is degraded with latency spikes
-   (``FaultPlan(spike_rate=1.0, hosts=(slow,))``).  The slow-call breaker
-   trips on it, quarantines it in the result cache (``serve_stale``
-   degrades its answers to flagged-stale instead of stalling the pool),
-   and the bulkhead caps its worker-slot share.  Acceptance: the other
-   hosts' fetch p95 stays within 1.5× the healthy baseline, and the
-   steady-state workload elapsed (passes after the breaker opened) drops
-   back to within 1.5× of healthy — while the same faults with resilience
-   off keep paying the spike on every pass.
-
-Results land in ``BENCH_relevance_pruning.json`` (see ``emit.py``).
+Results land in ``BENCH_slow_host_isolation.json`` (see ``emit.py``).
 """
 
 from __future__ import annotations
@@ -39,99 +25,10 @@ from repro.vps.cache import CachePolicy
 from repro.web.server import FaultPlan
 
 SEED = 1999
-ADS_PER_HOST = 60
-
-#: The 3-way bargain query: classifieds ⋈ bluebook, with the year filter
-#: living *above* the leftmost base — so probe candidates (every listed
-#: ``(make, model, year)``) are a strict superset of the surviving outer
-#: partitions, and the join has something real to revoke.
-PRUNING_QUERY = (
-    "SELECT make, model, year, price, bb_price "
-    "WHERE make = 'toyota' AND year >= 1997 AND condition = 'good' "
-    "AND price < bb_price"
-)
-
-PRUNE_TARGET = 0.30
-#: Stagger ladder for self-calibration: a longer stagger keeps more
-#: probes pending when the outer finishes, so revocation can land.
-STAGGERS = (0.3, 0.6, 1.2, 2.4)
-
 SLOW_HOST = "www.newsday.com"
 SPIKE_SECONDS = 6.0
 PASSES = 5
 ISOLATION_HEADROOM = 1.5
-
-
-def _pruning_run(policy: ResiliencePolicy) -> dict:
-    webbase = WebBase.create(
-        WebBaseConfig(seed=SEED, ads_per_host=ADS_PER_HOST, resilience=policy)
-    )
-    rows = sorted(webbase.query(PRUNING_QUERY).rows)
-    counters = webbase.metrics.snapshot()["counters"]
-    return {
-        "rows": rows,
-        "issued": int(counters.get("resilience.speculated", 0)),
-        "cancelled": int(counters.get("resilience.cancelled", 0)),
-        "pruned": int(counters.get("planner.pruned_probes", 0)),
-        "reclaimed_pages": int(counters.get("resilience.reclaimed_pages", 0)),
-    }
-
-
-def test_relevance_pruning():
-    baseline = _pruning_run(ResiliencePolicy.off())
-    run = None
-    stagger_used = None
-    for stagger in STAGGERS:
-        run = _pruning_run(
-            ResiliencePolicy(
-                speculate_probes=True,
-                prune=True,
-                speculate_stagger_seconds=stagger,
-            )
-        )
-        stagger_used = stagger
-        assert run["rows"] == baseline["rows"]  # every calibration step
-        if run["issued"] and run["cancelled"] / run["issued"] >= PRUNE_TARGET:
-            break
-    assert run is not None and run["issued"] > 0
-    ratio = run["cancelled"] / run["issued"]
-
-    print("\nRuntime relevance pruning — %s" % PRUNING_QUERY)
-    print(
-        "  stagger %.1fs: %d probe(s) issued, %d cancelled (%.0f%%), "
-        "%d pruned by the join, ~%d page(s) reclaimed"
-        % (
-            stagger_used,
-            run["issued"],
-            run["cancelled"],
-            100 * ratio,
-            run["pruned"],
-            run["reclaimed_pages"],
-        )
-    )
-    print("  %d answer row(s), byte-identical to the pruning-off baseline"
-          % len(run["rows"]))
-
-    assert ratio >= PRUNE_TARGET, (
-        "pruning cancelled only %.0f%% of issued probes (target %.0f%%)"
-        % (100 * ratio, 100 * PRUNE_TARGET)
-    )
-
-    emit.emit(
-        "relevance_pruning",
-        {
-            "benchmark": "relevance_pruning",
-            "query": PRUNING_QUERY,
-            "ads_per_host": ADS_PER_HOST,
-            "rows": len(run["rows"]),
-            "rows_match_baseline": run["rows"] == baseline["rows"],
-            "stagger_seconds": stagger_used,
-            "probes_issued": run["issued"],
-            "probes_cancelled": run["cancelled"],
-            "cancel_ratio": round(ratio, 2),
-            "pages_reclaimed": run["reclaimed_pages"],
-        },
-    )
 
 
 def _isolation_run(faults: FaultPlan | None, policy: ResiliencePolicy) -> dict:

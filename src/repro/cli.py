@@ -43,10 +43,9 @@ else is decided here or is library configuration.  The cross-query
 result cache is on for ``metrics``, ``serve`` and ``resilience`` (their
 workloads are meaningless without a storing cache) and whenever
 ``--store`` is given, off elsewhere.  Entry lifetimes, stale-serving,
-per-binding navigation, breaker timing, bulkheads and speculative
-probing are set on ``CachePolicy.lru(ttl_seconds=…, stale_mode=…)``,
-``WebBaseConfig(batch=…, store_warm=…)`` and ``ResiliencePolicy(...)``
-by the benchmarks and suites that compare them.
+breaker timing and bulkheads are set on
+``CachePolicy.lru(ttl_seconds=…, stale_mode=…)`` and
+``ResiliencePolicy(...)`` by the benchmarks and suites that compare them.
 
 ``serve`` runs the long-lived multi-client query service on a TCP
 socket; ``client`` talks to it (no webbase is built client-side).

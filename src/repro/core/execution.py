@@ -43,12 +43,7 @@ from time import monotonic, process_time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.metrics import MetricsRegistry
-from repro.core.resilience import (
-    BulkheadSaturated,
-    CircuitOpenError,
-    ResilienceManager,
-    ResiliencePolicy,
-)
+from repro.core.resilience import ResilienceManager, ResiliencePolicy
 from repro.errors import WebBaseError
 from repro.flight import Flights
 from repro.navigation.executor import NavigationExecutor
@@ -101,23 +96,15 @@ class WebBaseConfig:
     # "cost" orders each maximal object's join with the cost-based planner;
     # "off" keeps the legacy first-feasible order (the A/B baseline).
     optimizer: str = "cost"
-    # Batched navigation: a query-scoped revision-stamped page cache (the
-    # shared prefix of a compiled program fetches once per query, not once
-    # per binding), fetch_batch probing through the join operator, and
-    # speculative prefetch of enumerated select domains.  Off = the
-    # per-binding navigation baseline (``--no-batch``).
-    batch: bool = True
-    # Per-host circuit breakers, bulkheads, and (when switched on there)
-    # speculative join probing with runtime relevance pruning.
+    # Per-host circuit breakers and bulkheads.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     # Tiered persistence (repro.store): a directory turns on the bronze/
     # silver/gold store — raw pages and fetch intents to bronze, cache
-    # fills to silver, materialized answers to gold — and ``store_warm``
-    # loads current-revision silver into the result cache at assembly so
-    # a restart answers repeat queries without live fetches.
+    # fills to silver, materialized answers to gold — and current-revision
+    # silver is loaded into the result cache at assembly, so a restart
+    # answers repeat queries without live fetches.
     store_dir: str | None = None
     store_fsync: bool = False
-    store_warm: bool = True
     # Multi-query optimization (repro.mqo): identical in-flight subplans
     # execute once and fan out (fingerprint single-flight), and a query
     # subsumed by a revision-current gold answer is served by filtering
@@ -198,8 +185,7 @@ class AccessCancelled(WebBaseError):
     """The access was revoked before it produced a result.
 
     Raised out of an access whose :class:`AccessHandle` was cancelled —
-    by the dependent join pruning a probe whose outer partition emptied,
-    or by :meth:`ExecutionContext.cancel`.  Deliberately *not* a
+    directly, or by :meth:`ExecutionContext.cancel`.  Deliberately *not* a
     :class:`~repro.web.browser.NavigationError`: the navigation executor
     must not absorb it into an empty answer, and the retry loop must not
     re-issue a fetch nobody wants anymore."""
@@ -231,25 +217,22 @@ ACCESS_PENDING = "PENDING"
 ACCESS_RUNNING = "RUNNING"
 ACCESS_DONE = "DONE"
 ACCESS_CANCELLED = "CANCELLED"
-ACCESS_SHED = "SHED"
 ACCESS_BROKEN = "BROKEN"
 
-ACCESS_TERMINAL = frozenset({ACCESS_DONE, ACCESS_CANCELLED, ACCESS_SHED, ACCESS_BROKEN})
+ACCESS_TERMINAL = frozenset({ACCESS_DONE, ACCESS_CANCELLED, ACCESS_BROKEN})
 
 
 class AccessHandle:
     """One scheduled access to the Web, as a first-class revocable object.
 
-    Every engine fetch — demanded or speculative — is represented by a
-    handle carrying the probe bindings that justified it (``given``), so
-    the layer that scheduled the access can later decide it is no longer
-    relevant and :meth:`cancel` it.  Terminal states:
+    Every engine fetch is represented by a handle carrying the probe
+    bindings that justified it (``given``), so the layer that scheduled
+    the access can later decide it is no longer relevant and
+    :meth:`cancel` it.  Terminal states:
 
     * ``DONE`` — the access produced a result (:meth:`result` returns it);
-    * ``CANCELLED`` — revoked (pruned probe, cancelled context, expired
+    * ``CANCELLED`` — revoked (cancelled handle or context, expired
       deadline) before completing;
-    * ``SHED`` — refused by the resilience layer (open breaker or
-      saturated bulkhead) — only ever speculative accesses;
     * ``BROKEN`` — the access itself failed (retry budget exhausted,
       broken site).
 
@@ -260,8 +243,7 @@ class AccessHandle:
     cancel — a completed result is never retracted.
 
     Thread-safe; handles are created by
-    :meth:`ExecutionContext.run_fetch` / :meth:`ExecutionContext.speculate`,
-    never directly.
+    :meth:`ExecutionContext.run_fetch`, never directly.
     """
 
     def __init__(
@@ -269,13 +251,11 @@ class AccessHandle:
         relation: str,
         host: str,
         given: dict[str, Any],
-        speculative: bool = False,
         owner: "ExecutionContext | None" = None,
     ) -> None:
         self.relation = relation
         self.host = host
         self.given = dict(given)
-        self.speculative = speculative
         self.pages = 0  # pages navigated before the handle went terminal
         self.cancel_reason = ""
         self._owner = owner
@@ -287,12 +267,7 @@ class AccessHandle:
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
-        return "<AccessHandle %s%s %r %s>" % (
-            self.relation,
-            " (speculative)" if self.speculative else "",
-            self.given,
-            self._state,
-        )
+        return "<AccessHandle %s %r %s>" % (self.relation, self.given, self._state)
 
     @property
     def state(self) -> str:
@@ -381,8 +356,6 @@ class AccessHandle:
             value = fn(*args)
         except (AccessCancelled, DeadlineExceeded) as exc:
             self._finish(ACCESS_CANCELLED, error=exc)
-        except (CircuitOpenError, BulkheadSaturated) as exc:
-            self._finish(ACCESS_SHED, error=exc)
         except Exception as exc:  # noqa: BLE001 - stored on the handle
             self._finish(ACCESS_BROKEN, error=exc)
         else:
@@ -628,7 +601,6 @@ class ExecutionContext:
         metrics: MetricsRegistry | None = None,
         deadline_seconds: float | None = None,
         wall_clock: Callable[[], float] = monotonic,
-        batch_enabled: bool = False,
         page_revisions: Callable[[str], int] | None = None,
         resilience: ResilienceManager | None = None,
     ) -> None:
@@ -646,25 +618,20 @@ class ExecutionContext:
         # context checks out, plus a speculative prefetcher feeding it.
         # ``page_revisions`` reads a host's current navigation-map revision
         # (wired to Revisions.current, advanced by site maintenance).
-        self.batch_enabled = bool(batch_enabled)
-        self.page_cache: PrefixPageCache | None = None
-        self.prefetcher: SpeculativePrefetcher | None = None
-        self.speculation_budget: SpeculationBudget | None = None
-        if self.batch_enabled:
-            self.page_cache = PrefixPageCache(
-                revision_of=page_revisions,
-                metrics=self.metrics,
-            )
-            self.speculation_budget = SpeculationBudget(metrics=self.metrics)
-            self.prefetcher = SpeculativePrefetcher(
-                pool.server,
-                self.page_cache,
-                metrics=self.metrics,
-                max_workers=self.max_workers,
-                charge=self._charge_lane,
-                admit=self._admit_speculation,
-                budget=self.speculation_budget,
-            )
+        self.page_cache = PrefixPageCache(
+            revision_of=page_revisions,
+            metrics=self.metrics,
+        )
+        self.speculation_budget = SpeculationBudget(metrics=self.metrics)
+        self.prefetcher = SpeculativePrefetcher(
+            pool.server,
+            self.page_cache,
+            metrics=self.metrics,
+            max_workers=self.max_workers,
+            charge=self._charge_lane,
+            admit=self._admit_speculation,
+            budget=self.speculation_budget,
+        )
         # Wall-clock deadline: unlike ``timeout_seconds`` (a per-attempt
         # budget in *simulated* network seconds), the deadline bounds the
         # query's *real* elapsed time — the contract a serving client cares
@@ -700,10 +667,6 @@ class ExecutionContext:
         self._lock = threading.RLock()
         self._flights = Flights(self._lock)
         self._slots = threading.Semaphore(self.max_workers)
-        # Speculative probes run on their own slot budget so speculation
-        # can never starve demanded fetches of workers.
-        self._spec_slots = threading.Semaphore(self.max_workers)
-        self._spec_threads: list[threading.Thread] = []
         self._live_handles: dict[int, AccessHandle] = {}
         self._local = threading.local()
         self._cpu_depth = 0
@@ -787,11 +750,10 @@ class ExecutionContext:
         """The engine's cooperative cancellation checkpoint.
 
         Raises :class:`AccessCancelled` when any access handle on the
-        calling thread's handle stack was cancelled (a revoked probe, or a
-        fetch running *under* one), and defers to :meth:`check_deadline`
-        when the whole context was cancelled.  Costs nothing — in
-        particular, no wall-clock read — on the happy path, so it is safe
-        to call from tight polling loops."""
+        calling thread's handle stack was cancelled, and defers to
+        :meth:`check_deadline` when the whole context was cancelled.  Costs
+        nothing — in particular, no wall-clock read — on the happy path, so
+        it is safe to call from tight polling loops."""
         stack = getattr(self._local, "handles", None)
         if stack:
             for handle in stack:
@@ -801,10 +763,6 @@ class ExecutionContext:
                     )
         if self._cancelled.is_set():
             self.check_deadline(stage)
-
-    def _active_handle(self) -> AccessHandle | None:
-        stack = getattr(self._local, "handles", None)
-        return stack[-1] if stack else None
 
     def _push_handle(self, handle: AccessHandle) -> None:
         stack = getattr(self._local, "handles", None)
@@ -961,7 +919,7 @@ class ExecutionContext:
 
     def _install_nav_hooks(self, bundle: ExecutorBundle) -> None:
         """Attach this context's query-scoped page cache and prefetcher to
-        a checked-out bundle (no-ops when batching is off)."""
+        a checked-out bundle."""
         bundle.executor.page_cache = self.page_cache
         bundle.executor.prefetcher = self.prefetcher
 
@@ -1050,7 +1008,6 @@ class ExecutionContext:
         relation: "VirtualRelation",
         given: dict[str, Any],
         bundle: ExecutorBundle | None = None,
-        speculative: bool | None = None,
     ) -> AccessHandle:
         """Fetch one VPS relation through the engine: per-context cache,
         worker checkout, timeout, bounded retry, trace.
@@ -1059,7 +1016,6 @@ class ExecutionContext:
         fetch runs inline on the calling thread): ``handle.result()``
         yields the relation or re-raises the failure.  The handle exists
         so *other* threads can revoke the access while it runs — the
-        dependent join cancels probes whose outer partition emptied, the
         service cancels a query whose deadline expired — and so the
         access's justifying bindings travel with it.
 
@@ -1072,16 +1028,8 @@ class ExecutionContext:
         ``bundle`` lets a batch session reuse one pre-held worker across
         several bindings (see :meth:`run_fetch_batch`); without it the
         fetch checks a worker out of the pool under the slot semaphore.
-        ``speculative`` marks the access sheddable by the resilience
-        layer; by default it inherits from the enclosing speculative
-        probe, if any.
         """
-        if speculative is None:
-            active = self._active_handle()
-            speculative = active.speculative if active is not None else False
-        handle = AccessHandle(
-            relation.name, relation.host, given, speculative=speculative, owner=self
-        )
+        handle = AccessHandle(relation.name, relation.host, given, owner=self)
         self._register_handle(handle)
         self._push_handle(handle)
         try:
@@ -1134,13 +1082,12 @@ class ExecutionContext:
         handle: AccessHandle,
     ) -> "Relation":
         """Dispatch one upstream fetch through the resilience gate (when
-        the context has one): the host's breaker may shed a speculative
-        access, and its bulkhead bounds the host's worker-slot share."""
+        the context has one): the host's breaker counts the access and
+        its bulkhead bounds the host's worker-slot share."""
         if self.resilience is None:
             return self._dispatch_fetch(relation, given, bundle, handle)
         with self.resilience.access(
             relation.host,
-            speculative=handle.speculative,
             poll=lambda: self.check_cancelled("bulkhead:%s" % relation.name),
         ):
             return self._dispatch_fetch(relation, given, bundle, handle)
@@ -1186,8 +1133,8 @@ class ExecutionContext:
         if not givens:
             return AccessBatch([])
         self.metrics.histogram("nav.batch_size").observe(len(givens))
-        if not self.batch_enabled or len(givens) == 1:
-            return AccessBatch(self.map(lambda g: self.run_fetch(relation, g), givens))
+        if len(givens) == 1:
+            return AccessBatch([self.run_fetch(relation, givens[0])])
         keyed = [(self._fetch_key(relation, given), given) for given in givens]
         unique: dict[tuple, dict[str, Any]] = {}
         for key, given in keyed:
@@ -1227,81 +1174,6 @@ class ExecutionContext:
         for out in self.map(run_chunk, chunks):
             fetched.update(out)
         return AccessBatch([fetched[key] for key, _ in keyed])
-
-    def speculate(
-        self,
-        fn: Callable[[], Any],
-        name: str,
-        given: dict[str, Any],
-        index: int = 0,
-        host: str = "",
-    ) -> AccessHandle:
-        """Run ``fn`` as a *speculative probe* on a background thread and
-        return its (live) :class:`AccessHandle` immediately.
-
-        The dependent join uses this to start inner-side probes before
-        the outer finishes: ``given`` records the probe bindings that
-        justified the access, so the join can :meth:`~AccessHandle.cancel`
-        the handle the moment those bindings prove irrelevant.  Every
-        fetch ``fn`` issues inherits the speculative flag (sheddable by
-        breakers/bulkheads) and the handle's cancellation.
-
-        Probes run on a separate slot budget (they never starve demanded
-        fetches) and probe ``index`` is delayed by ``index ×``
-        :attr:`~repro.core.resilience.ResiliencePolicy.speculate_stagger_seconds`
-        — cancellation interrupts the delay, so staggered probes that are
-        pruned early cost nothing at all.
-        """
-        handle = AccessHandle(name, host, given, speculative=True, owner=self)
-        self._register_handle(handle)
-        self.metrics.counter("resilience.speculated").inc()
-        parent = self.current_span()
-        policy = self.resilience.policy if self.resilience is not None else None
-        delay = index * policy.speculate_stagger_seconds if policy is not None else 0.0
-
-        def worker() -> None:
-            try:
-                if delay > 0.0:
-                    handle._cancel.wait(delay)
-                acquired = False
-                while not handle.cancel_requested and not self._cancelled.is_set():
-                    if self._spec_slots.acquire(timeout=0.02):
-                        acquired = True
-                        break
-                if not acquired:
-                    handle._finish(
-                        ACCESS_CANCELLED,
-                        error=AccessCancelled(
-                            handle.cancel_reason or "speculative probe cancelled"
-                        ),
-                    )
-                    return
-                try:
-                    self.adopt(parent)
-                    self._push_handle(handle)
-                    if not handle._mark_running():
-                        return  # cancelled between the slot grant and the start
-                    handle._settle(fn)
-                finally:
-                    self._pop_handle(handle)
-                    self._spec_slots.release()
-            finally:
-                self._unregister_handle(handle)
-
-        thread = threading.Thread(target=worker, daemon=True)
-        with self._lock:
-            self._spec_threads.append(thread)
-        thread.start()
-        return handle
-
-    def drain_speculation(self, timeout: float | None = None) -> None:
-        """Join every speculative probe thread started so far (cancelled
-        probes unwind at their next checkpoint, so this is prompt)."""
-        with self._lock:
-            threads = self._spec_threads
-            self._spec_threads = []
-        for thread in threads:
-            thread.join(timeout)
 
     def _fetch_with_retries(
         self,

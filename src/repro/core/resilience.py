@@ -10,14 +10,14 @@ simulated-Web setting:
   the failure/timeout signals the engine already produces.  Consecutive
   failures — or successes slower than ``ResiliencePolicy.slow_seconds``
   of simulated network time — trip the breaker.  An *open* breaker does
-  **not** fast-fail required accesses (that would change answers); it
+  **not** fast-fail accesses (that would change answers); it
 
-  - sheds *speculative* work for the host (prefetch, join probes) with
-    :class:`CircuitOpenError`,
+  - stops speculative page prefetch for the host
+    (:meth:`ResilienceManager.allows_speculation`),
   - quarantines the host in the cross-query
     :class:`~repro.vps.cache.ResultCache` (so a ``serve_stale`` policy
     degrades gracefully to flagged-stale answers), and
-  - lets required accesses pass through, counted as
+  - lets accesses pass through, counted as
     ``resilience.pass_throughs``.
 
   After ``recovery_seconds`` the breaker half-opens: one probe access
@@ -25,9 +25,8 @@ simulated-Web setting:
   the quarantine), a failure re-opens it;
 
 * a **bulkhead** per host: at most ``bulkhead_per_host`` of the engine's
-  worker slots may be occupied by one host at a time.  Required accesses
-  wait (cancellably) for a partition slot; speculative accesses are shed
-  with :class:`BulkheadSaturated` instead of queueing.
+  worker slots may be occupied by one host at a time.  Accesses wait
+  (cancellably) for a partition slot.
 
 State and traffic are observable: ``resilience.*`` metrics, the
 :meth:`ResilienceManager.describe` table (``python -m repro resilience``),
@@ -45,23 +44,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.errors import WebBaseError
-
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
 #: Trial accesses a half-open breaker admits at a time.
 HALF_OPEN_PROBES = 1
-
-
-class CircuitOpenError(WebBaseError):
-    """A speculative access was shed because the host's breaker is open."""
-
-
-class BulkheadSaturated(WebBaseError):
-    """A speculative access was shed because the host's worker-slot
-    partition is fully occupied."""
 
 
 @dataclass(frozen=True)
@@ -74,13 +62,6 @@ class ResiliencePolicy:
     slow-call signal).  An open breaker half-opens after
     ``recovery_seconds``.  ``bulkhead_per_host`` caps one host's share of
     the engine's worker slots (``None`` = no partitioning).
-
-    ``speculate_probes`` turns on speculative dependent-join probing (the
-    runtime relevance-pruning machinery in
-    :mod:`repro.relational.algebra`); ``prune`` lets the join revoke
-    probes whose outer partition emptied; ``speculate_stagger_seconds``
-    delays probe *i* by ``i × stagger`` wall seconds before it issues,
-    modelling the pacing a real network imposes (0 = issue immediately).
     """
 
     enabled: bool = True
@@ -88,9 +69,6 @@ class ResiliencePolicy:
     recovery_seconds: float = 30.0
     slow_seconds: float | None = None
     bulkhead_per_host: int | None = None
-    speculate_probes: bool = False
-    prune: bool = True
-    speculate_stagger_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -284,16 +262,13 @@ class ResilienceManager:
     def access(
         self,
         host: str,
-        speculative: bool = False,
         poll: Callable[[], None] | None = None,
     ) -> Iterator[str]:
         """Gate one upstream access to ``host``.
 
         Yields the admission verdict (``"ok"``, ``"probe"``, ``"pass"``
-        for a required access through an open breaker, or ``"off"`` when
-        resilience is disabled).  Speculative accesses raise
-        :class:`CircuitOpenError` / :class:`BulkheadSaturated` instead of
-        degrading the pool; required accesses wait for a bulkhead slot,
+        for an access through an open breaker, or ``"off"`` when
+        resilience is disabled).  The access waits for a bulkhead slot,
         calling ``poll`` periodically so a cancelled query stops waiting.
         """
         if not self.policy.enabled:
@@ -301,9 +276,6 @@ class ResilienceManager:
             return
         verdict = self.breaker(host).allow()
         if verdict == "open":
-            if speculative:
-                self._count("resilience.shed")
-                raise CircuitOpenError("circuit open for host %s" % host)
             self._count("resilience.pass_throughs")
             verdict = "pass"
         elif verdict == "probe":
@@ -313,12 +285,6 @@ class ResilienceManager:
         if sem is not None:
             if sem.acquire(blocking=False):
                 acquired = True
-            elif speculative:
-                self._count("resilience.bulkhead_shed")
-                raise BulkheadSaturated(
-                    "bulkhead for host %s is at its limit of %d"
-                    % (host, self.policy.bulkhead_per_host)
-                )
             else:
                 self._count("resilience.bulkhead_waits")
                 while not sem.acquire(timeout=0.02):
@@ -372,8 +338,8 @@ class ResilienceManager:
     # -- introspection -------------------------------------------------------
 
     def allows_speculation(self, host: str) -> bool:
-        """Whether speculative work (prefetch, join probes) may target
-        ``host`` right now — an open breaker says no."""
+        """Whether speculative page prefetch may target ``host`` right
+        now — an open breaker says no."""
         if not self.policy.enabled:
             return True
         return self.breaker(host).state != BREAKER_OPEN

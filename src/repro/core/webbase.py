@@ -133,15 +133,14 @@ class WebBase:
                     config.store_dir,
                     fsync=config.store_fsync,
                     metrics=self.metrics,
-                ),
-                warm=config.store_warm,
+                )
             )
 
-    def attach_store(self, store: Any, warm: bool = True) -> None:
+    def attach_store(self, store: Any) -> None:
         """Layer a tiered store under the webbase: bronze records every
         served page, silver mirrors cache fills, gold materializes
-        answers; ``warm`` loads current-revision silver into the cache so
-        a restart answers repeat queries without live fetches.
+        answers; current-revision silver is loaded into the cache so a
+        restart answers repeat queries without live fetches.
 
         Silver segments are stamped with the *navigation-map revision*
         they were extracted under, so before warming, any host whose
@@ -160,8 +159,7 @@ class WebBase:
                 self.cache.bump_revision(host)
         store.save_navmaps({h: b.map for h, b in self.builders.items()})
         self.world.server.page_sink = store.record_page
-        if warm:
-            self.cache.warm_from_store()
+        self.cache.warm_from_store()
 
     def attach_federation(self, federation: Any) -> None:
         """Join a cluster's cross-shard cache federation: this webbase's
@@ -239,7 +237,6 @@ class WebBase:
             label=label,
             metrics=self.metrics,
             deadline_seconds=deadline_seconds,
-            batch_enabled=config.batch,
             page_revisions=self.revisions.current,
             resilience=self.resilience,
         )

@@ -1,7 +1,7 @@
 """One importable home for the webbase's error hierarchy.
 
 Every structured error the webbase raises — engine failures, navigation
-faults, binding infeasibility, resilience shedding, service rejections —
+faults, binding infeasibility, service rejections —
 derives from :class:`WebBaseError`, so callers can catch the whole family
 with one ``except`` clause, or import any concrete error from here
 instead of memorizing which layer defines it::
@@ -33,8 +33,6 @@ class WebBaseError(Exception):
 _HOMES = {
     "AccessCancelled": "repro.core.execution",
     "BindingError": "repro.relational.bindings",
-    "BulkheadSaturated": "repro.core.resilience",
-    "CircuitOpenError": "repro.core.resilience",
     "ClientLimited": "repro.service.client",
     "DeadlineExceeded": "repro.core.execution",
     "DeadlineExceededError": "repro.service.client",

@@ -433,139 +433,6 @@ def evaluate_batch(
     )
 
 
-def _candidate_source(expr: Expr) -> tuple[Expr, dict[str, Any]]:
-    """The leftmost base under ``expr``'s outer spine, plus the equality
-    constants the descent pushes into it — the cheapest sound source of
-    candidate feed values.  Descends only through nodes that preserve
-    attribute names and only narrow the row set relative to their child
-    (so the child's distinct values are a superset of the parent's),
-    which keeps the candidate set a superset of the true combo set:
-    extra candidates are revoked later, missing ones would be wrong
-    answers."""
-    constants: dict[str, Any] = {}
-    while True:
-        if isinstance(expr, Join):
-            expr = expr.left
-        elif isinstance(expr, Select):
-            # Mirror evaluate()'s push-down: the selection's equality
-            # constants bind the child (inner selections override outer).
-            constants.update(equality_bindings(expr.condition))
-            expr = expr.child
-        elif isinstance(expr, Project):
-            expr = expr.child
-        elif isinstance(expr, Derive):
-            constants.pop(expr.attr, None)
-            expr = expr.child
-        else:
-            return expr, constants
-
-
-def _speculate_probes(
-    first: Expr,
-    second: Expr,
-    catalog: Catalog,
-    given: dict[str, Any],
-    bound: frozenset,
-    common: list[str],
-    context: Any,
-) -> dict[tuple, Any] | None:
-    """Launch speculative inner-side probes for every candidate combo the
-    outer's leftmost base admits, returning ``{combo: AccessHandle}`` —
-    or ``None`` when speculation is off or unsound for this join shape.
-
-    The candidates come from evaluating just the leftmost base of the
-    outer side (its fetches are deduplicated with the full outer
-    evaluation by the per-context cache, so the candidate pass costs no
-    extra Web accesses).  Because the full outer only narrows that base,
-    the candidate set over-approximates the true combos; the join revokes
-    the disproved probes in :func:`_settle_speculation`.
-    """
-    if context is None or not common:
-        return None
-    resilience = getattr(context, "resilience", None)
-    speculate = getattr(context, "speculate", None)
-    if resilience is None or speculate is None:
-        return None
-    policy = resilience.policy
-    if not (policy.enabled and policy.speculate_probes):
-        return None
-    source, constants = _candidate_source(first)
-    if source is first or not isinstance(source, Base):
-        return None  # no cheaper sub-expression to draw candidates from
-    seed_given = dict(given)
-    seed_given.update(constants)
-    if not feasible(binding_sets_of(source, catalog), frozenset(seed_given)):
-        return None
-    source_schema = schema_of(source, catalog)
-    if not all(attr in source_schema for attr in common):
-        return None  # candidates would not determine the feed values
-    seed = evaluate(source, catalog, seed_given, context)
-    candidates = list(seed.distinct_values(common))
-    if len(candidates) <= 1:
-        return None  # nothing to overlap: a single probe just runs
-    label = second.name if isinstance(second, Base) else "probe"
-    speculated: dict[tuple, Any] = {}
-    for index, combo in enumerate(candidates):
-        fed = dict(given)
-        fed.update(dict(zip(common, combo)))
-        speculated[combo] = speculate(
-            lambda fed=fed: evaluate(second, catalog, fed, context),
-            label,
-            fed,
-            index=index,
-        )
-    return speculated
-
-
-def _settle_speculation(
-    speculated: dict[tuple, Any],
-    combos: list[tuple],
-    probe: Callable[[tuple], Relation],
-    common: list[str],
-    context: Any,
-) -> list[Relation]:
-    """Resolve a speculative probe set against the outer's true combos:
-    revoke the probes the outer disproved (queued probes die instantly,
-    running ones abort at their next page boundary), await the survivors,
-    and re-run on the demand path any probe that was shed or broken —
-    so the answer rows are byte-identical to the non-speculative plan."""
-    live = set(combos)
-    policy = context.resilience.policy
-    cancelled = 0
-    if policy.prune:
-        for combo, handle in speculated.items():
-            if combo not in live:
-                reason = "outer disproved bindings %r" % (
-                    dict(zip(common, combo)),
-                )
-                if handle.cancel(reason):
-                    cancelled += 1
-    with context.span("prune", "speculative") as pspan:
-        pspan.attrs["feeds"] = ",".join(common)
-        pspan.attrs["issued"] = len(speculated)
-        pspan.attrs["cancelled"] = cancelled
-    metrics = getattr(context, "metrics", None)
-    if metrics is not None and cancelled:
-        metrics.counter("planner.pruned_probes").inc(cancelled)
-    pieces: dict[tuple, Relation] = {}
-    demand: list[tuple] = []
-    for combo in combos:
-        handle = speculated.get(combo)
-        if handle is not None:
-            handle.wait()
-            if handle.state == "done":
-                pieces[combo] = handle.result()
-                continue
-        # Not speculated, or the probe was shed by a breaker/bulkhead
-        # (or broke): answer it on the demand path, where shedding is
-        # not allowed — correctness never rides on a speculation.
-        demand.append(combo)
-    if demand:
-        for combo, piece in zip(demand, context.map(probe, demand)):
-            pieces[combo] = piece
-    return [pieces[combo] for combo in combos]
-
-
 def _evaluate_join(
     expr: Join, catalog: Catalog, given: dict[str, Any], context: Any = None
 ) -> Relation:
@@ -595,25 +462,26 @@ def _evaluate_join(
             return first_rel.natural_join(second_rel)
         if feasible(second_sets, bound | frozenset(common)):
             # Dependent: feed common-attribute values from the first side.
-            # With speculation enabled, candidate probes of the second side
-            # launch *before* the first side finishes (from the leftmost
-            # base's candidate combos); the ones the full outer disproves
-            # are revoked below.
-            speculated = _speculate_probes(
-                first, second, catalog, given, bound, common, context
-            )
             first_rel = evaluate(first, catalog, given, context)
-
-            def probe(combo: tuple) -> Relation:
+            feds = []
+            for combo in first_rel.distinct_values(common):
                 fed = dict(given)
-                fed.update(dict(zip(common, combo)))
-                return evaluate(second, catalog, fed, context)
-
-            combos = list(first_rel.distinct_values(common))
-            if not combos and context is not None:
+                fed.update(zip(common, combo))
+                feds.append(fed)
+            if context is None:
+                # The paper's per-binding rule, as written: the reference
+                # the engine paths are checked against.
+                pieces = [evaluate(second, catalog, fed) for fed in feds]
+            elif feds:
+                # The whole probe set descends the second side together, so
+                # base relations receive one ``fetch_batch`` — one shared
+                # navigation prefix, K submissions — instead of K walks.
+                pieces = evaluate_batch(second, catalog, feds, context)
+            else:
                 # Empty outer side: every probe of the second side is
                 # provably irrelevant, so none is issued.  Record the
                 # decision so traces and metrics show the saved fetches.
+                pieces = []
                 span = getattr(context, "span", None)
                 if span is not None:
                     with span("prune", "empty-outer") as pspan:
@@ -621,30 +489,6 @@ def _evaluate_join(
                 metrics = getattr(context, "metrics", None)
                 if metrics is not None:
                     metrics.counter("planner.pruned_inner").inc()
-            if speculated is not None:
-                pieces = _settle_speculation(
-                    speculated, combos, probe, common, context
-                )
-            elif context is not None:
-                if getattr(context, "batch_enabled", False) and len(combos) > 1:
-                    # Batched probing: the whole combo set descends the
-                    # second side together, so base relations receive one
-                    # ``fetch_batch`` per batch — one shared navigation
-                    # prefix, K submissions — instead of K separate walks.
-                    feds = []
-                    for combo in combos:
-                        fed = dict(given)
-                        fed.update(dict(zip(common, combo)))
-                        feds.append(fed)
-                    pieces = evaluate_batch(second, catalog, feds, context)
-                else:
-                    # The probe batch is the join's fan-out opportunity:
-                    # each distinct binding combination probes the second
-                    # side independently, and the fold below runs in combo
-                    # order.
-                    pieces = context.map(probe, combos)
-            else:
-                pieces = [probe(combo) for combo in combos]
             if pieces:
                 second_rel = pieces[0]
                 for piece in pieces[1:]:

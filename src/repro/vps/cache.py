@@ -17,9 +17,8 @@ Because the underlying sites are *dynamic*, a cross-query cache is only
 safe if it can notice the world moving underneath it.  Three mechanisms
 cover that:
 
-* **TTLs** — a default and per-relation time-to-live bound how long an
-  entry may be served without revalidation (``CachePolicy.ttl_seconds`` /
-  ``relation_ttls``);
+* **TTLs** — a time-to-live bounds how long an entry may be served
+  without revalidation (``CachePolicy.ttl_seconds``);
 * **revision stamps** — every entry records the navigation-map revision of
   its host at store time, under the :mod:`repro.revisions` contract.  When
   site maintenance auto-absorbs a change
@@ -52,7 +51,7 @@ from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.core.metrics import MetricsRegistry
 from repro.flight import Flight, Flights
@@ -73,17 +72,15 @@ FEDERATION_WAIT_SECONDS = 30.0
 class CachePolicy:
     """Whether, and how much — and for how long — the cache may store.
 
-    ``ttl_seconds`` is the default entry lifetime (``None`` = no expiry);
-    ``relation_ttls`` overrides it per relation.  ``stale_mode`` picks what
-    happens to entries of a quarantined host (one with unabsorbed manual
-    site changes): ``"refetch"`` bypasses them, ``"serve_stale"`` serves
-    them flagged as stale.
+    ``ttl_seconds`` is the entry lifetime (``None`` = no expiry).
+    ``stale_mode`` picks what happens to entries of a quarantined host
+    (one with unabsorbed manual site changes): ``"refetch"`` bypasses
+    them, ``"serve_stale"`` serves them flagged as stale.
     """
 
     enabled: bool = True
     max_entries: int = 1024
     ttl_seconds: float | None = None
-    relation_ttls: tuple[tuple[str, float], ...] = ()
     stale_mode: str = "refetch"
 
     def __post_init__(self) -> None:
@@ -102,7 +99,6 @@ class CachePolicy:
         cls,
         max_entries: int = 1024,
         ttl_seconds: float | None = None,
-        relation_ttls: Mapping[str, float] | None = None,
         stale_mode: str = "refetch",
     ) -> "CachePolicy":
         """A bounded least-recently-used cache shared across queries."""
@@ -110,16 +106,8 @@ class CachePolicy:
             enabled=True,
             max_entries=max_entries,
             ttl_seconds=ttl_seconds,
-            relation_ttls=tuple(sorted((relation_ttls or {}).items())),
             stale_mode=stale_mode,
         )
-
-    def ttl_for(self, relation: str) -> float | None:
-        """The effective TTL of one relation's entries."""
-        for name, ttl in self.relation_ttls:
-            if name == relation:
-                return ttl
-        return self.ttl_seconds
 
 
 #: One key this caller leads: ``(cache key, its bindings, its open flight)``.
@@ -380,7 +368,7 @@ class ResultCache:
         if not self.revisions.is_current(host, revision):
             return False
         now = self._clock()
-        ttl = self.policy.ttl_for(name)
+        ttl = self.policy.ttl_seconds
         self._cache[key] = CacheEntry(
             value=value,
             relation=name,

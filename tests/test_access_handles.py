@@ -3,7 +3,7 @@
 The fault × cancel matrix the handles must survive: cancel during retry
 backoff, cancel of a single-flight leader (the waiter gets promoted),
 cancel of a single-flight waiter (the leader is unaffected), cancel after
-completion, cancel of a staggered speculative probe.  Each race asserts
+completion.  Each race asserts
 the ledger stays honest — no stale page cached, budgets refunded.
 """
 
@@ -18,18 +18,11 @@ from repro.core.execution import (
     ACCESS_BROKEN,
     ACCESS_CANCELLED,
     ACCESS_DONE,
-    ACCESS_SHED,
     AccessCancelled,
     AccessHandle,
     ExecutionContext,
     RetryPolicy,
     WebBaseConfig,
-)
-from repro.core.metrics import MetricsRegistry
-from repro.core.resilience import (
-    CircuitOpenError,
-    ResilienceManager,
-    ResiliencePolicy,
 )
 from repro.core.webbase import WebBase
 from repro.web.server import FaultPlan
@@ -47,7 +40,6 @@ class TestHandleBasics:
         handle = ctx.run_fetch(relation, {"make": "saab"})
         assert handle.state == ACCESS_DONE
         assert handle.done
-        assert not handle.speculative
         assert handle.relation == "newsday"
         assert handle.host == "www.newsday.com"
         assert handle.given == {"make": "saab"}
@@ -219,11 +211,7 @@ class TestSingleFlightRaces:
 
 class TestBatchSemantics:
     def test_duplicate_bindings_share_a_handle(self, healthy_webbase):
-        ctx = ExecutionContext(
-            healthy_webbase.pool,
-            metrics=healthy_webbase.metrics,
-            batch_enabled=True,
-        )
+        ctx = ExecutionContext(healthy_webbase.pool, metrics=healthy_webbase.metrics)
         relation = healthy_webbase.vps.relations["newsday"]
         givens = [{"make": "saab"}, {"make": "toyota"}, {"make": "saab"}]
         batch = ctx.run_fetch_batch(relation, givens)
@@ -236,11 +224,7 @@ class TestBatchSemantics:
     def test_cancel_after_batch_session_is_inert(self, healthy_webbase):
         """By the time run_fetch_batch returns, every handle is terminal:
         a late cancel accepts nothing and retracts nothing."""
-        ctx = ExecutionContext(
-            healthy_webbase.pool,
-            metrics=healthy_webbase.metrics,
-            batch_enabled=True,
-        )
+        ctx = ExecutionContext(healthy_webbase.pool, metrics=healthy_webbase.metrics)
         relation = healthy_webbase.vps.relations["newsday"]
         batch = ctx.run_fetch_batch(relation, [{"make": "saab"}, {"make": "toyota"}])
         before = batch.results()
@@ -248,62 +232,3 @@ class TestBatchSemantics:
         assert [h.state for h in batch] == [ACCESS_DONE, ACCESS_DONE]
         assert batch.results() == before
         assert healthy_webbase.metrics.value("resilience.cancelled") == 0
-
-
-class TestSpeculativeProbes:
-    def test_probe_handle_is_speculative_and_inherits_into_fetches(self):
-        """A fetch issued under a speculative probe inherits the flag, so
-        an open breaker sheds the probe instead of burning a slot."""
-        webbase = WebBase.create(WebBaseConfig())
-        manager = ResilienceManager(
-            ResiliencePolicy(failure_threshold=1), metrics=MetricsRegistry()
-        )
-        manager.record_failure("www.newsday.com")  # breaker now open
-        ctx = ExecutionContext(
-            webbase.pool, metrics=webbase.metrics, resilience=manager
-        )
-        relation = webbase.vps.relations["newsday"]
-        probe = ctx.speculate(
-            lambda: ctx.run_fetch(relation, {"make": "saab"}).result(),
-            "newsday",
-            {"make": "saab"},
-            host=relation.host,
-        )
-        assert probe.speculative
-        assert probe.wait(10.0)
-        ctx.drain_speculation(10.0)
-        assert probe.state == ACCESS_SHED
-        assert isinstance(probe.error, CircuitOpenError)
-        # A *required* access to the same host still passes through.
-        demanded = ctx.run_fetch(relation, {"make": "saab"})
-        assert demanded.state == ACCESS_DONE
-        assert manager.metrics.value("resilience.pass_throughs") >= 1
-
-    def test_cancel_during_stagger_costs_nothing(self):
-        """A staggered probe pruned during its delay never touches the
-        Web: the cancel interrupts the stagger wait and the handle goes
-        CANCELLED without a single fetch."""
-        webbase = WebBase.create(WebBaseConfig())
-        manager = ResilienceManager(
-            ResiliencePolicy(speculate_stagger_seconds=30.0),
-            metrics=MetricsRegistry(),
-        )
-        ctx = ExecutionContext(
-            webbase.pool, metrics=webbase.metrics, resilience=manager
-        )
-        relation = webbase.vps.relations["newsday"]
-        fetched = []
-        probe = ctx.speculate(
-            lambda: fetched.append(ctx.run_fetch(relation, {"make": "saab"})),
-            "newsday",
-            {"make": "saab"},
-            index=1,  # 1 × 30s stagger: safely pending when we cancel
-            host=relation.host,
-        )
-        assert probe.cancel("outer partition emptied") is True
-        assert probe.wait(10.0)
-        ctx.drain_speculation(10.0)
-        assert probe.state == ACCESS_CANCELLED
-        assert fetched == []
-        assert ctx.fetches == 0
-        assert webbase.metrics.value("resilience.cancelled") == 1

@@ -188,19 +188,20 @@ class TestPageBudgetUnderReplay:
 
 
 class TestBatchEquivalenceProperty:
-    """Property: ``fetch_batch(bindings)`` ≡ the per-binding ``fetch``
-    answers (and hence their multiset union), for seeded random binding
-    sets with duplicates, under injected transient faults, with the
-    cross-query result cache on and off."""
+    """Property: ``fetch_batch(bindings)`` on the engine ≡ the per-binding
+    ``fetch`` answers of the context-free walk (and hence their multiset
+    union), for seeded random binding sets with duplicates, under injected
+    transient faults, with the cross-query result cache on and off.  The
+    reference shares no engine code: no ``ExecutionContext``, no page
+    cache, a fault-free copy of the same seeded world."""
 
     MAKES = ["saab", "ford", "honda", "jaguar", "bmw", "toyota", "volvo"]
 
-    def _build(self, policy: str, seed: int, batch: bool) -> WebBase:
+    def _build(self, policy: str, seed: int) -> WebBase:
         return WebBase.create(
             WebBaseConfig(
                 cache=CachePolicy.lru() if policy == "lru" else CachePolicy.noop(),
                 max_workers=3,
-                batch=batch,
                 faults=FaultPlan(seed=seed, error_rate=0.15),
                 retry=RetryPolicy(max_attempts=6),
             )
@@ -216,15 +217,15 @@ class TestBatchEquivalenceProperty:
         ]
         givens.append(dict(givens[0]))  # a guaranteed duplicate binding
 
-        batched_wb = self._build(policy, seed, batch=True)
+        batched_wb = self._build(policy, seed)
         ctx = batched_wb.execution_context(label="batch")
         batched = batched_wb.cache.fetch_batch(
             relation, [dict(g) for g in givens], context=ctx
         )
         assert not ctx.failures
 
-        plain_wb = self._build(policy, seed, batch=False)
-        singles = [plain_wb.fetch_vps(relation, dict(g)) for g in givens]
+        reference = WebBase(build_world())
+        singles = [reference.vps.fetch(relation, dict(g)) for g in givens]
 
         # Binding-for-binding identical answers ...
         assert [_rows(r) for r in batched] == [_rows(r) for r in singles]
@@ -272,10 +273,9 @@ class TestSpeculativePrefetcher:
         counters = webbase.metrics.snapshot()["counters"]
         assert counters.get("nav.prefetch_issued", 0) > 1
         # Speculation is work moved, not added: the batched run's total
-        # live traffic stays at or below the per-binding baseline's.
-        baseline = WebBase.create(WebBaseConfig(max_workers=4, batch=False))
-        base_ctx = baseline.execution_context(label="baseline")
-        assert baseline.query(JAGUAR_QUERY, context=base_ctx) == answer
+        # live traffic stays at or below the context-free walk's.
+        baseline = WebBase(build_world())
+        assert baseline.ur.answer(JAGUAR_QUERY) == answer
         spent = lambda wb: sum(s.requests for s in wb.world.server.stats.values())
         assert spent(webbase) <= spent(baseline)
 
@@ -368,9 +368,9 @@ class TestTimeoutRetryReplay:
     def test_retry_replays_cached_pages_and_succeeds(self):
         """With the page cache on, a timed-out attempt's pages persist, so
         the retry replays them at zero network cost and completes inside
-        the same per-attempt budget that killed attempt one (the batch=False
-        counterpart is pinned in test_faults)."""
-        webbase = WebBase.create(WebBaseConfig())  # batch on by default
+        the same per-attempt budget that killed attempt one (a budget
+        below one page's latency is pinned in test_faults)."""
+        webbase = WebBase.create(WebBaseConfig())
         ctx = webbase.execution_context(
             timeout_seconds=0.05, retry=RetryPolicy(max_attempts=2)
         )

@@ -190,20 +190,6 @@ class TestTtl:
         assert cache.stats["misses"] == 2
         assert cache.stats["expirations"] == 1
 
-    def test_per_relation_ttl_overrides_default(self, webbase):
-        cache, now = self._cache_with_clock(
-            webbase,
-            CachePolicy.lru(ttl_seconds=1000.0, relation_ttls={"newsday": 5.0}),
-        )
-        cache.fetch("newsday", {"make": "saab"})
-        cache.fetch("autoweb", {"make": "saab"})
-        now[0] = 10.0
-        cache.fetch("newsday", {"make": "saab"})  # over its 5s override
-        cache.fetch("autoweb", {"make": "saab"})  # well inside the default
-        assert cache.stats["expirations"] == 1
-        assert cache.stats["hits"] == 1
-        assert cache.stats["misses"] == 3
-
     def test_no_ttl_never_expires(self, webbase):
         cache, now = self._cache_with_clock(webbase, CachePolicy.lru())
         cache.fetch("newsday", {"make": "saab"})

@@ -1,8 +1,11 @@
 """Fault injection and the engine's retry/timeout/partial-failure paths."""
 
+import itertools
+
 import pytest
 
 from repro.core.execution import (
+    ExecutionContext,
     FetchFailedError,
     FetchFailure,
     RetryPolicy,
@@ -277,12 +280,19 @@ class TestSpikesAndTimeouts:
         )
 
     def test_timeout_exhausts_into_failure(self):
-        # batch=False: with the query-scoped page cache on, a timed-out
-        # attempt's pages replay from cache, so the retry succeeds under
-        # budget instead of exhausting (pinned by the batch test suite).
-        webbase = WebBase.create(WebBaseConfig(batch=False))
-        ctx = webbase.execution_context(
-            timeout_seconds=0.05, retry=RetryPolicy(max_attempts=2)
+        # On a still host the retry replays attempt one's pages from the
+        # query-scoped page cache for free and succeeds (pinned by the
+        # batch test suite).  Here the host's map revision moves under
+        # every read — a site mid-change — so no page is ever kept and
+        # each attempt walks live, over budget again.
+        webbase = WebBase.create(WebBaseConfig())
+        moving = itertools.count()
+        ctx = ExecutionContext(
+            webbase.pool,
+            timeout_seconds=0.05,
+            retry=RetryPolicy(max_attempts=2),
+            metrics=webbase.metrics,
+            page_revisions=lambda host: next(moving),
         )
         with pytest.raises(FetchFailedError):
             webbase.fetch_vps("nytimes", {"manufacturer": "saab"}, context=ctx)

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes five mechanical consistency audits, so drift fails loudly:
+Includes six mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -11,6 +11,9 @@ Includes five mechanical consistency audits, so drift fails loudly:
 * there is one staleness authority (``repro.revisions``) and one
   dependency derivation (the plan's): no other module keeps its own
   revision table, and none builds a host set from a trace's fetch spans;
+* the dependent join has one probe path: the names of the removed ones
+  (join-probe speculation, the per-binding engine arm) and of the two
+  one-caller settings that left with them do not come back;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -229,11 +232,33 @@ class TestOneStalenessAuthority:
         assert offenders == []
 
 
+class TestOneProbePath:
+    """With a context the dependent join batches its probes, without one
+    it runs the per-binding loop; nothing selects a third way."""
+
+    REMOVED = (
+        "speculate_probes", "speculate_stagger", "_speculate_probes",
+        "_settle_speculation", "_candidate_source", "drain_speculation",
+        "_spec_slots", "ACCESS_SHED", "CircuitOpenError", "BulkheadSaturated",
+        "batch_enabled", "store_warm", "relation_ttls", "pruned_probes",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        offenders = []
+        for relative, tree in TestOneStalenessAuthority._trees():
+            for node in ast.walk(tree):
+                for field in ("id", "attr", "name", "arg", "value"):
+                    text = getattr(node, field, None)
+                    if isinstance(text, str) and any(r in text for r in self.REMOVED):
+                        offenders.append("%s:%d" % (relative, node.lineno))
+        assert offenders == []
+
+
 class TestMetricNamingAudit:
     @pytest.fixture(scope="class")
     def exercised_webbase(self):
         """One webbase pushed through the subsystems that emit metrics:
-        cached queries, faults + breakers, speculation + pruning."""
+        cached queries, faults + breakers, batched probes + prefetch."""
         from repro import (
             CachePolicy,
             FaultPlan,
@@ -246,11 +271,7 @@ class TestMetricNamingAudit:
                 ads_per_host=40,
                 cache=CachePolicy.lru(),
                 faults=FaultPlan(seed=5, error_rate=0.3),
-                resilience=ResiliencePolicy(
-                    failure_threshold=2,
-                    speculate_probes=True,
-                    prune=True,
-                ),
+                resilience=ResiliencePolicy(failure_threshold=2),
             )
         )
         instance.query(

@@ -31,12 +31,8 @@ JAGUAR_QUERY = (
 )
 
 
-def _config(tmp_path, **overrides):
-    return WebBaseConfig(
-        cache=CachePolicy.lru(),
-        store_dir=str(tmp_path / "store"),
-        **overrides,
-    )
+def _config(tmp_path):
+    return WebBaseConfig(cache=CachePolicy.lru(), store_dir=str(tmp_path / "store"))
 
 
 def _query(webbase, label):
@@ -70,24 +66,6 @@ class TestWarmRestart:
         finally:
             webbase2.store.close()
 
-    def test_no_warm_flag_starts_cold(self, tmp_path):
-        config = _config(tmp_path)
-        world = build_world(seed=config.seed, ads_per_host=config.ads_per_host)
-        webbase = WebBase(world, config=config)
-        rows, _ = _query(webbase, "cold")
-        webbase.store.close()
-
-        cold_config = _config(tmp_path, store_warm=False)
-        webbase2 = WebBase(world, config=cold_config)
-        rows2, ctx2 = _query(webbase2, "unwarmed")
-        try:
-            assert rows2 == rows
-            assert ctx2.fetches > 0, "--no-store-warm must refetch live"
-            counters = webbase2.metrics.snapshot()["counters"]
-            assert counters.get("store.warm_hits", 0) == 0
-        finally:
-            webbase2.store.close()
-
     def test_warm_metrics_visible_via_cli(self, tmp_path, capsys):
         """``python -m repro metrics --store DIR`` surfaces the warm
         counters once a prior run has populated the store."""
@@ -113,7 +91,7 @@ class TestCrashDuringQueries:
         # Attach by hand so the store carries an injected fault.
         fault = StorageFault(kill_at_byte=4096)
         store = TieredStore(str(tmp_path / "store"), fault=fault)
-        webbase.attach_store(store, warm=False)
+        webbase.attach_store(store)
 
         rows, ctx = _query(webbase, "crashing")
         expected = set(webbase.query(JAGUAR_QUERY).rows)
@@ -130,7 +108,7 @@ class TestCrashDuringQueries:
         try:
             assert not recovered.crashed
             webbase2 = WebBase(world, config=WebBaseConfig(cache=CachePolicy.lru()))
-            webbase2.attach_store(recovered, warm=True)
+            webbase2.attach_store(recovered)
             rows2, _ = _query(webbase2, "recovered")
             assert rows2 == expected
         finally:
