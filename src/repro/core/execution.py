@@ -36,10 +36,11 @@ approaches the slowest single site instead of the sum over sites.
 
 from __future__ import annotations
 
+import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import monotonic, process_time
+from time import monotonic, thread_time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.metrics import MetricsRegistry
@@ -209,6 +210,19 @@ class FanoutError(WebBaseError):
         super().__init__("\n".join(lines))
 
 
+def _raise_collected(errors: Sequence[BaseException], total: int) -> None:
+    """How a fan-out of ``total`` tasks reports its ``errors``, if any: a
+    deadline expiry trumps the rest (it abandoned the whole fan-out); one failure
+    re-raises as itself (``BindingError`` stays one); several, one :class:`FanoutError`."""
+    for error in errors:
+        if isinstance(error, DeadlineExceeded):
+            raise error
+    if len(errors) == 1:
+        raise errors[0]
+    if errors:
+        raise FanoutError([e for e in errors if isinstance(e, Exception)], total=total)
+
+
 # -- access handles ----------------------------------------------------------------
 
 
@@ -366,10 +380,8 @@ class AccessBatch:
     """The handles of one :meth:`ExecutionContext.run_fetch_batch` call,
     in ``givens`` order (duplicate bindings share a handle).
 
-    :meth:`results` mirrors the engine's fan-out error semantics: a
-    deadline expiry trumps everything, a single failure re-raises as
-    itself, several raise one :class:`FanoutError`.
-    """
+    :meth:`results` reports failures as every fan-out does
+    (:func:`_raise_collected`)."""
 
     def __init__(self, handles: "list[AccessHandle]") -> None:
         self.handles = list(handles)
@@ -385,22 +397,8 @@ class AccessBatch:
         return sum(1 for handle in self.handles if handle.cancel(reason))
 
     def results(self) -> list[Any]:
-        distinct: list[AccessHandle] = []
-        seen: set[int] = set()
-        for handle in self.handles:
-            if id(handle) not in seen:
-                seen.add(id(handle))
-                distinct.append(handle)
-        errors = [h.error for h in distinct if h.error is not None]
-        if errors:
-            for error in errors:
-                if isinstance(error, DeadlineExceeded):
-                    raise error
-            if len(errors) == 1:
-                raise errors[0]
-            raise FanoutError(
-                [e for e in errors if isinstance(e, Exception)], total=len(distinct)
-            )
+        distinct = list({id(handle): handle for handle in self.handles}.values())
+        _raise_collected([h.error for h in distinct if h.error is not None], len(distinct))
         return [handle.result() for handle in self.handles]
 
 
@@ -669,8 +667,8 @@ class ExecutionContext:
         self._slots = threading.Semaphore(self.max_workers)
         self._live_handles: dict[int, AccessHandle] = {}
         self._local = threading.local()
-        self._cpu_depth = 0
-        self._cpu_mark = 0.0
+        self._fanouts: list[tuple] = []  # open: (pending indices, helper threads, helper body)
+        self._fan_lock = threading.Lock()  # guards them; never held while an item runs
 
     # -- timing model -------------------------------------------------------
 
@@ -746,14 +744,18 @@ class ExecutionContext:
             parent.children.append(span)
         raise exc
 
-    def check_cancelled(self, stage: str) -> None:
+    def check_cancelled(self, stage: str, kick: bool = True) -> None:
         """The engine's cooperative cancellation checkpoint.
 
         Raises :class:`AccessCancelled` when any access handle on the
         calling thread's handle stack was cancelled, and defers to
         :meth:`check_deadline` when the whole context was cancelled.  Costs
         nothing — in particular, no wall-clock read — on the happy path, so
-        it is safe to call from tight polling loops."""
+        it is safe to call from tight polling loops.  A checkpoint heads an
+        access, a wait or a shared evaluation, so it is where open fan-outs get
+        their helper threads (the per-page poll inside an access: ``kick=False``)."""
+        if kick and self._fanouts:
+            self._kick()
         stack = getattr(self._local, "handles", None)
         if stack:
             for handle in stack:
@@ -805,25 +807,22 @@ class ExecutionContext:
             return self.resilience.allows_speculation(host)
         return True
 
-    def adopt(self, span: TraceSpan) -> None:
-        """Make ``span`` the calling thread's current trace span (worker
-        threads adopt the fan-out parent before running tasks)."""
-        self._local.stack = [span]
-
     @contextmanager
     def accounted(self) -> Iterator[None]:
-        """Accumulate process cpu time into the context (re-entrant)."""
-        with self._lock:
-            if self._cpu_depth == 0:
-                self._cpu_mark = process_time()
-            self._cpu_depth += 1
+        """Charge the calling thread's cpu time to the context (re-entrant
+        per thread; each fan-out helper charges its own).  Thread time, not
+        process time: a query is never billed a concurrent query's cpu."""
+        if getattr(self._local, "accounting", False):
+            yield  # the outermost frame on this thread does the charging
+            return
+        self._local.accounting = True
+        mark = thread_time()
         try:
             yield
         finally:
+            self._local.accounting = False
             with self._lock:
-                self._cpu_depth -= 1
-                if self._cpu_depth == 0:
-                    self.cpu_seconds += process_time() - self._cpu_mark
+                self.cpu_seconds += thread_time() - mark
 
     # -- tracing -------------------------------------------------------------
 
@@ -858,55 +857,92 @@ class ExecutionContext:
     # -- fan-out -------------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Apply ``fn`` to every item, in parallel, preserving item order.
-
-        Errors are collected from *every* worker: a single failure is
-        re-raised as itself (so layer semantics like ``BindingError`` are
-        preserved); several failures raise one :class:`FanoutError`
-        reporting all of them.
-        """
+        """Apply ``fn`` to every item, in parallel, preserving item order;
+        errors are collected from *every* item (:func:`_raise_collected`)."""
         items = list(items)
         if len(items) <= 1 or self.max_workers <= 1:
             return [fn(item) for item in items]
         results: list[Any] = [None] * len(items)
-        errors: list[tuple[int, Exception]] = []
-        parent = self.current_span()
-        pending = list(range(len(items)))
-
-        def worker() -> None:
-            self.adopt(parent)
-            while True:
-                with self._lock:
-                    if not pending:
-                        return
-                    index = pending.pop(0)
-                try:
-                    results[index] = fn(items[index])
-                except Exception as exc:  # noqa: BLE001 - reported in full below
-                    with self._lock:
-                        errors.append((index, exc))
-                    if isinstance(exc, DeadlineExceeded):
-                        return  # the context is cancelled; stop taking work
-
-        threads = [
-            threading.Thread(target=worker, daemon=True)
-            for _ in range(min(len(items), self.max_workers))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            errors.sort(key=lambda pair: pair[0])
-            # A deadline expiry trumps aggregation: the whole fan-out was
-            # abandoned for one reason, so report that reason directly.
-            for _, exc in errors:
-                if isinstance(exc, DeadlineExceeded):
-                    raise exc
-            if len(errors) == 1:
-                raise errors[0][1]
-            raise FanoutError([exc for _, exc in errors], total=len(items))
+        errors: dict[int, Exception] = {}
+        for index, value, error in self.completed(fn, items):
+            if error is None:
+                results[index] = value
+            else:
+                errors[index] = error
+        _raise_collected([errors[index] for index in sorted(errors)], len(items))
         return results
+
+    def completed(
+        self, fn: Callable[[Any], Any], items: Sequence[Any]
+    ) -> Iterator[tuple[int, Any, Exception | None]]:
+        """The one fan-out primitive: apply ``fn`` to every item, yielding
+        ``(index, value, error)`` as each completes.  The caller works the
+        items itself — so nested fan-outs cannot starve each other — and
+        helper threads (at most ``max_workers - 1``, tracing under the
+        caller's span) join in only at an engine checkpoint (:meth:`_kick`):
+        a fan-out exists to overlap accesses, and one the caches answer has
+        none.  A :class:`DeadlineExceeded` abandons the items not yet taken."""
+        pending = list(range(len(items)))  # indices nobody has taken yet
+        done: queue.SimpleQueue = queue.SimpleQueue()  # entries; None = a helper left
+        helpers: list[threading.Thread] = []
+        parent = self.current_span()
+
+        def work(index: int | None = None) -> bool:
+            if index is None:
+                with self._fan_lock:
+                    if not pending:
+                        return False
+                    index = pending.pop(0)
+            try:
+                done.put((index, fn(items[index]), None))
+            except Exception as exc:  # noqa: BLE001 - reported by the consumer
+                if isinstance(exc, DeadlineExceeded):
+                    with self._fan_lock:
+                        pending.clear()  # the context is cancelled
+                done.put((index, None, exc))
+            return True
+
+        def assist(first: int) -> None:
+            self._local.stack = [parent]
+            try:
+                with self.accounted():
+                    while work(first):
+                        first = None
+            finally:
+                done.put(None)  # after this helper's last entry
+
+        fan = (pending, helpers, assist)
+        with self._fan_lock:
+            self._fanouts.append(fan)
+        try:
+            exited = 0
+            # Once nothing is pending no helper starts, so the count is final.
+            while (worked := work()) or exited < len(helpers):
+                wait = not worked  # nothing to take: sleep until a helper reports
+                while wait or not done.empty():
+                    entry, wait = done.get(), False
+                    if entry is None:
+                        exited += 1
+                    else:
+                        yield entry
+        finally:
+            with self._fan_lock:
+                pending.clear()
+                self._fanouts.remove(fan)
+            for helper in helpers:
+                helper.join()
+
+    def _kick(self) -> None:
+        """The context is about to wait on the network: every open fan-out
+        gets its helper threads.  Each is handed its first item, so it is at work
+        before the next starts (released together they fight over the interpreter lock)."""
+        with self._fan_lock:
+            for pending, helpers, assist in self._fanouts:
+                while pending and len(helpers) < self.max_workers - 1:
+                    helper = threading.Thread(target=assist, args=(pending[0],), daemon=True)
+                    helper.start()  # only a started helper owns its item and gets joined
+                    helpers.append(helper)
+                    del pending[0]
 
     # -- fetching ------------------------------------------------------------
 
@@ -1125,11 +1161,8 @@ class ExecutionContext:
         (and, through the query-scoped page cache, across chunks and
         hosts' other fetches too).  Every binding still gets the full
         engine treatment — per-context cache, single-flight, timeout,
-        retries, trace spans.  :meth:`AccessBatch.results` mirrors
-        :meth:`map`'s failure semantics: one failing binding re-raises as
-        itself, several raise a :class:`FanoutError`, and a deadline
-        expiry trumps both.
-        """
+        retries, trace spans — and :meth:`AccessBatch.results` reports
+        failures as :meth:`map` does."""
         if not givens:
             return AccessBatch([])
         self.metrics.histogram("nav.batch_size").observe(len(givens))
@@ -1194,7 +1227,7 @@ class ExecutionContext:
             # A cancelled handle interrupts the navigation between pages:
             # the executor polls this hook before every page fetch.
             bundle.executor.cancel_check = lambda: self.check_cancelled(
-                "page:%s" % relation.name
+                "page:%s" % relation.name, kick=False
             )
             try:
                 for attempt in range(1, attempts_allowed + 1):

@@ -63,6 +63,7 @@ class SubplanRegistry:
         same fingerprint wait (cancellably, via ``context.check_cancelled``)
         and share the leader's result.
         """
+        poll = getattr(context, "check_cancelled", None)
         while True:
             with self._lock:
                 flight, leading = self._flights.join(fingerprint)
@@ -71,12 +72,15 @@ class SubplanRegistry:
                 if span is not None:
                     span.attrs["mqo"] = "lead"
                 with flight:
+                    if poll is not None:
+                        # Other queries may park on this evaluation: its
+                        # siblings get their threads, not a place behind it.
+                        poll("mqo:%s" % fingerprint[:12])
                     result = thunk()
                     with self._lock:
                         flight.land(result)
                 return result
             try:
-                poll = getattr(context, "check_cancelled", None)
                 landed = flight.wait(poll, "mqo:%s" % fingerprint[:12])
             except BaseException:
                 # This subscriber is gone; the flight (and its other

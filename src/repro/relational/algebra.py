@@ -17,6 +17,7 @@ paper requires:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Protocol
 
 from repro.relational.bindings import (
@@ -327,10 +328,13 @@ def evaluate(
 
 
 def _filter_given(relation: Relation, given: dict[str, Any]) -> Relation:
-    relevant = {a: v for a, v in given.items() if a in relation.schema}
-    if not relevant:
+    schema = relation.schema
+    bound = [(schema.index_of(a), v) for a, v in given.items() if a in schema]
+    if not bound:
         return relation
-    return relation.select(lambda row: all(row[a] == v for a, v in relevant.items()))
+    column = itemgetter(*(i for i, _ in bound))  # positional: no dict per row
+    wanted = bound[0][1] if len(bound) == 1 else tuple(v for _, v in bound)
+    return relation.select_rows(lambda row: column(row) == wanted)
 
 
 def evaluate_batch(

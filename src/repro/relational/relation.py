@@ -1,8 +1,10 @@
 """Relations: schemas plus tuples, with the core operators.
 
-Relations use set semantics (duplicate rows are removed) and keep their
+Relations use set semantics (duplicate rows are removed) and present their
 rows in a deterministic sorted order so results are stable across runs —
-a requirement for the reproducibility of every benchmark table.
+a requirement for the reproducibility of every benchmark table.  Order is
+a property of an *answer*: the sort runs once, when ``rows`` is first
+read; operators work on the unsorted rows and never pay for it.
 """
 
 from __future__ import annotations
@@ -20,25 +22,54 @@ def _sort_key(row: Row) -> tuple:
     return tuple((type(v).__name__, repr(v)) for v in row)
 
 
+#: Memo entries one relation keeps: a view applies one operator to each relation
+#: it builds; the cap is for a cached one meeting many client-chosen projections.
+_MEMO_LIMIT = 8
+
+
 class Relation:
     """An immutable relation instance."""
 
-    __slots__ = ("schema", "rows")
+    __slots__ = ("schema", "_rows", "_sorted", "_memo")
 
-    def __init__(self, schema: Schema | Iterable[str], rows: Iterable[Row] = ()) -> None:
+    def __init__(
+        self, schema: Schema | Iterable[str], rows: Iterable[Row] = (), _distinct=False, _sorted=False
+    ) -> None:
+        """``_distinct`` / ``_sorted``: an operator's promise that ``rows`` are
+        distinct tuples of the schema's width / in :func:`_sort_key` order."""
         if not isinstance(schema, Schema):
             schema = Schema(schema)
+        if not _distinct:
+            width = len(schema)
+            rows = dict.fromkeys(map(tuple, rows))  # set semantics, insertion order
+            for row in rows:
+                if len(row) != width:
+                    raise SchemaError("row %r does not match schema %r" % (row, schema))
         self.schema = schema
-        width = len(schema)
-        deduped = set()
-        for row in rows:
-            row = tuple(row)
-            if len(row) != width:
-                raise SchemaError(
-                    "row %r does not match schema %r" % (row, schema)
-                )
-            deduped.add(row)
-        self.rows: tuple[Row, ...] = tuple(sorted(deduped, key=_sort_key))
+        self._rows: tuple[Row, ...] = tuple(rows)
+        self._sorted = _sorted or len(self._rows) < 2
+        self._memo: dict[tuple, Relation] = {}
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows in :func:`_sort_key` order: sorted when first read, and
+        the sorted tuple replaces the unsorted one."""
+        if not self._sorted:
+            self._rows = tuple(sorted(self._rows, key=_sort_key))
+            self._sorted = True
+        return self._rows
+
+    def _memoised(self, key: tuple, build: Callable[[], "Relation"]) -> "Relation":
+        """``build()``, remembered on this relation under ``key`` — an
+        operator's plan-static arguments, never a query constant.  The memo
+        lives as long as the relation does (a cache refill is a new
+        object), so it cannot be stale."""
+        result = self._memo.get(key)
+        if result is None:
+            result = build()
+            if len(self._memo) < _MEMO_LIMIT:
+                result = self._memo.setdefault(key, result)
+        return result
 
     # -- construction ---------------------------------------------------------
 
@@ -52,7 +83,7 @@ class Relation:
     # -- basics -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -62,13 +93,10 @@ class Relation:
             return NotImplemented
         if self.schema != other.schema:
             return False
-        if self.schema.attrs == other.schema.attrs:
-            return self.rows == other.rows
-        # Same attribute set, different order: compare re-ordered.
-        return set(self.to_dict_tuples()) == set(other.to_dict_tuples())
+        return set(self._rows) == set(other._aligned_to(self.schema))
 
     def __hash__(self) -> int:
-        return hash((self.schema, frozenset(self.to_dict_tuples())))
+        return hash((self.schema, frozenset(self._aligned_to(Schema(sorted(self.schema))))))
 
     def __repr__(self) -> str:
         return "Relation(%s, %d rows)" % (", ".join(self.schema), len(self))
@@ -87,67 +115,77 @@ class Relation:
 
     @property
     def is_empty(self) -> bool:
-        return not self.rows
+        return not self._rows
 
     # -- operators ----------------------------------------------------------------
+    # An operator that changes nothing returns its operand; one that cannot
+    # introduce duplicates says so (``_distinct``) and skips the dedup.
+
+    def select_rows(self, keep: Callable[[Row], bool]) -> "Relation":
+        """The rows ``keep`` accepts (positional: it sees the row tuple)."""
+        kept = [row for row in self._rows if keep(row)]
+        if len(kept) == len(self._rows):
+            return self
+        return Relation(self.schema, kept, True, self._sorted)
 
     def select(self, predicate: Callable[[RowDict], bool]) -> "Relation":
         attrs = self.schema.attrs
-        kept = [row for row in self.rows if predicate(dict(zip(attrs, row)))]
-        return Relation(self.schema, kept)
+        return self.select_rows(lambda row: predicate(dict(zip(attrs, row))))
 
     def project(self, attrs: Iterable[str]) -> "Relation":
         target = self.schema.project(attrs)
-        indices = [self.schema.index_of(a) for a in target]
-        return Relation(target, [tuple(row[i] for i in indices) for row in self.rows])
+        if target.attrs == self.schema.attrs:
+            return self
+        build = lambda: Relation(target, self._aligned_to(target))
+        return self._memoised(("project", target.attrs), build)
 
     def rename(self, mapping: dict[str, str]) -> "Relation":
-        return Relation(self.schema.rename(mapping), self.rows)
+        target = self.schema.rename(mapping)
+        if target.attrs == self.schema.attrs:
+            return self
+        build = lambda: Relation(target, self._rows, True, self._sorted)  # shares the rows
+        return self._memoised(("rename", target.attrs), build)
 
     def derive(self, attr: str, fn: Callable[[RowDict], Any]) -> "Relation":
-        """Add (or replace) ``attr`` computed from each row."""
-        attrs = self.schema.attrs
-        if attr in self.schema:
-            idx = self.schema.index_of(attr)
-            rows = []
-            for row in self.rows:
-                value = fn(dict(zip(attrs, row)))
-                rows.append(row[:idx] + (value,) + row[idx + 1 :])
-            return Relation(self.schema, rows)
-        target = Schema(attrs + (attr,))
-        rows = [row + (fn(dict(zip(attrs, row))),) for row in self.rows]
-        return Relation(target, rows)
+        """Add (or replace) ``attr`` computed from each row by ``fn``, a pure
+        function of the row (the result is remembered per ``fn``)."""
+
+        def build() -> "Relation":
+            attrs = self.schema.attrs
+            at = self.schema.index_of(attr) if attr in self.schema else len(attrs)
+            rows = [row[:at] + (fn(dict(zip(attrs, row))),) + row[at + 1 :] for row in self._rows]
+            # Appending a column keeps distinct rows distinct; replacing one may not.
+            return Relation(Schema(attrs[:at] + (attr,) + attrs[at + 1 :]), rows, at == len(attrs))
+
+        return self._memoised(("derive", attr, fn), build)
+
+    def _operand(self, other: "Relation", op: str) -> tuple[Row, ...]:
+        """``other``'s rows in this relation's attribute order."""
+        if self.schema != other.schema:
+            raise SchemaError("%s schema mismatch: %r vs %r" % (op, self.schema, other.schema))
+        return other._aligned_to(self.schema)
 
     def union(self, other: "Relation") -> "Relation":
-        if self.schema != other.schema:
-            raise SchemaError(
-                "union schema mismatch: %r vs %r" % (self.schema, other.schema)
-            )
-        aligned = other._aligned_to(self.schema)
-        return Relation(self.schema, self.rows + aligned)
+        theirs = self._operand(other, "union")
+        if not theirs:
+            return self
+        if not self._rows and self.schema.attrs == other.schema.attrs:
+            return other
+        return Relation(self.schema, self._rows + theirs)
 
     def intersect(self, other: "Relation") -> "Relation":
-        if self.schema != other.schema:
-            raise SchemaError(
-                "intersect schema mismatch: %r vs %r" % (self.schema, other.schema)
-            )
-        mine = set(self.rows)
-        return Relation(self.schema, [r for r in other._aligned_to(self.schema) if r in mine])
+        return self.select_rows(set(self._operand(other, "intersect")).__contains__)
 
     def difference(self, other: "Relation") -> "Relation":
-        if self.schema != other.schema:
-            raise SchemaError(
-                "difference schema mismatch: %r vs %r" % (self.schema, other.schema)
-            )
-        theirs = set(other._aligned_to(self.schema))
-        return Relation(self.schema, [r for r in self.rows if r not in theirs])
+        theirs = set(self._operand(other, "difference"))
+        return self.select_rows(lambda row: row not in theirs)
 
     def _aligned_to(self, schema: Schema) -> tuple[Row, ...]:
-        """Rows re-ordered to match ``schema``'s attribute order."""
+        """Rows re-ordered (and cut down) to ``schema``'s attributes, in its order."""
         if self.schema.attrs == schema.attrs:
-            return self.rows
+            return self._rows
         indices = [self.schema.index_of(a) for a in schema]
-        return tuple(tuple(row[i] for i in indices) for row in self.rows)
+        return tuple(tuple(row[i] for i in indices) for row in self._rows)
 
     def natural_join(self, other: "Relation") -> "Relation":
         common = sorted(self.schema.common(other.schema))
@@ -159,19 +197,20 @@ class Relation:
 
         # Hash join on the common attributes.
         buckets: dict[tuple, list[Row]] = {}
-        for row in other.rows:
+        for row in other._rows:
             buckets.setdefault(tuple(row[i] for i in right_idx), []).append(row)
         joined = []
-        for row in self.rows:
+        for row in self._rows:
             key = tuple(row[i] for i in left_idx)
             for match in buckets.get(key, ()):
                 joined.append(row + tuple(match[i] for i in right_extra_idx))
-        return Relation(target, joined)
+        # Distinct operands join to distinct rows: a joined row fixes both sources.
+        return Relation(target, joined, True)
 
     def distinct_values(self, attrs: Iterable[str]) -> list[tuple]:
         """Distinct value combinations of ``attrs``, sorted."""
         indices = [self.schema.index_of(a) for a in attrs]
-        values = {tuple(row[i] for i in indices) for row in self.rows}
+        values = {tuple(row[i] for i in indices) for row in self._rows}
         return sorted(values, key=_sort_key)
 
     def pretty(self, limit: int = 20) -> str:

@@ -10,8 +10,6 @@ be optimized and evaluated by standard query evaluation techniques."
 
 from __future__ import annotations
 
-import queue as queue_mod
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -319,43 +317,23 @@ class StructuredUR:
                     evaluated += 1
                 yield obj, piece
         else:
-            done: queue_mod.Queue = queue_mod.Queue()
-            parent = context.current_span()
-
-            def run(obj: ObjectPlan) -> None:
-                context.adopt(parent)
-                try:
-                    done.put((obj, self._evaluate_object(obj, context), None))
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    done.put((obj, None, exc))
-
-            threads = [
-                threading.Thread(target=run, args=(obj,), daemon=True)
-                for obj in feasible
-            ]
-            for thread in threads:
-                thread.start()
-            first_error: BaseException | None = None
-            for _ in feasible:
-                obj, piece, error = done.get()
+            first_error: Exception | None = None
+            for index, piece, error in context.completed(
+                lambda obj: self._evaluate_object(obj, context), feasible
+            ):
                 if error is not None:
-                    if first_error is None:
-                        first_error = error
+                    first_error = first_error or error
                     continue
                 if piece is not None:
                     evaluated += 1
-                yield obj, piece
-            for thread in threads:
-                thread.join()
+                yield feasible[index], piece
             if first_error is not None:
                 raise first_error
-        if evaluated == 0 and feasible:
+        if evaluated == 0:
             detail = plan.describe()
             if context is not None and context.failures:
                 detail += "\n" + context.failure_report()
             raise PlanError("no maximal object was evaluable; plan:\n%s" % detail)
-        if not feasible:
-            raise PlanError("no maximal object was evaluable; plan:\n%s" % plan.describe())
 
     def _evaluate_object(self, obj: ObjectPlan, context: Any) -> Relation | None:
         """Evaluate one maximal object under the engine; ``None`` means the

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes six mechanical consistency audits, so drift fails loudly:
+Includes seven mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -14,6 +14,8 @@ Includes six mechanical consistency audits, so drift fails loudly:
 * the dependent join has one probe path: the names of the removed ones
   (join-probe speculation, the per-binding engine arm) and of the two
   one-caller settings that left with them do not come back;
+* there is one fan-out: the engine creates a thread only where an open
+  fan-out gets its helpers, and the UR layer creates none;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -252,6 +254,39 @@ class TestOneProbePath:
                     if isinstance(text, str) and any(r in text for r in self.REMOVED):
                         offenders.append("%s:%d" % (relative, node.lineno))
         assert offenders == []
+
+
+class TestOneFanout:
+    """``ExecutionContext.completed`` is the fan-out; ``map`` and
+    ``answer_stream`` are its ordered and completion-order callers."""
+
+    @staticmethod
+    def _thread_creations(relative: str, tree: ast.AST) -> list[str]:
+        """``file:function`` of every ``threading.Thread(...)`` call."""
+        found = []
+
+        def visit(node: ast.AST, function: str) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "threading.Thread",
+                "Thread",
+            ):
+                found.append("%s:%s" % (relative, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, "")
+        return found
+
+    def test_threads_are_created_only_inside_the_primitive(self):
+        creations = [
+            where
+            for relative, tree in TestOneStalenessAuthority._trees()
+            if relative == "core/execution.py" or relative.startswith("ur/")
+            for where in self._thread_creations(relative, tree)
+        ]
+        assert creations == ["core/execution.py:_kick"]
 
 
 class TestMetricNamingAudit:

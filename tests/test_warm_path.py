@@ -1,0 +1,271 @@
+"""A warm query does only query-dependent work — counted, not timed.
+
+Three rules, one per count:
+
+* **order belongs to an answer** — a warm query sorts under ``_sort_key``
+  at most once per :class:`Relation` whose ``.rows`` somebody reads (the
+  answer, or one streamed piece), never per intermediate;
+* **no thread until an access goes live** — a query the result cache
+  answers starts no thread at all, through ``WebBase.query`` and through
+  the service's ``answer_stream`` path alike;
+* **the fan-out still overlaps accesses** — the same query on a cache-off
+  webbase fetches on several threads and does exactly the Web work a
+  one-worker run does.
+
+The last section pins the fan-out primitive itself: ``answer_stream``
+obeys ``max_workers`` like ``answer`` does, and nested fan-outs at
+``max_workers=2`` finish, because a caller always works its own items.
+
+Counts only, so this cannot flake on a shared runner (it is the
+``perf-smoke`` CI job's gate for the warm path).
+"""
+
+from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+
+from bench.workloads import FAMILIES
+from repro import CachePolicy, WebBase, WebBaseConfig
+from repro.navigation.executor import NavigationExecutor
+from repro.relational.algebra import Base
+from repro.relational import relation as relation_module
+from repro.relational.relation import Relation
+from repro.service.client import ServiceClient
+from repro.service.server import ServiceConfig, WebBaseService
+from repro.ur.planner import ObjectPlan, URPlan
+from repro.ur.query import parse_query
+
+#: One query per ``bench/workloads.py`` family, with a drawn-style threshold
+#: where the family takes one (the constant must not matter to any count).
+QUERIES = {
+    name: family.template.format(make="ford", model="escort")
+    + (" AND price < 12000" if "price" in family.bounds else "")
+    for name, family in FAMILIES.items()
+}
+
+
+class Counts:
+    def __init__(self) -> None:
+        self.thread_starts: list[str] = []
+        self.sorts_of: dict[int, int] = {}  # id(relation) -> sorts its .rows reads ran
+        self._read: list[Relation] = []  # keeps ids unique while counting
+        self.other_sorts = 0  # ``_sort_key`` sorts of rows outside a .rows read
+
+
+@contextmanager
+def counting():
+    """Count ``Thread.start`` calls and ``_sort_key`` sorts of row tuples,
+    the latter per relation whose ``.rows`` is being read."""
+    counts = Counts()
+    reading: list[Relation] = []
+    start, rows = threading.Thread.start, Relation.rows
+
+    def counted_start(thread: threading.Thread) -> None:
+        counts.thread_starts.append(thread.name)
+        start(thread)
+
+    def counted_sorted(values, key=None):
+        if key is relation_module._sort_key and isinstance(values, tuple):
+            if reading:
+                counts.sorts_of[id(reading[-1])] += 1
+            else:
+                counts.other_sorts += 1
+        return sorted(values, key=key)
+
+    def counted_rows(relation: Relation):
+        if id(relation) not in counts.sorts_of:
+            counts.sorts_of[id(relation)] = 0
+            counts._read.append(relation)
+        reading.append(relation)
+        try:
+            return rows.fget(relation)
+        finally:
+            reading.pop()
+
+    with mock.patch.object(threading.Thread, "start", counted_start), mock.patch.object(
+        relation_module, "sorted", counted_sorted, create=True
+    ), mock.patch.object(Relation, "rows", property(counted_rows)):
+        yield counts
+
+
+def _assert_warm(counts: Counts, relations_read: int) -> None:
+    assert counts.thread_starts == [], "a cache-answered query started a thread"
+    assert counts.other_sorts == 0, "an operator sorted an intermediate relation"
+    assert len(counts.sorts_of) <= relations_read
+    assert all(n <= 1 for n in counts.sorts_of.values()), "a relation sorted twice"
+
+
+@pytest.fixture(scope="module")
+def warm(world) -> WebBase:
+    webbase = WebBase(world, WebBaseConfig(cache=CachePolicy.lru()))  # max_workers=8
+    for text in QUERIES.values():
+        webbase.query(text)  # the warm-up pass
+    return webbase
+
+
+@pytest.mark.parametrize("family", sorted(QUERIES))
+def test_a_warm_query_starts_no_thread_and_orders_only_its_answer(warm, family):
+    fetches = warm.metrics.value("engine.fetches")
+    with counting() as counts:
+        answer = warm.query(QUERIES[family])
+        rows = answer.rows
+        assert answer.rows is rows  # a second read is not a second sort
+    assert rows and warm.metrics.value("engine.fetches") == fetches  # it was warm
+    _assert_warm(counts, relations_read=1)
+
+
+def test_the_service_path_starts_no_thread_either(warm):
+    """``answer_stream`` obeys the same rule: on an open connection a warm
+    query is served by the worker that took it, and each streamed piece
+    is ordered once."""
+    service = WebBaseService(warm, ServiceConfig(port=0))
+    host, port = service.start()
+    try:
+        with ServiceClient(host=host, port=port) as client:
+            client.query(QUERIES["price"])  # connection and worker are up
+            for family, text in sorted(QUERIES.items()):
+                objects = len(warm.plan(text).feasible_objects)
+                with counting() as counts:
+                    outcome = client.query(text)
+                assert sorted(outcome.rows) == sorted(warm.query(text).rows), family
+                assert outcome.stats["fetches"] == 0, family
+                _assert_warm(counts, relations_read=objects)
+    finally:
+        service.shutdown()
+
+
+@pytest.mark.parametrize("family", sorted(QUERIES))
+def test_a_cold_query_still_overlaps_its_accesses(world, warm, family):
+    """Cache off, the fan-out goes live: fetches run on several threads,
+    and rows, live pages and fetch count equal a one-worker run's."""
+    text = QUERIES[family]
+    seen: dict[int, set[int]] = {}
+    fetch = NavigationExecutor.fetch
+
+    def recording_fetch(executor, *args, **kwargs):
+        seen[workers].add(threading.get_ident())
+        return fetch(executor, *args, **kwargs)
+
+    measured = {}
+    with mock.patch.object(NavigationExecutor, "fetch", recording_fetch):
+        for workers in (8, 1):
+            seen[workers] = set()
+            webbase = WebBase(world, WebBaseConfig(max_workers=workers))
+            rows = webbase.query(text).rows
+            value = webbase.metrics.value
+            measured[workers] = (rows, value("nav.prefix_misses"), value("engine.fetches"))
+    assert measured[8] == measured[1]
+    assert measured[8][0] == warm.query(text).rows
+    assert len(seen[1]) == 1
+    assert len(seen[8]) >= 2, "a live fan-out ran on one thread"
+
+
+def test_the_cpu_column_bills_a_query_its_own_threads(warm):
+    """``cpu_seconds`` is thread time of the threads that worked for the
+    context: an unrelated thread burning cpu beside the query (another
+    connection's query, under ``serve``) is not on the bill."""
+    import hashlib
+    import time
+
+    stop = threading.Event()
+    block = b"x" * (1 << 20)
+
+    def spin() -> None:  # hashing a large buffer releases the interpreter lock
+        while not stop.is_set():
+            hashlib.sha256(block).digest()
+
+    spinners = [threading.Thread(target=spin, daemon=True) for _ in range(2)]
+    for spinner in spinners:
+        spinner.start()
+    try:
+        for text in QUERIES.values():
+            started = time.perf_counter()
+            warm.query(text)
+            wall = time.perf_counter() - started
+            assert 0 < warm.last_context.cpu_seconds <= wall, text
+    finally:
+        stop.set()
+        for spinner in spinners:
+            spinner.join(timeout=10)
+    assert not any(spinner.is_alive() for spinner in spinners)
+
+
+# -- the one fan-out primitive -------------------------------------------------------
+
+
+class _ParkingCatalog:
+    """A catalog double whose every fetch is a live access: it passes the
+    engine checkpoint a real one passes, then parks long enough for any
+    thread that may run beside it to show up.  Records peak concurrency."""
+
+    def __init__(self, context) -> None:
+        self.context = context
+        self.active = self.peak = 0
+        self.overlapped = threading.Event()
+        self._lock = threading.Lock()
+
+    def fetch(self, name, given, context=None) -> Relation:
+        assert context is self.context
+        context.check_cancelled("fetch:%s" % name)
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            if self.active > 1:
+                self.overlapped.set()
+        self.overlapped.wait(10)  # the first access parks until a second is in flight
+        threading.Event().wait(0.02)
+        with self._lock:
+            self.active -= 1
+        return Relation(["make"], [(name,)])
+
+
+def test_answer_stream_obeys_max_workers(warm):
+    """Six objects at ``max_workers=2``: two accesses in flight, never six
+    (the old private loop started one thread per object)."""
+    import copy
+
+    context = warm.execution_context(max_workers=2)
+    catalog = _ParkingCatalog(context)
+    ur = copy.copy(warm.ur)
+    ur.logical = catalog
+    names = ["r%d" % i for i in range(6)]
+    plan = URPlan(
+        query=parse_query("SELECT make WHERE make = 'ford'"),
+        objects=[ObjectPlan((name,), Base(name), feasible=True) for name in names],
+    )
+    before = threading.active_count()
+    pieces = list(ur.answer_stream(plan.query, plan=plan, context=context))
+    assert sorted(obj.relations[0] for obj, _ in pieces) == names
+    assert sorted(piece.rows[0][0] for _, piece in pieces) == names
+    assert catalog.overlapped.is_set() and catalog.peak == 2
+    assert threading.active_count() == before  # the helper was joined
+
+
+def test_nested_fan_outs_at_two_workers_finish(warm):
+    """Three levels of ``map`` at ``max_workers=2``, every leaf a
+    checkpoint: each caller works its own items, so no level can wait on
+    a worker another level holds."""
+    context = warm.execution_context(max_workers=2)
+
+    def leaf(n: int) -> int:
+        context.check_cancelled("leaf")
+        threading.Event().wait(0.001)
+        return n
+
+    def level(depth: int):
+        if depth == 0:
+            return leaf
+        return lambda n: sum(context.map(level(depth - 1), [3 * n, 3 * n + 1, 3 * n + 2]))
+
+    before = threading.active_count()
+    done: list[int] = []
+    runner = threading.Thread(target=lambda: done.append(level(3)(0)), daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "nested fan-outs deadlocked"
+    assert done == [sum(range(27))]
+    assert threading.active_count() == before
