@@ -1,9 +1,10 @@
 """Shard-routing benchmark — 16 clients on a 3-worker cluster vs one process.
 
 The ROADMAP's north star is heavy multi-client traffic; the cluster tier
-(DESIGN.md §13) shards ``WebBaseService`` across worker processes with
-host-affinity routing, load spillover and a federation cache so the GIL
-stops being the ceiling.  This benchmark drives the *same* 16-client
+(DESIGN.md §13) shards ``WebBaseService`` across worker processes — each
+query goes to one shard, its dominant host's owner unless load spillover
+moves it, and a federation cache shares fills — so the GIL stops being
+the ceiling.  This benchmark drives the *same* 16-client
 workload through (a) one single-process service and (b) a 3-worker
 ``LocalCluster``, and compares **modeled elapsed**: every request's
 ``modelled_seconds`` stat (cpu + the simulated-network critical path,
@@ -56,9 +57,10 @@ REGRESSION_HEADROOM = 0.90  # new speedup must keep 90% of the baseline
 
 MAKES = ["saab", "honda", "ford", "toyota", "jaguar", "mazda"]
 
-#: Query families and where affinity routing sends them (empirically:
-#: rate/zip -> the carpoint owner, safety -> the caranddriver owner,
-#: blue-book joins -> the newsday/kbb owner, bare price scatters).  Each
+#: Query families and where placement sends them before any spill
+#: (empirically: rate/zip -> the carpoint owner, safety -> the
+#: caranddriver owner, blue-book joins and bare price -> the newsday
+#: owner, newsday being their heaviest host).  Each
 #: distinct make walks a distinct listing slice, so the families stay
 #: expensive per query instead of collapsing into one warm walk.
 FAMILIES = [
@@ -90,7 +92,7 @@ def build_pool(makes: list[str]) -> list[str]:
     """The workload: the expensive families first (interleaved make-major
     so the opening burst mixes every affinity owner), then the cheap
     zip/price tail, whose fills the expensive walks already published —
-    the scatter merges at the end ride the federation."""
+    the tail rides the federation."""
     expensive = [
         tmpl % make
         for make in makes
@@ -163,11 +165,7 @@ class _Workload:
                     text = self._take()
                     if text is None:
                         return
-                    # No redirect-following: the measurement needs every
-                    # request relayed (and accounted) through the router.
-                    outcome = client.query_retry(
-                        text, retries=8, follow_redirects=False
-                    )
+                    outcome = client.query_retry(text, retries=8)
                     got = sorted(set(outcome.rows))
                     want = self.truth[text]
                     assert got == want, (

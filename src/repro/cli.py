@@ -295,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mqo",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="multi-query optimization on every worker, plus "
-        "fingerprint-sticky co-routing at the router",
+        help="multi-query optimization on every worker",
     )
     cserve.add_argument(
         "--mqo-window-ms",

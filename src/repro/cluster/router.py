@@ -6,18 +6,16 @@ directory) behind the *same* line-delimited JSON/TCP protocol clients
 already speak — a client cannot tell a router from a single service,
 except for the ``shard_id`` stamps on its frames.
 
-**Routing** is by host affinity: the router plans each query just far
-enough to learn which hosts its maximal objects will touch, then
-rendezvous-hashes (:mod:`repro.cluster.hashring`) those hosts over the
-live shards.  A query whose dominant host's owner covers at least half
-of the query's host weight is forwarded whole to that shard — keeping
-that shard's prefix page cache and result cache hot for the sites it
-owns — and a genuinely cross-shard query falls back to *scatter*: the
-router forwards it to every owning shard and merges the row streams
-(every worker holds the same deterministic world, so deduplicated rows
-are byte-identical to a single-process answer).  Clients that ask with
-``redirect_ok`` get a ``REDIRECT`` error naming the owning shard
-instead of a proxied stream.
+**Placement** is one decision per query, made in :meth:`ClusterRouter._place`:
+the router plans the query just far enough to learn which hosts its
+maximal objects will touch, and rendezvous-hashes
+(:mod:`repro.cluster.hashring`) the dominant one over the live shards.
+That owner gets the whole query — keeping its prefix page cache and
+result cache hot for the sites it owns — unless it is
+``SPILL_MARGIN_SECONDS`` of modeled busy time ahead of the least-busy
+live shard, which then gets it instead.  Either is correct: every
+worker holds the same deterministic world, and the federation bus
+shares whatever the serving shard fills.
 
 **Failover**: worker death is detected by health pings
 (:mod:`repro.cluster.health`) or by a transport error on a live relay,
@@ -65,16 +63,16 @@ ROUTER_SHARD_ID = "router"
 #: weigh recent work, not a long-lived router's full history.
 BUSY_HALF_LIFE_SECONDS = 120.0
 
+#: A query leaves its HRW owner for the least-busy live shard when the
+#: owner is this many modeled busy seconds ahead of it.
+SPILL_MARGIN_SECONDS = 1.0
+
 #: Idle relay connections kept per shard; a wider burst opens extra
 #: connections and closes them afterwards.
 RELAY_POOL_SIZE = 4
 
 #: The backoff hint on every ``OVERLOADED`` the router sends or forwards.
 RETRY_AFTER_MS = 250.0
-
-#: A query whose dominant host's owner covers less than this share of
-#: its host weight is scattered instead of forwarded whole.
-SCATTER_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -93,22 +91,13 @@ class ClusterConfig:
     worker_threads: int = 4
     federation: bool = True
     max_inflight: int = 64  # router-level admission bound
-    #: Affinity routes prefer the HRW owner for cache locality, but every
-    #: worker holds the identical deterministic world, so when the owner
-    #: is this many *modeled busy seconds* ahead of the least-loaded live
-    #: worker the router spills the query there instead (the federation
-    #: bus keeps the spilled shard's page needs cheap).  Load is the sum
-    #: of completed relays' ``modelled_seconds`` plus an EWMA estimate
-    #: for relays still in flight.  ``None`` pins affinity routes to the
-    #: owner unconditionally.
-    spill_margin: float | None = 1.0
     health_interval_seconds: float | None = None  # None = explicit checks only
-    allow_world_mutation: bool = True  # harness churn ops, scattered
+    allow_world_mutation: bool = True  # harness churn ops, sent to every worker
     forward_timeout_seconds: float = 120.0
     #: Multi-query optimization: when on, every worker runs with
-    #: ``WebBaseConfig.mqo`` (shared subplans + containment reuse) and
-    #: the router co-routes identical in-flight plan fingerprints onto
-    #: the same shard so their evaluations can actually collapse.
+    #: ``WebBaseConfig.mqo`` (shared subplans + containment reuse).
+    #: Equal plan fingerprints have equal host weights, so placement
+    #: already sends them to the same owner.
     mqo: bool = False
     mqo_window_ms: float = 0.0  # worker-side batching window
 
@@ -117,8 +106,6 @@ class ClusterConfig:
             raise ValueError("shards must be >= 1; got %r" % self.shards)
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.spill_margin is not None and self.spill_margin <= 0:
-            raise ValueError("spill_margin must be > 0 seconds or None")
         if self.mqo_window_ms < 0:
             raise ValueError("mqo_window_ms must be >= 0")
 
@@ -225,17 +212,9 @@ class ClusterRouter:
                 cache=CachePolicy.noop(),
             )
         )
-        # One plan per distinct query text serves both routing decisions:
-        # text → (host weights, whole-query fingerprint).
-        self._plan_cache: dict[str, tuple[dict[str, int], str]] = {}
+        # One plan per distinct query text: text → host weights.
+        self._plan_cache: dict[str, dict[str, int]] = {}
         self._plan_lock = threading.Lock()
-        # Fingerprint-sticky co-routing (``config.mqo``): while a query
-        # with fingerprint F is in flight on shard S, identical arrivals
-        # are routed to S too — they land inside that worker's
-        # SubplanRegistry and share its evaluation instead of running
-        # the same plan on a sibling.  fp → [shard_id, refcount].
-        self._fp_routes: dict[str, list] = {}
-        self._fp_lock = threading.Lock()
         self.all_hosts = sorted(self._planner.builders)
         self.federation_server: Any = None
         if config.federation:
@@ -350,70 +329,53 @@ class ClusterRouter:
         this instead of sleeping forever."""
         return self._stopped.wait(timeout)
 
-    # -- routing -------------------------------------------------------------
+    # -- placement -----------------------------------------------------------
 
-    def _planned(self, text: str) -> tuple[dict[str, int], str]:
-        """``(host weights, whole-query fingerprint)`` of one query text,
-        planned once and cached by text."""
+    def plan_hosts(self, text: str) -> dict[str, int]:
+        """host → weight over the query's feasible maximal objects,
+        planned once per distinct query text."""
         with self._plan_lock:
-            cached = self._plan_cache.get(text)
-        if cached is None:
+            weights = self._plan_cache.get(text)
+        if weights is None:
             planner = self._planner.ur
-            plan = planner.plan(text)
-            cached = (planner.plan_hosts(plan), plan.query_fingerprint())
+            weights = planner.plan_hosts(planner.plan(text))
             with self._plan_lock:
                 if len(self._plan_cache) > 512:
                     self._plan_cache.clear()
-                self._plan_cache[text] = cached
-        return cached
+                self._plan_cache[text] = weights
+        return dict(weights)
 
-    def plan_hosts(self, text: str) -> dict[str, int]:
-        """host → weight over the query's feasible maximal objects."""
-        return dict(self._planned(text)[0])
-
-    def route_for(self, weights: dict[str, int]) -> tuple[str, list[str], str]:
-        """``(kind, target shards, dominant host)`` for one query's hosts.
-
-        ``kind`` is ``"affinity"`` (one shard owns enough of the query's
-        host weight) or ``"scatter"`` (forward to every owning shard and
-        merge)."""
+    def route_for(self, weights: dict[str, int]) -> str:
+        """The HRW owner of the query's dominant (heaviest) host.  Equal
+        plans have equal host weights, so equivalent queries — equal
+        plan fingerprints — always meet on one owner."""
         with self._topology_lock:
             if not len(self.ring):
                 raise _ShardLost("*", ConnectionError("no live shards"))
-            if not weights:
-                return "affinity", [self.ring.owner("")], ""
-            total = float(sum(weights.values()))
-            dominant = max(weights, key=lambda h: (weights[h], h))
-            owner = self.ring.owner(dominant)
-            share = sum(
-                w for h, w in weights.items() if self.ring.owner(h) == owner
-            )
-            if share / total >= SCATTER_THRESHOLD:
-                return "affinity", [owner], dominant
-            targets = sorted({self.ring.owner(h) for h in weights})
-            return "scatter", targets, dominant
+            dominant = max(weights, key=lambda h: (weights[h], h), default="")
+            return self.ring.owner(dominant)
 
-    def _maybe_spill(self, owner: str) -> tuple[str, float]:
-        """Affinity load balancing: keep the HRW owner unless it is
-        ``spill_margin`` modeled busy seconds ahead of the least-loaded
-        live worker.  Correct because every worker evaluates every query
-        over the identical world — affinity is a cache optimization, not
-        a correctness requirement, and the federation bus amortizes the
-        spilled shard's page fills.
+    def _place(self, weights: dict[str, int]) -> tuple[str, str, float]:
+        """The placement decision for one query: ``(target, owner,
+        reserved estimate)``.  The target is the owner unless it is
+        ``SPILL_MARGIN_SECONDS`` modeled busy seconds ahead of the
+        least-busy live worker — correct because every worker evaluates
+        every query over the identical world: affinity is a cache
+        optimization, and the federation bus amortizes the spilled
+        shard's page fills.
 
-        Returns ``(target, reserved_estimate)``: the decision and the
-        EWMA cost reservation happen under ONE lock hold, so a burst of
-        concurrent placements sees each other — without the reservation,
-        sixteen simultaneous queries would all pick the same "least
-        loaded" worker and herd onto it."""
-        margin = self.config.spill_margin
+        The decision and the EWMA cost reservation happen under ONE lock
+        hold, so a burst of concurrent placements sees each other —
+        without the reservation, sixteen simultaneous queries would all
+        pick the same "least loaded" worker and herd onto it."""
+        owner = self.route_for(weights)
         with self._topology_lock:
             live = [s for s, info in self.workers.items() if info.alive]
         with self._load_lock:
             self._decay_busy_locked()
             estimate = self._cost_ewma
             target = owner
-            if margin is not None and len(live) > 1 and owner in live:
+            if len(live) > 1 and owner in live:
                 loads = {s: self._shard_busy.get(s, 0.0) for s in live}
                 least = min(loads, key=lambda s: (loads[s], s))
                 # Pure greedy balancing on modeled busy seconds.  No
@@ -423,21 +385,14 @@ class ClusterRouter:
                 # queue depth says nothing about accumulated load — and
                 # a spilled shard re-fills from the federation, so the
                 # locality cost of spilling is one bus round trip.
-                if least != owner and loads[owner] - loads[least] >= margin:
+                if loads[owner] - loads[least] >= SPILL_MARGIN_SECONDS:
                     target = least
             self._shard_busy[target] = (
                 self._shard_busy.get(target, 0.0) + estimate
             )
         if target != owner:
             self.metrics.counter("cluster.spills").inc()
-        return target, estimate
-
-    def _unreserve(self, shard_id: str, estimate: float) -> None:
-        """Back out a placement reservation whose relay never ran."""
-        with self._load_lock:
-            self._shard_busy[shard_id] = max(
-                0.0, self._shard_busy.get(shard_id, 0.0) - estimate
-            )
+        return target, owner, estimate
 
     def _decay_busy_locked(self) -> None:
         """Lazily age the busy scores (callers hold ``_load_lock``)."""
@@ -449,64 +404,6 @@ class ClusterRouter:
         for shard in self._shard_busy:
             self._shard_busy[shard] *= factor
         self._busy_stamp = now
-
-    # -- fingerprint-sticky co-routing -----------------------------------------
-
-    def query_fingerprint(self, text: str) -> str:
-        """The whole-query plan fingerprint used for fingerprint-sticky
-        co-routing (cached by text; ``""`` when MQO is off or the query
-        cannot be planned — no stickiness, normal routing applies)."""
-        if not self.config.mqo:
-            return ""
-        try:
-            return self._planned(text)[1]
-        except Exception:  # noqa: BLE001 - unplannable: no stickiness
-            return ""
-
-    def _fp_target(self, fingerprint: str) -> str | None:
-        """The live shard already running this fingerprint, if any."""
-        if not fingerprint:
-            return None
-        with self._fp_lock:
-            entry = self._fp_routes.get(fingerprint)
-            if entry is None:
-                return None
-            shard_id = entry[0]
-        with self._topology_lock:
-            info = self.workers.get(shard_id)
-            if info is None or not info.alive:
-                return None
-        return shard_id
-
-    def _fp_acquire(self, fingerprint: str, shard_id: str) -> None:
-        if not fingerprint:
-            return
-        with self._fp_lock:
-            entry = self._fp_routes.setdefault(fingerprint, [shard_id, 0])
-            entry[1] += 1
-
-    def _fp_release(self, fingerprint: str) -> None:
-        if not fingerprint:
-            return
-        with self._fp_lock:
-            entry = self._fp_routes.get(fingerprint)
-            if entry is None:
-                return
-            entry[1] -= 1
-            if entry[1] <= 0:
-                self._fp_routes.pop(fingerprint, None)
-
-    def _fp_drop_shard(self, shard_id: str) -> None:
-        """Forget sticky routes into a dead shard (its in-flight relays
-        are being retried elsewhere; stickiness must not follow them)."""
-        with self._fp_lock:
-            stale = [
-                fp
-                for fp, entry in self._fp_routes.items()
-                if entry[0] == shard_id
-            ]
-            for fp in stale:
-                self._fp_routes.pop(fp, None)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -536,7 +433,7 @@ class ClusterRouter:
         elif op == "unsubscribe":
             self._route_unsubscribe(handler, request)
         elif op in ("sweep", "mutate"):
-            self._scatter_admin(handler, request)
+            self._broadcast_admin(handler, request)
         else:
             handler.send(
                 protocol.error_frame(
@@ -599,13 +496,6 @@ class ClusterRouter:
                 protocol.error_frame(request.id, protocol.E_BAD_REQUEST, str(exc))
             )
             return
-        # The co-routing fingerprint: trust a client/router stamp, else
-        # compute (and cache) it here.  "" disables stickiness.
-        fingerprint = (
-            request.mqo_fp or self.query_fingerprint(request.text)
-            if self.config.mqo
-            else ""
-        )
         seen: set[tuple] = set()
         seq = 0
         # Relayed pages not yet written: they leave with the next burst —
@@ -615,11 +505,10 @@ class ClusterRouter:
         def finish(frame: dict[str, Any]) -> None:
             handler.send(*pending, frame)
 
-        shard_stats: dict[str, dict[str, Any]] = {}
         attempts = 0
         while True:
             try:
-                kind, targets, dominant = self.route_for(weights)
+                target, owner, reserved = self._place(weights)
             except _ShardLost:
                 finish(
                     protocol.error_frame(
@@ -627,63 +516,10 @@ class ClusterRouter:
                     )
                 )
                 return
-            if kind == "affinity" and request.redirect_ok:
-                info = self.workers[targets[0]]
-                self.metrics.counter("cluster.redirects").inc()
-                finish(
-                    protocol.error_frame(
-                        request.id,
-                        protocol.E_REDIRECT,
-                        "shard %s owns host %s" % (targets[0], dominant),
-                        address=info.address,
-                    )
-                )
-                return
-            self.metrics.counter(
-                "cluster.routed_affinity"
-                if kind == "affinity"
-                else "cluster.routed_scatter"
-            ).inc()
-            spilled = False
-            reserved: float | None = None
-            if kind == "affinity":
-                sticky = self._fp_target(fingerprint)
-                if sticky is not None:
-                    # An identical fingerprint is in flight on ``sticky``:
-                    # co-route there so the worker's SubplanRegistry can
-                    # collapse the evaluations (load balance defers to
-                    # sharing — the shared run costs ~nothing extra).
-                    self.metrics.counter("cluster.fp_sticky").inc()
-                    target = sticky
-                else:
-                    target, reserved = self._maybe_spill(targets[0])
-                spilled = target != targets[0]
-                targets = [target]
             try:
-                for shard_id in targets:
-                    take, reserved = reserved, None  # consumed exactly once
-                    if shard_id in shard_stats:
-                        # Already streamed by an earlier attempt.
-                        if take is not None:
-                            self._unreserve(shard_id, take)
-                        continue
-                    if kind == "affinity":
-                        self._fp_acquire(fingerprint, shard_id)
-                    try:
-                        stats, seq = self._relay_query(
-                            shard_id,
-                            handler,
-                            request,
-                            seen,
-                            seq,
-                            pending,
-                            reserved=take,
-                            mqo_fp=fingerprint,
-                        )
-                    finally:
-                        if kind == "affinity":
-                            self._fp_release(fingerprint)
-                    shard_stats[shard_id] = stats
+                stats, seq = self._relay_query(
+                    target, handler, request, seen, seq, pending, reserved
+                )
                 break
             except _ShardLost as exc:
                 attempts += 1
@@ -716,36 +552,22 @@ class ClusterRouter:
                     )
                 )
                 return
-        merged: dict[str, Any] = {
+        seconds = float(stats.get("modelled_seconds", 0.0))
+        result: dict[str, Any] = {
             "rows": len(seen),
             "pages": seq,
-            "route": kind,
-            "spilled": spilled,
-            "shards": sorted(shard_stats),
-            # Per-shard modeled busy seconds, so load benches can derive
-            # cluster makespan (busiest shard) without trusting wall time.
-            "shard_seconds": {
-                shard: float(stats.get("modelled_seconds", 0.0))
-                for shard, stats in shard_stats.items()
-            },
+            "spilled": target != owner,
+            "shards": [target],
+            # The serving shard's modeled busy seconds, so load benches can
+            # derive cluster makespan (busiest shard) without wall time.
+            "shard_seconds": {target: seconds},
+            "fetches": int(stats.get("fetches", 0)),
+            "cache_hits": int(stats.get("cache_hits", 0)),
+            "failures": int(stats.get("failures", 0)),
+            "modelled_seconds": round(seconds, 4),
         }
-        for numeric in ("fetches", "cache_hits", "failures"):
-            merged[numeric] = sum(
-                int(stats.get(numeric, 0)) for stats in shard_stats.values()
-            )
-        merged["modelled_seconds"] = round(
-            sum(merged["shard_seconds"].values()), 4
-        )
         self.metrics.counter("cluster.completed").inc()
-        finish(
-            protocol.result_frame(
-                request.id,
-                merged,
-                shard_id=(
-                    targets[0] if kind == "affinity" else ROUTER_SHARD_ID
-                ),
-            )
-        )
+        finish(protocol.result_frame(request.id, result, shard_id=target))
 
     def _relay_query(
         self,
@@ -755,27 +577,18 @@ class ClusterRouter:
         seen: set[tuple],
         seq: int,
         pending: list[dict[str, Any]],
-        reserved: float | None = None,
-        mqo_fp: str = "",
+        estimate: float,
     ) -> tuple[dict[str, Any], int]:
         """Stream one worker's answer through to the client, forwarding
-        only rows not already delivered (exactly-once across scatter
-        targets and takeover retries).  Page frames collect in
-        ``pending`` and leave as one burst whenever the relay is about
-        to block on the worker; what is still pending at the end rides
-        with the caller's terminal frame.  ``reserved`` is a busy-score
-        reservation already made at placement time (affinity routes);
-        scatter relays reserve here instead."""
+        only rows not already delivered (exactly-once across takeover
+        retries).  Page frames collect in ``pending`` and leave as one
+        burst whenever the relay is about to block on the worker; what is
+        still pending at the end rides with the caller's terminal frame.
+        ``estimate`` is the busy-score reservation :meth:`_place` made;
+        the relay swaps it for the actual modeled cost when it ends."""
         stats: dict[str, Any] | None = None
         with self._load_lock:
             self._shard_load[shard_id] = self._shard_load.get(shard_id, 0) + 1
-            if reserved is None:
-                estimate = self._cost_ewma
-                self._shard_busy[shard_id] = (
-                    self._shard_busy.get(shard_id, 0.0) + estimate
-                )
-            else:
-                estimate = reserved
         fresh = False
         try:
             while True:
@@ -787,7 +600,6 @@ class ClusterRouter:
                         request.text,
                         deadline_ms=request.deadline_ms,
                         page_size=request.page_size,
-                        mqo_fp=mqo_fp,
                     )
                     while True:
                         if pending and not client.buffered():
@@ -885,9 +697,10 @@ class ClusterRouter:
                 )
             )
             return
+        # A subscription lives on exactly ONE shard, the owner: it is
+        # long-lived, so a momentary busy score is no reason to leave it.
         try:
-            weights = self.plan_hosts(request.text)
-            _, targets, _ = self.route_for(weights)
+            shard_id = self.route_for(self.plan_hosts(request.text))
         except (PlanError, QueryParseError, KeyError) as exc:
             handler.send(
                 protocol.error_frame(request.id, protocol.E_BAD_REQUEST, str(exc))
@@ -900,9 +713,6 @@ class ClusterRouter:
                 )
             )
             return
-        # A subscription lives on exactly ONE shard (any worker can
-        # evaluate the whole query); scatter routes pin the first owner.
-        shard_id = targets[0]
         page_size = request.page_size or 50
         try:
             client = self._connect(shard_id)
@@ -1010,10 +820,9 @@ class ClusterRouter:
         client_rows = set(relay.subscription.rows)
         for _ in range(max(2, len(self.workers))):
             try:
-                _, targets, _ = self.route_for(self.plan_hosts(relay.text))
+                shard_id = self.route_for(self.plan_hosts(relay.text))
             except _ShardLost:
                 return False
-            shard_id = targets[0]
             try:
                 client = self._connect(shard_id)
                 subscription = client.subscribe(
@@ -1088,8 +897,8 @@ class ClusterRouter:
 
     # -- cluster admin ---------------------------------------------------------
 
-    def _scatter_admin(self, handler: Any, request: Request) -> None:
-        """Scatter a world-shaping op (sweep, mutate) to EVERY live
+    def _broadcast_admin(self, handler: Any, request: Request) -> None:
+        """Send a world-shaping op (sweep, mutate) to EVERY live
         worker: the per-process simulated worlds must stay identical, or
         a takeover would surface spurious row deltas."""
         results: dict[str, dict[str, Any]] = {}
@@ -1146,7 +955,6 @@ class ClusterRouter:
                 else set()
             )
         self.health.unwatch(shard_id)
-        self._fp_drop_shard(shard_id)
         self._close_pool(shard_id)
         if not from_health:
             self.health.report_failure(shard_id)

@@ -16,8 +16,9 @@ The layers below this one answer ONE query well; ``repro.mqo`` makes
   :class:`~repro.mqo.optimizer.MultiQueryOptimizer`).
 
 Enabled per webbase via ``WebBaseConfig(mqo=True)`` / the ``--mqo`` CLI
-flag; the service and cluster tiers layer their admission batching and
-fingerprint-sticky routing on top.
+flag; the service tier layers its admission batching on top, and the
+cluster router places equal fingerprints on one owner by construction
+(equal plans, equal host weights).
 """
 
 from repro.mqo.containment import Decomposition, Domain, decompose, implies

@@ -25,9 +25,9 @@ class ServiceError(WebBaseError):
     """A structured error frame from the server.
 
     ``retry_after_ms`` carries a router's admission-control hint (when
-    to retry an ``OVERLOADED`` shed); ``address`` carries a ``REDIRECT``
-    target.  Both default to absent — a pre-cluster server never sends
-    them, and the client tolerates that skew by construction."""
+    to retry an ``OVERLOADED`` shed).  It defaults to absent — a
+    pre-cluster server never sends it, and the client tolerates that
+    skew by construction."""
 
     code = protocol.E_INTERNAL
 
@@ -37,7 +37,6 @@ class ServiceError(WebBaseError):
         code: str | None = None,
         retriable: bool | None = None,
         retry_after_ms: float | None = None,
-        address: tuple[str, int] | None = None,
     ) -> None:
         super().__init__(message)
         if code is not None:
@@ -48,7 +47,6 @@ class ServiceError(WebBaseError):
             else self.code in protocol.RETRIABLE_CODES
         )
         self.retry_after_ms = retry_after_ms
-        self.address = address
 
 
 class Overloaded(ServiceError):
@@ -75,12 +73,6 @@ class DeadlineExceededError(ServiceError):
     code = protocol.E_DEADLINE_EXCEEDED
 
 
-class Redirected(ServiceError):
-    """The router wants us to ask ``address`` directly.  Retriable there."""
-
-    code = protocol.E_REDIRECT
-
-
 _ERROR_TYPES = {
     cls.code: cls
     for cls in (
@@ -88,45 +80,21 @@ _ERROR_TYPES = {
         ClientLimited,
         ServiceShuttingDown,
         DeadlineExceededError,
-        Redirected,
     )
 }
-
-
-def error_for(
-    code: str,
-    message: str,
-    retriable: bool,
-    retry_after_ms: float | None = None,
-    address: tuple[str, int] | None = None,
-) -> ServiceError:
-    """The typed exception for one wire error frame."""
-    cls = _ERROR_TYPES.get(code, ServiceError)
-    return cls(
-        message,
-        code=code,
-        retriable=retriable,
-        retry_after_ms=retry_after_ms,
-        address=address,
-    )
 
 
 def error_from_frame(frame: dict[str, Any]) -> ServiceError:
     """Decode one wire ``error`` frame into its typed exception,
     tolerating absent (older peer) and unknown (newer peer) fields."""
+    code = str(frame.get("code", protocol.E_INTERNAL))
     retry_after = frame.get("retry_after_ms")
-    address = frame.get("address")
-    return error_for(
-        str(frame.get("code", protocol.E_INTERNAL)),
+    return _ERROR_TYPES.get(code, ServiceError)(
         str(frame.get("message", "")),
-        bool(frame.get("retriable", False)),
+        code=code,
+        retriable=bool(frame.get("retriable", False)),
         retry_after_ms=(
             float(retry_after) if isinstance(retry_after, (int, float)) else None
-        ),
-        address=(
-            (str(address[0]), int(address[1]))
-            if isinstance(address, (list, tuple)) and len(address) == 2
-            else None
         ),
     )
 
@@ -408,8 +376,6 @@ class ServiceClient:
         text: str,
         deadline_ms: float | None = None,
         page_size: int | None = None,
-        redirect_ok: bool = False,
-        mqo_fp: str = "",
     ) -> Iterator[Page]:
         """Issue one query and yield its pages as the server streams them.
 
@@ -417,11 +383,6 @@ class ServiceClient:
         error frame (pages already yielded remain valid partial results).
         The generator ends after the terminal ``result`` frame; its stats
         land on the generator's ``StopIteration`` value via :meth:`query`.
-        With ``redirect_ok`` a cluster router may answer with a
-        :class:`Redirected` naming the owning shard instead of proxying.
-        ``mqo_fp`` stamps a precomputed plan fingerprint onto the request
-        (a cluster router forwards it for fingerprint-sticky co-routing);
-        an old server ignores the field.
         """
         request_id = self._request_id()
         payload: dict[str, Any] = {"id": request_id, "op": "query", "text": text}
@@ -429,10 +390,6 @@ class ServiceClient:
             payload["deadline_ms"] = deadline_ms
         if page_size is not None:
             payload["page_size"] = page_size
-        if redirect_ok:
-            payload["redirect_ok"] = True
-        if mqo_fp:
-            payload["mqo_fp"] = mqo_fp
         self._send(payload)
         while True:
             frame = self._recv(request_id)
@@ -563,18 +520,12 @@ class ServiceClient:
         text: str,
         deadline_ms: float | None = None,
         page_size: int | None = None,
-        redirect_ok: bool = False,
     ) -> QueryOutcome:
         """Issue one query and collect the full streamed answer."""
         schema: list[str] = []
         rows: list[tuple] = []
         pages = 0
-        stream = self.stream(
-            text,
-            deadline_ms=deadline_ms,
-            page_size=page_size,
-            redirect_ok=redirect_ok,
-        )
+        stream = self.stream(text, deadline_ms=deadline_ms, page_size=page_size)
         while True:
             try:
                 page = next(stream)
@@ -593,7 +544,6 @@ class ServiceClient:
         page_size: int | None = None,
         retries: int = 5,
         backoff_seconds: float = 0.05,
-        follow_redirects: bool = True,
     ) -> QueryOutcome:
         """:meth:`query` with typed-retriable retry.
 
@@ -602,31 +552,11 @@ class ServiceClient:
         ``retry_after_ms`` admission hint the client honors it exactly,
         otherwise the backoff doubles from ``backoff_seconds``.  Both
         paths go through the injectable ``sleep`` so tests never pay
-        real wall time.  A :class:`Redirected` answer is followed by
-        opening a direct connection to the named shard (once per
-        attempt); the redirect itself consumes no retry budget."""
+        real wall time."""
         attempt = 0
         while True:
             try:
-                return self.query(
-                    text,
-                    deadline_ms=deadline_ms,
-                    page_size=page_size,
-                    redirect_ok=follow_redirects,
-                )
-            except Redirected as exc:
-                if not follow_redirects or exc.address is None:
-                    raise
-                with ServiceClient(
-                    exc.address[0],
-                    exc.address[1],
-                    timeout=self._timeout,
-                    clock=self._clock,
-                    sleep=self._sleep,
-                ) as direct:
-                    return direct.query(
-                        text, deadline_ms=deadline_ms, page_size=page_size
-                    )
+                return self.query(text, deadline_ms=deadline_ms, page_size=page_size)
             except ServiceError as exc:
                 if not exc.retriable or attempt >= retries:
                     raise

@@ -63,11 +63,8 @@ E_SHUTTING_DOWN = "SHUTTING_DOWN"  # server is draining; try another replica
 E_DEADLINE_EXCEEDED = "DEADLINE_EXCEEDED"  # the request's deadline expired
 E_BAD_REQUEST = "BAD_REQUEST"  # malformed frame, unknown op, unparsable query
 E_INTERNAL = "INTERNAL"  # unexpected server-side failure
-E_REDIRECT = "REDIRECT"  # ask the shard at error['address'] directly
 
-RETRIABLE_CODES = frozenset(
-    {E_OVERLOADED, E_CLIENT_LIMIT, E_SHUTTING_DOWN, E_REDIRECT}
-)
+RETRIABLE_CODES = frozenset({E_OVERLOADED, E_CLIENT_LIMIT, E_SHUTTING_DOWN})
 
 
 class ProtocolError(Exception):
@@ -87,16 +84,6 @@ class Request:
     # was delivered (a reconnect), so the snapshot need not be resent —
     # only the diff against the persisted snapshot.
     resume: bool = False
-    # query only: the client can follow a REDIRECT error to the named
-    # shard itself — a cluster router may then answer with a redirect
-    # instead of proxying the stream.
-    redirect_ok: bool = False
-    # query only, stamped by the cluster router: the whole-query plan
-    # fingerprint (repro.relational.planner.plan_fingerprint over the
-    # query's maximal objects).  Routers use it for fingerprint-sticky
-    # co-routing so identical in-flight queries land on (and share on)
-    # the same shard; an old peer simply ignores it (skew-safe).
-    mqo_fp: str = ""
 
 
 #: Cluster-era ops: ``hello`` (peer identification), ``status`` (role,
@@ -145,16 +132,10 @@ def parse_request(payload: dict[str, Any]) -> Request:
     resume = payload.get("resume", False)
     if not isinstance(resume, bool):
         raise ProtocolError("'resume' must be a boolean")
-    redirect_ok = payload.get("redirect_ok", False)
-    if not isinstance(redirect_ok, bool):
-        raise ProtocolError("'redirect_ok' must be a boolean")
-    mqo_fp = payload.get("mqo_fp", "")
-    if not isinstance(mqo_fp, str):
-        raise ProtocolError("'mqo_fp' must be a string")
-    # Any *other* field is deliberately ignored: a newer peer may stamp
-    # requests with fields this version has never heard of (rolling
-    # restarts skew the router and its workers), and skew must degrade to
-    # "feature unused", never to BAD_REQUEST.
+    # Any *other* field is deliberately ignored: a peer of another
+    # generation may stamp requests with fields this version does not
+    # define (rolling restarts skew the router and its workers), and skew
+    # must degrade to "feature unused", never to BAD_REQUEST.
     return Request(
         id=request_id,
         op=op,
@@ -162,8 +143,6 @@ def parse_request(payload: dict[str, Any]) -> Request:
         deadline_ms=deadline_ms,
         page_size=page_size,
         resume=resume,
-        redirect_ok=redirect_ok,
-        mqo_fp=mqo_fp,
     )
 
 
@@ -298,15 +277,12 @@ def error_frame(
     code: str,
     message: str,
     retry_after_ms: float | None = None,
-    address: tuple[str, int] | None = None,
 ) -> dict[str, Any]:
     """The terminal failure frame — structured, with the retriable flag.
 
     ``retry_after_ms`` is the router's admission-control hint: an
     ``OVERLOADED`` shed carrying it tells the client *when* backing off
     is worth it instead of leaving the backoff curve to guesswork.
-    ``address`` rides on ``REDIRECT``: the ``(host, port)`` of the shard
-    that owns the request, for clients that asked with ``redirect_ok``.
     """
     frame = {
         "id": request_id,
@@ -317,8 +293,6 @@ def error_frame(
     }
     if retry_after_ms is not None:
         frame["retry_after_ms"] = retry_after_ms
-    if address is not None:
-        frame["address"] = [address[0], address[1]]
     return frame
 
 

@@ -183,13 +183,14 @@ class StandingQueryRegistry:
             for text, snapshot in store.standing_queries().items():
                 self._queries[text] = StandingQuery(text, snapshot)
 
-    def _evaluate(self, text: str) -> tuple[Any, set[str]]:
-        """One fresh evaluation, returning the answer and its host deps —
-        the plan's hosts, so an evaluation served wholly from cache still
-        knows which sweeps must refresh it."""
+    def _evaluate(self, text: str) -> tuple[Any, dict[str, int]]:
+        """One fresh evaluation, returning the answer and the revision of
+        every host under its plan at plan time — its deps, so an
+        evaluation served wholly from cache still knows which sweeps must
+        refresh it, and what it captured, so a move since is detectable."""
         ctx = self._webbase.execution_context(label="standing:%s" % text)
         answer = self._webbase.query(text, context=ctx)
-        return answer, set(ctx.plan_revisions)
+        return answer, ctx.plan_revisions
 
     def _persist(self, standing: StandingQuery) -> None:
         store = self._webbase.store
@@ -212,10 +213,15 @@ class StandingQueryRegistry:
         persisted snapshot) skips the pages.  Either way, if the fresh
         evaluation has moved past the delivered state, the diff goes out
         as one delta to every subscriber, immediately after the ack.
+
+        A sweep that lands between the evaluation and the registration
+        reaches no subscriber of this query, so the evaluation is refused
+        if a host under it moved since capture (the :mod:`repro.revisions`
+        rule): the query is evaluated again and the difference is the
+        catch-up delta.
         """
         text = request.text
-        answer, hosts = self._evaluate(text)
-        fresh_rows = set(answer.rows)
+        answer, captured = self._evaluate(text)
         store = self._webbase.store
         with self._lock:
             standing = self._queries.get(text)
@@ -223,13 +229,13 @@ class StandingQueryRegistry:
             resumed = request.resume and had_state
             if standing is None:
                 standing = self._queries[text] = StandingQuery(text)
-            standing.deps |= hosts
+            standing.deps |= set(captured)
             standing.subscribers.append((handler, request.id))
             if store is not None:
                 store.record_standing(text, active=True)
             if not had_state:
                 standing.schema = list(answer.schema)
-                standing.rows = fresh_rows
+                standing.rows = set(answer.rows)
                 standing.has_state = True
                 self._persist(standing)
             delivered = sorted(standing.rows)
@@ -244,13 +250,18 @@ class StandingQueryRegistry:
                 request.id, rows=len(delivered), resumed=resumed, seq=seq
             ),
         )
-        if had_state:
+        # Registered now: every later sweep reaches this subscriber.
+        moved = False
+        while not self._webbase.revisions.all_current(captured):
+            answer, captured = self._evaluate(text)
+            moved = True
+        if had_state or moved:
             # Catch the delivered state up with the fresh evaluation: for
             # a resume, that is exactly what moved while the client was
             # away (its state is the persisted snapshot — orderly
             # shutdown persists before sending).
             self._apply_refresh(
-                standing, answer.schema, fresh_rows,
+                standing, answer.schema, set(answer.rows),
                 host="", revision=0,
                 reason="resume" if resumed else "subscribe",
             )
@@ -725,7 +736,7 @@ class WebBaseService:
 
         ``spec_text`` is a JSON object for
         :func:`repro.sites.world.mutate_site_listings` — the cluster
-        harness scatters the same spec to every worker so their
+        router sends the same spec to every worker so their
         per-process worlds stay identical (otherwise a takeover would
         surface spurious row deltas)."""
         if not self.config.allow_world_mutation:

@@ -321,7 +321,7 @@ CONFIG_CLASSES = (
     WebBaseConfig, RetryPolicy, CachePolicy, ResiliencePolicy, ServiceConfig,
     ClusterConfig,
 )
-MAX_CONFIG_FIELDS = 49
+MAX_CONFIG_FIELDS = 48
 
 
 def test_the_config_field_count_is_pinned():

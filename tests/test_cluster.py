@@ -32,7 +32,7 @@ from repro.cluster.router import (
 from repro.core.execution import WebBaseConfig
 from repro.core.webbase import WebBase
 from repro.relational.relation import Relation
-from repro.service.client import Overloaded, Redirected, ServiceClient
+from repro.service.client import Overloaded, ServiceClient
 from repro.sites.world import mutate_site_listings
 from repro.vps.cache import CachePolicy, ResultCache
 
@@ -99,7 +99,6 @@ class TestRouting:
         with ServiceClient(*cluster.address, timeout=120) as client:
             outcome = client.query(Q_JOIN)
         assert sorted(outcome.rows) == _rows(reference, Q_JOIN)
-        assert outcome.stats["route"] == "affinity"
         assert outcome.stats["spilled"] is False  # idle cluster never spills
         assert len(outcome.stats["shards"]) == 1
         # The serving shard stamps the terminal frame.
@@ -109,16 +108,17 @@ class TestRouting:
             outcome.stats["shards"]
         )
 
-    def test_scatter_query_merges_shards_byte_identically(
+    def test_a_multi_host_query_is_served_by_one_shard_byte_identically(
         self, cluster, reference
     ):
+        router = cluster.router
+        # Its hosts hash to different owners, yet one shard serves it all.
+        assert len({router.route_for({h: 1}) for h in router.plan_hosts(Q_WIDE)}) > 1
         with ServiceClient(*cluster.address, timeout=120) as client:
             outcome = client.query(Q_WIDE)
         assert sorted(outcome.rows) == _rows(reference, Q_WIDE)
         assert len(outcome.rows) == len(set(outcome.rows)), "duplicate rows"
-        assert outcome.stats["route"] == "scatter"
-        assert len(outcome.stats["shards"]) >= 2
-        assert outcome.stats["shard_id"] == "router"
+        assert outcome.stats["shards"] == [outcome.stats["shard_id"]]
 
     def test_routing_is_deterministic(self, cluster):
         router = cluster.router
@@ -126,19 +126,22 @@ class TestRouting:
         assert weights, "a routable query must touch hosts"
         assert router.route_for(weights) == router.route_for(weights)
 
-    def test_redirect_ok_gets_the_owning_shard_address(self, cluster, reference):
-        with ServiceClient(*cluster.address, timeout=120) as client:
-            with pytest.raises(Redirected) as caught:
-                client.query(Q_JOIN, redirect_ok=True)
-            addresses = {
-                tuple(info["address"])
-                for info in client.status()["workers"].values()
-            }
-        assert caught.value.address in addresses
-        # query_retry follows the redirect to the shard transparently.
-        with ServiceClient(*cluster.address, timeout=120) as client:
-            outcome = client.query_retry(Q_JOIN)
-        assert sorted(outcome.rows) == _rows(reference, Q_JOIN)
+    def test_equivalent_queries_meet_on_one_shard(self, cluster):
+        """No co-routing table: equal plan fingerprints are equal plans,
+        so equal host weights, so one owner."""
+        router = cluster.router
+        reordered = (
+            "SELECT make, model, price, bb_price WHERE price < bb_price "
+            "AND condition = 'good' AND make = 'jaguar'"
+        )
+        planner = router._planner.ur
+        assert (
+            planner.plan(Q_JOIN).query_fingerprint()
+            == planner.plan(reordered).query_fingerprint()
+        )
+        assert router.route_for(router.plan_hosts(Q_JOIN)) == router.route_for(
+            router.plan_hosts(reordered)
+        )
 
     def test_status_reports_full_topology(self, cluster):
         with ServiceClient(*cluster.address) as client:
@@ -341,8 +344,7 @@ class TestSpill:
         route to the least-loaded live worker — and still answer
         byte-identically, because every worker holds the same world."""
         router = cluster.router
-        _, targets, _ = router.route_for(router.plan_hosts(Q_JOIN))
-        owner = targets[0]
+        owner = router.route_for(router.plan_hosts(Q_JOIN))
         with router._load_lock:
             # Pretend the owner has a deep accumulated busy score.
             router._shard_busy[owner] = 99.0
@@ -357,20 +359,6 @@ class TestSpill:
         assert sorted(outcome.rows) == _rows(reference, Q_JOIN)
         counters = router.metrics.snapshot()["counters"]
         assert counters.get("cluster.spills", 0) >= 1
-
-    def test_spill_margin_none_pins_the_owner(self, tmp_path):
-        router = ClusterRouter(
-            ClusterConfig(
-                store_root=str(tmp_path),
-                shards=1,
-                federation=False,
-                spill_margin=None,
-            )
-        )
-        with router._load_lock:
-            router._shard_busy["shard-0"] = 99.0
-        target, _ = router._maybe_spill("shard-0")
-        assert target == "shard-0"
 
 
 class TestAdmission:
@@ -399,35 +387,61 @@ class TestAdmission:
 class TestFailover:
     """Runs last: these tests shrink the module's cluster."""
 
-    def test_scatter_query_survives_mid_flight_worker_death(
+    def test_a_query_survives_its_serving_worker_dying_mid_stream(
         self, cluster, reference
     ):
-        """Kill the second scatter target while the query is being
-        relayed shard by shard: rows already streamed from the first
-        shard stay, the dead shard's share arrives via the HRW successor
-        after adoption, and the client sees every row exactly once."""
+        """Kill the shard serving a query after its first page: rows
+        already relayed stay, the rest arrive from the HRW successor after
+        adoption, and the client sees every row exactly once.
+
+        A worker sends its whole answer in a burst or two, so a kill from
+        the client's side lands after the last page.  The kill happens in
+        the router's relay instead, right after it received page one; the
+        rest of the answer dies with the worker."""
         router = cluster.router
-        kind, targets, _ = router.route_for(router.plan_hosts(Q_WIDE))
-        assert kind == "scatter" and len(targets) >= 2
-        victim = targets[1]
-        with ServiceClient(*cluster.address, timeout=120) as client:
-            stream = client.stream(Q_WIDE, page_size=5)
-            first = next(stream)  # shard targets[0] is streaming now
-            cluster.kill_worker(victim)
-            rows = list(first.rows)
-            while True:
-                try:
-                    page = next(stream)
-                except StopIteration as stop:
-                    stats = stop.value or {}
-                    break
-                rows.extend(page.rows)
+        with router._load_lock:
+            router._shard_busy.clear()  # an idle cluster places on the owner
+        victim = router.route_for(router.plan_hosts(Q_WIDE))
+        checkout = router._checkout
+
+        def checkout_dying_after_one_page(shard_id, fresh):
+            relay, reused = checkout(shard_id, fresh)
+            if shard_id == victim:
+                stream = relay.stream
+
+                def first_page_then_death(*args, **kwargs):
+                    pages = stream(*args, **kwargs)
+                    yield next(pages)
+                    cluster.kill_worker(victim)
+                    relay._sock.close()
+                    relay._buf = b""
+                    return (yield from pages)
+
+                relay.stream = first_page_then_death
+            return relay, reused
+
+        router._checkout = checkout_dying_after_one_page
+        try:
+            with ServiceClient(*cluster.address, timeout=120) as client:
+                stream = client.stream(Q_WIDE, page_size=5)
+                rows = []
+                while True:
+                    try:
+                        page = next(stream)
+                    except StopIteration as stop:
+                        stats = stop.value or {}
+                        break
+                    rows.extend(page.rows)
+        finally:
+            del router._checkout
         assert sorted(rows) == _rows(reference, Q_WIDE)
         assert len(rows) == len(set(rows)), "a takeover duplicated rows"
+        assert stats["rows"] == len(rows)
+        assert stats["shard_id"] != victim
         snapshot = router.metrics.snapshot()["counters"]
+        assert snapshot.get("cluster.retries", 0) >= 1
         assert snapshot.get("cluster.worker_deaths", 0) >= 1
         assert snapshot.get("cluster.takeovers", 0) >= 1
-        assert stats["rows"] == len(rows)
 
     def test_standing_query_resumes_with_zero_lost_deltas(
         self, cluster, reference

@@ -248,7 +248,6 @@ class TestSkewTolerance:
         )
         assert rich.code == protocol.E_OVERLOADED
         assert rich.retry_after_ms == 125.0
-        assert rich.address == ("10.0.0.1", 9000)
 
 
 class TestInjectableRetryClock:

@@ -79,6 +79,34 @@ class TestSharedHandler:
             bus.stop()
         assert spy.nodelay and all(spy.nodelay)
 
+    def test_router_proxies_a_query_carrying_fields_it_no_longer_reads(
+        self, routed
+    ):
+        """An older client may still stamp ``mqo_fp`` and ask for a
+        redirect; the router ignores both and proxies the query."""
+        router, _ = routed
+        frames: list[dict] = []
+        with socket.create_connection(router.address, timeout=60) as sock:
+            sock.sendall(
+                protocol.encode(
+                    {
+                        "id": 1,
+                        "op": "query",
+                        "text": WIDE,
+                        "mqo_fp": "0" * 64,
+                        "redirect_ok": True,
+                    }
+                )
+            )
+            with sock.makefile("rb") as reader:
+                while not frames or frames[-1]["type"] == "page":
+                    line = reader.readline()
+                    assert line, "router closed without a terminal frame"
+                    frames.append(protocol.decode_line(line))
+        assert frames[-1]["type"] == "result"
+        assert frames[-1]["shard_id"] == SHARD
+        assert frames[-1]["rows"] == sum(len(f["rows"]) for f in frames[:-1]) > 0
+
     def test_router_answers_an_oversized_line_once_then_closes(self, routed):
         router, _ = routed
         lines = oversized_line_reply(router.address, protocol.MAX_LINE_BYTES)

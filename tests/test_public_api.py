@@ -256,6 +256,29 @@ class TestOneProbePath:
         assert offenders == []
 
 
+class TestOnePlacement:
+    """The router sends each query to one shard: the HRW owner of its
+    dominant host, or the least-busy shard when the owner is too far
+    ahead.  No second placement rule comes back."""
+
+    REMOVED = (
+        "SCATTER_THRESHOLD", "routed_scatter", "_fp_routes", "_fp_lock",
+        "_fp_target", "_fp_acquire", "_fp_release", "_fp_drop_shard",
+        "fp_sticky", "mqo_fp", "redirect_ok", "follow_redirects",
+        "E_REDIRECT", "Redirected", "spill_margin",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        offenders = []
+        for relative, tree in TestOneStalenessAuthority._trees():
+            for node in ast.walk(tree):
+                for field in ("id", "attr", "name", "arg", "value"):
+                    text = getattr(node, field, None)
+                    if isinstance(text, str) and any(r in text for r in self.REMOVED):
+                        offenders.append("%s:%d" % (relative, node.lineno))
+        assert offenders == []
+
+
 class TestOneFanout:
     """``ExecutionContext.completed`` is the fan-out; ``map`` and
     ``answer_stream`` are its ordered and completion-order callers."""

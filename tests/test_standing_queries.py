@@ -15,6 +15,8 @@ triggered — so "sweep returned" is the quiescent point.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.execution import WebBaseConfig
@@ -139,6 +141,45 @@ class TestExactDeltas:
                 delta = client.next_delta(sub, timeout=10.0)
                 assert delta is not None and delta.host == moved
             assert sub.rows == _fresh_rows(webbase)
+            client.unsubscribe(sub)
+
+    def test_a_sweep_between_evaluation_and_registration_is_caught_up(
+        self, stack
+    ):
+        """Subscribe evaluates, then registers.  A sweep landing between
+        the two reaches no subscriber of the query, so the subscriber must
+        get what it moved as the catch-up delta after the ack."""
+        world, webbase, service, host, port = stack
+        evaluate = service.standing._evaluate
+        evaluated, release = threading.Event(), threading.Event()
+
+        def gated(text):
+            result = evaluate(text)
+            if not evaluated.is_set():  # only the subscribe's evaluation
+                evaluated.set()
+                release.wait(timeout=30.0)
+            return result
+
+        def churn():
+            try:
+                evaluated.wait(timeout=30.0)
+                mutate_site_listings(world, HOST_A, count=2, seed=3)
+                with ServiceClient(host=host, port=port) as admin:
+                    admin.sweep(HOST_A)
+            finally:
+                release.set()
+
+        service.standing._evaluate = gated
+        churner = threading.Thread(target=churn)
+        churner.start()
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            churner.join(timeout=60.0)
+            truth = _fresh_rows(webbase)
+            while sub.rows != truth:
+                if client.next_delta(sub, timeout=10.0) is None:
+                    break
+            assert sub.rows == truth, "the sweep's delta never reached the subscriber"
             client.unsubscribe(sub)
 
 
