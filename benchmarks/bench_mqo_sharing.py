@@ -11,9 +11,9 @@ hold the working set):
 1. **gold seeding** — one client issues three broad queries (saab,
    honda, jaguar); under ``--mqo`` each becomes a revision-stamped
    gold-tier answer as a side effect of streaming.
-2. **shared burst** — all 16 clients fire the *same* not-yet-gold ford
-   query inside the batching window; under MQO one leader evaluates per
-   subplan and the rest subscribe (``mqo.shared_hits``).
+2. **shared burst** — all 16 clients, released together by a barrier,
+   fire the *same* not-yet-gold ford query; under MQO one leader
+   evaluates per subplan and the rest subscribe (``mqo.shared_hits``).
 3. **subsumed sweep** — each client issues six *narrowed* variants
    (``AND year > Y``) of the gold queries.  Under MQO every one is
    containment-served from gold: **zero** live fetches in the whole
@@ -50,7 +50,6 @@ SEED = 1999
 ADS_PER_HOST = 24
 CLIENTS = 16
 CACHE_ENTRIES = 4  # intentionally smaller than the four-make working set
-WINDOW_MS = 80.0
 
 GOLD_MAKES = ("saab", "honda", "jaguar")
 BROAD = "SELECT make, model, price, year WHERE make = '%s'"
@@ -83,13 +82,7 @@ def _service(mqo: bool, store_dir: str | None) -> tuple[WebBase, WebBaseService]
         )
     )
     service = WebBaseService(
-        webbase,
-        ServiceConfig(
-            port=0,
-            workers=8,
-            queue_limit=64,
-            mqo_window_ms=WINDOW_MS if mqo else 0.0,
-        ),
+        webbase, ServiceConfig(port=0, workers=8, queue_limit=64)
     )
     return webbase, service
 
@@ -126,7 +119,7 @@ def run_arm(mqo: bool, store_dir: str | None) -> dict:
                     host=host, port=port, connect_timeout=10.0
                 ) as client:
                     barrier.wait()
-                    # Phase 2: the shared burst — same text, same window.
+                    # Phase 2: the shared burst — same text, same moment.
                     steps = [SHARED_BURST] + [
                         NARROWED[(index + step) % len(NARROWED)]
                         for step in range(len(NARROWED))
@@ -254,7 +247,6 @@ def run_benchmark(store_dir: str) -> dict:
         "clients": CLIENTS,
         "steps_per_client": steps,
         "cache_entries": CACHE_ENTRIES,
-        "window_ms": WINDOW_MS,
         "fetch_reduction_ratio": round(ratio, 2),
         "baseline": {
             k: baseline[k]

@@ -4,9 +4,8 @@ The paper's navigation expressions re-drive the whole entry→form→submit
 path for every binding, so a comparison session that runs the 3-way
 jaguar join (classifieds ⋈ blue_price ⋈ reliability) across several
 makes re-fetches each site's entry and intermediate form pages once per
-make.  Batched navigation — the query-scoped prefix page cache, batched
-dependent-join probes and speculative prefetch — walks each prefix once
-per session.  The reference arm is the context-free walk
+make.  Batched navigation — the query-scoped prefix page cache and
+batched dependent-join probes — walks each prefix once per session.  The reference arm is the context-free walk
 (``webbase.ur.answer(text)`` with no execution context: the paper's
 per-binding evaluation on a bare navigation executor, sharing no engine
 code).  Acceptance: ≥ 2× fewer pages navigated (server-side live
@@ -52,8 +51,7 @@ def _build() -> WebBase:
 
 
 def _live_requests(webbase: WebBase) -> int:
-    """Server-side live requests so far: authoritative pages navigated,
-    including any speculative prefetch traffic."""
+    """Server-side live requests so far: authoritative pages navigated."""
     return sum(s.requests for s in webbase.world.server.stats.values())
 
 
@@ -77,8 +75,8 @@ def _run_batched() -> dict:
     for make in MAKES:
         rows.extend(webbase.query(QUERY_TEMPLATE % make, context=context).rows)
     pages = _live_requests(webbase) - before
-    # Demand-path live navigations, from the trace (excludes prefetch —
-    # asserting on both catches a prefetcher that hides pages server-side).
+    # Live navigations as the trace's fetch spans count them — asserting
+    # on both catches pages fetched outside any fetch span.
     demand_pages = sum(
         s.pages for s in context.root.spans("fetch") if s.cache == "miss"
     )
@@ -90,7 +88,6 @@ def _run_batched() -> dict:
         "fetches": int(counters.get("engine.fetches", 0)),
         "prefix_hits": int(counters.get("nav.prefix_hits", 0)),
         "prefix_misses": int(counters.get("nav.prefix_misses", 0)),
-        "prefetch_pages": int(counters.get("nav.prefetch_pages", 0)),
         "elapsed_seconds": round(context.elapsed_seconds, 3),
     }
 
@@ -104,14 +101,13 @@ def test_prefix_reuse_ablation(benchmark):
     print("  context-free: %3d pages navigated" % plain["pages"])
     print(
         "  batched:      %3d pages navigated (%d demand), %d live fetches, "
-        "prefix %d hit(s) / %d miss(es), %d prefetched"
+        "prefix %d hit(s) / %d miss(es)"
         % (
             batched["pages"],
             batched["demand_pages"],
             batched["fetches"],
             batched["prefix_hits"],
             batched["prefix_misses"],
-            batched["prefetch_pages"],
         )
     )
     ratio = plain["pages"] / batched["pages"]

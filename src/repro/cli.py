@@ -237,15 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--service-workers", type=int, default=4, help="query executor threads"
     )
-    serve.add_argument(
-        "--mqo-window-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="with --mqo: hold each query this long at admission so "
-        "concurrent identical-fingerprint arrivals share one execution "
-        "(0 = no batching window)",
-    )
 
     client = sub.add_parser("client", help="query a running service")
     client.add_argument("text", help="SELECT attrs WHERE conditions")
@@ -296,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="multi-query optimization on every worker",
-    )
-    cserve.add_argument(
-        "--mqo-window-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="per-worker admission batching window for shared execution",
     )
 
     cstatus = cluster_sub.add_parser(
@@ -415,7 +399,6 @@ def service_config(args: argparse.Namespace) -> ServiceConfig:
         port=args.port,
         queue_limit=args.queue_limit,
         workers=args.service_workers,
-        mqo_window_ms=args.mqo_window_ms,
     )
 
 
@@ -436,7 +419,6 @@ def cluster_config(args: argparse.Namespace) -> Any:
         max_inflight=args.max_inflight,
         health_interval_seconds=2.0,  # a deployment pings; tests check explicitly
         mqo=args.mqo,
-        mqo_window_ms=args.mqo_window_ms,
     )
 
 
@@ -499,15 +481,8 @@ def _cluster_main(args: argparse.Namespace) -> int:
         cluster = LocalCluster(config)
         host, port = cluster.start()
         print(
-            "cluster router on %s:%d (%d worker processes under %s, "
-            "federation=%s)"
-            % (
-                host,
-                port,
-                config.shards,
-                config.store_root,
-                "on" if config.federation else "off",
-            ),
+            "cluster router on %s:%d (%d worker processes under %s)"
+            % (host, port, config.shards, config.store_root),
             flush=True,
         )
         return _serve_until_stopped(

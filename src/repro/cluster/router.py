@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.cluster.federation import FederationServer
 from repro.cluster.hashring import HashRing
 from repro.cluster.health import HealthMonitor
 from repro.cluster.worker import WorkerHandle, spawn_worker
@@ -89,7 +90,6 @@ class ClusterConfig:
     ads_per_host: int = 120
     worker_queue_limit: int = 16
     worker_threads: int = 4
-    federation: bool = True
     max_inflight: int = 64  # router-level admission bound
     health_interval_seconds: float | None = None  # None = explicit checks only
     allow_world_mutation: bool = True  # harness churn ops, sent to every worker
@@ -99,15 +99,12 @@ class ClusterConfig:
     #: Equal plan fingerprints have equal host weights, so placement
     #: already sends them to the same owner.
     mqo: bool = False
-    mqo_window_ms: float = 0.0  # worker-side batching window
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1; got %r" % self.shards)
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.mqo_window_ms < 0:
-            raise ValueError("mqo_window_ms must be >= 0")
 
 
 @dataclass
@@ -216,11 +213,7 @@ class ClusterRouter:
         self._plan_cache: dict[str, dict[str, int]] = {}
         self._plan_lock = threading.Lock()
         self.all_hosts = sorted(self._planner.builders)
-        self.federation_server: Any = None
-        if config.federation:
-            from repro.cluster.federation import FederationServer
-
-            self.federation_server = FederationServer(metrics=self.metrics)
+        self.federation_server = FederationServer(metrics=self.metrics)
         self.health = HealthMonitor(
             on_dead=self._on_worker_dead,
             interval_seconds=config.health_interval_seconds,
@@ -236,16 +229,13 @@ class ClusterRouter:
         return str(host), int(port)
 
     @property
-    def federation_address(self) -> tuple[str, int] | None:
-        if self.federation_server is None:
-            return None
+    def federation_address(self) -> tuple[str, int]:
         return self.federation_server.address
 
     def start(self) -> tuple[str, int]:
         if self._server is not None:
             raise RuntimeError("router already started")
-        if self.federation_server is not None:
-            self.federation_server.start()
+        self.federation_server.start()
         self._server = _RouterTcpServer((self.config.host, self.config.port), self)
         self._acceptor = threading.Thread(
             target=self._server.serve_forever,
@@ -317,8 +307,7 @@ class ClusterRouter:
             self._server.server_close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=5.0)
-        if self.federation_server is not None:
-            self.federation_server.stop()
+        self.federation_server.stop()
         self.metrics.counter("cluster.drains").inc()
         self._stopped.set()
         return self.metrics.snapshot()
@@ -996,7 +985,7 @@ class ClusterRouter:
                 }
                 for shard, count in sorted(self._shard_load.items())
             }
-        status: dict[str, Any] = {
+        return {
             "role": "router",
             "shard_id": ROUTER_SHARD_ID,
             "protocol_version": protocol.PROTOCOL_VERSION,
@@ -1006,10 +995,8 @@ class ClusterRouter:
             "hosts": hosts,
             "load": load,
             "subscriptions": subscriptions,
+            "federation": self.federation_server.cache.stats(),
         }
-        if self.federation_server is not None:
-            status["federation"] = self.federation_server.cache.stats()
-        return status
 
     def merged_metrics(self) -> dict[str, Any]:
         """One operator view over N registries: the router's own

@@ -90,7 +90,6 @@ def build_worker_service(
             per_client_limit=max(16, config.worker_queue_limit),
             shard_id=shard_id,
             allow_world_mutation=config.allow_world_mutation,
-            mqo_window_ms=config.mqo_window_ms,
         ),
     )
     service.role = "worker"

@@ -48,7 +48,6 @@ from repro.core.resilience import ResilienceManager, ResiliencePolicy
 from repro.errors import WebBaseError
 from repro.flight import Flights
 from repro.navigation.executor import NavigationExecutor
-from repro.navigation.prefetch import SpeculationBudget, SpeculativePrefetcher
 from repro.vps.cache import CachePolicy
 from repro.web.browser import PrefixPageCache, TransientNetworkError
 from repro.web.clock import SimClock
@@ -63,19 +62,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only; avoids import cycles
 # -- policies and configuration ----------------------------------------------------
 
 
+#: Simulated seconds charged before the first retry; each later retry
+#: waits ``BACKOFF_FACTOR`` times longer than the one before.
+BACKOFF_SECONDS = 0.25
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff (in simulated seconds)."""
 
     max_attempts: int = 3
-    backoff_seconds: float = 0.25
-    backoff_factor: float = 2.0
 
     def delay_before(self, attempt: int) -> float:
         """Backoff charged before ``attempt`` (attempts count from 1)."""
         if attempt <= 1:
             return 0.0
-        return self.backoff_seconds * self.backoff_factor ** (attempt - 2)
+        return BACKOFF_SECONDS * BACKOFF_FACTOR ** (attempt - 2)
 
 
 @dataclass(frozen=True)
@@ -556,10 +559,6 @@ class BundlePool:
         self._created = 0
 
     @property
-    def server(self) -> WebServer:
-        return self._server
-
-    @property
     def size(self) -> int:
         return self._created
 
@@ -613,22 +612,12 @@ class ExecutionContext:
         # Batched navigation: one revision-stamped page cache per context
         # (query-scoped — dropped with the context, so cross-query staleness
         # is impossible by construction), shared by every worker bundle the
-        # context checks out, plus a speculative prefetcher feeding it.
-        # ``page_revisions`` reads a host's current navigation-map revision
-        # (wired to Revisions.current, advanced by site maintenance).
+        # context checks out.  ``page_revisions`` reads a host's current
+        # navigation-map revision (wired to Revisions.current, advanced by
+        # site maintenance).
         self.page_cache = PrefixPageCache(
             revision_of=page_revisions,
             metrics=self.metrics,
-        )
-        self.speculation_budget = SpeculationBudget(metrics=self.metrics)
-        self.prefetcher = SpeculativePrefetcher(
-            pool.server,
-            self.page_cache,
-            metrics=self.metrics,
-            max_workers=self.max_workers,
-            charge=self._charge_lane,
-            admit=self._admit_speculation,
-            budget=self.speculation_budget,
         )
         # Wall-clock deadline: unlike ``timeout_seconds`` (a per-attempt
         # budget in *simulated* network seconds), the deadline bounds the
@@ -658,9 +647,6 @@ class ExecutionContext:
         # thread interleaving (the in-process Web costs no real wall time,
         # so real interleaving says nothing about simulated concurrency).
         self._lane_seconds: list[float] = [0.0] * self.max_workers
-        # Observed page counts per (relation, bound-attribute signature),
-        # feeding the cost-aware batch chunker's weight estimates.
-        self._page_stats: dict[tuple, tuple[int, float]] = {}
         self._cache: dict[tuple, "Relation"] = {}
         self._lock = threading.RLock()
         self._flights = Flights(self._lock)
@@ -796,16 +782,6 @@ class ExecutionContext:
         reclaimed = int(round(max(0.0, typical - handle.pages)))
         if reclaimed:
             self.metrics.counter("resilience.reclaimed_pages").inc(reclaimed)
-
-    def _admit_speculation(self, host: str) -> bool:
-        """Whether speculative page prefetch may target ``host`` — not
-        once the context is cancelled, and not while the host's circuit
-        breaker is open."""
-        if self._cancelled.is_set():
-            return False
-        if self.resilience is not None:
-            return self.resilience.allows_speculation(host)
-        return True
 
     @contextmanager
     def accounted(self) -> Iterator[None]:
@@ -946,24 +922,15 @@ class ExecutionContext:
 
     # -- fetching ------------------------------------------------------------
 
-    def _charge_lane(self, seconds: float) -> None:
-        """Assign externally spent network seconds (speculative prefetch)
-        to the least-loaded simulated connection lane."""
-        with self._lock:
-            lane = min(range(self.max_workers), key=self._lane_seconds.__getitem__)
-            self._lane_seconds[lane] += seconds
-
     def _install_nav_hooks(self, bundle: ExecutorBundle) -> None:
-        """Attach this context's query-scoped page cache and prefetcher to
-        a checked-out bundle."""
+        """Attach this context's query-scoped page cache to a checked-out
+        bundle."""
         bundle.executor.page_cache = self.page_cache
-        bundle.executor.prefetcher = self.prefetcher
 
     def _uninstall_nav_hooks(self, bundle: ExecutorBundle) -> None:
-        """Detach the hooks before the bundle returns to the shared pool,
+        """Detach the cache before the bundle returns to the shared pool,
         so another context never sees this query's pages."""
         bundle.executor.page_cache = None
-        bundle.executor.prefetcher = None
 
     @staticmethod
     def _fetch_key(relation: "VirtualRelation", given: dict[str, Any]) -> tuple:
@@ -972,49 +939,21 @@ class ExecutionContext:
             tuple(sorted((a, str(v)) for a, v in given.items() if v is not None)),
         )
 
-    # -- cost-aware batch chunking -------------------------------------------
-
-    @staticmethod
-    def _binding_signature(given: dict[str, Any]) -> tuple:
-        """Which attributes a binding bounds — bindings with the same
-        signature run the same handle and navigation shape, so their page
-        counts are comparable."""
-        return tuple(sorted(a for a, v in given.items() if v is not None))
-
-    def _note_pages(self, relation_name: str, given: dict[str, Any], pages: int) -> None:
-        key = (relation_name, self._binding_signature(given))
-        with self._lock:
-            count, total = self._page_stats.get(key, (0, 0.0))
-            self._page_stats[key] = (count + 1, total + pages)
-
-    def _estimate_pages(self, relation_name: str, given: dict[str, Any]) -> float:
-        """Expected pages for one binding: the observed mean for its
-        (relation, signature), else the context-wide fetch-pages mean,
-        else a flat prior."""
-        key = (relation_name, self._binding_signature(given))
-        with self._lock:
-            stat = self._page_stats.get(key)
-        if stat is not None and stat[0]:
-            return max(stat[1] / stat[0], 0.5)
-        histogram = self.metrics.histogram("engine.fetch_pages")
-        if histogram.count:
-            return max(histogram.mean, 0.5)
-        return 3.0
+    # -- batch chunking ------------------------------------------------------
 
     def plan_batch_chunks(
-        self, relation: "VirtualRelation", items: "list[tuple[tuple, dict[str, Any]]]"
+        self, items: "list[tuple[tuple, dict[str, Any]]]"
     ) -> "list[list[tuple[tuple, dict[str, Any]]]]":
-        """Split a batch's distinct bindings into at most ``max_workers``
-        chunks, cost-aware on two axes:
+        """Split a batch's distinct ``(fetch key, binding)`` items into at
+        most ``max_workers`` chunks.
 
-        * **prefix co-location** — bindings are ordered by their fetch key
-          (sorted bound attribute/value pairs), so bindings that share
-          deep navigation prefixes land in the same chunk and their
-          session memo absorbs the shared pages;
-        * **page balance** — chunk boundaries are cut by cumulative
-          *estimated* pages (observed per-signature means), so one chunk
-          of heavy bindings no longer paces the whole batch the way naive
-          equal-count splitting did.
+        Items are ordered by fetch key (sorted bound attribute/value
+        pairs), so bindings that share deep navigation prefixes land in
+        the same chunk and its session memo absorbs the shared pages.  A
+        chunk closes once it holds its share of the batch: with ``n``
+        items over ``w`` chunks, the cut falls where ``count × w >= n``
+        (integers, so no rounding moves a cut).  Every binding of a batch
+        runs the same handle, so each weighs the same.
 
         Output order does not matter for correctness: callers restore
         ``givens`` order from the fetch-key map.
@@ -1022,19 +961,13 @@ class ExecutionContext:
         workers = max(1, min(self.max_workers, len(items)))
         if workers == 1:
             return [list(items)]
-        ordered = sorted(items, key=lambda kv: kv[0])
-        weights = [self._estimate_pages(relation.name, given) for _, given in ordered]
-        target = sum(weights) / workers
         chunks: "list[list[tuple[tuple, dict[str, Any]]]]" = []
         current: "list[tuple[tuple, dict[str, Any]]]" = []
-        acc = 0.0
-        for item, weight in zip(ordered, weights):
+        for item in sorted(items, key=lambda kv: kv[0]):
             current.append(item)
-            acc += weight
-            if len(chunks) < workers - 1 and acc >= target:
+            if len(chunks) < workers - 1 and len(current) * workers >= len(items):
                 chunks.append(current)
                 current = []
-                acc = 0.0
         if current:
             chunks.append(current)
         return chunks
@@ -1173,7 +1106,7 @@ class ExecutionContext:
         for key, given in keyed:
             unique.setdefault(key, given)
         items = list(unique.items())
-        chunks = self.plan_batch_chunks(relation, items)
+        chunks = self.plan_batch_chunks(items)
 
         def run_chunk(chunk: list) -> dict:
             out: dict[tuple, AccessHandle] = {}
@@ -1311,7 +1244,6 @@ class ExecutionContext:
             self.metrics.counter("engine.fetches").inc()
             self.metrics.histogram("engine.fetch_seconds").observe(total)
             self.metrics.histogram("engine.fetch_pages").observe(pages_total)
-            self._note_pages(relation.name, given, pages_total)
             if result is None:
                 fspan.status = "error"
                 fspan.error = str(last_error)

@@ -12,15 +12,13 @@ simulated-Web setting:
   of simulated network time — trip the breaker.  An *open* breaker does
   **not** fast-fail accesses (that would change answers); it
 
-  - stops speculative page prefetch for the host
-    (:meth:`ResilienceManager.allows_speculation`),
   - quarantines the host in the cross-query
     :class:`~repro.vps.cache.ResultCache` (so a ``serve_stale`` policy
     degrades gracefully to flagged-stale answers), and
   - lets accesses pass through, counted as
     ``resilience.pass_throughs``.
 
-  After ``recovery_seconds`` the breaker half-opens: one probe access
+  After ``RECOVERY_SECONDS`` the breaker half-opens: one probe access
   (``HALF_OPEN_PROBES``) tests the host, a success closes it (and lifts
   the quarantine), a failure re-opens it;
 
@@ -51,6 +49,10 @@ BREAKER_HALF_OPEN = "half_open"
 #: Trial accesses a half-open breaker admits at a time.
 HALF_OPEN_PROBES = 1
 
+#: Seconds (of the breaker's clock) an open breaker waits before it
+#: half-opens, and a half-open one before it recycles unreported probes.
+RECOVERY_SECONDS = 30.0
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -60,13 +62,12 @@ class ResiliencePolicy:
     success counts as a failure signal when it took at least
     ``slow_seconds`` of simulated network time (``None`` disables the
     slow-call signal).  An open breaker half-opens after
-    ``recovery_seconds``.  ``bulkhead_per_host`` caps one host's share of
+    ``RECOVERY_SECONDS``.  ``bulkhead_per_host`` caps one host's share of
     the engine's worker slots (``None`` = no partitioning).
     """
 
     enabled: bool = True
     failure_threshold: int = 5
-    recovery_seconds: float = 30.0
     slow_seconds: float | None = None
     bulkhead_per_host: int | None = None
 
@@ -115,14 +116,14 @@ class CircuitBreaker:
         """Time-driven transitions (caller holds the lock)."""
         if (
             self._state == BREAKER_OPEN
-            and now - self._opened_at >= self.policy.recovery_seconds
+            and now - self._opened_at >= RECOVERY_SECONDS
         ):
             self._state = BREAKER_HALF_OPEN
             self._half_open_at = now
             self._probes_inflight = 0
         elif (
             self._state == BREAKER_HALF_OPEN
-            and now - self._half_open_at >= self.policy.recovery_seconds
+            and now - self._half_open_at >= RECOVERY_SECONDS
         ):
             # Probes were granted but never reported back (e.g. cancelled
             # mid-flight): recycle the probe budget so the breaker cannot
@@ -336,13 +337,6 @@ class ResilienceManager:
             )
 
     # -- introspection -------------------------------------------------------
-
-    def allows_speculation(self, host: str) -> bool:
-        """Whether speculative page prefetch may target ``host`` right
-        now — an open breaker says no."""
-        if not self.policy.enabled:
-            return True
-        return self.breaker(host).state != BREAKER_OPEN
 
     def states(self) -> dict[str, str]:
         """Current breaker state per host (hosts seen so far)."""

@@ -15,17 +15,11 @@ The registry holds no results beyond the flight itself: sharing is
 strictly *in-flight*, so staleness never outlives the queries being
 answered (cross-time reuse is the containment layer's job, which carries
 revision-vector validation).
-
-:class:`BatchGate` is the admission-side companion: a short batching
-window that releases near-simultaneous arrivals together, turning
-"16 clients asked within a few milliseconds" into "16 queries in flight
-at once" so their identical fingerprints actually overlap.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable
 
 from repro.flight import Flights
@@ -95,49 +89,3 @@ class SubplanRegistry:
             # The leader failed or was cancelled out from under us: loop —
             # whoever re-enters first promotes to leader and re-runs.
             self._count("mqo.promotions")
-
-
-class BatchGate:
-    """A short admission batching window for the service dispatch path.
-
-    The first arrival opens a window of ``window_seconds``; every arrival
-    before it closes waits for the SAME deadline, so the batch releases
-    together and overlapping fingerprints coalesce in the registry.  The
-    wait is bounded by the window (observable via the caller's
-    ``mqo.window_wait_seconds`` histogram) and cancellable: ``admit``
-    polls ``context.check_cancelled`` while it sleeps.
-    """
-
-    def __init__(self, window_seconds: float, metrics: Any = None) -> None:
-        if window_seconds <= 0:
-            raise ValueError(
-                "window_seconds must be > 0; got %r" % window_seconds
-            )
-        self.window_seconds = window_seconds
-        self.metrics = metrics
-        self._lock = threading.Lock()
-        self._deadline: float | None = None
-
-    def admit(self, context: Any = None) -> float:
-        """Hold the caller until the current window closes; returns the
-        seconds actually waited."""
-        start = time.monotonic()
-        with self._lock:
-            if self._deadline is None or start >= self._deadline:
-                self._deadline = start + self.window_seconds
-            deadline = self._deadline
-        poll = getattr(context, "check_cancelled", None) if context else None
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            time.sleep(min(remaining, 0.02))
-            if poll is not None:
-                poll("mqo:batch-window")
-        with self._lock:
-            if self._deadline == deadline:
-                self._deadline = None
-        waited = time.monotonic() - start
-        if self.metrics is not None:
-            self.metrics.histogram("mqo.window_wait_seconds").observe(waited)
-        return waited

@@ -80,13 +80,11 @@ class NavigationExecutor:
         self._wrappers: dict[str, Any] = {}
         self._forms: dict[str, Any] = {}
         self._memo: dict[tuple, WebPage] = {}
-        # Batched-navigation hooks, installed per query by the execution
+        # Batched-navigation hook, installed per query by the execution
         # engine: a query-scoped revision-stamped page cache shared across
-        # fetches (and worker bundles), and a speculative prefetcher for
-        # enumerated select/radio domains.  Both default off, so a bare
+        # fetches (and worker bundles).  Off by default, so a bare
         # executor keeps the paper's per-fetch navigation semantics.
         self.page_cache: PrefixPageCache | None = None
-        self.prefetcher: Any = None
         # Cooperative cancellation hook, installed per fetch by the
         # execution engine: polled before every page navigation (and while
         # waiting on a coalesced page fetch), it raises when the access
@@ -286,15 +284,7 @@ class NavigationExecutor:
         live_form = self._find_form(page, str(ident))
         if live_form is None:
             return
-        assignments: Any = self._assignments(live_form, pairs, subst)
-        if self.prefetcher is not None and self.page_cache is not None:
-            # An unbound select/radio enumeration is about to issue one
-            # submission per domain value; hand the whole batch to the
-            # prefetcher so the submissions overlap instead of serializing.
-            assignments = list(assignments)
-            if len(assignments) > 1:
-                self._speculate(live_form, [values for values, _ in assignments])
-        for values, bound in assignments:
+        for values, bound in self._assignments(live_form, pairs, subst):
             try:
                 params = live_form.fill(values)
             except ValueError:
@@ -332,24 +322,6 @@ class NavigationExecutor:
         if form.method == "GET":
             return Request("GET", form.action.with_params(params))
         return Request("POST", form.action, form_params=params)
-
-    def _speculate(self, form: FormSpec, all_values: list[dict[str, str]]) -> None:
-        """Queue every enumerated submission with the prefetcher.  All of
-        them will be consumed by the enumeration that follows, so nothing
-        speculative is ever wasted; requests already cached, in flight, or
-        memoized locally are skipped."""
-        requests = []
-        for values in all_values:
-            try:
-                params = form.fill(values)
-            except ValueError:
-                continue
-            request = self._submit_request(form, params)
-            if request_key(request) in self._memo:
-                continue
-            requests.append(request)
-        if len(requests) > 1:
-            self.prefetcher.prefetch(requests)
 
     def _find_form(self, page: WebPage, ident: str) -> FormSpec | None:
         for form in page.forms:

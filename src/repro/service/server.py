@@ -94,12 +94,6 @@ class ServiceConfig:
     # is accepted.  Off by default: a public-facing service must not let
     # clients edit the world.
     allow_world_mutation: bool = False
-    # Multi-query batching window (milliseconds): with the webbase's MQO
-    # layer on, dispatched queries wait up to this long so that
-    # near-simultaneous arrivals release together and their identical
-    # subplan fingerprints coalesce in the shared registry.  0 disables
-    # the window (sharing still happens for naturally overlapping work).
-    mqo_window_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -112,10 +106,6 @@ class ServiceConfig:
             )
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1; got %r" % self.page_size)
-        if self.mqo_window_ms < 0:
-            raise ValueError(
-                "mqo_window_ms must be >= 0; got %r" % self.mqo_window_ms
-            )
 
 
 @dataclass
@@ -481,15 +471,6 @@ class WebBaseService:
         # Maintenance sweeps (ours or anyone's on this webbase) publish
         # CDC events; the registry turns them into row deltas.
         webbase.cdc.subscribe(self.standing.on_change)
-        # MQO batching window: only meaningful when the webbase has the
-        # multi-query layer attached (shared fingerprints to coalesce).
-        self._gate = None
-        if self.config.mqo_window_ms > 0 and webbase.mqo is not None:
-            from repro.mqo.registry import BatchGate
-
-            self._gate = BatchGate(
-                self.config.mqo_window_ms / 1000.0, metrics=self.metrics
-            )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -664,9 +645,8 @@ class WebBaseService:
         request = job.request
         waited = monotonic() - job.admitted_at
         self.metrics.histogram("service.queue_seconds").observe(waited)
-        # Admission-to-dispatch wait as its own histogram: the MQO
-        # batching window adds bounded latency *after* this point, so the
-        # two are separable in the metrics (queue_wait + window_wait).
+        # Admission-to-dispatch wait, under the name the service's
+        # per-layer report reads.
         self.metrics.histogram("service.queue_wait_seconds").observe(waited)
         if job.deadline_at is not None and monotonic() >= job.deadline_at:
             # Expired while queued: don't waste an executor on a lost cause.
@@ -781,15 +761,11 @@ class WebBaseService:
         page_size = request.page_size or self.config.page_size
         mqo = self.webbase.mqo
         if mqo is not None:
-            # MQO decision ladder, step 1: a revision-current gold answer
-            # that contains this query serves it with zero fetches.
+            # A revision-current gold answer that contains this query
+            # serves it with zero fetches.
             subsumed = mqo.subsume(request.text)
             if subsumed is not None:
                 return self._stream_subsumed(job, subsumed, page_size)
-            if self._gate is not None:
-                # Step 2: hold dispatch until the batching window closes,
-                # so overlapping arrivals share in-flight fingerprints.
-                self._gate.admit()
         remaining = (
             None if job.deadline_at is None else max(0.0, job.deadline_at - monotonic())
         )

@@ -121,13 +121,6 @@ class PrefixPageCache:
         self._flights = Flights(self._lock)
         self.hits = 0
         self.misses = 0
-        # Entries fetched *speculatively* (ahead of demand).  The first
-        # demand hit on one "consumes" it — reported to ``budget`` (a
-        # :class:`~repro.navigation.prefetch.SpeculationBudget`, when the
-        # execution engine wires one) so a page that turned out useful
-        # stops counting against the host's wasted-pages allowance.
-        self._speculative: set[tuple] = set()
-        self.budget: Any = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -137,30 +130,16 @@ class PrefixPageCache:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    def _consumed_locked(self, host: str, key: tuple) -> None:
-        """A demand hit landed on a speculatively fetched page (caller
-        holds the lock): settle it with the speculation budget."""
-        if (host, key) in self._speculative:
-            self._speculative.discard((host, key))
-            self._count("nav.speculation_consumed")
-            if self.budget is not None:
-                self.budget.consumed(host)
-
     def _current_locked(self, host: str, key: tuple, revision: int) -> WebPage | None:
         """The one staleness check (caller holds the lock): the page under
         ``key`` if it is stamped ``revision``.  A superseded entry is
-        dropped, and a speculative one — it never paid off — is settled
-        with the budget as wasted."""
+        dropped."""
         entry = self._pages.get((host, key))
         if entry is None:
             return None
         if entry[0] == revision:
             return entry[1]
         del self._pages[(host, key)]
-        if (host, key) in self._speculative:
-            self._speculative.discard((host, key))
-            if self.budget is not None:
-                self.budget.wasted(host)
         return None
 
     def lookup(self, host: str, key: tuple) -> WebPage | None:
@@ -168,10 +147,7 @@ class PrefixPageCache:
         serving) entries stored under a superseded map revision."""
         revision = self._revision_of(host)
         with self._lock:
-            page = self._current_locked(host, key, revision)
-            if page is not None:
-                self._consumed_locked(host, key)
-            return page
+            return self._current_locked(host, key, revision)
 
     def acquire(self, host: str, key: tuple):
         """Claim ``key``: ``("hit", page, None)`` when cached, ``("lead",
@@ -184,7 +160,6 @@ class PrefixPageCache:
             if page is not None:
                 self.hits += 1
                 self._count("nav.prefix_hits")
-                self._consumed_locked(host, key)
                 return ("hit", page, None)
             flight, leading = self._flights.join((host, key))
             if not leading:
@@ -194,41 +169,14 @@ class PrefixPageCache:
             self._count("nav.prefix_misses")
             return ("lead", flight, revision)
 
-    def try_lead(self, host: str, key: tuple):
-        """Non-blocking claim for speculative work: ``(flight, revision)``
-        when the caller should fetch, ``None`` when the page is already
-        cached or someone else is on it (nothing to do)."""
-        revision = self._revision_of(host)
-        with self._lock:
-            if self._current_locked(host, key, revision) is not None:
-                return None
-            flight, leading = self._flights.join((host, key))
-            if not leading:
-                return None
-            self.misses += 1
-            self._count("nav.prefix_misses")
-            return (flight, revision)
-
     def fulfill(
-        self,
-        host: str,
-        key: tuple,
-        flight: Flight,
-        page: WebPage,
-        revision: int,
-        speculative: bool = False,
+        self, host: str, key: tuple, flight: Flight, page: WebPage, revision: int
     ) -> None:
         """Store a leader's fetched page (unless the revision moved while
-        it was in flight) and release the waiters.  ``speculative`` marks
-        the entry as fetched ahead of demand: its first demand hit settles
-        it with the speculation budget."""
+        it was in flight) and release the waiters."""
         with self._lock:
             if revision == self._revision_of(host):
                 self._pages[(host, key)] = (revision, page)
-                if speculative:
-                    self._speculative.add((host, key))
-            elif speculative and self.budget is not None:
-                self.budget.wasted(host)
             flight.land(page)
         flight.settle()
 

@@ -1,6 +1,6 @@
 """Binding-batched navigation: the prefix page cache, its revision-stamped
 invalidation, the page budget under replay, batch/per-binding equivalence,
-and speculative prefetch.
+and the network accounting of enumerated submissions.
 
 The contract under test: batched navigation is a pure *cost* optimisation.
 ``fetch_batch`` over any binding set returns exactly the multiset union of
@@ -18,10 +18,9 @@ import pytest
 from repro.core.execution import RetryPolicy, WebBaseConfig
 from repro.core.webbase import WebBase
 from repro.navigation.executor import PageBudgetExceeded
-from repro.navigation.prefetch import SpeculationBudget, SpeculativePrefetcher
 from repro.sites.world import build_world, mutate_site_listings
 from repro.vps.cache import CachePolicy
-from repro.web.browser import Browser, PrefixPageCache, request_key
+from repro.web.browser import PrefixPageCache, request_key
 from repro.web.http import Request, Url
 from repro.web.server import FaultPlan
 from tests.conftest import derive_seeds
@@ -31,6 +30,7 @@ JAGUAR_QUERY = (
     "WHERE make = 'jaguar' AND year >= 1993 AND condition = 'good' "
     "AND safety IN ('good', 'excellent') AND price < bb_price"
 )
+PRICE_QUERY = "SELECT make, model, price WHERE make = 'ford'"
 
 
 def _entry_key(host: str) -> tuple:
@@ -91,28 +91,6 @@ class TestPrefixPageCacheRevisions:
         # The next caller leads again instead of inheriting the failure.
         outcome, _flight, _revision = cache.acquire("h.com", key)
         assert outcome == "lead"
-
-    def test_try_lead_settles_a_stale_speculative_page(self):
-        """``try_lead`` shares the one staleness check with ``lookup`` and
-        ``acquire``: re-leading a speculative page whose revision moved
-        reports the old one wasted, so its reservation is not leaked."""
-        revisions, cache = self._cache()
-        cache.budget = budget = SpeculationBudget(wasted_pages=4)
-        key = ("GET", "http://h.com/", ())
-
-        def speculate(page):
-            assert budget.try_issue("h.com")
-            flight, revision = cache.try_lead("h.com", key)
-            cache.fulfill("h.com", key, flight, page, revision, speculative=True)
-
-        speculate(object())
-        revisions["h.com"] = 1
-        refill = object()
-        speculate(refill)
-        assert budget.outstanding("h.com") == 1  # the refill's, not a leaked one
-        assert cache.acquire("h.com", key) == ("hit", refill, None)
-        assert budget.outstanding("h.com") == 0
-        assert (budget.consumed_total, budget.wasted_total) == (1, 1)
 
 
 class TestRevisionBumpEviction:
@@ -235,133 +213,26 @@ class TestBatchEquivalenceProperty:
         assert union_batched == union_single
 
 
-class TestSpeculativePrefetcher:
-    def test_prefetch_fills_cache_without_duplicate_traffic(self):
-        world = build_world()
-        webbase = WebBase(world)  # maps the sites; gives us the host list
-        hosts = sorted(webbase.compiled)
-        cache = PrefixPageCache()
-        prefetcher = SpeculativePrefetcher(world.server, cache, max_workers=2)
-        requests = [Request("GET", Url(h, "/")) for h in hosts]
-        before = {h: world.server.stats[h].requests for h in hosts}
-
-        assert prefetcher.prefetch(requests) == len(hosts)
-        prefetcher.drain()
-        for host in hosts:
-            assert cache.lookup(host, _entry_key(host)) is not None
-
-        # Re-speculating the same pages is free: try_lead skips them all.
-        prefetcher.prefetch(requests)
-        prefetcher.drain()
-        after = {h: world.server.stats[h].requests for h in hosts}
-        assert all(after[h] - before[h] == 1 for h in hosts)
-
-        # The demand path shares the prefetched page instead of re-fetching.
-        page, live = Browser(world.server).request_cached(requests[0], cache)
-        assert page is not None and not live
-        assert world.server.stats[hosts[0]].requests == after[hosts[0]]
-
-    def test_enumerated_submissions_are_speculated(self):
-        """The end-to-end trigger: a select/radio enumeration inside the
-        golden jaguar query hands its whole submission batch to the
-        prefetcher, and draining it is deterministic."""
+class TestEnumeratedSubmissions:
+    def test_fetch_spans_account_for_every_network_second(self):
+        """A select without an empty option is enumerated on the demand
+        path, one submission per value, inside the fetch that needs it —
+        the ford price query does this — so every simulated network second
+        the query spends lies under some fetch span: the spans sum to the
+        lanes' total.  The walk still answers what the context-free one
+        does, with no more live traffic."""
         webbase = WebBase.create(WebBaseConfig(max_workers=4))
-        ctx = webbase.execution_context(label="speculate")
-        answer = webbase.query(JAGUAR_QUERY, context=ctx)
-        ctx.prefetcher.drain()
+        ctx = webbase.execution_context(label="enumerate")
+        answer = webbase.query(PRICE_QUERY, context=ctx)
         assert len(answer) > 0
-        counters = webbase.metrics.snapshot()["counters"]
-        assert counters.get("nav.prefetch_issued", 0) > 1
-        # Speculation is work moved, not added: the batched run's total
-        # live traffic stays at or below the context-free walk's.
+        spans = ctx.root.spans("fetch")
+        assert sum(s.network_seconds for s in spans) == pytest.approx(
+            ctx.network_seconds_total, rel=1e-9
+        )
         baseline = WebBase(build_world())
-        assert baseline.ur.answer(JAGUAR_QUERY) == answer
+        assert baseline.ur.answer(PRICE_QUERY) == answer
         spent = lambda wb: sum(s.requests for s in wb.world.server.stats.values())
         assert spent(webbase) <= spent(baseline)
-
-
-class TestSpeculationBudget:
-    def test_allowance_caps_outstanding(self):
-        budget = SpeculationBudget(wasted_pages=2)
-        assert budget.try_issue("h")
-        assert budget.try_issue("h")
-        assert not budget.try_issue("h")  # at the cap
-        assert budget.outstanding("h") == 2
-
-    def test_consumption_grows_allowance(self):
-        budget = SpeculationBudget(wasted_pages=2, max_allowance=4)
-        for _ in range(2):
-            assert budget.try_issue("h")
-        budget.consumed("h")
-        budget.consumed("h")
-        assert budget.allowance("h") == 4
-        assert budget.outstanding("h") == 0
-        budget.consumed("h")  # capped at max_allowance
-        assert budget.allowance("h") == 4
-        assert budget.consumed_total == 3
-
-    def test_waste_shrinks_allowance(self):
-        budget = SpeculationBudget(wasted_pages=4, min_allowance=2)
-        assert budget.try_issue("h")
-        budget.wasted("h")
-        assert budget.allowance("h") == 3
-        budget.wasted("h")
-        budget.wasted("h")
-        assert budget.allowance("h") == 2  # floored at min_allowance
-        assert budget.wasted_total == 3
-
-    def test_release_is_neutral(self):
-        budget = SpeculationBudget(wasted_pages=2)
-        assert budget.try_issue("h")
-        budget.release("h")
-        assert budget.allowance("h") == 2
-        assert budget.outstanding("h") == 0
-
-    def test_hosts_are_independent(self):
-        budget = SpeculationBudget(wasted_pages=1)
-        assert budget.try_issue("a")
-        assert not budget.try_issue("a")
-        assert budget.try_issue("b")
-
-    def test_rejects_zero_budget(self):
-        with pytest.raises(ValueError):
-            SpeculationBudget(wasted_pages=0)
-
-    def test_prefetcher_settles_reservations(self):
-        """Through the prefetcher and the page cache the budget's books
-        balance: a prefetched page holds one reservation, the first demand
-        hit consumes it (allowance grows), a revision bump wastes it
-        (allowance shrinks), and re-speculating a cached page is neutral."""
-        world = build_world()
-        consumed_host, wasted_host = sorted(world.server.stats)[:2]
-        revisions = {consumed_host: 0, wasted_host: 0}
-        cache = PrefixPageCache(revision_of=lambda h: revisions[h])
-        budget = SpeculationBudget(wasted_pages=4)
-        prefetcher = SpeculativePrefetcher(
-            world.server, cache, max_workers=1, budget=budget
-        )
-        requests = [Request("GET", Url(h, "/")) for h in (consumed_host, wasted_host)]
-        prefetcher.prefetch(requests)
-        prefetcher.drain()
-        assert budget.outstanding(consumed_host) == 1
-        assert budget.outstanding(wasted_host) == 1
-
-        prefetcher.prefetch(requests)  # already cached: reserve, then release
-        prefetcher.drain()
-        assert budget.outstanding(consumed_host) == 1
-        assert budget.allowance(consumed_host) == 4
-
-        for _ in range(2):  # only the first demand hit settles the page
-            _, live = Browser(world.server).request_cached(requests[0], cache)
-            assert not live
-        assert budget.outstanding(consumed_host) == 0
-        assert budget.allowance(consumed_host) == 5
-
-        revisions[wasted_host] = 1
-        assert cache.lookup(wasted_host, _entry_key(wasted_host)) is None
-        assert budget.outstanding(wasted_host) == 0
-        assert budget.allowance(wasted_host) == 3
-        assert (budget.consumed_total, budget.wasted_total) == (1, 1)
 
 
 class TestTimeoutRetryReplay:

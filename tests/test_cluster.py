@@ -367,7 +367,6 @@ class TestAdmission:
             ClusterConfig(
                 store_root=str(tmp_path),
                 shards=1,
-                federation=False,
                 max_inflight=1,
             )
         )

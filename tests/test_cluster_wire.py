@@ -45,9 +45,7 @@ def routed(tmp_path):
     address = worker.start()
     spy = ListenerSpy(worker._server)
     router = ClusterRouter(
-        ClusterConfig(
-            store_root=str(tmp_path), shards=1, ads_per_host=ADS, federation=False
-        )
+        ClusterConfig(store_root=str(tmp_path), shards=1, ads_per_host=ADS)
     )
     router.start()
     router.register_worker(SHARD, address, str(tmp_path / SHARD))

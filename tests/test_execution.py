@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.execution import (
+    BACKOFF_FACTOR,
+    BACKOFF_SECONDS,
+    BundlePool,
     ExecutionContext,
     FanoutError,
     RetryPolicy,
@@ -110,6 +113,43 @@ class TestMapFanout:
         assert "odd 1" in str(info.value) and "odd 5" in str(info.value)
 
 
+class TestBatchChunks:
+    """``plan_batch_chunks``: fetch-key order, at most ``max_workers``
+    chunks, and a cut wherever a chunk reaches its share of the batch."""
+
+    @staticmethod
+    def _chunks(workers: int, makes: list[str]) -> list[list[str]]:
+        ctx = ExecutionContext(BundlePool(None, []), max_workers=workers)
+        items = [(("newsday", (("make", m),)), {"make": m}) for m in makes]
+        chunks = ctx.plan_batch_chunks(items)
+        return [[given["make"] for _, given in chunk] for chunk in chunks]
+
+    def test_bindings_are_colocated_in_fetch_key_order(self):
+        makes = ["saab", "audi", "ford", "bmw", "volvo", "honda", "acura"]
+        chunks = self._chunks(3, makes)
+        assert [make for chunk in chunks for make in chunk] == sorted(makes)
+
+    def test_never_more_chunks_than_workers(self):
+        for workers in (1, 2, 3, 8):
+            for count in range(1, 20):
+                chunks = self._chunks(workers, ["m%02d" % i for i in range(count)])
+                assert 1 <= len(chunks) <= min(workers, count)
+                assert all(chunks) and sum(map(len, chunks)) == count
+
+    def test_a_chunk_closes_at_its_share_of_the_batch(self):
+        def sizes(workers: int, count: int) -> list[int]:
+            makes = ["m%02d" % i for i in range(count)]
+            return [len(chunk) for chunk in self._chunks(workers, makes)]
+
+        # ``count`` bindings over ``w`` chunks: a chunk closes once its
+        # size × w reaches ``count``; the last takes what is left.
+        assert sizes(4, 10) == [3, 3, 3, 1]
+        assert sizes(3, 8) == [3, 3, 2]
+        assert sizes(4, 8) == [2, 2, 2, 2]
+        assert sizes(8, 3) == [1, 1, 1]
+        assert sizes(1, 5) == [5]
+
+
 class TestConfig:
     def test_create_with_config(self):
         config = WebBaseConfig(
@@ -135,11 +175,12 @@ class TestConfig:
         assert not hasattr(WebBase, "build")
 
     def test_retry_policy_backoff_grows(self):
-        policy = RetryPolicy(max_attempts=4, backoff_seconds=0.5, backoff_factor=3.0)
+        policy = RetryPolicy(max_attempts=4)
         assert policy.delay_before(1) == 0.0
-        assert policy.delay_before(2) == 0.5
-        assert policy.delay_before(3) == 1.5
-        assert policy.delay_before(4) == 4.5
+        assert policy.delay_before(2) == BACKOFF_SECONDS
+        assert policy.delay_before(3) == BACKOFF_SECONDS * BACKOFF_FACTOR
+        assert policy.delay_before(4) == BACKOFF_SECONDS * BACKOFF_FACTOR**2
+        assert BACKOFF_FACTOR > 1.0
 
 
 class TestTraceSpan:

@@ -87,7 +87,7 @@ class TestRetryRecovery:
         base_ctx = plain.execution_context()
         plain.fetch_vps("newsday", {"make": "saab"}, context=base_ctx)
         faulty = _faulty_webbase(
-            error_rate=0.9, retry=RetryPolicy(max_attempts=6, backoff_seconds=2.0)
+            error_rate=0.9, retry=RetryPolicy(max_attempts=6)
         )
         ctx = faulty.execution_context()
         try:

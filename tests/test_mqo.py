@@ -11,9 +11,9 @@ Covers the three rungs of the MQO ladder end to end:
   from a containing gold answer with *zero* side effects beyond the
   `mqo.subsumed` counter — and a revision bump on any contributing host
   makes the gold answer unusable (stale is never served);
-* the **service** path: batching window, `service.queue_wait_seconds`,
-  shared fingerprints across concurrent socket clients, and gold
-  persistence from the streaming executor.
+* the **service** path: `service.queue_wait_seconds`, shared
+  fingerprints across concurrent socket clients, and gold persistence
+  from the streaming executor.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 from repro.core.execution import WebBaseConfig
 from repro.core.webbase import WebBase
 from repro.mqo.containment import decompose, implies
-from repro.mqo.registry import BatchGate, SubplanRegistry
+from repro.mqo.registry import SubplanRegistry
 from repro.relational.relation import Relation
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, WebBaseService
@@ -296,31 +296,6 @@ class TestSubplanRegistry:
         assert results == [answer], "the survivor re-ran the subplan itself"
 
 
-class TestBatchGate:
-    def test_window_wait_is_bounded_and_observed(self):
-        from repro.core.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry(strict=True)
-        gate = BatchGate(0.05, metrics=metrics)
-        waits: list[float] = []
-        threads = [
-            threading.Thread(target=lambda: waits.append(gate.admit()))
-            for _ in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(5.0)
-        assert len(waits) == 3
-        assert all(w <= 0.05 + 0.25 for w in waits)  # bounded by window + slack
-        summary = metrics.snapshot()["histograms"]["mqo.window_wait_seconds"]
-        assert summary["count"] == 3
-
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            BatchGate(0.0)
-
-
 # -- subsumption end to end ----------------------------------------------------
 
 
@@ -509,9 +484,7 @@ class TestServiceMQO:
         the plan's hosts too, whichever client's evaluation was shared."""
         webbase = _mqo_webbase(tmp_path, ADS)
         gate = _ShareGate(webbase, subscriptions=2)
-        svc = WebBaseService(
-            webbase, ServiceConfig(port=0, workers=2, mqo_window_ms=50.0)
-        )
+        svc = WebBaseService(webbase, ServiceConfig(port=0, workers=2))
         host, port = svc.start()
 
         def one_client():
@@ -552,13 +525,12 @@ class TestServiceMQO:
         assert 0.0 <= summary["max"] < 30.0
 
     def test_batching_window_shares_concurrent_identical_queries(self, tmp_path):
-        """Four identical queries fired together under a batching window
-        collapse onto one evaluation: one set of leads, the rest hits."""
+        """Four identical queries in flight together collapse onto shared
+        evaluations: the gate holds the first evaluation until another
+        query has subscribed to it."""
         webbase = _mqo_webbase(tmp_path)
-        svc = WebBaseService(
-            webbase,
-            ServiceConfig(port=0, workers=4, mqo_window_ms=250.0),
-        )
+        gate = _ShareGate(webbase, subscriptions=1)
+        svc = WebBaseService(webbase, ServiceConfig(port=0, workers=4))
         host, port = svc.start()
         rows: list = []
         errors: list = []
@@ -575,6 +547,7 @@ class TestServiceMQO:
             threads = [threading.Thread(target=one_client) for _ in range(4)]
             for t in threads:
                 t.start()
+            gate.open_once_shared()
             for t in threads:
                 t.join(60.0)
         finally:
@@ -584,8 +557,3 @@ class TestServiceMQO:
         assert all(r == rows[0] for r in rows), "shared rows must be identical"
         counters = webbase.metrics.snapshot()["counters"]
         assert counters.get("mqo.shared_hits", 0) >= 1, counters
-        window = webbase.metrics.snapshot()["histograms"][
-            "mqo.window_wait_seconds"
-        ]
-        assert window["count"] >= 1
-        assert window["max"] <= 0.25 + 0.25  # bounded by the window + slack

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes seven mechanical consistency audits, so drift fails loudly:
+Includes nine mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -14,6 +14,10 @@ Includes seven mechanical consistency audits, so drift fails loudly:
 * the dependent join has one probe path: the names of the removed ones
   (join-probe speculation, the per-binding engine arm) and of the two
   one-caller settings that left with them do not come back;
+* the router has one placement rule: scatter, fingerprint stickiness and
+  client redirects do not come back;
+* nothing runs ahead of demand: the speculative page prefetcher, its
+  wasted-pages budget and the MQO batching window do not come back;
 * there is one fan-out: the engine creates a thread only where an open
   fan-out gets its helpers, and the UR layer creates none;
 * every metric a real workload produces must follow the documented
@@ -234,6 +238,19 @@ class TestOneStalenessAuthority:
         assert offenders == []
 
 
+def _references(removed: tuple[str, ...]) -> list[str]:
+    """``file:line`` of every name, attribute, parameter or string under
+    ``src/repro`` that contains one of the ``removed`` names."""
+    offenders = []
+    for relative, tree in TestOneStalenessAuthority._trees():
+        for node in ast.walk(tree):
+            for field in ("id", "attr", "name", "arg", "value"):
+                text = getattr(node, field, None)
+                if isinstance(text, str) and any(r in text for r in removed):
+                    offenders.append("%s:%d" % (relative, node.lineno))
+    return offenders
+
+
 class TestOneProbePath:
     """With a context the dependent join batches its probes, without one
     it runs the per-binding loop; nothing selects a third way."""
@@ -246,14 +263,7 @@ class TestOneProbePath:
     )  # fmt: skip
 
     def test_no_module_defines_or_references_a_removed_name(self):
-        offenders = []
-        for relative, tree in TestOneStalenessAuthority._trees():
-            for node in ast.walk(tree):
-                for field in ("id", "attr", "name", "arg", "value"):
-                    text = getattr(node, field, None)
-                    if isinstance(text, str) and any(r in text for r in self.REMOVED):
-                        offenders.append("%s:%d" % (relative, node.lineno))
-        assert offenders == []
+        assert _references(self.REMOVED) == []
 
 
 class TestOnePlacement:
@@ -269,14 +279,27 @@ class TestOnePlacement:
     )  # fmt: skip
 
     def test_no_module_defines_or_references_a_removed_name(self):
-        offenders = []
-        for relative, tree in TestOneStalenessAuthority._trees():
-            for node in ast.walk(tree):
-                for field in ("id", "attr", "name", "arg", "value"):
-                    text = getattr(node, field, None)
-                    if isinstance(text, str) and any(r in text for r in self.REMOVED):
-                        offenders.append("%s:%d" % (relative, node.lineno))
-        assert offenders == []
+        assert _references(self.REMOVED) == []
+
+
+class TestNothingAheadOfDemand:
+    """Pages are fetched when the navigation asks for them and queries
+    run when they are admitted: no prefetcher, no speculation budget, no
+    batching window, and no page weights for the batch chunker."""
+
+    REMOVED = (
+        "SpeculativePrefetcher", "SpeculationBudget", "prefetch", "try_lead",
+        "allows_speculation", "_admit_speculation", "speculation_",
+        "_charge_lane", "BatchGate", "mqo_window", "window_wait",
+        "_estimate_pages", "_page_stats", "_note_pages", "_binding_signature",
+        "recovery_seconds", "backoff_factor",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_prefetch_module_is_gone(self):
+        assert not (SRC / "navigation" / "prefetch.py").exists()
 
 
 class TestOneFanout:
@@ -316,7 +339,7 @@ class TestMetricNamingAudit:
     @pytest.fixture(scope="class")
     def exercised_webbase(self):
         """One webbase pushed through the subsystems that emit metrics:
-        cached queries, faults + breakers, batched probes + prefetch."""
+        cached queries, faults + breakers, batched probes."""
         from repro import (
             CachePolicy,
             FaultPlan,

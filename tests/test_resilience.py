@@ -11,6 +11,7 @@ from repro.core.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    RECOVERY_SECONDS,
     CircuitBreaker,
     ResilienceManager,
     ResiliencePolicy,
@@ -31,7 +32,6 @@ class FakeClock:
 def make_breaker(clock, **kwargs) -> CircuitBreaker:
     policy = ResiliencePolicy(
         failure_threshold=kwargs.pop("failure_threshold", 3),
-        recovery_seconds=kwargs.pop("recovery_seconds", 10.0),
         **kwargs,
     )
     return CircuitBreaker("www.example.com", policy, clock=clock)
@@ -63,7 +63,7 @@ class TestBreakerStateMachine:
         breaker = make_breaker(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         assert breaker.state == BREAKER_HALF_OPEN
         assert breaker.allow() == "probe"
         # The probe budget is bounded: a second access is refused.
@@ -77,14 +77,14 @@ class TestBreakerStateMachine:
         breaker = make_breaker(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         assert breaker.allow() == "probe"
         assert breaker.record_failure() == "opened"
         assert breaker.state == BREAKER_OPEN
         # The re-opened breaker waits out a fresh recovery period.
-        clock.advance(5.0)
+        clock.advance(RECOVERY_SECONDS / 2)
         assert breaker.state == BREAKER_OPEN
-        clock.advance(5.0)
+        clock.advance(RECOVERY_SECONDS / 2)
         assert breaker.state == BREAKER_HALF_OPEN
 
     def test_lost_probe_slot_self_heals(self):
@@ -95,10 +95,10 @@ class TestBreakerStateMachine:
         breaker = make_breaker(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         assert breaker.allow() == "probe"
         assert breaker.allow() == "open"  # budget spent, no report ever comes
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         assert breaker.allow() == "probe"  # recycled
 
     def test_slow_successes_count_as_failure_signals(self):
@@ -116,7 +116,7 @@ class TestBreakerStateMachine:
         breaker = make_breaker(clock, slow_seconds=5.0)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         assert breaker.allow() == "probe"
         assert breaker.record_success(seconds=30.0) == "opened"
 
@@ -151,7 +151,6 @@ class TestManager:
     def _manager(self, clock=None, cache=None, **kwargs) -> ResilienceManager:
         policy = ResiliencePolicy(
             failure_threshold=kwargs.pop("failure_threshold", 2),
-            recovery_seconds=kwargs.pop("recovery_seconds", 10.0),
             **kwargs,
         )
         return ResilienceManager(
@@ -177,7 +176,7 @@ class TestManager:
         for _ in range(2):
             manager.record_failure("www.slow.com")
         assert cache.quarantined == {"www.slow.com"}
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         with manager.access("www.slow.com") as verdict:
             assert verdict == "probe"
         manager.record_success("www.slow.com")
@@ -194,7 +193,7 @@ class TestManager:
         manager = self._manager(clock=clock, cache=cache)
         for _ in range(2):
             manager.record_failure("www.changed.com")
-        clock.advance(10.0)
+        clock.advance(RECOVERY_SECONDS)
         with manager.access("www.changed.com"):
             pass
         manager.record_success("www.changed.com")
@@ -236,16 +235,6 @@ class TestManager:
             assert verdict == "off"
         manager.record_failure("anything")
         assert manager.states() == {}
-
-    def test_allows_speculation_tracks_breaker_state(self):
-        clock = FakeClock()
-        manager = self._manager(clock=clock)
-        assert manager.allows_speculation("www.slow.com")
-        for _ in range(2):
-            manager.record_failure("www.slow.com")
-        assert not manager.allows_speculation("www.slow.com")
-        clock.advance(10.0)
-        assert manager.allows_speculation("www.slow.com")  # half-open
 
     def test_open_breakers_gauge_and_describe(self):
         manager = self._manager()
