@@ -24,9 +24,6 @@ Quickstart::
 
 from repro import errors
 from repro.core.execution import (
-    AccessBatch,
-    AccessCancelled,
-    AccessHandle,
     DeadlineExceeded,
     ExecutionContext,
     FanoutError,
@@ -49,9 +46,6 @@ from repro.web.server import FaultPlan
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessBatch",
-    "AccessCancelled",
-    "AccessHandle",
     "CachePolicy",
     "DeadlineExceeded",
     "Domain",

@@ -185,20 +185,6 @@ class FetchFailedError(WebBaseError):
         self.failure = failure
 
 
-class AccessCancelled(WebBaseError):
-    """The access was revoked before it produced a result.
-
-    Raised out of an access whose :class:`AccessHandle` was cancelled —
-    directly, or by :meth:`ExecutionContext.cancel`.  Deliberately *not* a
-    :class:`~repro.web.browser.NavigationError`: the navigation executor
-    must not absorb it into an empty answer, and the retry loop must not
-    re-issue a fetch nobody wants anymore."""
-
-    def __init__(self, reason: str = "access cancelled") -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 class FanoutError(WebBaseError):
     """Several parallel tasks failed; every error is reported, not just
     the first (the ExceptionGroup-style report)."""
@@ -224,185 +210,6 @@ def _raise_collected(errors: Sequence[BaseException], total: int) -> None:
         raise errors[0]
     if errors:
         raise FanoutError([e for e in errors if isinstance(e, Exception)], total=total)
-
-
-# -- access handles ----------------------------------------------------------------
-
-
-#: Terminal states of an :class:`AccessHandle`.
-ACCESS_PENDING = "PENDING"
-ACCESS_RUNNING = "RUNNING"
-ACCESS_DONE = "DONE"
-ACCESS_CANCELLED = "CANCELLED"
-ACCESS_BROKEN = "BROKEN"
-
-ACCESS_TERMINAL = frozenset({ACCESS_DONE, ACCESS_CANCELLED, ACCESS_BROKEN})
-
-
-class AccessHandle:
-    """One scheduled access to the Web, as a first-class revocable object.
-
-    Every engine fetch is represented by a handle carrying the probe
-    bindings that justified it (``given``), so the layer that scheduled
-    the access can later decide it is no longer relevant and
-    :meth:`cancel` it.  Terminal states:
-
-    * ``DONE`` — the access produced a result (:meth:`result` returns it);
-    * ``CANCELLED`` — revoked (cancelled handle or context, expired
-      deadline) before completing;
-    * ``BROKEN`` — the access itself failed (retry budget exhausted,
-      broken site).
-
-    Cancellation is cooperative: a ``PENDING`` handle finishes
-    immediately, a ``RUNNING`` one keeps running until its next
-    checkpoint (before each page navigation, each retry, and while
-    waiting on a coalesced in-flight fetch).  ``DONE`` wins over a late
-    cancel — a completed result is never retracted.
-
-    Thread-safe; handles are created by
-    :meth:`ExecutionContext.run_fetch`, never directly.
-    """
-
-    def __init__(
-        self,
-        relation: str,
-        host: str,
-        given: dict[str, Any],
-        owner: "ExecutionContext | None" = None,
-    ) -> None:
-        self.relation = relation
-        self.host = host
-        self.given = dict(given)
-        self.pages = 0  # pages navigated before the handle went terminal
-        self.cancel_reason = ""
-        self._owner = owner
-        self._state = ACCESS_PENDING
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._cancel = threading.Event()
-        self._done = threading.Event()
-        self._lock = threading.Lock()
-
-    def __repr__(self) -> str:
-        return "<AccessHandle %s %r %s>" % (self.relation, self.given, self._state)
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    @property
-    def done(self) -> bool:
-        return self._state in ACCESS_TERMINAL
-
-    @property
-    def cancel_requested(self) -> bool:
-        return self._cancel.is_set()
-
-    @property
-    def error(self) -> BaseException | None:
-        return self._error
-
-    def cancel(self, reason: str = "access cancelled") -> bool:
-        """Revoke the access.  Returns whether the cancel *could* still
-        matter: ``False`` when the handle is already terminal (a completed
-        result stands), ``True`` when the access was pending (it finishes
-        ``CANCELLED`` right here) or running (it stops at its next
-        cooperative checkpoint)."""
-        finished = False
-        with self._lock:
-            if self._state in ACCESS_TERMINAL:
-                return False
-            self.cancel_reason = self.cancel_reason or reason
-            self._cancel.set()
-            if self._state == ACCESS_PENDING:
-                finished = self._finish_locked(
-                    ACCESS_CANCELLED, error=AccessCancelled(reason)
-                )
-        if finished and self._owner is not None:
-            self._owner._note_cancelled(self)
-        return True
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the handle is terminal (or ``timeout`` elapses)."""
-        return self._done.wait(timeout)
-
-    def result(self, timeout: float | None = None) -> Any:
-        """The access's result; re-raises its error for any non-``DONE``
-        terminal state."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                "access %s still %s after %.3fs" % (self.relation, self._state, timeout)
-            )
-        if self._state == ACCESS_DONE:
-            return self._value
-        raise self._error
-
-    # -- engine-side transitions (owner only) --------------------------------
-
-    def _mark_running(self) -> bool:
-        with self._lock:
-            if self._state in ACCESS_TERMINAL:
-                return False
-            self._state = ACCESS_RUNNING
-            return True
-
-    def _finish_locked(
-        self, state: str, value: Any = None, error: BaseException | None = None
-    ) -> bool:
-        if self._state in ACCESS_TERMINAL:
-            return False
-        self._state = state
-        self._value = value
-        self._error = error
-        self._done.set()
-        return True
-
-    def _finish(
-        self, state: str, value: Any = None, error: BaseException | None = None
-    ) -> bool:
-        with self._lock:
-            finished = self._finish_locked(state, value=value, error=error)
-        if finished and state == ACCESS_CANCELLED and self._owner is not None:
-            self._owner._note_cancelled(self)
-        return finished
-
-    def _settle(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` and finish in the terminal state its outcome
-        maps to."""
-        try:
-            value = fn(*args)
-        except (AccessCancelled, DeadlineExceeded) as exc:
-            self._finish(ACCESS_CANCELLED, error=exc)
-        except Exception as exc:  # noqa: BLE001 - stored on the handle
-            self._finish(ACCESS_BROKEN, error=exc)
-        else:
-            self._finish(ACCESS_DONE, value=value)
-
-
-class AccessBatch:
-    """The handles of one :meth:`ExecutionContext.run_fetch_batch` call,
-    in ``givens`` order (duplicate bindings share a handle).
-
-    :meth:`results` reports failures as every fan-out does
-    (:func:`_raise_collected`)."""
-
-    def __init__(self, handles: "list[AccessHandle]") -> None:
-        self.handles = list(handles)
-
-    def __len__(self) -> int:
-        return len(self.handles)
-
-    def __iter__(self) -> Iterator[AccessHandle]:
-        return iter(self.handles)
-
-    def cancel_pending(self, reason: str = "batch cancelled") -> int:
-        """Cancel every non-terminal handle; returns how many accepted."""
-        return sum(1 for handle in self.handles if handle.cancel(reason))
-
-    def results(self) -> list[Any]:
-        distinct = list({id(handle): handle for handle in self.handles}.values())
-        _raise_collected([h.error for h in distinct if h.error is not None], len(distinct))
-        return [handle.result() for handle in self.handles]
 
 
 # -- the trace --------------------------------------------------------------------
@@ -651,7 +458,6 @@ class ExecutionContext:
         self._lock = threading.RLock()
         self._flights = Flights(self._lock)
         self._slots = threading.Semaphore(self.max_workers)
-        self._live_handles: dict[int, AccessHandle] = {}
         self._local = threading.local()
         self._fanouts: list[tuple] = []  # open: (pending indices, helper threads, helper body)
         self._fan_lock = threading.Lock()  # guards them; never held while an item runs
@@ -696,17 +502,12 @@ class ExecutionContext:
     def cancelled(self) -> bool:
         return self._cancelled.is_set()
 
-    def cancel(self, reason: str = "context cancelled") -> None:
-        """Abandon the context: every live :class:`AccessHandle` is
-        cancelled (pending ones finish immediately; running ones stop at
-        their next cooperative checkpoint), and every subsequent deadline
-        check raises :class:`DeadlineExceeded`, so outstanding workers
-        stop picking up new fetches and fan-outs unwind promptly."""
+    def cancel(self) -> None:
+        """Abandon the context — the one way to revoke its work: every
+        subsequent checkpoint raises :class:`DeadlineExceeded`, so running
+        fetches stop before their next page or retry, waiters leave their
+        waits, and fan-outs stop taking new items."""
         self._cancelled.set()
-        with self._lock:
-            handles = list(self._live_handles.values())
-        for handle in handles:
-            handle.cancel(reason)
 
     def check_deadline(self, stage: str) -> None:
         """Raise :class:`DeadlineExceeded` if the deadline expired or the
@@ -733,55 +534,15 @@ class ExecutionContext:
     def check_cancelled(self, stage: str, kick: bool = True) -> None:
         """The engine's cooperative cancellation checkpoint.
 
-        Raises :class:`AccessCancelled` when any access handle on the
-        calling thread's handle stack was cancelled, and defers to
-        :meth:`check_deadline` when the whole context was cancelled.  Costs
-        nothing — in particular, no wall-clock read — on the happy path, so
+        Defers to :meth:`check_deadline` once the context is cancelled.
+        Costs nothing — in particular, no wall-clock read — on the happy path, so
         it is safe to call from tight polling loops.  A checkpoint heads an
         access, a wait or a shared evaluation, so it is where open fan-outs get
         their helper threads (the per-page poll inside an access: ``kick=False``)."""
         if kick and self._fanouts:
             self._kick()
-        stack = getattr(self._local, "handles", None)
-        if stack:
-            for handle in stack:
-                if handle.cancel_requested:
-                    raise AccessCancelled(
-                        handle.cancel_reason or "access cancelled at %s" % stage
-                    )
         if self._cancelled.is_set():
             self.check_deadline(stage)
-
-    def _push_handle(self, handle: AccessHandle) -> None:
-        stack = getattr(self._local, "handles", None)
-        if stack is None:
-            stack = self._local.handles = []
-        stack.append(handle)
-
-    def _pop_handle(self, handle: AccessHandle) -> None:
-        stack = getattr(self._local, "handles", None)
-        if stack and stack[-1] is handle:
-            stack.pop()
-
-    def _register_handle(self, handle: AccessHandle) -> None:
-        with self._lock:
-            self._live_handles[id(handle)] = handle
-
-    def _unregister_handle(self, handle: AccessHandle) -> None:
-        with self._lock:
-            self._live_handles.pop(id(handle), None)
-
-    def _note_cancelled(self, handle: AccessHandle) -> None:
-        """Account one cancelled access: how many pages did revoking it
-        save?  Estimated as the typical full-fetch page count (the
-        ``engine.fetch_pages`` running mean; 3 when nothing completed yet)
-        minus the pages the access had already navigated."""
-        self.metrics.counter("resilience.cancelled").inc()
-        histogram = self.metrics.histogram("engine.fetch_pages")
-        typical = histogram.mean if histogram.count else 3.0
-        reclaimed = int(round(max(0.0, typical - handle.pages)))
-        if reclaimed:
-            self.metrics.counter("resilience.reclaimed_pages").inc(reclaimed)
 
     @contextmanager
     def accounted(self) -> Iterator[None]:
@@ -977,16 +738,12 @@ class ExecutionContext:
         relation: "VirtualRelation",
         given: dict[str, Any],
         bundle: ExecutorBundle | None = None,
-    ) -> AccessHandle:
+    ) -> "Relation":
         """Fetch one VPS relation through the engine: per-context cache,
-        worker checkout, timeout, bounded retry, trace.
-
-        Returns an :class:`AccessHandle` that is already terminal (the
-        fetch runs inline on the calling thread): ``handle.result()``
-        yields the relation or re-raises the failure.  The handle exists
-        so *other* threads can revoke the access while it runs — the
-        service cancels a query whose deadline expired — and so the
-        access's justifying bindings travel with it.
+        worker checkout, timeout, bounded retry, trace.  Returns the
+        relation or raises the failure; a :meth:`cancel` from another
+        thread (the service's deadline timer) stops the fetch at its next
+        checkpoint with :class:`DeadlineExceeded`.
 
         Concurrent misses on the same ``(relation, bindings)`` key coalesce
         into one upstream fetch (single-flight): the first worker fetches,
@@ -998,25 +755,6 @@ class ExecutionContext:
         several bindings (see :meth:`run_fetch_batch`); without it the
         fetch checks a worker out of the pool under the slot semaphore.
         """
-        handle = AccessHandle(relation.name, relation.host, given, owner=self)
-        self._register_handle(handle)
-        self._push_handle(handle)
-        try:
-            if not handle._mark_running():
-                return handle  # cancelled before it started
-            handle._settle(self._run_fetch_inner, relation, given, bundle, handle)
-            return handle
-        finally:
-            self._pop_handle(handle)
-            self._unregister_handle(handle)
-
-    def _run_fetch_inner(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        bundle: ExecutorBundle | None,
-        handle: AccessHandle,
-    ) -> "Relation":
         key = self._fetch_key(relation, given)
         while True:
             self.check_deadline("fetch:%s" % relation.name)
@@ -1037,7 +775,7 @@ class ExecutionContext:
                 flight.wait(self.check_cancelled, "fetch:%s" % relation.name)
                 continue  # result (or nothing, if the leader failed) is cached now
             with flight:
-                result = self._guarded_fetch(relation, given, bundle, handle)
+                result = self._guarded_fetch(relation, given, bundle)
                 with self._lock:
                     self._cache[key] = result
                     flight.land(result)
@@ -1048,44 +786,41 @@ class ExecutionContext:
         relation: "VirtualRelation",
         given: dict[str, Any],
         bundle: ExecutorBundle | None,
-        handle: AccessHandle,
     ) -> "Relation":
         """Dispatch one upstream fetch through the resilience gate (when
         the context has one): the host's breaker counts the access and
         its bulkhead bounds the host's worker-slot share."""
         if self.resilience is None:
-            return self._dispatch_fetch(relation, given, bundle, handle)
+            return self._dispatch_fetch(relation, given, bundle)
         with self.resilience.access(
             relation.host,
             poll=lambda: self.check_cancelled("bulkhead:%s" % relation.name),
         ):
-            return self._dispatch_fetch(relation, given, bundle, handle)
+            return self._dispatch_fetch(relation, given, bundle)
 
     def _dispatch_fetch(
         self,
         relation: "VirtualRelation",
         given: dict[str, Any],
         bundle: ExecutorBundle | None,
-        handle: AccessHandle,
     ) -> "Relation":
         if bundle is not None:
-            return self._fetch_with_retries(relation, given, bundle, handle)
+            return self._fetch_with_retries(relation, given, bundle)
         with self._slots:
             owned = self.pool.checkout()
             self._install_nav_hooks(owned)
             try:
-                return self._fetch_with_retries(relation, given, owned, handle)
+                return self._fetch_with_retries(relation, given, owned)
             finally:
                 self._uninstall_nav_hooks(owned)
                 self.pool.checkin(owned)
 
     def run_fetch_batch(
         self, relation: "VirtualRelation", givens: list[dict[str, Any]]
-    ) -> AccessBatch:
-        """Fetch one VPS relation for a whole probe batch; the returned
-        :class:`AccessBatch` holds one (already terminal) handle per
-        binding, in ``givens`` order (the batched leg of a dependent
-        join) — ``batch.results()`` yields the relations.
+    ) -> "list[Relation]":
+        """Fetch one VPS relation for a whole probe batch (the batched leg
+        of a dependent join); the relations come back in ``givens`` order,
+        and duplicate bindings share one result.
 
         The distinct binding keys are split into at most ``max_workers``
         chunks; each chunk checks out one worker bundle and runs its
@@ -1094,22 +829,22 @@ class ExecutionContext:
         (and, through the query-scoped page cache, across chunks and
         hosts' other fetches too).  Every binding still gets the full
         engine treatment — per-context cache, single-flight, timeout,
-        retries, trace spans — and :meth:`AccessBatch.results` reports
-        failures as :meth:`map` does."""
+        retries, trace spans.  A failed binding does not stop its chunk; a
+        :class:`DeadlineExceeded` abandons the rest of it.  Failures are
+        reported as :meth:`map` reports them (:func:`_raise_collected`)."""
         if not givens:
-            return AccessBatch([])
+            return []
         self.metrics.histogram("nav.batch_size").observe(len(givens))
         if len(givens) == 1:
-            return AccessBatch([self.run_fetch(relation, givens[0])])
+            return [self.run_fetch(relation, givens[0])]
         keyed = [(self._fetch_key(relation, given), given) for given in givens]
         unique: dict[tuple, dict[str, Any]] = {}
         for key, given in keyed:
             unique.setdefault(key, given)
-        items = list(unique.items())
-        chunks = self.plan_batch_chunks(items)
+        chunks = self.plan_batch_chunks(list(unique.items()))
 
         def run_chunk(chunk: list) -> dict:
-            out: dict[tuple, AccessHandle] = {}
+            out: dict[tuple, Any] = {}  # key -> relation, or the exception
             # No slot is held across the chunk: a binding may wait on a
             # flight led by a slot-holding worker elsewhere, and parking a
             # slot while waiting could starve that leader (deadlock).
@@ -1118,35 +853,31 @@ class ExecutionContext:
             try:
                 with chunk_bundle.executor.batch_session():
                     for key, chunk_given in chunk:
-                        handle = self.run_fetch(
-                            relation, chunk_given, bundle=chunk_bundle
-                        )
-                        out[key] = handle
-                        if isinstance(handle.error, DeadlineExceeded):
-                            break  # the chunk's remaining bindings are dead
+                        try:
+                            out[key] = self.run_fetch(
+                                relation, chunk_given, bundle=chunk_bundle
+                            )
+                        except Exception as exc:  # noqa: BLE001 - reported below
+                            out[key] = exc
+                            if isinstance(exc, DeadlineExceeded):
+                                break  # the chunk's remaining bindings are dead
             finally:
                 self._uninstall_nav_hooks(chunk_bundle)
                 self.pool.checkin(chunk_bundle)
-            for key, chunk_given in chunk:
-                if key not in out:  # abandoned after the deadline break
-                    dead = AccessHandle(
-                        relation.name, relation.host, chunk_given, owner=self
-                    )
-                    dead.cancel("deadline exceeded before the binding ran")
-                    out[key] = dead
             return out
 
-        fetched: dict[tuple, AccessHandle] = {}
+        fetched: dict[tuple, Any] = {}
         for out in self.map(run_chunk, chunks):
             fetched.update(out)
-        return AccessBatch([fetched[key] for key, _ in keyed])
+        outcomes = [fetched.get(key) for key in unique]  # none: abandoned
+        _raise_collected([o for o in outcomes if isinstance(o, Exception)], len(unique))
+        return [fetched[key] for key, _ in keyed]
 
     def _fetch_with_retries(
         self,
         relation: "VirtualRelation",
         given: dict[str, Any],
         bundle: ExecutorBundle,
-        handle: AccessHandle | None = None,
     ) -> "Relation":
         policy = self.retry
         attempts_allowed = max(1, policy.max_attempts)
@@ -1157,8 +888,9 @@ class ExecutionContext:
             last_error: Exception | None = None
             result: "Relation | None" = None
             attempts_used = 0
-            # A cancelled handle interrupts the navigation between pages:
-            # the executor polls this hook before every page fetch.
+            # A cancelled context (an expired deadline, or cancel()) stops
+            # the navigation between pages: the executor polls this hook
+            # before every page fetch.
             bundle.executor.cancel_check = lambda: self.check_cancelled(
                 "page:%s" % relation.name, kick=False
             )
@@ -1167,10 +899,9 @@ class ExecutionContext:
                     attempts_used = attempt
                     self.metrics.counter("engine.fetch_attempts").inc()
                     if attempt > 1:
-                        # The deadline is re-checked between retries, so a dying
-                        # query stops burning its retry budget on a lost cause —
-                        # and so is cancellation, so a revoked access never
-                        # spends backoff on a fetch nobody wants.
+                        # The deadline and the cancel flag are re-checked
+                        # between retries, so a dying query stops burning its
+                        # retry budget (and backoff) on a lost cause.
                         self.check_deadline("retry:%s" % relation.name)
                         self.check_cancelled("retry:%s" % relation.name)
                         bundle.clock.charge(policy.delay_before(attempt))
@@ -1217,16 +948,12 @@ class ExecutionContext:
                             )
                     result = fetched
                     break
-            except AccessCancelled as exc:
+            except DeadlineExceeded as exc:
                 fspan.status = "cancelled"
                 fspan.error = str(exc)
-                if handle is not None:
-                    handle.pages = pages_total + bundle.executor.pages_last_fetch
                 raise
             finally:
                 bundle.executor.cancel_check = None
-            if handle is not None:
-                handle.pages = pages_total
             total = bundle.clock.network_seconds - started
             fspan.network_seconds = total
             fspan.pages = pages_total

@@ -31,7 +31,6 @@ class WebBaseError(Exception):
 
 #: Where each re-exported error class actually lives.
 _HOMES = {
-    "AccessCancelled": "repro.core.execution",
     "BindingError": "repro.relational.bindings",
     "ClientLimited": "repro.service.client",
     "DeadlineExceeded": "repro.core.execution",

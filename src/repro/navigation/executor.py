@@ -87,8 +87,8 @@ class NavigationExecutor:
         self.page_cache: PrefixPageCache | None = None
         # Cooperative cancellation hook, installed per fetch by the
         # execution engine: polled before every page navigation (and while
-        # waiting on a coalesced page fetch), it raises when the access
-        # driving this fetch was revoked.  ``None`` = not cancellable.
+        # waiting on a coalesced page fetch), it raises when the query
+        # driving this fetch was cancelled.  ``None`` = not cancellable.
         self.cancel_check: Any = None
         self._session_depth = 0
         self._register_builtins()

@@ -752,11 +752,11 @@ class WebBaseService:
         """Run one query on the shared webbase, streaming pages as maximal
         objects complete; returns the terminal ``result`` stats.
 
-        Deadline expiry is enforced by *cancelling the context's access
-        handles*: a timer fires at the deadline and revokes every pending
-        and in-flight access at once (pending fetches die instantly,
-        running ones abort at their next page boundary), instead of each
-        worker discovering the expiry at its own next deadline poll."""
+        Deadline expiry is enforced by *cancelling the context*: a timer
+        fires at the deadline and calls :meth:`ExecutionContext.cancel`, so
+        every fetch, retry and wait of the query stops at its next
+        checkpoint (a running navigation before its next page) instead of
+        at its next deadline poll, and the client gets ``DEADLINE_EXCEEDED``."""
         request = job.request
         page_size = request.page_size or self.config.page_size
         mqo = self.webbase.mqo
@@ -774,9 +774,7 @@ class WebBaseService:
         )
         timer: threading.Timer | None = None
         if remaining is not None:
-            timer = threading.Timer(
-                remaining, ctx.cancel, kwargs={"reason": "deadline expired"}
-            )
+            timer = threading.Timer(remaining, ctx.cancel)
             timer.daemon = True
             timer.start()
         seen: set[tuple] = set()

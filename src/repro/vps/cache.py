@@ -594,7 +594,7 @@ class ResultCache:
                 lead = (key, given, flight)
                 return self._lead(name, host, revision, [lead], context, False)[key]
             # Another worker is already fetching this key: wait and share —
-            # but keep observing cancellation, so a revoked access stops
+            # but keep observing cancellation, so a cancelled query stops
             # waiting on a leader it no longer wants.
             self.metrics.counter("cache.coalesced").inc()
             poll = getattr(context, "check_cancelled", None)

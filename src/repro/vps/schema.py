@@ -143,7 +143,7 @@ class VpsSchema:
         doubles and small tools use)."""
         if context is None:
             return self.relation(name).fetch(given)
-        return context.run_fetch(self.relation(name), given).result()
+        return context.run_fetch(self.relation(name), given)
 
     def fetch_batch(
         self, name: str, givens: list[dict[str, Any]], context: Any = None
@@ -158,4 +158,4 @@ class VpsSchema:
         relation = self.relation(name)
         if context is None:
             return relation.fetch_batch(givens)
-        return context.run_fetch_batch(relation, givens).results()
+        return context.run_fetch_batch(relation, givens)

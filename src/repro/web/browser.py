@@ -275,7 +275,7 @@ class Browser:
         count against a fetch's budget.  Failed fetches are never cached;
         a waiter whose leader failed retries as the new leader.  ``poll``
         runs periodically while waiting on another caller's in-flight
-        fetch, so a cancelled access stops waiting instead of riding out a
+        fetch, so a cancelled query stops waiting instead of riding out a
         leader it no longer wants.
         """
         key = request_key(request)

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes nine mechanical consistency audits, so drift fails loudly:
+Includes ten mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -20,6 +20,8 @@ Includes nine mechanical consistency audits, so drift fails loudly:
   wasted-pages budget and the MQO batching window do not come back;
 * there is one fan-out: the engine creates a thread only where an open
   fan-out gets its helpers, and the UR layer creates none;
+* there is one cancellation signal, the execution context: the per-access
+  handle layer and its counters do not come back;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -333,6 +335,32 @@ class TestOneFanout:
             for where in self._thread_creations(relative, tree)
         ]
         assert creations == ["core/execution.py:_kick"]
+
+
+class TestOneCancellation:
+    """``ExecutionContext.cancel()`` is the only way to revoke work, and
+    every engine checkpoint reads the flag it sets; no per-access handle
+    sits between an access and its context."""
+
+    REMOVED = (
+        "AccessHandle", "AccessBatch", "AccessCancelled", "ACCESS_",
+        "cancel_pending", "_live_handles", "_note_cancelled", "_push_handle",
+        "_pop_handle", "_register_handle", "_run_fetch_inner",
+        "resilience.cancelled", "reclaimed_pages",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_context_is_the_cancellation_entry_point(self):
+        import inspect
+
+        from repro.core.execution import ExecutionContext
+
+        assert list(inspect.signature(ExecutionContext.cancel).parameters) == ["self"]
+        # bench/trace.py attributes self time to these two by name.
+        assert callable(ExecutionContext.run_fetch)
+        assert callable(ExecutionContext.run_fetch_batch)
 
 
 class TestMetricNamingAudit:

@@ -228,6 +228,56 @@ class TestDeadlines:
             svc.release.set()
             svc.shutdown()
 
+    def test_deadline_expiring_mid_access_is_deadline_exceeded(self):
+        """The deadline timer fires while the query's first page is on the
+        wire (held on a gate, cache off, one worker).  When the page comes
+        back the access stops at its next page, and the client gets
+        ``DEADLINE_EXCEEDED`` — not an ``INTERNAL`` error counted against
+        the service."""
+        webbase = WebBase.create(WebBaseConfig(max_workers=1))
+        server = webbase.world.server
+        real = server.fetch
+        entered, release = threading.Event(), threading.Event()
+
+        def gated_fetch(request):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0), "test forgot to open the gate"
+            return real(request)
+
+        server.fetch = gated_fetch
+        svc = WebBaseService(webbase, ServiceConfig(port=0))
+        host, port = svc.start()
+        errors: list[ServiceError] = []
+
+        def doomed():
+            with ServiceClient(host=host, port=port) as client:
+                try:
+                    client.query(QUERY, deadline_ms=50)
+                except ServiceError as exc:
+                    errors.append(exc)
+
+        try:
+            caller = threading.Thread(target=doomed, daemon=True)
+            caller.start()
+            assert entered.wait(10.0)
+            for _ in range(1000):  # until the deadline timer has cancelled the query
+                ctx = webbase.last_context
+                if ctx is not None and ctx.cancelled:
+                    break
+                threading.Event().wait(0.01)
+            assert webbase.last_context.cancelled
+            release.set()
+            caller.join(timeout=10.0)
+            assert len(errors) == 1
+            assert isinstance(errors[0], DeadlineExceededError), errors[0]
+            assert errors[0].code == protocol.E_DEADLINE_EXCEEDED
+            assert webbase.metrics.value("service.deadline_exceeded") == 1
+            assert webbase.metrics.value("service.errors") == 0
+        finally:
+            release.set()
+            svc.shutdown()
+
 
 class TestProtocolErrors:
     def test_malformed_and_invalid_frames(self, service):
