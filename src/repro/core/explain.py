@@ -7,11 +7,12 @@ tree (``python -m repro explain <query>``) is how an operator judges the
 cost model: a node whose error stays small is a statistic worth trusting;
 one that drifts points at a stale cardinality or distinct-value guess.
 
-Actuals are read the same way the planner's feedback loop reads them
-(:func:`~repro.relational.cost.observe_trace`): a relation's *accesses*
-are its ``view`` spans under the object, and its *live fetches* are the
-``fetch`` spans with ``cache == "miss"`` beneath those views — cache hits
-cost nothing on the Web, so they are not charged.
+A relation's *accesses* are its ``view`` spans under the object, and its
+*live fetches* are the ``fetch`` spans with ``cache == "miss"`` beneath
+those views — cache hits cost nothing on the Web, so they are not
+charged.  The pages those fetches navigated are reported beside them;
+the cost model predicts fetches, not pages.  Running a query through
+EXPLAIN changes no estimate: the model is static.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.execution import TraceSpan
-from repro.relational.cost import observe_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.webbase import WebBase
@@ -36,11 +36,7 @@ class ExplainNode:
     est_fetches: float
     actual_accesses: int
     actual_fetches: int
-    # Pages navigated: the estimate is the planner's learned
-    # prefix-amortised pages-per-access weight times the predicted
-    # accesses (0.0 until the relation has been observed at least once).
-    est_pages: float = 0.0
-    actual_pages: int = 0
+    actual_pages: int = 0  # pages the live fetches navigated
 
     @property
     def error_pct(self) -> float | None:
@@ -68,9 +64,7 @@ class ExplainNode:
                 error,
             )
         )
-        if self.est_pages:
-            line += ", pages est %.1f actual %d" % (self.est_pages, self.actual_pages)
-        elif self.actual_pages:
+        if self.actual_pages:
             line += ", %d page(s)" % self.actual_pages
         return line
 
@@ -211,7 +205,6 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
     with ctx.accounted(), ctx.span("query", text):
         plan = webbase.plan_traced(text, ctx)
         answer = webbase.ur.answer(text, plan=plan, context=ctx)
-    observe_trace(webbase.metrics, ctx.root)
 
     report = ExplainReport(
         query_text=text,
@@ -249,7 +242,6 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
                     est_fetches=step.est_fetches if step is not None else 0.0,
                     actual_accesses=accesses,
                     actual_fetches=fetches,
-                    est_pages=step.est_pages if step is not None else 0.0,
                     actual_pages=pages,
                 )
             )

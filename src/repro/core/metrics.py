@@ -26,11 +26,10 @@ import threading
 from typing import Any
 
 #: The naming scheme every webbase metric follows (documented in README):
-#: ``<subsystem>.<name>`` in lowercase snake_case, where the subsystem is
-#: one of the fixed prefixes below and further dotted segments are allowed
-#: for per-entity families (``planner.observed.pages.<relation>``).
+#: exactly ``<subsystem>.<name>``, the name in lowercase snake_case and the
+#: subsystem one of the fixed prefixes below — no per-entity families.
 NAME_PATTERN = re.compile(
-    r"^(nav|cache|engine|service|planner|resilience|store|cluster|mqo)\.[a-z0-9_]+(\.[a-z0-9_]+)*$"
+    r"^(nav|cache|engine|service|planner|resilience|store|cluster|mqo)\.[a-z0-9_]+$"
 )
 
 

@@ -38,7 +38,6 @@ from repro.core.metrics import MetricsRegistry
 from repro.core.resilience import ResilienceManager
 from repro.domains import CARS, Domain
 from repro.logical.schema import LogicalSchema
-from repro.relational.cost import observe_trace
 from repro.navigation.builder import MapBuilder
 from repro.navigation.compiler import CompiledSite, compile_map
 from repro.navigation.executor import NavigationExecutor
@@ -104,7 +103,6 @@ class WebBase:
             optimizer=config.optimizer,
             stats=domain.catalog_stats
             and domain.catalog_stats(self.logical, config.ads_per_host),
-            metrics=self.metrics,
         )
         if config.faults is not None:
             world.server.install_faults(config.faults)
@@ -291,10 +289,6 @@ class WebBase:
             plan = self.plan_traced(text, ctx)
             answer = self.ur.answer(text, plan=plan, context=ctx)
         if context is None:
-            # Feed the fresh trace's access/fetch counts back into the
-            # planner's live statistics (a shared context is observed by
-            # whoever owns it, to avoid double counting).
-            observe_trace(self.metrics, ctx.root)
             # Gold only for contexts this call owns: a shared context
             # spans several queries' plans.
             self.persist_gold(text, answer, ctx)
@@ -340,8 +334,6 @@ class WebBase:
             for obj, piece in self.ur.answer_stream(text, plan=plan, context=ctx):
                 if piece is not None:
                     yield obj, piece
-        if context is None:
-            observe_trace(self.metrics, ctx.root)
 
     def explain(self, text: str):
         """Plan and run a query, pairing the planner's per-node fetch

@@ -59,10 +59,10 @@ class LogicalRelation:
     ) -> list[Relation]:
         """Evaluate the view for a whole batch of probe bindings at once.
 
-        One ``view`` span covers the batch, carrying ``batch=K`` so the
-        planner's feedback loop and EXPLAIN count K accesses for it; the
-        VPS fetches underneath run through the batched engine path (one
-        navigation session per worker chunk, shared prefix pages)."""
+        One ``view`` span covers the batch, carrying ``batch=K`` so EXPLAIN
+        counts K accesses for it; the VPS fetches underneath run through
+        the batched engine path (one navigation session per worker chunk,
+        shared prefix pages)."""
         if context is None:
             return [evaluate(self.definition, self._vps, given) for given in givens]
         with context.span("view", self.name) as span:

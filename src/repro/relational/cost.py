@@ -5,7 +5,7 @@ it causes, and that number is driven by the join order: a dependent (bind)
 join probes its inner relation once per distinct combination of fed
 attribute values, so the order decides how many probes each relation
 absorbs.  This module estimates those fetch counts without touching the
-Web, from three inputs:
+Web, from two inputs:
 
 * **handle binding sets** — which placements are even possible, and
   whether a relation placed after a prefix is evaluated *independently*
@@ -19,11 +19,11 @@ Web, from three inputs:
   of three site branches costs three) and the *probe attributes* (fed
   values that actually reach a base fetch; values consumed by a
   ``Derive`` standardization never do, so probes differing only there
-  collapse onto one fetch key in the engine's per-context cache);
-* **live observations** from a :class:`~repro.core.metrics.MetricsRegistry`
-  (fed by :func:`observe_trace`): the measured fetches-per-access of each
-  relation overrides the static weight, so a warm cross-query cache makes
-  previously expensive relations look — correctly — cheap.
+  collapse onto one fetch key in the engine's per-context cache).
+
+The model is static: nothing a query run observes feeds back into it, so
+an estimate — and the join order chosen from it — is a function of the
+query's shape and the catalog statistics alone.
 
 Estimates use the classic independence assumptions (System R): equality
 selection on attribute ``a`` divides rows by ``dv(a)``; a join on common
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.relational.algebra import (
     Base,
@@ -55,11 +55,6 @@ from repro.relational.algebra import (
     schema_of,
 )
 from repro.relational.bindings import JoinPart, feasible
-
-#: Metric-name prefixes for the live-observation feedback loop.
-OBSERVED_ACCESSES = "planner.observed.accesses.%s"
-OBSERVED_FETCHES = "planner.observed.fetches.%s"
-OBSERVED_PAGES = "planner.observed.pages.%s"
 
 
 # -- static analyses over logical definitions ----------------------------------------
@@ -128,7 +123,7 @@ class RelationStats:
     """What the optimizer knows about one relation.
 
     ``distinct`` maps attributes to distinct-value counts (missing
-    attributes fall back to the catalog default); ``fetch_weight`` is the
+    attributes fall back to ``DEFAULT_DISTINCT``); ``fetch_weight`` is the
     number of base fetches one access costs; ``probe_attrs`` limits which
     fed attributes vary the fetch key (``None`` = all of them).
     """
@@ -139,6 +134,13 @@ class RelationStats:
     probe_attrs: frozenset[str] | None = None
 
 
+#: Guesses for what no statistic covers: the rows of a relation without
+#: :class:`RelationStats`, and the distinct values of an attribute its
+#: ``distinct`` map leaves out.
+DEFAULT_CARDINALITY = 100.0
+DEFAULT_DISTINCT = 10.0
+
+
 class CatalogStats:
     """Per-relation statistics plus catalog-wide structural knowledge."""
 
@@ -146,19 +148,15 @@ class CatalogStats:
         self,
         relations: Mapping[str, RelationStats] | None = None,
         fd_parents: Mapping[str, str] | None = None,
-        default_cardinality: float = 100.0,
-        default_distinct: float = 10.0,
     ) -> None:
         self.relations = dict(relations or {})
         self.fd_parents = dict(fd_parents or {})
-        self.default_cardinality = float(default_cardinality)
-        self.default_distinct = float(default_distinct)
 
     def for_relation(self, name: str) -> RelationStats:
         stats = self.relations.get(name)
         if stats is not None:
             return stats
-        return RelationStats(cardinality=self.default_cardinality)
+        return RelationStats(cardinality=DEFAULT_CARDINALITY)
 
     @classmethod
     def from_catalog(
@@ -168,8 +166,6 @@ class CatalogStats:
         cardinalities: Mapping[str, float] | None = None,
         distinct: Mapping[str, Mapping[str, float]] | None = None,
         fd_parents: Mapping[str, str] | None = None,
-        default_cardinality: float = 100.0,
-        default_distinct: float = 10.0,
     ) -> "CatalogStats":
         """Statistics enriched with what definitions reveal structurally.
 
@@ -192,17 +188,12 @@ class CatalogStats:
                     weight = float(max(1, base_count(definition)))
                     probe = pushable_attributes(definition, inner)
             relations[name] = RelationStats(
-                cardinality=float(cardinalities.get(name, default_cardinality)),
+                cardinality=float(cardinalities.get(name, DEFAULT_CARDINALITY)),
                 distinct=distinct.get(name, {}),
                 fetch_weight=weight,
                 probe_attrs=probe,
             )
-        return cls(
-            relations,
-            fd_parents=fd_parents,
-            default_cardinality=default_cardinality,
-            default_distinct=default_distinct,
-        )
+        return cls(relations, fd_parents=fd_parents)
 
 
 # -- the model -----------------------------------------------------------------------
@@ -224,9 +215,6 @@ class StepEstimate:
     est_accesses: float
     est_fetches: float
     est_rows: float  # rows of the prefix joined through this relation
-    # Predicted pages navigated, from the *learned* prefix-amortised
-    # pages-per-access weight; 0.0 until the relation has been observed.
-    est_pages: float = 0.0
 
     def describe(self) -> str:
         return "%s %s: %.1f access(es), %.1f fetch(es), %.1f row(s)" % (
@@ -239,58 +227,24 @@ class StepEstimate:
 
 
 class CostModel:
-    """Estimated fetch counts for join-order steps.
+    """Estimated fetch counts for join-order steps, from :class:`CatalogStats`
+    alone: the same query shape always gets the same estimates."""
 
-    Static statistics seed the model; a metrics registry (when given)
-    overrides each relation's fetch weight with its *measured*
-    fetches-per-access, so the model corrects itself as the webbase
-    observes its own traffic (e.g. a warm cross-query cache drives a
-    relation's marginal fetch cost toward zero).
-    """
-
-    #: Live fetch weights never drop to exactly zero — an access is never
-    #: provably free before it happens.
-    MIN_WEIGHT = 0.05
-
-    def __init__(self, stats: CatalogStats | None = None, metrics: Any = None) -> None:
+    def __init__(self, stats: CatalogStats | None = None) -> None:
         self.stats = stats or CatalogStats()
-        self.metrics = metrics
 
     # -- primitive estimates -------------------------------------------------
-
-    def weight(self, name: str) -> float:
-        """Base fetches per access: live observation when available."""
-        static = max(self.MIN_WEIGHT, self.stats.for_relation(name).fetch_weight)
-        if self.metrics is None:
-            return static
-        accesses = self.metrics.value(OBSERVED_ACCESSES % name)
-        if not accesses:
-            return static
-        fetches = self.metrics.value(OBSERVED_FETCHES % name)
-        return max(self.MIN_WEIGHT, fetches / accesses)
-
-    def page_weight(self, name: str) -> float:
-        """Pages navigated per access, from live observation — already
-        prefix-amortised under batched navigation (a batch's shared prefix
-        pages divide over its K counted accesses).  0.0 = not yet
-        observed (the model has no static page statistics)."""
-        if self.metrics is None:
-            return 0.0
-        accesses = self.metrics.value(OBSERVED_ACCESSES % name)
-        if not accesses:
-            return 0.0
-        return self.metrics.value(OBSERVED_PAGES % name) / accesses
 
     def _dv(self, stats: RelationStats, attr: str, const_attrs: frozenset[str]) -> float:
         """Distinct values of ``attr`` within one relation, after the
         equality constants in ``const_attrs`` have been applied."""
         if attr in const_attrs:
             return 1.0
-        d = float(stats.distinct.get(attr, self.stats.default_distinct))
+        d = float(stats.distinct.get(attr, DEFAULT_DISTINCT))
         d = min(d, max(1.0, stats.cardinality))
         parent = self.stats.fd_parents.get(attr)
         if parent is not None and parent in const_attrs:
-            parent_dv = float(stats.distinct.get(parent, self.stats.default_distinct))
+            parent_dv = float(stats.distinct.get(parent, DEFAULT_DISTINCT))
             d = d / max(1.0, parent_dv)
         return max(1.0, d)
 
@@ -399,9 +353,8 @@ class CostModel:
             relation=part.name,
             mode=mode,
             est_accesses=accesses,
-            est_fetches=keys * self.weight(part.name),
+            est_fetches=keys * stats.fetch_weight,
             est_rows=self.est_rows(list(prefix) + [part], const_attrs),
-            est_pages=accesses * self.page_weight(part.name),
         )
 
     def estimate_order(
@@ -418,40 +371,6 @@ class CostModel:
             steps.append(self.step_estimate(parts[index], prefix, const))
             prefix.append(parts[index])
         return steps
-
-
-# -- live observation feedback -------------------------------------------------------
-
-
-def observe_trace(metrics: Any, root: Any) -> dict[str, tuple[int, int]]:
-    """Feed a finished query's trace back into the planner's statistics.
-
-    Counts, per logical relation, the accesses (``view`` spans) and the
-    live fetches under them (``fetch`` spans flagged as cache misses)
-    into the registry's ``planner.observed.*`` counters, which
-    :meth:`CostModel.weight` consults on the next planning pass.  Returns
-    the per-relation ``(accesses, fetches)`` observed in this trace.
-    """
-    observed: dict[str, tuple[int, int]] = {}
-    pages_by_name: dict[str, int] = {}
-    for view in root.spans("view"):
-        live = sum(1 for f in view.spans("fetch") if f.cache == "miss")
-        pages = sum(f.pages for f in view.spans("fetch") if f.cache == "miss")
-        accesses, fetches = observed.get(view.name, (0, 0))
-        # A batched probe records one view span for K bindings, stamped
-        # ``batch=K`` — count all K accesses, so the learned per-access
-        # weights are *prefix-amortised*: the shared navigation prefix's
-        # pages divide over the whole batch.
-        batch = int(view.attrs.get("batch", 1))
-        observed[view.name] = (accesses + batch, fetches + live)
-        pages_by_name[view.name] = pages_by_name.get(view.name, 0) + pages
-    for name, (accesses, fetches) in sorted(observed.items()):
-        metrics.counter(OBSERVED_ACCESSES % name).inc(accesses)
-        if fetches:
-            metrics.counter(OBSERVED_FETCHES % name).inc(fetches)
-        if pages_by_name.get(name):
-            metrics.counter(OBSERVED_PAGES % name).inc(pages_by_name[name])
-    return observed
 
 
 def total_fetches(steps: Iterable[StepEstimate]) -> float:

@@ -6,18 +6,11 @@ finds); this module answers *which* feasible order is cheapest, using a
 :class:`~repro.relational.cost.CostModel` to score each placement by its
 estimated live-fetch count.
 
-Two search strategies, picked by fan-in:
-
-* **exhaustive dynamic programming** for up to ``dp_threshold`` (default
-  6) relations: the classic subset DP — step costs and row estimates are
-  set-determined, so the cheapest order reaching a subset is a valid
-  subproblem — restricted to binding-feasible placements only;
-* **greedy + branch-and-bound** above: a greedy descent (cheapest
-  feasible next relation) provides an upper bound, then a depth-first
-  search prunes every prefix whose cost already reaches it, with a node
-  budget as a backstop (ordering with multiple binding sets per relation
-  is NP-complete, so worst cases exist; the budget keeps them bounded
-  while typical instances still complete exactly).
+The search is the classic subset dynamic program, run for every cover:
+step costs and row estimates are set-determined, so the cheapest order
+reaching a subset is a valid subproblem.  Covers are small — a maximal
+object of the shipped domains joins at most four relations (16 subsets)
+— so the exhaustive search is also the cheap one.
 
 Infeasible placements are never scored: feasibility (some binding set
 covered by the query constants plus the prefix's schemas) is checked
@@ -30,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.relational.bindings import JoinPart, feasible, order_joins
+from repro.relational.bindings import JoinPart, feasible
 from repro.relational.cost import CostModel, StepEstimate, total_fetches
 
 
@@ -42,7 +35,7 @@ class JoinPlan:
     steps: tuple[StepEstimate, ...]
     est_fetches: float
     est_rows: float
-    strategy: str  # "trivial" | "dp" | "greedy"
+    strategy: str  # "trivial" | "dp"
 
     def names(self, parts: Sequence[JoinPart]) -> tuple[str, ...]:
         return tuple(parts[i].name for i in self.order)
@@ -58,28 +51,19 @@ class JoinPlan:
 class JoinOrderPlanner:
     """Search for the cheapest binding-feasible join order."""
 
-    def __init__(
-        self,
-        model: CostModel | None = None,
-        dp_threshold: int = 6,
-        node_budget: int = 20000,
-    ) -> None:
+    def __init__(self, model: CostModel | None = None) -> None:
         self.model = model or CostModel()
-        self.dp_threshold = dp_threshold
-        self.node_budget = node_budget
 
     def plan(
         self, parts: Sequence[JoinPart], initially_bound: Iterable[str] = ()
     ) -> JoinPlan | None:
         """The cheapest feasible order, or ``None`` when no order is
-        feasible (exactly when :func:`order_joins` finds none)."""
+        feasible (exactly when
+        :func:`~repro.relational.bindings.order_joins` finds none)."""
         const = frozenset(initially_bound)
         if not parts:
             return JoinPlan((), (), 0.0, 0.0, "trivial")
-        if len(parts) <= self.dp_threshold:
-            order, strategy = self._dp(parts, const), "dp"
-        else:
-            order, strategy = self._greedy_bound(parts, const), "greedy"
+        order = self._dp(parts, const)
         if order is None:
             return None
         steps = tuple(self.model.estimate_order(parts, order, const))
@@ -87,8 +71,8 @@ class JoinOrderPlanner:
             order=tuple(order),
             steps=steps,
             est_fetches=total_fetches(steps),
-            est_rows=steps[-1].est_rows if steps else 0.0,
-            strategy=strategy,
+            est_rows=steps[-1].est_rows,
+            strategy="dp",
         )
 
     # -- placement ----------------------------------------------------------
@@ -106,7 +90,7 @@ class JoinOrderPlanner:
     ) -> float:
         return self.model.step_estimate(part, prefix, const).est_fetches
 
-    # -- exhaustive DP (≤ dp_threshold relations) ---------------------------
+    # -- exhaustive subset DP -----------------------------------------------
 
     def _dp(
         self, parts: Sequence[JoinPart], const: frozenset[str]
@@ -137,76 +121,6 @@ class JoinOrderPlanner:
                 best[mask] = (winner[0], winner[2])
         full = best.get((1 << n) - 1)
         return list(full[1]) if full is not None else None
-
-    # -- greedy + branch-and-bound (> dp_threshold relations) ---------------
-
-    def _greedy(
-        self, parts: Sequence[JoinPart], const: frozenset[str]
-    ) -> list[int] | None:
-        """Cheapest-next descent; may dead-end even when an order exists."""
-        n = len(parts)
-        order: list[int] = []
-        prefix: list[JoinPart] = []
-        remaining = set(range(n))
-        while remaining:
-            candidates = [
-                i for i in sorted(remaining)
-                if self._placeable(parts[i], const, prefix)
-            ]
-            if not candidates:
-                return None
-            pick = min(
-                candidates,
-                key=lambda i: (self._step_cost(parts[i], prefix, const), parts[i].name),
-            )
-            order.append(pick)
-            prefix.append(parts[pick])
-            remaining.discard(pick)
-        return order
-
-    def _greedy_bound(
-        self, parts: Sequence[JoinPart], const: frozenset[str]
-    ) -> list[int] | None:
-        seed = self._greedy(parts, const)
-        if seed is None:
-            # Greedy dead-ended; fall back to any feasible order for the
-            # initial upper bound (exact backtracking, ignores cost).
-            seed = order_joins(parts, const)
-            if seed is None:
-                return None
-        best_order = list(seed)
-        best_cost = total_fetches(self.model.estimate_order(parts, seed, const))
-        n = len(parts)
-        budget = [self.node_budget]
-
-        def descend(order: list[int], prefix: list[JoinPart], cost: float) -> None:
-            nonlocal best_order, best_cost
-            if budget[0] <= 0:
-                return
-            budget[0] -= 1
-            if len(order) == n:
-                if cost < best_cost:
-                    best_cost, best_order = cost, list(order)
-                return
-            used = set(order)
-            scored = []
-            for i in range(n):
-                if i in used:
-                    continue
-                if not self._placeable(parts[i], const, prefix):
-                    continue
-                scored.append((self._step_cost(parts[i], prefix, const), parts[i].name, i))
-            for step_cost, _, i in sorted(scored):
-                if cost + step_cost >= best_cost:
-                    continue  # bound: this prefix cannot beat the incumbent
-                order.append(i)
-                prefix.append(parts[i])
-                descend(order, prefix, cost + step_cost)
-                order.pop()
-                prefix.pop()
-
-        descend([], [], 0.0)
-        return best_order
 
 
 # -- plan fingerprinting (the MQO layer's identity function) -----------------

@@ -117,7 +117,6 @@ class StructuredUR:
         optimize_plans: bool = True,
         optimizer: str = "cost",
         stats: CatalogStats | None = None,
-        metrics: Any = None,
     ) -> None:
         if optimizer not in ("cost", "off"):
             raise ValueError("optimizer must be 'cost' or 'off'; got %r" % optimizer)
@@ -131,7 +130,7 @@ class StructuredUR:
         if optimizer == "cost":
             if stats is None:
                 stats = CatalogStats.from_catalog(logical, self.relations)
-            self.join_planner = JoinOrderPlanner(CostModel(stats, metrics=metrics))
+            self.join_planner = JoinOrderPlanner(CostModel(stats))
         self._schemas: dict[str, frozenset[str]] = {
             name: logical.base_schema(name).as_set() for name in self.relations
         }

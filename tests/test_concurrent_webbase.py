@@ -6,10 +6,6 @@ shared structures hold up under contention: single-flight coalescing must
 keep the "one miss per unique upstream fetch" invariant (no duplicate
 live fetches for the same key), the answers must be byte-identical to a
 sequential run, and no metric increment may be lost to a race.
-
-The webbases here run with ``optimizer="off"`` so both runs execute the
-identical plan (the cost optimizer's choices could otherwise depend on
-which thread warmed which statistics first).
 """
 
 from __future__ import annotations
@@ -31,9 +27,7 @@ WORKLOAD = [
 
 
 def _fresh_webbase() -> WebBase:
-    return WebBase.create(
-        WebBaseConfig(optimizer="off", cache=CachePolicy.lru())
-    )
+    return WebBase.create(WebBaseConfig(cache=CachePolicy.lru()))
 
 
 def _run_workload(webbase: WebBase) -> dict[str, list[tuple]]:

@@ -3,26 +3,21 @@
 Estimates must move the right way when statistics move (more rows ahead
 of a dependent join can never make it look cheaper), the search must
 never even *score* a binding-infeasible placement, it must agree with
-``order_joins`` about feasibility, chains past the DP threshold must go
-through the greedy/branch-and-bound path, and EXPLAIN must report the
-estimate-vs-actual error per plan node.
+``order_joins`` about feasibility, every cover goes through the subset
+DP, EXPLAIN must report the estimate-vs-actual error per plan node, and
+no amount of traffic may move a plan: the model is static.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from bench.workloads import FAMILIES
+from repro import CachePolicy
 from repro.core.execution import WebBaseConfig
-from repro.core.metrics import MetricsRegistry
 from repro.core.webbase import WebBase
 from repro.relational.bindings import JoinPart, feasible, order_joins
-from repro.relational.cost import (
-    OBSERVED_ACCESSES,
-    OBSERVED_FETCHES,
-    CatalogStats,
-    CostModel,
-    RelationStats,
-)
+from repro.relational.cost import CatalogStats, CostModel, RelationStats
 from repro.relational.planner import JoinOrderPlanner
 
 
@@ -67,17 +62,6 @@ class TestMonotonicity:
         bound = model.step_estimate(INNER, [OUTER], frozenset({"k"}))
         assert bound.est_fetches <= free.est_fetches
 
-    def test_observed_weight_overrides_static(self):
-        metrics = MetricsRegistry()
-        model = CostModel(_stats(), metrics=metrics)
-        static = model.weight("inner")
-        assert static == 1.0
-        # 10 accesses produced only 2 live fetches: a warm cache.
-        metrics.counter(OBSERVED_ACCESSES % "inner").inc(10)
-        metrics.counter(OBSERVED_FETCHES % "inner").inc(2)
-        assert model.weight("inner") == pytest.approx(0.2)
-        assert model.weight("inner") >= CostModel.MIN_WEIGHT
-
 
 class RecordingModel(CostModel):
     """Records every placement the planner asks to be scored."""
@@ -107,8 +91,9 @@ def _chain(n: int) -> list[JoinPart]:
 class TestSearch:
     def test_infeasible_placements_are_never_scored(self):
         """Every (relation, prefix) pair the search consults the model for
-        must already satisfy a binding set — for both strategies."""
-        for n in (4, 9):  # DP path and greedy/branch-and-bound path
+        must already satisfy a binding set — at the largest real cover
+        and well past it."""
+        for n in (4, 9):
             model = RecordingModel(CatalogStats())
             parts = _chain(n)
             plan = JoinOrderPlanner(model).plan(parts)
@@ -134,11 +119,11 @@ class TestSearch:
         assert order_joins(parts, {"y"}) is not None
         assert JoinOrderPlanner(CostModel()).plan(parts, {"y"}) is not None
 
-    def test_long_chain_uses_greedy_and_respects_bindings(self):
-        parts = _chain(7)  # above the DP threshold of 6
+    def test_long_chain_uses_dp_and_respects_bindings(self):
+        parts = _chain(7)  # longer than any real cover
         plan = JoinOrderPlanner(CostModel()).plan(parts)
         assert plan is not None
-        assert plan.strategy == "greedy"
+        assert plan.strategy == "dp"
         assert list(plan.names(parts)) == ["c%d" % i for i in range(7)]
 
     def test_short_join_uses_dp(self):
@@ -175,7 +160,7 @@ class TestExplain:
         feasible_objects = [o for o in report.objects if not o.skipped]
         assert feasible_objects
         for obj in feasible_objects:
-            assert obj.strategy in ("dp", "greedy", "trivial")
+            assert obj.strategy in ("dp", "trivial")
             for node in obj.nodes:
                 assert node.mode in ("scan", "independent", "probe")
                 assert node.est_fetches >= 0.0
@@ -194,3 +179,33 @@ class TestExplain:
         silent = ExplainNode("r", "probe", 1.0, 1.0, 0, 0)
         assert silent.error_pct is None
         assert "n/a" in silent.describe()
+
+
+class TestStaticModel:
+    #: One query per ``bench/workloads.py`` family.
+    QUERIES = {
+        name: family.template.format(make="ford", model="escort")
+        for name, family in FAMILIES.items()
+    }
+
+    def test_traffic_does_not_move_a_plan(self, world):
+        """A warm cache is the traffic that would most flatter a learned
+        fetch weight; after it, every text still gets the same join orders,
+        the same per-step estimates and the same plan description."""
+        webbase = WebBase(world, WebBaseConfig(cache=CachePolicy.lru()))
+
+        def planned(text: str) -> tuple:
+            plan = webbase.plan(text)
+            return (
+                [obj.relations for obj in plan.objects],
+                [obj.estimate for obj in plan.objects],
+                plan.describe(),
+            )
+
+        before = {name: planned(text) for name, text in self.QUERIES.items()}
+        assert all("optimizer=cost" in described for _, _, described in before.values())
+        for _ in range(3):
+            for text in self.QUERIES.values():
+                webbase.query(text)
+        assert webbase.metrics.value("cache.hits") > 0  # the repeats ran warm
+        assert {name: planned(text) for name, text in self.QUERIES.items()} == before

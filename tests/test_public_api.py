@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes ten mechanical consistency audits, so drift fails loudly:
+Includes eleven mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -22,6 +22,8 @@ Includes ten mechanical consistency audits, so drift fails loudly:
   fan-out gets its helpers, and the UR layer creates none;
 * there is one cancellation signal, the execution context: the per-access
   handle layer and its counters do not come back;
+* the planner is static: its live-feedback loop and the greedy search
+  do not come back, and the UR planner takes no metrics registry;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -361,6 +363,27 @@ class TestOneCancellation:
         # bench/trace.py attributes self time to these two by name.
         assert callable(ExecutionContext.run_fetch)
         assert callable(ExecutionContext.run_fetch_batch)
+
+
+class TestStaticPlanner:
+    """The join order is a function of the query's shape and the catalog
+    statistics: no live-feedback loop learns from traffic, and the subset
+    DP is the one search."""
+
+    REMOVED = (
+        "observe_trace", "OBSERVED_", "planner.observed", "page_weight",
+        "est_pages", "MIN_WEIGHT", "_greedy", "dp_threshold", "node_budget",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_ur_planner_takes_no_metrics(self):
+        import inspect
+
+        from repro.ur.planner import StructuredUR
+
+        assert "metrics" not in inspect.signature(StructuredUR.__init__).parameters
 
 
 class TestMetricNamingAudit:

@@ -253,14 +253,20 @@ class TestMetricNaming:
             "engine.fetches",
             "cache.stale_serves",
             "resilience.breaker_opened",
-            "planner.observed.pages.newsday",
             "nav.prefix_hits",
             "service.queries",
         ):
             assert NAME_PATTERN.match(name), name
 
     def test_pattern_rejects_off_scheme_names(self):
-        for name in ("lat", "Engine.fetches", "engine.", "misc.count", "engine.Fetches"):
+        for name in (
+            "lat",
+            "Engine.fetches",
+            "engine.",
+            "misc.count",
+            "engine.Fetches",
+            "planner.observed.pages.newsday",
+        ):
             assert NAME_PATTERN.match(name) is None, name
 
     def test_strict_registry_rejects_and_lenient_accepts(self):
