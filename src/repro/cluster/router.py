@@ -209,9 +209,6 @@ class ClusterRouter:
                 cache=CachePolicy.noop(),
             )
         )
-        # One plan per distinct query text: text → host weights.
-        self._plan_cache: dict[str, dict[str, int]] = {}
-        self._plan_lock = threading.Lock()
         self.all_hosts = sorted(self._planner.builders)
         self.federation_server = FederationServer(metrics=self.metrics)
         self.health = HealthMonitor(
@@ -321,18 +318,10 @@ class ClusterRouter:
     # -- placement -----------------------------------------------------------
 
     def plan_hosts(self, text: str) -> dict[str, int]:
-        """host → weight over the query's feasible maximal objects,
-        planned once per distinct query text."""
-        with self._plan_lock:
-            weights = self._plan_cache.get(text)
-        if weights is None:
-            planner = self._planner.ur
-            weights = planner.plan_hosts(planner.plan(text))
-            with self._plan_lock:
-                if len(self._plan_cache) > 512:
-                    self._plan_cache.clear()
-                self._plan_cache[text] = weights
-        return dict(weights)
+        """host → weight over the query's feasible maximal objects (the
+        planner compiles each query shape once)."""
+        planner = self._planner.ur
+        return planner.plan_hosts(planner.plan(text))
 
     def route_for(self, weights: dict[str, int]) -> str:
         """The HRW owner of the query's dominant (heaviest) host.  Equal

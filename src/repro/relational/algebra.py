@@ -16,8 +16,8 @@ paper requires:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Protocol
 
 from repro.relational.bindings import (
@@ -32,7 +32,7 @@ from repro.relational.bindings import (
     feasible,
     minimize,
 )
-from repro.relational.conditions import Condition, equality_bindings
+from repro.relational.conditions import Condition, bind_params, equality_bindings
 from repro.relational.relation import Relation, RowDict
 from repro.relational.schema import Schema
 
@@ -213,6 +213,43 @@ def base_names(expr: Expr) -> set[str]:
     return names
 
 
+def bind_expression(expr: Expr, values: tuple[Any, ...]) -> Expr:
+    """``expr`` with the :class:`~repro.relational.conditions.Param` slots
+    of its selections bound to ``values`` (a compiled plan's constants).
+    Subtrees without a selection are shared, not copied."""
+    if not values or isinstance(expr, (Base, Fixed)):
+        return expr
+    changes: dict[str, Any] = {}
+    for attr in ("child", "left", "right"):
+        sub = getattr(expr, attr, None)
+        if sub is not None:
+            bound = bind_expression(sub, values)
+            if bound is not sub:
+                changes[attr] = bound
+    if isinstance(expr, Select):
+        changes["condition"] = bind_params(expr.condition, values)
+    return dataclasses.replace(expr, **changes) if changes else expr
+
+
+def _branches(expr: Join | Union, catalog: Catalog) -> tuple:
+    """``(left sets, right sets, left schema, right schema)`` of a binary
+    node: a property of the immutable node and its catalog, so derived
+    once and remembered on the node.  A view definition's nodes live as
+    long as the view, so its branch feasibility is worked out once per
+    definition, not once per probe."""
+    memo = expr.__dict__.get("_branches")
+    if memo is None or memo[0] is not catalog:
+        memo = (
+            catalog,
+            binding_sets_of(expr.left, catalog),
+            binding_sets_of(expr.right, catalog),
+            schema_of(expr.left, catalog),
+            schema_of(expr.right, catalog),
+        )
+        expr.__dict__["_branches"] = memo  # frozen dataclass: not a field
+    return memo[1:]
+
+
 def binding_sets_of(expr: Expr, catalog: Catalog) -> BindingSets:
     """The Section-5 binding-propagation rules, applied bottom-up."""
     if isinstance(expr, Base):
@@ -303,8 +340,7 @@ def evaluate(
     if isinstance(expr, Join):
         return _evaluate_join(expr, catalog, given, context)
     if isinstance(expr, Union):
-        left_sets = binding_sets_of(expr.left, catalog)
-        right_sets = binding_sets_of(expr.right, catalog)
+        left_sets, right_sets, _, _ = _branches(expr, catalog)
         bound = frozenset(given)
         left_ok = feasible(left_sets, bound)
         right_ok = feasible(right_sets, bound)
@@ -328,13 +364,17 @@ def evaluate(
 
 
 def _filter_given(relation: Relation, given: dict[str, Any]) -> Relation:
-    schema = relation.schema
-    bound = [(schema.index_of(a), v) for a, v in given.items() if a in schema]
-    if not bound:
+    """``relation`` cut down to the rows consistent with ``given``.  A
+    relation probed again on the same columns — a fetched (cached)
+    relation, a literal, a memoised derivation — reads an index
+    (:meth:`Relation.where`)."""
+    positions, picks = relation.schema.columns(tuple(given))
+    if not positions:
         return relation
-    column = itemgetter(*(i for i, _ in bound))  # positional: no dict per row
-    wanted = bound[0][1] if len(bound) == 1 else tuple(v for _, v in bound)
-    return relation.select_rows(lambda row: column(row) == wanted)
+    values = tuple(given.values())
+    if len(picks) == 1:
+        return relation.where(positions, values[picks[0]])
+    return relation.where(positions, tuple(values[i] for i in picks))
 
 
 def evaluate_batch(
@@ -413,8 +453,9 @@ def evaluate_batch(
         bound_sets = {frozenset(given) for given in givens}
         if len(bound_sets) == 1:
             bound = next(iter(bound_sets))
-            left_ok = feasible(binding_sets_of(expr.left, catalog), bound)
-            right_ok = feasible(binding_sets_of(expr.right, catalog), bound)
+            left_sets, right_sets, _, _ = _branches(expr, catalog)
+            left_ok = feasible(left_sets, bound)
+            right_ok = feasible(right_sets, bound)
             if left_ok and right_ok:
                 left_batch, right_batch = context.map(
                     lambda side: evaluate_batch(side, catalog, givens, context),
@@ -441,18 +482,15 @@ def _evaluate_join(
     expr: Join, catalog: Catalog, given: dict[str, Any], context: Any = None
 ) -> Relation:
     bound = frozenset(given)
-    left_schema = schema_of(expr.left, catalog)
-    right_schema = schema_of(expr.right, catalog)
+    left_sets, right_sets, left_schema, right_schema = _branches(expr, catalog)
     common = sorted(left_schema.common(right_schema))
 
-    for first, second, second_schema in (
-        (expr.left, expr.right, right_schema),
-        (expr.right, expr.left, left_schema),
+    for first, first_sets, second, second_sets, second_schema in (
+        (expr.left, left_sets, expr.right, right_sets, right_schema),
+        (expr.right, right_sets, expr.left, left_sets, left_schema),
     ):
-        first_sets = binding_sets_of(first, catalog)
         if not feasible(first_sets, bound):
             continue
-        second_sets = binding_sets_of(second, catalog)
         if feasible(second_sets, bound):
             # Independent: both sides computable from the given bindings.
             if context is not None:
@@ -494,9 +532,7 @@ def _evaluate_join(
                 if metrics is not None:
                     metrics.counter("planner.pruned_inner").inc()
             if pieces:
-                second_rel = pieces[0]
-                for piece in pieces[1:]:
-                    second_rel = second_rel.union(piece)
+                second_rel = Relation.union_of(pieces)
             else:
                 second_rel = Relation(second_schema, [])
             return first_rel.natural_join(second_rel)
@@ -504,7 +540,7 @@ def _evaluate_join(
         "join not computable: bound=%s, left needs %s, right needs %s"
         % (
             sorted(bound),
-            [sorted(m) for m in binding_sets_of(expr.left, catalog)],
-            [sorted(m) for m in binding_sets_of(expr.right, catalog)],
+            [sorted(m) for m in left_sets],
+            [sorted(m) for m in right_sets],
         )
     )

@@ -174,6 +174,61 @@ def eq(attr: str, value: Any) -> Comparison:
     return Comparison(Attr(attr), "=", Const(value))
 
 
+@dataclass(frozen=True)
+class Param:
+    """A lifted constant: slot ``index`` of the values a condition was
+    parameterized on.  It stands in a :class:`Const` (``Const(Param(i))``),
+    so every analysis that only asks *whether* an operand is a constant —
+    :func:`equality_bindings`, selection pushdown — works on the template."""
+
+    index: int
+
+
+def parameterize(condition: Condition) -> tuple[Condition, tuple[Any, ...]]:
+    """``condition`` with each constant replaced by a :class:`Param`, in
+    traversal order, and the constants it took out: two conditions that
+    differ only in their constants get equal templates."""
+    values: list[Any] = []
+
+    def lift(node: Condition) -> Condition:
+        if isinstance(node, Comparison):
+            return Comparison(slot(node.left), node.op, slot(node.right))
+        if isinstance(node, (And, Or)):
+            return type(node)(tuple(lift(part) for part in node.parts))
+        if isinstance(node, Not):
+            return Not(lift(node.part))
+        raise TypeError("cannot parameterize condition %r" % (node,))
+
+    def slot(operand: Operand) -> Operand:
+        if not isinstance(operand, Const):
+            return operand
+        values.append(operand.literal)
+        return Const(Param(len(values) - 1))
+
+    return lift(condition), tuple(values)
+
+
+def bind_params(condition: Condition, values: tuple[Any, ...]) -> Condition:
+    """The inverse of :func:`parameterize`: each :class:`Param` replaced by
+    its value."""
+
+    def bind(node: Condition) -> Condition:
+        if isinstance(node, Comparison):
+            return Comparison(value(node.left), node.op, value(node.right))
+        if isinstance(node, (And, Or)):
+            return type(node)(tuple(bind(part) for part in node.parts))
+        if isinstance(node, Not):
+            return Not(bind(node.part))
+        return node
+
+    def value(operand: Operand) -> Operand:
+        if isinstance(operand, Const) and isinstance(operand.literal, Param):
+            return Const(values[operand.literal.index])
+        return operand
+
+    return bind(condition) if values else condition
+
+
 def equality_bindings(condition: Condition | None) -> dict[str, Any]:
     """Attribute=constant equalities guaranteed by ``condition``.
 

@@ -9,6 +9,7 @@ read; operators work on the unsorted rows and never pay for it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.relational.schema import Schema, SchemaError
@@ -30,7 +31,7 @@ _MEMO_LIMIT = 8
 class Relation:
     """An immutable relation instance."""
 
-    __slots__ = ("schema", "_rows", "_sorted", "_memo")
+    __slots__ = ("schema", "_rows", "_sorted", "_memo", "_indexes")
 
     def __init__(
         self, schema: Schema | Iterable[str], rows: Iterable[Row] = (), _distinct=False, _sorted=False
@@ -49,6 +50,7 @@ class Relation:
         self._rows: tuple[Row, ...] = tuple(rows)
         self._sorted = _sorted or len(self._rows) < 2
         self._memo: dict[tuple, Relation] = {}
+        self._indexes: dict[tuple[int, ...], dict[Any, Relation]] | None = None
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -128,6 +130,55 @@ class Relation:
             return self
         return Relation(self.schema, kept, True, self._sorted)
 
+    def where(self, positions: tuple[int, ...], wanted: Any) -> "Relation":
+        """The rows whose values at ``positions`` equal ``wanted`` (a value
+        for one position, a tuple for several) under ``==``, as a scan
+        compares them.  The first probe on a set of columns scans; the
+        second builds a hash index on them, kept for the relation's life.
+        So a relation that outlives its query (a cached fetch, a literal, a
+        memoised derivation) is indexed once, and one built for a single
+        probe never pays for an index.  Which columns a plan binds is
+        plan-static, so a relation holds few indexes, and none gains an
+        entry from a query constant.  A value a dict lookup would not treat
+        as ``==`` does (unhashable, or unequal to itself, like NaN) is
+        answered by a scan."""
+        index = None
+        if wanted == wanted:
+            indexes = self._indexes
+            if indexes is None:
+                indexes = self._indexes = {}
+            if positions not in indexes:
+                indexes[positions] = None  # probed once: scan
+            else:
+                index = indexes[positions]
+                if index is None:
+                    index = indexes[positions] = self._index(positions)
+        if index is not None:
+            try:
+                match = index.get(wanted)
+            except TypeError:  # unhashable
+                pass
+            else:
+                if match is not None:
+                    return match
+                return Relation(self.schema, (), True, True) if self._rows else self
+        column = itemgetter(*positions)
+        return self.select_rows(lambda row: column(row) == wanted)
+
+    def _index(self, positions: tuple[int, ...]) -> dict[Any, "Relation"]:
+        """value at ``positions`` -> the sub-relation of the rows holding it;
+        one group is this relation itself, so memos on it keep hitting."""
+        column = itemgetter(*positions)
+        groups: dict[Any, list[Row]] = {}
+        for row in self._rows:
+            groups.setdefault(column(row), []).append(row)
+        if len(groups) == 1:
+            return dict.fromkeys(groups, self)
+        return {
+            value: Relation(self.schema, rows, True, self._sorted)
+            for value, rows in groups.items()
+        }
+
     def select(self, predicate: Callable[[RowDict], bool]) -> "Relation":
         attrs = self.schema.attrs
         return self.select_rows(lambda row: predicate(dict(zip(attrs, row))))
@@ -172,6 +223,21 @@ class Relation:
         if not self._rows and self.schema.attrs == other.schema.attrs:
             return other
         return Relation(self.schema, self._rows + theirs)
+
+    @staticmethod
+    def union_of(relations: list["Relation"]) -> "Relation":
+        """``relations[0].union(relations[1]).union(...)`` in one pass: one
+        dedup over all the rows, where the pairwise fold re-dedups its
+        growing prefix at every step.  Same result, and like ``union`` an
+        operand is returned as it is when the others add nothing."""
+        first = relations[0]
+        rows = [first._operand(other, "union") for other in relations]
+        filled = [i for i, part in enumerate(rows) if part]
+        if not filled:
+            return first
+        if len(filled) == 1 and relations[filled[0]].schema.attrs == first.schema.attrs:
+            return relations[filled[0]]
+        return Relation(first.schema, [row for part in rows for row in part])
 
     def intersect(self, other: "Relation") -> "Relation":
         return self.select_rows(set(self._operand(other, "intersect")).__contains__)

@@ -17,7 +17,7 @@ class SchemaError(ValueError):
 class Schema:
     """An ordered set of attribute names."""
 
-    __slots__ = ("_attrs", "_index")
+    __slots__ = ("_attrs", "_index", "_columns")
 
     def __init__(self, attrs: Iterable[str]) -> None:
         attrs = tuple(attrs)
@@ -25,6 +25,7 @@ class Schema:
             raise SchemaError("duplicate attributes in schema %r" % (attrs,))
         self._attrs = attrs
         self._index = {name: i for i, name in enumerate(attrs)}
+        self._columns: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @property
     def attrs(self) -> tuple[str, ...]:
@@ -50,6 +51,19 @@ class Schema:
 
     def __repr__(self) -> str:
         return "Schema(%s)" % ", ".join(self._attrs)
+
+    def columns(self, names: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions of those of ``names`` this schema has, ascending,
+        and where in ``names`` each comes from.  Which attributes a plan
+        binds is plan-static, so the answer is remembered per ``names``."""
+        found = self._columns.get(names)
+        if found is None:
+            bound = sorted((self._index[a], i) for i, a in enumerate(names) if a in self._index)
+            found = self._columns[names] = (
+                tuple(p for p, _ in bound),
+                tuple(i for _, i in bound),
+            )
+        return found
 
     def index_of(self, attr: str) -> int:
         try:

@@ -349,6 +349,11 @@ class StandingQueryRegistry:
         then push (persist-first keeps snapshot == client state across an
         orderly shutdown)."""
         with self._lock:
+            if not standing.subscribers:
+                # Nobody to deliver to (a subscribe's catch-up that finished
+                # after its client left): the state stays what the absent
+                # client holds, so its resume delta carries this change.
+                return
             added = sorted(fresh_rows - standing.rows)
             removed = sorted(standing.rows - fresh_rows)
             if not added and not removed:

@@ -10,7 +10,9 @@ be optimized and evaluated by standard query evaluation techniques."
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 from repro.logical.schema import LogicalSchema
@@ -20,10 +22,11 @@ from repro.relational.algebra import (
     Join,
     Project,
     Select,
+    bind_expression,
     evaluate,
 )
 from repro.relational.bindings import BindingError, JoinPart, order_joins
-from repro.relational.conditions import equality_bindings
+from repro.relational.conditions import equality_bindings, parameterize
 from repro.relational.cost import CatalogStats, CostModel
 from repro.relational.optimize import optimize
 from repro.relational.planner import JoinOrderPlanner, JoinPlan, plan_fingerprint
@@ -33,6 +36,10 @@ from repro.ur.compat import CompatibilityRule
 from repro.ur.concepts import Concept
 from repro.ur.maximal import covering_objects, maximal_objects
 from repro.ur.query import URQuery, parse_query
+
+
+#: Compiled query shapes one planner keeps; past it the oldest goes.
+_COMPILED_LIMIT = 256
 
 
 class PlanError(Exception):
@@ -49,10 +56,26 @@ class ObjectPlan:
     note: str = ""
     rewrites: tuple[str, ...] = ()
     estimate: JoinPlan | None = None  # cost-planner predictions, when used
-    #: Canonical identity of ``expression`` (see
-    #: :func:`repro.relational.planner.plan_fingerprint`); the sharing key
-    #: of the multi-query optimizer.  Empty for infeasible objects.
-    fingerprint: str = ""
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Canonical identity of ``expression`` (see
+        :func:`repro.relational.planner.plan_fingerprint`); the sharing key
+        of the multi-query optimizer.  Empty for infeasible objects.
+        Hashed when first read: a query nobody shares never pays for it."""
+        return plan_fingerprint(self.expression) if self.feasible else ""
+
+    def bind(self, values: tuple[Any, ...]) -> "ObjectPlan":
+        """This compiled object with the query's constants in its
+        expression's parameter slots."""
+        return ObjectPlan(
+            self.relations,
+            bind_expression(self.expression, values),
+            self.feasible,
+            self.note,
+            self.rewrites,
+            self.estimate,
+        )
 
 
 @dataclass
@@ -106,7 +129,15 @@ class URPlan:
 
 
 class StructuredUR:
-    """The external schema: one universal relation over the logical layer."""
+    """The external schema: one universal relation over the logical layer.
+
+    Planning is compiled once per query *shape*: the covering objects,
+    their join orders, feasibility and rewrites depend on which attributes
+    a query names and binds, never on the constants it binds them to, so
+    :meth:`plan` lifts the constants out, looks the shape up, and binds
+    the constants into the compiled expressions.  The compiled plans are a
+    function of the schema alone (no data), so nothing can make them stale.
+    """
 
     def __init__(
         self,
@@ -134,6 +165,10 @@ class StructuredUR:
         self._schemas: dict[str, frozenset[str]] = {
             name: logical.base_schema(name).as_set() for name in self.relations
         }
+        # (outputs, parameterized condition) -> objects.  The bound attribute
+        # set is a function of the parameterized condition.
+        self._compiled: dict[tuple, list[ObjectPlan]] = {}
+        self._compiled_lock = threading.Lock()
 
     # -- schema introspection --------------------------------------------------
 
@@ -161,6 +196,28 @@ class StructuredUR:
     def plan(self, query: URQuery | str) -> URPlan:
         if isinstance(query, str):
             query = parse_query(query)
+        template, values = query.condition, ()
+        if template is not None:
+            template, values = parameterize(template)
+        key = (query.outputs, template)
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            # A racing duplicate compile is harmless: both are equal.
+            compiled = self._compile(URQuery(query.outputs, template))
+            with self._compiled_lock:
+                self._compiled[key] = compiled
+                if len(self._compiled) > _COMPILED_LIMIT:
+                    del self._compiled[next(iter(self._compiled))]
+        return URPlan(
+            query=query,
+            objects=[obj.bind(values) for obj in compiled],
+            optimizer=self.optimizer,
+        )
+
+    def _compile(self, query: URQuery) -> list[ObjectPlan]:
+        """The objects of a parameterized query: its covering maximal
+        objects, each one's join order, feasibility and rewrites.  Raises
+        :class:`PlanError` (and caches nothing) for a shape with no plan."""
         attrs = set()
         for name in query.attributes():
             resolved = self.logical.resolve_attribute(name)
@@ -175,7 +232,7 @@ class StructuredUR:
             raise PlanError(
                 "no compatible set of relations covers %s" % sorted(attrs)
             )
-        plan = URPlan(query=query, optimizer=self.optimizer)
+        objects: list[ObjectPlan] = []
         for cover in covers:
             parts = [
                 JoinPart(
@@ -192,7 +249,7 @@ class StructuredUR:
             else:
                 order = order_joins(parts, bound)
             if order is None:
-                plan.objects.append(
+                objects.append(
                     ObjectPlan(
                         relations=tuple(sorted(cover)),
                         expression=Base("unorderable"),
@@ -213,17 +270,16 @@ class StructuredUR:
                 optimized = optimize(expr, self.logical)
                 expr = optimized.expression
                 rewrites = tuple(repr(r) for r in optimized.rewrites)
-            plan.objects.append(
+            objects.append(
                 ObjectPlan(
                     relations=tuple(ordered_names),
                     expression=expr,
                     feasible=True,
                     rewrites=rewrites,
                     estimate=estimate,
-                    fingerprint=plan_fingerprint(expr),
                 )
             )
-        return plan
+        return objects
 
     def plan_hosts(self, plan: URPlan) -> dict[str, int]:
         """host → how many of the plan's relation accesses it serves, over

@@ -32,11 +32,8 @@ class VirtualRelation:
         self.schema = Schema(compiled.schema)
         self.handles: list[Handle] = list(compiled.handles)
         self.kind = compiled.kind
+        self.binding_sets: BindingSets = minimize(h.mandatory for h in self.handles)
         self._executor = executor
-
-    @property
-    def binding_sets(self) -> BindingSets:
-        return minimize(h.mandatory for h in self.handles)
 
     def handle_for(self, given: frozenset[str]) -> Handle:
         """The handle whose mandatory attributes ``given`` satisfies, with

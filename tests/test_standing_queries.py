@@ -182,6 +182,25 @@ class TestExactDeltas:
             assert sub.rows == truth, "the sweep's delta never reached the subscriber"
             client.unsubscribe(sub)
 
+    def test_a_catch_up_after_the_client_left_keeps_the_delivered_state(
+        self, stack
+    ):
+        """A subscribe's catch-up runs after its ack, so it can finish after
+        the client has gone.  With nobody subscribed, a refresh must leave
+        the delivered state alone: it is what the absent client holds, and
+        its resume delta has to carry the change."""
+        world, webbase, service, host, port = stack
+        client = ServiceClient(host=host, port=port)
+        client.subscribe(QUERY)
+        client.close()  # returns once the server has detached us
+        standing = service.standing._queries[QUERY]
+        held, seq = set(standing.rows), standing.seq
+        moved = held | {("ford", "escort", 1, "a seller who came later")}
+        service.standing._apply_refresh(
+            standing, standing.schema, moved, host="", revision=0, reason="subscribe"
+        )
+        assert standing.rows == held and standing.seq == seq
+
 
 class TestShutdownRestartResume:
     def test_restart_resumes_with_exactly_the_missed_delta(self, tmp_path):

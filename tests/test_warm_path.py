@@ -1,10 +1,13 @@
 """A warm query does only query-dependent work — counted, not timed.
 
-Three rules, one per count:
+Four rules, one per count:
 
 * **order belongs to an answer** — a warm query sorts under ``_sort_key``
   at most once per :class:`Relation` whose ``.rows`` somebody reads (the
   answer, or one streamed piece), never per intermediate;
+* **compile once, probe by index** — a query shape's joins are ordered
+  once, whatever constants later texts of it bind, and a relation builds
+  its index on a set of columns once;
 * **no thread until an access goes live** — a query the result cache
   answers starts no thread at all, through ``WebBase.query`` and through
   the service's ``answer_stream`` path alike;
@@ -22,22 +25,26 @@ Counts only, so this cannot flake on a shared runner (it is the
 
 from __future__ import annotations
 
+import random
 import threading
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
-from bench.workloads import FAMILIES
+from bench.workloads import BOUNDS, FAMILIES, MODELS
 from repro import CachePolicy, WebBase, WebBaseConfig
 from repro.navigation.executor import NavigationExecutor
 from repro.relational.algebra import Base
 from repro.relational import relation as relation_module
+from repro.relational.conditions import parameterize
+from repro.relational.planner import JoinOrderPlanner
 from repro.relational.relation import Relation
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, WebBaseService
 from repro.ur.planner import ObjectPlan, URPlan
 from repro.ur.query import parse_query
+from tests.conftest import repro_seed
 
 #: One query per ``bench/workloads.py`` family, with a drawn-style threshold
 #: where the family takes one (the constant must not matter to any count).
@@ -162,6 +169,51 @@ def test_a_cold_query_still_overlaps_its_accesses(world, warm, family):
     assert measured[8][0] == warm.query(text).rows
     assert len(seen[1]) == 1
     assert len(seen[8]) >= 2, "a live fan-out ran on one thread"
+
+
+def test_a_query_shape_is_ordered_once_and_a_relation_indexed_once(world):
+    """A block of drawn constants, run twice: ``JoinOrderPlanner.plan``
+    runs once per covering object of each distinct shape — a new constant
+    re-orders nothing — and no relation builds its index on the same
+    columns twice, so a warm probe is a lookup, not a scan."""
+    rng = random.Random(repro_seed())
+    block = [
+        family.template.format(make=make, model=MODELS[make][0])
+        + "".join(
+            " AND %s %s %d" % (attr, BOUNDS[attr][0], rng.choice(BOUNDS[attr][1]))
+            for attr in family.bounds
+        )
+        for family in FAMILIES.values()
+        for make in ("ford", "honda", "toyota")
+        for _ in range(2)
+    ]
+    shapes = {}
+    for text in block:
+        query = parse_query(text)
+        shapes.setdefault((query.outputs, parameterize(query.condition)[0]), text)
+    assert len(shapes) < len(block)
+    builds: dict[tuple, int] = {}
+    held: list[Relation] = []  # keeps ids unique while counting
+    index = Relation._index
+
+    def counted_index(relation, positions):
+        key = (id(relation), positions)
+        builds[key] = builds.get(key, 0) + 1
+        held.append(relation)
+        return index(relation, positions)
+
+    webbase = WebBase(world, WebBaseConfig(cache=CachePolicy.lru(), max_workers=1))
+    with mock.patch.object(
+        JoinOrderPlanner, "plan", autospec=True, side_effect=JoinOrderPlanner.plan
+    ) as ordered, mock.patch.object(Relation, "_index", counted_index):
+        for text in block:
+            webbase.query(text)
+        cold = ordered.call_count
+        for text in block:
+            webbase.query(text)
+    assert cold == sum(len(webbase.plan(text).objects) for text in shapes.values())
+    assert ordered.call_count == cold, "a warm query re-ordered its joins"
+    assert builds and max(builds.values()) == 1, "a relation built one index twice"
 
 
 def test_the_cpu_column_bills_a_query_its_own_threads(warm):
