@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fsync every store append before it returns",
     )
     parser.add_argument(
-        "--workers", type=int, default=8, help="execution-engine worker pool size"
+        "--workers", type=int, default=8, help="execution-engine modelled connection lanes"
     )
     parser.add_argument(
         "--optimizer",

@@ -1,16 +1,19 @@
-"""The parallel execution engine: per-query contexts, retries, tracing.
+"""The execution engine: per-query contexts, retries, tracing.
 
 "Our experiments suggest that parallelization of query evaluation is
-crucial for obtaining acceptable response times."  This module makes that
-the production execution model for the real three-layer query path (UR
-planner → logical views → VPS fetches), not just a demo side-path:
+crucial for obtaining acceptable response times."  The simulated Web
+returns each access's latency as a number of seconds, so that
+parallelism is *modelled*, not run: a query's fan-outs execute on its
+own thread, in plan order, and the elapsed column comes from the lane
+model below.  For the real three-layer query path (UR planner → logical
+views → VPS fetches):
 
 * an :class:`ExecutionContext` travels with one query from the planner
-  down to the navigation executor.  It owns a bounded worker pool that
-  fans out independent VPS fetches — across maximal objects, union
-  branches, and dependent-join probe batches — while preserving the
-  sequential result exactly (fan-outs collect results in submission
-  order, so answers are byte-identical to a one-worker run);
+  down to the navigation executor.  Every fan-out — across maximal
+  objects, union branches and dependent-join probe batches — goes
+  through :meth:`ExecutionContext.completed`, which works the items on
+  the calling thread in item order, so answers, page counts and the
+  modelled timings are a function of the seed;
 * every fetch runs under a per-attempt **timeout** (in simulated network
   seconds) and a **bounded retry with backoff** policy, so the transient
   faults injected by :class:`~repro.web.server.FaultPlan` are absorbed
@@ -32,11 +35,15 @@ least-loaded lane (online makespan scheduling), so
 
 which is the paper's intuition — with enough workers, elapsed time
 approaches the slowest single site instead of the sum over sites.
+Fetches complete in plan order, so the lane assignment is deterministic.
+Concurrency *across* queries (the service's workers, the shared result
+cache's flights, bulkheads) is real and lives in those layers; one
+context is driven by one thread, and only :meth:`ExecutionContext.cancel`
+may be called from another.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,7 +53,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 from repro.core.metrics import MetricsRegistry
 from repro.core.resilience import ResilienceManager, ResiliencePolicy
 from repro.errors import WebBaseError
-from repro.flight import Flights
 from repro.navigation.executor import NavigationExecutor
 from repro.vps.cache import CachePolicy
 from repro.web.browser import PrefixPageCache, TransientNetworkError
@@ -86,7 +92,7 @@ class WebBaseConfig:
     """Everything :class:`~repro.core.webbase.WebBase` needs to assemble.
 
     Replaces the old ``build(seed, ads_per_host, caching)`` boolean-flag
-    sprawl: world shape, cache policy, worker pool size, per-fetch
+    sprawl: world shape, cache policy, lane count, per-fetch
     timeout/retry policy and the (optional) fault plan all live here.
     """
 
@@ -186,7 +192,7 @@ class FetchFailedError(WebBaseError):
 
 
 class FanoutError(WebBaseError):
-    """Several parallel tasks failed; every error is reported, not just
+    """Several fan-out items failed; every error is reported, not just
     the first (the ExceptionGroup-style report)."""
 
     def __init__(self, errors: Sequence[Exception], total: int) -> None:
@@ -330,16 +336,17 @@ class TraceSpan:
         return "\n".join([line] + [c.skeleton(indent + 1) for c in self.children])
 
 
-# -- the worker pool ---------------------------------------------------------------
+# -- the bundle pool ---------------------------------------------------------------
 
 
 class ExecutorBundle:
-    """One worker's private navigation stack: executor + simulated clock.
+    """One navigation stack: executor + simulated clock.
 
     Browsers and calculus engines are not shareable between threads, so
-    each concurrent fetch lane owns a full stack over the shared server.
-    The clock accumulates across fetches assigned to the lane — that is
-    exactly the serialization a real connection pool would impose.
+    each access (or batch chunk) checks a full stack over the shared
+    server out of the :class:`BundlePool`, and concurrent queries never
+    share one.  The clock accumulates across every access the bundle
+    serves; a context reads it as a difference around one fetch.
     """
 
     def __init__(self, ident: int, server: WebServer, sites: Iterable["CompiledSite"]) -> None:
@@ -351,11 +358,10 @@ class ExecutorBundle:
 
 
 class BundlePool:
-    """A checkout/checkin pool of :class:`ExecutorBundle` workers.
+    """A checkout/checkin pool of navigation stacks (:class:`ExecutorBundle`).
 
     Owned by the webbase and shared across queries, so executor
-    construction is amortized; a context never holds more bundles than
-    its ``max_workers``.
+    construction is amortized.
     """
 
     def __init__(self, server: WebServer, sites: Iterable["CompiledSite"]) -> None:
@@ -386,13 +392,15 @@ class BundlePool:
 
 
 class ExecutionContext:
-    """Per-query execution state: workers, cache, retries, trace.
+    """Per-query execution state: lanes, cache, retries, trace.
 
     Create one per query (``webbase.execution_context()``), or share one
     across several ``query``/``fetch_logical``/``fetch_vps`` calls to pool
-    their caching and accounting.  Thread-safe; all fan-out goes through
-    :meth:`map`, which preserves submission order so parallel evaluation
-    returns exactly the sequential answer.
+    their caching and accounting.  One thread drives a context; any
+    thread may :meth:`cancel` it.  All fan-out goes through
+    :meth:`completed` (and :meth:`map`, its ordered collector), which runs
+    the items in order on the caller, so ``max_workers`` changes the
+    modelled elapsed time and the batch chunking, never the answer.
     """
 
     def __init__(
@@ -418,8 +426,8 @@ class ExecutionContext:
         self.resilience = resilience
         # Batched navigation: one revision-stamped page cache per context
         # (query-scoped — dropped with the context, so cross-query staleness
-        # is impossible by construction), shared by every worker bundle the
-        # context checks out.  ``page_revisions`` reads a host's current
+        # is impossible by construction), shared by every bundle the context
+        # checks out.  ``page_revisions`` reads a host's current
         # navigation-map revision (wired to Revisions.current, advanced by
         # site maintenance).
         self.page_cache = PrefixPageCache(
@@ -450,17 +458,13 @@ class ExecutionContext:
         # Simulated connection lanes.  Each completed fetch is assigned to
         # the least-loaded of ``max_workers`` lanes (online makespan
         # scheduling), so the parallel elapsed model — cpu + busiest lane —
-        # reflects the worker budget rather than the accidents of real
-        # thread interleaving (the in-process Web costs no real wall time,
-        # so real interleaving says nothing about simulated concurrency).
+        # reflects the worker budget; fetches complete in plan order, so
+        # it is a function of the seed (the in-process Web costs no real
+        # wall time, so there is nothing real to overlap).
         self._lane_seconds: list[float] = [0.0] * self.max_workers
         self._cache: dict[tuple, "Relation"] = {}
-        self._lock = threading.RLock()
-        self._flights = Flights(self._lock)
-        self._slots = threading.Semaphore(self.max_workers)
-        self._local = threading.local()
-        self._fanouts: list[tuple] = []  # open: (pending indices, helper threads, helper body)
-        self._fan_lock = threading.Lock()  # guards them; never held while an item runs
+        self._spans: list[TraceSpan] = []  # the open spans, innermost last
+        self._accounting = False
 
     # -- timing model -------------------------------------------------------
 
@@ -521,67 +525,55 @@ class ExecutionContext:
             exc = DeadlineExceeded(stage, self.deadline_seconds, self.wall_elapsed_seconds)
         else:
             exc = DeadlineExceeded("cancelled", None, self.wall_elapsed_seconds)
-        # One expiry cancels the whole context: sibling workers abandon
-        # their remaining fetches at their own next check.
+        # One expiry cancels the whole context: the fetches after this
+        # one stop at their own first check.
         self._cancelled.set()
         self.metrics.counter("engine.deadline_exceeded").inc()
-        span = TraceSpan("deadline", stage, status="error", error=str(exc))
-        parent = self.current_span()
-        with self._lock:
-            parent.children.append(span)
+        self.current_span().children.append(
+            TraceSpan("deadline", stage, status="error", error=str(exc))
+        )
         raise exc
 
-    def check_cancelled(self, stage: str, kick: bool = True) -> None:
+    def check_cancelled(self, stage: str) -> None:
         """The engine's cooperative cancellation checkpoint.
 
         Defers to :meth:`check_deadline` once the context is cancelled.
-        Costs nothing — in particular, no wall-clock read — on the happy path, so
-        it is safe to call from tight polling loops.  A checkpoint heads an
-        access, a wait or a shared evaluation, so it is where open fan-outs get
-        their helper threads (the per-page poll inside an access: ``kick=False``)."""
-        if kick and self._fanouts:
-            self._kick()
+        Costs nothing — in particular, no wall-clock read — on the happy
+        path, so it is safe to call from tight polling loops."""
         if self._cancelled.is_set():
             self.check_deadline(stage)
 
     @contextmanager
     def accounted(self) -> Iterator[None]:
-        """Charge the calling thread's cpu time to the context (re-entrant
-        per thread; each fan-out helper charges its own).  Thread time, not
-        process time: a query is never billed a concurrent query's cpu."""
-        if getattr(self._local, "accounting", False):
-            yield  # the outermost frame on this thread does the charging
+        """Charge the calling thread's cpu time to the context (re-entrant:
+        the outermost frame charges).  Thread time, not process time: a
+        query is never billed a concurrent query's cpu."""
+        if self._accounting:
+            yield
             return
-        self._local.accounting = True
+        self._accounting = True
         mark = thread_time()
         try:
             yield
         finally:
-            self._local.accounting = False
-            with self._lock:
-                self.cpu_seconds += thread_time() - mark
+            self._accounting = False
+            self.cpu_seconds += thread_time() - mark
 
     # -- tracing -------------------------------------------------------------
 
     def current_span(self) -> TraceSpan:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else self.root
+        return self._spans[-1] if self._spans else self.root
 
     @contextmanager
     def span(self, kind: str, name: str, **attrs: Any) -> Iterator[TraceSpan]:
-        """Open a child span of the calling thread's current span."""
-        parent = self.current_span()
+        """Open a child span of the current span."""
         child = TraceSpan(kind, name, attrs=dict(attrs))
-        with self._lock:
-            parent.children.append(child)
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(child)
+        self.current_span().children.append(child)
+        self._spans.append(child)
         try:
             yield child
         finally:
-            stack.pop()
+            self._spans.pop()
 
     def failure_report(self) -> str:
         """The per-site partial-failure report."""
@@ -594,92 +586,37 @@ class ExecutionContext:
     # -- fan-out -------------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Apply ``fn`` to every item, in parallel, preserving item order;
+        """Apply ``fn`` to every item, returning the results in item order;
         errors are collected from *every* item (:func:`_raise_collected`)."""
         items = list(items)
-        if len(items) <= 1 or self.max_workers <= 1:
-            return [fn(item) for item in items]
         results: list[Any] = [None] * len(items)
-        errors: dict[int, Exception] = {}
+        errors: list[Exception] = []
         for index, value, error in self.completed(fn, items):
             if error is None:
                 results[index] = value
             else:
-                errors[index] = error
-        _raise_collected([errors[index] for index in sorted(errors)], len(items))
+                errors.append(error)
+        _raise_collected(errors, len(items))
         return results
 
     def completed(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> Iterator[tuple[int, Any, Exception | None]]:
-        """The one fan-out primitive: apply ``fn`` to every item, yielding
-        ``(index, value, error)`` as each completes.  The caller works the
-        items itself — so nested fan-outs cannot starve each other — and
-        helper threads (at most ``max_workers - 1``, tracing under the
-        caller's span) join in only at an engine checkpoint (:meth:`_kick`):
-        a fan-out exists to overlap accesses, and one the caches answer has
-        none.  A :class:`DeadlineExceeded` abandons the items not yet taken."""
-        pending = list(range(len(items)))  # indices nobody has taken yet
-        done: queue.SimpleQueue = queue.SimpleQueue()  # entries; None = a helper left
-        helpers: list[threading.Thread] = []
-        parent = self.current_span()
-
-        def work(index: int | None = None) -> bool:
-            if index is None:
-                with self._fan_lock:
-                    if not pending:
-                        return False
-                    index = pending.pop(0)
+        """The one fan-out primitive: apply ``fn`` to every item on the
+        calling thread, in item order, yielding ``(index, value, error)``
+        as each finishes — item 1 reaches the caller before item 2 starts.
+        An item's error is handed over, not raised, and the next item
+        runs; a :class:`DeadlineExceeded` abandons the items after it.
+        How many items a real Web would overlap is the lane model's
+        business (``max_workers``), not this loop's."""
+        for index, item in enumerate(items):
             try:
-                done.put((index, fn(items[index]), None))
+                value, error = fn(item), None
             except Exception as exc:  # noqa: BLE001 - reported by the consumer
-                if isinstance(exc, DeadlineExceeded):
-                    with self._fan_lock:
-                        pending.clear()  # the context is cancelled
-                done.put((index, None, exc))
-            return True
-
-        def assist(first: int) -> None:
-            self._local.stack = [parent]
-            try:
-                with self.accounted():
-                    while work(first):
-                        first = None
-            finally:
-                done.put(None)  # after this helper's last entry
-
-        fan = (pending, helpers, assist)
-        with self._fan_lock:
-            self._fanouts.append(fan)
-        try:
-            exited = 0
-            # Once nothing is pending no helper starts, so the count is final.
-            while (worked := work()) or exited < len(helpers):
-                wait = not worked  # nothing to take: sleep until a helper reports
-                while wait or not done.empty():
-                    entry, wait = done.get(), False
-                    if entry is None:
-                        exited += 1
-                    else:
-                        yield entry
-        finally:
-            with self._fan_lock:
-                pending.clear()
-                self._fanouts.remove(fan)
-            for helper in helpers:
-                helper.join()
-
-    def _kick(self) -> None:
-        """The context is about to wait on the network: every open fan-out
-        gets its helper threads.  Each is handed its first item, so it is at work
-        before the next starts (released together they fight over the interpreter lock)."""
-        with self._fan_lock:
-            for pending, helpers, assist in self._fanouts:
-                while pending and len(helpers) < self.max_workers - 1:
-                    helper = threading.Thread(target=assist, args=(pending[0],), daemon=True)
-                    helper.start()  # only a started helper owns its item and gets joined
-                    helpers.append(helper)
-                    del pending[0]
+                value, error = None, exc
+            yield index, value, error
+            if isinstance(error, DeadlineExceeded):
+                return  # the context is cancelled
 
     # -- fetching ------------------------------------------------------------
 
@@ -740,46 +677,30 @@ class ExecutionContext:
         bundle: ExecutorBundle | None = None,
     ) -> "Relation":
         """Fetch one VPS relation through the engine: per-context cache,
-        worker checkout, timeout, bounded retry, trace.  Returns the
+        bundle checkout, timeout, bounded retry, trace.  Returns the
         relation or raises the failure; a :meth:`cancel` from another
         thread (the service's deadline timer) stops the fetch at its next
         checkpoint with :class:`DeadlineExceeded`.
 
-        Concurrent misses on the same ``(relation, bindings)`` key coalesce
-        into one upstream fetch (single-flight): the first worker fetches,
-        the rest wait and share its result.  A failed fetch is never
-        shared — each waiter retries on its own, so transient faults
-        cannot fan out into spurious failures or cached garbage.
+        A repeat of a ``(relation, bindings)`` key within the context is a
+        cache hit.  A failed fetch is never cached, so a later repeat
+        tries again.
 
-        ``bundle`` lets a batch session reuse one pre-held worker across
+        ``bundle`` lets a batch session reuse one pre-held bundle across
         several bindings (see :meth:`run_fetch_batch`); without it the
-        fetch checks a worker out of the pool under the slot semaphore.
+        fetch checks one out of the pool.
         """
         key = self._fetch_key(relation, given)
-        while True:
-            self.check_deadline("fetch:%s" % relation.name)
-            self.check_cancelled("fetch:%s" % relation.name)
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    flight, leading = self._flights.join(key)
-            if cached is not None:
-                with self._lock:
-                    self.cache_hits += 1
-                self.metrics.counter("engine.context_cache_hits").inc()
-                with self.span("fetch", relation.name, host=relation.host) as span:
-                    span.cache = "hit"
-                return cached
-            if not leading:
-                self.metrics.counter("engine.coalesced").inc()
-                flight.wait(self.check_cancelled, "fetch:%s" % relation.name)
-                continue  # result (or nothing, if the leader failed) is cached now
-            with flight:
-                result = self._guarded_fetch(relation, given, bundle)
-                with self._lock:
-                    self._cache[key] = result
-                    flight.land(result)
-            return result
+        self.check_deadline("fetch:%s" % relation.name)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            self.metrics.counter("engine.context_cache_hits").inc()
+            with self.span("fetch", relation.name, host=relation.host) as span:
+                span.cache = "hit"
+            return cached
+        result = self._cache[key] = self._guarded_fetch(relation, given, bundle)
+        return result
 
     def _guarded_fetch(
         self,
@@ -789,7 +710,7 @@ class ExecutionContext:
     ) -> "Relation":
         """Dispatch one upstream fetch through the resilience gate (when
         the context has one): the host's breaker counts the access and
-        its bulkhead bounds the host's worker-slot share."""
+        its bulkhead bounds the host's share of concurrent accesses."""
         if self.resilience is None:
             return self._dispatch_fetch(relation, given, bundle)
         with self.resilience.access(
@@ -806,14 +727,13 @@ class ExecutionContext:
     ) -> "Relation":
         if bundle is not None:
             return self._fetch_with_retries(relation, given, bundle)
-        with self._slots:
-            owned = self.pool.checkout()
-            self._install_nav_hooks(owned)
-            try:
-                return self._fetch_with_retries(relation, given, owned)
-            finally:
-                self._uninstall_nav_hooks(owned)
-                self.pool.checkin(owned)
+        owned = self.pool.checkout()
+        self._install_nav_hooks(owned)
+        try:
+            return self._fetch_with_retries(relation, given, owned)
+        finally:
+            self._uninstall_nav_hooks(owned)
+            self.pool.checkin(owned)
 
     def run_fetch_batch(
         self, relation: "VirtualRelation", givens: list[dict[str, Any]]
@@ -823,12 +743,12 @@ class ExecutionContext:
         and duplicate bindings share one result.
 
         The distinct binding keys are split into at most ``max_workers``
-        chunks; each chunk checks out one worker bundle and runs its
-        bindings inside a single executor :meth:`batch_session`, so the
-        compiled program's shared prefix pages memoize across the chunk
-        (and, through the query-scoped page cache, across chunks and
-        hosts' other fetches too).  Every binding still gets the full
-        engine treatment — per-context cache, single-flight, timeout,
+        chunks (one per modelled lane); each chunk checks out one bundle
+        and runs its bindings inside a single executor
+        :meth:`batch_session`, so the compiled program's shared prefix
+        pages memoize across the chunk (and, through the query-scoped page
+        cache, across chunks and hosts' other fetches too).  Every binding
+        still gets the full engine treatment — per-context cache, timeout,
         retries, trace spans.  A failed binding does not stop its chunk; a
         :class:`DeadlineExceeded` abandons the rest of it.  Failures are
         reported as :meth:`map` reports them (:func:`_raise_collected`)."""
@@ -845,9 +765,6 @@ class ExecutionContext:
 
         def run_chunk(chunk: list) -> dict:
             out: dict[tuple, Any] = {}  # key -> relation, or the exception
-            # No slot is held across the chunk: a binding may wait on a
-            # flight led by a slot-holding worker elsewhere, and parking a
-            # slot while waiting could starve that leader (deadlock).
             chunk_bundle = self.pool.checkout()
             self._install_nav_hooks(chunk_bundle)
             try:
@@ -892,7 +809,7 @@ class ExecutionContext:
             # the navigation between pages: the executor polls this hook
             # before every page fetch.
             bundle.executor.cancel_check = lambda: self.check_cancelled(
-                "page:%s" % relation.name, kick=False
+                "page:%s" % relation.name
             )
             try:
                 for attempt in range(1, attempts_allowed + 1):
@@ -903,10 +820,8 @@ class ExecutionContext:
                         # between retries, so a dying query stops burning its
                         # retry budget (and backoff) on a lost cause.
                         self.check_deadline("retry:%s" % relation.name)
-                        self.check_cancelled("retry:%s" % relation.name)
                         bundle.clock.charge(policy.delay_before(attempt))
-                        with self._lock:
-                            self.retries += 1
+                        self.retries += 1
                         self.metrics.counter("engine.retries").inc()
                     attempt_start = bundle.clock.network_seconds
                     with self.span("attempt", "#%d" % attempt) as aspan:
@@ -958,16 +873,15 @@ class ExecutionContext:
             fspan.network_seconds = total
             fspan.pages = pages_total
             fspan.attrs["attempts"] = attempts_used
-            with self._lock:
-                self.fetches += 1
-                self.network_by_host[relation.host] = (
-                    self.network_by_host.get(relation.host, 0.0) + total
-                )
-                self.pages_by_host[relation.host] = (
-                    self.pages_by_host.get(relation.host, 0) + pages_total
-                )
-                lane = min(range(self.max_workers), key=self._lane_seconds.__getitem__)
-                self._lane_seconds[lane] += total
+            self.fetches += 1
+            self.network_by_host[relation.host] = (
+                self.network_by_host.get(relation.host, 0.0) + total
+            )
+            self.pages_by_host[relation.host] = (
+                self.pages_by_host.get(relation.host, 0) + pages_total
+            )
+            lane = min(range(self.max_workers), key=self._lane_seconds.__getitem__)
+            self._lane_seconds[lane] += total
             self.metrics.counter("engine.fetches").inc()
             self.metrics.histogram("engine.fetch_seconds").observe(total)
             self.metrics.histogram("engine.fetch_pages").observe(pages_total)
@@ -980,8 +894,7 @@ class ExecutionContext:
                     attempts=attempts_used,
                     error=str(last_error),
                 )
-                with self._lock:
-                    self.failures.append(failure)
+                self.failures.append(failure)
                 self.metrics.counter("engine.failures").inc()
                 raise FetchFailedError(failure) from last_error
             return result

@@ -12,8 +12,8 @@ execution context it creates, so counter totals reconcile with the trace
 spans of the queries that produced them (``python -m repro metrics``
 demonstrates exactly that reconciliation).
 
-Everything is thread-safe — the engine's worker fan-out increments these
-from many threads — and deliberately dependency-free: names are flat
+Everything is thread-safe — one registry serves every query thread of a
+webbase — and deliberately dependency-free: names are flat
 dotted strings, values are numbers, and a snapshot is a plain dict.
 """
 

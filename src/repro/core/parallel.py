@@ -5,14 +5,14 @@ crucial for obtaining acceptable response times."  Site fetches are
 network-bound and independent, so they parallelize perfectly.  This module
 measures that claim through the *real* execution engine: both arms run the
 per-site workload with :meth:`~repro.core.webbase.WebBase.execution_context`
-— the same worker pool, retry policy, per-context cache and tracing the UR
+— the same lane model, retry policy, per-context cache and tracing the UR
 query path uses — differing only in ``max_workers``.
 
 The timing model reported to benchmarks (see
 :class:`~repro.core.execution.ExecutionContext`):
 
 * sequential elapsed = total cpu + Σ per-fetch network seconds
-* parallel elapsed   = total cpu + the busiest worker lane
+* parallel elapsed   = total cpu + the busiest lane
 
 which is the paper's intuition — with N similar sites, parallel fetching
 approaches an N-fold elapsed-time win while cpu cost is unchanged.

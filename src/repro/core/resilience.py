@@ -22,8 +22,8 @@ simulated-Web setting:
   (``HALF_OPEN_PROBES``) tests the host, a success closes it (and lifts
   the quarantine), a failure re-opens it;
 
-* a **bulkhead** per host: at most ``bulkhead_per_host`` of the engine's
-  worker slots may be occupied by one host at a time.  Accesses wait
+* a **bulkhead** per host: at most ``bulkhead_per_host`` accesses to one
+  host run at a time, across the webbase's queries.  Accesses wait
   (cancellably) for a partition slot.
 
 State and traffic are observable: ``resilience.*`` metrics, the
@@ -62,8 +62,8 @@ class ResiliencePolicy:
     success counts as a failure signal when it took at least
     ``slow_seconds`` of simulated network time (``None`` disables the
     slow-call signal).  An open breaker half-opens after
-    ``RECOVERY_SECONDS``.  ``bulkhead_per_host`` caps one host's share of
-    the engine's worker slots (``None`` = no partitioning).
+    ``RECOVERY_SECONDS``.  ``bulkhead_per_host`` caps the accesses to
+    one host that run at once (``None`` = no partitioning).
     """
 
     enabled: bool = True

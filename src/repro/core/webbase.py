@@ -14,10 +14,10 @@ for whatever application domain it is handed (a
 * the domain's concept hierarchy and compatibility rules form the
   **external schema**, queried with ``SELECT ... WHERE ...``.
 
-Queries run on the parallel execution engine: every facade call gets (or
-shares) an :class:`~repro.core.execution.ExecutionContext` that fans
-independent fetches across a worker pool, retries transient failures, and
-records a structured trace.  Assembly is driven by one
+Queries run on the execution engine: every facade call gets (or shares)
+an :class:`~repro.core.execution.ExecutionContext` that models the
+overlap of independent fetches on ``max_workers`` lanes, retries
+transient failures, and records a structured trace.  Assembly is driven by one
 :class:`~repro.core.execution.WebBaseConfig` value::
 
 >>> webbase = WebBase.create(WebBaseConfig(max_workers=4))

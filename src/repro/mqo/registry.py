@@ -67,8 +67,8 @@ class SubplanRegistry:
                     span.attrs["mqo"] = "lead"
                 with flight:
                     if poll is not None:
-                        # Other queries may park on this evaluation: its
-                        # siblings get their threads, not a place behind it.
+                        # Other queries may park on this evaluation: a
+                        # cancelled leader fails it before doing any work.
                         poll("mqo:%s" % fingerprint[:12])
                     result = thunk()
                     with self._lock:

@@ -301,8 +301,8 @@ def evaluate(
     anything with its ``map``/``run_fetch`` shape).  When present, it is
     handed to base fetches and used to fan out the independent branches of
     the tree — both sides of a union, and the probe batch of a dependent
-    join — across its worker pool.  Fan-outs collect results in submission
-    order, so a parallel evaluation returns exactly the sequential answer.
+    join — through its one fan-out, which runs them in order and models
+    their overlap on its lanes, so the answer is the sequential one.
     """
     given = dict(given or {})
     if isinstance(expr, Base):
@@ -472,7 +472,7 @@ def evaluate_batch(
                 "union not computable with bound attributes %s" % sorted(bound)
             )
     # Joins (and anything without a batched form): per-binding evaluation,
-    # fanned out across the context's workers.
+    # through the context's fan-out.
     return context.map(
         lambda given: evaluate(expr, catalog, given, context), givens
     )

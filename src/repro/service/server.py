@@ -138,6 +138,9 @@ class StandingQuery:
         self.schema: list[str] = []
         self.rows: set[tuple] = set()
         self.deps: set[str] = set()  # hosts under the answer's plan
+        # The revision vector the delivered state was evaluated at: an
+        # evaluation older than it on any host is never delivered.
+        self.revisions: dict[str, int] = {}
         self.seq = 0
         self.has_state = False  # a snapshot (live or persisted) exists
         self.subscribers: list[tuple[Any, int]] = []  # (handler, request id)
@@ -145,6 +148,7 @@ class StandingQuery:
             self.schema = list(snapshot["schema"])
             self.rows = {tuple(row) for row in snapshot["rows"]}
             self.seq = int(snapshot["seq"])
+            self.revisions = dict(snapshot.get("revisions", {}))
             self.has_state = True
 
 
@@ -186,9 +190,12 @@ class StandingQueryRegistry:
         store = self._webbase.store
         if store is None:
             return
-        revisions = self._webbase.revisions.vector(standing.deps)
         store.persist_snapshot(
-            standing.text, standing.schema, sorted(standing.rows), revisions, standing.seq
+            standing.text,
+            standing.schema,
+            sorted(standing.rows),
+            standing.revisions,
+            standing.seq,
         )
 
     def subscribe(self, handler: Any, request: Request, page_size: int) -> None:
@@ -226,6 +233,7 @@ class StandingQueryRegistry:
             if not had_state:
                 standing.schema = list(answer.schema)
                 standing.rows = set(answer.rows)
+                standing.revisions = dict(captured)
                 standing.has_state = True
                 self._persist(standing)
             delivered = sorted(standing.rows)
@@ -251,7 +259,7 @@ class StandingQueryRegistry:
             # away (its state is the persisted snapshot — orderly
             # shutdown persists before sending).
             self._apply_refresh(
-                standing, answer.schema, set(answer.rows),
+                standing, answer.schema, set(answer.rows), captured,
                 host="", revision=0,
                 reason="resume" if resumed else "subscribe",
             )
@@ -305,13 +313,7 @@ class StandingQueryRegistry:
                 if store is not None:
                     store.record_standing(text, active=True)
                     if snapshot is not None:
-                        store.persist_snapshot(
-                            text,
-                            standing.schema,
-                            sorted(standing.rows),
-                            dict(snapshot.get("revisions", {})),
-                            standing.seq,
-                        )
+                        self._persist(standing)
         self._metrics.gauge("service.standing_active").set(len(self._queries))
         return adopted
 
@@ -326,11 +328,12 @@ class StandingQueryRegistry:
                 and (not standing.deps or event.host in standing.deps)
             ]
         for standing in affected:
-            answer, _ = self._evaluate(standing.text)  # deps were set at subscribe
+            answer, revisions = self._evaluate(standing.text)
             self._apply_refresh(
                 standing,
                 answer.schema,
                 set(answer.rows),
+                revisions,
                 host=event.host,
                 revision=event.revision,
                 reason="cdc",
@@ -341,19 +344,26 @@ class StandingQueryRegistry:
         standing: StandingQuery,
         schema: Any,
         fresh_rows: set[tuple],
+        revisions: dict[str, int],
         host: str,
         revision: int,
         reason: str,
     ) -> None:
-        """Diff a fresh evaluation against the delivered state; persist
-        then push (persist-first keeps snapshot == client state across an
-        orderly shutdown)."""
+        """Diff a fresh evaluation, read at ``revisions``, against the
+        delivered state; persist then push (persist-first keeps snapshot
+        == client state across an orderly shutdown).  Evaluations apply in
+        revision order, not arrival order: one older than the delivered
+        state on any host is dropped, because a newer refresh has already
+        been delivered over it."""
         with self._lock:
             if not standing.subscribers:
                 # Nobody to deliver to (a subscribe's catch-up that finished
                 # after its client left): the state stays what the absent
                 # client holds, so its resume delta carries this change.
                 return
+            if any(revisions.get(h, r) < r for h, r in standing.revisions.items()):
+                return
+            standing.revisions = {**standing.revisions, **revisions}
             added = sorted(fresh_rows - standing.rows)
             removed = sorted(standing.rows - fresh_rows)
             if not added and not removed:

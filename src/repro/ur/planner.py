@@ -304,11 +304,12 @@ class StructuredUR:
     ) -> Relation:
         """Evaluate a query: the union of its feasible objects' answers.
 
-        With an execution context the maximal objects evaluate in parallel
-        on its worker pool (results still union in plan order, so the
-        answer matches the sequential one exactly), and an object whose
-        fetches exhaust their retry budget is skipped — recorded in
-        ``context.failures`` — instead of aborting the whole query.
+        With an execution context the maximal objects evaluate through its
+        fan-out (:meth:`~repro.core.execution.ExecutionContext.map`, plan
+        order, on the calling thread; the context models their overlap),
+        and an object whose fetches exhaust their retry budget is skipped
+        — recorded in ``context.failures`` — instead of aborting the whole
+        query.
         """
         if plan is None:
             plan = self.plan(query)
@@ -347,15 +348,16 @@ class StructuredUR:
     ) -> Iterator[tuple[ObjectPlan, Relation | None]]:
         """Evaluate a query *incrementally*: yield ``(object, piece)`` as
         each feasible maximal object completes, instead of buffering the
-        union.  This is the serving path — a ``More``-loop query's early
-        objects reach the client while slower sites are still fetching.
+        union.  This is the serving path — a ``More``-loop query's first
+        object reaches the client before the second starts fetching.
 
-        With an execution context the objects evaluate concurrently on its
-        worker pool and arrive in *completion* order; without one they
-        evaluate (and arrive) in plan order.  A piece of ``None`` means the
-        object contributed nothing (infeasible bindings or exhausted
-        retries).  Like :meth:`answer`, raises :class:`PlanError` when no
-        object was evaluable; an engine :class:`DeadlineExceeded` (or any
+        Objects evaluate and arrive in plan order (with an execution
+        context, through its fan-out,
+        :meth:`~repro.core.execution.ExecutionContext.completed`).  A
+        piece of ``None`` means the object contributed nothing
+        (infeasible bindings or exhausted retries).  Like :meth:`answer`,
+        raises :class:`PlanError` when no object was evaluable; an engine
+        :class:`DeadlineExceeded` (or any
         unexpected error) propagates after the remaining objects unwind.
         """
         if plan is None:

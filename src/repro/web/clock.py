@@ -37,9 +37,10 @@ class LatencyModel:
 class SimClock:
     """Accumulates simulated network seconds.
 
-    Thread-safe enough for the parallel fetcher: each worker owns its own
-    clock and the parallel elapsed time is the max across workers (requests
-    on one connection are serial; connections are concurrent).
+    Each navigation stack (an engine bundle) owns its own clock; the
+    engine reads it as a difference around one fetch and assigns that to
+    one of its modelled lanes (requests on one connection are serial;
+    connections are concurrent).
     """
 
     def __init__(self) -> None:

@@ -2,12 +2,11 @@
 
 The per-attempt ``timeout_seconds`` bounds *simulated* network seconds;
 ``deadline_seconds`` bounds the *real* elapsed time a serving client
-waits.  The contract: the deadline is checked before every fetch (and
-re-checked when a single-flight waiter is promoted to leader) and between
-retries, expiry raises a structured :class:`DeadlineExceeded` naming the
-stage it died at, records a ``deadline`` trace span, bumps the
+waits.  The contract: the deadline is checked before every fetch and
+between retries, expiry raises a structured :class:`DeadlineExceeded`
+naming the stage it died at, records a ``deadline`` trace span, bumps the
 ``engine.deadline_exceeded`` counter, and cancels the whole context so
-sibling fan-out workers stop instead of finishing into the void.
+the fan-out's remaining items are abandoned instead of run into the void.
 
 :meth:`ExecutionContext.cancel` is the one way to revoke work: every
 checkpoint (before each fetch, retry and page, and in coalesced, bulkhead
@@ -188,7 +187,6 @@ class TestCancellation:
         assert len(errors) == 1 and isinstance(errors[0], DeadlineExceeded)
         assert ctx.retries < 5000
         assert ctx._cache == {}
-        assert ctx._flights == {}
         fresh = ExecutionContext(webbase.pool, metrics=webbase.metrics)
         nytimes = webbase.vps.relations["nytimes"]
         assert len(fresh.run_fetch(nytimes, {"manufacturer": "saab"})) > 0

@@ -1,6 +1,10 @@
-"""Tests for the parallel execution engine: contexts, fan-out, tracing."""
+"""Tests for the execution engine: contexts, fan-out, lanes, tracing."""
+
+import random
 
 import pytest
+
+from bench.workloads import FAMILIES, MODELS
 
 from repro.core.execution import (
     BACKOFF_FACTOR,
@@ -14,6 +18,7 @@ from repro.core.execution import (
 )
 from repro.core.webbase import WebBase
 from repro.vps.cache import CachePolicy
+from tests.conftest import repro_seed
 
 
 class TestEndToEndSmoke:
@@ -68,6 +73,34 @@ class TestElapsedModel:
             narrow.network_seconds_total
         )
         assert wide.network_seconds_critical < narrow.network_seconds_critical
+
+    def test_the_busiest_lane_is_a_function_of_the_seed(self):
+        """Fan-outs run in plan order, so fetches fill the lanes in the
+        same order every run: two fresh webbases agree on every cold
+        query's busiest lane exactly, whatever queries the seed draws, and
+        a one-lane run spends exactly the same lane sum (only the makespan
+        model differs)."""
+        rng = random.Random(repro_seed())
+        texts = []
+        for family in FAMILIES.values():
+            for make in rng.sample(sorted(MODELS), 2):
+                texts.append(family.template.format(make=make, model=MODELS[make][0]))
+
+        def lanes(workers: int) -> tuple[list[float], list[float]]:
+            webbase = WebBase.create(WebBaseConfig(ads_per_host=40, max_workers=workers))
+            critical, total = [], []
+            for text in texts:
+                webbase.query(text)
+                critical.append(webbase.last_context.network_seconds_critical)
+                total.append(webbase.last_context.network_seconds_total)
+            return critical, total
+
+        first, second, narrow = lanes(8), lanes(8), lanes(1)
+        assert first == second
+        assert narrow[0] == narrow[1]
+        # Eight lane sums add the same seconds in another grouping.
+        assert first[1] == pytest.approx(narrow[1], rel=1e-12)
+        assert sum(first[0]) < sum(first[1])
 
     def test_per_context_cache_deduplicates(self, webbase):
         ctx = webbase.execution_context(max_workers=2)

@@ -2,7 +2,7 @@
 
 The registry is the cache/engine's flight recorder; these tests pin the
 primitives (counters monotone, gauges settable, histograms summarizing),
-prove the registry safe under the engine's real worker pool, and close the
+prove the registry safe under concurrent threads, and close the
 loop end-to-end: every fetch request a workload makes is accounted for
 exactly once across the cache-serve and live-fetch counters, and the
 registry agrees with the trace spans span-for-span.
@@ -172,8 +172,8 @@ class TestThreadSafety:
         assert hist.summary()["count"] == workers * per_worker
 
     def test_lossless_under_the_engine_worker_pool(self):
-        """The registry's real concurrency load: a shared engine context
-        fanning fetches of distinct relations across the pool."""
+        """A shared engine context fanning repeated fetches of distinct
+        relations out: every request is counted exactly once."""
         webbase = WebBase.create(WebBaseConfig(cache=CachePolicy.lru()))
         ctx = webbase.execution_context(max_workers=8)
         jobs = [

@@ -64,36 +64,49 @@ def _mqo_webbase(tmp_path, ads_per_host: int = 24) -> WebBase:
 
 
 class _ShareGate:
-    """Parks every object evaluation of ``webbase`` at its first logical
-    fetch until ``subscriptions`` callers have joined an open flight as
-    subscribers — so which query shares whose evaluation is decided by
-    the test, not by the scheduler."""
+    """Parks the first ``flights`` leading object evaluations of
+    ``webbase``, each at its first logical fetch, until a subscriber has
+    joined *that* evaluation's flight — so which query shares whose
+    evaluation is decided by the test, not by the scheduler.  A query
+    evaluates its objects one at a time, so a gate on anything but the
+    flight its subscriber is waiting for would never open.  With
+    ``flights=0`` every evaluation parks until :meth:`open` instead."""
 
-    def __init__(self, webbase: WebBase, subscriptions: int) -> None:
-        self.subscriptions = subscriptions
+    def __init__(self, webbase: WebBase, flights: int) -> None:
+        self.flights = flights
         self.reached = threading.Event()  # some evaluation is parked
         self.opened = threading.Event()
-        self._subscribed = threading.Semaphore(0)
-        flights = webbase.mqo.registry._flights
-        join, fetch = flights.join, webbase.logical.fetch
+        if flights:
+            self.opened.set()
+        self._joined: dict = {}  # gated fingerprint -> a subscriber joined it
+        self._leading = threading.local()  # the gated flight this thread leads
+        self._lock = threading.Lock()
+        registry_flights = webbase.mqo.registry._flights
+        join, fetch = registry_flights.join, webbase.logical.fetch
 
         def counting_join(key):
             flight, leading = join(key)
-            if not leading:
-                self._subscribed.release()
+            with self._lock:
+                if not leading:
+                    if key in self._joined:
+                        self._joined[key].set()
+                elif len(self._joined) < self.flights:
+                    self._joined[key] = threading.Event()
+                    self._leading.key = key
             return flight, leading
 
         def gated_fetch(*args, **kwargs):
             self.reached.set()
+            key, self._leading.key = getattr(self._leading, "key", None), None
+            if key is not None:
+                assert self._joined[key].wait(TIMEOUT), "nobody joined a gated flight"
             assert self.opened.wait(TIMEOUT), "test gate never opened"
             return fetch(*args, **kwargs)
 
-        flights.join = counting_join
+        registry_flights.join = counting_join
         webbase.logical.fetch = gated_fetch
 
-    def open_once_shared(self) -> None:
-        for _ in range(self.subscriptions):
-            assert self._subscribed.acquire(timeout=TIMEOUT), "a query never subscribed"
+    def open(self) -> None:
         self.opened.set()
 
 
@@ -383,12 +396,12 @@ class TestSubsume:
 
     def test_a_shared_hit_writes_gold_under_its_whole_plan(self, tmp_path):
         """Sharing must not shrink what an answer is known to depend on:
-        both objects of the second query are shared hits, and a site
-        that then moves must still invalidate the answer it wrote."""
+        each object is evaluated by one query and shared by the other, and
+        a site that then moves must still invalidate the answers they
+        wrote."""
         wb = _mqo_webbase(tmp_path, ADS)
-        gate = _ShareGate(wb, subscriptions=2)
+        _ShareGate(wb, flights=2)
         threads, returned, raised = run_threads(2, lambda: wb.query(WIDE))
-        gate.open_once_shared()
         join_all(threads)
         assert raised == [] and len(returned) == 2
         assert wb.metrics.value("mqo.shared_hits") == 2
@@ -408,11 +421,11 @@ class TestSubsume:
         finished may mix both sides of the change — it is returned, not
         materialized."""
         wb = _mqo_webbase(tmp_path)
-        gate = _ShareGate(wb, subscriptions=0)
+        gate = _ShareGate(wb, flights=0)
         thread, returned, raised = run_threads(1, lambda: wb.query(WIDE))
         assert gate.reached.wait(TIMEOUT)  # planned, parked before any fetch
         wb.cache.bump_revision("www.autoweb.com")
-        gate.open_once_shared()
+        gate.open()
         join_all(thread)
         assert raised == [] and len(returned[0]) > 0
         assert wb.metrics.value("store.gold_writes") == 0
@@ -483,7 +496,7 @@ class TestServiceMQO:
         """The served path's gold write (``_persist_streamed``) carries
         the plan's hosts too, whichever client's evaluation was shared."""
         webbase = _mqo_webbase(tmp_path, ADS)
-        gate = _ShareGate(webbase, subscriptions=2)
+        _ShareGate(webbase, flights=2)
         svc = WebBaseService(webbase, ServiceConfig(port=0, workers=2))
         host, port = svc.start()
 
@@ -493,7 +506,6 @@ class TestServiceMQO:
 
         try:
             threads, returned, raised = run_threads(2, one_client)
-            gate.open_once_shared()
             join_all(threads)
             assert raised == [] and len(returned) == 2
             assert webbase.metrics.value("mqo.shared_hits") == 2
@@ -529,7 +541,7 @@ class TestServiceMQO:
         evaluations: the gate holds the first evaluation until another
         query has subscribed to it."""
         webbase = _mqo_webbase(tmp_path)
-        gate = _ShareGate(webbase, subscriptions=1)
+        _ShareGate(webbase, flights=1)
         svc = WebBaseService(webbase, ServiceConfig(port=0, workers=4))
         host, port = svc.start()
         rows: list = []
@@ -547,7 +559,6 @@ class TestServiceMQO:
             threads = [threading.Thread(target=one_client) for _ in range(4)]
             for t in threads:
                 t.start()
-            gate.open_once_shared()
             for t in threads:
                 t.join(60.0)
         finally:

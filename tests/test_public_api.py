@@ -308,7 +308,14 @@ class TestNothingAheadOfDemand:
 
 class TestOneFanout:
     """``ExecutionContext.completed`` is the fan-out; ``map`` and
-    ``answer_stream`` are its ordered and completion-order callers."""
+    ``answer_stream`` are its callers, and it runs on the caller: lanes
+    are a model, so no helper thread, and nothing that only concurrent
+    helpers needed, comes back."""
+
+    REMOVED = ("_kick", "_fanouts", "_fan_lock")
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
 
     @staticmethod
     def _thread_creations(relative: str, tree: ast.AST) -> list[str]:
@@ -336,7 +343,7 @@ class TestOneFanout:
             if relative == "core/execution.py" or relative.startswith("ur/")
             for where in self._thread_creations(relative, tree)
         ]
-        assert creations == ["core/execution.py:_kick"]
+        assert creations == []
 
 
 class TestOneCancellation:

@@ -197,9 +197,56 @@ class TestExactDeltas:
         held, seq = set(standing.rows), standing.seq
         moved = held | {("ford", "escort", 1, "a seller who came later")}
         service.standing._apply_refresh(
-            standing, standing.schema, moved, host="", revision=0, reason="subscribe"
+            standing, standing.schema, moved, dict(standing.revisions),
+            host="", revision=0, reason="subscribe",
         )
         assert standing.rows == held and standing.seq == seq
+
+    def test_a_catch_up_older_than_a_delivered_refresh_is_not_applied(
+        self, stack
+    ):
+        """Evaluations reach the delivered state in revision order, not in
+        arrival order.  A second subscriber's catch-up is held between its
+        evaluation and its delivery while a sweep's refresh goes out: the
+        catch-up read the older revision, so it must not roll both clients
+        (and the persisted snapshot) back behind the sweep."""
+        world, webbase, service, host, port = stack
+        registry = service.standing
+        apply_refresh = registry._apply_refresh
+        held, release, done = threading.Event(), threading.Event(), threading.Event()
+
+        def gated(standing, *args, **kwargs):
+            if kwargs.get("reason") != "subscribe":
+                return apply_refresh(standing, *args, **kwargs)
+            held.set()
+            try:
+                assert release.wait(timeout=30.0)
+                return apply_refresh(standing, *args, **kwargs)
+            finally:
+                done.set()
+
+        registry._apply_refresh = gated
+        with ServiceClient(host=host, port=port) as one, ServiceClient(
+            host=host, port=port
+        ) as two:
+            sub_one = one.subscribe(QUERY)  # no state yet: no catch-up
+            sub_two = two.subscribe(QUERY)  # acked; its catch-up is parked
+            assert held.wait(timeout=30.0)
+            mutate_site_listings(world, HOST_A, count=2, seed=6)
+            assert HOST_A in one.sweep(HOST_A)["changed_hosts"]
+            release.set()
+            assert done.wait(timeout=30.0)
+            for client, sub in ((one, sub_one), (two, sub_two)):
+                while client.next_delta(sub, timeout=0.3) is not None:
+                    pass
+            truth = _fresh_rows(webbase)
+            standing = registry._queries[QUERY]
+            assert standing.rows == truth, "the delivered state was rolled back"
+            assert sub_one.rows == truth and sub_two.rows == truth
+            assert standing.revisions == webbase.revisions.vector(standing.deps)
+            persisted = webbase.store.standing_queries()[QUERY]
+            assert {tuple(row) for row in persisted["rows"]} == truth
+            assert persisted["revisions"] == standing.revisions
 
 
 class TestShutdownRestartResume:

@@ -8,16 +8,17 @@ Four rules, one per count:
 * **compile once, probe by index** — a query shape's joins are ordered
   once, whatever constants later texts of it bind, and a relation builds
   its index on a set of columns once;
-* **no thread until an access goes live** — a query the result cache
-  answers starts no thread at all, through ``WebBase.query`` and through
-  the service's ``answer_stream`` path alike;
-* **the fan-out still overlaps accesses** — the same query on a cache-off
-  webbase fetches on several threads and does exactly the Web work a
-  one-worker run does.
+* **a query starts no thread** — a query the result cache answers
+  starts no thread at all, through ``WebBase.query`` and through the
+  service's ``answer_stream`` path alike;
+* **the fan-out overlaps accesses in the lane model, not on threads** —
+  the same query on a cache-off webbase fetches on the calling thread
+  alone, does exactly the Web work a one-worker run does, and its
+  modelled busiest lane is shorter than the lane sum.
 
 The last section pins the fan-out primitive itself: ``answer_stream``
-obeys ``max_workers`` like ``answer`` does, and nested fan-outs at
-``max_workers=2`` finish, because a caller always works its own items.
+runs one object at a time, in plan order, on the caller, and nested
+fan-outs at ``max_workers=2`` finish.
 
 Counts only, so this cannot flake on a shared runner (it is the
 ``perf-smoke`` CI job's gate for the warm path).
@@ -147,8 +148,10 @@ def test_the_service_path_starts_no_thread_either(warm):
 
 @pytest.mark.parametrize("family", sorted(QUERIES))
 def test_a_cold_query_still_overlaps_its_accesses(world, warm, family):
-    """Cache off, the fan-out goes live: fetches run on several threads,
-    and rows, live pages and fetch count equal a one-worker run's."""
+    """Cache off, the fan-out goes live, and its overlap is modelled: at
+    8 lanes and at 1, every fetch runs on the calling thread; rows, live
+    pages and fetch count are equal; and the 8-lane busiest lane is
+    shorter than the lane sum, which the 1-lane run spends in full."""
     text = QUERIES[family]
     seen: dict[int, set[int]] = {}
     fetch = NavigationExecutor.fetch
@@ -157,7 +160,7 @@ def test_a_cold_query_still_overlaps_its_accesses(world, warm, family):
         seen[workers].add(threading.get_ident())
         return fetch(executor, *args, **kwargs)
 
-    measured = {}
+    measured, lanes = {}, {}
     with mock.patch.object(NavigationExecutor, "fetch", recording_fetch):
         for workers in (8, 1):
             seen[workers] = set()
@@ -165,10 +168,13 @@ def test_a_cold_query_still_overlaps_its_accesses(world, warm, family):
             rows = webbase.query(text).rows
             value = webbase.metrics.value
             measured[workers] = (rows, value("nav.prefix_misses"), value("engine.fetches"))
+            ctx = webbase.last_context
+            lanes[workers] = (ctx.network_seconds_critical, ctx.network_seconds_total)
     assert measured[8] == measured[1]
     assert measured[8][0] == warm.query(text).rows
-    assert len(seen[1]) == 1
-    assert len(seen[8]) >= 2, "a live fan-out ran on one thread"
+    assert seen[8] == seen[1] == {threading.get_ident()}, "a fetch left the caller"
+    assert lanes[8][1] == lanes[1][1] == lanes[1][0]
+    assert measured[8][2] >= 2 and lanes[8][0] < lanes[8][1], "no modelled overlap"
 
 
 def test_a_query_shape_is_ordered_once_and_a_relation_indexed_once(world):
@@ -217,7 +223,7 @@ def test_a_query_shape_is_ordered_once_and_a_relation_indexed_once(world):
 
 
 def test_the_cpu_column_bills_a_query_its_own_threads(warm):
-    """``cpu_seconds`` is thread time of the threads that worked for the
+    """``cpu_seconds`` is thread time of the thread that drives the
     context: an unrelated thread burning cpu beside the query (another
     connection's query, under ``serve``) is not on the bill."""
     import hashlib
@@ -252,12 +258,14 @@ def test_the_cpu_column_bills_a_query_its_own_threads(warm):
 class _ParkingCatalog:
     """A catalog double whose every fetch is a live access: it passes the
     engine checkpoint a real one passes, then parks long enough for any
-    thread that may run beside it to show up.  Records peak concurrency."""
+    thread that may run beside it to show up.  Records peak concurrency,
+    the fetching threads and the order of the fetches."""
 
     def __init__(self, context) -> None:
         self.context = context
         self.active = self.peak = 0
-        self.overlapped = threading.Event()
+        self.threads: set[int] = set()
+        self.order: list[str] = []
         self._lock = threading.Lock()
 
     def fetch(self, name, given, context=None) -> Relation:
@@ -266,9 +274,8 @@ class _ParkingCatalog:
         with self._lock:
             self.active += 1
             self.peak = max(self.peak, self.active)
-            if self.active > 1:
-                self.overlapped.set()
-        self.overlapped.wait(10)  # the first access parks until a second is in flight
+            self.threads.add(threading.get_ident())
+            self.order.append(name)
         threading.Event().wait(0.02)
         with self._lock:
             self.active -= 1
@@ -276,8 +283,9 @@ class _ParkingCatalog:
 
 
 def test_answer_stream_obeys_max_workers(warm):
-    """Six objects at ``max_workers=2``: two accesses in flight, never six
-    (the old private loop started one thread per object)."""
+    """Six objects at ``max_workers=2``: one access at a time, on the
+    caller, in plan order — and each piece reaches the consumer before
+    the next object starts (the old loop started helper threads)."""
     import copy
 
     context = warm.execution_context(max_workers=2)
@@ -290,17 +298,20 @@ def test_answer_stream_obeys_max_workers(warm):
         objects=[ObjectPlan((name,), Base(name), feasible=True) for name in names],
     )
     before = threading.active_count()
-    pieces = list(ur.answer_stream(plan.query, plan=plan, context=context))
-    assert sorted(obj.relations[0] for obj, _ in pieces) == names
-    assert sorted(piece.rows[0][0] for _, piece in pieces) == names
-    assert catalog.overlapped.is_set() and catalog.peak == 2
-    assert threading.active_count() == before  # the helper was joined
+    pieces = []
+    for obj, piece in ur.answer_stream(plan.query, plan=plan, context=context):
+        assert catalog.order == names[: len(pieces) + 1], "an object ran ahead"
+        pieces.append((obj, piece))
+    assert [obj.relations[0] for obj, _ in pieces] == names
+    assert [piece.rows[0][0] for _, piece in pieces] == names
+    assert catalog.peak == 1 and catalog.threads == {threading.get_ident()}
+    assert threading.active_count() == before
 
 
 def test_nested_fan_outs_at_two_workers_finish(warm):
     """Three levels of ``map`` at ``max_workers=2``, every leaf a
-    checkpoint: each caller works its own items, so no level can wait on
-    a worker another level holds."""
+    checkpoint: every level works its items on the caller, so none waits
+    on another, and no thread is left behind."""
     context = warm.execution_context(max_workers=2)
 
     def leaf(n: int) -> int:
