@@ -229,7 +229,7 @@ class TraceSpan:
     (plus ``context`` for a bare context root).  Network seconds and pages
     are recorded on ``fetch`` spans (totals across attempts) and on each
     ``attempt`` child; ``cpu_seconds`` is recorded where it is measured
-    (object spans in reports, the root for whole queries).
+    (object spans, the root for whole queries).
     """
 
     kind: str

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.execution import TraceSpan
+from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.webbase import WebBase
@@ -169,48 +170,21 @@ def _actuals(object_span: TraceSpan, relation: str) -> tuple[int, int, int]:
 
 
 def explain(webbase: "WebBase", text: str) -> ExplainReport:
-    """Plan ``text``, run it, and pair every plan node's estimate with the
-    measured access/fetch counts from the run's trace."""
-    if webbase.mqo is not None:
-        subsumed = webbase.mqo.subsume(text)
-        if subsumed is not None:
-            # The MQO decision ladder short-circuited execution entirely:
-            # report the plan (with fingerprints) and the zero-fetch serve.
-            plan = webbase.ur.plan(text)
-            report = ExplainReport(
-                query_text=text,
-                optimizer=plan.optimizer,
-                rows=len(subsumed),
-                subsumed_by=webbase.mqo.last_subsumed_by,
-            )
-            for obj in plan.objects:
-                if not obj.feasible:
-                    report.objects.append(
-                        ExplainObject(obj.relations, strategy="-", skipped=obj.note)
-                    )
-                    continue
-                strategy = (
-                    obj.estimate.strategy if obj.estimate is not None else "fixed"
-                )
-                report.objects.append(
-                    ExplainObject(
-                        obj.relations,
-                        strategy=strategy,
-                        fingerprint=obj.fingerprint[:12],
-                    )
-                )
-            return report
+    """Run ``text`` on the query path (:meth:`WebBase.query_stream`: a
+    revision-current gold answer subsumes it, and an attached store gets
+    its gold), then pair every plan node's estimate with the measured
+    access/fetch counts from the run's trace."""
     ctx = webbase.execution_context(label="explain:%s" % text)
-    webbase.last_context = ctx
-    with ctx.accounted(), ctx.span("query", text):
-        plan = webbase.plan_traced(text, ctx)
-        answer = webbase.ur.answer(text, plan=plan, context=ctx)
-
+    pieces = list(webbase.query_stream(text, ctx))
+    # A gold piece has no object: the query never reached the Web.
+    subsumed = pieces[0][0] is None
+    plan = webbase.plan(text)
     report = ExplainReport(
         query_text=text,
         optimizer=plan.optimizer,
-        rows=len(answer),
-        trace=ctx.root,
+        rows=len(Relation.union_of([piece for _, piece in pieces])),
+        trace=None if subsumed else ctx.root,
+        subsumed_by=webbase.mqo.last_subsumed_by if subsumed else "",
     )
     object_spans = {s.name: s for s in ctx.root.spans("object")}
     for obj in plan.objects:
@@ -225,6 +199,9 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
             strategy=strategy,
             fingerprint=obj.fingerprint[:12] if webbase.mqo is not None else "",
         )
+        report.objects.append(explained)
+        if subsumed:
+            continue
         span = object_spans.get(" ⋈ ".join(obj.relations))
         if span is not None:
             explained.shared = str(span.attrs.get("mqo", ""))
@@ -245,5 +222,4 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
                     actual_pages=pages,
                 )
             )
-        report.objects.append(explained)
     return report

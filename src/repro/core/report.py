@@ -14,20 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.execution import (
-    ExecutionContext,
-    FanoutError,
-    FetchFailedError,
-    FetchFailure,
-    TraceSpan,
-)
+from repro.core.execution import ExecutionContext, FetchFailure, TraceSpan
 from repro.core.webbase import WebBase
-from repro.relational.algebra import evaluate
-from repro.relational.bindings import BindingError
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
-from repro.ur.planner import PlanError, URPlan
-from repro.web.clock import CpuTimer
 
 
 @dataclass
@@ -151,72 +140,37 @@ def _pages_by_host(span: TraceSpan) -> dict[str, int]:
 def run_with_report(
     webbase: WebBase, query_text: str, context: ExecutionContext | None = None
 ) -> QueryReport:
-    """Evaluate a UR query object by object on the engine, reading each
-    object's Web work off its trace subtree."""
+    """Evaluate a UR query on the engine (:meth:`WebBase.evaluate_stream`:
+    no gold, a real trace), reading each object's Web work and cpu off
+    its ``object`` span; the objects' cpu leaves out planning."""
     ctx = context or webbase.execution_context(label=query_text)
-    webbase.last_context = ctx
-    evaluated = 0
-    with ctx.accounted(), ctx.span("query", query_text):
-        plan: URPlan = webbase.plan_traced(query_text, ctx)
-        outputs = plan.query.outputs
-        answer = Relation(Schema(outputs), [])
-        report = QueryReport(query_text=query_text, answer=answer, trace=ctx.root)
-        for obj in plan.objects:
-            if not obj.feasible:
-                report.objects.append(
-                    ObjectReport(obj.relations, 0, {}, 0.0, 0.0, skipped=obj.note)
-                )
-                continue
-            timer = CpuTimer().start()
-            piece: Relation | None = None
-            skipped = ""
-            with ctx.span("object", " ⋈ ".join(obj.relations)) as ospan:
-                try:
-                    piece = evaluate(obj.expression, webbase.logical, context=ctx)
-                except BindingError as exc:
-                    ospan.status = "skipped"
-                    ospan.error = skipped = str(exc)
-                except FetchFailedError as exc:
-                    # Exhausted retries under this object: report it as a
-                    # partial failure instead of aborting the query.
-                    ospan.status = "error"
-                    ospan.error = skipped = str(exc)
-                except FanoutError as exc:
-                    expected = (BindingError, FetchFailedError)
-                    if any(not isinstance(e, expected) for e in exc.errors):
-                        raise  # a real defect, not a fetch/binding outcome
-                    ospan.status = "error"
-                    ospan.error = skipped = str(exc)
-            cpu = timer.stop()
-            ospan.cpu_seconds = cpu
-            if piece is None:
-                report.objects.append(
-                    ObjectReport(
-                        obj.relations,
-                        0,
-                        _pages_by_host(ospan),
-                        ospan.total_network_seconds,
-                        cpu,
-                        skipped=skipped,
-                    )
-                )
-                continue
+    pieces = {
+        obj.relations: piece
+        for obj, piece in webbase.evaluate_stream(query_text, ctx)
+    }
+    spans = {span.name: span for span in ctx.root.spans("object")}
+    report = QueryReport(
+        query_text=query_text,
+        answer=Relation.union_of([p for p in pieces.values() if p is not None]),
+        trace=ctx.root,
+        failures=list(ctx.failures),
+    )
+    for obj in webbase.plan(query_text).objects:
+        if obj.relations not in pieces:
             report.objects.append(
-                ObjectReport(
-                    relations=obj.relations,
-                    rows=len(piece),
-                    pages_by_host=_pages_by_host(ospan),
-                    network_seconds=ospan.total_network_seconds,
-                    cpu_seconds=cpu,
-                )
+                ObjectReport(obj.relations, 0, {}, 0.0, 0.0, skipped=obj.note)
             )
-            answer = answer.union(piece)
-            evaluated += 1
-    report.failures = list(ctx.failures)
-    if evaluated == 0:
-        detail = plan.describe()
-        if ctx.failures:
-            detail += "\n" + ctx.failure_report()
-        raise PlanError("no maximal object was evaluable; plan:\n%s" % detail)
-    report.answer = answer
+            continue
+        piece = pieces[obj.relations]
+        span = spans[" ⋈ ".join(obj.relations)]
+        report.objects.append(
+            ObjectReport(
+                relations=obj.relations,
+                rows=0 if piece is None else len(piece),
+                pages_by_host=_pages_by_host(span),
+                network_seconds=span.total_network_seconds,
+                cpu_seconds=span.cpu_seconds,
+                skipped=span.error if piece is None else "",
+            )
+        )
     return report

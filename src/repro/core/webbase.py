@@ -276,23 +276,65 @@ class WebBase:
     # -- querying, layer by layer ------------------------------------------------
 
     def query(self, text: str, context: ExecutionContext | None = None) -> Relation:
-        """Answer an end-user query against the universal relation."""
-        if context is None and self.mqo is not None:
-            # Containment first: a revision-current gold answer that
-            # subsumes this query serves it with zero fetches.
+        """Answer an end-user query against the universal relation:
+        :meth:`query_stream` collected, so it subsumes, evaluates and
+        persists gold exactly as a served query does."""
+        pieces = []
+        stream = self.query_stream(text, context)
+        while True:
+            try:
+                pieces.append(next(stream)[1])
+            except StopIteration as end:
+                return Relation.union_of(pieces) if end.value is None else end.value
+
+    def query_stream(self, text: str, context: ExecutionContext | None = None):
+        """The query: yields ``(ObjectPlan, Relation)`` pieces whose union
+        is the answer, each as its maximal object completes (see
+        :meth:`repro.ur.planner.StructuredUR.answer_stream`); rows may
+        repeat across pieces.  With MQO on, a revision-current gold answer
+        that contains the query serves it first, as one piece whose
+        object is ``None``, with zero fetches.  Otherwise the query is
+        evaluated, and after the last piece the answer is persisted to
+        gold when a store is attached (:meth:`persist_gold`).  The
+        generator returns the whole answer when it built one (the gold
+        answer, or the one it persisted), else ``None``.
+
+        The rule is the same whether or not the caller passes a context.
+        A context shared by several queries is safe: its plan revisions
+        cover a superset of this plan's hosts and its failures include
+        this query's, so it refuses gold *more* often, never writes a
+        stale record."""
+        if self.mqo is not None:
             subsumed = self.mqo.subsume(text)
             if subsumed is not None:
+                yield None, subsumed
                 return subsumed
         ctx = context or self.execution_context(label=text)
+        pieces = []
+        for obj, piece in self.evaluate_stream(text, ctx):
+            if piece is not None:
+                pieces.append(piece)
+                yield obj, piece
+        if self.store is None:
+            return None
+        answer = Relation.union_of(pieces)
+        try:
+            self.persist_gold(text, answer, ctx)
+        except Exception:  # noqa: BLE001 - best-effort: the rows have already left
+            self.metrics.counter("mqo.persist_errors").inc()
+        return answer
+
+    def evaluate_stream(self, text: str, ctx: ExecutionContext):
+        """One real evaluation of ``text`` on ``ctx``: planned under a
+        ``query`` span (:meth:`plan_traced`), then
+        :meth:`StructuredUR.answer_stream`'s ``(ObjectPlan, Relation |
+        None)`` pairs.  Never served from gold and persists nothing — for
+        callers that need a real evaluation's trace (reports,
+        standing-query refreshes)."""
         self.last_context = ctx
         with ctx.accounted(), ctx.span("query", text):
             plan = self.plan_traced(text, ctx)
-            answer = self.ur.answer(text, plan=plan, context=ctx)
-        if context is None:
-            # Gold only for contexts this call owns: a shared context
-            # spans several queries' plans.
-            self.persist_gold(text, answer, ctx)
-        return answer
+            yield from self.ur.answer_stream(text, plan=plan, context=ctx)
 
     def plan_traced(self, text: str, ctx: ExecutionContext) -> URPlan:
         """Plan ``text`` under a ``plan`` span of ``ctx``, and note on the
@@ -320,20 +362,6 @@ class WebBase:
         if self.store is None or ctx.failures or not self.revisions.all_current(vector):
             return False
         return self.store.persist_answer(text, answer, vector)
-
-    def query_stream(self, text: str, context: ExecutionContext | None = None):
-        """Answer a query *incrementally*: yields ``(ObjectPlan, Relation)``
-        pairs as each maximal object completes (the serving path — see
-        :meth:`repro.ur.planner.StructuredUR.answer_stream`).  Rows may
-        repeat across objects; callers that need exact ``query`` semantics
-        deduplicate (the service layer does)."""
-        ctx = context or self.execution_context(label=text)
-        self.last_context = ctx
-        with ctx.accounted(), ctx.span("query", text):
-            plan = self.plan_traced(text, ctx)
-            for obj, piece in self.ur.answer_stream(text, plan=plan, context=ctx):
-                if piece is not None:
-                    yield obj, piece
 
     def explain(self, text: str):
         """Plan and run a query, pairing the planner's per-node fetch

@@ -53,6 +53,7 @@ from typing import Any
 
 from repro.core.execution import DeadlineExceeded, ExecutionContext
 from repro.core.webbase import WebBase
+from repro.relational.relation import Relation
 from repro.service import protocol
 from repro.service.protocol import (
     E_BAD_REQUEST,
@@ -63,9 +64,8 @@ from repro.service.protocol import (
     E_SHUTTING_DOWN,
     Request,
 )
-from repro.relational.relation import Relation
 from repro.ur.planner import PlanError
-from repro.ur.query import QueryParseError, parse_query
+from repro.ur.query import QueryParseError
 
 
 #: How long a graceful drain waits for queued and in-flight work.
@@ -183,7 +183,8 @@ class StandingQueryRegistry:
         evaluation served wholly from cache still knows which sweeps must
         refresh it, and what it captured, so a move since is detectable."""
         ctx = self._webbase.execution_context(label="standing:%s" % text)
-        answer = self._webbase.query(text, context=ctx)
+        stream = self._webbase.evaluate_stream(text, ctx)
+        answer = Relation.union_of([piece for _, piece in stream if piece is not None])
         return answer, ctx.plan_revisions
 
     def _persist(self, standing: StandingQuery) -> None:
@@ -764,8 +765,12 @@ class WebBaseService:
         return {"mutated": str(spec["host"]), "ads_added": len(added)}
 
     def _execute(self, job: _Job) -> dict[str, Any]:
-        """Run one query on the shared webbase, streaming pages as maximal
-        objects complete; returns the terminal ``result`` stats.
+        """Run one query on the shared webbase: page out, deduplicated,
+        what :meth:`WebBase.query_stream` yields — one burst per piece, as
+        each maximal object completes — and return the terminal
+        ``result`` stats.  Subsumption and gold are the facade's; a piece
+        with no object is a gold answer (``"gold"`` page source,
+        ``stats["mqo"] == "subsumed"``).
 
         Deadline expiry is enforced by *cancelling the context*: a timer
         fires at the deadline and calls :meth:`ExecutionContext.cancel`, so
@@ -774,13 +779,6 @@ class WebBaseService:
         at its next deadline poll, and the client gets ``DEADLINE_EXCEEDED``."""
         request = job.request
         page_size = request.page_size or self.config.page_size
-        mqo = self.webbase.mqo
-        if mqo is not None:
-            # A revision-current gold answer that contains this query
-            # serves it with zero fetches.
-            subsumed = mqo.subsume(request.text)
-            if subsumed is not None:
-                return self._stream_subsumed(job, subsumed, page_size)
         remaining = (
             None if job.deadline_at is None else max(0.0, job.deadline_at - monotonic())
         )
@@ -793,16 +791,17 @@ class WebBaseService:
             timer.daemon = True
             timer.start()
         seen: set[tuple] = set()
-        schema: list[str] = []
         seq = 0
+        subsumed = False
         try:
             for obj, piece in self.webbase.query_stream(request.text, context=ctx):
                 fresh = [row for row in piece.rows if row not in seen]
                 seen.update(fresh)
+                subsumed = obj is None
+                # One burst per piece: its pages are all ready now, and
+                # nothing waits for the next object.
+                source = "gold" if subsumed else " ⋈ ".join(obj.relations)
                 schema = list(piece.schema)
-                # One burst per completed maximal object: its pages are all
-                # ready now, and nothing waits for the next object.
-                source = " ⋈ ".join(obj.relations)
                 pages = _pages(request.id, seq, schema, fresh, page_size, source)
                 job.handler.send(*pages)
                 seq += len(pages)
@@ -812,12 +811,7 @@ class WebBaseService:
         cache_hits = sum(
             1 for span in ctx.root.spans("fetch") if span.cache in ("hit", "stale")
         )
-        if mqo is not None:
-            # The streaming path never reaches webbase.query's gold
-            # persist; materialize here so later overlapping queries can
-            # subsume (complete answers only — see persist_gold).
-            self._persist_streamed(request.text, schema, seen, ctx)
-        return {
+        stats = {
             "rows": len(seen),
             "pages": seq,
             "fetches": ctx.fetches,
@@ -826,40 +820,6 @@ class WebBaseService:
             "modelled_seconds": round(ctx.elapsed_seconds, 4),
             "wall_ms": round(ctx.wall_elapsed_seconds * 1000.0, 3),
         }
-
-    def _stream_subsumed(
-        self, job: _Job, answer: Relation, page_size: int
-    ) -> dict[str, Any]:
-        """Serve a containment hit: page out the filtered gold rows.
-        Zero fetches by construction — nothing below the store ran."""
-        request = job.request
-        rows = list(answer.rows)
-        pages = _pages(request.id, 0, list(answer.schema), rows, page_size, "gold")
-        job.handler.send(*pages)
-        return {
-            "rows": len(rows),
-            "pages": len(pages),
-            "fetches": 0,
-            "cache_hits": 0,
-            "failures": 0,
-            "modelled_seconds": 0.0,
-            "wall_ms": 0.0,
-            "mqo": "subsumed",
-        }
-
-    def _persist_streamed(
-        self,
-        text: str,
-        schema: list[str],
-        seen: set[tuple],
-        ctx: ExecutionContext,
-    ) -> None:
-        if not schema:
-            try:
-                schema = list(parse_query(text).outputs)
-            except QueryParseError:
-                return
-        try:
-            self.webbase.persist_gold(text, Relation(schema, seen), ctx)
-        except Exception:  # noqa: BLE001 - persistence is best-effort
-            self.metrics.counter("mqo.persist_errors").inc()
+        if subsumed:
+            stats["mqo"] = "subsumed"
+        return stats

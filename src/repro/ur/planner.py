@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from time import thread_time
 from typing import Any, Iterable, Iterator
 
 from repro.logical.schema import LogicalSchema
@@ -31,7 +32,6 @@ from repro.relational.cost import CatalogStats, CostModel
 from repro.relational.optimize import optimize
 from repro.relational.planner import JoinOrderPlanner, JoinPlan, plan_fingerprint
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.ur.compat import CompatibilityRule
 from repro.ur.concepts import Concept
 from repro.ur.maximal import covering_objects, maximal_objects
@@ -302,43 +302,11 @@ class StructuredUR:
         plan: URPlan | None = None,
         context: Any = None,
     ) -> Relation:
-        """Evaluate a query: the union of its feasible objects' answers.
-
-        With an execution context the maximal objects evaluate through its
-        fan-out (:meth:`~repro.core.execution.ExecutionContext.map`, plan
-        order, on the calling thread; the context models their overlap),
-        and an object whose fetches exhaust their retry budget is skipped
-        — recorded in ``context.failures`` — instead of aborting the whole
-        query.
-        """
-        if plan is None:
-            plan = self.plan(query)
-        outputs = plan.query.outputs
-        result = Relation(Schema(outputs), [])
-        if context is None:
-            pieces = []
-            for obj in plan.feasible_objects:
-                try:
-                    pieces.append(evaluate(obj.expression, self.logical))
-                except BindingError:
-                    pieces.append(None)
-        else:
-            pieces = context.map(
-                lambda obj: self._evaluate_object(obj, context),
-                plan.feasible_objects,
-            )
-        evaluated = 0
-        for piece in pieces:
-            if piece is None:
-                continue
-            result = result.union(piece)
-            evaluated += 1
-        if evaluated == 0:
-            detail = plan.describe()
-            if context is not None and context.failures:
-                detail += "\n" + context.failure_report()
-            raise PlanError("no maximal object was evaluable; plan:\n%s" % detail)
-        return result
+        """Evaluate a query: the union of its feasible objects' answers —
+        :meth:`answer_stream` collected, so it skips and raises exactly
+        as the stream does."""
+        stream = self.answer_stream(query, plan=plan, context=context)
+        return Relation.union_of([piece for _, piece in stream if piece is not None])
 
     def answer_stream(
         self,
@@ -347,59 +315,69 @@ class StructuredUR:
         context: Any = None,
     ) -> Iterator[tuple[ObjectPlan, Relation | None]]:
         """Evaluate a query *incrementally*: yield ``(object, piece)`` as
-        each feasible maximal object completes, instead of buffering the
-        union.  This is the serving path — a ``More``-loop query's first
-        object reaches the client before the second starts fetching.
+        each feasible maximal object completes — the one loop over a
+        plan's objects, so a ``More``-loop query's first object reaches
+        its consumer before the second starts fetching.
 
         Objects evaluate and arrive in plan order (with an execution
         context, through its fan-out,
         :meth:`~repro.core.execution.ExecutionContext.completed`).  A
         piece of ``None`` means the object contributed nothing
-        (infeasible bindings or exhausted retries).  Like :meth:`answer`,
-        raises :class:`PlanError` when no object was evaluable; an engine
-        :class:`DeadlineExceeded` (or any
-        unexpected error) propagates after the remaining objects unwind.
+        (infeasible bindings or exhausted retries, recorded in
+        ``context.failures`` — a partial answer, not an aborted query).
+        The other errors are reported after the last object, as a fan-out
+        reports them: a :class:`DeadlineExceeded` trumps the rest, one
+        error re-raises as itself, several raise one :class:`FanoutError`.
+        Raises :class:`PlanError` when no object was evaluable.
         """
+        from repro.core.execution import _raise_collected
+
         if plan is None:
             plan = self.plan(query)
         feasible = plan.feasible_objects
-        evaluated = 0
         if context is None:
-            for obj in feasible:
-                try:
-                    piece: Relation | None = evaluate(obj.expression, self.logical)
-                except BindingError:
-                    piece = None
-                if piece is not None:
-                    evaluated += 1
-                yield obj, piece
+            outcomes: Iterable[tuple[int, Relation | None, Exception | None]] = (
+                (index, self._evaluate_bare(obj), None)
+                for index, obj in enumerate(feasible)
+            )
         else:
-            first_error: Exception | None = None
-            for index, piece, error in context.completed(
+            outcomes = context.completed(
                 lambda obj: self._evaluate_object(obj, context), feasible
-            ):
-                if error is not None:
-                    first_error = first_error or error
-                    continue
-                if piece is not None:
-                    evaluated += 1
-                yield feasible[index], piece
-            if first_error is not None:
-                raise first_error
+            )
+        errors: list[Exception] = []
+        evaluated = 0
+        for index, piece, error in outcomes:
+            if error is not None:
+                errors.append(error)
+                continue
+            if piece is not None:
+                evaluated += 1
+            yield feasible[index], piece
+        _raise_collected(errors, len(feasible))
         if evaluated == 0:
             detail = plan.describe()
             if context is not None and context.failures:
                 detail += "\n" + context.failure_report()
             raise PlanError("no maximal object was evaluable; plan:\n%s" % detail)
 
+    def _evaluate_bare(self, obj: ObjectPlan) -> Relation | None:
+        """One maximal object without an engine (the paper's direct
+        evaluation); ``None`` when its bindings are infeasible."""
+        try:
+            return evaluate(obj.expression, self.logical)
+        except BindingError:
+            return None
+
     def _evaluate_object(self, obj: ObjectPlan, context: Any) -> Relation | None:
         """Evaluate one maximal object under the engine; ``None`` means the
         object contributed nothing (infeasible bindings or exhausted
-        retries — the partial-failure path)."""
+        retries — the partial-failure path).  The object span records the
+        calling thread's cpu time for the object."""
         from repro.core.execution import FanoutError, FetchFailedError
 
         registry = getattr(context, "mqo_registry", None)
         with context.span("object", " ⋈ ".join(obj.relations)) as span:
+            mark = thread_time()
             try:
                 if registry is not None and obj.fingerprint:
                     span.attrs["fingerprint"] = obj.fingerprint[:12]
@@ -427,3 +405,5 @@ class StructuredUR:
                 span.status = "error"
                 span.error = str(exc)
                 return None
+            finally:
+                span.cpu_seconds = thread_time() - mark

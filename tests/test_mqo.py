@@ -493,7 +493,7 @@ class TestServiceMQO:
             svc.shutdown()
 
     def test_a_shared_streamed_answer_persists_under_its_whole_plan(self, tmp_path):
-        """The served path's gold write (``_persist_streamed``) carries
+        """A served query's gold write (``WebBase.query_stream``) carries
         the plan's hosts too, whichever client's evaluation was shared."""
         webbase = _mqo_webbase(tmp_path, ADS)
         _ShareGate(webbase, flights=2)

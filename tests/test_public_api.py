@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes eleven mechanical consistency audits, so drift fails loudly:
+Includes twelve mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -22,6 +22,9 @@ Includes eleven mechanical consistency audits, so drift fails loudly:
   fan-out gets its helpers, and the UR layer creates none;
 * there is one cancellation signal, the execution context: the per-access
   handle layer and its counters do not come back;
+* there is one query path: the service's copies of subsume-first and
+  gold persistence do not come back, and the report imports no
+  evaluator of its own;
 * the planner is static: its live-feedback loop and the greedy search
   do not come back, and the UR planner takes no metrics registry;
 * every metric a real workload produces must follow the documented
@@ -370,6 +373,57 @@ class TestOneCancellation:
         # bench/trace.py attributes self time to these two by name.
         assert callable(ExecutionContext.run_fetch)
         assert callable(ExecutionContext.run_fetch_batch)
+
+
+class TestOneQueryPath:
+    """``WebBase.query_stream`` is the query: ``query`` collects it, the
+    service pages it out, and ``StructuredUR.answer_stream`` is the one
+    loop over a plan's objects.  The service's copies of subsume-first
+    and gold do not come back, and the report evaluates no object itself."""
+
+    REMOVED = ("_stream_subsumed", "_persist_streamed")
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_report_evaluates_no_object_itself(self):
+        tree = ast.parse((SRC / "core" / "report.py").read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert imported.isdisjoint({"evaluate", "FetchFailedError", "FanoutError"})
+
+    def test_only_the_facade_decides_subsume_first(self):
+        """EXPLAIN, the service and the report reach gold through
+        ``WebBase.query_stream``; none asks the optimizer itself."""
+        callers = [
+            relative
+            for relative, tree in TestOneStalenessAuthority._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "subsume"
+        ]
+        assert callers == ["core/webbase.py"]
+
+    def test_the_traced_boundaries_still_resolve(self):
+        """bench/trace.py attributes self time to these by name."""
+        from repro.core.webbase import WebBase
+        from repro.mqo.optimizer import MultiQueryOptimizer
+        from repro.service.server import WebBaseService
+        from repro.ur.planner import StructuredUR
+
+        for boundary in (
+            WebBase.query,
+            StructuredUR.answer,
+            StructuredUR.answer_stream,
+            WebBaseService._execute,
+            MultiQueryOptimizer.subsume,
+        ):
+            assert callable(boundary)
 
 
 class TestStaticPlanner:

@@ -35,9 +35,10 @@ HOST_B = "www.autoweb.com"
 
 
 def _fresh_rows(webbase: WebBase) -> set:
-    """Ground truth: evaluate on an explicit context (no gold persist)."""
+    """Ground truth: a real evaluation (no gold served, none persisted)."""
     ctx = webbase.execution_context(label="ground-truth")
-    return set(webbase.query(QUERY, context=ctx).rows)
+    stream = webbase.evaluate_stream(QUERY, ctx)
+    return {row for _, piece in stream if piece is not None for row in piece}
 
 
 @pytest.fixture()
