@@ -2,8 +2,8 @@
 
 An *access* against a hidden-Web source is expensive and idempotent for
 as long as the host's navigation map does not move, so every tier that
-can miss — the page cache, the per-query and cross-query relation
-caches, the shared-subplan registry — wants the same thing: the first
+is shared between threads and can miss — the cross-query relation
+cache, the shared-subplan registry — wants the same thing: the first
 caller of a key *leads* (does the work), later callers *subscribe*
 (wait and share the leader's result).  This module is that contract,
 once.  It knows nothing about what a key or a result is.

@@ -86,9 +86,9 @@ class NavigationExecutor:
         # executor keeps the paper's per-fetch navigation semantics.
         self.page_cache: PrefixPageCache | None = None
         # Cooperative cancellation hook, installed per fetch by the
-        # execution engine: polled before every page navigation (and while
-        # waiting on a coalesced page fetch), it raises when the query
-        # driving this fetch was cancelled.  ``None`` = not cancellable.
+        # execution engine: polled before every page navigation, it raises
+        # when the query driving this fetch was cancelled.  ``None`` = not
+        # cancellable.
         self.cancel_check: Any = None
         self._session_depth = 0
         self._register_builtins()
@@ -200,10 +200,7 @@ class NavigationExecutor:
         try:
             if self.page_cache is not None:
                 page, live = self.browser.request_cached(
-                    request,
-                    self.page_cache,
-                    on_live=self._check_page_budget,
-                    poll=self.cancel_check,
+                    request, self.page_cache, on_live=self._check_page_budget
                 )
             else:
                 self._check_page_budget()

@@ -23,6 +23,10 @@ from repro.web.http import parse_url
 from repro.web.page import WebPage
 
 
+#: A labeled block's label and value elements.
+_LABELED_TAGS = ("dt", "dd")
+
+
 class ExtractionError(Exception):
     """A wrapper could not be induced or applied."""
 
@@ -64,20 +68,20 @@ class TableWrapper(PageWrapper):
     def _header_map(self) -> dict[str, str]:
         return dict(self.header_attrs)
 
-    def _find_table(self, page: WebPage) -> tuple[list[str | None], object] | None:
-        """Locate the matching table: (attr per column, table node)."""
+    def _find_table(self, page: WebPage) -> tuple[list[str | None], list] | None:
+        """Locate the matching table: (attr per column, its rows)."""
         header_map = self._header_map()
         for table in page.dom.find_all("table"):
             rows = table.find_all("tr")
             if not rows:
                 continue
-            headers = [canonical_attr(c.text()) for c in rows[0].iter_nodes() if c.tag == "th"]
+            headers = [canonical_attr(c.text()) for c in rows[0].find_all("th")]
             if not headers:
                 continue
             mapped = [header_map.get(h) for h in headers]
             found = [a for a in mapped if a]
             if found and set(found) >= set(header_map.values()):
-                return (mapped, table)
+                return (mapped, rows)
         return None
 
     def matches(self, page: WebPage) -> bool:
@@ -87,11 +91,11 @@ class TableWrapper(PageWrapper):
         located = self._find_table(page)
         if located is None:
             return []
-        mapped, table = located
+        mapped, rows = located
         link_names = {attr: name for attr, name in self.link_attrs}
         tuples = []
-        for tr in table.find_all("tr")[1:]:
-            cells = [c for c in tr.iter_nodes() if c.tag == "td"]
+        for tr in rows[1:]:
+            cells = tr.find_all("td")
             if not cells:
                 continue
             row: dict[str, str] = {}
@@ -127,10 +131,10 @@ class LabeledWrapper(PageWrapper):
         for dl in page.dom.find_all("dl"):
             block: dict[str, str] = {}
             label: str | None = None
-            for child in dl.iter_nodes():
+            for child in dl.find_all_of(_LABELED_TAGS):
                 if child.tag == "dt":
                     label = canonical_attr(child.text())
-                elif child.tag == "dd" and label is not None:
+                elif label is not None:
                     attr = label_map.get(label)
                     if attr:
                         block[attr] = child.text()
@@ -151,14 +155,14 @@ def _induce_from_table(page: WebPage, example: dict[str, str]) -> TableWrapper |
         rows = table.find_all("tr")
         if len(rows) < 2:
             continue
-        headers = [c for c in rows[0].iter_nodes() if c.tag == "th"]
+        headers = rows[0].find_all("th")
         if not headers:
             continue
         # Keys are the *raw* canonical headers (what extraction will see on
         # future pages); the designer's renames live in the attribute names.
         header_names = [canonical_attr(h.text()) for h in headers]
         for tr in rows[1:]:
-            cells = [c for c in tr.iter_nodes() if c.tag == "td"]
+            cells = tr.find_all("td")
             if not cells:
                 continue
             texts = [c.text() for c in cells]
@@ -213,10 +217,10 @@ def _induce_from_labels(page: WebPage, example: dict[str, str]) -> LabeledWrappe
     for dl in page.dom.find_all("dl"):
         pairs: dict[str, str] = {}
         label: str | None = None
-        for child in dl.iter_nodes():
+        for child in dl.find_all_of(_LABELED_TAGS):
             if child.tag == "dt":
                 label = canonical_attr(child.text())
-            elif child.tag == "dd" and label is not None:
+            elif label is not None:
                 pairs[label] = child.text()
                 label = None
         label_attrs: list[tuple[str, str]] = []

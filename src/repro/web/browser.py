@@ -16,13 +16,10 @@ earlier pages.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import WebBaseError
-from repro.flight import Flight, Flights
 from repro.web.clock import SimClock
 from repro.web.http import Request, Response, Url
 from repro.web.page import FormSpec, Link, WebPage, parse_page
@@ -97,16 +94,17 @@ class PrefixPageCache:
     Entries are keyed ``(host, request_key)`` and stamped with the host's
     navigation-map revision as reported by ``revision_of`` (wired to
     :meth:`repro.revisions.Revisions.current`, which site maintenance
-    advances when it absorbs a change).  Every claim re-reads the
-    *current* revision and drops a mismatched entry
-    (:meth:`_current_locked`), so no page captured under an old map is
-    ever served across a revision bump.
+    advances when it absorbs a change).  Every read re-reads the
+    *current* revision and drops a mismatched entry (:meth:`_current`),
+    so no page captured under an old map is ever served across a
+    revision bump; a page whose host's revision moved while it was being
+    fetched is never stored, and neither is a failure.
 
-    Concurrent misses on one key coalesce under the :mod:`repro.flight`
-    contract; failures are never stored.
-
-    Thread-safe; counts ``nav.prefix_hits`` / ``nav.prefix_misses`` /
-    ``nav.prefix_coalesced`` into ``metrics`` when given.
+    The cache belongs to one execution context, and one thread drives a
+    context, so it has no lock and no in-flight table: a second request
+    for a key always comes after the first one has finished.  Counts
+    ``nav.prefix_hits`` / ``nav.prefix_misses`` into ``metrics`` when
+    given.
     """
 
     def __init__(
@@ -117,23 +115,17 @@ class PrefixPageCache:
         self._revision_of = revision_of or (lambda host: 0)
         self.metrics = metrics
         self._pages: dict[tuple, tuple[int, WebPage]] = {}
-        self._lock = threading.Lock()
-        self._flights = Flights(self._lock)
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._pages)
+        return len(self._pages)
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    def _current_locked(self, host: str, key: tuple, revision: int) -> WebPage | None:
-        """The one staleness check (caller holds the lock): the page under
-        ``key`` if it is stamped ``revision``.  A superseded entry is
-        dropped."""
+    def _current(self, host: str, key: tuple, revision: int) -> WebPage | None:
+        """The one staleness check: the page under ``key`` if it is
+        stamped ``revision``.  A superseded entry is dropped."""
         entry = self._pages.get((host, key))
         if entry is None:
             return None
@@ -145,44 +137,23 @@ class PrefixPageCache:
     def lookup(self, host: str, key: tuple) -> WebPage | None:
         """The cached page under ``key``, or ``None`` — dropping (and not
         serving) entries stored under a superseded map revision."""
+        return self._current(host, key, self._revision_of(host))
+
+    def claim(self, host: str, key: tuple) -> tuple[WebPage | None, int]:
+        """Look ``key`` up for a fetch, counting a hit or a miss:
+        ``(page, revision)`` when cached, ``(None, revision)`` when the
+        caller must fetch the page and hand it to :meth:`store` with that
+        revision."""
         revision = self._revision_of(host)
-        with self._lock:
-            return self._current_locked(host, key, revision)
+        page = self._current(host, key, revision)
+        self._count("nav.prefix_hits" if page is not None else "nav.prefix_misses")
+        return page, revision
 
-    def acquire(self, host: str, key: tuple):
-        """Claim ``key``: ``("hit", page, None)`` when cached, ``("lead",
-        flight, revision)`` when this caller must fetch, or ``("wait",
-        flight, None)`` when another caller is already fetching it.  A
-        leader must call :meth:`fulfill` or :meth:`abandon`."""
-        revision = self._revision_of(host)
-        with self._lock:
-            page = self._current_locked(host, key, revision)
-            if page is not None:
-                self.hits += 1
-                self._count("nav.prefix_hits")
-                return ("hit", page, None)
-            flight, leading = self._flights.join((host, key))
-            if not leading:
-                self._count("nav.prefix_coalesced")
-                return ("wait", flight, None)
-            self.misses += 1
-            self._count("nav.prefix_misses")
-            return ("lead", flight, revision)
-
-    def fulfill(
-        self, host: str, key: tuple, flight: Flight, page: WebPage, revision: int
-    ) -> None:
-        """Store a leader's fetched page (unless the revision moved while
-        it was in flight) and release the waiters."""
-        with self._lock:
-            if revision == self._revision_of(host):
-                self._pages[(host, key)] = (revision, page)
-            flight.land(page)
-        flight.settle()
-
-    def abandon(self, host: str, key: tuple, flight: Flight, error: BaseException | None = None) -> None:
-        """A leader's fetch failed: nothing is stored, waiters retry."""
-        flight.settle(error)
+    def store(self, host: str, key: tuple, page: WebPage, revision: int) -> None:
+        """Keep a page fetched after :meth:`claim` returned ``revision`` —
+        unless the host's revision moved while it was on the wire."""
+        if revision == self._revision_of(host):
+            self._pages[(host, key)] = (revision, page)
 
 
 class Browser:
@@ -264,40 +235,25 @@ class Browser:
         request: Request,
         cache: PrefixPageCache,
         on_live: Callable[[], None] | None = None,
-        poll: Callable[[], None] | None = None,
     ) -> tuple[WebPage, bool]:
-        """Issue ``request`` through a shared :class:`PrefixPageCache`.
+        """Issue ``request`` through a :class:`PrefixPageCache`.
 
         Returns ``(page, live)`` where ``live`` says whether *this* call
-        navigated the site (a cache hit or a coalesced wait costs no live
-        traffic).  ``on_live`` runs just before an actual navigation — the
+        navigated the site (a cache hit costs no live traffic).
+        ``on_live`` runs just before an actual navigation — the
         executor's page-budget check hooks in there, so cached pages never
-        count against a fetch's budget.  Failed fetches are never cached;
-        a waiter whose leader failed retries as the new leader.  ``poll``
-        runs periodically while waiting on another caller's in-flight
-        fetch, so a cancelled query stops waiting instead of riding out a
-        leader it no longer wants.
+        count against a fetch's budget.  Failed fetches are never cached.
         """
         key = request_key(request)
         host = request.url.host
-        while True:
-            outcome, payload, revision = cache.acquire(host, key)
-            if outcome == "hit":
-                return payload, False
-            if outcome == "wait":
-                if payload.wait(poll):
-                    return payload.result, False
-                continue  # the leader failed; try to lead ourselves
-            flight = payload
-            try:
-                if on_live is not None:
-                    on_live()
-                page = self.request(request)
-            except BaseException as exc:
-                cache.abandon(host, key, flight, error=exc)
-                raise
-            cache.fulfill(host, key, flight, page, revision)
-            return page, True
+        page, revision = cache.claim(host, key)
+        if page is not None:
+            return page, False
+        if on_live is not None:
+            on_live()
+        page = self.request(request)
+        cache.store(host, key, page, revision)
+        return page, True
 
     # -- internals ----------------------------------------------------------
 

@@ -12,13 +12,21 @@ ill-formed documents".  This module provides that recovering parser:
 * stray end tags are dropped; unclosed elements are closed at EOF,
 * character entities (named subset + numeric) are decoded in text.
 
-The result is a plain DOM of :class:`HtmlNode` objects with the small query
-surface the rest of the system needs (``find``, ``find_all``, ``text``).
+:func:`parse_html` builds the tree in one pass over the source, and indexes
+it as it goes: every element knows its pre-order position and where its
+subtree ends, and the document keeps one element list and one text list in
+document order, plus each tag's elements.  A subtree is a contiguous range
+of those lists, so ``iter_nodes``, ``find_all`` and ``text`` read a slice
+(``find_all`` bisects its tag's list) instead of walking the tree.  The DOM
+of :class:`HtmlNode` objects is therefore read-only once parsed: a mutated
+tree would no longer match its index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_left
+from operator import attrgetter
 
 
 VOID_TAGS = frozenset({"br", "hr", "img", "input", "meta", "link", "base"})
@@ -97,14 +105,71 @@ def decode_entities(text: str) -> str:
     return "".join(out)
 
 
-@dataclass
-class HtmlNode:
-    """One element in the parsed DOM."""
+# One piece of markup per match, in source order: text, a plain end tag, a
+# plain start tag (name, then its attribute text), a comment or declaration
+# (no group; unterminated, it runs to EOF), any other tag (its inner text,
+# recovered by hand), or a "<" with no ">" after it (text).
+_MARKUP = re.compile(
+    r"([^<]+)|</([A-Za-z0-9]+)>|<([A-Za-z0-9]+)(\s[^>]*)?>"
+    r"|<!--.*?(?:-->|\Z)|<![^>]*>?|<([^>]*)>|(<[^>]*)\Z",
+    re.S,
+)
 
-    tag: str
-    attrs: dict[str, str] = field(default_factory=dict)
-    children: list["HtmlNode | str"] = field(default_factory=list)
-    parent: "HtmlNode | None" = None
+# One attribute of a start tag: a name (up to whitespace or ``=``), then
+# optionally ``=`` and a double-quoted, single-quoted or bare value.  An
+# unterminated quote runs to the end of the tag.  The ``=`` is its own group
+# so that ``checked`` (no value) and ``checked=""`` (empty value) differ.
+_ATTRIBUTE = re.compile(r"""\s*([^\s=]*)\s*(?:(=)\s*(?:"([^"]*)"?|'([^']*)'?|(\S*)))?""")
+
+
+class _Index:
+    """The document-order index one parse shares among its nodes."""
+
+    __slots__ = ("nodes", "texts", "tags")
+
+    def __init__(self) -> None:
+        self.nodes: list[HtmlNode] = []  # every element but the root, pre-order
+        self.texts: list[str] = []  # every text piece, document order
+        # tag -> its elements, document order.  One list per tag, no more:
+        # a parsed page is cyclic garbage, so every container here is
+        # work for the garbage collector.
+        self.tags: dict[str, list[HtmlNode]] = {}
+
+
+class HtmlNode:
+    """One element in the parsed DOM.
+
+    Only :func:`parse_html` builds these, and the tree is read-only after
+    it returns.  Besides the tree (``parent`` / ``children``), a node holds
+    its pre-order position ``pos`` and two ranges into the document's
+    index: its descendants are ``nodes[pos + 1:end]`` and its text is
+    ``texts[text_first:text_end]``.  Nodes compare by identity.
+    """
+
+    __slots__ = (
+        "tag",
+        "attrs",
+        "children",
+        "parent",
+        "_index",
+        "_pos",
+        "_end",
+        "_text_first",
+        "_text_end",
+    )
+
+    def __init__(
+        self, tag: str, attrs: dict[str, str], parent: "HtmlNode | None", index: _Index
+    ) -> None:
+        self.tag = tag
+        self.attrs = attrs
+        self.children: list[HtmlNode | str] = []
+        self.parent = parent
+        self._index = index
+        # Open until parse_html closes it: the ends are set then.
+        self._pos = len(index.nodes) if parent is not None else -1
+        self._end = self._pos + 1
+        self._text_first = self._text_end = len(index.texts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<HtmlNode %s %r (%d children)>" % (self.tag, self.attrs, len(self.children))
@@ -115,26 +180,31 @@ class HtmlNode:
 
     def iter_nodes(self) -> "list[HtmlNode]":
         """All descendant element nodes, document order, self excluded."""
-        found: list[HtmlNode] = []
-        stack = [c for c in reversed(self.children) if isinstance(c, HtmlNode)]
-        while stack:
-            node = stack.pop()
-            found.append(node)
-            stack.extend(
-                c for c in reversed(node.children) if isinstance(c, HtmlNode)
-            )
-        return found
+        return self._index.nodes[self._pos + 1 : self._end]
+
+    def _range(self, tag: str) -> "list[HtmlNode]":
+        """This tag's descendants, document order: a bisected slice."""
+        nodes = self._index.tags.get(tag)
+        if nodes is None:
+            return []
+        low = bisect_left(nodes, self._pos + 1, key=_POSITION)
+        return nodes[low : bisect_left(nodes, self._end, low, key=_POSITION)]
 
     def find_all(self, tag: str, **attrs: str) -> "list[HtmlNode]":
         """All descendants with this tag whose attributes include ``attrs``."""
-        tag = tag.lower()
-        matches = []
-        for node in self.iter_nodes():
-            if node.tag != tag:
-                continue
-            if all(node.get(k) == v for k, v in attrs.items()):
-                matches.append(node)
-        return matches
+        found = self._range(tag.lower())
+        if attrs:
+            wanted = [(k.lower(), v) for k, v in attrs.items()]
+            found = [n for n in found if all(n.attrs.get(k, "") == v for k, v in wanted)]
+        return found
+
+    def find_all_of(self, tags: "tuple[str, ...]") -> "list[HtmlNode]":
+        """All descendants whose tag is one of ``tags`` (lowercase), in
+        document order."""
+        ranges = [found for found in map(self._range, tags) if found]
+        if len(ranges) == 1:
+            return ranges[0]
+        return sorted((n for found in ranges for n in found), key=_POSITION)
 
     def find(self, tag: str, **attrs: str) -> "HtmlNode | None":
         """First descendant matching, or None."""
@@ -143,14 +213,7 @@ class HtmlNode:
 
     def text(self) -> str:
         """All text content of this subtree, whitespace-normalized."""
-        pieces: list[str] = []
-        stack: list[HtmlNode | str] = list(reversed(self.children))
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                pieces.append(item)
-            else:
-                stack.extend(reversed(item.children))
+        pieces = self._index.texts[self._text_first : self._text_end]
         return " ".join(" ".join(pieces).split())
 
     def own_text(self) -> str:
@@ -168,130 +231,110 @@ class HtmlNode:
         return chain
 
 
-@dataclass
-class _Token:
-    kind: str  # 'text' | 'start' | 'end'
-    data: str = ""
-    attrs: dict[str, str] = field(default_factory=dict)
+_POSITION = attrgetter("_pos")
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        lt = source.find("<", i)
-        if lt == -1:
-            tokens.append(_Token("text", source[i:]))
-            break
-        if lt > i:
-            tokens.append(_Token("text", source[i:lt]))
-        if source.startswith("<!--", lt):
-            close = source.find("-->", lt + 4)
-            i = n if close == -1 else close + 3
-            continue
-        if source.startswith("<!", lt):  # doctype or bogus declaration
-            close = source.find(">", lt)
-            i = n if close == -1 else close + 1
-            continue
-        gt = source.find(">", lt)
-        if gt == -1:
-            tokens.append(_Token("text", source[lt:]))
-            break
-        inner = source[lt + 1 : gt].strip()
-        i = gt + 1
-        if not inner:
-            continue
-        if inner.startswith("/"):
-            tokens.append(_Token("end", inner[1:].strip().lower()))
-            continue
-        if inner.endswith("/"):
-            inner = inner[:-1].rstrip()
-        tag, attrs = _parse_tag_contents(inner)
-        if tag:
-            tokens.append(_Token("start", tag, attrs))
-    return tokens
-
-
-def _parse_tag_contents(inner: str) -> tuple[str, dict[str, str]]:
-    """Split ``a href="x" checked`` into tag name and attribute dict."""
-    j = 0
-    while j < len(inner) and not inner[j].isspace():
-        j += 1
-    tag = inner[:j].lower()
-    if not all(c.isalnum() or c in "-_" for c in tag):
-        return "", {}
+def _parse_attributes(source: str) -> dict[str, str]:
+    """``href="x" checked`` -> ``{"href": "x", "checked": "checked"}``: a
+    valueless attribute's value is its (lowercased) name."""
     attrs: dict[str, str] = {}
-    rest = inner[j:]
-    k = 0
-    while k < len(rest):
-        while k < len(rest) and rest[k].isspace():
-            k += 1
-        if k >= len(rest):
-            break
-        name_start = k
-        while k < len(rest) and not rest[k].isspace() and rest[k] != "=":
-            k += 1
-        name = rest[name_start:k].lower()
-        while k < len(rest) and rest[k].isspace():
-            k += 1
-        if k < len(rest) and rest[k] == "=":
-            k += 1
-            while k < len(rest) and rest[k].isspace():
-                k += 1
-            if k < len(rest) and rest[k] in "\"'":
-                quote_char = rest[k]
-                k += 1
-                value_start = k
-                while k < len(rest) and rest[k] != quote_char:
-                    k += 1
-                value = rest[value_start:k]
-                k += 1
-            else:
-                value_start = k
-                while k < len(rest) and not rest[k].isspace():
-                    k += 1
-                value = rest[value_start:k]
-        else:
-            value = name  # valueless attribute, e.g. checked
+    for name, equals, double, single, bare in _ATTRIBUTE.findall(source):
         if name:
-            attrs[name] = decode_entities(value)
-    return tag, attrs
+            name = name.lower()
+            attrs[name] = decode_entities(double + single + bare if equals else name)
+    return attrs
 
 
 def parse_html(source: str) -> HtmlNode:
-    """Parse (possibly faulty) HTML into a DOM rooted at a ``#document`` node."""
-    root = HtmlNode("#document")
-    open_stack: list[HtmlNode] = [root]
+    """Parse (possibly faulty) HTML into a DOM rooted at a ``#document`` node.
 
-    def current() -> HtmlNode:
-        return open_stack[-1]
+    One pass: each piece of markup is found, recovered from and attached
+    as it is read, and each element is indexed when it opens and when it
+    closes (by its own end tag, an implied close or EOF)."""
+    index = _Index()
+    nodes, texts, tags = index.nodes, index.texts, index.tags
+    root = HtmlNode("#document", {}, None, index)
+    open_stack = [root]
+    current = root
 
-    def close_implied(tags: frozenset[str]) -> None:
-        while len(open_stack) > 1 and current().tag in tags:
-            open_stack.pop()
+    def close(depth: int) -> None:
+        """Close the open elements from ``depth`` up: their ranges end here."""
+        end, text_end = len(nodes), len(texts)
+        for node in open_stack[depth:]:
+            node._end = end
+            node._text_end = text_end
+        del open_stack[depth:]
 
-    for token in _tokenize(source):
-        if token.kind == "text":
-            text = decode_entities(token.data)
-            if text.strip():
-                current().children.append(text)
-        elif token.kind == "start":
-            implied = _IMPLIED_CLOSE.get(token.data)
-            if implied is not None:
-                close_implied(implied)
-            node = HtmlNode(token.data, token.attrs, parent=current())
-            current().children.append(node)
-            if token.data not in VOID_TAGS:
-                open_stack.append(node)
-        else:  # end tag
-            tag = token.data
+    for text, end_name, start_name, rest, other, tail in _MARKUP.findall(source):
+        text = text or tail  # an unterminated tag is text
+        if text:
+            if "&" in text:
+                text = decode_entities(text)
+            if not text.isspace():
+                current.children.append(text)
+                texts.append(text)
+            continue
+        closing = bool(end_name)
+        if start_name:
+            tag = start_name.lower()
+            if rest:
+                rest = rest.rstrip()
+                if rest.endswith("/"):
+                    rest = rest[:-1].rstrip()
+        elif end_name:
+            tag = end_name.lower()
+        elif other:
+            inner = other.strip()
+            if not inner:
+                continue  # an empty tag
+            if inner[0] == "/":
+                tag = inner[1:].strip().lower()
+                closing = True
+            else:
+                if inner[-1] == "/":
+                    inner = inner[:-1].rstrip()
+                name, *rests = inner.split(None, 1)
+                tag = name.lower()
+                if not tag.isalnum():
+                    bare = tag.replace("-", "").replace("_", "")
+                    if bare and not bare.isalnum():
+                        continue  # not a tag name: the markup is dropped
+                rest = rests[0] if rests else ""
+        else:
+            continue  # a comment or a declaration
+        if closing:
+            depth = len(open_stack)
             pops = _END_POPS.get(tag)
             if pops is not None:
-                close_implied(pops)
-            # Find a matching open element; if none, this is a stray end tag.
-            for depth in range(len(open_stack) - 1, 0, -1):
-                if open_stack[depth].tag == tag:
-                    del open_stack[depth:]
+                while depth > 1 and open_stack[depth - 1].tag in pops:
+                    depth -= 1
+            # The nearest open element it ends; if none, a stray end tag.
+            for match in range(depth - 1, 0, -1):
+                if open_stack[match].tag == tag:
+                    depth = match
                     break
+            if depth < len(open_stack):
+                close(depth)
+                current = open_stack[-1]
+            continue
+        implied = _IMPLIED_CLOSE.get(tag)
+        if implied is not None:
+            depth = len(open_stack)
+            while depth > 1 and open_stack[depth - 1].tag in implied:
+                depth -= 1
+            if depth < len(open_stack):
+                close(depth)
+                current = open_stack[-1]
+        node = HtmlNode(tag, _parse_attributes(rest) if rest else {}, current, index)
+        current.children.append(node)
+        nodes.append(node)
+        same_tag = tags.get(tag)
+        if same_tag is None:
+            tags[tag] = [node]
+        else:
+            same_tag.append(node)
+        if tag not in VOID_TAGS:
+            open_stack.append(node)
+            current = node
+    close(0)
     return root

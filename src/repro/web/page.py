@@ -99,9 +99,13 @@ class FormSpec:
         return params
 
 
-@dataclass
+@dataclass(eq=False)
 class WebPage:
-    """A fetched and parsed page: the browser's unit of navigation state."""
+    """A fetched and parsed page: the browser's unit of navigation state.
+
+    Pages compare by identity, as their DOM nodes do: two fetches of one
+    URL are two pages, which is what unifying them in the navigation
+    calculus means."""
 
     url: Url
     title: str
@@ -132,23 +136,24 @@ class WebPage:
         """All tables as row-major cell text, header rows included."""
         extracted = []
         for table in self.dom.find_all("table"):
-            rows = []
-            for tr in table.find_all("tr"):
-                cells = [c for c in tr.iter_nodes() if c.tag in ("td", "th")]
-                rows.append([cell.text() for cell in cells])
-            extracted.append(rows)
+            rows = table.find_all("tr")
+            extracted.append([[c.text() for c in tr.find_all_of(_CELL_TAGS)] for tr in rows])
         return extracted
+
+
+_CELL_TAGS = ("td", "th")
+_LABEL_TAGS = ("b", "label", "strong")
+_WIDGET_TAGS = ("input", "select")
 
 
 def _nearest_label(node: HtmlNode) -> str:
     """Best-effort label for a widget: bold/label text in the same paragraph."""
     for ancestor in node.ancestors():
         if ancestor.tag in ("p", "td", "div", "label"):
-            for child in ancestor.iter_nodes():
-                if child.tag in ("b", "label", "strong"):
-                    text = child.text().rstrip(": ")
-                    if text:
-                        return text
+            for child in ancestor.find_all_of(_LABEL_TAGS):
+                text = child.text().rstrip(": ")
+                if text:
+                    return text
             break
     return ""
 
@@ -163,7 +168,7 @@ def _parse_forms(dom: HtmlNode, base: Url) -> list[FormSpec]:
             name=form_node.get("name"),
         )
         radios: dict[str, Widget] = {}
-        for node in form_node.iter_nodes():
+        for node in form_node.find_all_of(_WIDGET_TAGS):
             if node.tag == "input":
                 kind = node.get("type", "text").lower()
                 name = node.get("name")
@@ -182,14 +187,15 @@ def _parse_forms(dom: HtmlNode, base: Url) -> list[FormSpec]:
                         radios[name] = widget
                         spec.widgets.append(widget)
                     widget.domain = widget.domain + (node.get("value"),)
-                    if node.get("checked"):
+                    # Boolean attributes count by presence: checked="" checks.
+                    if "checked" in node.attrs:
                         widget.default = node.get("value")
                 elif kind == "checkbox":
                     spec.widgets.append(
                         Widget(
                             name,
                             "checkbox",
-                            default=node.get("value") if node.get("checked") else "",
+                            default=node.get("value") if "checked" in node.attrs else "",
                             domain=(node.get("value") or "on",),
                             label=_nearest_label(node),
                         )
@@ -207,7 +213,7 @@ def _parse_forms(dom: HtmlNode, base: Url) -> list[FormSpec]:
                             max_length=int(maxlength) if maxlength.isdigit() else None,
                         )
                     )
-            elif node.tag == "select":
+            else:  # select
                 name = node.get("name")
                 if not name:
                     continue
@@ -216,7 +222,7 @@ def _parse_forms(dom: HtmlNode, base: Url) -> list[FormSpec]:
                 for option in node.find_all("option"):
                     value = option.get("value") or option.text()
                     options.append(value)
-                    if option.get("selected"):
+                    if "selected" in option.attrs:
                         default = value
                 spec.widgets.append(
                     Widget(

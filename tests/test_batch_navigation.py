@@ -57,40 +57,44 @@ class TestPrefixPageCacheRevisions:
     def test_lookup_refuses_and_drops_superseded_entries(self):
         revisions, cache = self._cache()
         key = ("GET", "http://h.com/", ())
-        outcome, flight, revision = cache.acquire("h.com", key)
-        assert outcome == "lead"
+        missed, revision = cache.claim("h.com", key)
+        assert missed is None
         page = object()
-        cache.fulfill("h.com", key, flight, page, revision)
+        cache.store("h.com", key, page, revision)
         assert cache.lookup("h.com", key) is page
+        assert cache.claim("h.com", key) == (page, revision)
         revisions["h.com"] = 1
         assert cache.lookup("h.com", key) is None  # refused ...
         assert len(cache) == 0  # ... and dropped, not retained
 
     def test_page_fetched_under_an_old_revision_is_never_stored(self):
-        """The in-flight race: the revision moves while a leader is on the
-        wire.  Its page still releases the waiters (it was correct when
-        they asked) but never enters the cache."""
+        """The revision moves while a fetch is on the wire: its page is
+        the caller's answer (it was correct when asked) but never enters
+        the cache."""
         revisions, cache = self._cache()
         key = ("GET", "http://h.com/", ())
-        outcome, flight, revision = cache.acquire("h.com", key)
-        assert outcome == "lead"
-        revisions["h.com"] = 1  # the map changed mid-flight
-        page = object()
-        cache.fulfill("h.com", key, flight, page, revision)
-        assert flight.result is page  # waiters are released
+        missed, revision = cache.claim("h.com", key)
+        assert missed is None
+        revisions["h.com"] = 1  # the map changed mid-fetch
+        cache.store("h.com", key, object(), revision)
         assert cache.lookup("h.com", key) is None
         assert len(cache) == 0
 
-    def test_failures_are_never_cached(self):
-        revisions, cache = self._cache()
-        key = ("GET", "http://h.com/", ())
-        outcome, flight, _revision = cache.acquire("h.com", key)
-        assert outcome == "lead"
-        cache.abandon("h.com", key, flight, error=RuntimeError("boom"))
-        assert cache.lookup("h.com", key) is None
-        # The next caller leads again instead of inheriting the failure.
-        outcome, _flight, _revision = cache.acquire("h.com", key)
-        assert outcome == "lead"
+    def test_failures_are_never_cached(self, bare_webbase):
+        """A fetch that raises stores nothing, and the next request for the
+        key navigates again instead of inheriting the failure."""
+        cache = PrefixPageCache()
+        browser = bare_webbase.executor.browser
+        request = Request("GET", Url("www.newsday.com", "/"))
+
+        def refuse():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            browser.request_cached(request, cache, on_live=refuse)
+        assert len(cache) == 0
+        page, live = browser.request_cached(request, cache)
+        assert live and cache.lookup("www.newsday.com", request_key(request)) is page
 
 
 class TestRevisionBumpEviction:

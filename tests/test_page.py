@@ -100,6 +100,23 @@ class TestForms:
         with pytest.raises(KeyError):
             page.form_with_attribute("nope")
 
+    @pytest.mark.parametrize("empty", ['=""', "=''", "="])
+    def test_an_empty_boolean_attribute_still_sets_the_default(self, empty):
+        """HTML boolean attributes count by presence: ``checked=""`` checks
+        a radio button or a checkbox and ``selected=""`` selects an option,
+        exactly as the bare ``checked`` / ``selected`` do."""
+        form = _page(
+            '<form action="/f">'
+            '<input type="radio" name="cond" value="good">'
+            '<input type="radio" name="cond" value="fair" checked%s>'
+            '<input type="checkbox" name="pics" value="yes" checked%s>'
+            '<select name="make"><option>ford<option selected%s>honda</select>'
+            "</form>" % (empty, empty, empty)
+        ).forms[0]
+        assert form.widget("cond").default == "fair"
+        assert form.widget("pics").default == "yes"
+        assert form.widget("make").default == "honda"
+
 
 class TestFill:
     def test_fill_includes_hidden_state_and_defaults(self):
@@ -133,3 +150,15 @@ class TestTables:
 
     def test_title(self):
         assert _page("").title == "T"
+
+
+class TestIdentity:
+    def test_two_parses_of_one_body_compare_unequal_without_recursing(self):
+        """A page and its DOM nodes compare by identity: comparing two
+        parses of one body used to recurse through every node's ``parent``
+        until the interpreter's stack ran out."""
+        first, second = _page(FORM), _page(FORM)
+        assert first == first and first != second
+        assert first.dom.find("form") != second.dom.find("form")
+        assert len({first, second, first}) == 2  # hashable, by identity
+
