@@ -342,11 +342,12 @@ class TraceSpan:
 class ExecutorBundle:
     """One navigation stack: executor + simulated clock.
 
-    Browsers and calculus engines are not shareable between threads, so
-    each access (or batch chunk) checks a full stack over the shared
-    server out of the :class:`BundlePool`, and concurrent queries never
-    share one.  The clock accumulates across every access the bundle
-    serves; a context reads it as a difference around one fetch.
+    Browsers and executors (a memo, page counters) are not shareable
+    between threads, so each access (or batch chunk) checks a full stack
+    over the shared server out of the :class:`BundlePool`, and concurrent
+    queries never share one.  The clock accumulates across every access
+    the bundle serves; a context reads it as a difference around one
+    fetch.
     """
 
     def __init__(self, ident: int, server: WebServer, sites: Iterable["CompiledSite"]) -> None:

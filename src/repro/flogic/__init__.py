@@ -1,6 +1,6 @@
 """The navigation calculus: a serial-Horn Transaction F-logic subset.
 
-This package is the formal engine beneath the VPS layer.  F-logic supplies
+This package is the formal semantics beneath the VPS layer.  F-logic supplies
 the object model (pages, links, forms as frames in an
 :class:`~repro.flogic.store.ObjectStore`); Transaction Logic supplies the
 sequencing (``Serial``), choice (``Choice``) and elementary updates

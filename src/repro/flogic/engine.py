@@ -15,9 +15,11 @@ sequences of database states — and the interpreter makes that operational:
   "More"-button loop — rely on recursion).
 
 External *action* predicates (follow a link, submit a form, extract
-tuples) are registered as builtins by :mod:`repro.navigation.executor`;
-to the logic they are ordinary goals that happen to bind variables to
-pages and tuples.
+tuples) are registered as builtins; to the logic they are ordinary goals
+that happen to bind variables to pages and tuples.  This interpreter is
+the reference semantics of navigation: :mod:`repro.navigation.executor`
+runs each compiled expression as a plan partial-evaluated from its rules,
+and the tests hold that plan to what this engine derives.
 """
 
 from __future__ import annotations

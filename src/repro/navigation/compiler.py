@@ -58,7 +58,6 @@ class CompiledSite:
     program: Program
     relations: list[CompiledRelation]
     wrappers: dict[str, PageWrapper] = field(default_factory=dict)
-    forms: dict[str, FormModel] = field(default_factory=dict)
 
     def relation(self, name: str) -> CompiledRelation:
         for rel in self.relations:
@@ -277,9 +276,6 @@ def _compile_site_relation(
 
     wrapper_id = "%s_wrapper" % relation
     site.wrappers[wrapper_id] = data_node.wrapper
-    for node_id in sorted(participating, key=lambda i: int(i[1:])):
-        for key, form in navmap.node(node_id).forms.items():
-            site.forms[key.ident] = form
 
     groups = _group_paths(navmap, data_node, root_id)
     page = Var("Page")

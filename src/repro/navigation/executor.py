@@ -1,23 +1,39 @@
 """Executing navigation expressions against the (simulated) Web.
 
-The compiled programs of :mod:`repro.navigation.compiler` mention four
-action predicates.  This module registers them as engine builtins bound to
-a browser:
+:mod:`repro.navigation.compiler` writes every navigation expression as
+Transaction F-logic rules of six fixed shapes: an *entry* rule (load the
+site's entry page), a *get* rule (a detail relation: load the URL held
+by its key attribute), a *union* over the handles of a multi-handle
+relation, and, per map node, an *extract* rule (``nav_extract`` +
+``member``), one *follow* rule per link and one *submit* rule per form,
+each ending in a choice over the action's target nodes.
 
-* ``nav_entry(Host, Page)`` — load a site's entry page;
-* ``nav_get(Url, Page)`` — load an absolute URL (detail relations);
-* ``nav_follow(Page, LinkName, Page2)`` — follow a named link;
-* ``nav_submit(Page, FormIdent, Pairs, Page2)`` — fill out and submit a
-  form.  Bound attribute variables are sent to the server; *unbound*
-  variables are handled the way a patient human would handle them: a
-  select with an empty option is submitted unconstrained, a select or
-  radio group without one is enumerated over its (finite, widget-supplied)
-  domain — one submission per value, as backtracking alternatives — and a
-  free-text field is simply left blank;
-* ``nav_extract(Page, WrapperId, Rows)`` — run the node's extraction
-  wrapper; on pages that do not match the wrapper it yields no rows, which
-  is what makes the Figure-4 "data page or second form?" choice resolve
-  itself.
+:meth:`NavigationExecutor.add_site` partial-evaluates those rules, once
+per site, into a *navigation plan*: per goal, the pages it starts from;
+per node, its steps in rule order.  A step works on a flat list of
+attribute *slots*, one per attribute of the relation's vector, where
+``None`` means unbound: binding a slot is an assignment and a conflict is
+a string compare.  There is no renaming, no unification and no
+resolution, and a rule of any other shape raises
+:class:`~repro.navigation.compiler.CompileError`.
+
+:meth:`NavigationExecutor.fetch` walks the plan depth first on an
+explicit stack, so a "More" chain of any length is iterated, not
+recursed.  Solutions come out in the order the calculus'
+interpreter (:class:`repro.flogic.Engine`) derives them, which stays the
+specification the tests hold the plan to.  The four actions:
+
+* *entry* / *get* — load the site's entry page, or an absolute URL;
+* *follow* — follow a named link;
+* *submit* — fill out and submit a form.  Bound attribute slots are sent
+  to the server; *unbound* ones are handled the way a patient human would
+  handle them: a select with an empty option is submitted unconstrained,
+  a select or radio group without one is enumerated over its (finite,
+  widget-supplied) domain — one submission per value, as alternatives —
+  and a free-text field is simply left blank;
+* *extract* — run the node's extraction wrapper and bind each row; on
+  pages that do not match the wrapper it yields no rows, which is what
+  makes the Figure-4 "data page or second form?" choice resolve itself.
 
 Within one :meth:`NavigationExecutor.fetch` call, responses are memoized
 per request (a browser cache), so backtracking over alternatives does not
@@ -27,12 +43,13 @@ re-fetch pages; distinct ``fetch`` calls hit the live site again.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.flogic.engine import Engine
-from repro.flogic.formulas import Pred, Program
-from repro.flogic.terms import Struct, Var, resolve, unify
-from repro.navigation.compiler import CompiledRelation, CompiledSite
+from repro.flogic.formulas import Choice, Pred, Program, Rule, Serial, format_rule
+from repro.flogic.terms import Struct, Var
+from repro.navigation.compiler import CompiledRelation, CompiledSite, CompileError
+from repro.navigation.extract import PageWrapper
 from repro.web.browser import (
     Browser,
     NavigationError,
@@ -51,7 +68,7 @@ from repro.errors import WebBaseError
 
 
 class ExecutorError(WebBaseError):
-    """Misconfiguration of the executor (unknown relation/wrapper/form)."""
+    """Misconfiguration of the executor (unknown relation or goal)."""
 
 
 class PageBudgetExceeded(ExecutorError):
@@ -62,8 +79,172 @@ class PageBudgetExceeded(ExecutorError):
     hammer a live site indefinitely."""
 
 
+# -- the navigation plan ------------------------------------------------------------
+
+
+# A node's plan is its list of steps, in the order of its rules.
+_Steps = list
+
+
+@dataclass(frozen=True, eq=False)
+class _Extract:
+    wrapper: PageWrapper
+    columns: tuple[tuple[int, str], ...]  # (slot, wrapper attribute)
+
+
+@dataclass(frozen=True, eq=False)
+class _Follow:
+    link: str
+    targets: tuple[_Steps, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Submit:
+    ident: str
+    pairs: tuple[tuple[str, int], ...]  # (widget name, slot)
+    targets: tuple[_Steps, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """A goal's first page: the entry page of ``host``, or (``host`` is
+    ``None``) the URL bound in ``url_slot``."""
+
+    host: str | None
+    url_slot: int
+    targets: tuple[_Steps, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _RelationPlan:
+    slots: dict[str, int]  # attribute -> slot, in vector order
+    columns: tuple[tuple[str, int], ...]  # the row's (attribute, slot)
+    goals: dict[str, tuple[_Start, ...]]
+
+
+def _plan_relation(
+    program: Program, rel: CompiledRelation, wrappers: dict[str, PageWrapper]
+) -> _RelationPlan:
+    """Partial-evaluate ``rel``'s rules into one plan per goal: the
+    relation itself and each handle's goal."""
+    slots: dict[str, int] = {}
+    for attr in rel.vector:
+        slots.setdefault(attr, len(slots))
+    nodes: dict[str, _Steps] = {}
+    goals: dict[str, tuple[_Start, ...]] = {}
+
+    def fail(rule: Rule) -> CompileError:
+        return CompileError(
+            "%s: not a rule the navigation compiler writes: %s" % (rel.name, format_rule(rule))
+        )
+
+    def bind(rule: Rule, vector: tuple) -> dict[Var, int]:
+        """The head's attribute variables, each to its attribute's slot."""
+        binding: dict[Var, int] = {}
+        if len(vector) != len(rel.vector):
+            raise fail(rule)
+        for var, attr in zip(vector, rel.vector):
+            if not isinstance(var, Var) or binding.setdefault(var, slots[attr]) != slots[attr]:
+                raise fail(rule)
+        return binding
+
+    def slot_of(rule: Rule, binding: dict[Var, int], var: Any) -> int:
+        if not isinstance(var, Var) or var not in binding:
+            raise fail(rule)
+        return binding[var]
+
+    def targets(rule: Rule, page: Any, vector: tuple, body: Any) -> tuple[_Steps, ...]:
+        """The node calls ending a rule: each passes on the page its action
+        produced and the head's own attribute variables."""
+        calls = body.parts if isinstance(body, Choice) else (body,)
+        if not isinstance(page, Var) or page in vector:
+            raise fail(rule)
+        for call in calls:
+            if not isinstance(call, Pred) or call.args != (page,) + vector:
+                raise fail(rule)
+        return tuple(node(call.name) for call in calls)
+
+    def node(name: str) -> _Steps:
+        if name in nodes:
+            return nodes[name]
+        steps = nodes[name] = []
+        rules = program.rules_for((name, len(rel.vector) + 1))
+        if not rules:
+            raise CompileError("%s: no rules for node %s" % (rel.name, name))
+        for rule in rules:
+            page, *vector = rule.head.args
+            vector = tuple(vector)
+            binding = bind(rule, vector)
+            if not isinstance(page, Var) or page in vector:
+                raise fail(rule)
+            match rule.body:
+                case Serial(
+                    (
+                        Pred("nav_extract", (p, str(wid), rows)),
+                        Pred("member", (tuple(outs), r)),
+                    )
+                ) if (
+                    p == page
+                    and r == rows
+                    and isinstance(rows, Var)
+                    and rows not in vector
+                    and wid in wrappers
+                    and len(outs) == len(wrappers[wid].attrs)
+                ):
+                    wrapper = wrappers[wid]
+                    columns = tuple(
+                        (slot_of(rule, binding, v), a) for v, a in zip(outs, wrapper.attrs)
+                    )
+                    steps.append(_Extract(wrapper, columns))
+                case Serial((Pred("nav_follow", (p, str(link), page2)), rest)) if p == page:
+                    steps.append(_Follow(link, targets(rule, page2, vector, rest)))
+                case Serial(
+                    (Pred("nav_submit", (p, str(ident), tuple(pairs), page2)), rest)
+                ) if p == page:
+                    filled = []
+                    for pair in pairs:
+                        match pair:
+                            case Struct("pair", (widget, var)):
+                                filled.append((str(widget), slot_of(rule, binding, var)))
+                            case _:
+                                raise fail(rule)
+                    following = targets(rule, page2, vector, rest)
+                    steps.append(_Submit(ident, tuple(filled), following))
+                case _:
+                    raise fail(rule)
+        return steps
+
+    def goal(name: str) -> tuple[_Start, ...]:
+        if name not in goals:
+            starts: list[_Start] = []
+            for rule in program.rules_for((name, len(rel.vector))):
+                vector = rule.head.args
+                binding = bind(rule, vector)
+                match rule.body:
+                    case Serial((Pred("nav_entry", (str(host), page)), rest)):
+                        starts.append(_Start(host, 0, targets(rule, page, vector, rest)))
+                    case Serial((Pred("nav_get", (url, page)), rest)):
+                        following = targets(rule, page, vector, rest)
+                        starts.append(_Start(None, slot_of(rule, binding, url), following))
+                    case Choice(parts) if all(
+                        isinstance(p, Pred) and p.args == vector for p in parts
+                    ):
+                        for part in parts:
+                            starts.extend(goal(part.name))
+                    case _:
+                        raise fail(rule)
+            goals[name] = tuple(starts)
+        return goals[name]
+
+    for name in [rel.name] + [h.goal for h in rel.handles]:
+        if program.rules_for((name, len(rel.vector))):
+            goal(name)
+    columns = tuple((attr, slot) for attr, slot in slots.items() if attr in rel.schema)
+    return _RelationPlan(slots, columns, goals)
+
+
 class NavigationExecutor:
-    """Runs compiled navigation programs; one browser, many sites."""
+    """Runs compiled navigation plans; one browser, many sites."""
 
     def __init__(
         self,
@@ -72,13 +253,11 @@ class NavigationExecutor:
         max_pages_per_fetch: int = 500,
     ) -> None:
         self.browser = Browser(server, clock)
-        self.engine = Engine(Program())
         self.max_pages_per_fetch = max_pages_per_fetch
         self._pages_this_fetch = 0
         self.sites: dict[str, CompiledSite] = {}
         self.relations: dict[str, tuple[CompiledSite, CompiledRelation]] = {}
-        self._wrappers: dict[str, Any] = {}
-        self._forms: dict[str, Any] = {}
+        self._plans: dict[str, _RelationPlan] = {}
         self._memo: dict[tuple, WebPage] = {}
         # Batched-navigation hook, installed per query by the execution
         # engine: a query-scoped revision-stamped page cache shared across
@@ -91,7 +270,6 @@ class NavigationExecutor:
         # cancellable.
         self.cancel_check: Any = None
         self._session_depth = 0
-        self._register_builtins()
 
     # -- configuration ------------------------------------------------------
 
@@ -99,13 +277,11 @@ class NavigationExecutor:
         if compiled.host in self.sites:
             raise ExecutorError("site %s already added" % compiled.host)
         self.sites[compiled.host] = compiled
-        self.engine.program.extend(compiled.program)
         for rel in compiled.relations:
             if rel.name in self.relations:
                 raise ExecutorError("relation %r defined twice" % rel.name)
             self.relations[rel.name] = (compiled, rel)
-        self._wrappers.update(compiled.wrappers)
-        self._forms.update(compiled.forms)
+            self._plans[rel.name] = _plan_relation(compiled.program, rel, compiled.wrappers)
 
     def relation(self, name: str) -> CompiledRelation:
         try:
@@ -152,33 +328,102 @@ class NavigationExecutor:
         selects a specific handle's navigation expression (defaults to the
         relation's combined goal).
         """
-        compiled_site, rel = self.relations.get(name, (None, None))
-        if rel is None:
-            raise ExecutorError("unknown relation %r" % name)
+        rel = self.relation(name)
+        plan = self._plans[name]
+        starts = plan.goals.get(goal or name)
+        if starts is None:
+            raise ExecutorError("relation %r has no navigation goal %r" % (name, goal))
         if self._session_depth == 0:
             self._memo.clear()
         self._pages_this_fetch = 0
-        args: list[Any] = []
-        for attr in rel.vector:
-            if attr in given and given[attr] is not None:
-                args.append(str(given[attr]))
-            else:
-                args.append(Var("Q_" + attr))
-        goal = Pred(goal or rel.name, tuple(args))
+        slots: list[str | None] = [None] * len(plan.slots)
+        for attr, slot in plan.slots.items():
+            if given.get(attr) is not None:
+                slots[slot] = str(given[attr])
         rows: list[dict[str, str | None]] = []
         seen: set[tuple] = set()
-        for subst, _state in self.engine.solve(goal):
-            row: dict[str, str | None] = {}
-            for attr, arg in zip(rel.vector, args):
-                if attr not in rel.schema:
-                    continue
-                value = resolve(arg, subst)
-                row[attr] = None if isinstance(value, Var) else value
+        for _ in self._walk(starts, slots):
+            row = {attr: slots[slot] for attr, slot in plan.columns}
             key = tuple(row.get(a) for a in rel.schema)
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
         return rows
+
+    def _walk(self, starts: tuple[_Start, ...], slots: list) -> Iterator[None]:
+        """Depth first over the plan: yields each time ``slots`` hold a
+        solution.  The stack holds one suspended step list per page on the
+        current path, so its depth is a path's length, never Python's."""
+        stack = [self._starts(starts, slots)]
+        while stack:
+            for item in stack[-1]:
+                if item is None:
+                    yield
+                else:
+                    stack.append(self._steps(item[0], item[1], slots))
+                    break
+            else:
+                stack.pop()
+
+    def _starts(self, starts: tuple[_Start, ...], slots: list) -> Iterator[tuple]:
+        for start in starts:
+            if start.host is not None:
+                request = Request("GET", Url(start.host, "/"))
+            else:
+                target = slots[start.url_slot]
+                if target is None:
+                    continue  # a detail fetch without its key cannot run
+                try:
+                    request = Request("GET", parse_url(target))
+                except ValueError:
+                    continue
+            page = self._fetch_page(request)
+            if page is not None:
+                for steps in start.targets:
+                    yield page, steps
+
+    def _steps(self, page: WebPage, steps: _Steps, slots: list) -> Iterator[tuple | None]:
+        """A node's alternatives on ``page``, in rule order: ``None`` for a
+        bound row, ``(next page, next node's steps)`` to continue on."""
+        for step in steps:
+            if isinstance(step, _Extract):
+                for row in step.wrapper.extract(page):
+                    bound = []
+                    for slot, attr in step.columns:
+                        value = row.get(attr, "")
+                        held = slots[slot]
+                        if held is None:
+                            if value is not None:
+                                slots[slot] = value
+                                bound.append(slot)
+                        elif held != value:
+                            break
+                    else:
+                        yield None
+                    for slot in bound:
+                        slots[slot] = None
+            elif isinstance(step, _Follow):
+                try:
+                    link = page.link_named(step.link)
+                except KeyError:
+                    continue
+                target = self._fetch_page(Request("GET", link.address))
+                if target is not None:
+                    for following in step.targets:
+                        yield target, following
+            else:
+                form = self._find_form(page, step.ident)
+                if form is None:
+                    continue
+                for values in self._fills(form, step.pairs, slots):
+                    try:
+                        params = form.fill(values)
+                    except ValueError:
+                        continue
+                    target = self._fetch_page(self._submit_request(form, params))
+                    if target is not None:
+                        for following in step.targets:
+                            yield target, following
 
     # -- request plumbing ---------------------------------------------------------
 
@@ -217,101 +462,6 @@ class NavigationExecutor:
         self._memo[key] = page
         return page
 
-    # -- builtins ----------------------------------------------------------------
-
-    def _register_builtins(self) -> None:
-        self.engine.register_builtin("nav_entry", 2, self._bi_entry)
-        self.engine.register_builtin("nav_get", 2, self._bi_get)
-        self.engine.register_builtin("nav_follow", 3, self._bi_follow)
-        self.engine.register_builtin("nav_submit", 4, self._bi_submit)
-        self.engine.register_builtin("nav_extract", 3, self._bi_extract)
-
-    def _bi_entry(self, args, subst, state) -> Iterator:
-        host = resolve(args[0], subst)
-        if isinstance(host, Var):
-            raise ExecutorError("nav_entry requires a bound host")
-        page = self._fetch_page(Request("GET", Url(str(host), "/")))
-        if page is None:
-            return
-        bound = unify(args[1], page, subst)
-        if bound is not None:
-            yield bound, state
-
-    def _bi_get(self, args, subst, state) -> Iterator:
-        target = resolve(args[0], subst)
-        if isinstance(target, Var):
-            return  # a detail fetch without its key cannot run
-        try:
-            url = parse_url(str(target))
-        except ValueError:
-            return
-        page = self._fetch_page(Request("GET", url))
-        if page is None:
-            return
-        bound = unify(args[1], page, subst)
-        if bound is not None:
-            yield bound, state
-
-    def _bi_follow(self, args, subst, state) -> Iterator:
-        page = resolve(args[0], subst)
-        name = resolve(args[1], subst)
-        if isinstance(page, Var) or isinstance(name, Var):
-            raise ExecutorError("nav_follow requires a bound page and link name")
-        if not isinstance(page, WebPage):
-            return
-        try:
-            link = page.link_named(str(name))
-        except KeyError:
-            return
-        target = self._fetch_page(Request("GET", link.address))
-        if target is None:
-            return
-        bound = unify(args[2], target, subst)
-        if bound is not None:
-            yield bound, state
-
-    def _bi_submit(self, args, subst, state) -> Iterator:
-        page = resolve(args[0], subst)
-        ident = resolve(args[1], subst)
-        pairs = resolve(args[2], subst)
-        if isinstance(page, Var) or isinstance(ident, Var):
-            raise ExecutorError("nav_submit requires a bound page and form")
-        if not isinstance(page, WebPage):
-            return
-        live_form = self._find_form(page, str(ident))
-        if live_form is None:
-            return
-        for values, bound in self._assignments(live_form, pairs, subst):
-            try:
-                params = live_form.fill(values)
-            except ValueError:
-                continue
-            request = self._submit_request(live_form, params)
-            target = self._fetch_page(request)
-            if target is None:
-                continue
-            final = unify(args[3], target, bound)
-            if final is not None:
-                yield final, state
-
-    def _bi_extract(self, args, subst, state) -> Iterator:
-        page = resolve(args[0], subst)
-        wrapper_id = resolve(args[1], subst)
-        if isinstance(page, Var) or isinstance(wrapper_id, Var):
-            raise ExecutorError("nav_extract requires a bound page and wrapper")
-        if not isinstance(page, WebPage):
-            return
-        wrapper = self._wrappers.get(str(wrapper_id))
-        if wrapper is None:
-            raise ExecutorError("unknown wrapper %r" % wrapper_id)
-        rows = tuple(
-            tuple(row.get(a, "") for a in wrapper.attrs)
-            for row in wrapper.extract(page)
-        )
-        bound = unify(args[2], rows, subst)
-        if bound is not None:
-            yield bound, state
-
     # -- helpers ------------------------------------------------------------------
 
     @staticmethod
@@ -326,53 +476,46 @@ class NavigationExecutor:
                 return form
         return None
 
-    def _assignments(
-        self, form: FormSpec, pairs: Any, subst: dict
-    ) -> Iterator[tuple[dict[str, str], dict]]:
-        """All ways to fill the form given the (partially bound) attribute
-        variables: bound values are used as-is; unbound enumerable widgets
-        are enumerated; unbound free widgets are left blank."""
-        if not isinstance(pairs, tuple):
-            raise ExecutorError("nav_submit pairs must be a tuple")
+    @staticmethod
+    def _fills(
+        form: FormSpec, pairs: tuple[tuple[str, int], ...], slots: list
+    ) -> Iterator[dict[str, str]]:
+        """All ways to fill the form from the attribute slots: bound values
+        are used as-is; unbound enumerable widgets are enumerated (binding
+        their slot); unbound free widgets are left blank."""
         live = {w.name: w for w in form.widgets}
+        values: dict[str, str] = {}
 
-        def expand(index: int, values: dict[str, str], current: dict) -> Iterator:
+        def expand(index: int) -> Iterator[dict[str, str]]:
             if index == len(pairs):
-                yield dict(values), current
+                yield dict(values)
                 return
-            pair = pairs[index]
-            if not (isinstance(pair, Struct) and pair.functor == "pair"):
-                raise ExecutorError("malformed submit pair %r" % (pair,))
-            widget_name, term = pair.args
-            term = resolve(term, current)
-            widget = live.get(str(widget_name))
+            name, slot = pairs[index]
+            widget = live.get(name)
+            held = slots[slot]
             if widget is None:
                 # The live form lost this widget; submit without it.
-                yield from expand(index + 1, values, current)
-                return
-            if not isinstance(term, Var):
-                values[widget_name] = str(term)
-                yield from expand(index + 1, values, current)
-                values.pop(widget_name, None)
-                return
-            # Unbound variable: decide by widget kind.
-            if widget.kind in ("select", "radio") and widget.domain:
+                yield from expand(index + 1)
+            elif held is not None:
+                values[name] = held
+                yield from expand(index + 1)
+                values.pop(name, None)
+            elif widget.kind in ("select", "radio") and widget.domain:
                 if "" in widget.domain:
                     # Submitting the empty option asks the server for
-                    # everything; the variable is bound later by extraction.
-                    values[widget_name] = ""
-                    yield from expand(index + 1, values, current)
-                    values.pop(widget_name, None)
+                    # everything; the slot is bound later by extraction.
+                    values[name] = ""
+                    yield from expand(index + 1)
+                    values.pop(name, None)
                     return
                 for option in widget.domain:
-                    bound = unify(term, option, current)
-                    if bound is None:
-                        continue
-                    values[widget_name] = option
-                    yield from expand(index + 1, values, bound)
-                    values.pop(widget_name, None)
-                return
-            # Text/checkbox left unfilled.
-            yield from expand(index + 1, values, current)
+                    slots[slot] = option
+                    values[name] = option
+                    yield from expand(index + 1)
+                    values.pop(name, None)
+                slots[slot] = None
+            else:
+                # Text/checkbox left unfilled.
+                yield from expand(index + 1)
 
-        yield from expand(0, {}, dict(subst))
+        return expand(0)

@@ -84,6 +84,13 @@ class TestFetch:
         with pytest.raises(ExecutorError):
             executor.fetch("nosuch", {})
 
+    def test_unknown_goal_raises_before_any_page(self, setup):
+        world, executor = setup
+        before = world.server.stats["www.newsday.com"].requests
+        with pytest.raises(ExecutorError, match="nosuch"):
+            executor.fetch("newsday", {"make": "ford"}, goal="nosuch")
+        assert world.server.stats["www.newsday.com"].requests == before
+
     def test_unknown_make_yields_empty_not_error(self, setup):
         _, executor = setup
         # 'make' is a select; a value outside its domain cannot be submitted.
