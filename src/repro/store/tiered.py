@@ -15,7 +15,9 @@ silver (``silver.log``)
     immutable segments written when the result cache fills.  Only
     segments whose revision stamp matches the host's *current* revision
     are ever served (warm restart) — superseded revisions are dead
-    weight until compaction drops them.
+    weight until compaction drops them.  Compaction runs online, on the
+    writer, whenever the logs have doubled past a floor, so a file holds
+    about twice its live bytes and a restart decodes little else.
 
 gold (``gold.log``)
     Materialized UR answers and standing-query snapshots, each carrying
@@ -24,10 +26,15 @@ gold (``gold.log``)
     that evict the result cache invalidate gold, with no extra
     bookkeeping.
 
+The store holds an index of the logs, not their records (gold excepted:
+MQO reads its answers on every query), and reads a record back through
+the framing when asked for it.
+
 A :class:`~repro.store.faults.StorageFault` threaded through the store
-crashes writes at any global byte offset; after a crash the store turns
-into a no-op sink (``crashed`` flag), modeling a dead process, and the
-next open recovers by truncating torn tails.
+crashes writes — appends and compaction's rewrites alike — at any global
+byte offset; after a crash the store turns into a no-op sink
+(``crashed`` flag), modeling a dead process, and the next open recovers
+by truncating torn tails and deleting a half-written rewrite.
 """
 
 from __future__ import annotations
@@ -36,13 +43,20 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.relational.relation import Relation
 from repro.store.faults import StorageCrash, StorageFault
-from repro.store.log import RecordLog
+from repro.store.log import Frame, RecordLog, encode_record
 
 KeyPairs = tuple[tuple[str, Any], ...]
+
+#: Online compaction runs on a write once the tier logs together pass this
+#: many bytes *and* twice what the last compaction kept (at open: twice
+#: what one would keep), so the files stay within about twice the live
+#: bytes.  Far above what a few dozen records write: short-lived stores
+#: never compact on their own.
+COMPACT_FLOOR_BYTES = 1 << 20
 
 META_FILE = "meta.json"
 TIER_FILES = {"bronze": "bronze.log", "silver": "silver.log", "gold": "gold.log"}
@@ -78,8 +92,34 @@ class SilverEntry:
     value: Relation
 
 
+class _Intent(NamedTuple):
+    """A fetch intent's place in bronze, with what compaction decides on."""
+
+    frame: Frame
+    relation: str
+    key: list[list[Any]]  # as in the record
+    host: str
+    revision: int
+
+
+class _Segment(NamedTuple):
+    """A silver segment's place in silver, with its revision stamp."""
+
+    frame: Frame
+    host: str
+    revision: int
+
+
 class TieredStore:
-    """Facade over the three tier logs plus the navmap metadata file."""
+    """Facade over the three tier logs plus the navmap metadata file.
+
+    In memory it keeps an index of the logs, not their records: where the
+    last page per request key, every intent and the last segment per
+    ``(relation, key)`` sit, with the host and revision each is judged by,
+    plus the revision and quarantine marks.  Gold answers, snapshots and
+    standing flags stay decoded.  Records are read back through the
+    framing on demand.
+    """
 
     def __init__(
         self,
@@ -94,64 +134,107 @@ class TieredStore:
         self._closed = False
         self._metrics = metrics
         self._lock = threading.RLock()
+        self._meta_text: str | None = None  # meta.json as last read or written
+        self._pages: dict[tuple, Frame] = {}
+        self._intents: list[_Intent] = []
+        self._revisions: dict[str, int] = {}
+        self._quarantined: set[str] = set()
+        self._silver: dict[tuple[str, KeyPairs], _Segment] = {}
+        # Where each answer and snapshot sits, by (kind, query), for
+        # compaction to copy.
+        self._answers: dict[str, dict[str, Any]] = {}
+        self._snapshots: dict[str, dict[str, Any]] = {}
+        self._gold_frames: dict[tuple[str, str], Frame] = {}
+        self._standing: dict[str, bool] = {}
         os.makedirs(root, exist_ok=True)
-        self.bronze = RecordLog(os.path.join(root, TIER_FILES["bronze"]), fsync, fault)
-        self.silver = RecordLog(os.path.join(root, TIER_FILES["silver"]), fsync, fault)
-        self.gold = RecordLog(os.path.join(root, TIER_FILES["gold"]), fsync, fault)
-        self._replay()
+        self.bronze = self._open("bronze", fault, self._index_bronze)
+        self.silver = self._open("silver", fault, self._index_silver)
+        self.gold = self._open("gold", fault, self._index_gold)
+        self._baseline_bytes = self._live_bytes()
         torn = self.bronze.torn_bytes + self.silver.torn_bytes + self.gold.torn_bytes
         if metrics is not None:
             metrics.gauge("store.torn_bytes_recovered").set(torn)
 
-    # -- state replay -----------------------------------------------------------
+    def _open(
+        self,
+        tier: str,
+        fault: StorageFault | None,
+        index: Callable[[Frame, dict[str, Any]], None],
+    ) -> RecordLog:
+        path = os.path.join(self.root, TIER_FILES[tier])
+        return RecordLog(path, self.fsync, fault, index)
 
-    def _replay(self) -> None:
-        """Derive all in-memory state from the durable records."""
-        self._pages: dict[tuple, dict[str, Any]] = {}
-        self._intents: list[dict[str, Any]] = []
-        self._revisions: dict[str, int] = {}
-        self._quarantined: set[str] = set()
-        self._silver: dict[tuple[str, KeyPairs], dict[str, Any]] = {}
-        self._answers: dict[str, dict[str, Any]] = {}
-        self._snapshots: dict[str, dict[str, Any]] = {}
-        self._standing: dict[str, bool] = {}
-        for record in self.bronze:
-            kind = record.get("kind")
-            if kind == "page":
-                self._pages[page_key_from_json(record["key"])] = record
-            elif kind == "intent":
-                self._intents.append(record)
-            elif kind == "revision":
-                self._revisions[record["host"]] = record["revision"]
-            elif kind == "quarantine":
-                if record["active"]:
-                    self._quarantined.add(record["host"])
-                else:
-                    self._quarantined.discard(record["host"])
-        for record in self.silver:
-            if record.get("kind") == "result":
-                self._silver[(record["relation"], key_from_json(record["key"]))] = record
-        for record in self.gold:
-            kind = record.get("kind")
-            if kind == "answer":
-                self._answers[record["query"]] = record
-            elif kind == "snapshot":
-                self._snapshots[record["query"]] = record
-            elif kind == "standing":
-                self._standing[record["query"]] = record["active"]
+    # -- the index --------------------------------------------------------------
+
+    def _index_bronze(self, frame: Frame, record: dict[str, Any]) -> None:
+        kind = record.get("kind")
+        if kind == "page":
+            self._pages[page_key_from_json(record["key"])] = frame
+        elif kind == "intent":
+            self._intents.append(
+                _Intent(
+                    frame,
+                    record["relation"],
+                    record["key"],
+                    record["host"],
+                    record["revision"],
+                )
+            )
+        elif kind == "revision":
+            self._revisions[record["host"]] = record["revision"]
+        elif kind == "quarantine":
+            if record["active"]:
+                self._quarantined.add(record["host"])
+            else:
+                self._quarantined.discard(record["host"])
+
+    def _index_silver(self, frame: Frame, record: dict[str, Any]) -> None:
+        if record.get("kind") == "result":
+            key = (record["relation"], key_from_json(record["key"]))
+            self._silver[key] = _Segment(frame, record["host"], record["revision"])
+
+    def _index_gold(self, frame: Frame, record: dict[str, Any]) -> None:
+        kind = record.get("kind")
+        if kind == "answer":
+            self._answers[record["query"]] = record
+            self._gold_frames[kind, record["query"]] = frame
+        elif kind == "snapshot":
+            self._snapshots[record["query"]] = record
+            self._gold_frames[kind, record["query"]] = frame
+        elif kind == "standing":
+            self._standing[record["query"]] = record["active"]
+
+    def _current(self, host: str, revision: int) -> bool:
+        return self._revisions.get(host, 0) == revision
+
+    def _log_bytes(self) -> int:
+        return self.bronze.size + self.silver.size + self.gold.size
 
     # -- write path -------------------------------------------------------------
 
-    def _append(self, log: RecordLog, record: dict[str, Any]) -> bool:
-        """Append unless dead; a torn write flips the store to dead."""
-        if self.crashed or self._closed:
-            return False
-        try:
-            log.append(record)
-        except StorageCrash:
-            self.crashed = True
-            self._inc("store.crashes")
-            return False
+    def _append(
+        self,
+        log: RecordLog,
+        index: Callable[[Frame, dict[str, Any]], None],
+        record: dict[str, Any],
+    ) -> bool:
+        """Append and index unless dead; a torn write flips the store to
+        dead.  Compacts first when the logs have passed
+        :data:`COMPACT_FLOOR_BYTES` and twice what the last compaction kept
+        (at open: what one would keep)."""
+        with self._lock:
+            if self.crashed or self._closed:
+                return False
+            try:
+                total = self._log_bytes()
+                if total > COMPACT_FLOOR_BYTES and total >= 2 * self._baseline_bytes:
+                    self._compact()
+                frame = log.append(record)
+            except StorageCrash:
+                self.crashed = True
+                self._inc("store.crashes")
+                return False
+            index(frame, record)
         return True
 
     def _inc(self, name: str, amount: int = 1) -> None:
@@ -172,10 +255,8 @@ class TieredStore:
             "final_url": str(response.final_url) if response.final_url else None,
             "location": response.location,
         }
-        written = self._append(self.bronze, record)
+        written = self._append(self.bronze, self._index_bronze, record)
         if written:
-            with self._lock:
-                self._pages[key] = record
             self._inc("store.bronze_pages")
         return written
 
@@ -190,33 +271,20 @@ class TieredStore:
             "revision": revision,
             "key": key_to_json(key),
         }
-        written = self._append(self.bronze, record)
+        written = self._append(self.bronze, self._index_bronze, record)
         if written:
-            with self._lock:
-                self._intents.append(record)
             self._inc("store.intents")
         return written
 
     def record_revision(self, host: str, revision: int) -> bool:
         """Bronze: the host's navigation-map revision moved."""
         record = {"kind": "revision", "host": host, "revision": revision}
-        written = self._append(self.bronze, record)
-        if written:
-            with self._lock:
-                self._revisions[host] = revision
-        return written
+        return self._append(self.bronze, self._index_bronze, record)
 
     def record_quarantine(self, host: str, active: bool) -> bool:
         """Bronze: the host entered (or left) quarantine."""
         record = {"kind": "quarantine", "host": host, "active": active}
-        written = self._append(self.bronze, record)
-        if written:
-            with self._lock:
-                if active:
-                    self._quarantined.add(host)
-                else:
-                    self._quarantined.discard(host)
-        return written
+        return self._append(self.bronze, self._index_bronze, record)
 
     def persist_result(
         self,
@@ -236,10 +304,8 @@ class TieredStore:
             "schema": list(value.schema),
             "rows": [list(row) for row in value.rows],
         }
-        written = self._append(self.silver, record)
+        written = self._append(self.silver, self._index_silver, record)
         if written:
-            with self._lock:
-                self._silver[(relation, key)] = record
             self._inc("store.silver_writes")
         return written
 
@@ -254,10 +320,8 @@ class TieredStore:
             "rows": [list(row) for row in value.rows],
             "revisions": dict(sorted(revisions.items())),
         }
-        written = self._append(self.gold, record)
+        written = self._append(self.gold, self._index_gold, record)
         if written:
-            with self._lock:
-                self._answers[query] = record
             self._inc("store.gold_writes")
         return written
 
@@ -278,21 +342,15 @@ class TieredStore:
             "revisions": dict(sorted(revisions.items())),
             "seq": seq,
         }
-        written = self._append(self.gold, record)
+        written = self._append(self.gold, self._index_gold, record)
         if written:
-            with self._lock:
-                self._snapshots[query] = record
             self._inc("store.snapshot_writes")
         return written
 
     def record_standing(self, query: str, active: bool = True) -> bool:
         """Gold: (de)register a standing query."""
         record = {"kind": "standing", "query": query, "active": active}
-        written = self._append(self.gold, record)
-        if written:
-            with self._lock:
-                self._standing[query] = active
-        return written
+        return self._append(self.gold, self._index_gold, record)
 
     # -- read path --------------------------------------------------------------
 
@@ -307,26 +365,24 @@ class TieredStore:
     def page_index(self) -> dict[tuple, dict[str, Any]]:
         """Request key → last page record (bronze, last-wins)."""
         with self._lock:
-            return dict(self._pages)
+            return {key: self.bronze.read(frame) for key, frame in self._pages.items()}
 
     def intents(self, current_only: bool = True) -> list[dict[str, Any]]:
         """Fetch intents, optionally only those at a host's current revision."""
         with self._lock:
-            if not current_only:
-                return list(self._intents)
             return [
-                record
-                for record in self._intents
-                if record["revision"] == self._revisions.get(record["host"], 0)
+                self.bronze.read(intent.frame)
+                for intent in self._intents
+                if not current_only or self._current(intent.host, intent.revision)
             ]
 
     def silver_current(self) -> dict[tuple[str, KeyPairs], dict[str, Any]]:
         """(relation, key) → latest result record at the current revision."""
         with self._lock:
             return {
-                key: record
-                for key, record in self._silver.items()
-                if record["revision"] == self._revisions.get(record["host"], 0)
+                key: self.silver.read(segment.frame)
+                for key, segment in self._silver.items()
+                if self._current(segment.host, segment.revision)
             }
 
     def warm_entries(self) -> list[SilverEntry]:
@@ -352,11 +408,12 @@ class TieredStore:
     def current_answers(self) -> list[dict[str, Any]]:
         """Gold answers whose full revision vector is still current."""
         with self._lock:
+            revisions = self._revisions
             return [
                 record
                 for _, record in sorted(self._answers.items())
                 if all(
-                    self._revisions.get(host, 0) == revision
+                    revisions.get(host, 0) == revision
                     for host, revision in record["revisions"].items()
                 )
             ]
@@ -381,7 +438,9 @@ class TieredStore:
 
         Maps are designer artifacts, written whole at attach time, so
         they live outside the WAL: a temp-file rename gives all-or-
-        nothing without framing.
+        nothing without framing.  Nothing is written when the maps and
+        the host set equal what ``meta.json`` already holds; the temp
+        file is fsynced before the rename when the store is.
         """
         from repro.navigation.serialize import map_to_dict
 
@@ -391,11 +450,19 @@ class TieredStore:
                 host: map_to_dict(navmap) for host, navmap in sorted(navmaps.items())
             },
         }
-        path = os.path.join(self.root, META_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as handle:
-            json.dump(meta, handle, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, path)
+        text = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+        with self._lock:
+            if text == self._meta_text:
+                return
+            path = os.path.join(self.root, META_FILE)
+            tmp = path + ".tmp"
+            with open(tmp, "w", encoding="ascii") as handle:
+                handle.write(text)
+                if self.fsync:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            os.replace(tmp, path)
+            self._meta_text = text
 
     def load_navmaps(self) -> dict[str, Any]:
         """Host → NavigationMap, as persisted at the last attach."""
@@ -404,12 +471,14 @@ class TieredStore:
         path = os.path.join(self.root, META_FILE)
         try:
             with open(path, "r", encoding="ascii") as handle:
-                meta = json.load(handle)
+                text = handle.read()
         except FileNotFoundError:
             return {}
+        with self._lock:
+            self._meta_text = text
         return {
             host: map_from_dict(payload)
-            for host, payload in meta.get("navmaps", {}).items()
+            for host, payload in json.loads(text).get("navmaps", {}).items()
         }
 
     # -- maintenance ------------------------------------------------------------
@@ -419,8 +488,8 @@ class TieredStore:
         with self._lock:
             silver_current = sum(
                 1
-                for record in self._silver.values()
-                if record["revision"] == self._revisions.get(record["host"], 0)
+                for segment in self._silver.values()
+                if self._current(segment.host, segment.revision)
             )
             return {
                 "root": self.root,
@@ -460,79 +529,127 @@ class TieredStore:
         (last per (relation, key)), final revision/quarantine marks,
         current-revision silver segments, current gold answers, and
         snapshots/registrations of active standing queries — i.e.
-        exactly the records the read path can still serve.
+        exactly the records the read path can still serve.  A crashed or
+        closed store is left as it is.  The same routine runs online from
+        the write path (see :meth:`_append`).
         """
         with self._lock:
-            before = (
-                self.bronze.size_bytes()
-                + self.silver.size_bytes()
-                + self.gold.size_bytes()
+            before = self._log_bytes()
+            if not (self.crashed or self._closed):
+                try:
+                    self._compact()
+                except StorageCrash:
+                    self.crashed = True
+                    self._inc("store.crashes")
+            after = self._log_bytes()
+        return {"bytes_before": before, "bytes_after": after, "freed": before - after}
+
+    def _live(self) -> tuple[list[Frame | bytes], ...]:
+        """What a compaction keeps of bronze, silver and gold, in the order
+        it writes them: frames of live records, to be copied, and the few
+        records it frames anew (caller holds the lock)."""
+        intents: dict[tuple[str, str], Frame] = {}
+        for intent in self._intents:
+            if self._current(intent.host, intent.revision):
+                intents[(intent.relation, json.dumps(intent.key))] = intent.frame
+        bronze: list[Frame | bytes] = sorted([*self._pages.values(), *intents.values()])
+        for host, revision in sorted(self._revisions.items()):
+            bronze.append(
+                encode_record({"kind": "revision", "host": host, "revision": revision})
             )
-            keep_bronze: list[dict[str, Any]] = []
-            last_page = {
-                page_key_from_json(r["key"]): i
-                for i, r in enumerate(self.bronze)
-                if r.get("kind") == "page"
-            }
-            last_intent = {
-                (r["relation"], json.dumps(r["key"])): i
-                for i, r in enumerate(self.bronze)
-                if r.get("kind") == "intent"
-                and r["revision"] == self._revisions.get(r["host"], 0)
-            }
-            for i, record in enumerate(self.bronze):
-                kind = record.get("kind")
-                if kind == "page":
-                    if last_page.get(page_key_from_json(record["key"])) == i:
-                        keep_bronze.append(record)
-                elif kind == "intent":
-                    if last_intent.get((record["relation"], json.dumps(record["key"]))) == i:
-                        keep_bronze.append(record)
-            for host, revision in sorted(self._revisions.items()):
-                keep_bronze.append(
-                    {"kind": "revision", "host": host, "revision": revision}
-                )
-            for host in sorted(self._quarantined):
-                keep_bronze.append({"kind": "quarantine", "host": host, "active": True})
-
-            keep_silver = [
-                record
-                for _, record in sorted(
-                    self.silver_current().items(),
-                    key=lambda item: (
-                        item[1]["host"],
-                        item[0][0],
-                        json.dumps(item[1]["key"]),
-                    ),
-                )
-            ]
-
-            keep_gold: list[dict[str, Any]] = list(self.current_answers())
-            for query, active in sorted(self._standing.items()):
-                if not active:
-                    continue
-                keep_gold.append({"kind": "standing", "query": query, "active": True})
-                snapshot = self._snapshots.get(query)
-                if snapshot is not None:
-                    keep_gold.append(snapshot)
-
-            self.bronze.rewrite(keep_bronze)
-            self.silver.rewrite(keep_silver)
-            self.gold.rewrite(keep_gold)
-            self._replay()
-            after = (
-                self.bronze.size_bytes()
-                + self.silver.size_bytes()
-                + self.gold.size_bytes()
+        for host in sorted(self._quarantined):
+            bronze.append(
+                encode_record({"kind": "quarantine", "host": host, "active": True})
             )
-            self._inc("store.compactions")
-            return {"bytes_before": before, "bytes_after": after, "freed": before - after}
+
+        segments = sorted(
+            (segment.host, relation, json.dumps(key_to_json(key)), segment.frame)
+            for (relation, key), segment in self._silver.items()
+            if self._current(segment.host, segment.revision)
+        )
+        silver: list[Frame | bytes] = [frame for *_, frame in segments]
+
+        gold: list[Frame | bytes] = [
+            self._gold_frames["answer", answer["query"]]
+            for answer in self.current_answers()
+        ]
+        for query, active in sorted(self._standing.items()):
+            if active:
+                gold.append(
+                    encode_record({"kind": "standing", "query": query, "active": True})
+                )
+                if query in self._snapshots:
+                    gold.append(self._gold_frames["snapshot", query])
+        return bronze, silver, gold
+
+    def _live_bytes(self) -> int:
+        return sum(
+            item.length if isinstance(item, Frame) else len(item)
+            for items in self._live()
+            for item in items
+        )
+
+    def _compact(self) -> None:
+        """Rewrite each tier to its live frames, copied byte for byte, and
+        point the index at their new places (caller holds the lock).
+
+        Tier by tier: a crash inside one tier's rewrite leaves that tier's
+        old log (and index) in place and the tiers before it compacted."""
+        bronze, silver, gold = self._live()
+        moved = _rewrite(self.bronze, bronze)
+        self._pages = {key: moved[frame] for key, frame in self._pages.items()}
+        self._intents = [
+            intent._replace(frame=moved[intent.frame])
+            for intent in self._intents
+            if intent.frame in moved
+        ]
+        moved = _rewrite(self.silver, silver)
+        self._silver = {
+            key: segment._replace(frame=moved[segment.frame])
+            for key, segment in self._silver.items()
+            if segment.frame in moved
+        }
+        moved = _rewrite(self.gold, gold)
+        self._gold_frames = {
+            key: moved[frame]
+            for key, frame in self._gold_frames.items()
+            if frame in moved
+        }
+        self._answers = {
+            query: record
+            for query, record in self._answers.items()
+            if ("answer", query) in self._gold_frames
+        }
+        self._snapshots = {
+            query: record
+            for query, record in self._snapshots.items()
+            if ("snapshot", query) in self._gold_frames
+        }
+        self._standing = {q: True for q, active in self._standing.items() if active}
+        self._baseline_bytes = self._log_bytes()
+        self._inc("store.compactions")
 
     def close(self) -> None:
         """Close the tier logs and go inert: a closed store still wired
         as a page sink (e.g. an old webbase over a shared world) drops
         writes instead of raising into the fetch path."""
-        self._closed = True
-        self.bronze.close()
-        self.silver.close()
-        self.gold.close()
+        with self._lock:
+            self._closed = True
+            self.bronze.close()
+            self.silver.close()
+            self.gold.close()
+
+
+def _rewrite(log: RecordLog, items: list[Frame | bytes]) -> dict[Frame, Frame]:
+    """Rewrite ``log`` as ``items`` — frames of its own, copied, or new
+    framed records — and map each copied frame to its new place."""
+    data = memoryview(log.frame_bytes(Frame(0, log.size)))
+    placed = log.rewrite(
+        [
+            data[item.offset : item.offset + item.length]
+            if isinstance(item, Frame)
+            else item
+            for item in items
+        ]
+    )
+    return {old: new for old, new in zip(items, placed) if isinstance(old, Frame)}

@@ -22,6 +22,7 @@ evict the key between them.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 
@@ -480,3 +481,97 @@ class TestCompactionPreservesServedState:
         reopened = TieredStore(root)
         assert self._served(reopened) == before
         reopened.close()
+
+
+class TestCrashDuringCompaction:
+    """Kill the writer inside an online compaction's writes.
+
+    With the floor lowered, a longer schedule compacts from its write
+    path.  Wherever the kill lands in the three tiers' rewrites, the
+    reopened store deletes the torn temp file, serves exactly what it
+    served before the compaction began, and — once the interrupted
+    compaction is run again and the schedule resumed — converges
+    byte-for-byte with the run that never crashed.
+    """
+
+    FLOOR = 2_000
+
+    @staticmethod
+    def _ops(seed: int) -> list[tuple[str, tuple]]:
+        return _script(seed) + _script(seed + 101) + _script(seed + 202)
+
+    def _clean_run(self, tmp_path, monkeypatch, ops, fsync):
+        """The uncrashed run: which op compacted first, where in the write
+        stream each tier's rewrite ran, the served state just before, and
+        the final bytes of every tier."""
+        fault = StorageFault(kill_at_byte=1 << 40)  # never fires
+        spans: list[tuple[int, int]] = []
+        rewrite = RecordLog.rewrite
+
+        def spy(log, frames):
+            start = fault.written
+            placed = rewrite(log, frames)
+            spans.append((start, fault.written))
+            return placed
+
+        monkeypatch.setattr(RecordLog, "rewrite", spy)
+        root = str(tmp_path / "clean")
+        store = TieredStore(root, fsync=fsync, fault=fault)
+        compact_op = before = None
+        for index, op in enumerate(ops):
+            served = TestCompactionPreservesServedState._served(store)
+            _apply(store, op)
+            if spans and compact_op is None:
+                compact_op, before = index, served
+        store.close()
+        monkeypatch.setattr(RecordLog, "rewrite", rewrite)
+        assert compact_op is not None, "the schedule never compacted online"
+        final = {}
+        for name in ("bronze", "silver", "gold"):
+            with open(os.path.join(root, "%s.log" % name), "rb") as handle:
+                final[name] = handle.read()
+        return compact_op, spans[:3], before, final
+
+    @pytest.mark.parametrize("seed,fsync", [(5, False), (6, False), (5, True)])
+    def test_kill_inside_compaction_recovers_and_resumes_byte_identical(
+        self, tmp_path, monkeypatch, seed, fsync
+    ):
+        from repro.store import tiered
+
+        monkeypatch.setattr(tiered, "COMPACT_FLOOR_BYTES", self.FLOOR)
+        ops = self._ops(seed)
+        compact_op, spans, before, final = self._clean_run(
+            tmp_path, monkeypatch, ops, fsync
+        )
+        start, end = spans[0][0], spans[-1][1]
+        kills = {offset + start for offset in StorageFault.sample_offsets(seed, end - start, 30)}
+        for tier_start, tier_end in spans:
+            kills.update((tier_start, tier_start + 1, tier_end - 1))
+        kills = sorted(k for k in kills if start <= k < end)
+        assert len(kills) >= 30, "the suite must sweep at least 30 kill points"
+        for kill in kills:
+            root = str(tmp_path / ("kill-%d" % kill))
+            store = TieredStore(root, fsync=fsync, fault=StorageFault(kill))
+            for index, op in enumerate(ops):
+                _apply(store, op)
+                if store.crashed:
+                    break
+            assert index == compact_op, "kill %d fired outside compaction" % kill
+            store.close()
+            assert any(name.endswith(".tmp") for name in os.listdir(root)), kill
+
+            recovered = TieredStore(root, fsync=fsync)
+            assert not any(name.endswith(".tmp") for name in os.listdir(root))
+            assert TestCompactionPreservesServedState._served(recovered) == before, (
+                "kill %d: the reopened store does not serve the pre-compaction state"
+                % kill
+            )
+            recovered.compact()
+            for op in ops[compact_op:]:
+                _apply(recovered, op)
+            for name, data in final.items():
+                with open(os.path.join(root, "%s.log" % name), "rb") as handle:
+                    assert handle.read() == data, (
+                        "kill %d: %s did not converge after resume" % (kill, name)
+                    )
+            recovered.close()
