@@ -342,9 +342,9 @@ class TraceSpan:
 class ExecutorBundle:
     """One navigation stack: executor + simulated clock.
 
-    Browsers and executors (a memo, page counters) are not shareable
-    between threads, so each access (or batch chunk) checks a full stack
-    over the shared server out of the :class:`BundlePool`, and concurrent
+    Browsers and executors (a current page, page counters) are not
+    shareable between threads, so each access checks a full stack over
+    the shared server out of the :class:`BundlePool`, and concurrent
     queries never share one.  The clock accumulates across every access
     the bundle serves; a context reads it as a difference around one
     fetch.
@@ -401,7 +401,8 @@ class ExecutionContext:
     thread may :meth:`cancel` it.  All fan-out goes through
     :meth:`completed` (and :meth:`map`, its ordered collector), which runs
     the items in order on the caller, so ``max_workers`` changes the
-    modelled elapsed time and the batch chunking, never the answer.
+    modelled elapsed time and nothing else: not the answer, the pages or
+    the fetch order.
     """
 
     def __init__(
@@ -638,45 +639,7 @@ class ExecutionContext:
             tuple(sorted((a, str(v)) for a, v in given.items() if v is not None)),
         )
 
-    # -- batch chunking ------------------------------------------------------
-
-    def plan_batch_chunks(
-        self, items: "list[tuple[tuple, dict[str, Any]]]"
-    ) -> "list[list[tuple[tuple, dict[str, Any]]]]":
-        """Split a batch's distinct ``(fetch key, binding)`` items into at
-        most ``max_workers`` chunks.
-
-        Items are ordered by fetch key (sorted bound attribute/value
-        pairs), so bindings that share deep navigation prefixes land in
-        the same chunk and its session memo absorbs the shared pages.  A
-        chunk closes once it holds its share of the batch: with ``n``
-        items over ``w`` chunks, the cut falls where ``count × w >= n``
-        (integers, so no rounding moves a cut).  Every binding of a batch
-        runs the same handle, so each weighs the same.
-
-        Output order does not matter for correctness: callers restore
-        ``givens`` order from the fetch-key map.
-        """
-        workers = max(1, min(self.max_workers, len(items)))
-        if workers == 1:
-            return [list(items)]
-        chunks: "list[list[tuple[tuple, dict[str, Any]]]]" = []
-        current: "list[tuple[tuple, dict[str, Any]]]" = []
-        for item in sorted(items, key=lambda kv: kv[0]):
-            current.append(item)
-            if len(chunks) < workers - 1 and len(current) * workers >= len(items):
-                chunks.append(current)
-                current = []
-        if current:
-            chunks.append(current)
-        return chunks
-
-    def run_fetch(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        bundle: ExecutorBundle | None = None,
-    ) -> "Relation":
+    def run_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
         """Fetch one VPS relation through the engine: per-context cache,
         bundle checkout, timeout, bounded retry, trace.  Returns the
         relation or raises the failure; a :meth:`cancel` from another
@@ -686,10 +649,6 @@ class ExecutionContext:
         A repeat of a ``(relation, bindings)`` key within the context is a
         cache hit.  A failed fetch is never cached, so a later repeat
         tries again.
-
-        ``bundle`` lets a batch session reuse one pre-held bundle across
-        several bindings (see :meth:`run_fetch_batch`); without it the
-        fetch checks one out of the pool.
         """
         key = self._fetch_key(relation, given)
         self.check_deadline("fetch:%s" % relation.name)
@@ -700,34 +659,22 @@ class ExecutionContext:
             with self.span("fetch", relation.name, host=relation.host) as span:
                 span.cache = "hit"
             return cached
-        result = self._cache[key] = self._guarded_fetch(relation, given, bundle)
+        result = self._cache[key] = self._guarded_fetch(relation, given)
         return result
 
-    def _guarded_fetch(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        bundle: ExecutorBundle | None,
-    ) -> "Relation":
+    def _guarded_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
         """Dispatch one upstream fetch through the resilience gate (when
         the context has one): the host's breaker counts the access and
         its bulkhead bounds the host's share of concurrent accesses."""
         if self.resilience is None:
-            return self._dispatch_fetch(relation, given, bundle)
+            return self._dispatch_fetch(relation, given)
         with self.resilience.access(
             relation.host,
             poll=lambda: self.check_cancelled("bulkhead:%s" % relation.name),
         ):
-            return self._dispatch_fetch(relation, given, bundle)
+            return self._dispatch_fetch(relation, given)
 
-    def _dispatch_fetch(
-        self,
-        relation: "VirtualRelation",
-        given: dict[str, Any],
-        bundle: ExecutorBundle | None,
-    ) -> "Relation":
-        if bundle is not None:
-            return self._fetch_with_retries(relation, given, bundle)
+    def _dispatch_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
         owned = self.pool.checkout()
         self._install_nav_hooks(owned)
         try:
@@ -743,14 +690,13 @@ class ExecutionContext:
         of a dependent join); the relations come back in ``givens`` order,
         and duplicate bindings share one result.
 
-        The distinct binding keys are split into at most ``max_workers``
-        chunks (one per modelled lane); each chunk checks out one bundle
-        and runs its bindings inside a single executor
-        :meth:`batch_session`, so the compiled program's shared prefix
-        pages memoize across the chunk (and, through the query-scoped page
-        cache, across chunks and hosts' other fetches too).  Every binding
-        still gets the full engine treatment — per-context cache, timeout,
-        retries, trace spans.  A failed binding does not stop its chunk; a
+        Each distinct binding is one :meth:`run_fetch` — per-context
+        cache, bundle checkout, timeout, retries, trace spans — and the
+        query-scoped page cache shares the navigation prefix pages across
+        them.  The bindings run in fetch-key order: the order decides
+        which lane each fetch lands on, so sorting keeps the elapsed model
+        a function of the binding set, not of the outer relation's row
+        order.  A failed binding does not stop the batch; a
         :class:`DeadlineExceeded` abandons the rest of it.  Failures are
         reported as :meth:`map` reports them (:func:`_raise_collected`)."""
         if not givens:
@@ -760,35 +706,10 @@ class ExecutionContext:
             return [self.run_fetch(relation, givens[0])]
         keyed = [(self._fetch_key(relation, given), given) for given in givens]
         unique: dict[tuple, dict[str, Any]] = {}
-        for key, given in keyed:
+        for key, given in sorted(keyed, key=lambda kv: kv[0]):
             unique.setdefault(key, given)
-        chunks = self.plan_batch_chunks(list(unique.items()))
-
-        def run_chunk(chunk: list) -> dict:
-            out: dict[tuple, Any] = {}  # key -> relation, or the exception
-            chunk_bundle = self.pool.checkout()
-            self._install_nav_hooks(chunk_bundle)
-            try:
-                with chunk_bundle.executor.batch_session():
-                    for key, chunk_given in chunk:
-                        try:
-                            out[key] = self.run_fetch(
-                                relation, chunk_given, bundle=chunk_bundle
-                            )
-                        except Exception as exc:  # noqa: BLE001 - reported below
-                            out[key] = exc
-                            if isinstance(exc, DeadlineExceeded):
-                                break  # the chunk's remaining bindings are dead
-            finally:
-                self._uninstall_nav_hooks(chunk_bundle)
-                self.pool.checkin(chunk_bundle)
-            return out
-
-        fetched: dict[tuple, Any] = {}
-        for out in self.map(run_chunk, chunks):
-            fetched.update(out)
-        outcomes = [fetched.get(key) for key in unique]  # none: abandoned
-        _raise_collected([o for o in outcomes if isinstance(o, Exception)], len(unique))
+        relations = self.map(lambda given: self.run_fetch(relation, given), unique.values())
+        fetched = dict(zip(unique, relations))
         return [fetched[key] for key, _ in keyed]
 
     def _fetch_with_retries(

@@ -61,8 +61,8 @@ class LogicalRelation:
 
         One ``view`` span covers the batch, carrying ``batch=K`` so EXPLAIN
         counts K accesses for it; the VPS fetches underneath run through
-        the batched engine path (one navigation session per worker chunk,
-        shared prefix pages)."""
+        the batched engine path (one fetch per distinct binding, the
+        prefix pages shared through the query's page cache)."""
         if context is None:
             return [evaluate(self.definition, self._vps, given) for given in givens]
         with context.span("view", self.name) as span:

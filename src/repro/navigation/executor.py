@@ -35,14 +35,16 @@ specification the tests hold the plan to.  The four actions:
   pages that do not match the wrapper it yields no rows, which is what
   makes the Figure-4 "data page or second form?" choice resolve itself.
 
-Within one :meth:`NavigationExecutor.fetch` call, responses are memoized
-per request (a browser cache), so backtracking over alternatives does not
-re-fetch pages; distinct ``fetch`` calls hit the live site again.
+Every page is read through a :class:`~repro.web.browser.PrefixPageCache`
+keyed by request, so backtracking over alternatives does not re-fetch
+pages.  The execution engine installs its query's cache, which shares
+pages across the query's fetches; a bare executor reads through a fresh
+one per :meth:`NavigationExecutor.fetch` call, so distinct calls hit the
+live site again (the paper's per-fetch semantics).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -55,7 +57,6 @@ from repro.web.browser import (
     NavigationError,
     PrefixPageCache,
     TransientNetworkError,
-    request_key,
 )
 from repro.web.clock import SimClock
 from repro.web.http import Request, Url, parse_url
@@ -258,18 +259,16 @@ class NavigationExecutor:
         self.sites: dict[str, CompiledSite] = {}
         self.relations: dict[str, tuple[CompiledSite, CompiledRelation]] = {}
         self._plans: dict[str, _RelationPlan] = {}
-        self._memo: dict[tuple, WebPage] = {}
-        # Batched-navigation hook, installed per query by the execution
-        # engine: a query-scoped revision-stamped page cache shared across
-        # fetches (and worker bundles).  Off by default, so a bare
-        # executor keeps the paper's per-fetch navigation semantics.
+        # The execution engine installs its query's revision-stamped page
+        # cache here, shared across the query's fetches.  ``None`` (a bare
+        # executor) gives each fetch a fresh cache of its own.
         self.page_cache: PrefixPageCache | None = None
+        self._pages: PrefixPageCache | None = None  # what the running fetch reads through
         # Cooperative cancellation hook, installed per fetch by the
         # execution engine: polled before every page navigation, it raises
         # when the query driving this fetch was cancelled.  ``None`` = not
         # cancellable.
         self.cancel_check: Any = None
-        self._session_depth = 0
 
     # -- configuration ------------------------------------------------------
 
@@ -291,30 +290,9 @@ class NavigationExecutor:
 
     @property
     def pages_last_fetch(self) -> int:
-        """Pages actually navigated (memo misses) by the most recent
+        """Pages actually navigated (page-cache misses) by the most recent
         :meth:`fetch` call — readable even when the fetch raised."""
         return self._pages_this_fetch
-
-    @contextmanager
-    def batch_session(self) -> Iterator[None]:
-        """A navigation session spanning several :meth:`fetch` calls.
-
-        Inside a session the per-request memo persists across fetches, so
-        a batch of probe bindings walks the shared navigation prefix once
-        and backtracks only over the parts that differ (the K form
-        submissions).  The page budget still resets per fetch — it bounds
-        each binding's *live* navigations, not the session's reuse.
-        Re-entrant; the memo clears when the outermost session closes.
-        """
-        if self._session_depth == 0:
-            self._memo.clear()
-        self._session_depth += 1
-        try:
-            yield
-        finally:
-            self._session_depth -= 1
-            if self._session_depth == 0:
-                self._memo.clear()
 
     # -- fetching -------------------------------------------------------------
 
@@ -333,8 +311,7 @@ class NavigationExecutor:
         starts = plan.goals.get(goal or name)
         if starts is None:
             raise ExecutorError("relation %r has no navigation goal %r" % (name, goal))
-        if self._session_depth == 0:
-            self._memo.clear()
+        self._pages = self.page_cache if self.page_cache is not None else PrefixPageCache()
         self._pages_this_fetch = 0
         slots: list[str | None] = [None] * len(plan.slots)
         for attr, slot in plan.slots.items():
@@ -342,12 +319,15 @@ class NavigationExecutor:
                 slots[slot] = str(given[attr])
         rows: list[dict[str, str | None]] = []
         seen: set[tuple] = set()
-        for _ in self._walk(starts, slots):
-            row = {attr: slots[slot] for attr, slot in plan.columns}
-            key = tuple(row.get(a) for a in rel.schema)
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+        try:
+            for _ in self._walk(starts, slots):
+                row = {attr: slots[slot] for attr, slot in plan.columns}
+                key = tuple(row.get(a) for a in rel.schema)
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(row)
+        finally:
+            self._pages = None  # an idle executor holds no query's pages
         return rows
 
     def _walk(self, starts: tuple[_Start, ...], slots: list) -> Iterator[None]:
@@ -428,29 +408,21 @@ class NavigationExecutor:
     # -- request plumbing ---------------------------------------------------------
 
     def _check_page_budget(self) -> None:
-        # The budget bounds *live* navigations only: memo hits and prefix
-        # page-cache hits return before this check runs, so reused pages
-        # never count against it.
+        # The budget bounds *live* navigations only: page-cache hits
+        # return before this check runs, so reused pages never count
+        # against it.
         if self._pages_this_fetch >= self.max_pages_per_fetch:
             raise PageBudgetExceeded(
                 "fetch exceeded its budget of %d pages" % self.max_pages_per_fetch
             )
 
     def _fetch_page(self, request: Request) -> WebPage | None:
-        key = request_key(request)
-        if key in self._memo:
-            return self._memo[key]
         if self.cancel_check is not None:
             self.cancel_check()
         try:
-            if self.page_cache is not None:
-                page, live = self.browser.request_cached(
-                    request, self.page_cache, on_live=self._check_page_budget
-                )
-            else:
-                self._check_page_budget()
-                page = self.browser.request(request)
-                live = True
+            page, live = self.browser.request_cached(
+                request, self._pages, on_live=self._check_page_budget
+            )
         except TransientNetworkError:
             # Retryable: let the execution engine's retry policy decide,
             # instead of silently degrading to an empty answer.
@@ -459,7 +431,6 @@ class NavigationExecutor:
             return None
         if live:
             self._pages_this_fetch += 1
-        self._memo[key] = page
         return page
 
     # -- helpers ------------------------------------------------------------------

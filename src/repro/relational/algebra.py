@@ -390,8 +390,8 @@ def evaluate_batch(
     independent evaluations (each walking a site's navigation prefix from
     the entry page), the batch descends the expression *together* and
     hands whole binding lists to base relations whose catalog supports
-    ``fetch_batch``, so the engine can run them as backtracking
-    alternatives inside one navigation session.  Nodes without a batched
+    ``fetch_batch``, so the engine runs them over one query-scoped page
+    cache that walks the shared prefix once.  Nodes without a batched
     form (nested joins, heterogeneous union feasibility) fall back to
     per-binding evaluation fanned out on the context.
     """

@@ -70,26 +70,15 @@ class VirtualRelation:
 
         Values for attributes outside the handle's selection set and the
         relation schema are ignored (they belong to other relations in a
-        larger expression).  ``executor`` substitutes a worker's private
-        navigation stack for the default one (parallel fetch lanes).
+        larger expression).  ``executor`` substitutes the navigation stack
+        the execution engine checked out for this access for the schema's
+        own one.
         """
         relevant, goal = self._prepare(given)
         rows = (executor or self._executor).fetch(self.name, relevant, goal=goal)
         return Relation.from_dicts(
             self.schema, [{a: r.get(a) for a in self.schema} for r in rows]
         )
-
-    def fetch_batch(
-        self,
-        givens: list[dict[str, Any]],
-        executor: "NavigationExecutor | None" = None,
-    ) -> list[Relation]:
-        """Populate the relation for several bindings in one navigation
-        session: the shared prefix pages memoize across the whole batch,
-        so K probe bindings cost one prefix walk plus K submissions."""
-        active = executor or self._executor
-        with active.batch_session():
-            return [self.fetch(given, executor=active) for given in givens]
 
 
 class VpsSchema:
@@ -148,11 +137,10 @@ class VpsSchema:
         """Fetch one relation for a whole batch of probe bindings.
 
         With a context the batch runs on the engine
-        (:meth:`~repro.core.execution.ExecutionContext.run_fetch_batch`):
-        the bindings are chunked across worker bundles, and each chunk
-        shares one navigation session so the compiled program's prefix
-        pages are walked once per chunk instead of once per binding."""
-        relation = self.relation(name)
+        (:meth:`~repro.core.execution.ExecutionContext.run_fetch_batch`),
+        whose query-scoped page cache walks the compiled program's prefix
+        pages once for the whole batch; without one it is :meth:`fetch`
+        per binding."""
         if context is None:
-            return relation.fetch_batch(givens)
-        return context.run_fetch_batch(relation, givens)
+            return [self.fetch(name, given) for given in givens]
+        return context.run_fetch_batch(self.relation(name), givens)

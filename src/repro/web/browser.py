@@ -72,8 +72,8 @@ def request_key(request: Request) -> tuple:
 
     Two requests with the same key fetch the same page on the simulated
     Web (pages are immutable between site *changes*, which bump the
-    navigation-map revision).  This is the key of both the executor's
-    per-fetch memo and the query-scoped :class:`PrefixPageCache`.
+    navigation-map revision).  This is the key of the
+    :class:`PrefixPageCache` every navigation reads its pages through.
     """
     return (
         request.method,

@@ -270,21 +270,18 @@ class TestCancellation:
         assert ctx.fetches == 2
 
     def test_a_failed_binding_does_not_stop_its_batch(self, webbase):
-        """One chunk (``max_workers=1``) whose first binding fails: the
+        """A batch whose first binding (in fetch-key order) fails: the
         bindings after it are still fetched, and the batch raises the
         failure as :class:`FetchFailedError`."""
         relation = _FailingFor(webbase.vps.relations["newsday"], make="ford")
         ctx = ExecutionContext(
-            webbase.pool,
-            max_workers=1,
-            retry=RetryPolicy(max_attempts=2),
-            metrics=webbase.metrics,
+            webbase.pool, retry=RetryPolicy(max_attempts=2), metrics=webbase.metrics
         )
         givens = [{"make": "ford"}, {"make": "toyota"}, {"make": "saab"}]
         with pytest.raises(FetchFailedError) as excinfo:
             ctx.run_fetch_batch(relation, givens)
         assert excinfo.value.failure.relation == "newsday"
-        assert relation.seen == ["ford", "ford", "toyota", "saab"]
+        assert relation.seen == ["ford", "ford", "saab", "toyota"]
         assert [s.status for s in ctx.root.spans("fetch")] == ["error", "ok", "ok"]
 
 

@@ -9,7 +9,6 @@ from bench.workloads import FAMILIES, MODELS
 from repro.core.execution import (
     BACKOFF_FACTOR,
     BACKOFF_SECONDS,
-    BundlePool,
     ExecutionContext,
     FanoutError,
     RetryPolicy,
@@ -102,6 +101,22 @@ class TestElapsedModel:
         assert first[1] == pytest.approx(narrow[1], rel=1e-12)
         assert sum(first[0]) < sum(first[1])
 
+    def test_fetch_order_does_not_depend_on_max_workers(self, webbase):
+        """A probe batch fetches its distinct bindings in fetch-key order at
+        any lane count: the order decides which lane a fetch lands on, so
+        it is a function of the bindings, and rows and pages are too."""
+        givens = [{"make": make} for make in ("ford", "toyota", "saab", "ford")]
+
+        def run(workers: int) -> tuple[list[str], list, int]:
+            relation = _Recording(webbase.vps.relations["newsday"])
+            ctx = ExecutionContext(webbase.pool, max_workers=workers)
+            fetched = ctx.run_fetch_batch(relation, [dict(g) for g in givens])
+            return relation.seen, [r.rows for r in fetched], ctx.root.total_pages
+
+        narrow, wide = run(1), run(8)
+        assert narrow[0] == ["ford", "saab", "toyota"]
+        assert wide == narrow
+
     def test_per_context_cache_deduplicates(self, webbase):
         ctx = webbase.execution_context(max_workers=2)
         first = webbase.fetch_vps("newsday", {"make": "saab"}, context=ctx)
@@ -144,43 +159,6 @@ class TestMapFanout:
         assert len(info.value.errors) == 3
         assert "3 of 6 parallel task(s) failed" in str(info.value)
         assert "odd 1" in str(info.value) and "odd 5" in str(info.value)
-
-
-class TestBatchChunks:
-    """``plan_batch_chunks``: fetch-key order, at most ``max_workers``
-    chunks, and a cut wherever a chunk reaches its share of the batch."""
-
-    @staticmethod
-    def _chunks(workers: int, makes: list[str]) -> list[list[str]]:
-        ctx = ExecutionContext(BundlePool(None, []), max_workers=workers)
-        items = [(("newsday", (("make", m),)), {"make": m}) for m in makes]
-        chunks = ctx.plan_batch_chunks(items)
-        return [[given["make"] for _, given in chunk] for chunk in chunks]
-
-    def test_bindings_are_colocated_in_fetch_key_order(self):
-        makes = ["saab", "audi", "ford", "bmw", "volvo", "honda", "acura"]
-        chunks = self._chunks(3, makes)
-        assert [make for chunk in chunks for make in chunk] == sorted(makes)
-
-    def test_never_more_chunks_than_workers(self):
-        for workers in (1, 2, 3, 8):
-            for count in range(1, 20):
-                chunks = self._chunks(workers, ["m%02d" % i for i in range(count)])
-                assert 1 <= len(chunks) <= min(workers, count)
-                assert all(chunks) and sum(map(len, chunks)) == count
-
-    def test_a_chunk_closes_at_its_share_of_the_batch(self):
-        def sizes(workers: int, count: int) -> list[int]:
-            makes = ["m%02d" % i for i in range(count)]
-            return [len(chunk) for chunk in self._chunks(workers, makes)]
-
-        # ``count`` bindings over ``w`` chunks: a chunk closes once its
-        # size × w reaches ``count``; the last takes what is left.
-        assert sizes(4, 10) == [3, 3, 3, 1]
-        assert sizes(3, 8) == [3, 3, 2]
-        assert sizes(4, 8) == [2, 2, 2, 2]
-        assert sizes(8, 3) == [1, 1, 1]
-        assert sizes(1, 5) == [5]
 
 
 class TestConfig:
@@ -227,3 +205,18 @@ class TestTraceSpan:
         assert root.total_retries == 1
         text = root.render()
         assert "query q" in text and "2 attempts" in text and "net 1.50s" in text
+
+
+class _Recording:
+    """A VPS relation that records the ``make`` of every fetch, in order."""
+
+    def __init__(self, relation) -> None:
+        self._relation = relation
+        self.seen: list[str] = []
+
+    def __getattr__(self, name: str):
+        return getattr(self._relation, name)
+
+    def fetch(self, given, executor=None):
+        self.seen.append(given["make"])
+        return self._relation.fetch(given, executor=executor)

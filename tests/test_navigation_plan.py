@@ -39,7 +39,7 @@ from repro.navigation.executor import (
     NavigationExecutor,
     PageBudgetExceeded,
 )
-from repro.web.browser import TransientNetworkError, request_key
+from repro.web.browser import PrefixPageCache, TransientNetworkError, request_key
 from repro.web.html import RenderStyle
 from repro.web.http import Request, Url, parse_url
 from repro.web.page import FormSpec, WebPage
@@ -77,8 +77,7 @@ class ReferenceExecutor(NavigationExecutor):
         compiled_site, rel = self.relations.get(name, (None, None))
         if rel is None:
             raise ExecutorError("unknown relation %r" % name)
-        if self._session_depth == 0:
-            self._memo.clear()
+        self._pages = self.page_cache if self.page_cache is not None else PrefixPageCache()
         self._pages_this_fetch = 0
         args: list[Any] = []
         for attr in rel.vector:

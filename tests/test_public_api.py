@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes twelve mechanical consistency audits, so drift fails loudly:
+Includes thirteen mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -20,6 +20,9 @@ Includes twelve mechanical consistency audits, so drift fails loudly:
   wasted-pages budget and the MQO batching window do not come back;
 * there is one fan-out: the engine creates a thread only where an open
   fan-out gets its helpers, and the UR layer creates none;
+* a probe batch reads one page cache: the batch chunker, the executor's
+  navigation sessions and its per-fetch page memo do not come back, and
+  the fetch entry points the layer trace wraps still resolve;
 * there is one cancellation signal, the execution context: the per-access
   handle layer and its counters do not come back;
 * there is one query path: the service's copies of subsume-first and
@@ -347,6 +350,35 @@ class TestOneFanout:
             for where in self._thread_creations(relative, tree)
         ]
         assert creations == []
+
+
+class TestOnePageCache:
+    """A probe batch is one fetch per distinct binding over the query's
+    page cache: no chunker splits it, no navigation session or executor
+    memo sits on top of the cache, and ``max_workers`` sizes only the
+    modelled lanes."""
+
+    REMOVED = ("plan_batch_chunks", "batch_session", "_session_depth", "run_chunk")
+
+    #: What ``bench/trace.py`` wraps on the fetch path.
+    TRACED = (
+        "repro.core.execution:ExecutionContext.run_fetch",
+        "repro.core.execution:ExecutionContext.run_fetch_batch",
+        "repro.vps.cache:ResultCache.fetch",
+        "repro.vps.cache:ResultCache.fetch_batch",
+        "repro.navigation.executor:NavigationExecutor.fetch",
+    )
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    @pytest.mark.parametrize("target", TRACED)
+    def test_the_traced_fetch_entry_points_resolve(self, target):
+        import importlib
+
+        module, qualname = target.split(":")
+        owner, name = qualname.split(".")
+        assert callable(getattr(getattr(importlib.import_module(module), owner), name))
 
 
 class TestOneCancellation:
