@@ -30,11 +30,11 @@ share it gracefully rather than degrade everyone:
   receives ``delta`` frames (row added/removed) whenever a maintenance
   sweep's change-data-capture event moves the answer.  The
   :class:`StandingQueryRegistry` listens on the webbase's
-  :class:`~repro.store.cdc.DeltaFeed`, re-evaluates only the queries
-  whose dependency hosts changed, and — when a tiered store is attached
-  — persists each registration and its last-delivered snapshot to gold,
-  so a restarted service resumes a resubscribing client with exactly the
-  deltas it missed;
+  :class:`~repro.store.cdc.DeltaFeed`, re-evaluates the queries whose
+  dependency hosts changed, applies every evaluation through one refresh
+  and, with a tiered store, keeps each registration and its delivered
+  snapshot in gold, so a restarted service resumes a resubscribing
+  client with the deltas it missed;
 * **service metrics** — queue depth, admitted/shed/limited counts and
   per-stage latency histograms (queue wait, execution, total — with
   p50/p95/p99) feed the webbase's own
@@ -141,15 +141,17 @@ class StandingQuery:
         # The revision vector the delivered state was evaluated at: an
         # evaluation older than it on any host is never delivered.
         self.revisions: dict[str, int] = {}
-        self.seq = 0
-        self.has_state = False  # a snapshot (live or persisted) exists
-        self.subscribers: list[tuple[Any, int]] = []  # (handler, request id)
+        self.seq = 0  # numbers the delivered states; 0: no state yet
+        # (handler, request id) -> held: registered, but not yet acked.
+        self.subscribers: dict[tuple[Any, int], bool] = {}
+        # Held from a refresh's diff to its last send and around an ack:
+        # a subscriber gets its ack first, then its deltas in seq order.
+        self.delivery = threading.Lock()
         if snapshot is not None:  # persisted by this store, or a dead sibling's
             self.schema = list(snapshot["schema"])
             self.rows = {tuple(row) for row in snapshot["rows"]}
             self.seq = int(snapshot["seq"])
             self.revisions = dict(snapshot.get("revisions", {}))
-            self.has_state = True
 
 
 class StandingQueryRegistry:
@@ -157,13 +159,13 @@ class StandingQueryRegistry:
 
     The contract per standing query: the subscriber's row set after
     applying every received frame equals a fresh evaluation — no
-    duplicates, no misses.  Each refresh persists the new snapshot to
-    the gold tier *before* delivering the delta, so after an orderly
-    shutdown the persisted snapshot equals the client's state and a
-    resubscribe resumes with exactly the diff against it.  Queries with
-    no live subscribers are left un-refreshed on sweeps for the same
-    reason: their snapshot must keep describing what their (absent)
-    client last saw.
+    duplicates, no misses.  Every evaluation (a sweep's, a subscribe's,
+    a resume's) goes through one :meth:`_apply_refresh`, which persists
+    the new snapshot to gold *before* delivering the delta, so after an
+    orderly shutdown the persisted snapshot equals the client's state and
+    a resubscribe resumes with exactly the diff against it.  Queries with
+    no subscriber are left un-refreshed for the same reason: their
+    snapshot must keep describing what their (absent) client last saw.
     """
 
     def __init__(self, webbase: WebBase, metrics: Any) -> None:
@@ -200,98 +202,92 @@ class StandingQueryRegistry:
         )
 
     def subscribe(self, handler: Any, request: Request, page_size: int) -> None:
-        """Evaluate, snapshot (or resume), register, ack — and stream.
+        """Register held, evaluate, then ack and release.
 
-        Sends every frame itself because the ack must precede any
-        catch-up ``delta``.  A plain subscribe receives the standing
-        query's *delivered* state as snapshot pages — that is the state
-        deltas are diffed against, so a second subscriber starts exactly
-        where the first one currently stands.  A ``resume`` subscribe
-        (the client claims it holds the last delivered state, i.e. the
-        persisted snapshot) skips the pages.  Either way, if the fresh
-        evaluation has moved past the delivered state, the diff goes out
-        as one delta to every subscriber, immediately after the ack.
-
-        A sweep that lands between the evaluation and the registration
-        reaches no subscriber of this query, so the evaluation is refused
-        if a host under it moved since capture (the :mod:`repro.revisions`
-        rule): the query is evaluated again and the difference is the
-        catch-up delta.
+        The subscriber is registered first, *held*: from then on every
+        sweep refreshes the query, but sends the new subscriber nothing.
+        The subscribe's own evaluation goes through :meth:`_apply_refresh`
+        like a sweep's.  Then, under the query's delivery lock, the state
+        at release goes out and the subscriber is released.  A plain
+        subscribe receives that state as snapshot pages before the ack.
+        A ``resume`` subscribe (the client holds the state the query had
+        when it registered: the persisted snapshot) receives the ack and
+        at most one ``"resume"`` delta, from that state to this one.
         """
         text = request.text
-        answer, captured = self._evaluate(text)
+        subscriber = (handler, request.id)
         store = self._webbase.store
         with self._lock:
             standing = self._queries.get(text)
-            had_state = standing is not None and standing.has_state
-            resumed = request.resume and had_state
             if standing is None:
                 standing = self._queries[text] = StandingQuery(text)
-            standing.deps |= set(captured)
-            standing.subscribers.append((handler, request.id))
-            if store is not None:
-                store.record_standing(text, active=True)
-            if not had_state:
-                standing.schema = list(answer.schema)
-                standing.rows = set(answer.rows)
-                standing.revisions = dict(captured)
-                standing.has_state = True
-                self._persist(standing)
-            delivered = sorted(standing.rows)
-            schema = list(standing.schema)
-            seq = standing.seq
+            resumed = request.resume and standing.seq > 0
+            held = standing.rows  # what a resume holds; refreshes replace it
+            standing.subscribers[subscriber] = True
+        try:
+            answer, revisions = self._evaluate(text)
+        except BaseException:
+            with self._lock:
+                standing.subscribers.pop(subscriber, None)
+                if not standing.subscribers and standing.seq == 0:
+                    self._queries.pop(text, None)
+            raise
+        self._apply_refresh(
+            standing, answer.schema, set(answer.rows), revisions,
+            host="", revision=0, reason="resume" if resumed else "subscribe",
+        )
+        with standing.delivery:
+            with self._lock:
+                if subscriber in standing.subscribers:  # not detached meanwhile
+                    standing.subscribers[subscriber] = False
+                    if store is not None:
+                        store.record_standing(text, active=True)
+                rows, schema, seq = standing.rows, list(standing.schema), standing.seq
+            holds = held if resumed else rows  # the client's rows at the ack
+            frames = [] if resumed else _pages(
+                request.id, 0, schema, sorted(rows), page_size, "snapshot"
+            )
+            moved = holds != rows  # then the ack is numbered just before the delta
+            frames.append(
+                protocol.subscribed_frame(request.id, len(holds), resumed, seq - moved)
+            )
+            if moved:
+                frames.append(
+                    protocol.delta_frame(
+                        request.id, seq, schema, sorted(rows - holds),
+                        sorted(holds - rows), host="", revision=0, reason="resume",
+                    )
+                )
+                self.deltas_sent += 1
+                self._metrics.counter("service.standing_deltas").inc()
+            handler.send(*frames)
         self._metrics.counter("service.standing_subscribed").inc()
         self._metrics.gauge("service.standing_active").set(len(self._queries))
-        snapshot = [] if resumed else delivered
-        handler.send(
-            *_pages(request.id, 0, schema, snapshot, page_size, "snapshot"),
-            protocol.subscribed_frame(
-                request.id, rows=len(delivered), resumed=resumed, seq=seq
-            ),
-        )
-        # Registered now: every later sweep reaches this subscriber.
-        moved = False
-        while not self._webbase.revisions.all_current(captured):
-            answer, captured = self._evaluate(text)
-            moved = True
-        if had_state or moved:
-            # Catch the delivered state up with the fresh evaluation: for
-            # a resume, that is exactly what moved while the client was
-            # away (its state is the persisted snapshot — orderly
-            # shutdown persists before sending).
-            self._apply_refresh(
-                standing, answer.schema, set(answer.rows), captured,
-                host="", revision=0,
-                reason="resume" if resumed else "subscribe",
-            )
 
-    def unsubscribe(self, handler: Any, request: Request) -> bool:
+    def unsubscribe(self, handler: Any, request: Request) -> None:
         """Explicitly deregister: the standing query (and its persisted
         registration) is dropped once no subscriber holds it."""
         text = request.text
         with self._lock:
             standing = self._queries.get(text)
             if standing is None:
-                return False
-            standing.subscribers = [
-                (h, rid) for h, rid in standing.subscribers if h is not handler
-            ]
+                return
+            for gone in [s for s in standing.subscribers if s[0] is handler]:
+                del standing.subscribers[gone]
             if not standing.subscribers:
                 del self._queries[text]
                 store = self._webbase.store
                 if store is not None:
                     store.record_standing(text, active=False)
         self._metrics.gauge("service.standing_active").set(len(self._queries))
-        return True
 
     def detach(self, handler: Any) -> None:
         """A connection closed: drop its subscriptions but keep the
         registrations and snapshots — that is what resume is for."""
         with self._lock:
             for standing in self._queries.values():
-                standing.subscribers = [
-                    (h, rid) for h, rid in standing.subscribers if h is not handler
-                ]
+                for gone in [s for s in standing.subscribers if s[0] is handler]:
+                    del standing.subscribers[gone]
 
     def adopt(self, snapshots: dict[str, dict[str, Any] | None]) -> int:
         """Shard takeover: merge a dead sibling's persisted standing
@@ -351,45 +347,47 @@ class StandingQueryRegistry:
         reason: str,
     ) -> None:
         """Diff a fresh evaluation, read at ``revisions``, against the
-        delivered state; persist then push (persist-first keeps snapshot
-        == client state across an orderly shutdown).  Evaluations apply in
-        revision order, not arrival order: one older than the delivered
-        state on any host is dropped, because a newer refresh has already
-        been delivered over it."""
-        with self._lock:
-            if not standing.subscribers:
-                # Nobody to deliver to (a subscribe's catch-up that finished
-                # after its client left): the state stays what the absent
-                # client holds, so its resume delta carries this change.
-                return
-            if any(revisions.get(h, r) < r for h, r in standing.revisions.items()):
-                return
-            standing.revisions = {**standing.revisions, **revisions}
-            added = sorted(fresh_rows - standing.rows)
-            removed = sorted(standing.rows - fresh_rows)
-            if not added and not removed:
-                return
-            standing.rows = fresh_rows
-            standing.schema = list(schema)
-            standing.seq += 1
-            seq = standing.seq
-            subscribers = list(standing.subscribers)
-            self._persist(standing)
-        for handler, request_id in subscribers:
-            handler.send(
-                protocol.delta_frame(
-                    request_id,
-                    seq,
-                    list(schema),
-                    added,
-                    removed,
-                    host=host,
-                    revision=revision,
-                    reason=reason,
+        state; persist then push to every released subscriber
+        (persist-first keeps snapshot == client state across an orderly
+        shutdown).  ``reason`` only labels the delta.  Evaluations apply
+        in revision order, not arrival order: one older than the state on
+        any host is dropped, because a newer one was applied over it."""
+        with standing.delivery:
+            with self._lock:
+                standing.deps |= set(revisions)
+                if not standing.subscribers:
+                    # Nobody to deliver to (a sweep that finished after the
+                    # last client left): the state stays what the absent
+                    # client holds, so its resume delta carries this change.
+                    return
+                if any(revisions.get(h, r) < r for h, r in standing.revisions.items()):
+                    return
+                standing.revisions = {**standing.revisions, **revisions}
+                added = sorted(fresh_rows - standing.rows)
+                removed = sorted(standing.rows - fresh_rows)
+                if standing.seq > 0 and not added and not removed:
+                    return
+                standing.rows = fresh_rows
+                standing.schema = list(schema)
+                standing.seq += 1
+                seq = standing.seq
+                released = [s for s, held in standing.subscribers.items() if not held]
+                self._persist(standing)
+            for handler, request_id in released:
+                handler.send(
+                    protocol.delta_frame(
+                        request_id,
+                        seq,
+                        list(schema),
+                        added,
+                        removed,
+                        host=host,
+                        revision=revision,
+                        reason=reason,
+                    )
                 )
-            )
-            self.deltas_sent += 1
-            self._metrics.counter("service.standing_deltas").inc()
+                self.deltas_sent += 1
+                self._metrics.counter("service.standing_deltas").inc()
 
 
 class _ClientHandler(protocol.LineFrameHandler):

@@ -16,13 +16,15 @@ triggered — so "sweep returned" is the quiescent point.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.execution import WebBaseConfig
 from repro.core.webbase import WebBase
+from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceConfig, WebBaseService
+from repro.service.server import ServiceConfig, WebBaseService, _ClientHandler
 from repro.sites.world import build_world, mutate_site_listings
 from repro.vps.cache import CachePolicy
 
@@ -39,6 +41,72 @@ def _fresh_rows(webbase: WebBase) -> set:
     ctx = webbase.execution_context(label="ground-truth")
     stream = webbase.evaluate_stream(QUERY, ctx)
     return {row for _, piece in stream if piece is not None for row in piece}
+
+
+class FrameLog:
+    """Every standing-query frame the services write, per subscriber.
+
+    It wraps the client handler's ``send``; a subscriber is its server
+    handler (one per connection) plus its request id.  Each ``subscribed``
+    and ``delta`` frame is logged with the revision vector of ``text``'s
+    state when it was written: that is the vector the frame delivers,
+    because the registry writes under the query's delivery lock, after
+    the state moved and outside the registry lock (taken here)."""
+
+    def __init__(self, monkeypatch, text: str = QUERY) -> None:
+        self._lock = threading.Lock()
+        self._frames: dict[tuple, list[tuple[dict, dict]]] = {}
+        self._handlers: dict[int, object] = {}  # client port -> its handler
+        send = _ClientHandler.send
+
+        def logged(handler, *frames):
+            for frame in frames:
+                if frame.get("type") in ("subscribed", "delta") or (
+                    frame.get("source") == "snapshot"
+                ):
+                    registry = handler.server.service.standing
+                    with registry._lock:
+                        standing = registry._queries.get(text)
+                        vector = dict(standing.revisions) if standing else {}
+                    with self._lock:
+                        self._handlers[handler.client_address[1]] = handler
+                        key = (handler, frame["id"])
+                        self._frames.setdefault(key, []).append((frame, vector))
+            return send(handler, *frames)
+
+        monkeypatch.setattr(_ClientHandler, "send", logged)
+
+    def key(self, client: ServiceClient, sub) -> tuple:
+        """The subscriber ``sub`` of an open ``client``, once acked."""
+        with self._lock:
+            return self._handlers[client._sock.getsockname()[1]], sub.request_id
+
+    def of(self, key: tuple) -> list[tuple[dict, dict]]:
+        """The (frame, delivered vector) pairs written to one subscriber."""
+        with self._lock:
+            return list(self._frames.get(key, []))
+
+    def last_seq(self, key: tuple) -> int:
+        return [frame["seq"] for frame, _ in self.of(key) if "seq" in frame][-1]
+
+    def assert_ordered(self, key: tuple) -> None:
+        """Snapshot pages, then the ack, then deltas in contiguous ``seq``
+        order; the delivered revision vector never goes backwards."""
+        entries = [e for e in self.of(key) if e[0]["type"] != "page"]
+        kinds = [frame["type"] for frame, _ in self.of(key)]
+        assert kinds.count("subscribed") == 1, kinds
+        assert kinds.index("subscribed") == kinds.count("page"), kinds
+        assert entries[0][0]["type"] == "subscribed"
+        seqs = [frame["seq"] for frame, _ in entries]
+        assert seqs == list(range(seqs[0], seqs[0] + len(seqs))), seqs
+        for (_, before), (_, after) in zip(entries, entries[1:]):
+            assert all(after.get(h, r) >= r for h, r in before.items()), (before, after)
+
+
+def drain(log: FrameLog, client: ServiceClient, sub) -> None:
+    """Read every delta the service has written to ``sub`` so far."""
+    while sub.seq < log.last_seq(log.key(client, sub)):
+        assert client.next_delta(sub, timeout=10.0) is not None
 
 
 @pytest.fixture()
@@ -147,9 +215,11 @@ class TestExactDeltas:
     def test_a_sweep_between_evaluation_and_registration_is_caught_up(
         self, stack
     ):
-        """Subscribe evaluates, then registers.  A sweep landing between
-        the two reaches no subscriber of the query, so the subscriber must
-        get what it moved as the catch-up delta after the ack."""
+        """Subscribe registers its subscriber (held), then evaluates.  A
+        sweep landing while the evaluation runs refreshes the query for
+        the held subscriber; the subscribe's older evaluation is dropped,
+        and the subscriber's state at release carries what the sweep
+        moved."""
         world, webbase, service, host, port = stack
         evaluate = service.standing._evaluate
         evaluated, release = threading.Event(), threading.Event()
@@ -186,10 +256,10 @@ class TestExactDeltas:
     def test_a_catch_up_after_the_client_left_keeps_the_delivered_state(
         self, stack
     ):
-        """A subscribe's catch-up runs after its ack, so it can finish after
-        the client has gone.  With nobody subscribed, a refresh must leave
-        the delivered state alone: it is what the absent client holds, and
-        its resume delta has to carry the change."""
+        """A refresh can finish after the last client has gone (a sweep's
+        evaluation outlasting the connection).  With nobody subscribed, it
+        must leave the delivered state alone: that is what the absent
+        client holds, and its resume delta has to carry the change."""
         world, webbase, service, host, port = stack
         client = ServiceClient(host=host, port=port)
         client.subscribe(QUERY)
@@ -207,17 +277,18 @@ class TestExactDeltas:
         self, stack
     ):
         """Evaluations reach the delivered state in revision order, not in
-        arrival order.  A second subscriber's catch-up is held between its
-        evaluation and its delivery while a sweep's refresh goes out: the
-        catch-up read the older revision, so it must not roll both clients
-        (and the persisted snapshot) back behind the sweep."""
+        arrival order.  A second subscribe's evaluation is held between its
+        evaluation and its refresh while a sweep's refresh goes out: the
+        subscribe's evaluation read the older revision, so it must not roll
+        both clients (and the persisted snapshot) back behind the sweep."""
         world, webbase, service, host, port = stack
         registry = service.standing
         apply_refresh = registry._apply_refresh
-        held, release, done = threading.Event(), threading.Event(), threading.Event()
+        armed, held = threading.Event(), threading.Event()
+        release, done = threading.Event(), threading.Event()
 
         def gated(standing, *args, **kwargs):
-            if kwargs.get("reason") != "subscribe":
+            if not armed.is_set() or kwargs.get("reason") != "subscribe":
                 return apply_refresh(standing, *args, **kwargs)
             held.set()
             try:
@@ -230,13 +301,17 @@ class TestExactDeltas:
         with ServiceClient(host=host, port=port) as one, ServiceClient(
             host=host, port=port
         ) as two:
-            sub_one = one.subscribe(QUERY)  # no state yet: no catch-up
-            sub_two = two.subscribe(QUERY)  # acked; its catch-up is parked
-            assert held.wait(timeout=30.0)
-            mutate_site_listings(world, HOST_A, count=2, seed=6)
-            assert HOST_A in one.sweep(HOST_A)["changed_hosts"]
-            release.set()
-            assert done.wait(timeout=30.0)
+            sub_one = one.subscribe(QUERY)
+            armed.set()
+            # The second subscribe acks only after its refresh: run it aside.
+            with ThreadPoolExecutor(max_workers=1) as aside:
+                subscribing = aside.submit(two.subscribe, QUERY)
+                assert held.wait(timeout=30.0)
+                mutate_site_listings(world, HOST_A, count=2, seed=6)
+                assert HOST_A in one.sweep(HOST_A)["changed_hosts"]
+                release.set()
+                assert done.wait(timeout=30.0)
+                sub_two = subscribing.result(timeout=30.0)
             for client, sub in ((one, sub_one), (two, sub_two)):
                 while client.next_delta(sub, timeout=0.3) is not None:
                     pass
@@ -248,6 +323,73 @@ class TestExactDeltas:
             persisted = webbase.store.standing_queries()[QUERY]
             assert {tuple(row) for row in persisted["rows"]} == truth
             assert persisted["revisions"] == standing.revisions
+
+    def test_a_sweep_while_the_ack_is_built_reaches_the_subscriber_after_it(
+        self, stack, monkeypatch
+    ):
+        """A sweep that lands while a subscribe's ack is being built must
+        reach the new subscriber after the ack, in ``seq`` order.  Were
+        the subscriber live before its ack went out, the sweep's delta
+        could overtake the ack, and ``subscribe`` would fail with
+        ``ProtocolError: unexpected frame type 'delta'``."""
+        world, webbase, service, host, port = stack
+        log = FrameLog(monkeypatch)
+        subscribed_frame = protocol.subscribed_frame
+        started, swept = threading.Event(), threading.Event()
+
+        def sweep():
+            try:
+                mutate_site_listings(world, HOST_A, count=2, seed=8)
+                with ServiceClient(host=host, port=port) as admin:
+                    admin.sweep(HOST_A)
+            finally:
+                swept.set()
+
+        def building(*args, **kwargs):
+            if not started.is_set():  # the subscribe's ack: sweep meanwhile
+                started.set()
+                threading.Thread(target=sweep, daemon=True).start()
+                # Bounded: a sweep that waits for this ack cannot finish.
+                swept.wait(timeout=2.0)
+            return subscribed_frame(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "subscribed_frame", building)
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            assert swept.wait(timeout=60.0)
+            log.assert_ordered(log.key(client, sub))
+            drain(log, client, sub)
+            assert sub.rows == _fresh_rows(webbase)
+            client.unsubscribe(sub)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the subscribe request has no field for the client's last "
+        "delivered seq, so a resume cannot tell that deltas went out to "
+        "another subscriber while this client was away",
+    )
+    def test_a_resume_after_deltas_to_another_subscriber_catches_up(self, stack):
+        """Client A stays subscribed while client B leaves; a sweep then
+        delivers a delta to A and moves the query's state.  B resumes
+        holding the state from before the sweep, so its resume must carry
+        the sweep's change.  The server diffs against the state at B's
+        registration instead, which already holds the change: B gets
+        ``resumed`` and no delta."""
+        world, webbase, service, host, port = stack
+        with ServiceClient(host=host, port=port) as one:
+            sub_one = one.subscribe(QUERY)
+            two = ServiceClient(host=host, port=port)
+            held = set(two.subscribe(QUERY).rows)
+            two.close()
+            mutate_site_listings(world, HOST_A, count=2, seed=13)
+            one.sweep(HOST_A)
+            assert one.next_delta(sub_one, timeout=10.0) is not None
+            with ServiceClient(host=host, port=port) as back:
+                sub_back = back.subscribe(QUERY, resume=True)
+                assert sub_back.resumed
+                sub_back.rows = held
+                back.next_delta(sub_back, timeout=0.5)
+                assert sub_back.rows == _fresh_rows(webbase)
 
 
 class TestShutdownRestartResume:
