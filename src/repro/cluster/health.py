@@ -77,10 +77,6 @@ class HealthMonitor:
         with self._lock:
             return sorted(set(self._targets) - self._dead)
 
-    def is_dead(self, shard_id: str) -> bool:
-        with self._lock:
-            return shard_id in self._dead
-
     # -- detection -----------------------------------------------------------
 
     def _declare_dead(self, shard_id: str) -> bool:

@@ -17,7 +17,7 @@ Substitutions are immutable mappings; ``walk``/``resolve`` follow bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,3 @@ def is_ground(term: Term, subst: Subst | None = None) -> bool:
     if subst:
         term = resolve(term, subst)
     return not variables_of(term)
-
-
-def make_vars(names: Iterable[str]) -> list[Var]:
-    """Convenience: a list of fresh variables with the given names."""
-    return [Var(name) for name in names]

@@ -46,9 +46,10 @@ class LogicalRelation:
         self.hosts: tuple[str, ...] = tuple(host_of(base) for base in bases)
 
     def fetch(self, given: dict[str, Any], context: Any = None) -> Relation:
-        """Evaluate the view; with an execution context, independent VPS
-        fetches under the view fan out across its workers and the view gets
-        its own trace span."""
+        """Evaluate the view by running its definition's plan, compiled
+        once per bound-attribute set it is called with; with an execution
+        context, independent VPS fetches under the view fan out through it
+        and the view gets its own trace span."""
         if context is None:
             return evaluate(self.definition, self._vps, given)
         with context.span("view", self.name):
@@ -60,9 +61,11 @@ class LogicalRelation:
         """Evaluate the view for a whole batch of probe bindings at once.
 
         One ``view`` span covers the batch, carrying ``batch=K`` so EXPLAIN
-        counts K accesses for it; the VPS fetches underneath run through
-        the batched engine path (one fetch per distinct binding, the
-        prefix pages shared through the query's page cache)."""
+        counts K accesses for it.  The definition's plan for the batch's
+        bound-attribute set hands each VPS relation the whole batch (one
+        result-cache lookup per distinct binding, the misses fetched on the
+        batched engine path, the prefix pages shared through the query's
+        page cache) and applies the view's compiled steps to each piece."""
         if context is None:
             return [evaluate(self.definition, self._vps, given) for given in givens]
         with context.span("view", self.name) as span:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.mqo.containment import implies
 from repro.mqo.registry import SubplanRegistry
+from repro.relational.conditions import row_test
 from repro.relational.relation import Relation
 from repro.ur.query import QueryParseError, URQuery, parse_query
 
@@ -100,10 +101,8 @@ class MultiQueryOptimizer:
             )
             if not exact:
                 if query.condition is not None:
-                    condition = query.condition
-                    answer = answer.select(
-                        lambda row: condition.evaluate(row)
-                    )
+                    test = row_test(query.condition, answer.schema.attrs)
+                    answer = answer.select_rows(test(()))
                 answer = answer.project(query.outputs)
         except Exception:  # noqa: BLE001 - malformed record: fall through
             return None

@@ -12,13 +12,17 @@ paper requires:
   is evaluated first, and the values of the common attributes are fed into
   the other side's fetches — "order joins in such a way that the relation
   newsday ... is computed first".
+
+Those decisions depend on which attributes are bound, not on their values,
+so :func:`evaluate` makes them once: it runs a plan compiled per expression,
+catalog and bound-attribute set.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from repro.relational.bindings import (
     BindingError,
@@ -32,8 +36,17 @@ from repro.relational.bindings import (
     feasible,
     minimize,
 )
-from repro.relational.conditions import Condition, bind_params, equality_bindings
-from repro.relational.relation import Relation, RowDict
+from repro.relational.conditions import (
+    And,
+    Comparison,
+    Condition,
+    Param,
+    bind_params,
+    conj,
+    equality_bindings,
+    row_test,
+)
+from repro.relational.relation import Relation, RowDict, _sort_key
 from repro.relational.schema import Schema
 
 
@@ -231,25 +244,6 @@ def bind_expression(expr: Expr, values: tuple[Any, ...]) -> Expr:
     return dataclasses.replace(expr, **changes) if changes else expr
 
 
-def _branches(expr: Join | Union, catalog: Catalog) -> tuple:
-    """``(left sets, right sets, left schema, right schema)`` of a binary
-    node: a property of the immutable node and its catalog, so derived
-    once and remembered on the node.  A view definition's nodes live as
-    long as the view, so its branch feasibility is worked out once per
-    definition, not once per probe."""
-    memo = expr.__dict__.get("_branches")
-    if memo is None or memo[0] is not catalog:
-        memo = (
-            catalog,
-            binding_sets_of(expr.left, catalog),
-            binding_sets_of(expr.right, catalog),
-            schema_of(expr.left, catalog),
-            schema_of(expr.right, catalog),
-        )
-        expr.__dict__["_branches"] = memo  # frozen dataclass: not a field
-    return memo[1:]
-
-
 def binding_sets_of(expr: Expr, catalog: Catalog) -> BindingSets:
     """The Section-5 binding-propagation rules, applied bottom-up."""
     if isinstance(expr, Base):
@@ -281,7 +275,323 @@ def binding_sets_of(expr: Expr, catalog: Catalog) -> BindingSets:
     raise TypeError("unknown expression %r" % (expr,))
 
 
-# -- evaluation ----------------------------------------------------------------------
+
+
+# -- evaluation: compiled plans (a query's constants are parameter slots) -----------
+
+
+class _Node(NamedTuple):
+    """One compiled ``(expression, bound-attribute set)``: ``run`` for one
+    binding, ``batch`` for a probe batch (two or more, under a context);
+    ``fixed``, the bound attributes every output row already agrees with."""
+
+    run: Callable
+    batch: Callable
+    fixed: frozenset
+
+
+_KEEP = object()
+
+
+def _narrow(attrs: frozenset[str]) -> Callable[[Relation, dict], Relation]:
+    """The step keeping the rows that agree with the binding on ``attrs``
+    (:meth:`Relation.where`: an index on a relation probed again)."""
+    names = tuple(sorted(attrs))
+
+    def narrow(relation: Relation, given: dict) -> Relation:
+        positions, picks = relation.schema.columns(names)
+        if not positions:
+            return relation
+        if len(picks) == 1:
+            return relation.where(positions, given[names[picks[0]]])
+        return relation.where(positions, tuple([given[names[i]] for i in picks]))
+
+    return narrow if names else lambda relation, given: relation
+
+
+def _plain(value: Any) -> bool:
+    """Whether ``==`` and a comparison's test agree on the constant."""
+    return type(value) in (str, int, float) and value == value
+
+
+def _raising(message: str) -> _Node:
+    """A node its bindings cannot satisfy: it raises when reached."""
+
+    def run(*_: Any) -> Relation:
+        raise BindingError(message)
+
+    return _Node(run, run, frozenset())
+
+
+def _per_binding(run: Callable) -> Callable:
+    """A join's batch: binding by binding, through the context's fan-out."""
+    return lambda givens, context, params: context.map(
+        lambda given: run(given, context, params), givens
+    )
+
+
+def _both(sides: tuple, given: dict, context: Any, params: tuple) -> list[Relation]:
+    """Both sides of a union or an independent join, fanned out."""
+    if context is None:
+        return [side.run(given, None, params) for side in sides]
+    return context.map(lambda side: side.run(given, context, params), sides)
+
+
+def _unary(child: _Node, down: Callable | None, up_for: Callable, fixed: frozenset) -> _Node:
+    """A node over one child: ``down`` maps the binding to the child's
+    (``None``: the same), ``up_for(params)`` is the step on its result."""
+
+    def run(given: dict, context: Any, params: tuple) -> Relation:
+        sub = given if down is None else down(given, params)
+        return up_for(params)(child.run(sub, context, params), given)
+
+    def batch(givens: list[dict], context: Any, params: tuple) -> list[Relation]:
+        subs = givens if down is None else [down(given, params) for given in givens]
+        up = up_for(params)
+        return [up(r, given) for r, given in zip(child.batch(subs, context, params), givens)]
+
+    return _Node(run, batch, fixed)
+
+
+def _compile(expr: Expr, catalog: Catalog, keys: frozenset[str]) -> _Node:
+    """The plan of ``expr`` for bindings of exactly ``keys``: the
+    interpreter's rules (the test suite keeps it as the reference),
+    decided once.  A relation has the schema its catalog declares."""
+    if isinstance(expr, (Base, Fixed)):
+        return _compile_source(expr, catalog, keys)
+    if isinstance(expr, Select):
+        return _compile_select(expr, catalog, keys)
+    if isinstance(expr, Join):
+        return _compile_join(expr, catalog, keys)
+    if isinstance(expr, Union):
+        left_ok = feasible(binding_sets_of(expr.left, catalog), keys)
+        right_ok = feasible(binding_sets_of(expr.right, catalog), keys)
+        if not (left_ok and right_ok):
+            if expr.relaxed and (left_ok or right_ok):
+                return _compile(expr.left if left_ok else expr.right, catalog, keys)
+            return _raising("union not computable with bound attributes %s" % sorted(keys))
+        sides = (_compile(expr.left, catalog, keys), _compile(expr.right, catalog, keys))
+
+        def run(given: dict, context: Any, params: tuple) -> Relation:
+            left, right = _both(sides, given, context, params)
+            return left.union(right)
+
+        def batch(givens: list[dict], context: Any, params: tuple) -> list[Relation]:
+            lefts, rights = context.map(lambda side: side.batch(givens, context, params), sides)
+            return [left.union(right) for left, right in zip(lefts, rights)]
+
+        return _Node(run, batch, sides[0].fixed & sides[1].fixed)
+    out = keys & schema_of(expr, catalog).as_set()
+    if isinstance(expr, Project):
+        child, attrs = _compile(expr.child, catalog, keys), expr.attrs
+        step = lambda relation, given: relation.project(attrs)  # noqa: E731
+        return _unary(child, None, lambda params: step, child.fixed & out)
+    if isinstance(expr, Rename):
+        reverse = {new: old for old, new in expr.mapping}
+        targets = [reverse.get(a, a) for a in keys]
+        child, mapping = _compile(expr.child, catalog, frozenset(targets)), expr.mapping_dict
+        down = None
+        if keys & reverse.keys():
+            down = lambda given, params: {reverse.get(a, a): v for a, v in given.items()}  # noqa: E731
+        # Two bound names landing on one child attribute: one value reaches it.
+        fixed = {a for a in out if reverse.get(a, a) in child.fixed}
+        step = lambda relation, given: relation.rename(mapping)  # noqa: E731
+        distinct = len(set(targets)) == len(targets)
+        return _unary(child, down, lambda params: step, frozenset(fixed if distinct else ()))
+    if isinstance(expr, Derive):
+        attr, fn = expr.attr, expr.fn
+        child = _compile(expr.child, catalog, keys - {attr})
+        down = None
+        if attr in keys:
+            down = lambda given, params: {a: v for a, v in given.items() if a != attr}  # noqa: E731
+        narrow = _narrow(out - (child.fixed - {attr}))
+        step = lambda relation, given: narrow(relation.derive(attr, fn), given)  # noqa: E731
+        return _unary(child, down, lambda params: step, out)
+    raise TypeError("unknown expression %r" % (expr,))
+
+
+def _compile_source(expr: Base | Fixed, catalog: Catalog, keys: frozenset[str]) -> _Node:
+    """A catalog fetch with every binding (or a literal), then the filter
+    on the bound attributes the relation has: a catalog may ignore one."""
+    if isinstance(expr, Fixed):
+        relation = expr.relation
+        fixed = keys & relation.schema.as_set()
+        narrow = _narrow(fixed)
+        return _Node(
+            lambda given, context, params: narrow(relation, given),
+            lambda givens, context, params: [narrow(relation, g) for g in givens],
+            fixed,
+        )
+    name = expr.name
+    fixed = keys & catalog.base_schema(name).as_set() if keys else keys
+    narrow = _narrow(fixed)
+
+    def run(given: dict, context: Any, params: tuple) -> Relation:
+        if context is None:
+            return narrow(catalog.fetch(name, given), given)
+        return narrow(catalog.fetch(name, given, context=context), given)
+
+    def batch(givens: list[dict], context: Any, params: tuple) -> list[Relation]:
+        fetch_batch = getattr(catalog, "fetch_batch", None)
+        if fetch_batch is None:
+            fetch = lambda given: catalog.fetch(name, given, context=context)  # noqa: E731
+            relations = context.map(fetch, givens)
+        else:
+            relations = fetch_batch(name, givens, context=context)
+        return [narrow(r, given) for r, given in zip(relations, givens)]
+
+    return _Node(run, batch, fixed)
+
+
+def _compile_select(expr: Select, catalog: Catalog, keys: frozenset[str]) -> _Node:
+    """The child runs with the selection's equality constants bound (they
+    override the caller's), then the condition, then a filter on the
+    caller's bindings the constants overrode: a constant that contradicts
+    one yields nothing.  An equality the child's filter already enforced is
+    not tested again, unless its constant is one a test and a filter could
+    disagree on (``None``, NaN, ...)."""
+    constants = equality_bindings(expr.condition)
+    slots = [(a, v.index if isinstance(v, Param) else None, v) for a, v in constants.items()]
+    child = _compile(expr.child, catalog, keys | constants.keys())
+    condition = expr.condition
+    conjuncts = []  # (conjunct, the constant that makes it redundant, or _KEEP)
+    for part in condition.parts if isinstance(condition, And) else (condition,):
+        source = _KEEP
+        if isinstance(part, Comparison):
+            for attr, literal in equality_bindings(part).items():
+                if constants.get(attr, _KEEP) is literal and attr in child.fixed:
+                    source = literal
+        conjuncts.append((part, source))
+    overridden = keys & constants.keys()
+    out = keys & schema_of(expr, catalog).as_set()
+    narrow = _narrow(out & (overridden | (keys - child.fixed)))
+
+    def down(given: dict, params: tuple) -> dict:
+        sub = dict(given)
+        for attr, slot, value in slots:
+            sub[attr] = value if slot is None else params[slot]
+        return sub
+
+    def up_for(params: tuple) -> Callable[[Relation, dict], Relation]:
+        kept = [
+            part
+            for part, source in conjuncts
+            if source is _KEEP
+            or not _plain(params[source.index] if isinstance(source, Param) else source)
+        ]
+        tests: dict[tuple[str, ...], Callable] = {}  # by the rows' attribute order
+
+        def up(relation: Relation, given: dict) -> Relation:
+            if kept:
+                attrs = relation.schema.attrs
+                test = tests.get(attrs)
+                if test is None:
+                    test = tests[attrs] = row_test(conj(*kept), attrs)(params)
+                relation = relation.select_rows(test)
+            return narrow(relation, given)
+
+        return up
+
+    return _unary(child, down, up_for, out)
+
+
+def _compile_join(expr: Join, catalog: Catalog, keys: frozenset[str]) -> _Node:
+    """Independent when both sides are computable from the bindings; else
+    dependent: the side that is goes first and feeds the values of the
+    common attributes into the other's fetches, as one probe batch."""
+    left_sets = binding_sets_of(expr.left, catalog)
+    right_sets = binding_sets_of(expr.right, catalog)
+    left_schema, right_schema = schema_of(expr.left, catalog), schema_of(expr.right, catalog)
+    common = sorted(left_schema.common(right_schema))
+    for first, first_sets, second, second_sets, second_schema in (
+        (expr.left, left_sets, expr.right, right_sets, right_schema),
+        (expr.right, right_sets, expr.left, left_sets, left_schema),
+    ):
+        if not feasible(first_sets, keys):
+            continue
+        if feasible(second_sets, keys):
+            sides = (_compile(first, catalog, keys), _compile(second, catalog, keys))
+
+            def run(given: dict, context: Any, params: tuple) -> Relation:
+                outer, inner = _both(sides, given, context, params)
+                return outer.natural_join(inner)
+
+            return _Node(run, _per_binding(run), sides[0].fixed | sides[1].fixed)
+        fed = keys | frozenset(common)
+        if feasible(second_sets, fed):
+            outer, inner = _compile(first, catalog, keys), _compile(second, catalog, fed)
+            return _dependent(outer, inner, common, second_schema, keys)
+    return _raising(
+        "join not computable: bound=%s, left needs %s, right needs %s"
+        % (sorted(keys), [sorted(m) for m in left_sets], [sorted(m) for m in right_sets])
+    )
+
+
+def _dependent(
+    first: _Node, second: _Node, common: list[str], second_schema: Schema, keys: frozenset[str]
+) -> _Node:
+    """The bind join.  The outer rows are grouped by their common values;
+    each group is one probe (in sorted-value order, the fetch order) and
+    joins the piece fetched under its own key, which agrees with it on the
+    common attributes: no hash join over the union of the pieces."""
+    grouped = set(common) <= second.fixed
+
+    def run(given: dict, context: Any, params: tuple) -> Relation:
+        outer = first.run(given, context, params)
+        positions = [outer.schema.index_of(a) for a in common]
+        groups: dict[tuple, list[tuple]] = {}
+        for row in outer._rows:
+            groups.setdefault(tuple([row[i] for i in positions]), []).append(row)
+        combos = sorted(groups, key=_sort_key)
+        feds = []
+        for combo in combos:
+            fed = dict(given)
+            fed.update(zip(common, combo))
+            feds.append(fed)
+        if context is None:
+            pieces = [second.run(fed, None, params) for fed in feds]
+        elif len(feds) > 1:
+            pieces = second.batch(feds, context, params)
+        elif feds:
+            pieces = [second.run(feds[0], context, params)]
+        else:
+            # Empty outer side: every probe of the inner side is provably
+            # irrelevant, so none is issued.  Record the decision so
+            # traces and metrics show the saved fetches.
+            span = getattr(context, "span", None)
+            if span is not None:
+                with span("prune", "empty-outer") as pspan:
+                    pspan.attrs["feeds"] = ",".join(common)
+            metrics = getattr(context, "metrics", None)
+            if metrics is not None:
+                metrics.counter("planner.pruned_inner").inc()
+            pieces = []
+        if not pieces or not grouped:
+            inner = Relation.union_of(pieces) if pieces else Relation(second_schema, [])
+            return outer.natural_join(inner)
+        head = pieces[0]
+        extra = [i for i, a in enumerate(head.schema.attrs) if a not in outer.schema]
+        joined: list[tuple] = []
+        for combo, piece in zip(combos, pieces):
+            tails = [tuple([row[i] for i in extra]) for row in head._operand(piece, "union")]
+            joined.extend([row + tail for row in groups[combo] for tail in tails])
+        return Relation(outer.schema.union(head.schema), joined, True)
+
+    return _Node(run, _per_binding(run), first.fixed | (second.fixed & keys) - set(common))
+
+
+def _plan(expr: Expr, catalog: Catalog, keys: frozenset[str]) -> _Node:
+    """The plan of ``expr`` over ``catalog`` for bindings of ``keys``,
+    compiled on first use and remembered on the (immutable) expression.
+    A plan is a pure function of the expression and the catalog's schemas
+    and binding sets, so nothing can make it stale."""
+    plans = expr.__dict__.get("_plans")
+    if plans is None or plans[0] is not catalog:
+        plans = expr.__dict__["_plans"] = (catalog, {})  # frozen dataclass: not a field
+    node = plans[1].get(keys)
+    if node is None:
+        node = plans[1][keys] = _compile(expr, catalog, keys)
+    return node
 
 
 def evaluate(
@@ -289,92 +599,26 @@ def evaluate(
     catalog: Catalog,
     given: dict[str, Any] | None = None,
     context: Any = None,
+    params: tuple[Any, ...] = (),
 ) -> Relation:
-    """Evaluate ``expr`` with the bound attribute values in ``given``.
+    """Evaluate ``expr`` with the bound attribute values in ``given``: run
+    its plan for ``given``'s attribute set.
 
     ``given`` values are pushed into base fetches (satisfying mandatory
-    attributes and narrowing results at the source) and are additionally
-    applied as equality filters, so the result is exactly the sub-relation
-    consistent with ``given``.
+    attributes and narrowing results at the source), and the result is
+    exactly the sub-relation consistent with ``given``.  ``params`` fills
+    the :class:`~repro.relational.conditions.Param` slots of a compiled
+    query shape's conditions.
 
     ``context`` is an :class:`~repro.core.execution.ExecutionContext` (or
     anything with its ``map``/``run_fetch`` shape).  When present, it is
-    handed to base fetches and used to fan out the independent branches of
-    the tree — both sides of a union, and the probe batch of a dependent
-    join — through its one fan-out, which runs them in order and models
-    their overlap on its lanes, so the answer is the sequential one.
+    handed to base fetches and fans out both sides of a union or of an
+    independent join through its one fan-out, which runs them in order and
+    models their overlap on its lanes; a dependent join's probes go to the
+    inner side as one batch (:func:`evaluate_batch`'s path).
     """
     given = dict(given or {})
-    if isinstance(expr, Base):
-        if context is None:
-            relation = catalog.fetch(expr.name, given)
-        else:
-            relation = catalog.fetch(expr.name, given, context=context)
-        return _filter_given(relation, given)
-    if isinstance(expr, Fixed):
-        return _filter_given(expr.relation, given)
-    if isinstance(expr, Select):
-        constants = equality_bindings(expr.condition)
-        child_given = dict(given)
-        child_given.update(constants)
-        result = evaluate(expr.child, catalog, child_given, context)
-        # The caller's bound values still constrain the result even when the
-        # selection's own constants contradict them (contradiction => empty).
-        return _filter_given(result.select(expr.condition.evaluate), given)
-    if isinstance(expr, Project):
-        # Bound values for projected-away attributes must be applied before
-        # projecting; evaluate the child with all of them, then project.
-        return evaluate(expr.child, catalog, given, context).project(expr.attrs)
-    if isinstance(expr, Rename):
-        reverse = {new: old for old, new in expr.mapping}
-        child_given = {reverse.get(a, a): v for a, v in given.items()}
-        return evaluate(expr.child, catalog, child_given, context).rename(
-            expr.mapping_dict
-        )
-    if isinstance(expr, Derive):
-        child_given = {a: v for a, v in given.items() if a != expr.attr}
-        result = evaluate(expr.child, catalog, child_given, context).derive(
-            expr.attr, expr.fn
-        )
-        return _filter_given(result, given)
-    if isinstance(expr, Join):
-        return _evaluate_join(expr, catalog, given, context)
-    if isinstance(expr, Union):
-        left_sets, right_sets, _, _ = _branches(expr, catalog)
-        bound = frozenset(given)
-        left_ok = feasible(left_sets, bound)
-        right_ok = feasible(right_sets, bound)
-        if left_ok and right_ok:
-            if context is not None:
-                left, right = context.map(
-                    lambda side: evaluate(side, catalog, given, context),
-                    [expr.left, expr.right],
-                )
-            else:
-                left = evaluate(expr.left, catalog, given)
-                right = evaluate(expr.right, catalog, given)
-            return left.union(right)
-        if expr.relaxed and (left_ok or right_ok):
-            side = expr.left if left_ok else expr.right
-            return evaluate(side, catalog, given, context)
-        raise BindingError(
-            "union not computable with bound attributes %s" % sorted(bound)
-        )
-    raise TypeError("unknown expression %r" % (expr,))
-
-
-def _filter_given(relation: Relation, given: dict[str, Any]) -> Relation:
-    """``relation`` cut down to the rows consistent with ``given``.  A
-    relation probed again on the same columns — a fetched (cached)
-    relation, a literal, a memoised derivation — reads an index
-    (:meth:`Relation.where`)."""
-    positions, picks = relation.schema.columns(tuple(given))
-    if not positions:
-        return relation
-    values = tuple(given.values())
-    if len(picks) == 1:
-        return relation.where(positions, values[picks[0]])
-    return relation.where(positions, tuple(values[i] for i in picks))
+    return _plan(expr, catalog, frozenset(given)).run(given, context, params)
 
 
 def evaluate_batch(
@@ -382,165 +626,22 @@ def evaluate_batch(
     catalog: Catalog,
     givens: list[dict[str, Any]],
     context: Any = None,
+    params: tuple[Any, ...] = (),
 ) -> list[Relation]:
-    """Evaluate ``expr`` under each binding in ``givens`` — the batched
-    form of :func:`evaluate`, with identical per-binding results.
+    """Evaluate ``expr`` under each binding in ``givens``, with the
+    per-binding results of :func:`evaluate`.
 
-    This is the probe-batch fast path of a dependent join: instead of K
-    independent evaluations (each walking a site's navigation prefix from
-    the entry page), the batch descends the expression *together* and
-    hands whole binding lists to base relations whose catalog supports
-    ``fetch_batch``, so the engine runs them over one query-scoped page
-    cache that walks the shared prefix once.  Nodes without a batched
-    form (nested joins, heterogeneous union feasibility) fall back to
-    per-binding evaluation fanned out on the context.
+    This is a dependent join's probe batch: the plan hands the whole list
+    to each base relation (``fetch_batch`` where the catalog has it: one
+    walk of a site's shared prefix) and applies its compiled steps to each
+    piece.  A join inside, or a batch whose bindings do not share one
+    attribute set, runs binding by binding through the context's fan-out;
+    a batch without a context, or of one binding, is :func:`evaluate`'s.
     """
     givens = [dict(given or {}) for given in givens]
-    if not givens:
-        return []
-    if context is None or len(givens) == 1:
-        return [evaluate(expr, catalog, given, context) for given in givens]
-    if isinstance(expr, Base):
-        fetch_batch = getattr(catalog, "fetch_batch", None)
-        if fetch_batch is None:
-            relations = context.map(
-                lambda given: catalog.fetch(expr.name, given, context=context),
-                givens,
-            )
-        else:
-            relations = fetch_batch(expr.name, givens, context=context)
-        return [
-            _filter_given(relation, given)
-            for relation, given in zip(relations, givens)
-        ]
-    if isinstance(expr, Fixed):
-        return [_filter_given(expr.relation, given) for given in givens]
-    if isinstance(expr, Select):
-        constants = equality_bindings(expr.condition)
-        child_givens = []
-        for given in givens:
-            child_given = dict(given)
-            child_given.update(constants)
-            child_givens.append(child_given)
-        results = evaluate_batch(expr.child, catalog, child_givens, context)
-        return [
-            _filter_given(result.select(expr.condition.evaluate), given)
-            for result, given in zip(results, givens)
-        ]
-    if isinstance(expr, Project):
-        results = evaluate_batch(expr.child, catalog, givens, context)
-        return [result.project(expr.attrs) for result in results]
-    if isinstance(expr, Rename):
-        reverse = {new: old for old, new in expr.mapping}
-        child_givens = [
-            {reverse.get(a, a): v for a, v in given.items()} for given in givens
-        ]
-        results = evaluate_batch(expr.child, catalog, child_givens, context)
-        return [result.rename(expr.mapping_dict) for result in results]
-    if isinstance(expr, Derive):
-        child_givens = [
-            {a: v for a, v in given.items() if a != expr.attr} for given in givens
-        ]
-        results = evaluate_batch(expr.child, catalog, child_givens, context)
-        return [
-            _filter_given(result.derive(expr.attr, expr.fn), given)
-            for result, given in zip(results, givens)
-        ]
-    if isinstance(expr, Union):
-        # Probe batches share one bound-attribute key set, so union
-        # feasibility is uniform across the batch; when it is not (mixed
-        # callers), fall back to per-binding evaluation.
-        bound_sets = {frozenset(given) for given in givens}
-        if len(bound_sets) == 1:
-            bound = next(iter(bound_sets))
-            left_sets, right_sets, _, _ = _branches(expr, catalog)
-            left_ok = feasible(left_sets, bound)
-            right_ok = feasible(right_sets, bound)
-            if left_ok and right_ok:
-                left_batch, right_batch = context.map(
-                    lambda side: evaluate_batch(side, catalog, givens, context),
-                    [expr.left, expr.right],
-                )
-                return [
-                    left.union(right)
-                    for left, right in zip(left_batch, right_batch)
-                ]
-            if expr.relaxed and (left_ok or right_ok):
-                side = expr.left if left_ok else expr.right
-                return evaluate_batch(side, catalog, givens, context)
-            raise BindingError(
-                "union not computable with bound attributes %s" % sorted(bound)
-            )
-    # Joins (and anything without a batched form): per-binding evaluation,
-    # through the context's fan-out.
-    return context.map(
-        lambda given: evaluate(expr, catalog, given, context), givens
-    )
-
-
-def _evaluate_join(
-    expr: Join, catalog: Catalog, given: dict[str, Any], context: Any = None
-) -> Relation:
-    bound = frozenset(given)
-    left_sets, right_sets, left_schema, right_schema = _branches(expr, catalog)
-    common = sorted(left_schema.common(right_schema))
-
-    for first, first_sets, second, second_sets, second_schema in (
-        (expr.left, left_sets, expr.right, right_sets, right_schema),
-        (expr.right, right_sets, expr.left, left_sets, left_schema),
-    ):
-        if not feasible(first_sets, bound):
-            continue
-        if feasible(second_sets, bound):
-            # Independent: both sides computable from the given bindings.
-            if context is not None:
-                first_rel, second_rel = context.map(
-                    lambda side: evaluate(side, catalog, given, context),
-                    [first, second],
-                )
-            else:
-                first_rel = evaluate(first, catalog, given)
-                second_rel = evaluate(second, catalog, given)
-            return first_rel.natural_join(second_rel)
-        if feasible(second_sets, bound | frozenset(common)):
-            # Dependent: feed common-attribute values from the first side.
-            first_rel = evaluate(first, catalog, given, context)
-            feds = []
-            for combo in first_rel.distinct_values(common):
-                fed = dict(given)
-                fed.update(zip(common, combo))
-                feds.append(fed)
-            if context is None:
-                # The paper's per-binding rule, as written: the reference
-                # the engine paths are checked against.
-                pieces = [evaluate(second, catalog, fed) for fed in feds]
-            elif feds:
-                # The whole probe set descends the second side together, so
-                # base relations receive one ``fetch_batch`` — one shared
-                # navigation prefix, K submissions — instead of K walks.
-                pieces = evaluate_batch(second, catalog, feds, context)
-            else:
-                # Empty outer side: every probe of the second side is
-                # provably irrelevant, so none is issued.  Record the
-                # decision so traces and metrics show the saved fetches.
-                pieces = []
-                span = getattr(context, "span", None)
-                if span is not None:
-                    with span("prune", "empty-outer") as pspan:
-                        pspan.attrs["feeds"] = ",".join(common)
-                metrics = getattr(context, "metrics", None)
-                if metrics is not None:
-                    metrics.counter("planner.pruned_inner").inc()
-            if pieces:
-                second_rel = Relation.union_of(pieces)
-            else:
-                second_rel = Relation(second_schema, [])
-            return first_rel.natural_join(second_rel)
-    raise BindingError(
-        "join not computable: bound=%s, left needs %s, right needs %s"
-        % (
-            sorted(bound),
-            [sorted(m) for m in left_sets],
-            [sorted(m) for m in right_sets],
-        )
-    )
+    if context is None or len(givens) < 2:
+        return [evaluate(expr, catalog, given, context, params) for given in givens]
+    keys = givens[0].keys()
+    if any(given.keys() != keys for given in givens):
+        return context.map(lambda given: evaluate(expr, catalog, given, context, params), givens)
+    return _plan(expr, catalog, frozenset(keys)).batch(givens, context, params)

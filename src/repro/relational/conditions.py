@@ -1,7 +1,9 @@
 """Selection conditions for the relational layers.
 
-Conditions are small ASTs evaluated against row dicts.  Besides evaluation,
-they expose the two analyses the rest of the system needs:
+Conditions are small ASTs evaluated against row dicts (the spec); a plan
+tests rows through :func:`row_test`, the same condition compiled to a
+predicate over row positions.  They also expose the two analyses the rest
+of the system needs:
 
 * :func:`equality_bindings` — the attribute=constant equalities a condition
   guarantees, which binding propagation absorbs (a selection on ``make =
@@ -16,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.relational.relation import RowDict
+from repro.relational.relation import Row, RowDict
 
 
 class Condition:
@@ -250,3 +252,46 @@ def equality_bindings(condition: Condition | None) -> dict[str, Any]:
             elif isinstance(node.right, Attr) and isinstance(node.left, Const):
                 found[node.right.name] = node.left.literal
     return found
+
+
+#: A compiled condition: the query's parameter values -> a row predicate.
+RowTest = Callable[[tuple[Any, ...]], Callable[[Row], Any]]
+
+
+def row_test(condition: Condition, attrs: tuple[str, ...]) -> RowTest:
+    """``condition`` over rows of ``attrs``: given a query's parameter values
+    (its :class:`Param` slots), the predicate over row tuples.  It answers
+    as :meth:`Condition.evaluate` does on the row's dict: a ``None`` or
+    incomparable operand is false, a missing attribute raises ``KeyError``."""
+    index = {attr: i for i, attr in enumerate(attrs)}
+
+    def operand(node: Operand, params: tuple) -> Callable[[Row], Any]:
+        if isinstance(node, Attr):
+            if node.name in index:
+                return operator.itemgetter(index[node.name])
+            return lambda row: {}[node.name]  # KeyError, as a row dict raises
+        value = params[node.literal.index] if isinstance(node.literal, Param) else node.literal
+        return lambda row: value
+
+    def bind(node: Condition, params: tuple) -> Callable[[Row], Any]:
+        if isinstance(node, Not):
+            part = bind(node.part, params)
+            return lambda row: not part(row)
+        if isinstance(node, (And, Or)):
+            parts = [bind(part, params) for part in node.parts]
+            every = all if isinstance(node, And) else any
+            return lambda row: every(part(row) for part in parts)
+        left, right, op = operand(node.left, params), operand(node.right, params), _OPS[node.op]
+
+        def test(row: Row) -> Any:
+            a, b = left(row), right(row)
+            if a is None or b is None:
+                return False
+            try:
+                return op(a, b)
+            except TypeError:
+                return False
+
+        return test
+
+    return lambda params: bind(condition, params)

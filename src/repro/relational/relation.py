@@ -107,14 +107,6 @@ class Relation:
         attrs = self.schema.attrs
         return [dict(zip(attrs, row)) for row in self.rows]
 
-    def to_dict_tuples(self) -> list[tuple[tuple[str, Any], ...]]:
-        attrs = sorted(self.schema.attrs)
-        index = {a: self.schema.index_of(a) for a in attrs}
-        return [tuple((a, row[index[a]]) for a in attrs) for row in self.rows]
-
-    def row_dict(self, row: Row) -> RowDict:
-        return dict(zip(self.schema.attrs, row))
-
     @property
     def is_empty(self) -> bool:
         return not self._rows
@@ -178,10 +170,6 @@ class Relation:
             value: Relation(self.schema, rows, True, self._sorted)
             for value, rows in groups.items()
         }
-
-    def select(self, predicate: Callable[[RowDict], bool]) -> "Relation":
-        attrs = self.schema.attrs
-        return self.select_rows(lambda row: predicate(dict(zip(attrs, row))))
 
     def project(self, attrs: Iterable[str]) -> "Relation":
         target = self.schema.project(attrs)

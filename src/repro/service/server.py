@@ -14,7 +14,8 @@ share it gracefully rather than degrade everyone:
   client's tail grow without bound;
 * **per-client concurrency limits** — one connection may hold at most
   ``config.per_client_limit`` queries in flight (``CLIENT_LIMIT``,
-  retriable), so a single greedy client cannot monopolize the queue;
+  retriable), so a single greedy client cannot monopolize the queue (a
+  slot is freed before its request's last frame or subscribe ack leaves);
 * **per-request deadlines** — the remaining budget (queue wait counts!)
   propagates into the query's
   :class:`~repro.core.execution.ExecutionContext`, which re-checks it
@@ -49,7 +50,7 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.execution import DeadlineExceeded, ExecutionContext
 from repro.core.webbase import WebBase
@@ -116,6 +117,13 @@ class _Job:
     request: Request
     admitted_at: float
     deadline_at: float | None  # wall (monotonic) expiry; queue wait counts
+    released: bool = False
+
+    def release(self) -> None:
+        """Free the client's slot, once, before the reply leaves."""
+        if not self.released:
+            self.released = True
+            self.handler.release_slot()
 
 
 def _pages(
@@ -201,7 +209,13 @@ class StandingQueryRegistry:
             standing.seq,
         )
 
-    def subscribe(self, handler: Any, request: Request, page_size: int) -> None:
+    def subscribe(
+        self,
+        handler: Any,
+        request: Request,
+        page_size: int,
+        before_ack: Callable[[], None] | None = None,
+    ) -> None:
         """Register held, evaluate, then ack and release.
 
         The subscriber is registered first, *held*: from then on every
@@ -213,6 +227,7 @@ class StandingQueryRegistry:
         A ``resume`` subscribe (the client holds the state the query had
         when it registered: the persisted snapshot) receives the ack and
         at most one ``"resume"`` delta, from that state to this one.
+        ``before_ack`` runs just before those frames are written.
         """
         text = request.text
         subscriber = (handler, request.id)
@@ -260,6 +275,8 @@ class StandingQueryRegistry:
                 )
                 self.deltas_sent += 1
                 self._metrics.counter("service.standing_deltas").inc()
+            if before_ack is not None:
+                before_ack()
             handler.send(*frames)
         self._metrics.counter("service.standing_subscribed").inc()
         self._metrics.gauge("service.standing_active").set(len(self._queries))
@@ -648,7 +665,7 @@ class WebBaseService:
             try:
                 self._run_job(job)
             finally:
-                job.handler.release_slot()
+                job.release()  # if no terminal frame went out
                 self._queue.task_done()
                 with self._state:
                     self._inflight -= 1
@@ -665,6 +682,7 @@ class WebBaseService:
         if job.deadline_at is not None and monotonic() >= job.deadline_at:
             # Expired while queued: don't waste an executor on a lost cause.
             self.metrics.counter("service.deadline_exceeded").inc()
+            job.release()
             job.handler.send(
                 protocol.error_frame(
                     request.id,
@@ -678,7 +696,7 @@ class WebBaseService:
         try:
             if request.op == "subscribe":
                 page_size = request.page_size or self.config.page_size
-                self.standing.subscribe(job.handler, request, page_size)
+                self.standing.subscribe(job.handler, request, page_size, job.release)
                 # The registry sends its own `subscribed` ack; no result frame.
                 terminal = False
                 stats = {}
@@ -714,6 +732,7 @@ class WebBaseService:
             finished - job.admitted_at
         )
         if terminal:
+            job.release()
             job.handler.send(frame)
 
     def _adopt(self, store_dir: str) -> dict[str, Any]:

@@ -11,7 +11,7 @@ be optimized and evaluated by standard query evaluation techniques."
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from time import thread_time
 from typing import Any, Iterable, Iterator
@@ -48,14 +48,23 @@ class PlanError(Exception):
 
 @dataclass
 class ObjectPlan:
-    """One maximal object's contribution to the answer."""
+    """One maximal object's contribution to the answer: ``template`` is the
+    compiled shape's expression, whose plan runs with the query's constants
+    (``values``) as the parameters of its ``Param`` slots."""
 
     relations: tuple[str, ...]  # in join order
-    expression: Expr
+    template: Expr
     feasible: bool
     note: str = ""
     rewrites: tuple[str, ...] = ()
     estimate: JoinPlan | None = None  # cost-planner predictions, when used
+    values: tuple[Any, ...] = ()
+
+    @cached_property
+    def expression(self) -> Expr:
+        """The template with ``values`` bound, for ``explain`` and the
+        fingerprint; built when first read."""
+        return bind_expression(self.template, self.values)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -66,16 +75,8 @@ class ObjectPlan:
         return plan_fingerprint(self.expression) if self.feasible else ""
 
     def bind(self, values: tuple[Any, ...]) -> "ObjectPlan":
-        """This compiled object with the query's constants in its
-        expression's parameter slots."""
-        return ObjectPlan(
-            self.relations,
-            bind_expression(self.expression, values),
-            self.feasible,
-            self.note,
-            self.rewrites,
-            self.estimate,
-        )
+        """This compiled object for a query with constants ``values``."""
+        return replace(self, values=values)
 
 
 @dataclass
@@ -134,9 +135,11 @@ class StructuredUR:
     Planning is compiled once per query *shape*: the covering objects,
     their join orders, feasibility and rewrites depend on which attributes
     a query names and binds, never on the constants it binds them to, so
-    :meth:`plan` lifts the constants out, looks the shape up, and binds
-    the constants into the compiled expressions.  The compiled plans are a
-    function of the schema alone (no data), so nothing can make them stale.
+    :meth:`plan` lifts the constants out, looks the shape up, and hands
+    the constants to each object as the parameters of its template, whose
+    algebra plan (:func:`~repro.relational.algebra.evaluate`) is compiled
+    once too.  Both are a function of the schema alone (no data), so
+    nothing can make them stale.
     """
 
     def __init__(
@@ -252,7 +255,7 @@ class StructuredUR:
                 objects.append(
                     ObjectPlan(
                         relations=tuple(sorted(cover)),
-                        expression=Base("unorderable"),
+                        template=Base("unorderable"),
                         feasible=False,
                         note="mandatory attributes not derivable from the query",
                     )
@@ -273,7 +276,7 @@ class StructuredUR:
             objects.append(
                 ObjectPlan(
                     relations=tuple(ordered_names),
-                    expression=expr,
+                    template=expr,
                     feasible=True,
                     rewrites=rewrites,
                     estimate=estimate,
@@ -364,7 +367,7 @@ class StructuredUR:
         """One maximal object without an engine (the paper's direct
         evaluation); ``None`` when its bindings are infeasible."""
         try:
-            return evaluate(obj.expression, self.logical)
+            return evaluate(obj.template, self.logical, params=obj.values)
         except BindingError:
             return None
 
@@ -376,18 +379,14 @@ class StructuredUR:
         from repro.core.execution import FanoutError, FetchFailedError
 
         registry = getattr(context, "mqo_registry", None)
+        run = lambda: evaluate(obj.template, self.logical, context=context, params=obj.values)  # noqa: E731
         with context.span("object", " ⋈ ".join(obj.relations)) as span:
             mark = thread_time()
             try:
                 if registry is not None and obj.fingerprint:
                     span.attrs["fingerprint"] = obj.fingerprint[:12]
-                    return registry.run(
-                        obj.fingerprint,
-                        context,
-                        lambda: evaluate(obj.expression, self.logical, context=context),
-                        span=span,
-                    )
-                return evaluate(obj.expression, self.logical, context=context)
+                    return registry.run(obj.fingerprint, context, run, span=span)
+                return run()
             except BindingError as exc:
                 span.status = "skipped"
                 span.error = str(exc)

@@ -108,10 +108,6 @@ class VpsSchema:
         cache invalidation (a site change affects all of its relations)."""
         return self.relation(name).host
 
-    def relations_of(self, host: str) -> list[str]:
-        """Every VPS relation served by ``host``."""
-        return sorted(n for n, r in self.relations.items() if r.host == host)
-
     # -- the Catalog protocol (consumed by the relational algebra) -------------
 
     def base_schema(self, name: str) -> Schema:

@@ -1,5 +1,9 @@
 """Unit tests for the binding-aware relational algebra evaluator."""
 
+import math
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 
 from repro.relational.algebra import (
@@ -23,7 +27,9 @@ from repro.relational.algebra import (
 from repro.relational.bindings import BindingError, binding_sets
 from repro.relational.conditions import Attr, Comparison, Const, conj, eq
 from repro.relational.relation import Relation
+from repro.core.metrics import MetricsRegistry
 from repro.relational.schema import Schema
+from tests import reference_algebra
 
 
 class RecordingCatalog:
@@ -66,8 +72,8 @@ class RecordingCatalog:
     def fetch(self, name, given):
         self.fetches.append((name, dict(given)))
         relation = self.data[name]
-        relevant = {k: v for k, v in given.items() if k in relation.schema}
-        return relation.select(lambda row: all(row[k] == v for k, v in relevant.items()))
+        relevant = {relation.schema.index_of(k): v for k, v in given.items() if k in relation.schema}
+        return relation.select_rows(lambda row: all(row[i] == v for i, v in relevant.items()))
 
 
 @pytest.fixture()
@@ -235,3 +241,109 @@ class TestEvaluation:
     def test_given_agreeing_with_selection_constant(self, catalog):
         expr = Select(Join(Base("ads"), Base("bb")), eq("make", "jaguar"))
         assert len(evaluate(expr, catalog, {"make": "jaguar"})) == 1
+
+
+# -- the plan's static rules, on the plan and on the interpreter ----------------------
+
+#: The compiled plans and the interpreter they replaced: each case runs on both.
+ENGINES = {"plan": evaluate, "reference": reference_algebra.evaluate}
+NAN = float("nan")
+
+
+@pytest.fixture(params=sorted(ENGINES))
+def run(request):
+    return ENGINES[request.param]
+
+
+class EngineCatalog(RecordingCatalog):
+    """The fixed catalog with the engine-side fetch signature."""
+
+    def fetch(self, name, given, context=None):
+        return super().fetch(name, given)
+
+
+class IgnoringCatalog(RecordingCatalog):
+    """A catalog whose source ignores every binding: it returns the whole
+    relation, however it was asked."""
+
+    def fetch(self, name, given):
+        self.fetches.append((name, dict(given)))
+        return self.data[name]
+
+
+class TracingContext:
+    """An execution context's fan-out, spans and metrics, and nothing else."""
+
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+        self.spans = []
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+    @contextmanager
+    def span(self, kind, name):
+        span = SimpleNamespace(attrs={})
+        yield span
+        self.spans.append((kind, name, span.attrs))
+
+
+class TestStaticFilterRules:
+    """A plan filters on the caller's bindings only where a result can
+    disagree with them: after a base fetch, after a selection whose
+    constant overrode a binding, after a derivation of a bound attribute.
+    Each case gives what the interpreter's filter at every node gives."""
+
+    def test_a_select_constant_contradicting_the_binding_is_empty(self, run, catalog):
+        expr = Select(Base("ads"), eq("make", "jaguar"))
+        assert run(expr, catalog, {"make": "ford"}).is_empty
+        assert catalog.fetches == [("ads", {"make": "jaguar"})]  # the constant is fetched
+        assert len(run(expr, catalog, {"make": "jaguar"})) == 1
+
+    def test_a_derive_of_a_bound_attribute_filters_on_the_derived_value(self, run, catalog):
+        expr = Derive(Base("ads"), "price", lambda r: r["price"] // 1000)
+        result = run(expr, catalog, {"make": "ford", "price": 4})
+        assert catalog.fetches == [("ads", {"make": "ford"})]  # not pushed down
+        assert sorted(result.rows) == [("ford", "escort", 1994, 4), ("ford", "escort", 1995, 4)]
+
+    def test_a_catalog_that_ignores_a_binding_is_filtered_after_the_fetch(self, run):
+        catalog = IgnoringCatalog()
+        expr = Project(Base("ads"), ("model", "year"))
+        result = run(expr, catalog, {"make": "ford", "model": "escort"})
+        assert catalog.fetches == [("ads", {"make": "ford", "model": "escort"})]
+        assert sorted(result.rows) == [("escort", 1994), ("escort", 1995)]
+
+    def test_a_constant_a_filter_and_a_test_disagree_on_is_still_tested(self, run, catalog):
+        """``None`` equals ``None`` for the filter, but no comparison with
+        it holds: the selection's own test still runs."""
+        rel = Relation(["make", "model"], [(None, "x"), ("ford", "escort")])
+        assert run(Select(Fixed(rel), eq("make", None)), catalog).is_empty
+        assert len(run(Select(Fixed(rel), eq("make", "ford")), catalog)) == 1
+
+    def test_nan_and_unhashable_bindings_keep_the_scan_semantics(self, run, catalog):
+        """A scan compares one column with ``==`` (NaN never matches) and
+        several as tuples (identity first); a value a dict cannot hold is
+        scanned.  The relation is probed as a cached fetch is: scanned,
+        then indexed, then read from the index."""
+        assert math.isnan(NAN)
+        relation = Fixed(Relation(("a", "b"), [(NAN, 1), (NAN, 2), (0.0, 1)]))
+        for _ in range(3):
+            assert run(relation, catalog, {"a": NAN}).is_empty
+            assert len(run(relation, catalog, {"a": NAN, "b": 1})) == 1
+            assert len(run(relation, catalog, {"a": float("nan"), "b": 1})) == 0
+            assert len(run(relation, catalog, {"a": -0.0})) == 1
+            assert run(Fixed(Relation(("a",), [("x",)])), catalog, {"a": ["x"]}).is_empty
+
+
+class TestEmptyOuterPrune:
+    def test_an_empty_outer_side_issues_no_inner_fetch(self, run):
+        """A dependent join whose outer side is empty fetches nothing of
+        the inner one, counts ``planner.pruned_inner`` once and records
+        one ``prune`` / ``empty-outer`` span naming the feed attributes."""
+        catalog, context = EngineCatalog(), TracingContext()
+        result = run(Join(Base("ads"), Base("bb")), catalog, {"make": "nosuch"}, context)
+        assert result.is_empty
+        assert set(result.schema.attrs) == {"make", "model", "year", "price", "bbprice"}
+        assert [name for name, _ in catalog.fetches] == ["ads"]
+        assert context.metrics.value("planner.pruned_inner") == 1
+        assert context.spans == [("prune", "empty-outer", {"feeds": "make,model,year"})]

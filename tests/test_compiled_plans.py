@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro import WebBase, WebBaseConfig
 from repro.domains import CARS, HARDWARE, JOBS
-from repro.relational.algebra import _filter_given
+from tests.reference_algebra import _filter_given
 from repro.relational.relation import Relation
 from repro.ur.planner import PlanError, StructuredUR, URPlan
 from repro.ur.query import parse_query

@@ -54,8 +54,8 @@ class Catalog:
     def fetch(self, name, given):
         self.fetches.append((name, dict(given)))
         relation = self.data[name]
-        relevant = {k: v for k, v in given.items() if k in relation.schema}
-        return relation.select(lambda row: all(row[k] == v for k, v in relevant.items()))
+        relevant = {relation.schema.index_of(k): v for k, v in given.items() if k in relation.schema}
+        return relation.select_rows(lambda row: all(row[i] == v for i, v in relevant.items()))
 
 
 @pytest.fixture()

@@ -73,9 +73,10 @@ class CountingCatalog:
             )
         self.metrics.counter("catalog.fetches").inc()
         self.metrics.counter("catalog.fetches.%s" % name).inc()
-        relevant = {a: v for a, v in given.items() if a in self.relations[name].schema}
-        return self.relations[name].select(
-            lambda row: all(row[a] == v for a, v in relevant.items())
+        schema = self.relations[name].schema
+        relevant = {schema.index_of(a): v for a, v in given.items() if a in schema}
+        return self.relations[name].select_rows(
+            lambda row: all(row[i] == v for i, v in relevant.items())
         )
 
 

@@ -43,11 +43,11 @@ def _objects_fail(*faults):
     real = planner.evaluate
     calls = []
 
-    def evaluate(expression, logical, context=None):
+    def evaluate(expression, logical, context=None, params=()):
         calls.append(expression)
         if len(calls) <= len(faults):
             faults[len(calls) - 1](context)
-        return real(expression, logical, context=context)
+        return real(expression, logical, context=context, params=params)
 
     return mock.patch.object(planner, "evaluate", evaluate)
 

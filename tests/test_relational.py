@@ -90,7 +90,8 @@ class TestRelationBasics:
 
 class TestOperators:
     def test_select(self):
-        cheap = R.select(lambda row: row["price"] < 10000)
+        price = R.schema.index_of("price")
+        cheap = R.select_rows(lambda row: row[price] < 10000)
         assert len(cheap) == 2
 
     def test_project(self):
@@ -172,8 +173,8 @@ class TestAlgebraLaws:
     @given(rows_strategy, rows_strategy)
     def test_select_distributes_over_union(self, rows1, rows2):
         a, b = _rel(rows1), _rel(rows2)
-        pred = lambda row: row["v"] > 1
-        assert a.union(b).select(pred) == a.select(pred).union(b.select(pred))
+        pred = lambda row: row[1] > 1  # v
+        assert a.union(b).select_rows(pred) == a.select_rows(pred).union(b.select_rows(pred))
 
     @given(rows_strategy)
     def test_project_to_full_schema_is_identity(self, rows):
@@ -215,8 +216,8 @@ class Eager:
     def of(self, attrs, dicts):
         return Eager(attrs, [tuple(d[a] for a in attrs) for d in dicts])
 
-    def select(self, pred):
-        return self.of(self.attrs, [d for d in self.dicts() if pred(d)])
+    def select_rows(self, pred):
+        return Eager(self.attrs, [row for row in self.rows if pred(row)])
 
     def project(self, attrs):
         return self.of(attrs, self.dicts())
@@ -265,13 +266,14 @@ def _draw_step(data, attrs):
     ``(method name, args for Relation, args for Eager)``."""
     op = data.draw(
         st.sampled_from(
-            ["select", "project", "rename", "derive", "union", "intersect",
+            ["select_rows", "project", "rename", "derive", "union", "intersect",
              "difference", "natural_join"]
         )
     )  # fmt: skip
-    if op == "select":
+    if op == "select_rows":
         attr, value = data.draw(st.sampled_from(attrs)), data.draw(st.sampled_from(CONSTANTS))
-        pred = lambda row: row[attr] == value  # noqa: E731
+        position = attrs.index(attr)
+        pred = lambda row: row[position] == value  # noqa: E731
         return op, (pred,), (pred,)
     if op == "project":
         kept = data.draw(st.permutations(attrs))[: data.draw(st.integers(1, len(attrs)))]
@@ -338,7 +340,7 @@ class TestLazyOrderAgainstEagerReference:
         assert first == fresh and first.rows == fresh.rows and first is not fresh
 
     def test_an_operator_that_changes_nothing_returns_its_operand(self):
-        assert R.select(lambda row: True) is R
+        assert R.select_rows(lambda row: True) is R
         assert R.project(["make", "model", "price"]) is R
         assert R.rename({"bb": "blue"}) is R and R.rename({}) is R
         assert R.union(Relation(["price", "model", "make"], [])) is R

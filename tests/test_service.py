@@ -348,3 +348,50 @@ class TestDrain:
             assert webbase.metrics.value("engine.fetches") == fetches_after_first
         finally:
             svc.shutdown()
+
+
+class TestSlotRelease:
+    @pytest.mark.parametrize("op", ["query", "subscribe"])
+    def test_the_next_request_sent_on_reading_a_reply_is_admitted(self, op, monkeypatch):
+        """The worker writes a request's reply (a query's result, a
+        subscribe's ack) and is then held before it does anything else: a
+        client with ``per_client_limit=1`` that sends its next request the
+        moment it reads that reply must be admitted, not refused with
+        ``CLIENT_LIMIT`` — the slot is free before the reply leaves."""
+        from repro.service import server as server_mod
+
+        reply = "result" if op == "query" else "subscribed"
+        held, resume = threading.Event(), threading.Event()
+        original = server_mod._ClientHandler.send
+
+        def send(handler, *frames):
+            original(handler, *frames)
+            if not held.is_set() and any(f.get("type") == reply for f in frames):
+                held.set()
+                resume.wait(timeout=10.0)
+
+        monkeypatch.setattr(server_mod._ClientHandler, "send", send)
+        svc = WebBaseService(
+            _fresh_webbase(), ServiceConfig(port=0, workers=2, per_client_limit=1)
+        )
+        host, port = svc.start()
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                reader = sock.makefile("rb")
+
+                def frames_until(kind: str, request_id: int) -> dict:
+                    while True:
+                        frame = protocol.decode_line(reader.readline())
+                        assert frame["type"] != "error", frame
+                        if frame["type"] == kind and frame["id"] == request_id:
+                            return frame
+
+                sock.sendall(protocol.encode({"id": 1, "op": op, "text": QUERY}))
+                frames_until(reply, 1)
+                sock.sendall(protocol.encode({"id": 2, "op": "query", "text": QUERY}))
+                assert held.wait(timeout=10.0)  # the first worker is still held
+                frames_until("result", 2)
+            assert svc.metrics.value("service.client_limited") == 0
+        finally:
+            resume.set()
+            svc.shutdown()

@@ -95,7 +95,8 @@ class TestHandleAgreement:
         webbase = _shared_webbase()
         via_form = webbase.vps.fetch("newsday", {"make": make, "model": "escort"})
         broad = webbase.vps.fetch("newsday", {"make": make})
-        filtered = broad.select(lambda row: row["model"] == "escort")
+        model = broad.schema.index_of("model")
+        filtered = broad.select_rows(lambda row: row[model] == "escort")
         assert via_form == filtered
 
 
