@@ -101,7 +101,6 @@ def run_load(
     rounds: int,
     queue_limit: int = 64,
     workers: int = 4,
-    per_client_limit: int = 2,
 ) -> LoadReport:
     """One closed-loop load point against a fresh service instance.
 
@@ -112,12 +111,7 @@ def run_load(
     webbase = _webbase()
     service = WebBaseService(
         webbase,
-        ServiceConfig(
-            port=0,
-            queue_limit=queue_limit,
-            workers=workers,
-            per_client_limit=per_client_limit,
-        ),
+        ServiceConfig(port=0, queue_limit=queue_limit, workers=workers),
     )
     host, port = service.start()
     barrier = threading.Barrier(clients)

@@ -209,9 +209,7 @@ def run_single_arm(
                 cache=CachePolicy.lru(),
             )
         ),
-        ServiceConfig(
-            port=0, queue_limit=32, workers=4, per_client_limit=32
-        ),
+        ServiceConfig(port=0, queue_limit=32, workers=4),
     )
     address = service.start()
     try:

@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=16, help="admission queue bound"
     )
     serve.add_argument(
-        "--service-workers", type=int, default=4, help="query executor threads"
+        "--service-workers", type=int, default=4, help="requests run at once"
     )
 
     client = sub.add_parser("client", help="query a running service")
@@ -277,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=16, help="per-worker admission bound"
     )
     cserve.add_argument(
-        "--service-workers", type=int, default=4, help="threads per worker"
+        "--service-workers",
+        type=int,
+        default=4,
+        help="requests run at once per worker",
     )
     cserve.add_argument(
         "--max-inflight", type=int, default=64, help="router admission bound"
@@ -588,13 +591,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         service = WebBaseService(webbase, config)
         host, port = service.start()
         print(
-            "serving on %s:%d (queue=%d, workers=%d, per-client=%d, cache=%s)"
+            "serving on %s:%d (queue=%d, workers=%d, cache=%s)"
             % (
                 host,
                 port,
                 config.queue_limit,
                 config.workers,
-                config.per_client_limit,
                 "on" if webbase.config.cache.enabled else "off",
             ),
             flush=True,

@@ -85,9 +85,6 @@ def build_worker_service(
             port=port,
             queue_limit=config.worker_queue_limit,
             workers=config.worker_threads,
-            # The router multiplexes many end clients over few relay
-            # connections, so the per-connection cap must not throttle it.
-            per_client_limit=max(16, config.worker_queue_limit),
             shard_id=shard_id,
             allow_world_mutation=config.allow_world_mutation,
         ),

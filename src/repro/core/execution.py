@@ -345,9 +345,8 @@ class ExecutorBundle:
     Browsers and executors (a current page, page counters) are not
     shareable between threads, so each access checks a full stack over
     the shared server out of the :class:`BundlePool`, and concurrent
-    queries never share one.  The clock accumulates across every access
-    the bundle serves; a context reads it as a difference around one
-    fetch.
+    queries never share one.  A context zeroes the clock at the start of
+    each fetch and reads the fetch's seconds off it.
     """
 
     def __init__(self, ident: int, server: WebServer, sites: Iterable["CompiledSite"]) -> None:
@@ -464,6 +463,9 @@ class ExecutionContext:
         # it is a function of the seed (the in-process Web costs no real
         # wall time, so there is nothing real to overlap).
         self._lane_seconds: list[float] = [0.0] * self.max_workers
+        # Their sum, added up in fetch order — the order one lane adds
+        # them in, so one lane's busiest lane equals it to the last bit.
+        self._network_seconds = 0.0
         self._cache: dict[tuple, "Relation"] = {}
         self._spans: list[TraceSpan] = []  # the open spans, innermost last
         self._accounting = False
@@ -473,7 +475,7 @@ class ExecutionContext:
     @property
     def network_seconds_total(self) -> float:
         """Σ network seconds over every fetch — the sequential cost."""
-        return sum(self._lane_seconds)
+        return self._network_seconds
 
     @property
     def network_seconds_critical(self) -> float:
@@ -722,7 +724,10 @@ class ExecutionContext:
         attempts_allowed = max(1, policy.max_attempts)
         with self.span("fetch", relation.name, host=relation.host) as fspan:
             fspan.cache = "miss"
-            started = bundle.clock.network_seconds
+            # Measured from zero: the same fetch reports the same seconds,
+            # whatever the bundle served before (the engine is the clock's
+            # only reader).
+            bundle.clock.reset()
             pages_total = 0
             last_error: Exception | None = None
             result: "Relation | None" = None
@@ -791,7 +796,7 @@ class ExecutionContext:
                 raise
             finally:
                 bundle.executor.cancel_check = None
-            total = bundle.clock.network_seconds - started
+            total = bundle.clock.network_seconds
             fspan.network_seconds = total
             fspan.pages = pages_total
             fspan.attrs["attempts"] = attempts_used
@@ -804,6 +809,7 @@ class ExecutionContext:
             )
             lane = min(range(self.max_workers), key=self._lane_seconds.__getitem__)
             self._lane_seconds[lane] += total
+            self._network_seconds += total
             self.metrics.counter("engine.fetches").inc()
             self.metrics.histogram("engine.fetch_seconds").observe(total)
             self.metrics.histogram("engine.fetch_pages").observe(pages_total)

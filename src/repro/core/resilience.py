@@ -1,8 +1,8 @@
 """Per-host resilience: circuit breakers and bulkhead worker partitions.
 
-At service scale one slow or broken site can eat the whole worker pool:
-every fetch that routes to it burns a retry budget, a worker slot, and a
-client's deadline.  This module keeps one degraded host from starving the
+At service scale one slow or broken site can hold every one of a
+service's runners: every fetch that routes to it burns a retry budget, a
+runner, and a client's deadline.  This module keeps one degraded host from starving the
 rest of the webbase, with two classic patterns adapted to the engine's
 simulated-Web setting:
 

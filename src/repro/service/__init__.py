@@ -10,8 +10,8 @@ paper layers and the engine underneath them:
 * :mod:`repro.service.server` — :class:`WebBaseService`: one shared
   :class:`~repro.core.webbase.WebBase` (cross-query cache, metrics,
   navigation maps) behind a TCP socket, with bounded admission,
-  load shedding, per-client concurrency limits, per-request deadlines,
-  streaming results and graceful drain;
+  load shedding, per-request deadlines, streaming results and graceful
+  drain;
 * :mod:`repro.service.client` — :class:`ServiceClient`, the in-process
   client library the CLI, tests and benchmarks use.
 """

@@ -56,7 +56,8 @@ class Overloaded(ServiceError):
 
 
 class ClientLimited(ServiceError):
-    """This connection holds too many in-flight queries.  Retriable."""
+    """This connection holds too many in-flight queries (an older server's
+    refusal; this one never sends it).  Retriable."""
 
     code = protocol.E_CLIENT_LIMIT
 

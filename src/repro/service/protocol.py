@@ -58,7 +58,7 @@ PROTOCOL_VERSION = 2
 # -- error codes -------------------------------------------------------------------
 
 E_OVERLOADED = "OVERLOADED"  # admission queue full; shed — retry later
-E_CLIENT_LIMIT = "CLIENT_LIMIT"  # per-connection concurrency limit hit
+E_CLIENT_LIMIT = "CLIENT_LIMIT"  # per-connection limit (older servers only)
 E_SHUTTING_DOWN = "SHUTTING_DOWN"  # server is draining; try another replica
 E_DEADLINE_EXCEEDED = "DEADLINE_EXCEEDED"  # the request's deadline expired
 E_BAD_REQUEST = "BAD_REQUEST"  # malformed frame, unknown op, unparsable query

@@ -7,16 +7,15 @@ One :class:`WebBaseService` owns one :class:`~repro.core.webbase.WebBase`
 pool of live source accesses; the service's job is to make N clients
 share it gracefully rather than degrade everyone:
 
-* **bounded admission queue with load shedding** — a query is either
-  admitted to a FIFO queue drained by ``config.workers`` executor threads,
-  or (queue full) *shed* with a retriable ``OVERLOADED`` error.  Shedding
-  keeps latency bounded for admitted work instead of letting every
-  client's tail grow without bound;
-* **per-client concurrency limits** — one connection may hold at most
-  ``config.per_client_limit`` queries in flight (``CLIENT_LIMIT``,
-  retriable), so a single greedy client cannot monopolize the queue (a
-  slot is freed before its request's last frame or subscribe ack leaves);
-* **per-request deadlines** — the remaining budget (queue wait counts!)
+* **admission with load shedding** — a request runs on its connection's
+  own thread: at most ``config.workers`` requests run at once, at most
+  ``config.queue_limit`` more wait their turn in arrival order, and
+  beyond that a request is *shed* with a retriable ``OVERLOADED`` error.
+  Shedding keeps latency bounded for admitted work instead of letting
+  every client's tail grow without bound.  A connection reads its next
+  request only once the current one is answered, so one client holds at
+  most one runner or waiting place;
+* **per-request deadlines** — the remaining budget (waiting counts!)
   propagates into the query's
   :class:`~repro.core.execution.ExecutionContext`, which re-checks it
   before every fetch and between retries and cancels outstanding worker
@@ -25,8 +24,8 @@ share it gracefully rather than degrade everyone:
   completes (deduplicated across objects), so a ``More``-loop query
   reaches the client incrementally instead of buffering the relation;
 * **graceful drain** — :meth:`WebBaseService.shutdown` stops accepting,
-  rejects new queries with ``SHUTTING_DOWN``, finishes in-flight work,
-  and flushes a final metrics snapshot;
+  rejects new queries with ``SHUTTING_DOWN``, finishes every admitted
+  request, and flushes a final metrics snapshot;
 * **standing queries** — a client ``subscribe``s a query once and then
   receives ``delta`` frames (row added/removed) whenever a maintenance
   sweep's change-data-capture event moves the answer.  The
@@ -36,7 +35,7 @@ share it gracefully rather than degrade everyone:
   and, with a tiered store, keeps each registration and its delivered
   snapshot in gold, so a restarted service resumes a resubscribing
   client with the deltas it missed;
-* **service metrics** — queue depth, admitted/shed/limited counts and
+* **service metrics** — queue depth (waiters), admitted/shed counts and
   per-stage latency histograms (queue wait, execution, total — with
   p50/p95/p99) feed the webbase's own
   :class:`~repro.core.metrics.MetricsRegistry`, so cache and engine
@@ -45,12 +44,12 @@ share it gracefully rather than degrade everyone:
 
 from __future__ import annotations
 
-import queue as queue_mod
 import socketserver
 import threading
+from collections import deque
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.execution import DeadlineExceeded, ExecutionContext
 from repro.core.webbase import WebBase
@@ -58,7 +57,6 @@ from repro.relational.relation import Relation
 from repro.service import protocol
 from repro.service.protocol import (
     E_BAD_REQUEST,
-    E_CLIENT_LIMIT,
     E_DEADLINE_EXCEEDED,
     E_INTERNAL,
     E_OVERLOADED,
@@ -69,7 +67,7 @@ from repro.ur.planner import PlanError
 from repro.ur.query import QueryParseError
 
 
-#: How long a graceful drain waits for queued and in-flight work.
+#: How long a graceful drain waits for waiting and running requests.
 DRAIN_TIMEOUT_SECONDS = 30.0
 
 
@@ -83,9 +81,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick an ephemeral port (see WebBaseService.address)
-    queue_limit: int = 16  # bounded admission queue; beyond this, shed
-    workers: int = 4  # executor threads draining the queue
-    per_client_limit: int = 2  # concurrent queries per connection
+    queue_limit: int = 16  # requests waiting to run; beyond this, shed
+    workers: int = 4  # requests running at once
     page_size: int = 50  # rows per streamed page (request may override)
     # Cluster membership: a non-empty shard id is stamped onto result
     # frames so clients and routers can see which shard served them.
@@ -101,29 +98,18 @@ class ServiceConfig:
             raise ValueError("queue_limit must be >= 1; got %r" % self.queue_limit)
         if self.workers < 1:
             raise ValueError("workers must be >= 1; got %r" % self.workers)
-        if self.per_client_limit < 1:
-            raise ValueError(
-                "per_client_limit must be >= 1; got %r" % self.per_client_limit
-            )
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1; got %r" % self.page_size)
 
 
-@dataclass
+@dataclass(eq=False)  # waiters are told apart by identity
 class _Job:
-    """One admitted query, waiting for (or on) an executor thread."""
+    """One admitted request, waiting for (or holding) a runner."""
 
     handler: "_ClientHandler"
     request: Request
     admitted_at: float
-    deadline_at: float | None  # wall (monotonic) expiry; queue wait counts
-    released: bool = False
-
-    def release(self) -> None:
-        """Free the client's slot, once, before the reply leaves."""
-        if not self.released:
-            self.released = True
-            self.handler.release_slot()
+    deadline_at: float | None  # wall (monotonic) expiry; waiting counts
 
 
 def _pages(
@@ -214,7 +200,6 @@ class StandingQueryRegistry:
         handler: Any,
         request: Request,
         page_size: int,
-        before_ack: Callable[[], None] | None = None,
     ) -> None:
         """Register held, evaluate, then ack and release.
 
@@ -227,7 +212,6 @@ class StandingQueryRegistry:
         A ``resume`` subscribe (the client holds the state the query had
         when it registered: the persisted snapshot) receives the ack and
         at most one ``"resume"`` delta, from that state to this one.
-        ``before_ack`` runs just before those frames are written.
         """
         text = request.text
         subscriber = (handler, request.id)
@@ -275,8 +259,6 @@ class StandingQueryRegistry:
                 )
                 self.deltas_sent += 1
                 self._metrics.counter("service.standing_deltas").inc()
-            if before_ack is not None:
-                before_ack()
             handler.send(*frames)
         self._metrics.counter("service.standing_subscribed").inc()
         self._metrics.gauge("service.standing_active").set(len(self._queries))
@@ -408,28 +390,10 @@ class StandingQueryRegistry:
 
 
 class _ClientHandler(protocol.LineFrameHandler):
-    """One connected client: parses its request frames and enforces its
-    concurrency slots (framing and writes: the base class)."""
+    """One connected client: parses its request frames and runs each on
+    this connection's thread (framing and writes: the base class)."""
 
     server: "_TcpServer"
-
-    def setup(self) -> None:
-        super().setup()
-        self._slots = 0
-        self._slots_lock = threading.Lock()
-
-    # -- the per-client concurrency limit -----------------------------------
-
-    def acquire_slot(self, limit: int) -> bool:
-        with self._slots_lock:
-            if self._slots >= limit:
-                return False
-            self._slots += 1
-            return True
-
-    def release_slot(self) -> None:
-        with self._slots_lock:
-            self._slots = max(0, self._slots - 1)
 
     def on_frame(self, payload: dict[str, Any]) -> None:
         service = self.server.service
@@ -448,8 +412,8 @@ class _ClientHandler(protocol.LineFrameHandler):
             self.send(protocol.status_frame(request.id, service.describe_status()))
         elif request.op == "drain":
             # Ack with the pre-drain status, then drain off-thread:
-            # shutdown() joins the executor pool, and this handler
-            # thread must stay free to flush the ack first.
+            # shutdown() waits for every admitted request, and this
+            # connection need not wait with it.
             self.send(protocol.status_frame(request.id, service.describe_status()))
             threading.Thread(
                 target=service.shutdown, name="service-drain", daemon=True
@@ -487,17 +451,14 @@ class WebBaseService:
         self.webbase = webbase
         self.config = config or ServiceConfig()
         self.metrics = webbase.metrics
-        self._queue: "queue_mod.Queue[_Job]" = queue_mod.Queue(
-            maxsize=self.config.queue_limit
-        )
         self._draining = threading.Event()
-        self._stopping = threading.Event()  # tells the executors to exit
         self._stopped = threading.Event()  # shutdown() has completed
+        # Guards the waiters and the runner count; notified on every exit.
         self._state = threading.Condition()
-        self._inflight = 0
+        self._waiting: deque[_Job] = deque()  # in arrival order
+        self._inflight = 0  # requests running
         self._server: _TcpServer | None = None
         self._acceptor: threading.Thread | None = None
-        self._workers: list[threading.Thread] = []
         self.standing = StandingQueryRegistry(webbase, self.metrics)
         # Maintenance sweeps (ours or anyone's on this webbase) publish
         # CDC events; the registry turns them into row deltas.
@@ -514,7 +475,7 @@ class WebBaseService:
         return str(host), int(port)
 
     def start(self) -> tuple[str, int]:
-        """Bind the socket, start the acceptor and the executor pool."""
+        """Bind the socket and start the acceptor."""
         if self._server is not None:
             raise RuntimeError("service already started")
         self._server = _TcpServer((self.config.host, self.config.port), self)
@@ -525,20 +486,14 @@ class WebBaseService:
             daemon=True,
         )
         self._acceptor.start()
-        for i in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name="service-worker-%d" % i, daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
         return self.address
 
     def shutdown(self) -> dict[str, Any]:
         """Graceful drain: stop accepting, reject new queries with
-        ``SHUTTING_DOWN``, finish queued and in-flight work (bounded by
-        ``DRAIN_TIMEOUT_SECONDS``), stop the executors, and return the
-        flushed final metrics snapshot.  Idempotent: a second call (the
-        foreground loop's, after a remote ``drain``) just returns it."""
+        ``SHUTTING_DOWN``, finish the waiting and running requests (bounded
+        by ``DRAIN_TIMEOUT_SECONDS``), and return the flushed final metrics
+        snapshot.  Idempotent: a second call (the foreground loop's, after
+        a remote ``drain``) just returns it."""
         if self._stopped.is_set():
             return self.metrics.snapshot()
         self._draining.set()
@@ -547,18 +502,13 @@ class WebBaseService:
             self._server.shutdown()  # stop accepting new connections
         deadline = monotonic() + DRAIN_TIMEOUT_SECONDS
         with self._state:
-            while (not self._queue.empty() or self._inflight > 0) and (
-                monotonic() < deadline
-            ):
-                self._state.wait(timeout=0.1)
-        self._stopping.set()
-        for worker in self._workers:
-            worker.join(timeout=DRAIN_TIMEOUT_SECONDS)
+            while (self._waiting or self._inflight) and monotonic() < deadline:
+                self._state.wait(deadline - monotonic())
         if self._server is not None:
             self._server.server_close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=5.0)
-        self.metrics.gauge("service.queue_depth").set(self._queue.qsize())
+        self.metrics.gauge("service.queue_depth").set(len(self._waiting))
         self.metrics.counter("service.drains").inc()
         self._stopped.set()
         return self.metrics.snapshot()
@@ -576,7 +526,7 @@ class WebBaseService:
             "protocol_version": protocol.PROTOCOL_VERSION,
             "draining": self._draining.is_set(),
             "inflight": self._inflight,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._waiting),
             "standing": len(self.standing._queries),
             "store_dir": getattr(self.webbase.store, "root", None),
         }
@@ -600,8 +550,8 @@ class WebBaseService:
     # -- admission -----------------------------------------------------------
 
     def submit_query(self, handler: _ClientHandler, request: Request) -> None:
-        """Admit one query into the bounded queue — or reject it with a
-        structured, retriable error rather than degrading everyone."""
+        """Run one request on the calling connection thread once admitted —
+        or reject it with a structured error rather than degrading everyone."""
         self.metrics.counter("service.requests").inc()
         if self._draining.is_set():
             self.metrics.counter("service.rejected_draining").inc()
@@ -611,92 +561,90 @@ class WebBaseService:
                 )
             )
             return
-        if not handler.acquire_slot(self.config.per_client_limit):
-            self.metrics.counter("service.client_limited").inc()
-            handler.send(
-                protocol.error_frame(
-                    request.id,
-                    E_CLIENT_LIMIT,
-                    "per-client limit of %d concurrent queries reached"
-                    % self.config.per_client_limit,
-                )
-            )
-            return
+        admitted_at = monotonic()
         deadline_ms = request.deadline_ms
         job = _Job(
             handler=handler,
             request=request,
-            admitted_at=monotonic(),
+            admitted_at=admitted_at,
             deadline_at=(
-                None if deadline_ms is None else monotonic() + deadline_ms / 1000.0
+                None if deadline_ms is None else admitted_at + deadline_ms / 1000.0
             ),
         )
-        try:
-            self._queue.put_nowait(job)
-        except queue_mod.Full:
-            handler.release_slot()
-            self.metrics.counter("service.shed").inc()
-            handler.send(
-                protocol.error_frame(
-                    request.id,
-                    E_OVERLOADED,
-                    "admission queue full (%d); retry with backoff"
-                    % self.config.queue_limit,
-                )
-            )
+        refusal = self._admit(job)
+        if refusal is not None:
+            handler.send(refusal)
             return
+        try:
+            self._run_job(job)
+        finally:
+            with self._state:
+                self._inflight -= 1
+                self._state.notify_all()
+            self.metrics.gauge("service.inflight").set(self._inflight)
+
+    def _admit(self, job: _Job) -> dict[str, Any] | None:
+        """Wait until ``job`` heads the waiters and fewer than ``workers``
+        requests run, then count it as running: waiters run in arrival
+        order.  Returns the refusal frame instead when ``queue_limit``
+        requests already wait (``OVERLOADED``), or when the deadline passes
+        first — the request leaves the waiters at that moment, without a
+        runner spent on a lost cause (``DEADLINE_EXCEEDED``)."""
+        request = job.request
+        with self._state:
+            shed = len(self._waiting) >= self.config.queue_limit
+            if not shed:
+                self._waiting.append(job)
+        if shed:
+            self.metrics.counter("service.shed").inc()
+            return protocol.error_frame(
+                request.id,
+                E_OVERLOADED,
+                "admission queue full (%d); retry with backoff"
+                % self.config.queue_limit,
+            )
         self.metrics.counter("service.admitted").inc()
-        self.metrics.gauge("service.queue_depth").set(self._queue.qsize())
+        self.metrics.gauge("service.queue_depth").set(len(self._waiting))
+        with self._state:
+            while True:
+                expired = job.deadline_at is not None and monotonic() >= job.deadline_at
+                if expired or (
+                    self._waiting[0] is job and self._inflight < self.config.workers
+                ):
+                    break
+                self._state.wait(
+                    None if job.deadline_at is None else job.deadline_at - monotonic()
+                )
+            self._waiting.remove(job)
+            if not expired:
+                self._inflight += 1
+            self._state.notify_all()  # the next waiter may head the line now
+        self.metrics.gauge("service.queue_depth").set(len(self._waiting))
+        waited = monotonic() - job.admitted_at
+        self.metrics.histogram("service.queue_seconds").observe(waited)
+        # Admission-to-run wait, under the name the service's per-layer
+        # report reads.
+        self.metrics.histogram("service.queue_wait_seconds").observe(waited)
+        if expired:
+            self.metrics.counter("service.deadline_exceeded").inc()
+            return protocol.error_frame(
+                request.id,
+                E_DEADLINE_EXCEEDED,
+                "deadline expired after %.3fs in the admission queue" % waited,
+            )
+        self.metrics.gauge("service.inflight").set(self._inflight)
+        return None
 
     # -- execution -----------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        while True:
-            try:
-                job = self._queue.get(timeout=0.1)
-            except queue_mod.Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            self.metrics.gauge("service.queue_depth").set(self._queue.qsize())
-            with self._state:
-                self._inflight += 1
-            self.metrics.gauge("service.inflight").set(self._inflight)
-            try:
-                self._run_job(job)
-            finally:
-                job.release()  # if no terminal frame went out
-                self._queue.task_done()
-                with self._state:
-                    self._inflight -= 1
-                    self._state.notify_all()
-                self.metrics.gauge("service.inflight").set(self._inflight)
-
     def _run_job(self, job: _Job) -> None:
         request = job.request
-        waited = monotonic() - job.admitted_at
-        self.metrics.histogram("service.queue_seconds").observe(waited)
-        # Admission-to-dispatch wait, under the name the service's
-        # per-layer report reads.
-        self.metrics.histogram("service.queue_wait_seconds").observe(waited)
-        if job.deadline_at is not None and monotonic() >= job.deadline_at:
-            # Expired while queued: don't waste an executor on a lost cause.
-            self.metrics.counter("service.deadline_exceeded").inc()
-            job.release()
-            job.handler.send(
-                protocol.error_frame(
-                    request.id,
-                    E_DEADLINE_EXCEEDED,
-                    "deadline expired after %.3fs in the admission queue" % waited,
-                )
-            )
-            return
         started = monotonic()
         terminal = True
         try:
             if request.op == "subscribe":
                 page_size = request.page_size or self.config.page_size
-                self.standing.subscribe(job.handler, request, page_size, job.release)
+                self.standing.subscribe(job.handler, request, page_size)
                 # The registry sends its own `subscribed` ack; no result frame.
                 terminal = False
                 stats = {}
@@ -732,7 +680,6 @@ class WebBaseService:
             finished - job.admitted_at
         )
         if terminal:
-            job.release()
             job.handler.send(frame)
 
     def _adopt(self, store_dir: str) -> dict[str, Any]:

@@ -38,9 +38,9 @@ class SimClock:
     """Accumulates simulated network seconds.
 
     Each navigation stack (an engine bundle) owns its own clock; the
-    engine reads it as a difference around one fetch and assigns that to
-    one of its modelled lanes (requests on one connection are serial;
-    connections are concurrent).
+    engine zeroes it before one fetch, reads the fetch's seconds off it
+    after, and assigns them to one of its modelled lanes (requests on one
+    connection are serial; connections are concurrent).
     """
 
     def __init__(self) -> None:

@@ -97,11 +97,9 @@ def _stable(message: str) -> str:
 
 
 def _normalized(tree: dict[str, Any]) -> dict[str, Any]:
-    """A span tree without its cpu times, network seconds to the
-    microsecond (they are differences of a simulated clock that keeps
-    running across arms, so their last bits vary)."""
+    """A span tree without its cpu times (its network seconds are
+    simulated, so they must agree exactly)."""
     tree.pop("cpu_seconds", None)
-    tree["network_seconds"] = round(tree["network_seconds"], 6)
     if "error" in tree:
         tree["error"] = _stable(tree["error"])
     for child in tree.get("children", ()):

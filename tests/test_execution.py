@@ -117,6 +117,26 @@ class TestElapsedModel:
         assert narrow[0] == ["ford", "saab", "toyota"]
         assert wide == narrow
 
+    def test_the_same_fetch_reports_the_same_seconds_every_time(self, webbase):
+        """A fetch is measured from zero on its bundle's clock, so a
+        cache-off query evaluated twice on one webbase reports exactly
+        equal fetch-span seconds — not equal up to the rounding of a
+        clock that kept running in between."""
+        text = "SELECT make, model, price WHERE make = 'saab'"
+
+        def fetch_seconds() -> list[tuple[str, float, float]]:
+            ctx = webbase.execution_context()
+            webbase.query(text, context=ctx)
+            return [
+                (span.name, span.network_seconds, attempt.network_seconds)
+                for span in ctx.root.spans("fetch")
+                for attempt in span.children
+            ]
+
+        first = fetch_seconds()
+        assert first and all(seconds > 0 for _, seconds, _ in first)
+        assert fetch_seconds() == first
+
     def test_per_context_cache_deduplicates(self, webbase):
         ctx = webbase.execution_context(max_workers=2)
         first = webbase.fetch_vps("newsday", {"make": "saab"}, context=ctx)

@@ -3,7 +3,7 @@
 These tests run a real :class:`WebBaseService` on an ephemeral port and
 talk to it through :class:`ServiceClient` (or a raw socket where the
 client library deliberately prevents the abuse being tested).  Load
-states that depend on timing — a busy executor, a full queue — are made
+states that depend on timing — a busy runner, a full queue — are made
 deterministic with a gated service subclass whose ``_execute`` blocks on
 an event, so admission decisions are asserted exactly, not probed.
 """
@@ -36,15 +36,17 @@ def _fresh_webbase() -> WebBase:
 
 
 class GatedService(WebBaseService):
-    """A service whose executor blocks until released — pins the worker
-    pool and queue into exact states for admission tests."""
+    """A service whose requests block until released — pins the runners
+    and the waiters into exact states for admission tests."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.entered = threading.Semaphore(0)
         self.release = threading.Event()
+        self.ran: list[str] = []  # request texts, in the order they ran
 
     def _execute(self, job):
+        self.ran.append(job.request.text)
         self.entered.release()
         assert self.release.wait(timeout=10.0), "test forgot to open the gate"
         return {"rows": 0, "pages": 0}
@@ -120,10 +122,10 @@ class TestAdmissionControl:
             second = threading.Thread(target=issue, daemon=True)
             second.start()
             for _ in range(200):  # queue occupied by the second job
-                if svc._queue.qsize() == 1:
+                if svc.describe_status()["queue_depth"] == 1:
                     break
                 threading.Event().wait(0.01)
-            assert svc._queue.qsize() == 1
+            assert svc.describe_status()["queue_depth"] == 1
             with ServiceClient(host=host, port=port) as client:
                 with pytest.raises(Overloaded) as excinfo:
                     client.query(QUERY)
@@ -140,31 +142,27 @@ class TestAdmissionControl:
             svc.release.set()
             svc.shutdown()
 
-    def test_per_client_limit_rejects_second_concurrent_query(self):
-        """The client library issues one query at a time, so the greedy
-        client is a raw socket pipelining two queries on one connection."""
+    def test_pipelined_requests_on_one_connection_are_answered_in_order(self):
+        """The client library issues one query at a time, so the pipelining
+        client is a raw socket sending two queries on one connection: the
+        second runs once the first is answered, and neither is refused."""
         webbase = _fresh_webbase()
-        svc = GatedService(
-            webbase,
-            ServiceConfig(port=0, queue_limit=8, workers=2, per_client_limit=1),
-        )
+        svc = GatedService(webbase, ServiceConfig(port=0, queue_limit=8, workers=2))
         host, port = svc.start()
         try:
             with socket.create_connection((host, port), timeout=10.0) as sock:
                 reader = sock.makefile("rb")
                 sock.sendall(protocol.encode({"id": 1, "op": "query", "text": QUERY}))
-                assert svc.entered.acquire(timeout=10.0)  # job 1 holds the slot
+                assert svc.entered.acquire(timeout=10.0)  # request 1 runs
                 sock.sendall(protocol.encode({"id": 2, "op": "query", "text": QUERY}))
-                frame = protocol.decode_line(reader.readline())
-                assert frame["id"] == 2
-                assert frame["type"] == "error"
-                assert frame["code"] == protocol.E_CLIENT_LIMIT
-                assert frame["retriable"] is True
+                assert not svc.entered.acquire(timeout=0.2)  # request 2 waits
                 svc.release.set()
-                frame = protocol.decode_line(reader.readline())
-                assert frame["id"] == 1
-                assert frame["type"] == "result"
-            assert webbase.metrics.value("service.client_limited") == 1
+                frames = [protocol.decode_line(reader.readline()) for _ in range(2)]
+            assert [(f["id"], f["type"]) for f in frames] == [
+                (1, "result"),
+                (2, "result"),
+            ]
+            assert webbase.metrics.value("service.completed") == 2
         finally:
             svc.release.set()
             svc.shutdown()
@@ -223,6 +221,47 @@ class TestDeadlines:
             assert len(errors) == 1
             assert isinstance(errors[0], DeadlineExceededError)
             assert "admission queue" in str(errors[0])
+            assert webbase.metrics.value("service.deadline_exceeded") == 1
+        finally:
+            svc.release.set()
+            svc.shutdown()
+
+    def test_a_waiter_leaves_the_moment_its_deadline_passes(self):
+        """A request waiting behind a gated one gets ``DEADLINE_EXCEEDED``
+        when its 50 ms budget runs out, while the gate is still closed —
+        not once a runner frees up."""
+        webbase = _fresh_webbase()
+        svc = GatedService(webbase, ServiceConfig(port=0, queue_limit=4, workers=1))
+        host, port = svc.start()
+        errors: list[ServiceError] = []
+
+        def blocked():
+            with ServiceClient(host=host, port=port) as client:
+                client.query(QUERY)
+
+        def doomed():
+            with ServiceClient(host=host, port=port) as client:
+                try:
+                    client.query(QUERY, deadline_ms=50)
+                except ServiceError as exc:
+                    errors.append(exc)
+
+        try:
+            first = threading.Thread(target=blocked, daemon=True)
+            first.start()
+            assert svc.entered.acquire(timeout=10.0)  # the one runner is busy
+            second = threading.Thread(target=doomed, daemon=True)
+            second.start()
+            second.join(timeout=5.0)
+            assert not second.is_alive()
+            assert not svc.release.is_set()
+            assert len(errors) == 1
+            assert isinstance(errors[0], DeadlineExceededError)
+            assert "admission queue" in str(errors[0])
+            assert svc.describe_status()["queue_depth"] == 0
+            svc.release.set()
+            first.join(timeout=10.0)
+            assert svc.ran == [QUERY]
             assert webbase.metrics.value("service.deadline_exceeded") == 1
         finally:
             svc.release.set()
@@ -349,49 +388,62 @@ class TestDrain:
         finally:
             svc.shutdown()
 
-
-class TestSlotRelease:
-    @pytest.mark.parametrize("op", ["query", "subscribe"])
-    def test_the_next_request_sent_on_reading_a_reply_is_admitted(self, op, monkeypatch):
-        """The worker writes a request's reply (a query's result, a
-        subscribe's ack) and is then held before it does anything else: a
-        client with ``per_client_limit=1`` that sends its next request the
-        moment it reads that reply must be admitted, not refused with
-        ``CLIENT_LIMIT`` — the slot is free before the reply leaves."""
-        from repro.service import server as server_mod
-
-        reply = "result" if op == "query" else "subscribed"
-        held, resume = threading.Event(), threading.Event()
-        original = server_mod._ClientHandler.send
-
-        def send(handler, *frames):
-            original(handler, *frames)
-            if not held.is_set() and any(f.get("type") == reply for f in frames):
-                held.set()
-                resume.wait(timeout=10.0)
-
-        monkeypatch.setattr(server_mod._ClientHandler, "send", send)
-        svc = WebBaseService(
-            _fresh_webbase(), ServiceConfig(port=0, workers=2, per_client_limit=1)
-        )
+    def test_drain_finishes_the_waiters_in_arrival_order(self):
+        """One gated runner and two waiters on their own connections: a
+        drain started meanwhile refuses a new query with ``SHUTTING_DOWN``,
+        then finishes all three, the waiters in the order they arrived."""
+        webbase = _fresh_webbase()
+        svc = GatedService(webbase, ServiceConfig(port=0, queue_limit=4, workers=1))
         host, port = svc.start()
+        texts = [
+            "SELECT make, model, price WHERE make = '%s'" % make
+            for make in ("saab", "ford", "honda")
+        ]
+        answered: list[str] = []
+
+        def issue(text: str) -> None:
+            with ServiceClient(host=host, port=port) as client:
+                client.query(text)
+                answered.append(text)
+
+        def wait_for(key: str, value) -> None:
+            for _ in range(500):
+                if svc.describe_status()[key] == value:
+                    return
+                threading.Event().wait(0.01)
+            assert svc.describe_status()[key] == value
+
+        idle = ServiceClient(host=host, port=port)
         try:
-            with socket.create_connection((host, port), timeout=10.0) as sock:
-                reader = sock.makefile("rb")
-
-                def frames_until(kind: str, request_id: int) -> dict:
-                    while True:
-                        frame = protocol.decode_line(reader.readline())
-                        assert frame["type"] != "error", frame
-                        if frame["type"] == kind and frame["id"] == request_id:
-                            return frame
-
-                sock.sendall(protocol.encode({"id": 1, "op": op, "text": QUERY}))
-                frames_until(reply, 1)
-                sock.sendall(protocol.encode({"id": 2, "op": "query", "text": QUERY}))
-                assert held.wait(timeout=10.0)  # the first worker is still held
-                frames_until("result", 2)
-            assert svc.metrics.value("service.client_limited") == 0
+            idle.ping()  # connected before the drain stops accepting
+            callers = [
+                threading.Thread(target=issue, args=(text,), daemon=True)
+                for text in texts
+            ]
+            callers[0].start()
+            assert svc.entered.acquire(timeout=10.0)
+            for depth, caller in enumerate(callers[1:], start=1):
+                caller.start()
+                wait_for("queue_depth", depth)
+            drain = threading.Thread(target=svc.shutdown, daemon=True)
+            drain.start()
+            wait_for("draining", True)
+            with pytest.raises(ServiceShuttingDown):
+                idle.query(QUERY)
+            assert drain.is_alive()  # the drain waits for all three
+            svc.release.set()
+            drain.join(timeout=10.0)
+            assert not drain.is_alive()
+            for caller in callers:
+                caller.join(timeout=10.0)
+            assert svc.ran == texts
+            assert sorted(answered) == sorted(texts)
+            counters = webbase.metrics.snapshot()["counters"]
+            assert counters["service.completed"] == 3
+            assert counters["service.rejected_draining"] == 1
+            assert svc.describe_status()["queue_depth"] == 0
+            assert svc.describe_status()["inflight"] == 0
         finally:
-            resume.set()
+            idle.close()
+            svc.release.set()
             svc.shutdown()
