@@ -18,8 +18,8 @@ External *action* predicates (follow a link, submit a form, extract
 tuples) are registered as builtins; to the logic they are ordinary goals
 that happen to bind variables to pages and tuples.  This interpreter is
 the reference semantics of navigation: :mod:`repro.navigation.executor`
-runs each compiled expression as a plan partial-evaluated from its rules,
-and the tests hold that plan to what this engine derives.
+runs the plan the compiler emits beside each expression's rules, and the
+tests hold that plan to what this engine derives from the rules.
 """
 
 from __future__ import annotations

@@ -21,6 +21,17 @@ handle whose goal is the relation itself; several groups (a site with
 alternative access forms, Section 3's multi-handle case) yield one
 navigation expression *per handle* — each restricted to its group's
 paths — plus a combined relation rule that unions the accesses.
+
+The rules are the calculus: what ``repro expression`` and Figure 4 print,
+and the specification ``tests/test_navigation_plan.py`` interprets.  The
+executor does not read them.  Beside each rule the compiler appends the
+*plan step* it stands for, in the same pass: per goal, the pages it
+starts from (:class:`_Start`); per map node, its steps in rule order
+(:class:`_Extract`, :class:`_Follow`, :class:`_Submit`).  A step names
+attributes by *slot*, their position in the relation's ``vector``, and
+names the nodes it continues on by their step lists, so a "More"
+self-loop is a step that points at its own list.  The plan is built once
+per :func:`compile_map` and only read afterwards.
 """
 
 from __future__ import annotations
@@ -36,6 +47,49 @@ from repro.navigation.navmap import NavigationMap
 from repro.vps.handle import Handle, check_handle_family
 
 
+# -- the navigation plan ------------------------------------------------------------
+
+
+# A node's plan is its list of steps, in the order of its rules.
+_Steps = list
+
+
+@dataclass(frozen=True, eq=False)
+class _Extract:
+    wrapper: PageWrapper
+    columns: tuple[tuple[int, str], ...]  # (slot, wrapper attribute)
+
+
+@dataclass(frozen=True, eq=False)
+class _Follow:
+    link: str
+    targets: tuple[_Steps, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Submit:
+    ident: str
+    pairs: tuple[tuple[str, int], ...]  # (widget name, slot)
+    targets: tuple[_Steps, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """A goal's first page: the entry page of ``host``, or (``host`` is
+    ``None``) the URL bound in ``url_slot``."""
+
+    host: str | None
+    url_slot: int
+    targets: tuple[_Steps, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _RelationPlan:
+    slots: dict[str, int]  # attribute -> slot, in vector order
+    columns: tuple[tuple[str, int], ...]  # the row's (attribute, slot)
+    goals: dict[str, tuple[_Start, ...]]  # the relation and each handle's goal
+
+
 @dataclass
 class CompiledRelation:
     """One VPS relation produced from a navigation map."""
@@ -46,6 +100,7 @@ class CompiledRelation:
     vector: tuple[str, ...]  # all predicate arguments: schema + form-only attrs
     handles: list[Handle]
     kind: str  # 'site' | 'detail'
+    plan: _RelationPlan  # what the executor walks
     url_attr: str | None = None  # for detail relations
 
 
@@ -172,19 +227,35 @@ def _group_paths(
     return [grouped[key] for key in sorted(grouped, key=sorted)]
 
 
+def _slots(vector: tuple[str, ...]) -> dict[str, int]:
+    return {attr: slot for slot, attr in enumerate(dict.fromkeys(vector))}
+
+
+def _columns(slots: dict[str, int], schema: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
+    return tuple((attr, slot) for attr, slot in slots.items() if attr in schema)
+
+
 def _emit_node_rules(
     navmap: NavigationMap,
     node: PageNode,
     vector: tuple[str, ...],
+    slots: dict[str, int],
+    nodes: dict[str, _Steps],
     pred_of: Callable[[str], str],
     allowed: Callable[[Edge], bool],
     wrapper_id: str | None,
     program: Program,
 ) -> None:
+    """Write ``node``'s rules into ``program`` and, beside each, its plan
+    step into the node's step list in ``nodes`` (keyed by predicate)."""
     page = Var("Page")
     page2 = Var("Page2")
     vec_vars = tuple(_attr_var(a) for a in vector)
     head = Pred(pred_of(node.node_id), (page,) + vec_vars)
+    steps = nodes.setdefault(head.name, [])
+
+    def steps_of(targets: list[str]) -> tuple[_Steps, ...]:
+        return tuple(nodes.setdefault(pred_of(t), []) for t in targets)
 
     if node.is_data and wrapper_id is not None:
         rows = Var("Rows")
@@ -198,6 +269,8 @@ def _emit_node_rules(
                 ),
             )
         )
+        columns = tuple((slots[a], a) for a in node.wrapper.attrs)
+        steps.append(_Extract(node.wrapper, columns))
 
     # Group actions: one rule per distinct action, choice over its targets.
     link_groups: dict[str, list[str]] = {}
@@ -223,21 +296,23 @@ def _emit_node_rules(
                 serial(Pred("nav_follow", (page, link_name, page2)), continuation),
             )
         )
+        steps.append(_Follow(link_name, steps_of(targets)))
 
     for ident in sorted(form_groups):
         model, targets = form_groups[ident]
+        targets = sorted(set(targets))
         pairs = tuple(
             Struct("pair", (w.name, _attr_var(w.attr))) for w in model.widgets
         )
-        continuation = choice(
-            *[Pred(pred_of(t), (page2,) + vec_vars) for t in sorted(set(targets))]
-        )
+        continuation = choice(*[Pred(pred_of(t), (page2,) + vec_vars) for t in targets])
         program.add(
             Rule(
                 head,
                 serial(Pred("nav_submit", (page, ident, pairs, page2)), continuation),
             )
         )
+        filled = tuple((w.name, slots[w.attr]) for w in model.widgets)
+        steps.append(_Submit(ident, filled, steps_of(targets)))
 
 
 def _expression_text(program: Program, goals: Iterable[str]) -> str:
@@ -273,6 +348,9 @@ def _compile_site_relation(
                     inputs.append(widget.attr)
     vector = outputs + tuple(inputs)
     vec_vars = tuple(_attr_var(a) for a in vector)
+    slots = _slots(vector)
+    nodes: dict[str, _Steps] = {}
+    goals: dict[str, tuple[_Start, ...]] = {}
 
     wrapper_id = "%s_wrapper" % relation
     site.wrappers[wrapper_id] = data_node.wrapper
@@ -297,11 +375,15 @@ def _compile_site_relation(
                 ),
             )
         )
+        root = nodes.setdefault(pred_of(root_id), [])
+        goals[relation] = (_Start(navmap.host, 0, (root,)),)
         for node_id in sorted(participating, key=lambda i: int(i[1:])):
             _emit_node_rules(
                 navmap,
                 navmap.node(node_id),
                 vector,
+                slots,
+                nodes,
                 pred_of,
                 allowed,
                 wrapper_id if node_id == data_node.node_id else None,
@@ -340,11 +422,15 @@ def _compile_site_relation(
                     ),
                 )
             )
+            root = nodes.setdefault(pred_of(root_id), [])
+            goals[goal] = (_Start(navmap.host, 0, (root,)),)
             for node_id in sorted(group_nodes, key=lambda i: int(i[1:])):
                 _emit_node_rules(
                     navmap,
                     navmap.node(node_id),
                     vector,
+                    slots,
+                    nodes,
                     pred_of,
                     allowed,
                     wrapper_id if node_id == data_node.node_id else None,
@@ -359,6 +445,7 @@ def _compile_site_relation(
                 choice(*[Pred(h.goal, vec_vars) for h in handles]),
             )
         )
+        goals[relation] = tuple(start for h in handles for start in goals[h.goal])
 
     check_handle_family(handles)
     handles = [
@@ -379,6 +466,7 @@ def _compile_site_relation(
             vector=vector,
             handles=handles,
             kind="site",
+            plan=_RelationPlan(slots, _columns(slots, outputs), goals),
         )
     )
 
@@ -415,6 +503,8 @@ def _compile_detail_relation(
 
     page = Var("Page")
     vec_vars = tuple(_attr_var(a) for a in vector)
+    slots = _slots(vector)
+    nodes: dict[str, _Steps] = {}
 
     def pred_of(node_id: str) -> str:
         return "%s__%s" % (relation, node_id)
@@ -428,10 +518,14 @@ def _compile_detail_relation(
             ),
         )
     )
+    data = nodes.setdefault(pred_of(data_node.node_id), [])
+    goals = {relation: (_Start(None, slots[url_attr], (data,)),)}
     _emit_node_rules(
         navmap,
         data_node,
         vector,
+        slots,
+        nodes,
         pred_of,
         lambda edge: edge.source == data_node.node_id and edge.target == data_node.node_id,
         wrapper_id,
@@ -452,6 +546,7 @@ def _compile_detail_relation(
             vector=vector,
             handles=[handle],
             kind="detail",
+            plan=_RelationPlan(slots, _columns(slots, vector), goals),
             url_attr=url_attr,
         )
     )

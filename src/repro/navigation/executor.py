@@ -1,27 +1,20 @@
 """Executing navigation expressions against the (simulated) Web.
 
-:mod:`repro.navigation.compiler` writes every navigation expression as
-Transaction F-logic rules of six fixed shapes: an *entry* rule (load the
-site's entry page), a *get* rule (a detail relation: load the URL held
-by its key attribute), a *union* over the handles of a multi-handle
-relation, and, per map node, an *extract* rule (``nav_extract`` +
-``member``), one *follow* rule per link and one *submit* rule per form,
-each ending in a choice over the action's target nodes.
-
-:meth:`NavigationExecutor.add_site` partial-evaluates those rules, once
-per site, into a *navigation plan*: per goal, the pages it starts from;
-per node, its steps in rule order.  A step works on a flat list of
-attribute *slots*, one per attribute of the relation's vector, where
-``None`` means unbound: binding a slot is an assignment and a conflict is
-a string compare.  There is no renaming, no unification and no
-resolution, and a rule of any other shape raises
-:class:`~repro.navigation.compiler.CompileError`.
+:func:`repro.navigation.compiler.compile_map` emits, beside the
+Transaction F-logic rules it prints, each relation's *navigation plan*
+(``CompiledRelation.plan``): per goal, the pages it starts from; per map
+node, its steps in rule order.  :meth:`NavigationExecutor.add_site`
+stores the site's relations and their plans as they are; it reads no
+rule.  A step works on a flat list of attribute *slots*, one per
+attribute of the relation's vector, where ``None`` means unbound:
+binding a slot is an assignment and a conflict is a string compare.
+There is no renaming, no unification and no resolution.
 
 :meth:`NavigationExecutor.fetch` walks the plan depth first on an
 explicit stack, so a "More" chain of any length is iterated, not
-recursed.  Solutions come out in the order the calculus'
-interpreter (:class:`repro.flogic.Engine`) derives them, which stays the
-specification the tests hold the plan to.  The four actions:
+recursed.  Solutions come out in the order the calculus' interpreter
+derives them from the rules, which stays the specification the tests
+hold the plan to.  The four actions:
 
 * *entry* / *get* — load the site's entry page, or an absolute URL;
 * *follow* — follow a named link;
@@ -45,13 +38,16 @@ live site again (the paper's per-fetch semantics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.flogic.formulas import Choice, Pred, Program, Rule, Serial, format_rule
-from repro.flogic.terms import Struct, Var
-from repro.navigation.compiler import CompiledRelation, CompiledSite, CompileError
-from repro.navigation.extract import PageWrapper
+from repro.navigation.compiler import (
+    CompiledRelation,
+    CompiledSite,
+    _Extract,
+    _Follow,
+    _Start,
+    _Steps,
+)
 from repro.web.browser import (
     Browser,
     NavigationError,
@@ -80,170 +76,6 @@ class PageBudgetExceeded(ExecutorError):
     hammer a live site indefinitely."""
 
 
-# -- the navigation plan ------------------------------------------------------------
-
-
-# A node's plan is its list of steps, in the order of its rules.
-_Steps = list
-
-
-@dataclass(frozen=True, eq=False)
-class _Extract:
-    wrapper: PageWrapper
-    columns: tuple[tuple[int, str], ...]  # (slot, wrapper attribute)
-
-
-@dataclass(frozen=True, eq=False)
-class _Follow:
-    link: str
-    targets: tuple[_Steps, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class _Submit:
-    ident: str
-    pairs: tuple[tuple[str, int], ...]  # (widget name, slot)
-    targets: tuple[_Steps, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class _Start:
-    """A goal's first page: the entry page of ``host``, or (``host`` is
-    ``None``) the URL bound in ``url_slot``."""
-
-    host: str | None
-    url_slot: int
-    targets: tuple[_Steps, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class _RelationPlan:
-    slots: dict[str, int]  # attribute -> slot, in vector order
-    columns: tuple[tuple[str, int], ...]  # the row's (attribute, slot)
-    goals: dict[str, tuple[_Start, ...]]
-
-
-def _plan_relation(
-    program: Program, rel: CompiledRelation, wrappers: dict[str, PageWrapper]
-) -> _RelationPlan:
-    """Partial-evaluate ``rel``'s rules into one plan per goal: the
-    relation itself and each handle's goal."""
-    slots: dict[str, int] = {}
-    for attr in rel.vector:
-        slots.setdefault(attr, len(slots))
-    nodes: dict[str, _Steps] = {}
-    goals: dict[str, tuple[_Start, ...]] = {}
-
-    def fail(rule: Rule) -> CompileError:
-        return CompileError(
-            "%s: not a rule the navigation compiler writes: %s" % (rel.name, format_rule(rule))
-        )
-
-    def bind(rule: Rule, vector: tuple) -> dict[Var, int]:
-        """The head's attribute variables, each to its attribute's slot."""
-        binding: dict[Var, int] = {}
-        if len(vector) != len(rel.vector):
-            raise fail(rule)
-        for var, attr in zip(vector, rel.vector):
-            if not isinstance(var, Var) or binding.setdefault(var, slots[attr]) != slots[attr]:
-                raise fail(rule)
-        return binding
-
-    def slot_of(rule: Rule, binding: dict[Var, int], var: Any) -> int:
-        if not isinstance(var, Var) or var not in binding:
-            raise fail(rule)
-        return binding[var]
-
-    def targets(rule: Rule, page: Any, vector: tuple, body: Any) -> tuple[_Steps, ...]:
-        """The node calls ending a rule: each passes on the page its action
-        produced and the head's own attribute variables."""
-        calls = body.parts if isinstance(body, Choice) else (body,)
-        if not isinstance(page, Var) or page in vector:
-            raise fail(rule)
-        for call in calls:
-            if not isinstance(call, Pred) or call.args != (page,) + vector:
-                raise fail(rule)
-        return tuple(node(call.name) for call in calls)
-
-    def node(name: str) -> _Steps:
-        if name in nodes:
-            return nodes[name]
-        steps = nodes[name] = []
-        rules = program.rules_for((name, len(rel.vector) + 1))
-        if not rules:
-            raise CompileError("%s: no rules for node %s" % (rel.name, name))
-        for rule in rules:
-            page, *vector = rule.head.args
-            vector = tuple(vector)
-            binding = bind(rule, vector)
-            if not isinstance(page, Var) or page in vector:
-                raise fail(rule)
-            match rule.body:
-                case Serial(
-                    (
-                        Pred("nav_extract", (p, str(wid), rows)),
-                        Pred("member", (tuple(outs), r)),
-                    )
-                ) if (
-                    p == page
-                    and r == rows
-                    and isinstance(rows, Var)
-                    and rows not in vector
-                    and wid in wrappers
-                    and len(outs) == len(wrappers[wid].attrs)
-                ):
-                    wrapper = wrappers[wid]
-                    columns = tuple(
-                        (slot_of(rule, binding, v), a) for v, a in zip(outs, wrapper.attrs)
-                    )
-                    steps.append(_Extract(wrapper, columns))
-                case Serial((Pred("nav_follow", (p, str(link), page2)), rest)) if p == page:
-                    steps.append(_Follow(link, targets(rule, page2, vector, rest)))
-                case Serial(
-                    (Pred("nav_submit", (p, str(ident), tuple(pairs), page2)), rest)
-                ) if p == page:
-                    filled = []
-                    for pair in pairs:
-                        match pair:
-                            case Struct("pair", (widget, var)):
-                                filled.append((str(widget), slot_of(rule, binding, var)))
-                            case _:
-                                raise fail(rule)
-                    following = targets(rule, page2, vector, rest)
-                    steps.append(_Submit(ident, tuple(filled), following))
-                case _:
-                    raise fail(rule)
-        return steps
-
-    def goal(name: str) -> tuple[_Start, ...]:
-        if name not in goals:
-            starts: list[_Start] = []
-            for rule in program.rules_for((name, len(rel.vector))):
-                vector = rule.head.args
-                binding = bind(rule, vector)
-                match rule.body:
-                    case Serial((Pred("nav_entry", (str(host), page)), rest)):
-                        starts.append(_Start(host, 0, targets(rule, page, vector, rest)))
-                    case Serial((Pred("nav_get", (url, page)), rest)):
-                        following = targets(rule, page, vector, rest)
-                        starts.append(_Start(None, slot_of(rule, binding, url), following))
-                    case Choice(parts) if all(
-                        isinstance(p, Pred) and p.args == vector for p in parts
-                    ):
-                        for part in parts:
-                            starts.extend(goal(part.name))
-                    case _:
-                        raise fail(rule)
-            goals[name] = tuple(starts)
-        return goals[name]
-
-    for name in [rel.name] + [h.goal for h in rel.handles]:
-        if program.rules_for((name, len(rel.vector))):
-            goal(name)
-    columns = tuple((attr, slot) for attr, slot in slots.items() if attr in rel.schema)
-    return _RelationPlan(slots, columns, goals)
-
-
 class NavigationExecutor:
     """Runs compiled navigation plans; one browser, many sites."""
 
@@ -258,7 +90,6 @@ class NavigationExecutor:
         self._pages_this_fetch = 0
         self.sites: dict[str, CompiledSite] = {}
         self.relations: dict[str, tuple[CompiledSite, CompiledRelation]] = {}
-        self._plans: dict[str, _RelationPlan] = {}
         # The execution engine installs its query's revision-stamped page
         # cache here, shared across the query's fetches.  ``None`` (a bare
         # executor) gives each fetch a fresh cache of its own.
@@ -280,7 +111,6 @@ class NavigationExecutor:
             if rel.name in self.relations:
                 raise ExecutorError("relation %r defined twice" % rel.name)
             self.relations[rel.name] = (compiled, rel)
-            self._plans[rel.name] = _plan_relation(compiled.program, rel, compiled.wrappers)
 
     def relation(self, name: str) -> CompiledRelation:
         try:
@@ -307,7 +137,7 @@ class NavigationExecutor:
         relation's combined goal).
         """
         rel = self.relation(name)
-        plan = self._plans[name]
+        plan = rel.plan
         starts = plan.goals.get(goal or name)
         if starts is None:
             raise ExecutorError("relation %r has no navigation goal %r" % (name, goal))

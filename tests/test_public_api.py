@@ -381,6 +381,39 @@ class TestOnePageCache:
         assert callable(getattr(getattr(importlib.import_module(module), owner), name))
 
 
+class TestOneNavigationPlan:
+    """The compiler emits each relation's plan beside the rules it prints;
+    the executor walks the plan and reads no rule, so it imports nothing
+    from the calculus, and no partial evaluator parses the rules back."""
+
+    REMOVED = ("_plan_relation",)
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_executor_imports_nothing_from_the_calculus(self):
+        source = SRC / "navigation" / "executor.py"
+        tree = ast.parse(source.read_text(), filename=str(source))
+        relative = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+        ]
+        assert relative == [], "the audit reads absolute imports only"
+        calculus = [
+            (function, target)
+            for function, target in _imports(source)
+            if target == "repro.flogic" or target.startswith("repro.flogic.")
+        ]
+        assert calculus == []
+
+    def test_the_traced_calculus_boundary_still_resolves(self):
+        """bench/trace.py attributes self time to ``flogic.solve`` by name."""
+        from repro.flogic.engine import Engine
+
+        assert callable(Engine.solve)
+
+
 class TestOneCancellation:
     """``ExecutionContext.cancel()`` is the only way to revoke work, and
     every engine checkpoint reads the flag it sets; no per-access handle
