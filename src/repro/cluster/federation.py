@@ -12,12 +12,10 @@ its stamp equals both the requester's and the federation's current
 revision for the host, so nothing captured under a superseded navigation
 map ever crosses shards.
 
-Claims extend single-flight across the cluster: before paying for a
-fill the federation also missed, a shard *claims* the key; a sibling
-whose claim is denied polls for the holder's publish instead of
-duplicating the walk.  Claims expire (``claim_ttl``) so a crashed
-holder never wedges its waiters — the first shard to re-contend adopts
-the orphaned key and fetches.
+There is no cross-shard single-flight: two shards that miss one key at
+once both walk it and both publish, and the second publish replaces the
+first's equal entry.  Coalescing stays per process, in
+:mod:`repro.flight`.
 
 Transport is the same line-delimited JSON/TCP idiom as the service
 protocol (one request frame per line, one response line back), served by
@@ -31,11 +29,9 @@ local caches, never to an error.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import socketserver
 import threading
-import time
 from collections import OrderedDict
 from typing import Any
 
@@ -60,21 +56,14 @@ class FederationCache:
         self,
         max_entries: int = 4096,
         metrics: Any = None,
-        claim_ttl: float = 15.0,
     ) -> None:
         self.max_entries = max_entries
         self.metrics = metrics
-        self.claim_ttl = claim_ttl
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, KeyPairs], dict[str, Any]] = (
             OrderedDict()
         )
         self.revisions = Revisions()
-        # Cluster-wide single-flight: (relation, key) -> (holder, stamp).
-        # The holder is filling that key; sibling shards wait for its
-        # publish instead of duplicating the walk.  Claims expire after
-        # ``claim_ttl`` so a crashed holder never wedges its waiters.
-        self._claims: dict[tuple[str, KeyPairs], tuple[str, float]] = {}
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -107,45 +96,6 @@ class FederationCache:
         with self._lock:
             self._adopt(host, revision)
 
-    def claim(self, relation: str, key: KeyPairs, holder: str) -> bool:
-        """Grant ``holder`` the exclusive right to fill ``(relation, key)``.
-
-        Denied while another live holder owns the claim; granted when the
-        slot is free, expired, or already ours (re-claiming refreshes the
-        stamp, which doubles as a keep-alive for long walks).
-        """
-        with self._lock:
-            now = time.monotonic()
-            if len(self._claims) > 4 * self.max_entries:
-                # A crashed fleet could strand claims; sweep the dead ones
-                # before the dict grows without bound.
-                expired = [
-                    k
-                    for k, (_, stamp) in self._claims.items()
-                    if now - stamp >= self.claim_ttl
-                ]
-                for k in expired:
-                    del self._claims[k]
-            current = self._claims.get((relation, key))
-            if (
-                current is not None
-                and current[0] != holder
-                and now - current[1] < self.claim_ttl
-            ):
-                self._count("cluster.fed_claims_held")
-                return False
-            self._claims[(relation, key)] = (holder, now)
-            self._count("cluster.fed_claims")
-            return True
-
-    def release(self, relation: str, key: KeyPairs, holder: str) -> None:
-        """Drop ``holder``'s claim (a fill that failed or was not stored);
-        a non-holder's release is a no-op."""
-        with self._lock:
-            current = self._claims.get((relation, key))
-            if current is not None and current[0] == holder:
-                del self._claims[(relation, key)]
-
     def publish(
         self,
         relation: str,
@@ -157,9 +107,6 @@ class FederationCache:
     ) -> bool:
         """Store one fill, unless its stamp is already superseded."""
         with self._lock:
-            # The fill landed: whoever claimed it is done, and waiters
-            # should find the entry on their next lookup.
-            self._claims.pop((relation, key), None)
             if revision < self._adopt(host, revision):
                 self._count("cluster.fed_rejected")
                 return False
@@ -201,7 +148,6 @@ class FederationCache:
         with self._lock:
             return {
                 "entries": len(self._entries),
-                "claims": len(self._claims),
                 "revisions": self.revisions.vector(),
             }
 
@@ -242,20 +188,6 @@ class _FederationHandler(LineFrameHandler):
                 list(frame["rows"]),
             )
             return {"ok": True, "stored": stored}
-        if op == "claim":
-            granted = cache.claim(
-                str(frame["relation"]),
-                key_from_json(frame["key"]),
-                str(frame["holder"]),
-            )
-            return {"ok": True, "granted": granted}
-        if op == "release":
-            cache.release(
-                str(frame["relation"]),
-                key_from_json(frame["key"]),
-                str(frame["holder"]),
-            )
-            return {"ok": True}
         if op == "revision":
             cache.advance_revision(str(frame["host"]), int(frame["revision"]))
             return {"ok": True}
@@ -319,10 +251,6 @@ class FederationClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        # Claim holder identity: unique per worker process (and per
-        # client object, so tests with several in-process clients never
-        # collide).
-        self._holder = "pid%d-%x" % (os.getpid(), id(self))
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._buf = b""
@@ -400,27 +328,6 @@ class FederationClient:
                 "revision": revision,
                 "schema": list(value.schema),
                 "rows": [list(row) for row in value.rows],
-            }
-        )
-
-    def claim(self, relation: str, key: KeyPairs) -> bool:
-        reply = self._roundtrip(
-            {
-                "op": "claim",
-                "relation": relation,
-                "key": key_to_json(key),
-                "holder": self._holder,
-            }
-        )
-        return bool(reply.get("granted"))
-
-    def release(self, relation: str, key: KeyPairs) -> None:
-        self._roundtrip(
-            {
-                "op": "release",
-                "relation": relation,
-                "key": key_to_json(key),
-                "holder": self._holder,
             }
         )
 

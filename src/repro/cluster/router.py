@@ -15,7 +15,9 @@ result cache hot for the sites it owns — unless it is
 ``SPILL_MARGIN_SECONDS`` of modeled busy time ahead of the least-busy
 live shard, which then gets it instead.  Either is correct: every
 worker holds the same deterministic world, and the federation bus
-shares whatever the serving shard fills.
+shares whatever the serving shard fills.  Nothing coalesces a fill
+across shards: two shards that miss one key at once both walk it and
+both publish an equal entry.
 
 **Failover**: worker death is detected by health pings
 (:mod:`repro.cluster.health`) or by a transport error on a live relay,

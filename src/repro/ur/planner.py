@@ -91,16 +91,6 @@ class URPlan:
     def feasible_objects(self) -> list[ObjectPlan]:
         return [o for o in self.objects if o.feasible]
 
-    def query_fingerprint(self) -> str:
-        """Whole-query identity: a hash over the sorted multiset of the
-        feasible objects' fingerprints.  Two queries with equal values
-        compute byte-identical answers (each object's fingerprint pins its
-        projection order, and the union over objects is commutative)."""
-        import hashlib
-
-        parts = sorted(o.fingerprint for o in self.feasible_objects)
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
     def describe(self) -> str:
         lines = [
             "UR plan: %d object(s), optimizer=%s" % (len(self.objects), self.optimizer)

@@ -63,10 +63,6 @@ from repro.vps.schema import VpsSchema
 
 STALE_MODES = ("refetch", "serve_stale")
 
-#: How long a flight leader waits for the sibling shard that holds the
-#: federation claim to publish, before fetching the fill itself.
-FEDERATION_WAIT_SECONDS = 30.0
-
 
 @dataclass(frozen=True)
 class CachePolicy:
@@ -165,13 +161,12 @@ class ResultCache:
         # store instead of refetching.
         self.store: Any = None
         # Optional cluster federation (repro.cluster.federation): flight
-        # leaders consult the cross-shard cache and its fill claims before
-        # fetching live, and publish their fills so sibling shards amortize
-        # the same prefix walk (see :meth:`_lead`); every revision move is
-        # published too, so siblings stop being offered fills captured
-        # under the old navigation map.  Strictly fail-open
-        # (:meth:`_federated`): a federation error is a miss, a
-        # denied-then-timed-out claim falls back to fetching.
+        # leaders consult the cross-shard cache before fetching live, and
+        # publish their fills so sibling shards amortize the same prefix
+        # walk (see :meth:`_lead`); every revision move is published too,
+        # so siblings stop being offered fills captured under the old
+        # navigation map.  Strictly fail-open (:meth:`_federated`): a
+        # federation error is a miss.
         self.federation: Any = None
         self.revisions.subscribe(partial(self._federated, "publish_revision", None))
 
@@ -393,10 +388,7 @@ class ResultCache:
     def _federated(self, op: str, failed: Any, *args: Any) -> Any:
         """One call on the cluster federation, strictly fail-open: with no
         federation, or on any error from it, the answer is ``failed``.  A
-        lookup that fails is a miss; a claim that fails is *won* — never
-        let coordination block a fetch; a publish, a release (of a claim
-        whose fill failed or was not stored, so waiters contend for it
-        instead of running out their wait budget) or a revision stamp that
+        lookup that fails is a miss; a publish or a revision stamp that
         fails is skipped."""
         if self.federation is None:
             return failed
@@ -404,32 +396,6 @@ class ResultCache:
             return getattr(self.federation, op)(*args)
         except Exception:  # noqa: BLE001 - the federation must never break a fetch
             return failed
-
-    def _federation_await(
-        self, name: str, host: str, key: tuple, revision: int, context: Any
-    ) -> Relation | None:
-        """A sibling shard holds the fill claim: poll for its publish,
-        periodically re-contending for the claim so an expired holder's
-        key is adopted rather than orphaned.  Returns the published fill,
-        or None when this shard should fetch after all (claim won, or the
-        wait budget lapsed).  Honors cancellation like a coalesced wait.
-        """
-        poll = getattr(context, "check_cancelled", None)
-        deadline = time.monotonic() + FEDERATION_WAIT_SECONDS
-        next_claim = time.monotonic() + 0.25
-        while time.monotonic() < deadline:
-            time.sleep(0.05)
-            if poll is not None:
-                poll("federated:%s" % name)
-            value = self._federated("lookup", None, name, host, key[1], revision)
-            if value is not None:
-                return value
-            now = time.monotonic()
-            if now >= next_claim:
-                next_claim = now + 0.25
-                if self._federated("claim", True, name, key[1]):
-                    return None
-        return None
 
     def _land_fed_hit(
         self, name: str, host: str, revision: int, lead: _Lead, value: Relation, context: Any
@@ -464,33 +430,21 @@ class ResultCache:
         with ExitStack() as section:
             for _key, _given, flight in leads:
                 section.enter_context(flight)
-            awaited: list[_Lead] = []
             if self.federation is not None:
                 # Resolve what the federation holds before paying for a
-                # live fetch.  Keys a sibling shard has claimed are set
-                # aside: they resolve after our own fetch, by which time
-                # the sibling has likely published.
-                claimed: list[_Lead] = []
+                # live fetch.  A sibling shard filling the same key right
+                # now is not waited for: both walk it and both publish.
+                missed: list[_Lead] = []
                 for lead in leads:
                     value = self._federated("lookup", None, name, host, lead[0][1], revision)
                     if value is not None:
                         self._land_fed_hit(name, host, revision, lead, value, context)
                         results[lead[0]] = value
-                    elif self._federated("claim", True, name, lead[0][1]):
-                        claimed.append(lead)
                     else:
-                        self.metrics.counter("cluster.fed_waits").inc()
-                        awaited.append(lead)
-                leads = claimed
+                        missed.append(lead)
+                leads = missed
             if leads:
                 self._fill(name, host, revision, leads, context, batch, results)
-            for lead in awaited:
-                value = self._federation_await(name, host, lead[0], revision, context)
-                if value is None:  # claim adopted, or the wait lapsed
-                    self._fill(name, host, revision, [lead], context, False, results)
-                else:
-                    self._land_fed_hit(name, host, revision, lead, value, context)
-                    results[lead[0]] = value
         return results
 
     def _fill(
@@ -505,50 +459,38 @@ class ResultCache:
     ) -> None:
         """Fetch the keys this leader must fill itself: intent → inner
         fetch → store → land → silver → publish.  A failure is never
-        stored.  A federation claim whose fill was not published — the
-        fetch or the store raised, or the host's revision moved mid-fetch
-        — is released on the way out, so sibling shards contend for it
-        instead of running out their wait budget."""
-        federated = self.federation is not None
-        published: set[tuple] = set()
-        try:
-            if self.store is not None:  # write-ahead: these fetches are about to run
-                for key, _given, _flight in leads:
-                    self.store.record_intent(key[0], host, revision, key[1])
-            # Invariant: exactly one miss per *upstream fetch*, counted here
-            # as it is about to run — by the flight leader only, and only
-            # once the federation (if any) has answered: a cross-shard hit
-            # is a hit, not a miss that fetched nothing.  Coalesced waiters
-            # count a hit when the shared result arrives; a waiter promoted
-            # after a failed flight counts a fresh miss, because its retry
-            # is a second upstream fetch.  Pinned by
-            # tests/test_metrics.py::TestSingleFlightMissAccounting.
-            with self._lock:
-                self.misses += len(leads)
-            self.metrics.counter("cache.misses").inc(len(leads))
-            if federated:
-                self.metrics.counter("cluster.fed_misses").inc(len(leads))
-            givens = [given for _key, given, _flight in leads]
-            if batch:
-                fetched = self._fetch_inner_batch(name, givens, context)
-            else:
-                fetched = [self._fetch_inner(name, given, context) for given in givens]
-            stored = []
-            with self._lock:
-                for (key, _given, flight), value in zip(leads, fetched):
-                    if self._store(key, name, host, revision, value):
-                        stored.append((key, value))
-                    flight.land(value)
-                    results[key] = value
-            for key, value in stored:
-                self._persist_silver(key, name, host, revision, value)
-                self._federated("publish", None, name, host, key[1], revision, value)
-                published.add(key)
-        finally:
-            if federated:
-                for key, _given, _flight in leads:
-                    if key not in published:
-                        self._federated("release", None, name, key[1])
+        stored, and so never published."""
+        if self.store is not None:  # write-ahead: these fetches are about to run
+            for key, _given, _flight in leads:
+                self.store.record_intent(key[0], host, revision, key[1])
+        # Invariant: exactly one miss per *upstream fetch*, counted here
+        # as it is about to run — by the flight leader only, and only
+        # once the federation (if any) has answered: a cross-shard hit
+        # is a hit, not a miss that fetched nothing.  Coalesced waiters
+        # count a hit when the shared result arrives; a waiter promoted
+        # after a failed flight counts a fresh miss, because its retry
+        # is a second upstream fetch.  Pinned by
+        # tests/test_metrics.py::TestSingleFlightMissAccounting.
+        with self._lock:
+            self.misses += len(leads)
+        self.metrics.counter("cache.misses").inc(len(leads))
+        if self.federation is not None:
+            self.metrics.counter("cluster.fed_misses").inc(len(leads))
+        givens = [given for _key, given, _flight in leads]
+        if batch:
+            fetched = self._fetch_inner_batch(name, givens, context)
+        else:
+            fetched = [self._fetch_inner(name, given, context) for given in givens]
+        stored = []
+        with self._lock:
+            for (key, _given, flight), value in zip(leads, fetched):
+                if self._store(key, name, host, revision, value):
+                    stored.append((key, value))
+                flight.land(value)
+                results[key] = value
+        for key, value in stored:
+            self._persist_silver(key, name, host, revision, value)
+            self._federated("publish", None, name, host, key[1], revision, value)
 
     def fetch(
         self, name: str, given: dict[str, Any], context: Any = None

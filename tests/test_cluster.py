@@ -18,11 +18,14 @@ because they shrink the cluster.
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
-from repro.cluster.federation import FederationCache
+from repro.cluster.federation import (
+    FederationCache,
+    FederationClient,
+    FederationServer,
+)
 from repro.cluster.router import (
     RETRY_AFTER_MS,
     ClusterConfig,
@@ -135,10 +138,13 @@ class TestRouting:
             "AND condition = 'good' AND make = 'jaguar'"
         )
         planner = router._planner.ur
-        assert (
-            planner.plan(Q_JOIN).query_fingerprint()
-            == planner.plan(reordered).query_fingerprint()
-        )
+
+        def fingerprints(query):
+            return sorted(o.fingerprint for o in planner.plan(query).feasible_objects)
+
+        stamped = fingerprints(Q_JOIN)
+        assert stamped and all(stamped), "every feasible object is stamped"
+        assert stamped == fingerprints(reordered)
         assert router.route_for(router.plan_hosts(Q_JOIN)) == router.route_for(
             router.plan_hosts(reordered)
         )
@@ -254,42 +260,33 @@ class TestFederation:
         assert fed.stats()["revisions"] == {host: 1}
 
 
-class TestFederationClaims:
-    """Cluster-wide single-flight: one shard walks a fill, siblings wait
-    for its publish instead of duplicating the walk."""
+class TestFederationWithoutClaims:
+    """No cross-shard single-flight: two shards that miss one key at once
+    both walk it and both publish, and the federation keeps one entry."""
 
     KEY = (("make", "saab"),)
 
-    def test_claim_is_exclusive_until_published(self):
-        fed = FederationCache()
-        assert fed.claim("dealers", self.KEY, "shard-a") is True
-        assert fed.claim("dealers", self.KEY, "shard-b") is False
-        # Re-claiming your own key refreshes it (keep-alive for long walks).
-        assert fed.claim("dealers", self.KEY, "shard-a") is True
-        fed.publish(
-            "dealers", "www.x.com", self.KEY, 0, ["make"], [["saab"]]
-        )
-        # The publish released the claim: the key is contested again.
-        assert fed.claim("dealers", self.KEY, "shard-b") is True
+    def test_two_publishes_of_one_key_leave_one_entry(self):
+        from repro.core.metrics import MetricsRegistry
 
-    def test_release_frees_only_the_holders_claim(self):
-        fed = FederationCache()
-        assert fed.claim("dealers", self.KEY, "shard-a")
-        fed.release("dealers", self.KEY, "shard-b")  # non-holder: no-op
-        assert fed.claim("dealers", self.KEY, "shard-b") is False
-        fed.release("dealers", self.KEY, "shard-a")
-        assert fed.claim("dealers", self.KEY, "shard-b") is True
+        metrics = MetricsRegistry()
+        fed = FederationCache(metrics=metrics)
+        for _shard in ("shard-a", "shard-b"):
+            assert fed.publish(
+                "dealers", "www.x.com", self.KEY, 0, ["make"], [["saab"]]
+            )
+        assert fed.stats()["entries"] == 1
+        assert metrics.snapshot()["gauges"]["cluster.fed_entries"] == 1
+        assert metrics.value("cluster.fed_publishes") == 2
+        # Either shard's next lookup hits the one entry.
+        for _shard in ("shard-a", "shard-b"):
+            found = fed.lookup("dealers", "www.x.com", self.KEY, 0)
+            assert found == {"schema": ["make"], "rows": [["saab"]]}
+        assert metrics.value("cluster.fed_lookup_hits") == 2
 
-    def test_expired_claim_is_adopted(self):
-        fed = FederationCache(claim_ttl=0.05)
-        assert fed.claim("dealers", self.KEY, "shard-a")
-        time.sleep(0.08)
-        # The holder went quiet past the TTL: the next contender takes over.
-        assert fed.claim("dealers", self.KEY, "shard-b") is True
-
-    def test_denied_claim_waits_for_the_sibling_publish(self):
-        """A flight leader whose federation claim is denied must serve the
-        sibling's published fill — zero upstream fetches — once it lands."""
+    def test_a_federation_miss_is_an_ordinary_fill_then_a_publish(self):
+        """A flight leader that the federation misses fetches live once
+        and publishes what it stored; it asks the bus nothing else."""
 
         class _Inner:
             def __init__(self):
@@ -303,37 +300,33 @@ class TestFederationClaims:
                 return Relation(["make"], [("live",)])
 
         class _Bus:
-            """Sibling holds the claim; its fill lands on the 3rd lookup."""
+            """Answers every op with nothing (a lookup misses) and records it."""
 
             def __init__(self):
-                self.lookups = 0
+                self.ops = []
 
-            def lookup(self, relation, host, key, revision):
-                self.lookups += 1
-                if self.lookups >= 3:
-                    return Relation(["make"], [("federated",)])
-                return None
+            def __getattr__(self, op):
+                return lambda *args: self.ops.append(op)
 
-            def claim(self, relation, key):
-                return False
-
-            def release(self, relation, key):
-                pass
-
-            def publish(self, relation, host, key, revision, value):
-                pass
-
-            def publish_revision(self, host, revision):
-                pass
-
-        inner = _Inner()
+        inner, bus = _Inner(), _Bus()
         cache = ResultCache(inner, CachePolicy.lru())
-        cache.federation = _Bus()
+        cache.federation = bus
         value = cache.fetch("dealers", {"make": "saab"})
-        assert sorted(value.rows) == [("federated",)]
-        assert inner.fetches == 0, "waited shard still paid a live walk"
-        assert cache.metrics.value("cluster.fed_waits") == 1
-        assert cache.metrics.value("cluster.fed_hits") == 1
+        assert sorted(value.rows) == [("live",)]
+        assert inner.fetches == 1
+        assert bus.ops == ["lookup", "publish"]
+        assert cache.metrics.value("cluster.fed_misses") == 1
+
+    @pytest.mark.parametrize("op", ["claim", "release"])
+    def test_the_bus_has_no_claim_op(self, op):
+        bus = FederationServer()
+        client = FederationClient(*bus.start())
+        try:
+            with pytest.raises(RuntimeError, match="unknown op"):
+                client._roundtrip({"op": op, "relation": "dealers", "key": []})
+        finally:
+            client.close()
+            bus.stop()
 
 
 class TestSpill:

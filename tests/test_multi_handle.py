@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vps.handle import HandleError
+from tests.shared import _shared_webbase
 
 
 class TestHandleFamily:
@@ -68,8 +69,6 @@ class TestHandleAgreement:
         st.sampled_from(["10001", "10025", "11201", "94110"]),
     )
     def test_both_handles_agree_when_both_satisfied(self, make, zipcode):
-        from tests.test_vps import _shared_webbase
-
         webbase = _shared_webbase()
         relation = webbase.vps.relation("usedcarmart")
         given = {"make": make, "zip": zipcode}

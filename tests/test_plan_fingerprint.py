@@ -13,8 +13,7 @@ it safe to collapse concurrent executions onto one:
 
 Both are checked over randomized plan trees seeded through
 ``REPRO_TEST_SEED`` (failures replay with the printed seed).  The suite
-also pins the whole-query identity (`URPlan.query_fingerprint`) and the
-binding-signature variant used by probed subplans.
+also pins the binding-signature variant used by probed subplans.
 """
 
 from __future__ import annotations
@@ -206,22 +205,3 @@ def test_binding_signature_distinguishes_probes():
     assert plan_fingerprint(
         plan, given={"make": "saab", "year": 1995}
     ) == plan_fingerprint(plan, given={"year": 1995, "make": "saab"})
-
-
-def test_query_fingerprint_tracks_whole_query(webbase):
-    """Equivalent UR queries (reordered WHERE conjuncts, flipped
-    comparisons) share a whole-query fingerprint; different queries
-    don't."""
-    plan_a = webbase.ur.plan(
-        "SELECT make, model, price WHERE make = 'saab' AND year > 1995"
-    )
-    plan_b = webbase.ur.plan(
-        "SELECT make, model, price WHERE 1995 < year AND 'saab' = make"
-    )
-    plan_c = webbase.ur.plan(
-        "SELECT make, model, price WHERE make = 'jaguar' AND year > 1995"
-    )
-    assert plan_a.query_fingerprint() == plan_b.query_fingerprint()
-    assert plan_a.query_fingerprint() != plan_c.query_fingerprint()
-    for obj in plan_a.feasible_objects:
-        assert obj.fingerprint  # every feasible object is stamped

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes thirteen mechanical consistency audits, so drift fails loudly:
+Includes fourteen mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -30,6 +30,9 @@ Includes thirteen mechanical consistency audits, so drift fails loudly:
   evaluator of its own;
 * the planner is static: its live-feedback loop and the greedy search
   do not come back, and the UR planner takes no metrics registry;
+* there is one single-flight, :mod:`repro.flight`: the federation's
+  cross-shard claims and the result cache's wait for a sibling's
+  publish do not come back, and the result cache calls no ``sleep``;
 * every metric a real workload produces must follow the documented
   ``<subsystem>.<metric>`` naming scheme (``NAME_PATTERN``), the same
   pattern the webbase's strict registry enforces at creation time.
@@ -510,6 +513,39 @@ class TestStaticPlanner:
         from repro.ur.planner import StructuredUR
 
         assert "metrics" not in inspect.signature(StructuredUR.__init__).parameters
+
+
+class TestOneFlight:
+    """:mod:`repro.flight` is the one single-flight.  A federation miss is
+    the leader's ordinary fill and a publish: no cross-shard claim lease,
+    no adoption of an expired claim, and no wait for a sibling's publish
+    comes back."""
+
+    REMOVED = (
+        "claim_ttl", "_claims", "FEDERATION_WAIT_SECONDS", "_federation_await",
+        "fed_claims", "fed_waits", "_holder",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_federation_has_no_claim_method(self):
+        from repro.cluster.federation import FederationCache, FederationClient
+
+        for owner in (FederationCache, FederationClient):
+            assert not hasattr(owner, "claim") and not hasattr(owner, "release")
+
+    def test_the_result_cache_never_sleeps(self):
+        """Waiting on a fill is :meth:`repro.flight.Flight.wait`; the cache
+        itself polls nothing."""
+        source = SRC / "vps" / "cache.py"
+        tree = ast.parse(source.read_text(), filename=str(source))
+        sleeps = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "sleep"
+        ]
+        assert sleeps == []
 
 
 class TestMetricNamingAudit:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.vps.cache import CachePolicy, ResultCache
 from repro.vps.handle import Handle, HandleError, check_handle_family
+from tests.shared import _shared_webbase
 
 
 class TestHandle:
@@ -98,18 +99,6 @@ class TestHandleAgreement:
         model = broad.schema.index_of("model")
         filtered = broad.select_rows(lambda row: row[model] == "escort")
         assert via_form == filtered
-
-
-_WEBBASE = None
-
-
-def _shared_webbase():
-    global _WEBBASE
-    if _WEBBASE is None:
-        from repro.core.webbase import WebBase
-
-        _WEBBASE = WebBase.create()
-    return _WEBBASE
 
 
 class TestCache:
