@@ -2,11 +2,20 @@
 
 Benchmarks print human-readable tables, but the perf trajectory across
 PRs needs numbers a machine can diff: each benchmark calls :func:`emit`
-with a plain JSON payload, which lands in ``BENCH_<name>.json`` at the
-repository root and is committed alongside the code.  CI's perf-smoke
-job reloads the committed file with :func:`load_baseline` *before*
-re-running the benchmark and fails the run if a tracked measure
-regressed beyond its headroom — so a perf win stays won.
+with a plain JSON payload.  The committed ``BENCH_<name>.json`` at the
+repository root is the *baseline*: CI's perf-smoke job reads it with
+:func:`load_baseline` and fails the run if a tracked measure regressed
+beyond its headroom — so a perf win stays won.
+
+A run never rewrites the baseline.  :func:`emit` writes the run's result
+to ``BENCH_<name>.json`` under :data:`OUT_DIR`, outside the tree, so a
+gate keeps comparing against the committed numbers however often it
+runs (when runs overwrote the baseline, the floor followed the last
+run).  Re-basing is a deliberate copy, committed with the change that
+moves the numbers::
+
+    python -m pytest benchmarks/bench_prefix_reuse.py --benchmark-disable
+    cp "$(python -c 'import tempfile; print(tempfile.gettempdir())')"/repro-bench/BENCH_prefix_reuse.json .
 
 The payloads are deterministic (seeded world, simulated clock); every
 file also carries a ``provenance`` stamp (git SHA, ``REPRO_TEST_SEED``,
@@ -21,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from typing import Any
 
 #: Repository root — result files sit next to README.md, not inside
@@ -28,16 +38,18 @@ from typing import Any
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+#: Where runs write their results: outside the tree, beside other
+#: temporary files.
+OUT_DIR = os.path.join(tempfile.gettempdir(), "repro-bench")
+
+
 def result_path(name: str) -> str:
-    """Where ``BENCH_<name>.json`` lives."""
+    """Where the committed baseline ``BENCH_<name>.json`` lives."""
     return os.path.join(ROOT, "BENCH_%s.json" % name)
 
 
 def load_baseline(name: str) -> dict[str, Any] | None:
-    """The committed results of a previous run (``None`` if never emitted).
-
-    Call this *before* :func:`emit` — emitting overwrites the file.
-    """
+    """The committed baseline (``None`` if none is committed)."""
     path = result_path(name)
     if not os.path.exists(path):
         return None
@@ -70,17 +82,20 @@ def provenance() -> dict[str, str]:
 
 
 def emit(name: str, payload: dict[str, Any]) -> str:
-    """Write one benchmark's results *atomically*; returns the file path.
+    """Write one run's results *atomically* to ``BENCH_<name>.json`` under
+    :data:`OUT_DIR`; returns the file path.  The committed baseline is not
+    touched (re-basing is a copy, see the module docstring).
 
     A ``provenance`` stamp (:func:`provenance`) is added to the payload
     unless the benchmark already supplied one.  The payload lands in a
     temp file beside the target and is renamed into place, so an
     interrupted benchmark (ctrl-C, OOM, a crashing assertion after
-    partial write) can never leave a truncated ``BENCH_*.json`` for the
-    next CI run to trip over."""
+    partial write) can never leave a truncated ``BENCH_*.json`` for a
+    re-base to copy."""
     payload = dict(payload)
     payload.setdefault("provenance", provenance())
-    path = result_path(name)
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, "BENCH_%s.json" % name)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as handle:

@@ -26,7 +26,8 @@ transient failures, and records a structured trace.  Assembly is driven by one
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.core.execution import (
     BundlePool,
@@ -243,6 +244,23 @@ class WebBase:
         ctx.mqo_registry = None if self.mqo is None else self.mqo.registry
         return ctx
 
+    @contextmanager
+    def _call_context(
+        self, context: ExecutionContext | None, label: str
+    ) -> Iterator[ExecutionContext]:
+        """``context``, or a fresh one for this call alone.  A fresh one
+        outlives the call as :attr:`last_context`, so its page cache —
+        every page the call fetched — is emptied when the call ends; a
+        caller's context keeps its pages."""
+        if context is not None:
+            yield context
+            return
+        ctx = self.execution_context(label=label)
+        try:
+            yield ctx
+        finally:
+            ctx.page_cache.clear()
+
     # -- maintenance -------------------------------------------------------------
 
     def run_maintenance(self, host: str | None = None):
@@ -309,20 +327,20 @@ class WebBase:
             if subsumed is not None:
                 yield None, subsumed
                 return subsumed
-        ctx = context or self.execution_context(label=text)
-        pieces = []
-        for obj, piece in self.evaluate_stream(text, ctx):
-            if piece is not None:
-                pieces.append(piece)
-                yield obj, piece
-        if self.store is None:
-            return None
-        answer = Relation.union_of(pieces)
-        try:
-            self.persist_gold(text, answer, ctx)
-        except Exception:  # noqa: BLE001 - best-effort: the rows have already left
-            self.metrics.counter("mqo.persist_errors").inc()
-        return answer
+        with self._call_context(context, text) as ctx:
+            pieces = []
+            for obj, piece in self.evaluate_stream(text, ctx):
+                if piece is not None:
+                    pieces.append(piece)
+                    yield obj, piece
+            if self.store is None:
+                return None
+            answer = Relation.union_of(pieces)
+            try:
+                self.persist_gold(text, answer, ctx)
+            except Exception:  # noqa: BLE001 - best-effort: the rows have already left
+                self.metrics.counter("mqo.persist_errors").inc()
+            return answer
 
     def evaluate_stream(self, text: str, ctx: ExecutionContext):
         """One real evaluation of ``text`` on ``ctx``: planned under a
@@ -388,10 +406,10 @@ class WebBase:
         context: ExecutionContext | None = None,
     ) -> Relation:
         """Query one logical relation directly (site-independent view)."""
-        ctx = context or self.execution_context(label="logical:%s" % name)
-        self.last_context = ctx
-        with ctx.accounted():
-            return self.logical.fetch(name, given, context=ctx)
+        with self._call_context(context, "logical:%s" % name) as ctx:
+            self.last_context = ctx
+            with ctx.accounted():
+                return self.logical.fetch(name, given, context=ctx)
 
     def fetch_vps(
         self,
@@ -400,10 +418,10 @@ class WebBase:
         context: ExecutionContext | None = None,
     ) -> Relation:
         """Query one VPS relation directly (one site's form interface)."""
-        ctx = context or self.execution_context(label="vps:%s" % name)
-        self.last_context = ctx
-        with ctx.accounted():
-            return self.cache.fetch(name, given, context=ctx)
+        with self._call_context(context, "vps:%s" % name) as ctx:
+            self.last_context = ctx
+            with ctx.accounted():
+                return self.cache.fetch(name, given, context=ctx)
 
     # -- introspection ---------------------------------------------------------------
 

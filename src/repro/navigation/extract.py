@@ -49,6 +49,9 @@ class PageWrapper:
         raise NotImplementedError
 
     def extract(self, page: WebPage) -> list[dict[str, str]]:
+        """The page's tuples.  Implementations read them through
+        :meth:`WebPage.rows`, so a wrapper scans each distinct page
+        content once; the returned rows are shared and read-only."""
         raise NotImplementedError
 
 
@@ -88,6 +91,9 @@ class TableWrapper(PageWrapper):
         return self._find_table(page) is not None
 
     def extract(self, page: WebPage) -> list[dict[str, str]]:
+        return page.rows(self, self._scan)
+
+    def _scan(self, page: WebPage) -> list[dict[str, str]]:
         located = self._find_table(page)
         if located is None:
             return []
@@ -147,7 +153,7 @@ class LabeledWrapper(PageWrapper):
         return bool(self._blocks(page))
 
     def extract(self, page: WebPage) -> list[dict[str, str]]:
-        return self._blocks(page)
+        return page.rows(self, self._blocks)
 
 
 def _induce_from_table(page: WebPage, example: dict[str, str]) -> TableWrapper | None:

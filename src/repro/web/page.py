@@ -6,11 +6,20 @@ parsed DOM: for every form it collects the widgets with their types, default
 values and — where the widget reveals them — attribute domains (select
 options, radio values) and mandatoriness (radio buttons), exactly the
 inferences the paper's map builder performs.
+
+:func:`parse_page` is content-addressed: each distinct ``(url, body)`` is
+parsed once per process, and every later page with that content shares
+the result (its title, links, forms and the rows each wrapper extracts,
+none of which anyone edits).  The memo keeps no DOM, which costs several
+times the rest; a page parses its own when something reads ``dom``.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable, Hashable
 
 from repro.web.htmlparser import HtmlNode, parse_html
 from repro.web.http import Url, parse_url
@@ -99,19 +108,42 @@ class FormSpec:
         return params
 
 
-@dataclass(eq=False)
 class WebPage:
     """A fetched and parsed page: the browser's unit of navigation state.
 
     Pages compare by identity, as their DOM nodes do: two fetches of one
     URL are two pages, which is what unifying them in the navigation
-    calculus means."""
+    calculus means.  Title, links, forms and rows come from the memo
+    entry the page shares with every page of the same ``(url, body)``;
+    the DOM is the page's own."""
 
-    url: Url
-    title: str
-    dom: HtmlNode
-    links: list[Link] = field(default_factory=list)
-    forms: list[FormSpec] = field(default_factory=list)
+    __slots__ = ("url", "title", "links", "forms", "_parsed", "_dom")
+
+    def __init__(self, url: Url, parsed: _Parsed, dom: HtmlNode | None = None) -> None:
+        self.url = url
+        self.title = parsed.title
+        self.links = parsed.links
+        self.forms = parsed.forms
+        self._parsed = parsed
+        self._dom = dom
+
+    @property
+    def dom(self) -> HtmlNode:
+        if self._dom is None:
+            self._dom = parse_html(self._parsed.body)
+        return self._dom
+
+    def rows(
+        self, wrapper: Hashable, extract: Callable[[WebPage], list[dict[str, str]]]
+    ) -> list[dict[str, str]]:
+        """``extract(self)``, computed once per ``wrapper`` and distinct
+        ``(url, body)``: pages parsed from one response share the rows.
+        ``wrapper`` is hashable and, with the page's url and body, decides
+        what ``extract`` returns.  The rows are shared: read, never edit."""
+        found = self._parsed.rows.get(wrapper)
+        if found is None:
+            found = self._parsed.rows[wrapper] = extract(self)
+        return found
 
     def link_named(self, name: str) -> Link:
         """The first link whose display text equals ``name`` (case-insensitive)."""
@@ -139,6 +171,18 @@ class WebPage:
             rows = table.find_all("tr")
             extracted.append([[c.text() for c in tr.find_all_of(_CELL_TAGS)] for tr in rows])
         return extracted
+
+
+@dataclass(frozen=True, eq=False)
+class _Parsed:
+    """What one ``(url, body)`` parses to, less the DOM: the page memo's
+    entry.  ``rows`` fills in per wrapper as pages are extracted."""
+
+    body: str
+    title: str
+    links: list[Link]
+    forms: list[FormSpec]
+    rows: dict[Hashable, list[dict[str, str]]] = field(default_factory=dict)
 
 
 _CELL_TAGS = ("td", "th")
@@ -237,8 +281,30 @@ def _parse_forms(dom: HtmlNode, base: Url) -> list[FormSpec]:
     return specs
 
 
+#: How many distinct ``(url, body)`` pairs :func:`parse_page` remembers,
+#: least recently used out first.  The car domain's designer sessions and
+#: 200 cold queries parse about 320; an entry costs about 3.5 KB, its body
+#: included (a DOM would add 18 KB).
+PAGE_MEMO_ENTRIES = 1024
+
+_memo: OrderedDict[tuple[Url, str], _Parsed] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def parse_page(url: Url, body: str) -> WebPage:
-    """Parse an HTTP response body into a :class:`WebPage`."""
+    """Parse an HTTP response body into a :class:`WebPage`.
+
+    A body already parsed at ``url`` is not parsed again: the new page
+    shares the earlier parse's :class:`_Parsed` entry and parses its DOM
+    only if something reads it.  An entry cannot go stale, since its key
+    is the content it was derived from, and two threads that miss one key
+    both parse it and store equal entries."""
+    key = (url, body)
+    with _memo_lock:
+        parsed = _memo.get(key)
+        if parsed is not None:
+            _memo.move_to_end(key)
+            return WebPage(url, parsed)
     dom = parse_html(body)
     title_node = dom.find("title")
     title = title_node.text() if title_node is not None else ""
@@ -252,4 +318,9 @@ def parse_page(url: Url, body: str) -> WebPage:
         except ValueError:
             continue
         links.append(Link(anchor.text(), address))
-    return WebPage(url=url, title=title, dom=dom, links=links, forms=_parse_forms(dom, url))
+    parsed = _Parsed(body, title, links, _parse_forms(dom, url))
+    with _memo_lock:
+        _memo[key] = parsed
+        if len(_memo) > PAGE_MEMO_ENTRIES:
+            _memo.popitem(last=False)
+    return WebPage(url, parsed, dom)
