@@ -35,11 +35,9 @@ def main() -> None:
     result = hardware.query(query)
     print(result.pretty())
     print("\n%d well-reviewed bargain laptops across both vendors." % len(result))
-    hardware.query(query)
-    print(
-        "asked again: %d live fetches, served by the result cache."
-        % hardware.last_context.fetches
-    )
+    again = hardware.execution_context()
+    hardware.query(query, context=again)
+    print("asked again: %d live fetches, served by the result cache." % again.fetches)
 
 
 if __name__ == "__main__":

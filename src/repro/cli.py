@@ -50,7 +50,9 @@ breaker timing and bulkheads are set on
 ``serve`` runs the long-lived multi-client query service on a TCP
 socket; ``client`` talks to it (no webbase is built client-side).
 ``query --deadline-ms`` bounds a one-shot query's wall-clock time the
-same way a served request's deadline does.  ``cluster serve`` runs a
+same way a served request's deadline does: the deadline lives in the
+query's execution context, whose checkpoints read it, so a running
+navigation stops before its next page.  ``cluster serve`` runs a
 router over ``--shards`` worker processes; each worker receives the
 router's ``ClusterConfig`` as one JSON ``--config`` value.  All three
 servers run until interrupted or until a ``drain`` op arrives —

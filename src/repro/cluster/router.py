@@ -817,6 +817,9 @@ class ClusterRouter:
                 pass
             added = sorted(subscription.rows - client_rows)
             removed = sorted(client_rows - subscription.rows)
+            # Counted before the catch-up delta leaves: a client that has
+            # received it must find the resume in the metrics.
+            self.metrics.counter("cluster.relay_resumes").inc()
             if added or removed:
                 relay.out_seq += 1
                 relay.handler.send(
@@ -835,7 +838,6 @@ class ClusterRouter:
             relay.client = client
             relay.subscription = subscription
             relay.shard_id = shard_id
-            self.metrics.counter("cluster.relay_resumes").inc()
             return True
         return False
 

@@ -1,7 +1,6 @@
 """The webbase core: the layered architecture assembled and instrumented."""
 
 from repro.core.execution import (
-    BundlePool,
     ExecutionContext,
     FanoutError,
     FetchFailedError,
@@ -26,7 +25,6 @@ from repro.core.stats import (
 from repro.core.webbase import WebBase
 
 __all__ = [
-    "BundlePool",
     "ExecutionContext",
     "FanoutError",
     "FetchFailedError",

@@ -157,7 +157,9 @@ class FetchTimeout(TransientNetworkError):
 class DeadlineExceeded(WebBaseError):
     """The query's wall-clock deadline expired (or the context was
     cancelled) — a *structured* error: ``stage`` names where the check
-    fired (``fetch:<relation>``, ``retry:<relation>``, ``cancelled``),
+    fired (``fetch:<relation>``, ``retry:<relation>``, ``page:<relation>``,
+    a wait's ``bulkhead:``, ``coalesced:`` or ``mqo:`` stage, or
+    ``cancelled``),
     ``deadline_seconds`` the budget, ``elapsed_seconds`` the wall time
     spent when it fired.  Deliberately not a
     :class:`~repro.web.browser.TransientNetworkError`: an expired deadline
@@ -336,68 +338,47 @@ class TraceSpan:
         return "\n".join([line] + [c.skeleton(indent + 1) for c in self.children])
 
 
-# -- the bundle pool ---------------------------------------------------------------
+# -- the navigation stack -----------------------------------------------------------
 
 
 class ExecutorBundle:
     """One navigation stack: executor + simulated clock.
 
     Browsers and executors (a current page, page counters) are not
-    shareable between threads, so each access checks a full stack over
-    the shared server out of the :class:`BundlePool`, and concurrent
-    queries never share one.  A context zeroes the clock at the start of
+    shareable between threads, so each :class:`ExecutionContext` builds
+    its own on its first live fetch, with the context's page cache
+    installed, and keeps it until the context dies; a query that makes no
+    live fetch builds none.  A context zeroes the clock at the start of
     each fetch and reads the fetch's seconds off it.
     """
 
-    def __init__(self, ident: int, server: WebServer, sites: Iterable["CompiledSite"]) -> None:
-        self.ident = ident
+    def __init__(
+        self,
+        server: WebServer,
+        sites: Iterable["CompiledSite"],
+        page_cache: PrefixPageCache,
+    ) -> None:
         self.clock = SimClock()
         self.executor = NavigationExecutor(server, self.clock)
+        self.executor.page_cache = page_cache
         for compiled in sites:
             self.executor.add_site(compiled)
-
-
-class BundlePool:
-    """A checkout/checkin pool of navigation stacks (:class:`ExecutorBundle`).
-
-    Owned by the webbase and shared across queries, so executor
-    construction is amortized.
-    """
-
-    def __init__(self, server: WebServer, sites: Iterable["CompiledSite"]) -> None:
-        self._server = server
-        self._sites = list(sites)
-        self._idle: list[ExecutorBundle] = []
-        self._lock = threading.Lock()
-        self._created = 0
-
-    @property
-    def size(self) -> int:
-        return self._created
-
-    def checkout(self) -> ExecutorBundle:
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            ident = self._created
-            self._created += 1
-        return ExecutorBundle(ident, self._server, self._sites)
-
-    def checkin(self, bundle: ExecutorBundle) -> None:
-        with self._lock:
-            self._idle.append(bundle)
 
 
 # -- the execution context ---------------------------------------------------------
 
 
 class ExecutionContext:
-    """Per-query execution state: lanes, cache, retries, trace.
+    """Per-query execution state: lanes, cache, retries, trace — and the
+    query's navigation stack and deadline.
 
     Create one per query (``webbase.execution_context()``), or share one
     across several ``query``/``fetch_logical``/``fetch_vps`` calls to pool
-    their caching and accounting.  One thread drives a context; any
-    thread may :meth:`cancel` it.  All fan-out goes through
+    their caching and accounting.  The context belongs to its caller: the
+    webbase keeps none, so a context and every page it fetched die with
+    the last caller that holds it.  ``new_stack`` builds its
+    :class:`ExecutorBundle` on the first live fetch.  One thread drives a
+    context; any thread may :meth:`cancel` it.  All fan-out goes through
     :meth:`completed` (and :meth:`map`, its ordered collector), which runs
     the items in order on the caller, so ``max_workers`` changes the
     modelled elapsed time and nothing else: not the answer, the pages or
@@ -406,7 +387,7 @@ class ExecutionContext:
 
     def __init__(
         self,
-        pool: BundlePool,
+        new_stack: Callable[[PrefixPageCache], ExecutorBundle],
         max_workers: int = 8,
         retry: RetryPolicy | None = None,
         timeout_seconds: float | None = None,
@@ -417,7 +398,8 @@ class ExecutionContext:
         page_revisions: Callable[[str], int] | None = None,
         resilience: ResilienceManager | None = None,
     ) -> None:
-        self.pool = pool
+        self._new_stack = new_stack
+        self._stack: ExecutorBundle | None = None
         self.max_workers = max(1, int(max_workers))
         self.retry = retry or RetryPolicy()
         self.timeout_seconds = timeout_seconds
@@ -427,8 +409,8 @@ class ExecutionContext:
         self.resilience = resilience
         # Batched navigation: one revision-stamped page cache per context
         # (query-scoped — dropped with the context, so cross-query staleness
-        # is impossible by construction), shared by every bundle the context
-        # checks out.  ``page_revisions`` reads a host's current
+        # is impossible by construction), installed in the context's
+        # navigation stack.  ``page_revisions`` reads a host's current
         # navigation-map revision (wired to Revisions.current, advanced by
         # site maintenance).
         self.page_cache = PrefixPageCache(
@@ -438,7 +420,8 @@ class ExecutionContext:
         # Wall-clock deadline: unlike ``timeout_seconds`` (a per-attempt
         # budget in *simulated* network seconds), the deadline bounds the
         # query's *real* elapsed time — the contract a serving client cares
-        # about.  ``wall_clock`` is injectable so tests can step time.
+        # about.  Every checkpoint reads ``wall_clock`` (injectable, so
+        # tests can step time).
         self._wall_clock = wall_clock
         self._started_wall = wall_clock()
         self.deadline_seconds = deadline_seconds
@@ -517,11 +500,17 @@ class ExecutionContext:
         waits, and fan-outs stop taking new items."""
         self._cancelled.set()
 
-    def check_deadline(self, stage: str) -> None:
-        """Raise :class:`DeadlineExceeded` if the deadline expired or the
-        context was cancelled; record the event as a trace span and count
-        it.  The engine calls this before every fetch and before every
-        retry attempt, so an expired query stops issuing Web work."""
+    def check_cancelled(self, stage: str) -> None:
+        """The engine's one cancellation checkpoint: raise
+        :class:`DeadlineExceeded` if the context was cancelled or its
+        deadline has passed, record the event as a trace span and count it.
+
+        It runs before every fetch, retry and page, and in the result
+        cache's flight wait, the MQO registry's wait and the bulkhead
+        wait, so an expired query stops its Web work at the next
+        checkpoint on its own thread: no timer has to cancel it.  Costs
+        one wall-clock read when the context has a deadline, none
+        otherwise."""
         expired = self._deadline_at is not None and self._wall_clock() >= self._deadline_at
         if not expired and not self._cancelled.is_set():
             return
@@ -537,15 +526,6 @@ class ExecutionContext:
             TraceSpan("deadline", stage, status="error", error=str(exc))
         )
         raise exc
-
-    def check_cancelled(self, stage: str) -> None:
-        """The engine's cooperative cancellation checkpoint.
-
-        Defers to :meth:`check_deadline` once the context is cancelled.
-        Costs nothing — in particular, no wall-clock read — on the happy
-        path, so it is safe to call from tight polling loops."""
-        if self._cancelled.is_set():
-            self.check_deadline(stage)
 
     @contextmanager
     def accounted(self) -> Iterator[None]:
@@ -624,16 +604,6 @@ class ExecutionContext:
 
     # -- fetching ------------------------------------------------------------
 
-    def _install_nav_hooks(self, bundle: ExecutorBundle) -> None:
-        """Attach this context's query-scoped page cache to a checked-out
-        bundle."""
-        bundle.executor.page_cache = self.page_cache
-
-    def _uninstall_nav_hooks(self, bundle: ExecutorBundle) -> None:
-        """Detach the cache before the bundle returns to the shared pool,
-        so another context never sees this query's pages."""
-        bundle.executor.page_cache = None
-
     @staticmethod
     def _fetch_key(relation: "VirtualRelation", given: dict[str, Any]) -> tuple:
         return (
@@ -643,9 +613,9 @@ class ExecutionContext:
 
     def run_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
         """Fetch one VPS relation through the engine: per-context cache,
-        bundle checkout, timeout, bounded retry, trace.  Returns the
-        relation or raises the failure; a :meth:`cancel` from another
-        thread (the service's deadline timer) stops the fetch at its next
+        the context's navigation stack, timeout, bounded retry, trace.
+        Returns the relation or raises the failure; a passed deadline, or
+        a :meth:`cancel` from another thread, stops the fetch at its next
         checkpoint with :class:`DeadlineExceeded`.
 
         A repeat of a ``(relation, bindings)`` key within the context is a
@@ -653,7 +623,7 @@ class ExecutionContext:
         tries again.
         """
         key = self._fetch_key(relation, given)
-        self.check_deadline("fetch:%s" % relation.name)
+        self.check_cancelled("fetch:%s" % relation.name)
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
@@ -677,13 +647,9 @@ class ExecutionContext:
             return self._dispatch_fetch(relation, given)
 
     def _dispatch_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
-        owned = self.pool.checkout()
-        self._install_nav_hooks(owned)
-        try:
-            return self._fetch_with_retries(relation, given, owned)
-        finally:
-            self._uninstall_nav_hooks(owned)
-            self.pool.checkin(owned)
+        if self._stack is None:
+            self._stack = self._new_stack(self.page_cache)
+        return self._fetch_with_retries(relation, given, self._stack)
 
     def run_fetch_batch(
         self, relation: "VirtualRelation", givens: list[dict[str, Any]]
@@ -693,7 +659,7 @@ class ExecutionContext:
         and duplicate bindings share one result.
 
         Each distinct binding is one :meth:`run_fetch` — per-context
-        cache, bundle checkout, timeout, retries, trace spans — and the
+        cache, navigation stack, timeout, retries, trace spans — and the
         query-scoped page cache shares the navigation prefix pages across
         them.  The bindings run in fetch-key order: the order decides
         which lane each fetch lands on, so sorting keeps the elapsed model
@@ -725,7 +691,7 @@ class ExecutionContext:
         with self.span("fetch", relation.name, host=relation.host) as fspan:
             fspan.cache = "miss"
             # Measured from zero: the same fetch reports the same seconds,
-            # whatever the bundle served before (the engine is the clock's
+            # whatever the stack served before (the engine is the clock's
             # only reader).
             bundle.clock.reset()
             pages_total = 0
@@ -746,7 +712,7 @@ class ExecutionContext:
                         # The deadline and the cancel flag are re-checked
                         # between retries, so a dying query stops burning its
                         # retry budget (and backoff) on a lost cause.
-                        self.check_deadline("retry:%s" % relation.name)
+                        self.check_cancelled("retry:%s" % relation.name)
                         bundle.clock.charge(policy.delay_before(attempt))
                         self.retries += 1
                         self.metrics.counter("engine.retries").inc()
@@ -795,6 +761,8 @@ class ExecutionContext:
                 fspan.error = str(exc)
                 raise
             finally:
+                # No cycle back to the context: it, and its pages, die
+                # with its last caller, not at the next collection.
                 bundle.executor.cancel_check = None
             total = bundle.clock.network_seconds
             fspan.network_seconds = total

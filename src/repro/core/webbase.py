@@ -26,12 +26,11 @@ transient failures, and records a structured trace.  Assembly is driven by one
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.execution import (
-    BundlePool,
     ExecutionContext,
+    ExecutorBundle,
     RetryPolicy,
     WebBaseConfig,
 )
@@ -47,6 +46,7 @@ from repro.revisions import Revisions
 from repro.ur.planner import StructuredUR, URPlan
 from repro.vps.cache import ResultCache
 from repro.vps.schema import VpsSchema
+from repro.web.browser import PrefixPageCache
 from repro.web.server import World
 
 
@@ -78,7 +78,6 @@ class WebBase:
         self.vps = VpsSchema(self.executor)
         for compiled in self.compiled.values():
             self.vps.add_compiled_site(compiled)
-        self.pool = BundlePool(world.server, self.compiled.values())
         # One registry spans the whole webbase: the cache and every
         # execution context count into it, so cache/fetch totals reconcile
         # with trace spans (``python -m repro metrics``).  Strict: an
@@ -107,9 +106,6 @@ class WebBase:
         )
         if config.faults is not None:
             world.server.install_faults(config.faults)
-        # The engine context behind the most recent facade call that made
-        # its own — the place to look for the trace and the cost accounting.
-        self.last_context: ExecutionContext | None = None
         # Maintenance sweeps publish their findings here (change-data
         # capture); the service's standing-query registry subscribes.
         from repro.store.cdc import DeltaFeed
@@ -222,12 +218,16 @@ class WebBase:
     ) -> ExecutionContext:
         """A fresh per-query engine context, defaulting to the webbase
         config's worker/retry/timeout policies.  ``deadline_seconds``
-        bounds the query's wall-clock time (checked before each fetch and
-        between retries).  Pass the same context to several facade calls
-        to pool their workers, per-context cache, accounting and trace."""
+        bounds the query's wall-clock time: every checkpoint (before each
+        fetch, retry and page, and in every wait) reads the clock, so an
+        expired query stops at the next one.  The context belongs to the
+        caller — the webbase keeps no reference to it — so pass it to the
+        facade calls whose trace and accounting you want to read, or pass
+        the same one to several to pool their per-context cache, pages,
+        accounting and trace."""
         config = self.config
         ctx = ExecutionContext(
-            self.pool,
+            self.navigation_stack,
             max_workers=config.max_workers if max_workers is None else max_workers,
             retry=retry or config.retry,
             timeout_seconds=(
@@ -244,22 +244,11 @@ class WebBase:
         ctx.mqo_registry = None if self.mqo is None else self.mqo.registry
         return ctx
 
-    @contextmanager
-    def _call_context(
-        self, context: ExecutionContext | None, label: str
-    ) -> Iterator[ExecutionContext]:
-        """``context``, or a fresh one for this call alone.  A fresh one
-        outlives the call as :attr:`last_context`, so its page cache —
-        every page the call fetched — is emptied when the call ends; a
-        caller's context keeps its pages."""
-        if context is not None:
-            yield context
-            return
-        ctx = self.execution_context(label=label)
-        try:
-            yield ctx
-        finally:
-            ctx.page_cache.clear()
+    def navigation_stack(self, page_cache: PrefixPageCache) -> ExecutorBundle:
+        """A fresh navigation stack over this webbase's sites — what an
+        execution context builds on its first live fetch, with its own
+        ``page_cache`` installed."""
+        return ExecutorBundle(self.world.server, self.compiled.values(), page_cache)
 
     # -- maintenance -------------------------------------------------------------
 
@@ -327,20 +316,20 @@ class WebBase:
             if subsumed is not None:
                 yield None, subsumed
                 return subsumed
-        with self._call_context(context, text) as ctx:
-            pieces = []
-            for obj, piece in self.evaluate_stream(text, ctx):
-                if piece is not None:
-                    pieces.append(piece)
-                    yield obj, piece
-            if self.store is None:
-                return None
-            answer = Relation.union_of(pieces)
-            try:
-                self.persist_gold(text, answer, ctx)
-            except Exception:  # noqa: BLE001 - best-effort: the rows have already left
-                self.metrics.counter("mqo.persist_errors").inc()
-            return answer
+        ctx = context or self.execution_context(label=text)
+        pieces = []
+        for obj, piece in self.evaluate_stream(text, ctx):
+            if piece is not None:
+                pieces.append(piece)
+                yield obj, piece
+        if self.store is None:
+            return None
+        answer = Relation.union_of(pieces)
+        try:
+            self.persist_gold(text, answer, ctx)
+        except Exception:  # noqa: BLE001 - best-effort: the rows have already left
+            self.metrics.counter("mqo.persist_errors").inc()
+        return answer
 
     def evaluate_stream(self, text: str, ctx: ExecutionContext):
         """One real evaluation of ``text`` on ``ctx``: planned under a
@@ -349,7 +338,6 @@ class WebBase:
         None)`` pairs.  Never served from gold and persists nothing — for
         callers that need a real evaluation's trace (reports,
         standing-query refreshes)."""
-        self.last_context = ctx
         with ctx.accounted(), ctx.span("query", text):
             plan = self.plan_traced(text, ctx)
             yield from self.ur.answer_stream(text, plan=plan, context=ctx)
@@ -406,10 +394,9 @@ class WebBase:
         context: ExecutionContext | None = None,
     ) -> Relation:
         """Query one logical relation directly (site-independent view)."""
-        with self._call_context(context, "logical:%s" % name) as ctx:
-            self.last_context = ctx
-            with ctx.accounted():
-                return self.logical.fetch(name, given, context=ctx)
+        ctx = context or self.execution_context(label="logical:%s" % name)
+        with ctx.accounted():
+            return self.logical.fetch(name, given, context=ctx)
 
     def fetch_vps(
         self,
@@ -418,10 +405,9 @@ class WebBase:
         context: ExecutionContext | None = None,
     ) -> Relation:
         """Query one VPS relation directly (one site's form interface)."""
-        with self._call_context(context, "vps:%s" % name) as ctx:
-            self.last_context = ctx
-            with ctx.accounted():
-                return self.cache.fetch(name, given, context=ctx)
+        ctx = context or self.execution_context(label="vps:%s" % name)
+        with ctx.accounted():
+            return self.cache.fetch(name, given, context=ctx)
 
     # -- introspection ---------------------------------------------------------------
 

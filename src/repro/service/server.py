@@ -18,8 +18,9 @@ share it gracefully rather than degrade everyone:
 * **per-request deadlines** — the remaining budget (waiting counts!)
   propagates into the query's
   :class:`~repro.core.execution.ExecutionContext`, which re-checks it
-  before every fetch and between retries and cancels outstanding worker
-  fetches on expiry (``DEADLINE_EXCEEDED``, not retriable);
+  before every fetch, retry and page and in every wait, so an expired
+  query stops at its next checkpoint (``DEADLINE_EXCEEDED``, not
+  retriable);
 * **streaming results** — rows are sent in pages as each maximal object
   completes (deduplicated across objects), so a ``More``-loop query
   reaches the client incrementally instead of buffering the relation;
@@ -736,11 +737,12 @@ class WebBaseService:
         with no object is a gold answer (``"gold"`` page source,
         ``stats["mqo"] == "subsumed"``).
 
-        Deadline expiry is enforced by *cancelling the context*: a timer
-        fires at the deadline and calls :meth:`ExecutionContext.cancel`, so
-        every fetch, retry and wait of the query stops at its next
-        checkpoint (a running navigation before its next page) instead of
-        at its next deadline poll, and the client gets ``DEADLINE_EXCEEDED``."""
+        The request's remaining budget becomes the context's deadline, and
+        every checkpoint of the query (before each fetch, retry and page,
+        and in every wait) reads it, so an expired query stops at its next
+        one on this thread and the client gets ``DEADLINE_EXCEEDED``.  The
+        context is this call's: it and the pages it fetched die when the
+        call returns."""
         request = job.request
         page_size = request.page_size or self.config.page_size
         remaining = (
@@ -749,29 +751,20 @@ class WebBaseService:
         ctx: ExecutionContext = self.webbase.execution_context(
             label="svc:%s" % request.text, deadline_seconds=remaining
         )
-        timer: threading.Timer | None = None
-        if remaining is not None:
-            timer = threading.Timer(remaining, ctx.cancel)
-            timer.daemon = True
-            timer.start()
         seen: set[tuple] = set()
         seq = 0
         subsumed = False
-        try:
-            for obj, piece in self.webbase.query_stream(request.text, context=ctx):
-                fresh = [row for row in piece.rows if row not in seen]
-                seen.update(fresh)
-                subsumed = obj is None
-                # One burst per piece: its pages are all ready now, and
-                # nothing waits for the next object.
-                source = "gold" if subsumed else " ⋈ ".join(obj.relations)
-                schema = list(piece.schema)
-                pages = _pages(request.id, seq, schema, fresh, page_size, source)
-                job.handler.send(*pages)
-                seq += len(pages)
-        finally:
-            if timer is not None:
-                timer.cancel()
+        for obj, piece in self.webbase.query_stream(request.text, context=ctx):
+            fresh = [row for row in piece.rows if row not in seen]
+            seen.update(fresh)
+            subsumed = obj is None
+            # One burst per piece: its pages are all ready now, and
+            # nothing waits for the next object.
+            source = "gold" if subsumed else " ⋈ ".join(obj.relations)
+            schema = list(piece.schema)
+            pages = _pages(request.id, seq, schema, fresh, page_size, source)
+            job.handler.send(*pages)
+            seq += len(pages)
         cache_hits = sum(
             1 for span in ctx.root.spans("fetch") if span.cache in ("hit", "stale")
         )

@@ -71,8 +71,8 @@ class VirtualRelation:
         Values for attributes outside the handle's selection set and the
         relation schema are ignored (they belong to other relations in a
         larger expression).  ``executor`` substitutes the navigation stack
-        the execution engine checked out for this access for the schema's
-        own one.
+        of the execution context running this access for the schema's own
+        one.
         """
         relevant, goal = self._prepare(given)
         rows = (executor or self._executor).fetch(self.name, relevant, goal=goal)
@@ -119,10 +119,10 @@ class VpsSchema:
     def fetch(self, name: str, given: dict[str, Any], context: Any = None) -> Relation:
         """Fetch a relation, optionally through an execution context.
 
-        With a context, the fetch runs on the engine — worker checkout,
-        per-context caching, timeout/retry, trace spans; without one it
-        runs directly on the schema's own executor (the simple path test
-        doubles and small tools use)."""
+        With a context, the fetch runs on the engine — the context's
+        navigation stack, per-context caching, timeout/retry, trace spans;
+        without one it runs directly on the schema's own executor (the
+        simple path test doubles and small tools use)."""
         if context is None:
             return self.relation(name).fetch(given)
         return context.run_fetch(self.relation(name), given)

@@ -14,7 +14,7 @@ from repro.web.browser import (
     NavigationError,
 )
 from repro.web.clock import CpuTimer, LatencyModel, SimClock
-from repro.web.html import Element, RenderStyle, el, page
+from repro.web.html import Element, RenderStyle, el
 from repro.web.htmlparser import HtmlNode, parse_html
 from repro.web.http import Request, Response, Url, parse_url
 from repro.web.page import FormSpec, Link, WebPage, Widget, parse_page
@@ -44,7 +44,6 @@ __all__ = [
     "Widget",
     "World",
     "el",
-    "page",
     "parse_html",
     "parse_page",
     "parse_url",

@@ -119,10 +119,6 @@ class PrefixPageCache:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def clear(self) -> None:
-        """Drop every page: the query that filled the cache has ended."""
-        self._pages.clear()
-
     def _count(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()

@@ -2,16 +2,18 @@
 
 The per-attempt ``timeout_seconds`` bounds *simulated* network seconds;
 ``deadline_seconds`` bounds the *real* elapsed time a serving client
-waits.  The contract: the deadline is checked before every fetch and
-between retries, expiry raises a structured :class:`DeadlineExceeded`
-naming the stage it died at, records a ``deadline`` trace span, bumps the
+waits.  The contract: the deadline is checked at every checkpoint —
+before every fetch, retry and page, and in every wait — expiry raises a
+structured :class:`DeadlineExceeded` naming the stage it died at,
+records a ``deadline`` trace span, bumps the
 ``engine.deadline_exceeded`` counter, and cancels the whole context so
 the fan-out's remaining items are abandoned instead of run into the void.
 
 :meth:`ExecutionContext.cancel` is the one way to revoke work: every
 checkpoint (before each fetch, retry and page, and in coalesced, bulkhead
-and shared-subplan waits) reads the context's flag, so a cancel surfaces as
-:class:`DeadlineExceeded` wherever it lands.
+and shared-subplan waits) reads the context's flag and its deadline, so a
+cancel or an expiry surfaces as :class:`DeadlineExceeded` wherever it lands,
+with no timer thread to fire it.
 """
 
 from __future__ import annotations
@@ -78,13 +80,14 @@ class TestDeadlineExpiry:
             WebBaseConfig(faults=FaultPlan(error_rate=1.0))
         )
         clock = SteppingClock(step=0.3)
-        # Clock reads: 0.3 at construction (deadline_at = 0.8), 0.6 at the
-        # pre-fetch check (passes), 0.9 at the before-retry check (expires).
+        # Clock reads: 0.3 at construction (deadline_at = 1.1), 0.6 at the
+        # pre-fetch check and 0.9 before the first page (both pass), 1.2 at
+        # the before-retry check (expires).
         ctx = ExecutionContext(
-            webbase.pool,
+            webbase.navigation_stack,
             retry=RetryPolicy(max_attempts=3),
             metrics=webbase.metrics,
-            deadline_seconds=0.5,
+            deadline_seconds=0.8,
             wall_clock=clock,
         )
         relation = webbase.vps.relations["newsday"]
@@ -93,11 +96,41 @@ class TestDeadlineExpiry:
         assert excinfo.value.stage == "retry:newsday"
         assert ctx.cancelled
 
+    def test_a_deadline_passing_mid_navigation_stops_before_the_next_page(self):
+        """A context with only a deadline — what ``repro query
+        --deadline-ms`` builds — and a wall clock that passes it while the
+        first page is on the wire: the access stops before its next page
+        (stage ``page:<relation>``) and its fetch span reads ``cancelled``;
+        it does not run on to the next fetch's checkpoint."""
+        webbase = WebBase.create(WebBaseConfig(max_workers=1))
+        now = [0.0]
+        server = webbase.world.server
+        real = server.fetch
+
+        def slow_fetch(request):
+            now[0] += 5.0  # the page takes longer than the whole budget
+            return real(request)
+
+        server.fetch = slow_fetch
+        ctx = ExecutionContext(
+            webbase.navigation_stack,
+            metrics=webbase.metrics,
+            deadline_seconds=1.0,
+            wall_clock=lambda: now[0],
+        )
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            webbase.query(QUERY, context=ctx)
+        fetch_spans = ctx.root.spans("fetch")
+        assert [s.status for s in fetch_spans] == ["cancelled"]
+        assert excinfo.value.stage == "page:%s" % fetch_spans[0].name
+        assert excinfo.value.deadline_seconds == 1.0
+        assert ctx.fetches == 0 and ctx.cancelled
+
     def test_remaining_seconds_counts_down(self):
         clock = SteppingClock(step=1.0)
         webbase = WebBase.create(WebBaseConfig())
         ctx = ExecutionContext(
-            webbase.pool, deadline_seconds=10.0, wall_clock=clock
+            webbase.navigation_stack, deadline_seconds=10.0, wall_clock=clock
         )
         remaining = ctx.deadline_remaining_seconds
         assert remaining is not None and remaining < 10.0
@@ -105,7 +138,7 @@ class TestDeadlineExpiry:
     def test_no_deadline_means_no_limit(self, webbase):
         ctx = webbase.execution_context()
         assert ctx.deadline_remaining_seconds is None
-        ctx.check_deadline("anywhere")  # must not raise
+        ctx.check_cancelled("anywhere")  # must not raise
         result = webbase.query(QUERY, context=ctx)
         assert len(result) > 0
 
@@ -156,7 +189,7 @@ class TestCancellation:
     def test_cancel_stops_the_retry_loop_and_refunds_the_bundle(self):
         """A cancel mid-retry stops the access at the before-retry
         checkpoint: the retry budget stops burning, nothing is cached, and
-        the worker bundle goes back to the pool."""
+        a fresh context on the same webbase still fetches."""
         webbase = WebBase.create(
             WebBaseConfig(
                 faults=FaultPlan(
@@ -165,7 +198,9 @@ class TestCancellation:
             )
         )
         ctx = ExecutionContext(
-            webbase.pool, retry=RetryPolicy(max_attempts=5000), metrics=webbase.metrics
+            webbase.navigation_stack,
+            retry=RetryPolicy(max_attempts=5000),
+            metrics=webbase.metrics,
         )
         errors: list[Exception] = []
 
@@ -187,7 +222,7 @@ class TestCancellation:
         assert len(errors) == 1 and isinstance(errors[0], DeadlineExceeded)
         assert ctx.retries < 5000
         assert ctx._cache == {}
-        fresh = ExecutionContext(webbase.pool, metrics=webbase.metrics)
+        fresh = ExecutionContext(webbase.navigation_stack, metrics=webbase.metrics)
         nytimes = webbase.vps.relations["nytimes"]
         assert len(fresh.run_fetch(nytimes, {"manufacturer": "saab"})) > 0
 
@@ -261,7 +296,7 @@ class TestCancellation:
         assert webbase.cache._inflight == {}
 
     def test_duplicate_bindings_share_one_result(self, webbase):
-        ctx = ExecutionContext(webbase.pool, metrics=webbase.metrics)
+        ctx = ExecutionContext(webbase.navigation_stack, metrics=webbase.metrics)
         givens = [{"make": "saab"}, {"make": "toyota"}, {"make": "saab"}]
         fetched = ctx.run_fetch_batch(webbase.vps.relations["newsday"], givens)
         assert len(fetched) == 3
@@ -275,7 +310,9 @@ class TestCancellation:
         failure as :class:`FetchFailedError`."""
         relation = _FailingFor(webbase.vps.relations["newsday"], make="ford")
         ctx = ExecutionContext(
-            webbase.pool, retry=RetryPolicy(max_attempts=2), metrics=webbase.metrics
+            webbase.navigation_stack,
+            retry=RetryPolicy(max_attempts=2),
+            metrics=webbase.metrics,
         )
         givens = [{"make": "ford"}, {"make": "toyota"}, {"make": "saab"}]
         with pytest.raises(FetchFailedError) as excinfo:

@@ -132,8 +132,9 @@ def test_every_domain_runs_on_the_whole_engine(name, stack, tmp_path):
         for text, truth in truths.items():
             expected = truth(world.dataset)
             assert expected, "the seeded world must have answers to %r" % text
-            assert set(webbase.query(text).rows) == expected, text
-            assert not webbase.last_context.failures
+            ctx = webbase.execution_context()
+            assert set(webbase.query(text, context=ctx).rows) == expected, text
+            assert not ctx.failures
             # A repeat answers the same, whatever tier serves it.
             assert set(webbase.query(text).rows) == expected, text
         assert webbase.run_maintenance() == {}, "a fresh world's maps must agree"
@@ -171,8 +172,9 @@ def test_a_world_too_large_for_a_direct_branch_still_maps_and_answers():
     refinement form too (it used to die with a bare ``StopIteration``)."""
     webbase = WebBase.create(WebBaseConfig(ads_per_host=400))
     text, truth = next(iter(DOMAINS["cars"][2].items()))
-    assert set(webbase.query(text).rows) == truth(webbase.world.dataset)
-    assert not webbase.last_context.failures
+    ctx = webbase.execution_context()
+    assert set(webbase.query(text, context=ctx).rows) == truth(webbase.world.dataset)
+    assert not ctx.failures
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))

@@ -53,8 +53,8 @@ class TestEndToEndSmoke:
         assert parallel == sequential
 
     def test_default_context_recorded(self, webbase):
-        webbase.query(self.QUERY)
-        ctx = webbase.last_context
+        ctx = webbase.execution_context()
+        webbase.query(self.QUERY, context=ctx)
         assert ctx is not None and ctx.fetches > 0
 
 
@@ -89,9 +89,10 @@ class TestElapsedModel:
             webbase = WebBase.create(WebBaseConfig(ads_per_host=40, max_workers=workers))
             critical, total = [], []
             for text in texts:
-                webbase.query(text)
-                critical.append(webbase.last_context.network_seconds_critical)
-                total.append(webbase.last_context.network_seconds_total)
+                ctx = webbase.execution_context()
+                webbase.query(text, context=ctx)
+                critical.append(ctx.network_seconds_critical)
+                total.append(ctx.network_seconds_total)
             return critical, total
 
         first, second, narrow = lanes(8), lanes(8), lanes(1)
@@ -109,7 +110,7 @@ class TestElapsedModel:
 
         def run(workers: int) -> tuple[list[str], list, int]:
             relation = _Recording(webbase.vps.relations["newsday"])
-            ctx = ExecutionContext(webbase.pool, max_workers=workers)
+            ctx = ExecutionContext(webbase.navigation_stack, max_workers=workers)
             fetched = ctx.run_fetch_batch(relation, [dict(g) for g in givens])
             return relation.seen, [r.rows for r in fetched], ctx.root.total_pages
 
@@ -149,7 +150,7 @@ class TestElapsedModel:
 
 class TestMapFanout:
     def _context(self, webbase, workers=4):
-        return ExecutionContext(webbase.pool, max_workers=workers)
+        return ExecutionContext(webbase.navigation_stack, max_workers=workers)
 
     def test_preserves_order(self, webbase):
         ctx = self._context(webbase)

@@ -288,7 +288,7 @@ class TestSpikesAndTimeouts:
         webbase = WebBase.create(WebBaseConfig())
         moving = itertools.count()
         ctx = ExecutionContext(
-            webbase.pool,
+            webbase.navigation_stack,
             timeout_seconds=0.05,
             retry=RetryPolicy(max_attempts=2),
             metrics=webbase.metrics,

@@ -365,8 +365,9 @@ class TestSubsume:
                 ),
             )
         )
-        partial = wb.query(section7)
-        assert wb.last_context.failures
+        ctx = wb.execution_context()
+        partial = wb.query(section7, context=ctx)
+        assert ctx.failures
         assert wb.metrics.value("store.gold_writes") == 0
 
         wb.world.server.install_faults(FaultPlan())

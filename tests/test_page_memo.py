@@ -188,19 +188,17 @@ def _live_pages() -> int:
 
 
 def test_an_idle_webbase_holds_no_query_pages():
-    """A context the webbase made for one call stays reachable as
-    ``last_context``; its page cache does not keep the call's pages.  A
-    context the caller passes in keeps them."""
+    """The webbase keeps no context: a context it made for one call, its
+    navigation stack and every page the call fetched die when the call
+    ends.  A context the caller passes in keeps its pages."""
     webbase = WebBase(build_world())
     idle = _live_pages()
     webbase.query("SELECT make, model, price WHERE make = 'ford'")
-    assert len(webbase.last_context.page_cache) == 0
-    # The executor's browser keeps the one page it loaded last.
-    assert _live_pages() <= idle + 1
+    assert _live_pages() == idle
     webbase.fetch_vps("newsday", {"make": "saab"})
-    assert len(webbase.last_context.page_cache) == 0
+    assert _live_pages() == idle
     webbase.fetch_logical("classifieds", {"make": "saab"})
-    assert len(webbase.last_context.page_cache) == 0
+    assert _live_pages() == idle
 
     ctx = webbase.execution_context(label="session")
     webbase.fetch_vps("newsday", {"make": "saab"}, context=ctx)
@@ -208,3 +206,12 @@ def test_an_idle_webbase_holds_no_query_pages():
     assert held > 0
     webbase.query("SELECT make, model, price WHERE make = 'ford'", context=ctx)
     assert len(ctx.page_cache) > held
+
+
+def test_the_page_submodule_is_not_hidden_by_a_package_attribute():
+    """``repro.web`` exports no name ``page``, so ``import repro.web.page``
+    binds the module that parses pages."""
+    import repro.web.page as module
+
+    assert module is page_module
+    assert callable(module.parse_page)

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes fourteen mechanical consistency audits, so drift fails loudly:
+Includes fifteen mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -25,6 +25,8 @@ Includes fourteen mechanical consistency audits, so drift fails loudly:
   the fetch entry points the layer trace wraps still resolve;
 * there is one cancellation signal, the execution context: the per-access
   handle layer and its counters do not come back;
+* a context holds all of its query's state: the bundle pool, a deadline
+  timer and the webbase's ``last_context`` do not come back;
 * there is one query path: the service's copies of subsume-first and
   gold persistence do not come back, and the report imports no
   evaluator of its own;
@@ -441,6 +443,30 @@ class TestOneCancellation:
         # bench/trace.py attributes self time to these two by name.
         assert callable(ExecutionContext.run_fetch)
         assert callable(ExecutionContext.run_fetch_batch)
+
+
+class TestTheContextOwnsItsQueryState:
+    """A context builds its own navigation stack, reads its own deadline
+    at every checkpoint and belongs to its caller: no shared pool of
+    stacks, no timer thread and no context kept by the webbase."""
+
+    REMOVED = (
+        "BundlePool", "last_context", "_install_nav_hooks",
+        "_uninstall_nav_hooks", "_call_context",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_no_module_starts_a_timer(self):
+        timers = [
+            "%s:%d" % (relative, node.lineno)
+            for relative, tree in TestOneStalenessAuthority._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("threading.Timer", "Timer")
+        ]
+        assert timers == []
 
 
 class TestOneQueryPath:
