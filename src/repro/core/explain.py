@@ -83,6 +83,9 @@ class ExplainObject:
     # object ("lead" ran it, "hit" shared another query's in-flight run).
     fingerprint: str = ""
     shared: str = ""
+    # "hit" when the answer memo served the object without evaluating it
+    # (its cache reads were all current): no view was accessed.
+    memo: str = ""
 
     @property
     def est_fetches(self) -> float:
@@ -136,6 +139,8 @@ class ExplainReport:
                 tags.append("fp %s" % obj.fingerprint)
             if obj.shared:
                 tags.append("shared %s" % obj.shared)
+            if obj.memo:
+                tags.append("memo %s" % obj.memo)
             lines.append(
                 "object %s  [%s, est %.1f fetches, actual %d]"
                 % (
@@ -205,6 +210,7 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
         span = object_spans.get(" ⋈ ".join(obj.relations))
         if span is not None:
             explained.shared = str(span.attrs.get("mqo", ""))
+            explained.memo = str(span.attrs.get("memo", ""))
         steps = list(obj.estimate.steps) if obj.estimate is not None else []
         for position, relation in enumerate(obj.relations):
             step = steps[position] if position < len(steps) else None

@@ -31,7 +31,9 @@ _MEMO_LIMIT = 8
 class Relation:
     """An immutable relation instance."""
 
-    __slots__ = ("schema", "_rows", "_sorted", "_memo", "_indexes")
+    # ``__weakref__``: whether an evicted cache entry's relation is garbage
+    # is checked by holding only a weak reference to it.
+    __slots__ = ("schema", "_rows", "_sorted", "_memo", "_indexes", "__weakref__")
 
     def __init__(
         self, schema: Schema | Iterable[str], rows: Iterable[Row] = (), _distinct=False, _sorted=False

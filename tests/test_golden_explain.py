@@ -19,6 +19,7 @@ import pathlib
 
 from repro.core.execution import WebBaseConfig
 from repro.core.webbase import WebBase
+from repro.vps.cache import CachePolicy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "jaguar_explain.txt"
 
@@ -57,3 +58,18 @@ def test_jaguar_explain_matches_golden():
 
 def test_explain_render_is_deterministic():
     assert _current_render() == _current_render()
+
+
+def test_a_repeat_on_a_caching_webbase_is_tagged_memo_hit():
+    """Run twice on one webbase whose result cache stores: the repeat's
+    objects come from the answer memo, which EXPLAIN tags and which
+    accesses no view."""
+    webbase = WebBase.create(WebBaseConfig(max_workers=1, cache=CachePolicy.lru()))
+    first = webbase.explain(JAGUAR_QUERY)
+    second = webbase.explain(JAGUAR_QUERY)
+    assert "memo" not in first.render()
+    assert second.rows == first.rows
+    assert [obj.memo for obj in second.objects] == ["hit"] * len(first.objects)
+    lines = [line for line in second.render().splitlines() if line.startswith("object ")]
+    assert lines and all("[dp, memo hit, " in line for line in lines)
+    assert second.actual_fetches == 0
