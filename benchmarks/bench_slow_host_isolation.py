@@ -1,10 +1,10 @@
-"""Slow-host isolation: the per-host circuit breaker and bulkhead.
+"""Slow-host isolation: the per-host circuit breaker's quarantine.
 
 One host is degraded with latency spikes
 (``FaultPlan(spike_rate=1.0, hosts=(slow,))``).  The slow-call breaker
-trips on it, quarantines it in the result cache (``serve_stale``
-degrades its answers to flagged-stale instead of stalling the pool),
-and the bulkhead caps its worker-slot share.  Acceptance: the other
+trips on it and quarantines it in the result cache (``serve_stale``
+degrades its answers to flagged-stale instead of waiting on the
+degraded site).  Acceptance: the other
 hosts' fetch p95 stays within 1.5× the healthy baseline, and the
 steady-state workload elapsed (passes after the breaker opened) drops
 back to within 1.5× of healthy — while the same faults with resilience
@@ -81,9 +81,7 @@ def test_slow_host_isolation():
     spikes = FaultPlan(
         seed=7, spike_rate=1.0, spike_seconds=SPIKE_SECONDS, hosts=(SLOW_HOST,)
     )
-    guarded_policy = ResiliencePolicy(
-        failure_threshold=2, slow_seconds=10.0, bulkhead_per_host=2
-    )
+    guarded_policy = ResiliencePolicy(failure_threshold=2, slow_seconds=10.0)
     healthy = _isolation_run(None, guarded_policy)
     guarded = _isolation_run(spikes, guarded_policy)
     unguarded = _isolation_run(spikes, ResiliencePolicy.off())

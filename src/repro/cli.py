@@ -42,8 +42,8 @@ A flag exists only where two real callers set it differently; everything
 else is decided here or is library configuration.  The cross-query
 result cache is on for ``metrics``, ``serve`` and ``resilience`` (their
 workloads are meaningless without a storing cache) and whenever
-``--store`` is given, off elsewhere.  Entry lifetimes, stale-serving,
-breaker timing and bulkheads are set on
+``--store`` is given, off elsewhere.  Entry lifetimes, stale-serving
+and breaker timing are set on
 ``CachePolicy.lru(ttl_seconds=…, stale_mode=…)`` and
 ``ResiliencePolicy(...)`` by the benchmarks and suites that compare them.
 

@@ -56,6 +56,7 @@ from repro.core.webbase import WebBase
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import ProtocolError, Request
+from repro.service.server import PAGE_SIZE
 from repro.ur.planner import PlanError
 from repro.ur.query import QueryParseError
 from repro.vps.cache import CachePolicy
@@ -693,7 +694,7 @@ class ClusterRouter:
                 )
             )
             return
-        page_size = request.page_size or 50
+        page_size = request.page_size or PAGE_SIZE
         try:
             client = self._connect(shard_id)
             subscription = client.subscribe(

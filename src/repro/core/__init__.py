@@ -5,7 +5,6 @@ from repro.core.execution import (
     FanoutError,
     FetchFailedError,
     FetchFailure,
-    FetchTimeout,
     RetryPolicy,
     TraceSpan,
     WebBaseConfig,
@@ -29,7 +28,6 @@ __all__ = [
     "FanoutError",
     "FetchFailedError",
     "FetchFailure",
-    "FetchTimeout",
     "ParallelOutcome",
     "RetryPolicy",
     "SiteTiming",

@@ -14,10 +14,9 @@ views → VPS fetches):
   through :meth:`ExecutionContext.completed`, which works the items on
   the calling thread in item order, so answers, page counts and the
   modelled timings are a function of the seed;
-* every fetch runs under a per-attempt **timeout** (in simulated network
-  seconds) and a **bounded retry with backoff** policy, so the transient
-  faults injected by :class:`~repro.web.server.FaultPlan` are absorbed
-  instead of silently shrinking answers;
+* every fetch runs under a **bounded retry with backoff** policy, so the
+  transient faults injected by :class:`~repro.web.server.FaultPlan` are
+  absorbed instead of silently shrinking answers;
 * a per-context **result cache** de-duplicates identical fetches inside
   one query (the cross-query cache is the always-present
   :class:`~repro.vps.cache.ResultCache` layer);
@@ -37,7 +36,7 @@ which is the paper's intuition — with enough workers, elapsed time
 approaches the slowest single site instead of the sum over sites.
 Fetches complete in plan order, so the lane assignment is deterministic.
 Concurrency *across* queries (the service's workers, the shared result
-cache's flights, bulkheads) is real and lives in those layers; one
+cache's flights) is real and lives in those layers; one
 context is driven by one thread, and only :meth:`ExecutionContext.cancel`
 may be called from another.
 """
@@ -92,8 +91,8 @@ class WebBaseConfig:
     """Everything :class:`~repro.core.webbase.WebBase` needs to assemble.
 
     Replaces the old ``build(seed, ads_per_host, caching)`` boolean-flag
-    sprawl: world shape, cache policy, lane count, per-fetch
-    timeout/retry policy and the (optional) fault plan all live here.
+    sprawl: world shape, cache policy, lane count, per-fetch retry
+    policy and the (optional) fault plan all live here.
     """
 
     seed: int = 1999
@@ -101,12 +100,11 @@ class WebBaseConfig:
     cache: CachePolicy = field(default_factory=CachePolicy.noop)
     max_workers: int = 8
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    timeout_seconds: float | None = None
     faults: FaultPlan | None = None
     # "cost" orders each maximal object's join with the cost-based planner;
     # "off" keeps the legacy first-feasible order (the A/B baseline).
     optimizer: str = "cost"
-    # Per-host circuit breakers and bulkheads.
+    # Per-host circuit breakers (quarantine in the result cache).
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     # Tiered persistence (repro.store): a directory turns on the bronze/
     # silver/gold store — raw pages and fetch intents to bronze, cache
@@ -150,15 +148,11 @@ class FetchFailure:
         )
 
 
-class FetchTimeout(TransientNetworkError):
-    """A fetch exceeded its per-attempt simulated-network-seconds budget."""
-
-
 class DeadlineExceeded(WebBaseError):
     """The query's wall-clock deadline expired (or the context was
     cancelled) — a *structured* error: ``stage`` names where the check
     fired (``fetch:<relation>``, ``retry:<relation>``, ``page:<relation>``,
-    a wait's ``bulkhead:``, ``coalesced:`` or ``mqo:`` stage, or
+    a wait's ``coalesced:`` or ``mqo:`` stage, or
     ``cancelled``),
     ``deadline_seconds`` the budget, ``elapsed_seconds`` the wall time
     spent when it fired.  Deliberately not a
@@ -390,7 +384,6 @@ class ExecutionContext:
         new_stack: Callable[[PrefixPageCache], ExecutorBundle],
         max_workers: int = 8,
         retry: RetryPolicy | None = None,
-        timeout_seconds: float | None = None,
         label: str = "context",
         metrics: MetricsRegistry | None = None,
         deadline_seconds: float | None = None,
@@ -402,10 +395,9 @@ class ExecutionContext:
         self._stack: ExecutorBundle | None = None
         self.max_workers = max(1, int(max_workers))
         self.retry = retry or RetryPolicy()
-        self.timeout_seconds = timeout_seconds
         self.metrics = metrics or MetricsRegistry()
-        # Per-host breakers and bulkheads, shared across the webbase's
-        # queries (``None`` = no resilience layer, the bare engine).
+        # Per-host breakers, shared across the webbase's queries and fed
+        # each attempt's outcome (``None`` = no resilience layer).
         self.resilience = resilience
         # Batched navigation: one revision-stamped page cache per context
         # (query-scoped — dropped with the context, so cross-query staleness
@@ -417,11 +409,10 @@ class ExecutionContext:
             revision_of=page_revisions,
             metrics=self.metrics,
         )
-        # Wall-clock deadline: unlike ``timeout_seconds`` (a per-attempt
-        # budget in *simulated* network seconds), the deadline bounds the
-        # query's *real* elapsed time — the contract a serving client cares
-        # about.  Every checkpoint reads ``wall_clock`` (injectable, so
-        # tests can step time).
+        # Wall-clock deadline: the deadline bounds the query's *real*
+        # elapsed time, not its simulated network seconds — the contract a
+        # serving client cares about.  Every checkpoint reads
+        # ``wall_clock`` (injectable, so tests can step time).
         self._wall_clock = wall_clock
         self._started_wall = wall_clock()
         self.deadline_seconds = deadline_seconds
@@ -510,11 +501,10 @@ class ExecutionContext:
         deadline has passed, record the event as a trace span and count it.
 
         It runs before every fetch, retry and page, and in the result
-        cache's flight wait, the MQO registry's wait and the bulkhead
-        wait, so an expired query stops its Web work at the next
-        checkpoint on its own thread: no timer has to cancel it.  Costs
-        one wall-clock read when the context has a deadline, none
-        otherwise."""
+        cache's flight wait and the MQO registry's wait, so an expired
+        query stops its Web work at the next checkpoint on its own thread:
+        no timer has to cancel it.  Costs one wall-clock read when the
+        context has a deadline, none otherwise."""
         expired = self._deadline_at is not None and self._wall_clock() >= self._deadline_at
         if not expired and not self._cancelled.is_set():
             return
@@ -617,7 +607,7 @@ class ExecutionContext:
 
     def run_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
         """Fetch one VPS relation through the engine: per-context cache,
-        the context's navigation stack, timeout, bounded retry, trace.
+        the context's navigation stack, bounded retry, trace.
         Returns the relation or raises the failure; a passed deadline, or
         a :meth:`cancel` from another thread, stops the fetch at its next
         checkpoint with :class:`DeadlineExceeded`.
@@ -635,20 +625,8 @@ class ExecutionContext:
             with self.span("fetch", relation.name, host=relation.host) as span:
                 span.cache = "hit"
             return cached
-        result = self._cache[key] = self._guarded_fetch(relation, given)
+        result = self._cache[key] = self._dispatch_fetch(relation, given)
         return result
-
-    def _guarded_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
-        """Dispatch one upstream fetch through the resilience gate (when
-        the context has one): the host's breaker counts the access and
-        its bulkhead bounds the host's share of concurrent accesses."""
-        if self.resilience is None:
-            return self._dispatch_fetch(relation, given)
-        with self.resilience.access(
-            relation.host,
-            poll=lambda: self.check_cancelled("bulkhead:%s" % relation.name),
-        ):
-            return self._dispatch_fetch(relation, given)
 
     def _dispatch_fetch(self, relation: "VirtualRelation", given: dict[str, Any]) -> "Relation":
         if self._stack is None:
@@ -663,7 +641,7 @@ class ExecutionContext:
         and duplicate bindings share one result.
 
         Each distinct binding is one :meth:`run_fetch` — per-context
-        cache, navigation stack, timeout, retries, trace spans — and the
+        cache, navigation stack, retries, trace spans — and the
         query-scoped page cache shares the navigation prefix pages across
         them.  The bindings run in fetch-key order: the order decides
         which lane each fetch lands on, so sorting keeps the elapsed model
@@ -741,19 +719,6 @@ class ExecutionContext:
                         )
                         aspan.pages = bundle.executor.pages_last_fetch
                         pages_total += aspan.pages
-                        if (
-                            self.timeout_seconds is not None
-                            and aspan.network_seconds > self.timeout_seconds
-                        ):
-                            aspan.status = "error"
-                            aspan.error = "timed out: %.2fs > %.2fs budget" % (
-                                aspan.network_seconds,
-                                self.timeout_seconds,
-                            )
-                            last_error = FetchTimeout(aspan.error)
-                            if self.resilience is not None:
-                                self.resilience.record_failure(relation.host)
-                            continue
                         if self.resilience is not None:
                             self.resilience.record_success(
                                 relation.host, aspan.network_seconds

@@ -89,8 +89,8 @@ class WebBase:
         self.cache: ResultCache = ResultCache(
             self.vps, config.cache, metrics=self.metrics, revisions=self.revisions
         )
-        # Per-host circuit breakers and bulkheads, shared by every
-        # execution context; breaker trips feed the cache's quarantine.
+        # Per-host circuit breakers, fed by every execution context's
+        # attempts; breaker trips feed the cache's quarantine.
         self.resilience = ResilienceManager(
             config.resilience, metrics=self.metrics, cache=self.cache
         )
@@ -213,11 +213,10 @@ class WebBase:
         label: str = "query",
         max_workers: int | None = None,
         retry: RetryPolicy | None = None,
-        timeout_seconds: float | None = None,
         deadline_seconds: float | None = None,
     ) -> ExecutionContext:
         """A fresh per-query engine context, defaulting to the webbase
-        config's worker/retry/timeout policies.  ``deadline_seconds``
+        config's worker and retry policies.  ``deadline_seconds``
         bounds the query's wall-clock time: every checkpoint (before each
         fetch, retry and page, and in every wait) reads the clock, so an
         expired query stops at the next one.  The context belongs to the
@@ -230,9 +229,6 @@ class WebBase:
             self.navigation_stack,
             max_workers=config.max_workers if max_workers is None else max_workers,
             retry=retry or config.retry,
-            timeout_seconds=(
-                config.timeout_seconds if timeout_seconds is None else timeout_seconds
-            ),
             label=label,
             metrics=self.metrics,
             deadline_seconds=deadline_seconds,

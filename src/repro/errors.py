@@ -38,7 +38,6 @@ _HOMES = {
     "ExecutorError": "repro.navigation.executor",
     "FanoutError": "repro.core.execution",
     "FetchFailedError": "repro.core.execution",
-    "FetchTimeout": "repro.core.execution",
     "HandleError": "repro.vps.handle",
     "NavigationError": "repro.web.browser",
     "Overloaded": "repro.service.client",

@@ -71,6 +71,9 @@ from repro.ur.query import QueryParseError
 #: How long a graceful drain waits for waiting and running requests.
 DRAIN_TIMEOUT_SECONDS = 30.0
 
+#: Rows per streamed page, unless the request names its own page size.
+PAGE_SIZE = 50
+
 
 class OperationRejected(Exception):
     """An op the service refuses by policy (maps to ``BAD_REQUEST``)."""
@@ -84,7 +87,6 @@ class ServiceConfig:
     port: int = 0  # 0 = pick an ephemeral port (see WebBaseService.address)
     queue_limit: int = 16  # requests waiting to run; beyond this, shed
     workers: int = 4  # requests running at once
-    page_size: int = 50  # rows per streamed page (request may override)
     # Cluster membership: a non-empty shard id is stamped onto result
     # frames so clients and routers can see which shard served them.
     shard_id: str = ""
@@ -99,8 +101,6 @@ class ServiceConfig:
             raise ValueError("queue_limit must be >= 1; got %r" % self.queue_limit)
         if self.workers < 1:
             raise ValueError("workers must be >= 1; got %r" % self.workers)
-        if self.page_size < 1:
-            raise ValueError("page_size must be >= 1; got %r" % self.page_size)
 
 
 @dataclass(eq=False)  # waiters are told apart by identity
@@ -644,7 +644,7 @@ class WebBaseService:
         terminal = True
         try:
             if request.op == "subscribe":
-                page_size = request.page_size or self.config.page_size
+                page_size = request.page_size or PAGE_SIZE
                 self.standing.subscribe(job.handler, request, page_size)
                 # The registry sends its own `subscribed` ack; no result frame.
                 terminal = False
@@ -744,7 +744,7 @@ class WebBaseService:
         context is this call's: it and the pages it fetched die when the
         call returns."""
         request = job.request
-        page_size = request.page_size or self.config.page_size
+        page_size = request.page_size or PAGE_SIZE
         remaining = (
             None if job.deadline_at is None else max(0.0, job.deadline_at - monotonic())
         )

@@ -44,6 +44,8 @@ _COMPILED_LIMIT = 256
 
 #: Maximal-object answers one planner remembers, least recently used out
 #: first (see :meth:`StructuredUR._evaluate_object`); 0 remembers none.
+#: A smaller result cache lowers the cap to its ``max_entries``: an answer
+#: whose inputs the cache has evicted can never be replayed.
 ANSWER_MEMO_ENTRIES = 512
 
 
@@ -396,7 +398,7 @@ class StructuredUR:
         return the same relation.  Nothing is remembered from a run that
         failed, shared another query's evaluation, or took a read the
         cache cannot replay (coalesced, quarantined, stale, or a refused
-        store)."""
+        store), and an answer whose replay fails is forgotten."""
         from repro.core.execution import FanoutError, FetchFailedError
 
         cache = getattr(self.logical, "vps", None)
@@ -404,16 +406,23 @@ class StructuredUR:
         with context.span("object", " ⋈ ".join(obj.relations)) as span:
             mark = thread_time()
             try:
-                if ANSWER_MEMO_ENTRIES <= 0 or policy is None or not policy.enabled:
+                enabled = policy is not None and policy.enabled
+                limit = min(ANSWER_MEMO_ENTRIES, policy.max_entries) if enabled else 0
+                if limit <= 0:
                     return self._run_object(obj, context, span)
                 key = (obj.template, obj.values, tuple(map(type, obj.values)))
                 with self._memo_lock:
                     remembered = self._memo.get(key)
                     if remembered is not None:
                         self._memo.move_to_end(key)
-                if remembered is not None and cache.replay(remembered[1], context):
-                    span.attrs["memo"] = "hit"
-                    return remembered[0]
+                if remembered is not None:
+                    if cache.replay(remembered[1], context):
+                        span.attrs["memo"] = "hit"
+                        return remembered[0]
+                    with self._memo_lock:
+                        # Unless another thread has remembered a newer one.
+                        if self._memo.get(key) is remembered:
+                            del self._memo[key]
                 failures = len(context.failures)
                 context.reads = reads = []
                 try:
@@ -429,7 +438,7 @@ class StructuredUR:
                 ):
                     with self._memo_lock:
                         self._memo[key] = (answer, tuple(reads))
-                        if len(self._memo) > ANSWER_MEMO_ENTRIES:
+                        if len(self._memo) > limit:
                             self._memo.popitem(last=False)
                 return answer
             except BindingError as exc:

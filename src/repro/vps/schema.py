@@ -120,7 +120,7 @@ class VpsSchema:
         """Fetch a relation, optionally through an execution context.
 
         With a context, the fetch runs on the engine — the context's
-        navigation stack, per-context caching, timeout/retry, trace spans;
+        navigation stack, per-context caching, retry, trace spans;
         without one it runs directly on the schema's own executor (the
         simple path test doubles and small tools use)."""
         if context is None:

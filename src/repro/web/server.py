@@ -45,7 +45,7 @@ class FaultPlan:
     ``spike_seconds`` of simulated latency).  Rolls depend only on
     ``(seed, host, per-host request ordinal)``, so a given world replays
     the identical fault sequence run after run — which is what makes the
-    retry/timeout machinery testable and benchable.
+    retry machinery testable and benchable.
 
     ``max_consecutive`` caps how many *consecutive* requests to one host
     may fail: with the default of 1, the immediate retry of a failed

@@ -243,3 +243,38 @@ def test_eight_threads_share_the_memo_and_every_answer_is_right():
     finally:
         sys.setswitchinterval(switch)
     assert sum(memo_hits) > 0, "no thread was served from the memo"
+
+
+def test_the_memo_holds_no_more_answers_than_its_cache_holds_entries():
+    """An answer is only ever replayed from entries the cache still holds,
+    so a small LRU caps the memo at its own size: a seeded stream of
+    queries with many distinct constants leaves at most 32 answers on an
+    LRU of 32 entries."""
+    (seed,) = derive_seeds("answer-memo:bounded", 1)
+    rng = random.Random(seed)
+    webbase = WebBase(build_world(), WebBaseConfig(cache=CachePolicy.lru(max_entries=32)))
+    keys = set()
+    for _ in range(60):
+        text = rng.choice(TEMPLATES).format(
+            make=rng.choice(MAKES), bound=rng.randrange(5000, 20000), year=rng.randrange(1990, 1999)
+        )
+        webbase.query(text)
+        keys.update(webbase.ur._memo)
+        assert len(webbase.ur._memo) <= 32
+    assert len(keys) > 32, "the stream never offered the memo more than 32 answers"
+
+
+def test_an_answer_whose_replay_fails_is_forgotten():
+    """A quarantined host's entries cannot replay, and a run that reads
+    around them is not remembered: the answers that read the host leave
+    the memo instead of lingering, and the others stay."""
+    webbase = WebBase(build_world(), WebBaseConfig(cache=CachePolicy.lru()))
+    text = QUERIES[0]
+    webbase.query(text)
+    memo = webbase.ur._memo
+    read_host = {key for key, (_, reads) in memo.items() if any(h == HOSTS[0] for _, h, _ in reads)}
+    assert read_host and set(memo) - read_host
+    webbase.cache.quarantine(HOSTS[0])
+    webbase.query(text)
+    assert not read_host & set(memo)
+    assert set(memo) - read_host

@@ -239,22 +239,31 @@ class TestEnumeratedSubmissions:
         assert spent(webbase) <= spent(baseline)
 
 
-class TestTimeoutRetryReplay:
+class TestRetryReplay:
     def test_retry_replays_cached_pages_and_succeeds(self):
-        """With the page cache on, a timed-out attempt's pages persist, so
-        the retry replays them at zero network cost and completes inside
-        the same per-attempt budget that killed attempt one (a budget
-        below one page's latency is pinned in test_faults)."""
-        webbase = WebBase.create(WebBaseConfig())
-        ctx = webbase.execution_context(
-            timeout_seconds=0.05, retry=RetryPolicy(max_attempts=2)
+        """With the page cache on, the pages a failed attempt fetched
+        persist, so the retry replays them at zero network cost and
+        fetches live only what attempt one never reached (a host whose
+        revision moves under every read is pinned in test_faults).  The
+        fault plan's seed fails attempt one after two good pages."""
+        clean = WebBase.create(WebBaseConfig())
+        clean_ctx = clean.execution_context()
+        expected = clean.fetch_vps("nytimes", {"manufacturer": "saab"}, context=clean_ctx)
+        webbase = WebBase.create(
+            WebBaseConfig(
+                faults=FaultPlan(seed=1, error_rate=0.3, hosts=("www.nytimes.com",))
+            )
         )
+        ctx = webbase.execution_context(retry=RetryPolicy(max_attempts=2))
         result = webbase.fetch_vps("nytimes", {"manufacturer": "saab"}, context=ctx)
-        assert len(result) > 0 and not ctx.failures
+        assert result == expected and not ctx.failures
         span = ctx.root.spans("fetch")[0]
         assert span.attrs["attempts"] == 2
-        errors = [a for a in span.children if a.status == "error"]
-        assert errors and all("timed out" in a.error for a in errors)
+        first, second = span.children
+        assert first.status == "error" and "injected transient fault" in first.error
+        assert first.pages > 0 and second.status == "ok"
+        assert first.pages + second.pages == clean_ctx.pages_by_host["www.nytimes.com"]
+        assert webbase.metrics.value("nav.prefix_hits") == first.pages
 
 
 class TestBatchMetricsExposure:

@@ -320,7 +320,7 @@ CONFIG_CLASSES = (
     WebBaseConfig, RetryPolicy, CachePolicy, ResiliencePolicy, ServiceConfig,
     ClusterConfig,
 )
-MAX_CONFIG_FIELDS = 41
+MAX_CONFIG_FIELDS = 38
 
 
 def test_the_config_field_count_is_pinned():

@@ -1,8 +1,7 @@
 """Wall-clock deadlines and cancellation in the execution engine.
 
-The per-attempt ``timeout_seconds`` bounds *simulated* network seconds;
 ``deadline_seconds`` bounds the *real* elapsed time a serving client
-waits.  The contract: the deadline is checked at every checkpoint —
+waits, not the *simulated* network seconds.  The contract: the deadline is checked at every checkpoint —
 before every fetch, retry and page, and in every wait — expiry raises a
 structured :class:`DeadlineExceeded` naming the stage it died at,
 records a ``deadline`` trace span, bumps the
@@ -10,8 +9,8 @@ records a ``deadline`` trace span, bumps the
 the fan-out's remaining items are abandoned instead of run into the void.
 
 :meth:`ExecutionContext.cancel` is the one way to revoke work: every
-checkpoint (before each fetch, retry and page, and in coalesced, bulkhead
-and shared-subplan waits) reads the context's flag and its deadline, so a
+checkpoint (before each fetch, retry and page, and in coalesced and
+shared-subplan waits) reads the context's flag and its deadline, so a
 cancel or an expiry surfaces as :class:`DeadlineExceeded` wherever it lands,
 with no timer thread to fire it.
 """

@@ -19,6 +19,7 @@ from repro.core.execution import WebBaseConfig
 from repro.core.resilience import ResiliencePolicy
 from repro.core.webbase import WebBase
 from repro.relational.algebra import Base, Join, evaluate
+from repro.service.server import ServiceConfig
 from repro.sites.world import build_world
 from repro.vps.cache import CachePolicy
 from tests.test_algebra import RecordingCatalog
@@ -111,8 +112,14 @@ class TestRemovedSettingsStayRemoved:
             lambda: ResiliencePolicy(speculate_probes=True),
             lambda: ResiliencePolicy(prune=False),
             lambda: CachePolicy.lru(relation_ttls={}),
+            lambda: ResiliencePolicy(bulkhead_per_host=2),
+            lambda: WebBaseConfig(timeout_seconds=1.0),
+            lambda: ServiceConfig(page_size=10),
         ],
-        ids=["batch", "store_warm", "speculate_probes", "prune", "relation_ttls"],
+        ids=[
+            "batch", "store_warm", "speculate_probes", "prune", "relation_ttls",
+            "bulkhead_per_host", "timeout_seconds", "page_size",
+        ],
     )
     def test_the_old_keyword_is_a_type_error(self, build):
         with pytest.raises(TypeError):

@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes fifteen mechanical consistency audits, so drift fails loudly:
+Includes sixteen mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -14,6 +14,9 @@ Includes fifteen mechanical consistency audits, so drift fails loudly:
 * the dependent join has one probe path: the names of the removed ones
   (join-probe speculation, the per-binding engine arm) and of the two
   one-caller settings that left with them do not come back;
+* a host's breaker only quarantines: the access gate, its probe slots,
+  the bulkhead, the per-attempt timeout and their counters do not come
+  back;
 * the router has one placement rule: scatter, fingerprint stickiness and
   client redirects do not come back;
 * nothing runs ahead of demand: the speculative page prefetcher, its
@@ -294,6 +297,26 @@ class TestOneProbePath:
 
     def test_no_module_defines_or_references_a_removed_name(self):
         assert _references(self.REMOVED) == []
+
+
+class TestTheBreakerOnlyQuarantines:
+    """A host's breaker reads outcome reports and quarantines; it gates no
+    access.  The access gate, its probe slots, the per-host bulkhead, the
+    per-attempt timeout and their counters do not come back."""
+
+    REMOVED = (
+        "_guarded_fetch", "HALF_OPEN_PROBES", "_probes_inflight", "FetchTimeout",
+        "resilience.pass_throughs", "resilience.probes", "resilience.bulkhead_waits",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_manager_has_no_access_gate(self):
+        from repro.core.resilience import CircuitBreaker, ResilienceManager
+
+        assert not hasattr(ResilienceManager, "access")
+        assert not hasattr(CircuitBreaker, "allow")
 
 
 class TestOnePlacement:

@@ -1,8 +1,11 @@
-"""Per-host circuit breakers, bulkheads, and their webbase wiring."""
+"""Per-host circuit breakers: the quarantine rule and its webbase wiring."""
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.resilience import (
     ResilienceManager,
     ResiliencePolicy,
 )
+from tests.conftest import derive_seeds
 
 
 class FakeClock:
@@ -46,7 +50,11 @@ class TestBreakerStateMachine:
         assert breaker.state == BREAKER_CLOSED
         assert breaker.record_failure() == "opened"
         assert breaker.state == BREAKER_OPEN
-        assert breaker.allow() == "open"
+        # Reports while open count, but only a report after recovery
+        # closes the breaker again.
+        assert breaker.record_failure() == ""
+        assert breaker.record_success() == ""
+        assert breaker.state == BREAKER_OPEN
 
     def test_success_resets_the_consecutive_count(self):
         clock = FakeClock()
@@ -59,18 +67,20 @@ class TestBreakerStateMachine:
         assert breaker.state == BREAKER_CLOSED
 
     def test_half_opens_after_recovery_and_probe_success_closes(self):
+        """The first report after recovery is the probe: a fast success
+        closes the breaker."""
         clock = FakeClock()
         breaker = make_breaker(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(RECOVERY_SECONDS)
+        clock.advance(RECOVERY_SECONDS - 1)
+        assert breaker.state == BREAKER_OPEN
+        clock.advance(1)
         assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.allow() == "probe"
-        # The probe budget is bounded: a second access is refused.
-        assert breaker.allow() == "open"
         assert breaker.record_success() == "closed"
         assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow() == "ok"
+        assert breaker.consecutive_failures == 0
+        assert breaker.record_success() == ""
 
     def test_probe_failure_reopens(self):
         clock = FakeClock()
@@ -78,7 +88,6 @@ class TestBreakerStateMachine:
         for _ in range(3):
             breaker.record_failure()
         clock.advance(RECOVERY_SECONDS)
-        assert breaker.allow() == "probe"
         assert breaker.record_failure() == "opened"
         assert breaker.state == BREAKER_OPEN
         # The re-opened breaker waits out a fresh recovery period.
@@ -86,20 +95,6 @@ class TestBreakerStateMachine:
         assert breaker.state == BREAKER_OPEN
         clock.advance(RECOVERY_SECONDS / 2)
         assert breaker.state == BREAKER_HALF_OPEN
-
-    def test_lost_probe_slot_self_heals(self):
-        """A probe that never reports back (cancelled mid-flight) cannot
-        wedge the breaker half-open forever: after another recovery
-        period the probe budget recycles."""
-        clock = FakeClock()
-        breaker = make_breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(RECOVERY_SECONDS)
-        assert breaker.allow() == "probe"
-        assert breaker.allow() == "open"  # budget spent, no report ever comes
-        clock.advance(RECOVERY_SECONDS)
-        assert breaker.allow() == "probe"  # recycled
 
     def test_slow_successes_count_as_failure_signals(self):
         clock = FakeClock()
@@ -117,16 +112,14 @@ class TestBreakerStateMachine:
         for _ in range(3):
             breaker.record_failure()
         clock.advance(RECOVERY_SECONDS)
-        assert breaker.allow() == "probe"
         assert breaker.record_success(seconds=30.0) == "opened"
+        assert breaker.state == BREAKER_OPEN
 
 
 class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResiliencePolicy(failure_threshold=0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(bulkhead_per_host=0)
 
     def test_off(self):
         assert not ResiliencePolicy.off().enabled
@@ -160,15 +153,6 @@ class TestManager:
             clock=clock or FakeClock(),
         )
 
-    def test_open_breaker_sheds_speculative_but_passes_required(self):
-        manager = self._manager()
-        for _ in range(2):
-            manager.record_failure("www.slow.com")
-        # A required access is never fast-failed — it would change answers.
-        with manager.access("www.slow.com") as verdict:
-            assert verdict == "pass"
-        assert manager.metrics.value("resilience.pass_throughs") == 1
-
     def test_trip_quarantines_and_close_lifts_without_evicting(self):
         clock = FakeClock()
         cache = FakeCache()
@@ -177,8 +161,6 @@ class TestManager:
             manager.record_failure("www.slow.com")
         assert cache.quarantined == {"www.slow.com"}
         clock.advance(RECOVERY_SECONDS)
-        with manager.access("www.slow.com") as verdict:
-            assert verdict == "probe"
         manager.record_success("www.slow.com")
         assert cache.quarantined == set()
         assert cache.cleared == [("www.slow.com", False)]
@@ -194,8 +176,6 @@ class TestManager:
         for _ in range(2):
             manager.record_failure("www.changed.com")
         clock.advance(RECOVERY_SECONDS)
-        with manager.access("www.changed.com"):
-            pass
         manager.record_success("www.changed.com")
         # The breaker closed, but maintenance's quarantine stands: the
         # manager only re-quarantined a host maintenance already flagged,
@@ -204,37 +184,13 @@ class TestManager:
         # Note: the manager did quarantine it too (idempotent), and owns
         # that trip, so it lifts — this documents the shared-flag caveat.
 
-    def test_bulkhead_sheds_speculative_and_queues_required(self):
-        manager = self._manager(bulkhead_per_host=1)
-        entered = threading.Event()
-        release = threading.Event()
-
-        def occupant() -> None:
-            with manager.access("www.busy.com"):
-                entered.set()
-                release.wait(5.0)
-
-        thread = threading.Thread(target=occupant, daemon=True)
-        thread.start()
-        assert entered.wait(5.0)
-        polls = []
-
-        def poll() -> None:
-            polls.append(1)
-            release.set()  # the occupant leaves while we wait
-
-        with manager.access("www.busy.com", poll=poll) as verdict:
-            assert verdict == "ok"
-        thread.join(5.0)
-        assert polls  # the required access waited, cancellably
-        assert manager.metrics.value("resilience.bulkhead_waits") == 1
-
     def test_disabled_policy_is_a_no_op_gate(self):
-        manager = ResilienceManager(ResiliencePolicy.off())
-        with manager.access("anything") as verdict:
-            assert verdict == "off"
-        manager.record_failure("anything")
-        assert manager.states() == {}
+        cache = FakeCache()
+        manager = ResilienceManager(ResiliencePolicy.off(), cache=cache)
+        for _ in range(10):
+            manager.record_failure("anything")
+        manager.record_success("anything", seconds=1e6)
+        assert manager.states() == {} and cache.quarantined == set()
 
     def test_open_breakers_gauge_and_describe(self):
         manager = self._manager()
@@ -245,6 +201,114 @@ class TestManager:
         table = manager.describe()
         assert "www.slow.com" in table and "open" in table
         assert "1 consecutive failure(s)" in table
+
+
+class LoggingCache:
+    """The quarantine surface, logging each call in arrival order."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.log: list[tuple[str, bool]] = []
+        self.quarantined: set[str] = set()
+
+    def quarantine(self, host: str) -> None:
+        time.sleep(0)  # a cache call takes a while: let another report run
+        with self.lock:
+            self.log.append(("quarantine", True))
+            self.quarantined.add(host)
+
+    def clear_quarantine(self, host: str, evict: bool = True) -> None:
+        time.sleep(0)
+        with self.lock:
+            self.log.append(("clear", evict))
+            self.quarantined.discard(host)
+
+
+class SteppedClock(FakeClock):
+    def __init__(self) -> None:
+        super().__init__()
+        self.lock = threading.Lock()
+
+    def advance(self, seconds: float) -> None:
+        with self.lock:
+            self.now += seconds
+
+
+class TestConcurrentReports:
+    THREADS = 8
+    REPORTS = 400
+    HOST = "www.flaky.com"
+
+    def test_every_trip_quarantines_once_and_every_close_lifts_one(self):
+        """Eight threads interleave failure, fast and slow success reports
+        on one host while stepping a shared clock past the recovery time.
+        Every threshold crossing counts one ``breaker_opened`` and one
+        cache quarantine, every ``breaker_closed`` lifts exactly one of
+        them (without evicting), and the cache ends quarantined exactly
+        when the breaker ends open."""
+        (seed,) = derive_seeds("resilience:stress", 1)
+        clock, cache = SteppedClock(), LoggingCache()
+        manager = ResilienceManager(
+            ResiliencePolicy(failure_threshold=3, slow_seconds=5.0),
+            metrics=MetricsRegistry(strict=True),
+            cache=cache,
+            clock=clock,
+        )
+        breaker = manager.breaker(self.HOST)
+        transitions: list[str] = []
+        for name in ("record_failure", "record_success"):
+            report = getattr(breaker, name)
+
+            def tally(*args, report=report):
+                event = report(*args)
+                if event:
+                    transitions.append(event)  # list.append is atomic
+                return event
+
+            setattr(breaker, name, tally)
+        start = threading.Barrier(self.THREADS)
+
+        def reporter(index: int) -> None:
+            rng = random.Random(seed + index)
+            start.wait()
+            for _ in range(self.REPORTS):
+                roll = rng.random()
+                if roll < 0.45:
+                    manager.record_failure(self.HOST)
+                elif roll < 0.9:
+                    manager.record_success(self.HOST, rng.choice((0.0, 0.0, 6.0)))
+                else:
+                    clock.advance(RECOVERY_SECONDS / 3)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reporter, args=(i,), daemon=True)
+                for i in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+
+        opened = manager.metrics.value("resilience.breaker_opened")
+        closed = manager.metrics.value("resilience.breaker_closed")
+        assert transitions.count("opened") == opened >= 2
+        assert transitions.count("closed") == closed >= 1
+        # The cache saw the breaker's transitions in the breaker's order:
+        # a quarantine per trip (a re-trip after recovery re-quarantines),
+        # and a close only ever lifts the quarantine of the trip before it.
+        kinds = [kind for kind, _ in cache.log]
+        assert kinds == [{"opened": "quarantine", "closed": "clear"}[t] for t in transitions]
+        assert kinds[0] == "quarantine" and ("clear", "clear") not in zip(kinds, kinds[1:])
+        assert all(evict is False for kind, evict in cache.log if kind == "clear")
+        still_open = manager.states()[self.HOST] != BREAKER_CLOSED
+        assert still_open == (kinds[-1] == "quarantine")
+        assert cache.quarantined == ({self.HOST} if still_open else set())
 
 
 class TestMetricNaming:
