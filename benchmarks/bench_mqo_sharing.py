@@ -1,4 +1,4 @@
-"""Multi-query sharing — 16 overlapping clients, with and without MQO.
+"""Multi-query reuse — 16 overlapping clients, with and without MQO.
 
 The multi-query optimizer's headline claim: concurrent clients asking
 *overlapping* questions should not each pay for the Web.  Two service
@@ -11,9 +11,10 @@ hold the working set):
 1. **gold seeding** — one client issues three broad queries (saab,
    honda, jaguar); under ``--mqo`` each becomes a revision-stamped
    gold-tier answer as a side effect of streaming.
-2. **shared burst** — all 16 clients, released together by a barrier,
-   fire the *same* not-yet-gold ford query; under MQO one leader
-   evaluates per subplan and the rest subscribe (``mqo.shared_hits``).
+2. **burst** — all 16 clients, released together by a barrier, fire
+   the *same* not-yet-gold ford query in both arms; the result cache's
+   flights merge the concurrent identical accesses (``cache.coalesced``),
+   so the clients do not each walk the sites.
 3. **subsumed sweep** — each client issues six *narrowed* variants
    (``AND year > Y``) of the gold queries.  Under MQO every one is
    containment-served from gold: **zero** live fetches in the whole
@@ -22,10 +23,9 @@ hold the working set):
 
 Acceptance (pinned below and by CI's ``mqo`` job): byte-identical rows
 per client per step across arms, ``>= 2x`` fewer phase-3 live fetches
-under MQO (in practice the phase is fetch-*free*), at least one
+under MQO (in practice the sweep is fetch-*free*), and at least one
 zero-fetch containment serve reported by the server (``stats.mqo ==
-"subsumed"``), and at least one shared-subplan hit in the burst.  The
-committed ``BENCH_mqo_sharing.json`` baseline gates regressions with
+"subsumed"``).  The committed ``BENCH_mqo_sharing.json`` baseline gates regressions with
 10% headroom: the subsumed-serve count and the baseline arm's fetch
 pressure must not quietly shrink.
 
@@ -119,7 +119,7 @@ def run_arm(mqo: bool, store_dir: str | None) -> dict:
                     host=host, port=port, connect_timeout=10.0
                 ) as client:
                     barrier.wait()
-                    # Phase 2: the shared burst — same text, same moment.
+                    # Phase 2: the burst — same text, same moment.
                     steps = [SHARED_BURST] + [
                         NARROWED[(index + step) % len(NARROWED)]
                         for step in range(len(NARROWED))
@@ -156,7 +156,6 @@ def run_arm(mqo: bool, store_dir: str | None) -> dict:
         if errors:
             raise errors[0]
         concurrent_fetches = _fetches(webbase) - seeded
-        counters = webbase.metrics.snapshot()["counters"]
     finally:
         service.shutdown()
     return {
@@ -167,8 +166,6 @@ def run_arm(mqo: bool, store_dir: str | None) -> dict:
         "row_count": sum(len(r) for r in rows.values()),
         "subsumed_serves": subsumed_serves,
         "zero_fetch_serves": zero_fetch_serves,
-        "shared_hits": int(counters.get("mqo.shared_hits", 0)),
-        "shared_leads": int(counters.get("mqo.shared_leads", 0)),
     }
 
 
@@ -178,20 +175,19 @@ def run_benchmark(store_dir: str) -> dict:
 
     steps = 1 + len(NARROWED)
     print(
-        "\nMulti-query sharing — %d clients x %d steps, cache capacity %d"
+        "\nMulti-query reuse — %d clients x %d steps, cache capacity %d"
         % (CLIENTS, steps, CACHE_ENTRIES)
     )
     for label, arm in (("baseline", baseline), ("mqo", optimized)):
         print(
             "  %-8s seed %3d fetches; concurrent phase %4d fetches; "
-            "%d subsumed serves (%d fetch-free), %d shared hits"
+            "%d subsumed serves (%d fetch-free)"
             % (
                 label,
                 arm["seed_fetches"],
                 arm["concurrent_fetches"],
                 arm["subsumed_serves"],
                 arm["zero_fetch_serves"],
-                arm["shared_hits"],
             )
         )
 
@@ -205,7 +201,7 @@ def run_benchmark(store_dir: str) -> dict:
 
     # The perf claim: >= 2x fewer live fetches across the concurrent
     # phase (in practice the subsumed sweep is fetch-free, so the MQO
-    # arm pays only for the ford burst).
+    # arm pays only for the ford burst and what the tiny cache evicts).
     ratio = baseline["concurrent_fetches"] / max(1, optimized["concurrent_fetches"])
     assert optimized["concurrent_fetches"] * 2 <= baseline["concurrent_fetches"], (
         "MQO arm should halve live fetches: %d vs %d baseline"
@@ -218,7 +214,6 @@ def run_benchmark(store_dir: str) -> dict:
         "the whole sweep should subsume: %d < %d"
         % (optimized["subsumed_serves"], CLIENTS * len(NARROWED))
     )
-    assert optimized["shared_hits"] >= 1, "the burst never shared a subplan"
     assert baseline["subsumed_serves"] == 0  # the null optimizer stays null
     print("  ok: %.1fx fewer live fetches in the concurrent phase" % ratio)
 
@@ -261,7 +256,6 @@ def run_benchmark(store_dir: str) -> dict:
                 "row_count",
                 "subsumed_serves",
                 "zero_fetch_serves",
-                "shared_leads",
             )
         },
     }

@@ -140,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mqo",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="multi-query optimization: shared subplan execution across "
-        "concurrent identical-fingerprint queries, plus containment-based "
-        "reuse of revision-current gold answers (needs --store for reuse)",
+        help="multi-query optimization: containment-based reuse of "
+        "revision-current gold answers (needs --store)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -731,7 +730,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         for host, report in sorted(reports.items()):
             print(report.summary())
-        quarantined = sorted(webbase.cache.quarantined_hosts())
+        quarantined = sorted(webbase.cache.quarantined_hosts("maintenance"))
         if quarantined:
             print("quarantined hosts (manual intervention pending): %s"
                   % ", ".join(quarantined))

@@ -98,9 +98,9 @@ class ClusterConfig:
     allow_world_mutation: bool = True  # harness churn ops, sent to every worker
     forward_timeout_seconds: float = 120.0
     #: Multi-query optimization: when on, every worker runs with
-    #: ``WebBaseConfig.mqo`` (shared subplans + containment reuse).
-    #: Equal plan fingerprints have equal host weights, so placement
-    #: already sends them to the same owner.
+    #: ``WebBaseConfig.mqo`` (containment reuse of gold answers).  Equal
+    #: plans have equal host weights, so placement already sends them to
+    #: the same owner, whose result cache merges their accesses.
     mqo: bool = False
 
     def __post_init__(self) -> None:

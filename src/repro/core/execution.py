@@ -113,11 +113,10 @@ class WebBaseConfig:
     # answers repeat queries without live fetches.
     store_dir: str | None = None
     store_fsync: bool = False
-    # Multi-query optimization (repro.mqo): identical in-flight subplans
-    # execute once and fan out (fingerprint single-flight), and a query
-    # subsumed by a revision-current gold answer is served by filtering
-    # stored rows with zero fetches.  Off by default: single-query runs
-    # gain nothing, and benchmarks A/B against ``--no-mqo`` cleanly.
+    # Multi-query optimization (repro.mqo): a query subsumed by a
+    # revision-current gold answer is served by filtering stored rows
+    # with zero fetches.  Off by default: single-query runs gain nothing,
+    # and benchmarks A/B against ``--no-mqo`` cleanly.
     mqo: bool = False
 
     def __post_init__(self) -> None:
@@ -152,8 +151,7 @@ class DeadlineExceeded(WebBaseError):
     """The query's wall-clock deadline expired (or the context was
     cancelled) — a *structured* error: ``stage`` names where the check
     fired (``fetch:<relation>``, ``retry:<relation>``, ``page:<relation>``,
-    a wait's ``coalesced:`` or ``mqo:`` stage, or
-    ``cancelled``),
+    a cache wait's ``coalesced:`` stage, or ``cancelled``),
     ``deadline_seconds`` the budget, ``elapsed_seconds`` the wall time
     spent when it fired.  Deliberately not a
     :class:`~repro.web.browser.TransientNetworkError`: an expired deadline
@@ -501,7 +499,7 @@ class ExecutionContext:
         deadline has passed, record the event as a trace span and count it.
 
         It runs before every fetch, retry and page, and in the result
-        cache's flight wait and the MQO registry's wait, so an expired
+        cache's flight wait, so an expired
         query stops its Web work at the next checkpoint on its own thread:
         no timer has to cancel it.  Costs one wall-clock read when the
         context has a deadline, none otherwise."""

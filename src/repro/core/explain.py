@@ -78,11 +78,8 @@ class ExplainObject:
     strategy: str
     nodes: list[ExplainNode] = field(default_factory=list)
     skipped: str = ""
-    # Multi-query optimizer annotations (when ``--mqo`` is on): the
-    # object's plan fingerprint prefix, and how the run obtained the
-    # object ("lead" ran it, "hit" shared another query's in-flight run).
+    # The object's plan fingerprint prefix (when ``--mqo`` is on).
     fingerprint: str = ""
-    shared: str = ""
     # "hit" when the answer memo served the object without evaluating it
     # (its cache reads were all current): no view was accessed.
     memo: str = ""
@@ -137,8 +134,6 @@ class ExplainReport:
             tags = [obj.strategy]
             if obj.fingerprint:
                 tags.append("fp %s" % obj.fingerprint)
-            if obj.shared:
-                tags.append("shared %s" % obj.shared)
             if obj.memo:
                 tags.append("memo %s" % obj.memo)
             lines.append(
@@ -209,7 +204,6 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
             continue
         span = object_spans.get(" ⋈ ".join(obj.relations))
         if span is not None:
-            explained.shared = str(span.attrs.get("mqo", ""))
             explained.memo = str(span.attrs.get("memo", ""))
         steps = list(obj.estimate.steps) if obj.estimate is not None else []
         for position, relation in enumerate(obj.relations):

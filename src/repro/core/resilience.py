@@ -16,7 +16,9 @@ the cross-query :class:`~repro.vps.cache.ResultCache`:
   it and lifts the quarantine without evicting (the host was slow, not
   changed), a failure signal re-opens it for another recovery period.
 
-A breaker only lifts a quarantine it imposed itself.
+A breaker's quarantine has its own cause (``"breaker"``, see
+:mod:`repro.revisions`), so a close lifts only that: a host that
+maintenance also flagged stays quarantined until the designer steps in.
 
 State is observable: ``resilience.*`` metrics, the
 :meth:`ResilienceManager.describe` table (``python -m repro resilience``),
@@ -144,8 +146,9 @@ class ResilienceManager:
     """Per-host breakers, fed by the engine's per-attempt outcomes.
 
     On a breaker trip the manager quarantines the host in ``cache`` (when
-    given), and lifts that quarantine — without evicting the entries that
-    served stale meanwhile — when the breaker closes again.
+    given) for the ``"breaker"`` cause, and lifts that cause — without
+    evicting the entries that served stale meanwhile — when the breaker
+    closes again.
     """
 
     def __init__(
@@ -164,9 +167,6 @@ class ResilienceManager:
         # breaker's order.
         self._lock = threading.RLock()
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: hosts *this manager* quarantined (so it never lifts a
-        #: maintenance-driven quarantine it does not own).
-        self._quarantined: set[str] = set()
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
@@ -201,16 +201,14 @@ class ResilienceManager:
         if event == "opened":
             self._count("resilience.breaker_opened")
             if self.cache is not None:
-                self.cache.quarantine(host)
-                self._quarantined.add(host)
+                self.cache.quarantine(host, "breaker")
         else:  # "closed"
             self._count("resilience.breaker_closed")
-            if host in self._quarantined:
-                self._quarantined.discard(host)
+            if self.cache is not None:
                 # The host was slow, not changed: the entries that served
                 # stale during the outage are still map-consistent, so the
                 # quarantine lifts without evicting them.
-                self.cache.clear_quarantine(host, evict=False)
+                self.cache.clear_quarantine(host, "breaker", evict=False)
         if self.metrics is not None:
             self.metrics.gauge("resilience.open_breakers").set(
                 sum(1 for state in self.states().values() if state == BREAKER_OPEN)
@@ -228,7 +226,9 @@ class ResilienceManager:
         """The per-host breaker table (``python -m repro resilience``)."""
         with self._lock:
             breakers = sorted(self._breakers.values(), key=lambda b: b.host)
-            quarantined = set(self._quarantined)
+        quarantined = (
+            self.cache.quarantined_hosts("breaker") if self.cache is not None else ()
+        )
         if not breakers:
             return "(no hosts accessed yet)"
         width = max(len(b.host) for b in breakers)

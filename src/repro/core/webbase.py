@@ -111,8 +111,8 @@ class WebBase:
         from repro.store.cdc import DeltaFeed
 
         self.cdc = DeltaFeed()
-        # Multi-query optimization (repro.mqo): in-flight subplan sharing
-        # plus containment reuse of gold answers.  ``None`` when off.
+        # Multi-query optimization (repro.mqo): containment reuse of gold
+        # answers.  ``None`` when off.
         self.mqo: Any = None
         if config.mqo:
             from repro.mqo.optimizer import MultiQueryOptimizer
@@ -184,7 +184,7 @@ class WebBase:
                 if self.cache.adopt_revision(host, revision):
                     adopted += 1
             for host in sorted(foreign.quarantined()):
-                self.cache.quarantine(host)
+                self.cache.quarantine(host, "maintenance")
             warmed = self.cache.warm_from_store(store=foreign)
             standing = foreign.standing_queries()
         finally:
@@ -225,7 +225,7 @@ class WebBase:
         the same one to several to pool their per-context cache, pages,
         accounting and trace."""
         config = self.config
-        ctx = ExecutionContext(
+        return ExecutionContext(
             self.navigation_stack,
             max_workers=config.max_workers if max_workers is None else max_workers,
             retry=retry or config.retry,
@@ -235,10 +235,6 @@ class WebBase:
             page_revisions=self.revisions.current,
             resilience=self.resilience,
         )
-        # Plan-level single-flight: the UR evaluator routes each maximal
-        # object through the shared registry when one is attached.
-        ctx.mqo_registry = None if self.mqo is None else self.mqo.registry
-        return ctx
 
     def navigation_stack(self, page_cache: PrefixPageCache) -> ExecutorBundle:
         """A fresh navigation stack over this webbase's sites — what an
@@ -355,7 +351,7 @@ class WebBase:
     def persist_gold(self, text: str, answer: Relation, ctx: ExecutionContext) -> bool:
         """Gold: materialize an answer with the revision vector of every
         host under the plan(s) ``ctx`` ran — not the hosts its trace
-        fetched from: a cache hit or a shared evaluation leaves none, and
+        fetched from: a cache hit or a coalesced wait leaves none, and
         the answer depends on the host all the same.  Never a partial
         answer (any failed fetch means no gold), and — like a cache fill,
         ``ResultCache._store`` — never one whose host moved since the

@@ -1,12 +1,12 @@
 """Coalescing: concurrent callers of one key compute it once.
 
 An *access* against a hidden-Web source is expensive and idempotent for
-as long as the host's navigation map does not move, so every tier that
-is shared between threads and can miss — the cross-query relation
-cache, the shared-subplan registry — wants the same thing: the first
-caller of a key *leads* (does the work), later callers *subscribe*
-(wait and share the leader's result).  This module is that contract,
-once.  It knows nothing about what a key or a result is.
+as long as the host's navigation map does not move, so the tier that is
+shared between threads and can miss — the cross-query relation cache,
+:class:`~repro.vps.cache.ResultCache` — wants the first caller of a key
+to *lead* (do the work) and later callers to *subscribe* (wait and share
+the leader's result).  This module is that contract, once.  It knows
+nothing about what a key or a result is.
 
 The owner keeps a :class:`Flights` table beside whatever it stores
 results in, both guarded by the owner's one lock:

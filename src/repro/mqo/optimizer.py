@@ -1,26 +1,21 @@
-"""The multi-query optimizer facade: fingerprint → share → subsume.
+"""The multi-query optimizer facade: subsume from gold.
 
 One :class:`MultiQueryOptimizer` attaches to a webbase when
-``WebBaseConfig.mqo`` is on.  It owns the two cross-query mechanisms and
-applies them in a fixed decision ladder:
+``WebBaseConfig.mqo`` is on.  Before executing at all, :meth:`subsume`
+looks for a revision-current gold-tier answer that *contains* the query
+— same join core, all needed attributes retained, predicate implied
+(:mod:`repro.mqo.containment`).  A hit is answered by filtering the
+materialized rows: zero fetches, zero plan executions.  A miss executes
+normally, and concurrent identical accesses of that execution merge in
+the result cache's flights.
 
-1. **Subsume** (:meth:`subsume`): before executing at all, look for a
-   revision-current gold-tier answer that *contains* the query — same
-   join core, all needed attributes retained, predicate implied
-   (:mod:`repro.mqo.containment`).  A hit is answered by filtering the
-   materialized rows: zero fetches, zero plan executions.
-2. **Share** (:attr:`registry`): failing that, execute — but every
-   maximal object's evaluation runs through the
-   :class:`~repro.mqo.registry.SubplanRegistry`, so identical in-flight
-   fingerprints across concurrent queries collapse onto one evaluation.
-
-Staleness cannot leak through either path (the :mod:`repro.revisions`
-contract): sharing is strictly in-flight, and subsumption revalidates the
-stored answer's revision vector against the live authority at answer time
-— one maintenance bump on any host *under the answer's plan* and the gold
-answer is skipped.  The vector names the plan's hosts, never the hosts a
-run's trace shows: a subscriber to a shared evaluation fetched nothing
-itself, and would otherwise write an answer that depends on no host.
+Staleness cannot leak through (the :mod:`repro.revisions` contract):
+subsumption revalidates the stored answer's revision vector against the
+live authority at answer time — one maintenance bump on any host *under
+the answer's plan* and the gold answer is skipped.  The vector names the
+plan's hosts, never the hosts a run's trace shows: a run whose accesses
+all waited on another query's cache flights fetched nothing itself, and
+would otherwise write an answer that depends on no host.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.mqo.containment import implies
-from repro.mqo.registry import SubplanRegistry
 from repro.relational.conditions import row_test
 from repro.relational.relation import Relation
 from repro.ur.query import QueryParseError, URQuery, parse_query
@@ -39,11 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class MultiQueryOptimizer:
-    """Cross-query sharing and reuse for one webbase."""
+    """Containment-based answer reuse for one webbase."""
 
     def __init__(self, webbase: "WebBase") -> None:
         self.webbase = webbase
-        self.registry = SubplanRegistry(metrics=webbase.metrics)
         # Gold queries replan identically every time (planning is pure
         # CPU over the catalog), so cache their join cores by text.
         self._cores: dict[str, frozenset[frozenset[str]]] = {}
@@ -59,7 +52,7 @@ class MultiQueryOptimizer:
 
         A non-``None`` return is the complete, current answer — produced
         with zero fetches.  Every ``None`` is silent: the caller falls
-        through to normal (shared) execution.
+        through to normal execution.
         """
         store = getattr(self.webbase, "store", None)
         if store is None:

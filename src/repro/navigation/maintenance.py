@@ -261,7 +261,7 @@ class InvalidationSink(Protocol):
 
     def bump_revision(self, host: str) -> int: ...
 
-    def quarantine(self, host: str) -> int: ...
+    def quarantine(self, host: str, cause: str) -> int: ...
 
 
 def reconcile_site(
@@ -294,7 +294,7 @@ def reconcile_site(
         if invalidation is not None:
             invalidation.bump_revision(navmap.host)
     if report.manual_changes and invalidation is not None:
-        invalidation.quarantine(navmap.host)
+        invalidation.quarantine(navmap.host, "maintenance")
         quarantined = True
     if cdc is not None:
         revision = 0

@@ -240,8 +240,8 @@ def canonical_plan(expr: object) -> tuple:
 def plan_fingerprint(expr: object, given: dict | None = None) -> str:
     """Stable hex fingerprint of a plan subtree (+ its binding signature).
 
-    Equal fingerprints certify equal answers under set semantics; they are
-    the sharing key of :class:`repro.mqo.registry.SubplanRegistry`.
+    Equal fingerprints certify equal answers under set semantics; EXPLAIN
+    labels each maximal object with one under ``--mqo``.
     """
     import hashlib
 

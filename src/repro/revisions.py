@@ -25,7 +25,11 @@ nothing about what is stamped.
   out empty — which is current only for an answer over no host at all.
 
 Quarantine flags ride along: a host whose change needs the designer is
-*flagged*, not moved — its stamps stay current but suspect.
+*flagged*, not moved — its stamps stay current but suspect.  A flag has
+causes (``"maintenance"``: a change waiting for the designer;
+``"breaker"``: a host failing now), a host is quarantined while any
+cause holds, and a lift removes only its own cause — a breaker closing
+never lifts what maintenance flagged.
 """
 
 from __future__ import annotations
@@ -36,23 +40,25 @@ from typing import Callable, Iterable, Mapping
 
 
 class Revisions:
-    """Per-host map revisions and quarantine flags.  Thread-safe; reads
-    take no lock (one dict or frozenset probe)."""
+    """Per-host map revisions and quarantine causes.  Thread-safe; reads
+    take no lock (one dict probe)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._revisions: dict[str, int] = {}
-        self._quarantined: frozenset[str] = frozenset()  # replaced, never mutated
+        # host -> its causes; replaced, never mutated, and never holds an
+        # empty set.
+        self._quarantined: dict[str, frozenset[str]] = {}
         self._on_advance: list[Callable[[str, int], object]] = []
-        self._on_quarantine: list[Callable[[str, bool], object]] = []
+        self._on_quarantine: list[Callable[[str, str, bool], object]] = []
 
     def subscribe(
         self,
         advanced: Callable[[str, int], object] | None = None,
-        quarantined: Callable[[str, bool], object] | None = None,
+        quarantined: Callable[[str, str, bool], object] | None = None,
     ) -> None:
         """Hear every later move as ``advanced(host, revision)`` and every
-        flag change as ``quarantined(host, active)``."""
+        cause set or lifted as ``quarantined(host, cause, active)``."""
         with self._lock:
             if advanced is not None:
                 self._on_advance.append(advanced)
@@ -60,14 +66,14 @@ class Revisions:
                 self._on_quarantine.append(quarantined)
 
     @staticmethod
-    def _tell(subscribers: list, host: str, value: int | bool) -> None:
+    def _tell(subscribers: list, host: str, *values: object) -> None:
         """Run every subscriber (caller does *not* hold the lock).  One
         that raises does not silence the rest; its error surfaces once
         all have run."""
         failed: Exception | None = None
         for subscriber in list(subscribers):
             try:
-                subscriber(host, value)
+                subscriber(host, *values)
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 failed = failed or exc
         if failed is not None:
@@ -105,22 +111,33 @@ class Revisions:
         return all(self.is_current(host, rev) for host, rev in vector.items())
 
     def quarantined(self, host: str) -> bool:
+        """``host`` is flagged, for any cause."""
         return host in self._quarantined
 
-    def quarantined_hosts(self) -> frozenset[str]:
-        return self._quarantined
+    def quarantined_hosts(self, cause: str | None = None) -> frozenset[str]:
+        """The flagged hosts — all of them, or those flagged for ``cause``."""
+        return frozenset(
+            host
+            for host, causes in self._quarantined.items()
+            if cause is None or cause in causes
+        )
 
-    def quarantine(self, host: str, active: bool = True) -> bool:
-        """Flag ``host`` (or, with ``active=False``, :meth:`lift` the flag);
-        returns whether that changed anything."""
+    def quarantine(self, host: str, cause: str, active: bool = True) -> bool:
+        """Flag ``host`` for ``cause`` (or, with ``active=False``,
+        :meth:`lift` that cause); returns whether that changed anything."""
         with self._lock:
-            if (host in self._quarantined) == active:
+            causes = self._quarantined.get(host, frozenset())
+            if (cause in causes) == active:
                 return False
-            self._quarantined = (
-                self._quarantined | {host} if active else self._quarantined - {host}
-            )
-        self._tell(self._on_quarantine, host, active)
+            causes = causes | {cause} if active else causes - {cause}
+            flagged = dict(self._quarantined)
+            if causes:
+                flagged[host] = causes
+            else:
+                del flagged[host]
+            self._quarantined = flagged
+        self._tell(self._on_quarantine, host, cause, active)
         return True
 
-    def lift(self, host: str) -> bool:
-        return self.quarantine(host, active=False)
+    def lift(self, host: str, cause: str) -> bool:
+        return self.quarantine(host, cause, active=False)

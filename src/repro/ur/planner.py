@@ -76,9 +76,9 @@ class ObjectPlan:
     @cached_property
     def fingerprint(self) -> str:
         """Canonical identity of ``expression`` (see
-        :func:`repro.relational.planner.plan_fingerprint`); the sharing key
-        of the multi-query optimizer.  Empty for infeasible objects.
-        Hashed when first read: a query nobody shares never pays for it."""
+        :func:`repro.relational.planner.plan_fingerprint`); EXPLAIN prints
+        it under ``--mqo``.  Empty for infeasible objects.  Hashed when
+        first read: a query nobody explains never pays for it."""
         return plan_fingerprint(self.expression) if self.feasible else ""
 
     def bind(self, values: tuple[Any, ...]) -> "ObjectPlan":
@@ -373,16 +373,6 @@ class StructuredUR:
         except BindingError:
             return None
 
-    def _run_object(self, obj: ObjectPlan, context: Any, span: Any) -> Relation | None:
-        """One evaluation of ``obj``'s plan — through the MQO registry when
-        the context has one, so identical objects in flight run once."""
-        registry = getattr(context, "mqo_registry", None)
-        run = lambda: evaluate(obj.template, self.logical, context=context, params=obj.values)  # noqa: E731
-        if registry is not None and obj.fingerprint:
-            span.attrs["fingerprint"] = obj.fingerprint[:12]
-            return registry.run(obj.fingerprint, context, run, span=span)
-        return run()
-
     def _evaluate_object(self, obj: ObjectPlan, context: Any) -> Relation | None:
         """Evaluate one maximal object under the engine; ``None`` means the
         object contributed nothing (infeasible bindings or exhausted
@@ -396,9 +386,9 @@ class StructuredUR:
         replay every read (:meth:`~repro.vps.cache.ResultCache.replay`):
         those entries are current, so re-running the plan over them would
         return the same relation.  Nothing is remembered from a run that
-        failed, shared another query's evaluation, or took a read the
-        cache cannot replay (coalesced, quarantined, stale, or a refused
-        store), and an answer whose replay fails is forgotten."""
+        failed or took a read the cache cannot replay (coalesced,
+        quarantined, stale, or a refused store), and an answer whose replay
+        fails is forgotten."""
         from repro.core.execution import FanoutError, FetchFailedError
 
         cache = getattr(self.logical, "vps", None)
@@ -409,7 +399,7 @@ class StructuredUR:
                 enabled = policy is not None and policy.enabled
                 limit = min(ANSWER_MEMO_ENTRIES, policy.max_entries) if enabled else 0
                 if limit <= 0:
-                    return self._run_object(obj, context, span)
+                    return evaluate(obj.template, self.logical, context=context, params=obj.values)
                 key = (obj.template, obj.values, tuple(map(type, obj.values)))
                 with self._memo_lock:
                     remembered = self._memo.get(key)
@@ -426,7 +416,9 @@ class StructuredUR:
                 failures = len(context.failures)
                 context.reads = reads = []
                 try:
-                    answer = self._run_object(obj, context, span)
+                    answer = evaluate(
+                        obj.template, self.logical, context=context, params=obj.values
+                    )
                 finally:
                     kept, context.reads = context.reads is reads, None
                 if (
@@ -434,7 +426,6 @@ class StructuredUR:
                     and reads
                     and answer is not None
                     and len(context.failures) == failures
-                    and span.attrs.get("mqo") != "hit"
                 ):
                     with self._memo_lock:
                         self._memo[key] = (answer, tuple(reads))

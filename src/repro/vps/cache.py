@@ -153,6 +153,14 @@ def _log_read(context: Any, token: ReadToken | None) -> None:
             reads.append(token)
 
 
+def _persist_quarantine(store: Any, host: str, cause: str, active: bool) -> None:
+    """Bronze keeps maintenance's quarantines only: they wait for the
+    designer across restarts.  A breaker's is this process's view of a
+    host's health, which a restarted process learns again."""
+    if cause == "maintenance":
+        store.record_quarantine(host, active)
+
+
 class ResultCache:
     """The always-present cache layer over a VPS schema (Catalog-compatible).
 
@@ -246,21 +254,25 @@ class ResultCache:
                 self.metrics.gauge("cache.entries").set(len(self._cache))
         return len(stale)
 
-    def quarantine(self, host: str) -> int:
-        """A manual-intervention site change: flag the host's entries as
-        suspect.  Returns how many entries are affected."""
-        self.revisions.quarantine(host)
+    def quarantine(self, host: str, cause: str = "maintenance") -> int:
+        """Flag the host's entries as suspect for ``cause``: a
+        manual-intervention site change (``"maintenance"``) or a tripped
+        breaker (``"breaker"``).  Returns how many entries are affected."""
+        self.revisions.quarantine(host, cause)
         with self._lock:
             return sum(1 for e in self._cache.values() if e.host == host)
 
-    def clear_quarantine(self, host: str, evict: bool = True) -> int:
-        """The designer re-demonstrated the flow: lift the quarantine and
-        (by default) drop the pre-change entries."""
-        self.revisions.lift(host)
+    def clear_quarantine(
+        self, host: str, cause: str = "maintenance", evict: bool = True
+    ) -> int:
+        """Lift ``cause`` — for maintenance, the designer re-demonstrated
+        the flow — and (by default) drop the pre-change entries.  The host
+        stays quarantined while another cause holds."""
+        self.revisions.lift(host, cause)
         return self.bump_revision(host) if evict else 0
 
-    def quarantined_hosts(self) -> frozenset[str]:
-        return self.revisions.quarantined_hosts()
+    def quarantined_hosts(self, cause: str | None = None) -> frozenset[str]:
+        return self.revisions.quarantined_hosts(cause)
 
     def adopt_revision(self, host: str, revision: int) -> bool:
         """Shard takeover: adopt a (higher) revision observed elsewhere.
@@ -274,7 +286,8 @@ class ResultCache:
 
     def attach_store(self, store: Any) -> None:
         """Layer a tiered store underneath: fills mirror to silver, and —
-        from here on — every revision move and quarantine mark to bronze.
+        from here on — every revision move and maintenance quarantine mark
+        to bronze.
 
         Revision and quarantine state are adopted from the store *here*,
         before any warm load or drift check — so a restart's drift bump
@@ -287,8 +300,8 @@ class ResultCache:
         for host, revision in store.revisions().items():
             self.revisions.advance(host, to=revision)
         for host in store.quarantined():
-            self.revisions.quarantine(host)
-        self.revisions.subscribe(store.record_revision, store.record_quarantine)
+            self.revisions.quarantine(host, "maintenance")
+        self.revisions.subscribe(store.record_revision, partial(_persist_quarantine, store))
 
     def warm_from_store(self, store: Any = None) -> int:
         """Load current-revision silver segments into the cache (restart).

@@ -155,7 +155,7 @@ def _run_stream(config, stream: str, events: tuple[str, ...], monkeypatch) -> Ar
 @pytest.mark.parametrize("stale_mode, mqo", [("refetch", False), ("serve_stale", True)])
 def test_a_memo_hit_moves_what_a_re_evaluation_moves(stale_mode, mqo, monkeypatch):
     """Eviction, expiry, site changes under both stale modes, a lifted
-    quarantine and a revision bump; with MQO on, through its registry."""
+    quarantine and a revision bump; with MQO on too."""
     policy = CachePolicy.lru(max_entries=48, ttl_seconds=TTL_SECONDS, stale_mode=stale_mode)
     _run_stream(
         lambda arm: WebBaseConfig(cache=policy, mqo=mqo),

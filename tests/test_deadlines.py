@@ -9,8 +9,8 @@ records a ``deadline`` trace span, bumps the
 the fan-out's remaining items are abandoned instead of run into the void.
 
 :meth:`ExecutionContext.cancel` is the one way to revoke work: every
-checkpoint (before each fetch, retry and page, and in coalesced and
-shared-subplan waits) reads the context's flag and its deadline, so a
+checkpoint (before each fetch, retry and page, and in coalesced
+result-cache waits) reads the context's flag and its deadline, so a
 cancel or an expiry surfaces as :class:`DeadlineExceeded` wherever it lands,
 with no timer thread to fire it.
 """

@@ -1,32 +1,28 @@
-"""The multi-query optimizer: share in flight, subsume from gold.
+"""The multi-query optimizer: subsume from gold.
 
-Covers the three rungs of the MQO ladder end to end:
+Covers MQO end to end:
 
 * **containment** (`repro.mqo.containment`): the conservative
   predicate-implication check, unit-tested over UR-parsed conditions;
-* **sharing** (`repro.mqo.registry`): leader/subscriber single-flight
-  with cancellation detach and leader-failure promotion, driven
-  deterministically with events;
 * **subsumption**: a webbase with `mqo=True` answers a narrowed query
   from a containing gold answer with *zero* side effects beyond the
   `mqo.subsumed` counter — and a revision bump on any contributing host
-  makes the gold answer unusable (stale is never served);
-* the **service** path: `service.queue_wait_seconds`, shared
-  fingerprints across concurrent socket clients, and gold persistence
-  from the streaming executor.
+  makes the gold answer unusable (stale is never served), also when the
+  answer's run waited on another query's result-cache flights and
+  fetched nothing itself;
+* the **service** path: `service.queue_wait_seconds` and gold
+  persistence from the streaming executor.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
-import pytest
-
-from repro.core.execution import WebBaseConfig
+from repro.core.execution import ExecutionContext, WebBaseConfig
 from repro.core.webbase import WebBase
+from repro.flight import Flight
 from repro.mqo.containment import decompose, implies
-from repro.mqo.registry import SubplanRegistry
-from repro.relational.relation import Relation
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, WebBaseService
 from repro.sites.world import mutate_site_listings
@@ -63,47 +59,84 @@ def _mqo_webbase(tmp_path, ads_per_host: int = 24) -> WebBase:
     )
 
 
-class _ShareGate:
-    """Parks the first ``flights`` leading object evaluations of
-    ``webbase``, each at its first logical fetch, until a subscriber has
-    joined *that* evaluation's flight — so which query shares whose
-    evaluation is decided by the test, not by the scheduler.  A query
-    evaluates its objects one at a time, so a gate on anything but the
-    flight its subscriber is waiting for would never open.  With
-    ``flights=0`` every evaluation parks until :meth:`open` instead."""
+def _wait_until(condition, what: str) -> None:
+    deadline = time.monotonic() + TIMEOUT
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
 
-    def __init__(self, webbase: WebBase, flights: int) -> None:
-        self.flights = flights
-        self.reached = threading.Event()  # some evaluation is parked
+
+class _FollowGate:
+    """Makes the second of two concurrent queries wait on the first one's
+    result-cache flights for every access.  The first context to reach
+    the cache leads: each of its leader sections (one key, or a probe
+    batch's keys) parks until the other context waits on one of its
+    flights.  The other context waits at the cache's door until every key
+    it asks for is in flight or stored, so it never opens a flight of its
+    own.  Later contexts pass through."""
+
+    def __init__(self, webbase: WebBase, monkeypatch) -> None:
+        self.contexts: list = []  # in arrival order: the leader first
+        lock = threading.Lock()
+        waited: set = set()  # flights a subscriber has parked on
+        cache = webbase.cache
+        fetch, fetch_batch, lead = cache.fetch, cache.fetch_batch, cache._lead
+        wait = Flight.wait
+
+        def door(real, name, givens, context):
+            with lock:
+                if context not in self.contexts and len(self.contexts) < 2:
+                    self.contexts.append(context)
+            if context in self.contexts[1:]:
+                keys = [cache._key(name, given) for given in givens]
+                _wait_until(
+                    lambda: all(k in cache._inflight or k in cache._cache for k in keys),
+                    "the leader never opened a flight for %s" % name,
+                )
+            return real(name, givens[0] if real is fetch else givens, context=context)
+
+        def gated_lead(name, host, revision, leads, context, batch):
+            if context is self.contexts[0]:
+                _wait_until(
+                    lambda: any(flight in waited for _key, _given, flight in leads),
+                    "nobody coalesced onto %s" % name,
+                )
+            return lead(name, host, revision, leads, context, batch)
+
+        def recorded_wait(flight, *args):
+            waited.add(flight)
+            return wait(flight, *args)
+
+        monkeypatch.setattr(
+            cache, "fetch", lambda name, given, context=None: door(fetch, name, [given], context)
+        )
+        monkeypatch.setattr(
+            cache,
+            "fetch_batch",
+            lambda name, givens, context=None: door(fetch_batch, name, givens, context),
+        )
+        monkeypatch.setattr(cache, "_lead", gated_lead)
+        monkeypatch.setattr(Flight, "wait", recorded_wait)
+
+    @property
+    def follower(self) -> ExecutionContext:
+        _leader, follower = self.contexts
+        return follower
+
+
+class _FetchGate:
+    """Parks every logical fetch of ``webbase`` until :meth:`open`."""
+
+    def __init__(self, webbase: WebBase) -> None:
+        self.reached = threading.Event()
         self.opened = threading.Event()
-        if flights:
-            self.opened.set()
-        self._joined: dict = {}  # gated fingerprint -> a subscriber joined it
-        self._leading = threading.local()  # the gated flight this thread leads
-        self._lock = threading.Lock()
-        registry_flights = webbase.mqo.registry._flights
-        join, fetch = registry_flights.join, webbase.logical.fetch
-
-        def counting_join(key):
-            flight, leading = join(key)
-            with self._lock:
-                if not leading:
-                    if key in self._joined:
-                        self._joined[key].set()
-                elif len(self._joined) < self.flights:
-                    self._joined[key] = threading.Event()
-                    self._leading.key = key
-            return flight, leading
+        fetch = webbase.logical.fetch
 
         def gated_fetch(*args, **kwargs):
             self.reached.set()
-            key, self._leading.key = getattr(self._leading, "key", None), None
-            if key is not None:
-                assert self._joined[key].wait(TIMEOUT), "nobody joined a gated flight"
             assert self.opened.wait(TIMEOUT), "test gate never opened"
             return fetch(*args, **kwargs)
 
-        registry_flights.join = counting_join
         webbase.logical.fetch = gated_fetch
 
     def open(self) -> None:
@@ -112,8 +145,8 @@ class _ShareGate:
 
 def _assert_gold_covers_the_plan(wb: WebBase, writes: int) -> None:
     """Every gold answer to ``WIDE`` names exactly the hosts under its
-    plan — the leader's and the subscriber's alike, though the
-    subscriber's own trace holds no fetch for an object it shared."""
+    plan — the leader's and the follower's alike, though the follower's
+    own trace holds no fetch: it waited on the leader's flights."""
     answers = [r for r in wb.store.gold if r.get("kind") == "answer"]
     assert len(answers) == writes
     for record in answers:
@@ -187,126 +220,6 @@ class TestImplies:
         )
         assert mixed.atoms
         assert "make" not in mixed.domains
-
-
-# -- sharing (the single-flight registry) --------------------------------------
-
-
-class _PollContext:
-    """A stand-in execution context whose cancellation flag the test flips."""
-
-    def __init__(self) -> None:
-        self.cancelled = threading.Event()
-
-    def check_cancelled(self, where: str = "") -> None:
-        if self.cancelled.is_set():
-            raise RuntimeError("cancelled at %s" % where)
-
-
-class TestSubplanRegistry:
-    def test_concurrent_equal_fingerprints_run_once(self):
-        registry = SubplanRegistry()
-        runs = []
-        entered = threading.Event()
-        release = threading.Event()
-        answer = Relation(("a",), [("x",)])
-
-        def leader_thunk():
-            runs.append("lead")
-            entered.set()
-            assert release.wait(5.0)
-            return answer
-
-        results: list = []
-
-        def run(thunk):
-            results.append(registry.run("fp", None, thunk))
-
-        lead = threading.Thread(target=run, args=(leader_thunk,))
-        lead.start()
-        assert entered.wait(5.0)
-        follow = threading.Thread(
-            target=run, args=(lambda: pytest.fail("subscriber must not run"),)
-        )
-        follow.start()
-        while registry.inflight() != 1 or not follow.is_alive():
-            if not follow.is_alive():
-                break
-        release.set()
-        lead.join(5.0)
-        follow.join(5.0)
-        assert runs == ["lead"]
-        assert len(results) == 2
-        assert results[0] is answer and results[1] is answer
-        assert registry.inflight() == 0
-
-    def test_subscriber_cancellation_detaches(self):
-        registry = SubplanRegistry()
-        entered = threading.Event()
-        release = threading.Event()
-        answer = Relation(("a",), [("x",)])
-
-        def leader_thunk():
-            entered.set()
-            assert release.wait(5.0)
-            return answer
-
-        outcomes: list = []
-        lead = threading.Thread(
-            target=lambda: outcomes.append(registry.run("fp", None, leader_thunk))
-        )
-        lead.start()
-        assert entered.wait(5.0)
-        ctx = _PollContext()
-        errors: list = []
-
-        def subscriber():
-            try:
-                registry.run("fp", ctx, lambda: None)
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        sub = threading.Thread(target=subscriber)
-        sub.start()
-        ctx.cancelled.set()  # the subscriber gives up ...
-        sub.join(5.0)
-        assert errors, "cancelled subscriber must raise"
-        release.set()  # ... but the leader's run is undisturbed
-        lead.join(5.0)
-        assert outcomes == [answer]
-
-    def test_leader_failure_promotes_a_survivor(self):
-        registry = SubplanRegistry()
-        entered = threading.Event()
-        fail = threading.Event()
-        answer = Relation(("a",), [("x",)])
-
-        def failing_leader():
-            entered.set()
-            assert fail.wait(5.0)
-            raise ConnectionError("leader died")
-
-        lead_error: list = []
-
-        def lead_run():
-            try:
-                registry.run("fp", None, failing_leader)
-            except ConnectionError as exc:
-                lead_error.append(exc)
-
-        lead = threading.Thread(target=lead_run)
-        lead.start()
-        assert entered.wait(5.0)
-        results: list = []
-        sub = threading.Thread(
-            target=lambda: results.append(registry.run("fp", None, lambda: answer))
-        )
-        sub.start()
-        fail.set()
-        lead.join(5.0)
-        sub.join(5.0)
-        assert lead_error, "the leader's own caller sees the failure"
-        assert results == [answer], "the survivor re-ran the subplan itself"
 
 
 # -- subsumption end to end ----------------------------------------------------
@@ -395,17 +308,17 @@ class TestSubsume:
         assert len(answer) > 0
         assert wb.metrics.value("mqo.subsumed") == before
 
-    def test_a_shared_hit_writes_gold_under_its_whole_plan(self, tmp_path):
-        """Sharing must not shrink what an answer is known to depend on:
-        each object is evaluated by one query and shared by the other, and
-        a site that then moves must still invalidate the answers they
-        wrote."""
+    def test_a_shared_hit_writes_gold_under_its_whole_plan(self, tmp_path, monkeypatch):
+        """Coalescing must not shrink what an answer is known to depend
+        on: one query fetches, the other waits on its result-cache flights
+        and fetches nothing, and a site that then moves must still
+        invalidate the answers they both wrote."""
         wb = _mqo_webbase(tmp_path, ADS)
-        _ShareGate(wb, flights=2)
+        gate = _FollowGate(wb, monkeypatch)
         threads, returned, raised = run_threads(2, lambda: wb.query(WIDE))
         join_all(threads)
         assert raised == [] and len(returned) == 2
-        assert wb.metrics.value("mqo.shared_hits") == 2
+        assert gate.follower.fetches == 0 < wb.metrics.value("cache.coalesced")
         _assert_gold_covers_the_plan(wb, writes=2)
 
         _move_autoweb(wb)
@@ -422,7 +335,7 @@ class TestSubsume:
         finished may mix both sides of the change — it is returned, not
         materialized."""
         wb = _mqo_webbase(tmp_path)
-        gate = _ShareGate(wb, flights=0)
+        gate = _FetchGate(wb)
         thread, returned, raised = run_threads(1, lambda: wb.query(WIDE))
         assert gate.reached.wait(TIMEOUT)  # planned, parked before any fetch
         wb.cache.bump_revision("www.autoweb.com")
@@ -493,11 +406,14 @@ class TestServiceMQO:
         finally:
             svc.shutdown()
 
-    def test_a_shared_streamed_answer_persists_under_its_whole_plan(self, tmp_path):
+    def test_a_shared_streamed_answer_persists_under_its_whole_plan(
+        self, tmp_path, monkeypatch
+    ):
         """A served query's gold write (``WebBase.query_stream``) carries
-        the plan's hosts too, whichever client's evaluation was shared."""
+        the plan's hosts too, also for the client whose run only waited
+        on the other's result-cache flights."""
         webbase = _mqo_webbase(tmp_path, ADS)
-        _ShareGate(webbase, flights=2)
+        gate = _FollowGate(webbase, monkeypatch)
         svc = WebBaseService(webbase, ServiceConfig(port=0, workers=2))
         host, port = svc.start()
 
@@ -509,7 +425,8 @@ class TestServiceMQO:
             threads, returned, raised = run_threads(2, one_client)
             join_all(threads)
             assert raised == [] and len(returned) == 2
-            assert webbase.metrics.value("mqo.shared_hits") == 2
+            assert gate.follower.fetches == 0
+            assert min(outcome.stats["fetches"] for outcome in returned) == 0
             _assert_gold_covers_the_plan(webbase, writes=2)
 
             _move_autoweb(webbase)
@@ -536,36 +453,3 @@ class TestServiceMQO:
         ]
         assert summary["count"] >= 2
         assert 0.0 <= summary["max"] < 30.0
-
-    def test_batching_window_shares_concurrent_identical_queries(self, tmp_path):
-        """Four identical queries in flight together collapse onto shared
-        evaluations: the gate holds the first evaluation until another
-        query has subscribed to it."""
-        webbase = _mqo_webbase(tmp_path)
-        _ShareGate(webbase, flights=1)
-        svc = WebBaseService(webbase, ServiceConfig(port=0, workers=4))
-        host, port = svc.start()
-        rows: list = []
-        errors: list = []
-
-        def one_client():
-            try:
-                with ServiceClient(host=host, port=port) as client:
-                    outcome = client.query(BROAD)
-                rows.append(sorted(outcome.rows))
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        try:
-            threads = [threading.Thread(target=one_client) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60.0)
-        finally:
-            svc.shutdown()
-        assert not errors
-        assert len(rows) == 4
-        assert all(r == rows[0] for r in rows), "shared rows must be identical"
-        counters = webbase.metrics.snapshot()["counters"]
-        assert counters.get("mqo.shared_hits", 0) >= 1, counters

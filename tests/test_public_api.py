@@ -1,6 +1,6 @@
 """Tests of the top-level public API surface.
 
-Includes sixteen mechanical consistency audits, so drift fails loudly:
+Includes seventeen mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
@@ -17,6 +17,9 @@ Includes sixteen mechanical consistency audits, so drift fails loudly:
 * a host's breaker only quarantines: the access gate, its probe slots,
   the bulkhead, the per-attempt timeout and their counters do not come
   back;
+* the multi-query optimizer only subsumes: the in-flight subplan
+  registry, its context hook and its counters do not come back, and the
+  result cache's flights are the one coalescing;
 * the router has one placement rule: scatter, fingerprint stickiness and
   client redirects do not come back;
 * nothing runs ahead of demand: the speculative page prefetcher, its
@@ -317,6 +320,27 @@ class TestTheBreakerOnlyQuarantines:
 
         assert not hasattr(ResilienceManager, "access")
         assert not hasattr(CircuitBreaker, "allow")
+
+
+class TestMQOOnlySubsumes:
+    """MQO is containment reuse of gold answers.  Concurrent identical
+    accesses merge in the result cache's flights; the in-flight subplan
+    registry above them, the context hook that carried it, the object
+    path through it and its counters do not come back."""
+
+    REMOVED = (
+        "SubplanRegistry", "repro.mqo.registry", "mqo_registry", "_run_object",
+        "mqo.shared_leads", "mqo.shared_hits", "mqo.detached", "mqo.promotions",
+    )  # fmt: skip
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_registry_module_is_gone(self):
+        from repro.mqo.optimizer import MultiQueryOptimizer
+
+        assert not (SRC / "mqo" / "registry.py").exists()
+        assert "registry" not in vars(MultiQueryOptimizer(None))
 
 
 class TestOnePlacement:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core.execution import WebBaseConfig
 from repro.core.metrics import NAME_PATTERN, MetricsRegistry
 from repro.core.resilience import (
     BREAKER_CLOSED,
@@ -19,6 +20,8 @@ from repro.core.resilience import (
     ResilienceManager,
     ResiliencePolicy,
 )
+from repro.core.webbase import WebBase
+from repro.vps.cache import CachePolicy, ResultCache
 from tests.conftest import derive_seeds
 
 
@@ -126,18 +129,31 @@ class TestPolicy:
 
 
 class FakeCache:
-    """Just the quarantine surface the manager drives."""
+    """Just the quarantine surface the manager drives: causes per host."""
 
     def __init__(self) -> None:
-        self.quarantined: set[str] = set()
-        self.cleared: list[tuple[str, bool]] = []
+        self.causes: dict[str, set[str]] = {}
+        self.cleared: list[tuple[str, str, bool]] = []
 
-    def quarantine(self, host: str) -> None:
-        self.quarantined.add(host)
+    @property
+    def quarantined(self) -> set[str]:
+        return {host for host, causes in self.causes.items() if causes}
 
-    def clear_quarantine(self, host: str, evict: bool = True) -> None:
-        self.quarantined.discard(host)
-        self.cleared.append((host, evict))
+    def quarantine(self, host: str, cause: str = "maintenance") -> None:
+        self.causes.setdefault(host, set()).add(cause)
+
+    def clear_quarantine(
+        self, host: str, cause: str = "maintenance", evict: bool = True
+    ) -> None:
+        self.causes.get(host, set()).discard(cause)
+        self.cleared.append((host, cause, evict))
+
+    def quarantined_hosts(self, cause: str | None = None) -> frozenset[str]:
+        return frozenset(
+            host
+            for host, causes in self.causes.items()
+            if causes and (cause is None or cause in causes)
+        )
 
 
 class TestManager:
@@ -163,7 +179,7 @@ class TestManager:
         clock.advance(RECOVERY_SECONDS)
         manager.record_success("www.slow.com")
         assert cache.quarantined == set()
-        assert cache.cleared == [("www.slow.com", False)]
+        assert cache.cleared == [("www.slow.com", "breaker", False)]
         assert manager.metrics.value("resilience.breaker_closed") == 1
 
     def test_never_lifts_a_quarantine_it_does_not_own(self):
@@ -177,12 +193,32 @@ class TestManager:
             manager.record_failure("www.changed.com")
         clock.advance(RECOVERY_SECONDS)
         manager.record_success("www.changed.com")
-        # The breaker closed, but maintenance's quarantine stands: the
-        # manager only re-quarantined a host maintenance already flagged,
-        # so closing leaves the flag in place.
+        # The breaker closed and lifted its own cause; maintenance's stands.
         assert manager.states()["www.changed.com"] == BREAKER_CLOSED
-        # Note: the manager did quarantine it too (idempotent), and owns
-        # that trip, so it lifts — this documents the shared-flag caveat.
+        assert cache.quarantined == {"www.changed.com"}
+        assert cache.causes["www.changed.com"] == {"maintenance"}
+
+    def test_a_close_leaves_a_maintenance_quarantine_in_place(self):
+        """On a real result cache: maintenance quarantines a host, its
+        breaker trips on it and, after the recovery time, closes.  The
+        host stays quarantined until the designer lifts maintenance's
+        cause, and the breaker table says which cause is the breaker's."""
+        host = "www.newsday.com"
+        clock = FakeClock()
+        cache = ResultCache(None)
+        cache.quarantine(host)
+        manager = self._manager(clock=clock, cache=cache)
+        for _ in range(2):
+            manager.record_failure(host)
+        assert "quarantined by breaker" in manager.describe()
+        clock.advance(RECOVERY_SECONDS)
+        manager.record_success(host)
+        assert manager.states()[host] == BREAKER_CLOSED
+        assert cache.quarantined_hosts() == frozenset({host})
+        assert cache.quarantined_hosts("breaker") == frozenset()
+        assert "quarantined by breaker" not in manager.describe()
+        cache.clear_quarantine(host)
+        assert cache.quarantined_hosts() == frozenset()
 
     def test_disabled_policy_is_a_no_op_gate(self):
         cache = FakeCache()
@@ -211,13 +247,15 @@ class LoggingCache:
         self.log: list[tuple[str, bool]] = []
         self.quarantined: set[str] = set()
 
-    def quarantine(self, host: str) -> None:
+    def quarantine(self, host: str, cause: str) -> None:
+        assert cause == "breaker"
         time.sleep(0)  # a cache call takes a while: let another report run
         with self.lock:
             self.log.append(("quarantine", True))
             self.quarantined.add(host)
 
-    def clear_quarantine(self, host: str, evict: bool = True) -> None:
+    def clear_quarantine(self, host: str, cause: str, evict: bool = True) -> None:
+        assert cause == "breaker"
         time.sleep(0)
         with self.lock:
             self.log.append(("clear", evict))
@@ -341,3 +379,31 @@ class TestMetricNaming:
         lenient = MetricsRegistry()
         lenient.counter("free_form_name").inc()
         assert lenient.value("free_form_name") == 1
+
+
+class TestQuarantineAcrossRestarts:
+    def test_a_breaker_quarantine_does_not_outlive_its_process(self, tmp_path):
+        """The store keeps maintenance's quarantines, which wait for the
+        designer, and not a breaker's: a restarted webbase starts with a
+        closed breaker, which would never lift a persisted trip."""
+        config = WebBaseConfig(
+            ads_per_host=24,
+            cache=CachePolicy.lru(),
+            store_dir=str(tmp_path / "store"),
+            resilience=ResiliencePolicy(failure_threshold=2),
+        )
+        webbase = WebBase.create(config)
+        webbase.cache.quarantine("www.autoweb.com")  # maintenance's
+        for _ in range(2):
+            webbase.resilience.record_failure("www.newsday.com")
+        both = {"www.autoweb.com", "www.newsday.com"}
+        assert webbase.cache.quarantined_hosts() == both
+        webbase.store.close()
+
+        reopened = WebBase(webbase.world, config)
+        try:
+            assert reopened.cache.quarantined_hosts() == {"www.autoweb.com"}
+            reopened.resilience.record_success("www.newsday.com")
+            assert reopened.cache.quarantined_hosts() == {"www.autoweb.com"}
+        finally:
+            reopened.store.close()

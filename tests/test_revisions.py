@@ -116,17 +116,38 @@ class TestQuarantine:
     def test_flags_are_told_on_change_and_survive_advance(self):
         revisions = Revisions()
         marks = []
-        revisions.subscribe(quarantined=lambda h, active: marks.append((h, active)))
-        assert revisions.quarantine("h") is True
-        assert revisions.quarantine("h") is False  # already flagged
+        revisions.subscribe(quarantined=lambda *mark: marks.append(mark))
+        assert revisions.quarantine("h", "maintenance") is True
+        assert revisions.quarantine("h", "maintenance") is False  # already flagged
         revisions.advance("h")
         assert revisions.quarantined("h")
         assert revisions.quarantined_hosts() == frozenset({"h"})
-        assert revisions.lift("h") is True
-        assert revisions.lift("h") is False
+        assert revisions.lift("h", "maintenance") is True
+        assert revisions.lift("h", "maintenance") is False
         assert not revisions.quarantined("h")
         assert revisions.current("h") == 1  # a flag is not a move
-        assert marks == [("h", True), ("h", False)]
+        assert marks == [("h", "maintenance", True), ("h", "maintenance", False)]
+
+    def test_each_cause_lifts_only_itself(self):
+        revisions = Revisions()
+        marks = []
+        revisions.subscribe(quarantined=lambda *mark: marks.append(mark))
+        revisions.quarantine("h", "maintenance")
+        revisions.quarantine("h", "breaker")
+        assert revisions.quarantined_hosts("breaker") == frozenset({"h"})
+        assert revisions.lift("h", "breaker") is True
+        assert revisions.quarantined("h")  # maintenance's cause still holds
+        assert revisions.quarantined_hosts("breaker") == frozenset()
+        assert revisions.quarantined_hosts("maintenance") == frozenset({"h"})
+        assert revisions.lift("h", "maintenance") is True
+        assert not revisions.quarantined("h")
+        assert revisions.quarantined_hosts() == frozenset()
+        assert marks == [
+            ("h", "maintenance", True),
+            ("h", "breaker", True),
+            ("h", "breaker", False),
+            ("h", "maintenance", False),
+        ]
 
 
 class TestStress:
