@@ -81,7 +81,8 @@ class ExplainObject:
     # The object's plan fingerprint prefix (when ``--mqo`` is on).
     fingerprint: str = ""
     # "hit" when the answer memo served the object without evaluating it
-    # (its cache reads were all current): no view was accessed.
+    # (its cache reads were all current), "contained" when it served the
+    # object's core filtered by the residual: no view was accessed.
     memo: str = ""
 
     @property

@@ -28,7 +28,19 @@ from repro.relational.algebra import (
     evaluate,
 )
 from repro.relational.bindings import BindingError, JoinPart, order_joins
-from repro.relational.conditions import equality_bindings, parameterize
+from repro.relational.conditions import (
+    And,
+    Attr,
+    Comparison,
+    Condition,
+    Const,
+    Param,
+    RowTest,
+    conj,
+    equality_bindings,
+    parameterize,
+    row_test,
+)
 from repro.relational.cost import CatalogStats, CostModel
 from repro.relational.optimize import optimize
 from repro.relational.planner import JoinOrderPlanner, JoinPlan, plan_fingerprint
@@ -48,6 +60,10 @@ _COMPILED_LIMIT = 256
 #: whose inputs the cache has evicted can never be replayed.
 ANSWER_MEMO_ENTRIES = 512
 
+#: The comparisons a residual conjunct may make: never ``=``, which binds a
+#: source.
+_RESIDUAL_OPS = frozenset(("<", "<=", ">", ">=", "!="))
+
 
 class PlanError(Exception):
     """The query has no evaluable plan."""
@@ -66,6 +82,12 @@ class ObjectPlan:
     rewrites: tuple[str, ...] = ()
     estimate: JoinPlan | None = None  # cost-planner predictions, when used
     values: tuple[Any, ...] = ()
+    # The core: this object with the query's residual comparisons dropped
+    # (see :func:`_split_residual`), the ``values`` slots it keeps, and the
+    # residual over the object's output rows.  ``None`` without a residual.
+    core: Expr | None = None
+    core_slots: tuple[int, ...] = ()
+    residual: RowTest | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def expression(self) -> Expr:
@@ -169,9 +191,8 @@ class StructuredUR:
         # set is a function of the parameterized condition.
         self._compiled: dict[tuple, list[ObjectPlan]] = {}
         self._compiled_lock = threading.Lock()
-        # The answer memo: (template, values, their types) -> (answer, the
-        # read tokens of the run that made it).  The types keep ``1`` and
-        # ``1.0`` apart, which compare equal.
+        # The answer memo: _memo_key(template, values) -> (answer, the read
+        # tokens of the run that made it).
         self._memo: OrderedDict[tuple, tuple[Relation, tuple]] = OrderedDict()
         self._memo_lock = threading.Lock()
 
@@ -237,6 +258,7 @@ class StructuredUR:
             raise PlanError(
                 "no compatible set of relations covers %s" % sorted(attrs)
             )
+        split = _split_residual(query)
         objects: list[ObjectPlan] = []
         for cover in covers:
             parts = [
@@ -264,27 +286,37 @@ class StructuredUR:
                 )
                 continue
             ordered_names = [parts[i].name for i in order]
-            expr: Expr = Base(ordered_names[0])
+            join: Expr = Base(ordered_names[0])
             for name in ordered_names[1:]:
-                expr = Join(expr, Base(name))
-            if query.condition is not None:
-                expr = Select(expr, query.condition)
-            expr = Project(expr, query.outputs)
-            rewrites: tuple[str, ...] = ()
-            if self.optimize_plans:
-                optimized = optimize(expr, self.logical)
-                expr = optimized.expression
-                rewrites = tuple(repr(r) for r in optimized.rewrites)
-            objects.append(
-                ObjectPlan(
-                    relations=tuple(ordered_names),
-                    template=expr,
-                    feasible=True,
-                    rewrites=rewrites,
-                    estimate=estimate,
-                )
+                join = Join(join, Base(name))
+            expr, rewrites = self._shape(join, query.condition, query.outputs)
+            obj = ObjectPlan(
+                relations=tuple(ordered_names),
+                template=expr,
+                feasible=True,
+                rewrites=rewrites,
+                estimate=estimate,
             )
+            if split is not None:
+                # The core's attributes and bindings are the query's, so it
+                # covers with the same objects in the same order: its
+                # template is the one its own text compiles to.
+                core, obj.core_slots, obj.residual = split
+                obj.core = self._shape(join, core, query.outputs)[0]
+            objects.append(obj)
         return objects
+
+    def _shape(
+        self, join: Expr, condition: Condition | None, outputs: tuple[str, ...]
+    ) -> tuple[Expr, tuple[str, ...]]:
+        """An object's template — ``join`` under the query's selection and
+        projection, optimised — and the rewrites that made it."""
+        expr = join if condition is None else Select(join, condition)
+        expr = Project(expr, outputs)
+        if not self.optimize_plans:
+            return expr, ()
+        optimized = optimize(expr, self.logical)
+        return optimized.expression, tuple(repr(r) for r in optimized.rewrites)
 
     def plan_hosts(self, plan: URPlan) -> dict[str, int]:
         """host → how many of the plan's relation accesses it serves, over
@@ -388,7 +420,13 @@ class StructuredUR:
         return the same relation.  Nothing is remembered from a run that
         failed or took a read the cache cannot replay (coalesced,
         quarantined, stale, or a refused store), and an answer whose replay
-        fails is forgotten."""
+        fails is forgotten.
+
+        An object that misses looks up its core (the same object without
+        the query's residual comparisons).  If the core's answer replays,
+        the residual filters it and nothing is evaluated: the residual
+        binds no source, so the query's own run would read a subset of the
+        core's current entries.  A contained serve stores nothing."""
         from repro.core.execution import FanoutError, FetchFailedError
 
         cache = getattr(self.logical, "vps", None)
@@ -400,19 +438,17 @@ class StructuredUR:
                 limit = min(ANSWER_MEMO_ENTRIES, policy.max_entries) if enabled else 0
                 if limit <= 0:
                     return evaluate(obj.template, self.logical, context=context, params=obj.values)
-                key = (obj.template, obj.values, tuple(map(type, obj.values)))
-                with self._memo_lock:
-                    remembered = self._memo.get(key)
-                    if remembered is not None:
-                        self._memo.move_to_end(key)
-                if remembered is not None:
-                    if cache.replay(remembered[1], context):
-                        span.attrs["memo"] = "hit"
-                        return remembered[0]
-                    with self._memo_lock:
-                        # Unless another thread has remembered a newer one.
-                        if self._memo.get(key) is remembered:
-                            del self._memo[key]
+                key = _memo_key(obj.template, obj.values)
+                served = self._recall(key, cache, context)
+                if served is not None:
+                    span.attrs["memo"] = "hit"
+                    return served
+                if obj.core is not None:
+                    values = tuple(obj.values[i] for i in obj.core_slots)
+                    served = self._recall(_memo_key(obj.core, values), cache, context)
+                    if served is not None:
+                        span.attrs["memo"] = "contained"
+                        return served.select_rows(obj.residual(obj.values))
                 failures = len(context.failures)
                 context.reads = reads = []
                 try:
@@ -451,3 +487,63 @@ class StructuredUR:
                 return None
             finally:
                 span.cpu_seconds = thread_time() - mark
+
+    def _recall(self, key: tuple, cache: Any, context: Any) -> Relation | None:
+        """The answer remembered under ``key``, if the cache can replay its
+        reads; an answer whose replay fails is forgotten."""
+        with self._memo_lock:
+            remembered = self._memo.get(key)
+            if remembered is None:
+                return None
+            self._memo.move_to_end(key)
+        if cache.replay(remembered[1], context):
+            return remembered[0]
+        with self._memo_lock:
+            # Unless another thread has remembered a newer one.
+            if self._memo.get(key) is remembered:
+                del self._memo[key]
+        return None
+
+
+def _memo_key(template: Expr, values: tuple[Any, ...]) -> tuple:
+    """An answer memo key.  The types keep ``1`` and ``1.0`` apart, which
+    compare equal."""
+    return (template, values, tuple(map(type, values)))
+
+
+def _split_residual(
+    query: URQuery,
+) -> tuple[Condition | None, tuple[int, ...], RowTest] | None:
+    """``query``'s core condition, the parameter slots it keeps, and the
+    residual's row test over the outputs; ``None`` without a residual.
+
+    The residual is the top-level conjuncts ``attr op constant`` whose
+    ``op`` is not ``=`` and whose ``attr`` is an output.  Such a conjunct
+    binds no source and commutes with the projection, so the query's
+    answer is its core's answer filtered by it."""
+    condition = query.condition
+    if condition is None:
+        return None
+    parts = condition.parts if isinstance(condition, And) else (condition,)
+    residual = [
+        isinstance(part, Comparison)
+        and part.op in _RESIDUAL_OPS
+        and isinstance(part.left, Attr)
+        and part.left.name in query.outputs
+        and isinstance(part.right, Const)
+        for part in parts
+    ]
+    if not any(residual):
+        return None
+    kept = [part for part, drop in zip(parts, residual) if not drop]
+    core: Condition | None = None
+    slots: tuple[int, ...] = ()
+    if kept:
+        # Lifting the kept conjuncts' constants numbers their slots as the
+        # core's own text would; what it lifts are the query's parameters.
+        core, lifted = parameterize(conj(*kept))
+        if not all(isinstance(value, Param) for value in lifted):
+            return None  # a condition compiled with its literal constants
+        slots = tuple(value.index for value in lifted)
+    dropped = conj(*(part for part, drop in zip(parts, residual) if drop))
+    return core, slots, row_test(dropped, query.outputs)

@@ -27,8 +27,10 @@ skip.  The memo's section counts the rule of remembering on what was
 read: an unchanged warm repeat makes no algebra call, no result-cache
 lookup, starts no thread and sorts only its answer; a changed input (a
 revision bump, a TTL expiry, an eviction) makes the object evaluate
-again; and the memo keeps neither an evicted input's relation nor a
-dropped webbase alive.
+again; the memo keeps neither an evicted input's relation nor a
+dropped webbase alive; and a new threshold on an output of a remembered
+base query is the base answer filtered, with no algebra and no lookup,
+while a conjunct that is no such threshold still evaluates.
 
 Counts only, so this cannot flake on a shared runner (it is the
 ``perf-smoke`` CI job's gate for the warm path).
@@ -46,7 +48,7 @@ from unittest import mock
 
 import pytest
 
-from bench.workloads import BOUNDS, FAMILIES, MODELS, POPULARITY
+from bench.workloads import BOUNDS, COMPARE, FAMILIES, MODELS, POPULARITY
 import repro.logical.schema as logical_module
 import repro.relational.algebra as algebra_module
 import repro.ur.planner as planner_module
@@ -491,3 +493,108 @@ def test_the_memo_keeps_no_webbase_alive(world):
     del webbase, parts
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4, "something kept a dropped webbase alive"
+
+
+# -- contained serves ------------------------------------------------------------------
+
+#: Each family's base query, without a drawn threshold.
+BASES = {name: family.template.format(make="ford", model="escort") for name, family in FAMILIES.items()}
+#: (family, attribute) for every threshold a family draws, and ``rate``'s
+#: own output, which it draws none on.
+THRESHOLDS = [(name, attr) for name, family in sorted(FAMILIES.items()) for attr in family.bounds]
+RESIDUALS = THRESHOLDS + [("rate", "rate")]
+
+
+@pytest.fixture(scope="module")
+def remembered(world) -> WebBase:
+    """An LRU webbase that has answered every family's base query."""
+    webbase = WebBase(world, WebBaseConfig(cache=CachePolicy.lru()))
+    for text in BASES.values():
+        webbase.query(text)
+    return webbase
+
+
+@pytest.mark.parametrize("family, attr", THRESHOLDS)
+def test_a_new_threshold_on_a_remembered_base_runs_no_algebra_and_no_lookup(
+    remembered, family, attr
+):
+    """A threshold never asked before, on an output of a base query the
+    memo holds: every object is its core's answer filtered, with no
+    algebra and no cache lookup, and the rows are the base rows kept by
+    the comparison."""
+    base = remembered.query(BASES[family])
+    op, domain = BOUNDS[attr]
+    bound = random.Random("%d:%s:%s" % (repro_seed(), family, attr)).choice(domain)
+    text = "%s AND %s %s %d" % (BASES[family], attr, op, bound)
+    with algebra_and_lookups() as calls:
+        ctx = remembered.execution_context()
+        rows = remembered.query(text, context=ctx).rows
+    assert calls == {"evaluate": 0, "fetch": 0, "fetch_batch": 0}
+    objects = ctx.root.spans("object")
+    assert objects and all(span.attrs.get("memo") == "contained" for span in objects)
+    column = list(base.schema).index(attr)
+    keep = COMPARE[op]
+    assert list(rows) == [
+        row for row in base.rows if row[column] is not None and keep(row[column], bound)
+    ]
+
+
+@pytest.mark.parametrize(
+    "base, text",
+    [
+        (
+            "SELECT make, model WHERE make = 'ford'",
+            "SELECT make, model WHERE make = 'ford' AND price < 9000",
+        ),
+        (
+            "SELECT make, model, price WHERE make = 'ford'",
+            "SELECT make, model, price WHERE make = 'ford' AND model IN ('escort', 'taurus')",
+        ),
+        (
+            "SELECT make, model, price WHERE make = 'ford'",
+            "SELECT make, model, price WHERE make = 'ford' AND model = 'escort'",
+        ),
+    ],
+    ids=["threshold on a non-output", "IN list", "extra equality"],
+)
+def test_a_conjunct_that_is_no_residual_evaluates(remembered, base, text):
+    """Only ``attr op constant`` on an output, ``op`` not ``=``, is
+    residual: with the base query remembered, these still evaluate."""
+    remembered.query(base)
+    with algebra_and_lookups() as calls:
+        ctx = remembered.execution_context()
+        remembered.query(text, context=ctx)
+    assert calls["evaluate"] > 0
+    assert not any(span.attrs.get("memo") for span in ctx.root.spans("object"))
+
+
+@pytest.mark.parametrize("family, attr", RESIDUALS)
+def test_a_derived_core_is_the_base_shapes_template(remembered, family, attr):
+    """Each object's core equals (and hashes as) the template the base
+    query's own shape compiled, and keeps the base query's constants,
+    whether the residual comes last or first."""
+    base = remembered.plan(BASES[family]).feasible_objects
+    op = BOUNDS[attr][0] if attr in BOUNDS else "<"
+    residual = "%s %s 7" % (attr, op)
+    for text in (
+        "%s AND %s" % (BASES[family], residual),
+        BASES[family].replace(" WHERE ", " WHERE %s AND " % residual),
+    ):
+        objects = remembered.plan(text).feasible_objects
+        assert len(objects) == len(base)
+        for obj, base_obj in zip(objects, base):
+            assert obj.core == base_obj.template, text
+            assert hash(obj.core) == hash(base_obj.template)
+            assert tuple(obj.values[i] for i in obj.core_slots) == base_obj.values
+
+
+def test_explain_tags_a_contained_serve(world):
+    webbase = WebBase(world, WebBaseConfig(cache=CachePolicy.lru(), max_workers=1))
+    webbase.query(BASES["price"])
+    report = webbase.explain("%s AND price < 9000" % BASES["price"])
+    assert report.objects and [obj.memo for obj in report.objects] == ["contained"] * len(
+        report.objects
+    )
+    lines = [line for line in report.render().splitlines() if line.startswith("object ")]
+    assert lines and all("memo contained" in line for line in lines)
+    assert report.actual_fetches == 0
