@@ -422,6 +422,9 @@ class ExecutionContext:
         self.failures: list[FetchFailure] = []
         # host → revision at plan time, for every plan run here (WebBase.plan_traced).
         self.plan_revisions: dict[str, int] = {}
+        # The gold answer's query text when MQO served the query run here
+        # (WebBase.query_stream), else "".
+        self.subsumed_by = ""
         self.network_by_host: dict[str, float] = {}
         self.pages_by_host: dict[str, int] = {}
         self.fetches = 0

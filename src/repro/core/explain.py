@@ -185,7 +185,7 @@ def explain(webbase: "WebBase", text: str) -> ExplainReport:
         optimizer=plan.optimizer,
         rows=len(Relation.union_of([piece for _, piece in pieces])),
         trace=None if subsumed else ctx.root,
-        subsumed_by=webbase.mqo.last_subsumed_by if subsumed else "",
+        subsumed_by=ctx.subsumed_by,
     )
     object_spans = {s.name: s for s in ctx.root.spans("object")}
     for obj in plan.objects:

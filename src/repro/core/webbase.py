@@ -292,9 +292,11 @@ class WebBase:
         :meth:`repro.ur.planner.StructuredUR.answer_stream`); rows may
         repeat across pieces.  With MQO on, a revision-current gold answer
         that contains the query serves it first, as one piece whose
-        object is ``None``, with zero fetches.  Otherwise the query is
-        evaluated, and after the last piece the answer is persisted to
-        gold when a store is attached (:meth:`persist_gold`).  The
+        object is ``None``, with zero fetches; the gold answer's query
+        text goes on ``context.subsumed_by`` when the caller passed one.
+        Otherwise the query is evaluated, and after the last piece the
+        answer is persisted to gold when a store is attached
+        (:meth:`persist_gold`).  The
         generator returns the whole answer when it built one (the gold
         answer, or the one it persisted), else ``None``.
 
@@ -306,8 +308,11 @@ class WebBase:
         if self.mqo is not None:
             subsumed = self.mqo.subsume(text)
             if subsumed is not None:
-                yield None, subsumed
-                return subsumed
+                gold_text, answer = subsumed
+                if context is not None:
+                    context.subsumed_by = gold_text
+                yield None, answer
+                return answer
         ctx = context or self.execution_context(label=text)
         pieces = []
         for obj, piece in self.evaluate_stream(text, ctx):
@@ -359,7 +364,10 @@ class WebBase:
         vector = ctx.plan_revisions
         if self.store is None or ctx.failures or not self.revisions.all_current(vector):
             return False
-        return self.store.persist_answer(text, answer, vector)
+        written = self.store.persist_answer(text, answer, vector)
+        if written and self.mqo is not None:
+            self.mqo.note_answer(text)
+        return written
 
     def explain(self, text: str):
         """Plan and run a query, pairing the planner's per-node fetch

@@ -189,8 +189,12 @@ def implies(new: C.Condition | None, gold: C.Condition | None) -> bool:
     prove it", never "proved the negation"."""
     if gold is None:
         return True
-    new_d = decompose(new)
-    gold_d = decompose(gold)
+    return entails(decompose(new), decompose(gold))
+
+
+def entails(new_d: Decomposition, gold_d: Decomposition) -> bool:
+    """:func:`implies` over conditions already decomposed, for a caller
+    that decomposes each condition once and compares it with many."""
     # Every opaque gold conjunct must appear verbatim (canonically) in new.
     if not gold_d.atoms <= new_d.atoms:
         return False

@@ -27,8 +27,8 @@ gold (``gold.log``)
     bookkeeping.
 
 The store holds an index of the logs, not their records (gold excepted:
-MQO reads its answers on every query), and reads a record back through
-the framing when asked for it.
+MQO serves rows straight from a decoded answer), and reads a record back
+through the framing when asked for it.
 
 A :class:`~repro.store.faults.StorageFault` threaded through the store
 crashes writes — appends and compaction's rewrites alike — at any global
@@ -146,6 +146,8 @@ class TieredStore:
         self._snapshots: dict[str, dict[str, Any]] = {}
         self._gold_frames: dict[tuple[str, str], Frame] = {}
         self._standing: dict[str, bool] = {}
+        #: Compactions run on this store since it opened.
+        self.compactions = 0
         os.makedirs(root, exist_ok=True)
         self.bronze = self._open("bronze", fault, self._index_bronze)
         self.silver = self._open("silver", fault, self._index_silver)
@@ -408,15 +410,36 @@ class TieredStore:
     def current_answers(self) -> list[dict[str, Any]]:
         """Gold answers whose full revision vector is still current."""
         with self._lock:
-            revisions = self._revisions
             return [
                 record
                 for _, record in sorted(self._answers.items())
-                if all(
-                    revisions.get(host, 0) == revision
-                    for host, revision in record["revisions"].items()
-                )
+                if self._answer_current(record)
             ]
+
+    def answers(self) -> list[dict[str, Any]]:
+        """Every gold answer, current or not, in no particular order."""
+        with self._lock:
+            return list(self._answers.values())
+
+    def answer(self, query: str) -> dict[str, Any] | None:
+        """The gold answer last written for ``query``, current or not."""
+        with self._lock:
+            return self._answers.get(query)
+
+    def answer_current(self, record: dict[str, Any]) -> bool:
+        """Is ``record`` still the gold answer to its query, with its full
+        revision vector current?"""
+        with self._lock:
+            return (
+                self._answers.get(record["query"]) is record
+                and self._answer_current(record)
+            )
+
+    def _answer_current(self, record: dict[str, Any]) -> bool:
+        return all(
+            self._revisions.get(host, 0) == revision
+            for host, revision in record["revisions"].items()
+        )
 
     def snapshot(self, query: str) -> dict[str, Any] | None:
         with self._lock:
@@ -627,6 +650,7 @@ class TieredStore:
         }
         self._standing = {q: True for q, active in self._standing.items() if active}
         self._baseline_bytes = self._log_bytes()
+        self.compactions += 1
         self._inc("store.compactions")
 
     def close(self) -> None:

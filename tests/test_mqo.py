@@ -232,7 +232,8 @@ class TestSubsume:
         assert len(broad) > 0
         before = wb.metrics.snapshot()["counters"]
 
-        narrow = wb.query(NARROW)
+        ctx = wb.execution_context()
+        narrow = wb.query(NARROW, context=ctx)
 
         after = wb.metrics.snapshot()["counters"]
         changed = {
@@ -243,7 +244,7 @@ class TestSubsume:
         # The ONLY thing that moved is the subsumption counter: no plan,
         # no fetch, no cache traffic — the query never reached the engine.
         assert changed == {"mqo.subsumed": 1}, changed
-        assert wb.mqo.last_subsumed_by == BROAD
+        assert ctx.subsumed_by == BROAD
 
         control = WebBase.create(
             WebBaseConfig(ads_per_host=24, cache=CachePolicy.lru())
@@ -367,6 +368,41 @@ class TestSubsume:
         rendered = report.render()
         assert "subsumed by gold answer" in rendered
         assert "0 live fetches" in rendered
+
+    def test_explain_names_its_own_gold_while_another_query_is_subsumed(
+        self, tmp_path, monkeypatch
+    ):
+        """The gold text EXPLAIN reports travels with its own query: another
+        connection's subsumed query, run between EXPLAIN's lookup and its
+        report, cannot rename it."""
+        from repro.core.explain import explain
+
+        other_broad = "SELECT make, model, price WHERE make = 'ford'"
+        other_narrow = other_broad + " AND price < 9000"
+        wb = _mqo_webbase(tmp_path)
+        wb.query(BROAD)
+        wb.query(other_broad)
+        subsume = wb.mqo.subsume
+        served: list[str] = []
+
+        def other_connection():
+            wb.query(other_narrow)
+            served.append(other_narrow)
+
+        def interleaved(text):
+            found = subsume(text)
+            if text == NARROW:
+                other = threading.Thread(target=other_connection)
+                other.start()
+                other.join(TIMEOUT)
+            return found
+
+        monkeypatch.setattr(wb.mqo, "subsume", interleaved)
+        report = explain(wb, NARROW)
+        assert served == [other_narrow]
+        assert wb.metrics.value("mqo.subsumed") == 2
+        assert report.subsumed_by == BROAD
+        assert "subsumed by gold answer %r" % BROAD in report.render()
 
     def test_mqo_off_is_the_null_optimizer(self, tmp_path):
         wb = WebBase.create(
