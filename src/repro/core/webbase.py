@@ -106,11 +106,6 @@ class WebBase:
         )
         if config.faults is not None:
             world.server.install_faults(config.faults)
-        # Maintenance sweeps publish their findings here (change-data
-        # capture); the service's standing-query registry subscribes.
-        from repro.store.cdc import DeltaFeed
-
-        self.cdc = DeltaFeed()
         # Multi-query optimization (repro.mqo): containment reuse of gold
         # answers.  ``None`` when off.
         self.mqo: Any = None
@@ -261,7 +256,6 @@ class WebBase:
                 builder.map,
                 Browser(self.world.server),
                 invalidation=self.cache,
-                cdc=self.cdc,
             )
             if not report.clean:
                 reports[site_host] = report

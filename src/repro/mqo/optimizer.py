@@ -18,8 +18,9 @@ that can contain a query sit under subsets of its own singleton
 survivors.  What containment reads of an answer — its parsed condition,
 decomposed, its schema and its join core — is derived once, when
 :meth:`WebBase.persist_gold` writes it (:meth:`note_answer`) or when the
-index is rebuilt because the store opened or compacted.  A miss is always
-sound: the query is evaluated.
+index is built because the store opened; a compaction only drops the
+entries of the answers it dropped.  A miss is always sound: the query is
+evaluated.
 
 Staleness cannot leak through (the :mod:`repro.revisions` contract):
 subsumption revalidates the serving answer's revision vector against the
@@ -172,9 +173,16 @@ class MultiQueryOptimizer:
         return found
 
     def _sync(self, store: Any) -> bool:
-        """Rebuild the index when ``store`` is not the one it mirrors or
-        has compacted since; whether it did (caller holds the lock)."""
-        if store is self._store and store.compactions == self._compactions:
+        """Rebuild the index when ``store`` is not the one it mirrors;
+        whether it did (caller holds the lock).  After a compaction of the
+        same store only the entries whose record it dropped go: a surviving
+        record stays the same object, and every later write was noted."""
+        if store is self._store:
+            if store.compactions != self._compactions:
+                self._compactions = store.compactions
+                for text, gold in list(self._by_text.items()):
+                    if store.answer(text) is not gold.record:
+                        self._drop(text)
             return False
         self._store, self._compactions = store, store.compactions
         self._by_text, self._buckets = {}, {}

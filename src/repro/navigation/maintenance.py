@@ -26,7 +26,7 @@ answers truthful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Protocol
 
 from repro.navigation.model import FormKey, LinkEdge, PageNode, WidgetModel
 from repro.navigation.navmap import NavigationMap
@@ -268,7 +268,6 @@ def reconcile_site(
     navmap: NavigationMap,
     browser: Browser,
     invalidation: InvalidationSink | None = None,
-    cdc: Any = None,
 ) -> MaintenanceReport:
     """One maintenance cycle for one site: check, absorb, invalidate.
 
@@ -279,31 +278,19 @@ def reconcile_site(
     instead: the cache serves them flagged as stale or bypasses them,
     per its :class:`~repro.vps.cache.CachePolicy`.
 
-    ``cdc`` turns eviction into *publication*: any non-clean sweep is
-    also emitted on the given change feed (duck-typed as
-    :class:`repro.store.cdc.DeltaFeed`), carrying the host's
-    post-reconcile revision, so standing queries can re-evaluate against
-    exactly the invalidations the cache saw.
+    Nothing above this layer is called: whoever else must hear of the
+    change reads the returned report (the service's sweep refreshes its
+    standing queries from it).
     """
     report = check_site(navmap, browser)
     if report.clean:
         return report
-    quarantined = False
     if report.auto_changes:
         apply_auto_changes(navmap, report, browser)
         if invalidation is not None:
             invalidation.bump_revision(navmap.host)
     if report.manual_changes and invalidation is not None:
         invalidation.quarantine(navmap.host, "maintenance")
-        quarantined = True
-    if cdc is not None:
-        revision = 0
-        revision_of = getattr(invalidation, "revision", None)
-        if revision_of is not None:
-            revision = revision_of(navmap.host)
-        cdc.emit_report(
-            navmap.host, report, revision=revision, quarantined=quarantined
-        )
     return report
 
 

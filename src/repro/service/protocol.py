@@ -28,7 +28,7 @@ Standing queries extend the stream shape with *push* frames::
 A ``subscribe`` answers with zero or more ``page`` frames (the initial
 snapshot) and a ``subscribed`` ack, after which ``delta`` frames
 carrying row ``added``/``removed`` lists arrive whenever a maintenance
-sweep's change-data-capture event makes the query's rows move.  A
+sweep (the ``sweep`` op) makes the query's rows move.  A
 subscribe with ``"resume": true`` claims the client still holds the last
 state delivered to it (a reconnect after a service restart): when a
 persisted registration exists the snapshot pages are skipped and

@@ -29,13 +29,12 @@ share it gracefully rather than degrade everyone:
   request, and flushes a final metrics snapshot;
 * **standing queries** — a client ``subscribe``s a query once and then
   receives ``delta`` frames (row added/removed) whenever a maintenance
-  sweep's change-data-capture event moves the answer.  The
-  :class:`StandingQueryRegistry` listens on the webbase's
-  :class:`~repro.store.cdc.DeltaFeed`, re-evaluates the queries whose
-  dependency hosts changed, applies every evaluation through one refresh
-  and, with a tiered store, keeps each registration and its delivered
-  snapshot in gold, so a restarted service resumes a resubscribing
-  client with the deltas it missed;
+  sweep moves the answer.  :meth:`WebBaseService.sweep` hands each host
+  the sweep found changed to the :class:`StandingQueryRegistry`, which
+  re-evaluates the queries that depend on it, applies every evaluation
+  through one refresh and, with a tiered store, keeps each registration
+  and its delivered snapshot in gold, so a restarted service resumes a
+  resubscribing client with the deltas it missed;
 * **service metrics** — queue depth (waiters), admitted/shed counts and
   per-stage latency histograms (queue wait, execution, total — with
   p50/p95/p99) feed the webbase's own
@@ -150,7 +149,7 @@ class StandingQuery:
 
 
 class StandingQueryRegistry:
-    """Re-evaluates standing queries against CDC deltas and pushes rows.
+    """Re-evaluates standing queries after sweeps and pushes row deltas.
 
     The contract per standing query: the subscriber's row set after
     applying every received frame equals a fresh evaluation — no
@@ -314,15 +313,16 @@ class StandingQueryRegistry:
         self._metrics.gauge("service.standing_active").set(len(self._queries))
         return adopted
 
-    def on_change(self, event: Any) -> None:
-        """One CDC event from a maintenance sweep: re-evaluate the
-        affected, subscribed standing queries and push their deltas."""
+    def refresh(self, host: str, revision: int) -> None:
+        """A sweep changed ``host``, now at ``revision``: re-evaluate the
+        subscribed standing queries that depend on it and push their
+        deltas."""
         with self._lock:
             affected = [
                 standing
                 for standing in self._queries.values()
                 if standing.subscribers
-                and (not standing.deps or event.host in standing.deps)
+                and (not standing.deps or host in standing.deps)
             ]
         for standing in affected:
             answer, revisions = self._evaluate(standing.text)
@@ -331,8 +331,8 @@ class StandingQueryRegistry:
                 answer.schema,
                 set(answer.rows),
                 revisions,
-                host=event.host,
-                revision=event.revision,
+                host=host,
+                revision=revision,
                 reason="cdc",
             )
 
@@ -460,10 +460,8 @@ class WebBaseService:
         self._inflight = 0  # requests running
         self._server: _TcpServer | None = None
         self._acceptor: threading.Thread | None = None
+        # Refreshed by :meth:`sweep` for every host it finds changed.
         self.standing = StandingQueryRegistry(webbase, self.metrics)
-        # Maintenance sweeps (ours or anyone's on this webbase) publish
-        # CDC events; the registry turns them into row deltas.
-        webbase.cdc.subscribe(self.standing.on_change)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -498,7 +496,6 @@ class WebBaseService:
         if self._stopped.is_set():
             return self.metrics.snapshot()
         self._draining.set()
-        self.webbase.cdc.unsubscribe(self.standing.on_change)
         if self._server is not None:
             self._server.shutdown()  # stop accepting new connections
         deadline = monotonic() + DRAIN_TIMEOUT_SECONDS
@@ -535,12 +532,17 @@ class WebBaseService:
     def sweep(self, host: str | None = None) -> dict[str, Any]:
         """One server-side maintenance cycle (all hosts, or just ``host``).
 
-        Non-clean reports land on the webbase's CDC feed, which the
-        standing-query registry is subscribed to — so by the time the
-        caller's ``result`` frame arrives, every affected subscriber has
-        already been pushed its ``delta`` frames."""
+        Once every host has reconciled, each host with a non-clean report
+        (in host order) refreshes the standing queries that depend on it,
+        at its current revision — so by the time the caller's ``result``
+        frame arrives, every affected subscriber has already been pushed
+        its ``delta`` frames.  Only this path refreshes them: a
+        :meth:`WebBase.run_maintenance` call made around the service
+        does not."""
         self.metrics.counter("service.sweeps").inc()
         reports = self.webbase.run_maintenance(host)
+        for changed in sorted(reports):
+            self.standing.refresh(changed, self.webbase.revisions.current(changed))
         return {
             "swept": host or "*",
             "changed_hosts": sorted(reports),

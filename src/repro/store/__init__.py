@@ -2,19 +2,17 @@
 
 See :mod:`repro.store.tiered` for the layering, :mod:`repro.store.log`
 for the on-disk framing and recovery contract, :mod:`repro.store.faults`
-for deterministic crash injection, :mod:`repro.store.cdc` for the
-maintenance-driven change feed, and :mod:`repro.store.rebuild` for the
-bronze-replay rebuild path.
+for deterministic crash injection, and :mod:`repro.store.rebuild` for
+the bronze-replay rebuild path.  The store keeps standing-query
+registrations and snapshots; what refreshes them is the service's sweep
+(:meth:`repro.service.server.WebBaseService.sweep`).
 """
 
-from repro.store.cdc import ChangeEvent, DeltaFeed
 from repro.store.faults import StorageCrash, StorageFault
 from repro.store.log import RecordLog
 from repro.store.tiered import SilverEntry, TieredStore
 
 __all__ = [
-    "ChangeEvent",
-    "DeltaFeed",
     "RecordLog",
     "SilverEntry",
     "StorageCrash",

@@ -1,11 +1,12 @@
 """Tests of the top-level public API surface.
 
-Includes seventeen mechanical consistency audits, so drift fails loudly:
+Includes nineteen mechanical consistency audits, so drift fails loudly:
 
 * every ``from repro import X`` in the test suite and the benchmarks must
   go through ``repro.__all__`` — the package's declared public API;
 * no module of the bottom layer, ``repro.web``, imports from a layer
   built on top of it;
+* no module of the navigation layer imports a layer above the VPS;
 * no layer imports an application domain: the engine takes a ``Domain``
   as an argument, and a domain never imports the facade;
 * there is one staleness authority (``repro.revisions``) and one
@@ -38,6 +39,9 @@ Includes seventeen mechanical consistency audits, so drift fails loudly:
   evaluator of its own;
 * the planner is static: its live-feedback loop and the greedy search
   do not come back, and the UR planner takes no metrics registry;
+* maintenance reaches standing queries through the service's sweep
+  alone: the change-data-capture feed and its ``cdc`` hooks do not come
+  back;
 * there is one single-flight, :mod:`repro.flight`: the federation's
   cross-shard claims and the result cache's wait for a sibling's
   publish do not come back, and the result cache calls no ``sleep``;
@@ -140,6 +144,25 @@ class TestPublicImportLint:
         above = ("vps", "core", "mqo", "cluster", "service")
         modules = sorted((SRC / "web").rglob("*.py"))
         assert modules, "the audit must actually see the web layer"
+        offenders = [
+            "%s imports %s" % (source.relative_to(REPO), target)
+            for source in modules
+            for _function, target in _imports(source)
+            if target.split(".")[1] in above
+        ]
+        assert offenders == []
+
+    def test_the_navigation_layer_imports_nothing_above_the_vps(self):
+        """Maintenance repairs the maps next to them: whoever must hear of
+        a sweep (the service's standing queries) asks after it, so no
+        ``repro.navigation`` module reaches up into the layers that read
+        the maps, at module level or inside a function."""
+        above = (
+            "store", "service", "cluster", "mqo", "core", "ur", "logical",
+            "relational",
+        )  # fmt: skip
+        modules = sorted((SRC / "navigation").rglob("*.py"))
+        assert modules, "the audit must actually see the navigation layer"
         offenders = [
             "%s imports %s" % (source.relative_to(REPO), target)
             for source in modules
@@ -634,6 +657,33 @@ class TestOneFlight:
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "sleep"
         ]
         assert sleeps == []
+
+
+class TestOneMaintenancePath:
+    """A sweep's findings reach standing queries one way: the service's
+    :meth:`~repro.service.server.WebBaseService.sweep` refreshes its
+    registry from the reports.  The change feed, its events and the hook
+    that published them from the navigation layer do not come back."""
+
+    REMOVED = ("DeltaFeed", "ChangeEvent", "emit_report")
+
+    def test_no_module_defines_or_references_a_removed_name(self):
+        assert _references(self.REMOVED) == []
+
+    def test_the_feed_and_its_hooks_are_gone(self):
+        import inspect
+
+        from repro.navigation.maintenance import reconcile_site
+
+        assert not (SRC / "store" / "cdc.py").exists()
+        assert "cdc" not in inspect.signature(reconcile_site).parameters
+        attributes = [
+            "%s:%d" % (relative, node.lineno)
+            for relative, tree in TestOneStalenessAuthority._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "cdc"
+        ]
+        assert attributes == []  # ``webbase.cdc`` included
 
 
 class TestMetricNamingAudit:

@@ -481,3 +481,87 @@ class TestShutdownRestartResume:
         finally:
             service.shutdown()
             webbase.store.close()
+
+
+#: A mapped classified site outside ``QUERY``'s plan.
+HOST_OUTSIDE = "www.autoconnect.com"
+
+
+def _pending(client: ServiceClient, sub) -> list:
+    """Every delta already sent to ``sub`` (a sweep's result frame follows
+    the deltas it triggered, so after it nothing more is on its way)."""
+    deltas = []
+    while (delta := client.next_delta(sub, timeout=0.3)) is not None:
+        deltas.append(delta)
+    return deltas
+
+
+class TestSweepTriggers:
+    """Which sweeps reach a standing query: every non-clean report of a
+    host under its plan, when the sweep goes through the service."""
+
+    def test_a_manual_change_swept_by_the_service_sends_one_delta(self, stack):
+        """A manual change is never absorbed, so every later sweep finds it
+        again and re-evaluates; one whose answer did not move sends
+        nothing."""
+        world, webbase, service, host, port = stack
+        evaluate, evaluations = service.standing._evaluate, []
+
+        def counted(text):
+            evaluations.append(text)
+            return evaluate(text)
+
+        service.standing._evaluate = counted
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            mutate_site_listings(world, HOST_A, count=2, seed=30, change="manual")
+            assert HOST_A in client.sweep(HOST_A)["changed_hosts"]
+            deltas = _pending(client, sub)
+            assert [(d.reason, d.host) for d in deltas] == [("cdc", HOST_A)]
+            assert deltas[0].revision == webbase.revisions.current(HOST_A)
+            assert sub.rows == _fresh_rows(webbase)
+            del evaluations[:]
+            assert HOST_A in client.sweep(HOST_A)["changed_hosts"]
+            assert evaluations == [QUERY]
+            assert _pending(client, sub) == []
+            assert sub.rows == _fresh_rows(webbase)
+            client.unsubscribe(sub)
+
+    def test_a_sweep_of_a_host_outside_the_plan_sends_nothing(self, stack):
+        world, webbase, service, host, port = stack
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            assert HOST_OUTSIDE not in service.standing._queries[QUERY].deps
+            mutate_site_listings(world, HOST_OUTSIDE, count=2, seed=31)
+            assert HOST_OUTSIDE in client.sweep(HOST_OUTSIDE)["changed_hosts"]
+            assert _pending(client, sub) == []
+            assert sub.rows == _fresh_rows(webbase)
+            client.unsubscribe(sub)
+
+    def test_a_sweep_of_every_host_converges_in_seq_order(self, stack):
+        world, webbase, service, host, port = stack
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            acked = sub.seq
+            mutate_site_listings(world, HOST_A, count=2, seed=32)
+            mutate_site_listings(world, HOST_B, count=3, seed=33)
+            stats = client.sweep()
+            assert {HOST_A, HOST_B} <= set(stats["changed_hosts"])
+            seqs = [delta.seq for delta in _pending(client, sub)]
+            assert seqs and seqs == list(range(acked + 1, acked + 1 + len(seqs)))
+            assert sub.rows == _fresh_rows(webbase)
+            client.unsubscribe(sub)
+
+    def test_maintenance_run_around_the_service_refreshes_nothing(self, stack):
+        """Only the service's sweep refreshes its standing queries: a
+        ``WebBase.run_maintenance`` call made directly reconciles the maps
+        and the cache, and no subscriber hears of it."""
+        world, webbase, service, host, port = stack
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            held = set(sub.rows)
+            mutate_site_listings(world, HOST_A, count=2, seed=34)
+            assert HOST_A in webbase.run_maintenance(HOST_A)
+            assert _pending(client, sub) == []
+            assert sub.rows == held != _fresh_rows(webbase)
+            client.unsubscribe(sub)

@@ -2,9 +2,10 @@
 
 ``MultiQueryOptimizer.subsume`` reads the answer stored under the query's
 own text, then one bucket of an index of gold answers keyed by join core
-and singleton equalities, maintained as answers are written and rebuilt
-when the store opens or compacts.  ``tests/reference_subsume.py`` keeps
-the scan over every current gold answer.  The claim: on every query the
+and singleton equalities, maintained as answers are written, built when
+the store opens and pruned when it compacts.
+``tests/reference_subsume.py`` keeps the scan over every current gold
+answer.  The claim: on every query the
 two agree on hit or miss, and a hit's rows equal the reference's and a
 cache-off webbase's.
 
@@ -23,7 +24,8 @@ contradiction and a projection, among these events:
   makes the writer compact online too.
 
 Also: the hardware and jobs domains, eight threads among sweeps and
-bumps, and a count of the work one lookup does at two sizes of gold.
+bumps, and a count of the work one lookup does at two sizes of gold,
+before and after a compaction.
 """
 
 from __future__ import annotations
@@ -349,38 +351,64 @@ def _other_gold(count: int) -> list[str]:
     raise AssertionError("not enough texts")
 
 
+def _gold_of(tmp_path, others: int) -> WebBase:
+    """A webbase whose gold holds ``BASE``'s answer and ``others`` more."""
+    webbase = WebBase(
+        build_world(),
+        WebBaseConfig(cache=CachePolicy.lru(), store_dir=str(tmp_path / "store"), mqo=True),
+    )
+    webbase.query(BASE)
+    for text in _other_gold(others):
+        ctx = webbase.execution_context()
+        outputs = [name.strip() for name in text[7 : text.index(" WHERE")].split(",")]
+        assert webbase.persist_gold(text, Relation(outputs, []), ctx)
+    assert len(webbase.store.answers()) == others + 1
+    return webbase
+
+
+def _counted_lookup(webbase: WebBase, monkeypatch, text: str):
+    """``subsume(text)`` and the containment calls it made; listing the
+    store's current answers fails it."""
+    calls = {"parse_query": 0, "decompose": 0, "entails": 0}
+    for name in calls:
+        real = getattr(optimizer, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(optimizer, name, counted)
+
+    def listed():
+        raise AssertionError("subsume listed the store's current answers")
+
+    monkeypatch.setattr(webbase.store, "current_answers", listed)
+    return webbase.mqo.subsume(text), calls
+
+
 @pytest.mark.parametrize("others", [10, 500])
 def test_one_lookup_does_the_same_work_at_any_size_of_gold(tmp_path, monkeypatch, others):
     """One ``subsume`` of a narrowed query parses once, decomposes once and
     checks one containment, whether gold holds 10 or 500 answers of other
     makes and families, and never lists the store's current answers."""
-    webbase = WebBase(
-        build_world(),
-        WebBaseConfig(cache=CachePolicy.lru(), store_dir=str(tmp_path / "store"), mqo=True),
-    )
+    webbase = _gold_of(tmp_path, others)
     try:
-        webbase.query(BASE)
-        for text in _other_gold(others):
-            ctx = webbase.execution_context()
-            outputs = [name.strip() for name in text[7 : text.index(" WHERE")].split(",")]
-            assert webbase.persist_gold(text, Relation(outputs, []), ctx)
-        assert len(webbase.store.answers()) == others + 1
+        served, calls = _counted_lookup(webbase, monkeypatch, NARROW)
+    finally:
+        webbase.store.close()
+    assert served is not None and served[0] == BASE
+    assert calls == {"parse_query": 1, "decompose": 1, "entails": 1}
 
-        calls = {"parse_query": 0, "decompose": 0, "entails": 0}
-        for name in calls:
-            real = getattr(optimizer, name)
 
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(optimizer, name, counted)
-
-        def listed():
-            raise AssertionError("subsume listed the store's current answers")
-
-        monkeypatch.setattr(webbase.store, "current_answers", listed)
-        served = webbase.mqo.subsume(NARROW)
+@pytest.mark.parametrize("others", [10, 500])
+def test_a_lookup_after_a_compaction_parses_only_its_query(tmp_path, monkeypatch, others):
+    """A compaction keeps every surviving gold record as the same object,
+    so the index drops what the compaction dropped and re-parses nothing:
+    the first lookup after it still makes one ``parse_query`` call."""
+    webbase = _gold_of(tmp_path, others)
+    try:
+        webbase.store.compact()
+        served, calls = _counted_lookup(webbase, monkeypatch, NARROW)
     finally:
         webbase.store.close()
     assert served is not None and served[0] == BASE
